@@ -65,13 +65,3 @@ class TailEnvelope:
         scale = max(1.0, float(np.abs(lv[finite]).max())) if finite.any() else 1.0
         if np.any(np.diff(lv) > tol * scale):
             raise AssertionError("envelope values must be nonincreasing in x")
-
-    def restrict(self, lo: float, hi: float = np.inf) -> "TailEnvelope":
-        mask = (self.x >= lo) & (self.x <= hi)
-        if not mask.any():
-            raise InputError(f"no envelope points inside [{lo}, {hi}]")
-        return TailEnvelope(
-            x=self.x[mask], log_values=self.log_values[mask], side=self.side,
-            provenance=self.provenance, valid_from=max(self.valid_from, lo),
-            valid_to=min(self.valid_to, hi), meta=dict(self.meta),
-        )

@@ -66,12 +66,15 @@ class PhiFunction:
     ``kind`` is one of ``quadratic``, ``power_log``, ``linear``, ``grid``,
     ``callable``.  Closed forms carry analytic derivatives; grids use exact
     piecewise-linear arithmetic (no extrapolation past the last knot).
+    Equality compares kind, domain, params and label only: two grids (or
+    two callables) that differ in their knots (or bodies) may compare equal.
     """
 
     kind: str
     domain: Domain
     params: tuple = ()
-    knots: Optional[tuple] = None  # (lambdas, values) as tuples, grid kind only
+    # (lambdas, values) as read-only float arrays, grid kind only
+    knots: Optional[tuple] = field(default=None, compare=False, repr=False)
     fn: Optional[Callable[[float], float]] = field(default=None, compare=False)
     deriv: Optional[Callable[[float], float]] = field(default=None, compare=False)
     convex: Optional[bool] = None
@@ -144,8 +147,8 @@ class PhiFunction:
 
     @staticmethod
     def from_grid(lambdas: Sequence[float], values: Sequence[float]) -> "PhiFunction":
-        lam = np.asarray(lambdas, dtype=float)
-        val = np.asarray(values, dtype=float)
+        lam = np.array(lambdas, dtype=float)
+        val = np.array(values, dtype=float)
         if lam.ndim != 1 or lam.shape != val.shape or lam.size < 2:
             raise InputError("grid needs matching 1-d lambda/value arrays, >= 2 knots")
         if not np.all(np.diff(lam) > 0):
@@ -158,16 +161,18 @@ class PhiFunction:
         hi = float(np.nextafter(lam[-1], math.inf))
         slopes = np.diff(val) / np.diff(lam)
         convex = bool(np.all(np.diff(slopes) >= -1e-12 * max(1.0, np.abs(slopes).max())))
+        lam.setflags(write=False)
+        val.setflags(write=False)
         return PhiFunction(
             kind="grid", domain=Domain(float(lam[0]), hi),
-            knots=(tuple(lam.tolist()), tuple(val.tolist())),
+            knots=(lam, val),
             convex=convex, label=f"grid[{lam.size} knots]",
         )
 
     @staticmethod
     def from_csv(path: str) -> "PhiFunction":
         """Load a grid function from CSV with header ``lambda,value``."""
-        lams, vals = _read_two_column_csv(path, ("lambda", "value"))
+        lams, vals = _read_csv_columns(path, ("lambda", "value"))
         return PhiFunction.from_grid(lams, vals)
 
     # -- evaluation ----------------------------------------------------------
@@ -179,7 +184,7 @@ class PhiFunction:
         if self.kind == "grid":
             ls, vs = self.knots
             if lam > ls[-1]:
-                raise OutOfDomainError(lam, ls[0], ls[-1])
+                raise OutOfDomainError(lam, float(ls[0]), float(ls[-1]))
             v = float(np.interp(lam, ls, vs))
         else:
             v = float(self.fn(lam))
@@ -202,13 +207,22 @@ class PhiFunction:
             raise OutOfDomainError(lam, self.domain.lo, self.domain.hi)
         return (self.value(b) - self.value(a)) / (b - a)
 
-    def with_domain(self, lo: Optional[float] = None, hi: Optional[float] = None) -> "PhiFunction":
-        d = Domain(self.domain.lo if lo is None else float(lo),
-                   self.domain.hi if hi is None else float(hi))
-        f = PhiFunction(kind=self.kind, domain=d, params=self.params, knots=self.knots,
-                        fn=self.fn, deriv=self.deriv, convex=self.convex, label=self.label,
-                        slope_lim=self.slope_lim)
-        return f
+    def dilate(self, c: float, lo: float, hi: float) -> "PhiFunction":
+        """lam -> f(c*lam) on [lo, hi), staying in the family where it can.
+
+        A quadratic stays a quadratic (coeff*c^2) and a linear function stays
+        linear (slope*c), so their conjugates keep the closed form; any other
+        kind becomes a callable wrapper.
+        """
+        if self.kind == "quadratic":
+            return PhiFunction.quadratic(self.params[0] * c * c, lo, hi)
+        if self.kind == "linear":
+            return PhiFunction.linear(self.params[0] * c, lo, hi)
+        return PhiFunction.from_callable(
+            lambda mu: self.value(c * mu), lo, hi,
+            deriv=(lambda mu: c * self.deriv(c * mu)) if self.deriv else None,
+            convex=self.convex, label=f"dilated[{self.label}]x{c:.4g}",
+        )
 
     def slope_limit(self) -> Optional[float]:
         """lim of the derivative at the upper end of an unbounded domain.
@@ -247,7 +261,7 @@ def certify_convex(f: PhiFunction, n_probe: int = 257, tol: float = 1e-9) -> boo
     of exhaustive scanning.
     """
     if f.kind == "grid":
-        ls, vs = np.asarray(f.knots[0]), np.asarray(f.knots[1])
+        ls, vs = f.knots
         slopes = np.diff(vs) / np.diff(ls)
         return bool(np.all(np.diff(slopes) >= -tol * max(1.0, np.abs(slopes).max())))
     lo, hi = f.domain.lo, f.domain.top()
@@ -333,9 +347,34 @@ def _scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
 
 def _conjugate_grid_form(f: PhiFunction, x: float) -> tuple[float, float]:
     ls, vs = f.knots
-    obj = np.asarray(ls) * x - np.asarray(vs)
+    obj = ls * x - vs
     i = int(np.argmax(obj))
     return float(obj[i]), float(ls[i])
+
+
+def _stationary_point(f: PhiFunction, x: float, top: float) -> Optional[float]:
+    """The maximizer of ``lam*x - f(lam)`` over [lo, top] where it is known.
+
+    None for kinds without a closed form.  Every kind here is convex, so
+    the unconstrained stationary point clipped to [lo, top] is the
+    constrained maximizer.
+    """
+    if f.kind == "quadratic":
+        lam = x / (2.0 * f.params[0])
+    elif f.kind == "power_log" and f.params[1] == 0.0 and f.params[0] > 1.0:
+        e = 1.0 / (f.params[0] - 1.0)
+        # compare in logs first: for p near 1, x**e overflows a float
+        if x <= 0.0:
+            lam = 0.0
+        elif top <= 0.0 or math.log(x) * e >= math.log(top):
+            lam = top
+        else:
+            lam = x ** e
+    elif f.kind == "linear":
+        lam = f.domain.lo if x <= f.params[0] else top
+    else:
+        return None
+    return float(min(max(lam, f.domain.lo), top))
 
 
 def conjugate_value(f: PhiFunction, x: float,
@@ -343,8 +382,13 @@ def conjugate_value(f: PhiFunction, x: float,
     """sup over the domain of ``lam*x - f(lam)``; returns (value, argmax).
 
     Raises UnboundedObjectiveError with the witness sequence when the
-    supremum diverges.  For grid functions the supremum of the piecewise
-    linear interpolant is attained at a knot, so the result is exact.
+    supremum diverges.  Exact kinds: grid functions (the supremum of the
+    piecewise linear interpolant is attained at a knot) and the closed
+    forms ``quadratic``, ``linear`` and ``power_log`` with r = 0 and p > 1
+    (stationary point clipped to the domain).  Callables and the other
+    ``power_log`` cases are searched: a scan followed by golden-section
+    refinement.  On an unbounded domain both the closed forms and the
+    search stop at ``tols.lambda_cap``.
     """
     x = float(x)
     if f.kind == "grid":
@@ -359,6 +403,10 @@ def conjugate_value(f: PhiFunction, x: float,
         if x > slope_lim:
             witness = np.geomspace(max(lo, 1.0), tols.lambda_cap, 8)
             raise UnboundedObjectiveError(x, witness)
+
+    lam_hat = _stationary_point(f, x, hi if math.isfinite(hi) else tols.lambda_cap)
+    if lam_hat is not None:
+        return lam_hat * x - f.value(lam_hat), lam_hat
 
     def g(l: float) -> float:
         return l * x - f.value(l)
@@ -499,7 +547,7 @@ def saddle_point(phi2: PhiFunction, lam: float,
         raise OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
 
     if phi2.kind == "grid":
-        ls, vs = np.asarray(phi2.knots[0]), np.asarray(phi2.knots[1])
+        ls, vs = phi2.knots
         chords = np.diff(vs) / np.diff(ls)  # breakpoints of phi2* in x
         if not np.all(np.diff(chords) >= -1e-12 * max(1.0, float(np.abs(chords).max()))):
             raise InputError("saddle point needs a convex grid function")
@@ -601,33 +649,39 @@ def _bisect_trace(trace, a, b, target):
 # --------------------------------------------------------------------------
 
 
-def _read_two_column_csv(path: str, header: tuple[str, str]) -> tuple[list, list]:
-    first, second = [], []
+def _read_csv_columns(path: str, *headers: tuple[str, ...]) -> tuple[list, ...]:
+    """Numeric columns under the first of ``headers`` the file's header starts with.
+
+    The first column must strictly increase; errors carry the line number.
+    """
+    cols: tuple[list, ...] = ()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if lineno == 1:
-                got = tuple(c.strip().lower() for c in row[:2])
-                if got != header:
-                    raise InputError(
-                        f"{path}:1: expected header {','.join(header)!r}, got {','.join(got)!r}"
-                    )
+                got = tuple(c.strip().lower() for c in row)
+                header = next((h for h in headers if got[:len(h)] == h), None)
+                if header is None:
+                    want = " or ".join(repr(",".join(h)) for h in headers)
+                    raise InputError(f"{path}:1: expected header {want}, got {','.join(got)!r}")
+                n = len(header)
+                cols = tuple([] for _ in header)
                 continue
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) < 2:
-                raise InputError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+            if len(row) < n:
+                raise InputError(f"{path}:{lineno}: expected {n} columns, got {len(row)}")
             try:
-                a, b = float(row[0]), float(row[1])
+                nums = [float(c) for c in row[:n]]
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: non-numeric entry: {exc}") from None
-            if first and a <= first[-1]:
+            if cols[0] and nums[0] <= cols[0][-1]:
                 raise InputError(
                     f"{path}:{lineno}: first column must be strictly increasing "
-                    f"({a} after {first[-1]})"
+                    f"({nums[0]} after {cols[0][-1]})"
                 )
-            first.append(a)
-            second.append(b)
-    if len(first) < 2:
+            for col, v in zip(cols, nums):
+                col.append(v)
+    if not cols or len(cols[0]) < 2:
         raise InputError(f"{path}: need at least 2 data rows")
-    return first, second
+    return cols

@@ -207,10 +207,6 @@ def tangent_bracket_lower(phi1: PhiFunction, geometry: SaddleGeometry) -> float:
     return math.exp(lv) if lv > _LOG_EPS else 0.0
 
 
-def default_delta_grid(n: int = 16, lo: float = 1e-3, hi: float = 0.5) -> np.ndarray:
-    return np.geomspace(lo, hi, n)
-
-
 @dataclass(frozen=True)
 class ClosureDiagnostics:
     all_clamped: bool
@@ -237,7 +233,7 @@ def closure_lower_envelope(
     zs = np.asarray(z_grid, dtype=float)
     if zs.ndim != 1 or zs.size == 0 or (zs.size > 1 and not np.all(np.diff(zs) > 0)):
         raise InputError("z_grid must be nonempty strictly increasing")
-    dg = default_delta_grid() if delta_grid is None else np.asarray(delta_grid, float)
+    dg = np.geomspace(1e-3, 0.5, 16) if delta_grid is None else np.asarray(delta_grid, float)
 
     log_vals = np.full(zs.size, -math.inf)
     per_z = {}
@@ -400,7 +396,10 @@ def pinched_lower_envelope(
     tangent-line closure with offsets proportional to delta certifies the
     claimed form from some threshold z on.  c is the smallest grid value
     whose envelope is dominated by the machinery bound over the whole upper
-    part of a certification ladder; the threshold is recorded.
+    part of a certification ladder; the threshold is recorded as the
+    certificate's ``certified_from`` and is the envelope's ``valid_from``.
+    Points of ``z_grid`` from e up are all emitted; those below the
+    threshold carry the form but not the certificate.
     """
     if not (0.0 < delta < 0.5):
         raise InputError("delta must be in (0, 1/2)")
@@ -482,7 +481,7 @@ def pinched_lower_envelope(
     env = TailEnvelope(
         x=zs, log_values=np.minimum(log_vals, 0.0), side=LOWER,
         provenance="pinched-exponent-envelope",
-        valid_from=math.e, meta={"certificate": cert},
+        valid_from=cert.certified_from, meta={"certificate": cert},
     )
     return env, cert
 

@@ -34,7 +34,6 @@ from .errors import (
     AbsorptionFailedError,
     InputError,
     NotCertifiedError,
-    OutOfDomainError,
     UnboundedObjectiveError,
 )
 from .functions import PhiFunction, conjugate_value
@@ -195,7 +194,7 @@ def m_surrogate_from_upper(nu: PhiFunction, eps: float,
         hi = max(10.0, 4.0 * max(lo, 1.0))
         target = 80.0 / eps
         while hi < tols.lambda_cap:
-            v = hi * _safe_slope_x(nu, hi) - nu.value(hi)
+            v = hi * nu.derivative(hi) - nu.value(hi)
             if v > target:
                 break
             hi *= 2.0
@@ -219,15 +218,6 @@ def m_surrogate_from_upper(nu: PhiFunction, eps: float,
     zeta = PhiFunction.from_callable(minorant, 0.0, math.inf, convex=True,
                                      label=f"tangent-minorant-conjugate[{nu.label}]")
     return k_integral(zeta, eps, tols)
-
-
-def _safe_slope_x(nu: PhiFunction, lam: float) -> float:
-    if nu.deriv is not None:
-        try:
-            return float(nu.deriv(lam))
-        except Exception:
-            pass
-    return nu.derivative(lam)
 
 
 def _lam1_candidates(phi: PhiFunction, w_lo: float) -> list[float]:
@@ -337,13 +327,7 @@ def _exponent_factory(phi: PhiFunction, cert: LowerEnvelopeCertificate,
     mu_lo = max(cert.mu1, phi.domain.lo / c_tilde if c_tilde > 0 else cert.mu1)
     mu_hi = phi.domain.hi / (1.0 - cert.eps) if math.isfinite(phi.domain.hi) else math.inf
 
-    dilated = PhiFunction.from_callable(
-        lambda mu: phi.value(c_tilde * mu),
-        mu_lo, mu_hi,
-        deriv=(lambda mu: c_tilde * phi.deriv(c_tilde * mu)) if phi.deriv else None,
-        convex=phi.convex,
-        label=f"dilated[{phi.label}]x{c_tilde:.4g}",
-    )
+    dilated = phi.dilate(c_tilde, mu_lo, mu_hi)
 
     def exponent(x: float) -> float:
         linear = cert.mu1 * x - nonneg_offset

@@ -10,7 +10,7 @@ valid for x >= e.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .envelope import LOWER, UPPER, TailEnvelope
 from .errors import InputError, NotCertifiedError
-from .functions import PhiFunction, _read_two_column_csv, conjugate_value
+from .functions import PhiFunction, _read_csv_columns, conjugate_value
 from .integrals import CramerCertificate, cramer_check
 from .lower_unilateral import (
     LowerEnvelopeCertificate,
@@ -93,37 +93,9 @@ def moment_power_growth(m: float, c_low: float, c_high: float,
 
 def moment_envelope_from_csv(path: str) -> MomentEnvelope:
     """CSV with header ``p,lower`` or ``p,lower,upper``."""
-    import csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh))
-    cols = tuple(c.strip().lower() for c in header)
-    if cols[:2] != ("p", "lower"):
-        raise InputError(f"{path}:1: expected header p,lower[,upper], got {','.join(cols)}")
-    if len(cols) >= 3 and cols[2] == "upper":
-        ps, lowers, uppers = [], [], []
-        import csv as _csv
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = _csv.reader(fh)
-            next(reader)
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) < 3:
-                    raise InputError(f"{path}:{lineno}: expected 3 columns")
-                try:
-                    p, lw, up = float(row[0]), float(row[1]), float(row[2])
-                except ValueError as exc:
-                    raise InputError(f"{path}:{lineno}: non-numeric entry: {exc}") from None
-                if ps and p <= ps[-1]:
-                    raise InputError(f"{path}:{lineno}: p must be strictly increasing")
-                ps.append(p); lowers.append(lw); uppers.append(up)
-        if len(ps) < 2:
-            raise InputError(f"{path}: need at least 2 data rows")
-        return MomentEnvelope(lower=PhiFunction.from_grid(ps, lowers),
-                              upper=PhiFunction.from_grid(ps, uppers))
-    ps, lowers = _read_two_column_csv(path, ("p", "lower"))
-    return MomentEnvelope(lower=PhiFunction.from_grid(ps, lowers))
+    cols = _read_csv_columns(path, ("p", "lower", "upper"), ("p", "lower"))
+    upper = PhiFunction.from_grid(cols[0], cols[2]) if len(cols) == 3 else None
+    return MomentEnvelope(lower=PhiFunction.from_grid(cols[0], cols[1]), upper=upper)
 
 
 # --------------------------------------------------------------------------

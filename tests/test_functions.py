@@ -1,6 +1,8 @@
 """Function representation, Legendre transform, biconjugate, saddle points."""
 
+import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from tailbounds.functions import (
     evaluate,
     saddle_point,
 )
+from tailbounds.lower_bilateral import pinched_lower_envelope
 
 
 class TestEvaluate:
@@ -280,3 +283,146 @@ class TestCsvLoading:
         p.write_text("lambda,value\n1.0,1.0\nx,3.0\n")
         with pytest.raises(InputError, match=":3:"):
             PhiFunction.from_csv(str(p))
+
+
+def _searched(f):
+    """The same function as a callable, whose conjugate is found by search."""
+    return PhiFunction.from_callable(f.fn, f.domain.lo, f.domain.hi, deriv=f.deriv,
+                                     convex=True, slope_lim=f.slope_limit())
+
+
+class TestClosedFormConjugates:
+    @given(
+        family=st.sampled_from(["quadratic", "power_log", "linear"]),
+        coeff=st.floats(min_value=0.05, max_value=5.0),
+        p=st.floats(min_value=1.1, max_value=6.0, exclude_min=True),
+        lo=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=5.0)),
+        width=st.one_of(st.just(math.inf), st.floats(min_value=0.5, max_value=50.0)),
+        where=st.sampled_from(["zero", "below", "inside", "above"]),
+        u=st.floats(min_value=0.0, max_value=0.99),
+    )
+    def test_agrees_with_search(self, family, coeff, p, lo, width, where, u):
+        hi = lo + width
+        if family == "quadratic":
+            f = PhiFunction.quadratic(coeff, lo, hi)
+        elif family == "power_log":
+            f = PhiFunction.power_log(p, 0.0, lo, hi)
+        else:
+            f = PhiFunction.linear(coeff, lo, hi)
+        top = f.domain.top()
+        if family == "linear":
+            # the objective is monotone: the maximizer is lo below the
+            # slope and the top above it (unbounded without a top)
+            x = {"zero": 0.0, "below": u * coeff, "inside": u * coeff,
+                 "above": coeff * (1.0 + u) + 1e-3}[where]
+        else:
+            # x = f'(target): the stationary point sits at the target,
+            # which may lie below lo or above the top
+            target = {"zero": 0.0, "below": lo * u,
+                      "inside": lo + u * min(width, 100.0),
+                      "above": top * (1.0 + u) + 1e-3 if math.isfinite(top) else lo + 100.0 * u,
+                      }[where]
+            x = f.derivative(target) if target > 0 else 0.0
+        g = _searched(f)
+        if family == "linear" and where == "above" and not f.domain.bounded:
+            with pytest.raises(UnboundedObjectiveError):
+                conjugate_value(f, x)
+            with pytest.raises(UnboundedObjectiveError):
+                conjugate_value(g, x)
+            return
+        v, a = conjugate_value(f, x)
+        v_s, a_s = conjugate_value(g, x)
+        assert v == pytest.approx(v_s, rel=1e-9, abs=1e-12)
+        assert a == pytest.approx(a_s, rel=1e-6, abs=1e-6)
+        assert lo <= a <= top
+
+    @pytest.mark.parametrize("f", [PhiFunction.quadratic(0.7), PhiFunction.power_log(3.0),
+                                   PhiFunction.linear(2.0, hi=9.0)])
+    def test_one_evaluation_per_point(self, f):
+        calls = []
+        counted = dataclasses.replace(f, fn=lambda l, fn=f.fn: calls.append(l) or fn(l))
+        assert conjugate_value(counted, 2.5) == conjugate_value(f, 2.5)
+        assert len(calls) == 1
+
+    def test_clipped_at_the_cap_like_the_search(self):
+        # the stationary point 30^10 lies far above lambda_cap = 1e8
+        f = PhiFunction.power_log(1.1)
+        v, a = conjugate_value(f, 30.0)
+        v_s, a_s = conjugate_value(_searched(f), 30.0)
+        assert a == 1e8
+        assert v == pytest.approx(v_s, rel=1e-9)
+        assert a == pytest.approx(a_s, rel=1e-6)
+
+    @pytest.mark.parametrize("hi", [math.inf, 50.0])
+    @pytest.mark.parametrize("p", [1.001, 1.002, 1.01])
+    def test_power_near_one_clips_before_overflow(self, p, hi):
+        # 8**(1/(p-1)) and 1300**100 exceed the float range; both clip at the top
+        f = PhiFunction.power_log(p, 0.0, 1.0, hi)
+        for x in (8.0, 1300.0):
+            v, a = conjugate_value(f, x)
+            v_s, a_s = conjugate_value(_searched(f), x)
+            assert a == (1e8 if hi == math.inf else f.domain.top())
+            assert v == pytest.approx(v_s, rel=1e-9)
+            assert a == pytest.approx(a_s, rel=1e-6)
+
+    def test_dilate_keeps_the_family(self):
+        assert PhiFunction.quadratic(0.5).dilate(2.0, 0.5, 10.0) == \
+            PhiFunction.quadratic(2.0, 0.5, 10.0)
+        assert PhiFunction.linear(1.5).dilate(2.0, 1.0, math.inf) == PhiFunction.linear(3.0)
+        d = PhiFunction.power_log(2.0, 1.0).dilate(2.0, 1.0, math.inf)
+        assert d.kind == "callable"
+        assert d.value(3.0) == PhiFunction.power_log(2.0, 1.0).value(6.0)
+
+
+class TestGridConjugateExact:
+    @given(
+        knot_steps=st.lists(st.floats(min_value=0.01, max_value=3.0),
+                            min_size=2, max_size=40),
+        vals=st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=2, max_size=40),
+        lo=st.floats(min_value=0.0, max_value=5.0),
+        xs=st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=1, max_size=10),
+    )
+    def test_equals_brute_force(self, knot_steps, vals, lo, xs):
+        n = min(len(knot_steps), len(vals))
+        ls = (lo + np.cumsum(knot_steps[:n])).tolist()
+        vs = vals[:n]
+        g = PhiFunction.from_grid(ls, vs)
+        for x in xs:
+            obj = [lam * x - val for lam, val in zip(ls, vs)]
+            best = max(obj)
+            assert conjugate_value(g, x) == (best, ls[obj.index(best)])
+        xg = np.unique(xs)
+        res = conjugate(g, xg)
+        for x, v in zip(xg, res.values):
+            assert v == max(lam * x - val for lam, val in zip(ls, vs))
+
+    def test_knots_are_read_only_copies(self):
+        lam = np.array([1.0, 2.0, 3.0])
+        val = np.array([0.5, 2.0, 4.5])
+        g = PhiFunction.from_grid(lam, val)
+        lam[1] = 2.5  # the caller's array stays writable and unshared
+        assert g.value(2.0) == 2.0
+        with pytest.raises(ValueError):
+            g.knots[0][0] = 0.0
+
+
+class TestThreadSafety:
+    def test_shared_instances_match_serial_run(self):
+        ls = np.linspace(0.0, 20.0, 2001)
+        grid = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
+        quad = PhiFunction.quadratic(lo=0.0)
+        xs = np.linspace(0.0, 15.0, 301)
+        zs = np.linspace(math.e, 8.0, 6)
+
+        def work():
+            g, q = conjugate(grid, xs), conjugate(quad, xs)
+            env, cert = pinched_lower_envelope(quad, 0.1, zs)
+            return (g.values, g.argmax, q.values, q.argmax, env.log_values,
+                    np.array([cert.c, cert.certified_from]))
+
+        serial = work()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = [pool.submit(work) for _ in range(2)]
+            for run in runs:
+                for got, want in zip(run.result(), serial):
+                    np.testing.assert_array_equal(got, want)

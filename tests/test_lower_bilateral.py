@@ -7,7 +7,7 @@ import pytest
 
 from tailbounds import oracles
 from tailbounds.errors import GeometryInvalidError, NotCertifiedError
-from tailbounds.functions import PhiFunction, conjugate_value
+from tailbounds.functions import PhiFunction
 from tailbounds.lower_bilateral import (
     closure_lower_envelope,
     exact_mgf_sandwich,
@@ -193,6 +193,13 @@ class TestPinchedEnvelope:
         ratio = env.neg_log() / (0.5 * env.x ** 2)
         assert np.allclose(ratio, ratio[0], rtol=1e-9)
         assert ratio[0] > 1.0
+
+    def test_valid_from_is_the_certified_threshold(self, pinch):
+        env, cert = pinch
+        assert env.valid_from == cert.certified_from
+        # points below the threshold are still emitted, but not claimed
+        assert env.x[0] == pytest.approx(math.e)
+        assert env.x[-1] < env.valid_from
 
     def test_validity_on_certified_range(self, pinch):
         _, cert = pinch
