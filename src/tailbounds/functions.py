@@ -45,8 +45,9 @@ class Domain:
         if not (self.hi > self.lo):
             raise EmptyDomainError(f"empty domain [{self.lo}, {self.hi})")
 
-    def contains(self, lam: float) -> bool:
-        return self.lo <= lam < self.hi
+    def contains(self, lam):
+        """lo <= lam < hi; elementwise for an array."""
+        return (self.lo <= lam) & (lam < self.hi)
 
     @property
     def bounded(self) -> bool:
@@ -80,6 +81,8 @@ class PhiFunction:
     convex: Optional[bool] = None
     label: str = ""
     slope_lim: Optional[float] = None  # declared lim of f' at an unbounded top
+    # fn and deriv accept arrays (callable kind; see from_callable)
+    vectorized: bool = field(default=False, compare=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -137,10 +140,17 @@ class PhiFunction:
         convex: Optional[bool] = None,
         label: str = "callable",
         slope_lim: Optional[float] = None,
+        vectorized: bool = False,
     ) -> "PhiFunction":
+        """Wrap ``fn`` (and its derivative ``deriv``) on [lo, hi).
+
+        ``vectorized=True`` promises that ``fn`` and ``deriv`` map a float
+        array elementwise to exactly what they return for each scalar, so
+        :meth:`values` and :meth:`derivatives` call them once per array.
+        """
         f = PhiFunction(kind="callable", domain=Domain(lo, hi), fn=fn,
                         deriv=deriv, convex=convex, label=label,
-                        slope_lim=slope_lim)
+                        slope_lim=slope_lim, vectorized=vectorized)
         if convex is None:
             object.__setattr__(f, "convex", certify_convex(f))
         return f
@@ -196,6 +206,44 @@ class PhiFunction:
             raise NegativeInputError(f"{self.label}: negative value {v} at lam={lam}")
         return v
 
+    def _evaluates_arrays(self) -> bool:
+        return self.kind in ("grid", "quadratic", "linear") or self.vectorized
+
+    def values(self, lams) -> np.ndarray:
+        """``[value(l) for l in lams]`` as an array of the same shape.
+
+        Equal to the scalar calls bit for bit; the first failing point
+        raises the error its scalar call raises.  Grid, quadratic and linear
+        kinds and vectorized callables evaluate in one array call, the
+        other kinds loop over :meth:`value`.
+        """
+        lams = np.asarray(lams, dtype=float)
+        flat = lams.ravel()
+        if not self._evaluates_arrays():
+            return np.array([self.value(t) for t in flat.tolist()], dtype=float).reshape(lams.shape)
+        inside = self.domain.contains(flat)
+        n = flat.size if inside.all() else int(np.argmin(inside))
+        head = flat[:n]
+        if self.kind == "grid":
+            ls, vs = self.knots
+            v = np.where(head > ls[-1], math.nan, np.interp(head, ls, vs))
+        else:
+            v = np.broadcast_to(np.asarray(self.fn(head), dtype=float), head.shape)
+        bad = ~np.isfinite(v) | (v <= -1e-12)
+        if bad.any():
+            self.value(head[int(np.argmax(bad))])  # raises that point's error
+        if n < flat.size:
+            self.value(flat[n])
+        return np.where(v < 0.0, 0.0, v).reshape(lams.shape)
+
+    def derivatives(self, lams) -> np.ndarray:
+        """``[derivative(l) for l in lams]`` as an array, bit for bit."""
+        lams = np.asarray(lams, dtype=float)
+        if self.deriv is not None and self._evaluates_arrays():
+            return np.broadcast_to(np.asarray(self.deriv(lams), dtype=float), lams.shape).copy()
+        return np.array([self.derivative(t) for t in lams.ravel().tolist()],
+                        dtype=float).reshape(lams.shape)
+
     def derivative(self, lam: float, h_rel: float = 1e-6) -> float:
         """Analytic derivative when the family has one, else central difference."""
         if self.deriv is not None:
@@ -212,16 +260,17 @@ class PhiFunction:
 
         A quadratic stays a quadratic (coeff*c^2) and a linear function stays
         linear (slope*c), so their conjugates keep the closed form; any other
-        kind becomes a callable wrapper.
+        kind becomes a vectorized callable wrapper.
         """
         if self.kind == "quadratic":
             return PhiFunction.quadratic(self.params[0] * c * c, lo, hi)
         if self.kind == "linear":
             return PhiFunction.linear(self.params[0] * c, lo, hi)
         return PhiFunction.from_callable(
-            lambda mu: self.value(c * mu), lo, hi,
-            deriv=(lambda mu: c * self.deriv(c * mu)) if self.deriv else None,
+            lambda mu: self.values(c * np.asarray(mu)), lo, hi,
+            deriv=(lambda mu: c * self.derivatives(c * np.asarray(mu))) if self.deriv else None,
             convex=self.convex, label=f"dilated[{self.label}]x{c:.4g}",
+            vectorized=True,
         )
 
     def slope_limit(self) -> Optional[float]:
@@ -268,7 +317,7 @@ def certify_convex(f: PhiFunction, n_probe: int = 257, tol: float = 1e-9) -> boo
     if not math.isfinite(hi):
         hi = max(100.0, 10.0 * max(lo, 1.0))
     grid = np.linspace(lo, hi, n_probe)
-    vals = np.array([f.value(x) for x in grid])
+    vals = f.values(grid)
     second = np.diff(vals, 2)
     scale = max(1.0, float(np.abs(vals).max()))
     return bool(np.all(second >= -tol * scale))
@@ -338,7 +387,7 @@ def _golden_max(g: Callable[[float], float], a: float, b: float,
 
 def _scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
     pts = [np.linspace(lo, hi, n)]
-    if lo > 0 and hi / lo > 100.0:
+    if lo > 0 and hi > 100.0 * lo:
         pts.append(np.geomspace(lo, hi, n))
     elif lo == 0.0 and hi > 100.0:
         pts.append(np.geomspace(min(1e-6, hi * 1e-9), hi, n))
@@ -416,7 +465,7 @@ def conjugate_value(f: PhiFunction, x: float,
         hi_eff = max(10.0, 4.0 * abs(x), 4.0 * max(lo, 1.0))
         while True:
             grid = _scan_grid(lo, hi_eff, tols.scan_points)
-            vals = np.array([g(t) for t in grid])
+            vals = grid * x - f.values(grid)
             i = int(np.argmax(vals))
             if i < grid.size - 1:
                 break
@@ -427,7 +476,7 @@ def conjugate_value(f: PhiFunction, x: float,
             hi_eff = min(hi_eff * tols.unbounded_growth_factor, tols.lambda_cap)
     else:
         grid = _scan_grid(lo, hi_eff := hi, tols.scan_points)
-        vals = np.array([g(t) for t in grid])
+        vals = grid * x - f.values(grid)
         i = int(np.argmax(vals))
 
     a = grid[max(i - 1, 0)]

@@ -171,7 +171,7 @@ def log_i_integral(zeta: PhiFunction, lam: float, tols: Tolerances = DEFAULT) ->
     _pretest_decay(g, f"I({lam})", tols)
 
     def log_f(xs: np.ndarray) -> np.ndarray:
-        return np.array([lam * float(x) - zeta.value(float(x)) for x in xs])
+        return lam * xs - zeta.values(xs)
 
     # coarse peak hint
     probe = np.geomspace(1e-3, 1e6, 200)

@@ -64,34 +64,83 @@ def _x0(phi2: PhiFunction, t: float, tols: Tolerances) -> float:
     return saddle_point(phi2, float(t), tols=tols)
 
 
-def _x0_inverse(phi2: PhiFunction, z: float, tols: Tolerances) -> float:
-    """The t with x0(t) = z; equals the conjugate maximizer at z."""
-    if phi2.convex and phi2.deriv is not None:
-        lo = max(phi2.domain.lo, 1e-12)
-        hi = phi2.domain.top()
-        dlo = float(phi2.deriv(lo))
-        if dlo > z:
-            raise OutOfDomainError(z, dlo, math.inf)
-        if math.isfinite(hi):
-            b = hi
-        else:
-            b = max(2.0 * lo, 1.0)
-            for _ in range(200):
-                if float(phi2.deriv(b)) > z:
-                    break
-                b *= 2.0
-        a = lo
-        for _ in range(100):
-            m = 0.5 * (a + b)
-            if float(phi2.deriv(m)) <= z:
-                a = m
-            else:
-                b = m
-            if (b - a) <= 1e-13 * max(1.0, b):
+def _x0_inverse(phi2: PhiFunction, zs, tols: Tolerances) -> tuple[np.ndarray, dict]:
+    """The t with x0(t) = z for each z; equals the conjugate maximizer at z.
+
+    Returns the t's and, by index, the error of each z without a saddle
+    (its t is NaN): an OutOfDomainError when z is below phi2'(lo) or beyond
+    every phi2' value of the 200 doublings, or the error of the conjugate.
+    With an analytic derivative all z bisect together, each with its own
+    halvings.
+    """
+    zs = np.asarray(zs, dtype=float)
+    mus = np.full(zs.size, math.nan)
+    errors: dict = {}
+    if not (phi2.convex and phi2.deriv is not None):
+        for i, z in enumerate(zs.tolist()):
+            try:
+                mus[i] = conjugate_value(phi2, z, tols)[1]
+            except (OutOfDomainError, InputError) as exc:
+                errors[i] = exc
+        return mus, errors
+    lo = max(phi2.domain.lo, 1e-12)
+    hi = phi2.domain.top()
+    dlo = float(phi2.deriv(lo))
+    for i in np.flatnonzero(dlo > zs):
+        errors[int(i)] = OutOfDomainError(float(zs[i]), dlo, math.inf)
+    live = ~(dlo > zs)
+    b = np.full(zs.size, hi if math.isfinite(hi) else max(2.0 * lo, 1.0))
+    if not math.isfinite(hi):
+        grow = live.copy()
+        for k in range(201):
+            grow[grow] = ~(phi2.derivatives(b[grow]) > zs[grow])
+            if k == 200 or not grow.any():
                 break
-        return 0.5 * (a + b)
-    _, arg = conjugate_value(phi2, z, tols)
-    return arg
+            b[grow] *= 2.0
+        for i in np.flatnonzero(grow):
+            errors[int(i)] = OutOfDomainError(float(zs[i]), dlo, float(phi2.deriv(b[i])))
+        live &= ~grow
+    idx = np.flatnonzero(live)
+    a, b, z = np.full(idx.size, lo), b[idx], zs[idx]
+    active = np.ones(idx.size, dtype=bool)
+    for _ in range(100):
+        if not active.any():
+            break
+        m = 0.5 * (a[active] + b[active])
+        below = phi2.derivatives(m) <= z[active]
+        a[active] = np.where(below, m, a[active])
+        b[active] = np.where(below, b[active], m)
+        active[active] = ~((b[active] - a[active]) <= 1e-13 * np.maximum(1.0, b[active]))
+    mus[idx] = 0.5 * (a + b)
+    return mus, errors
+
+
+def _x0_many(phi2: PhiFunction, ts: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """_x0 at each t; NaN where it refuses with OutOfDomainError or InputError."""
+    if phi2.convex and phi2.deriv is not None:
+        return phi2.derivatives(ts)
+    out = np.full(ts.size, math.nan)
+    for i, t in enumerate(ts.tolist()):
+        try:
+            out[i] = saddle_point(phi2, t, tols=tols)
+        except (OutOfDomainError, InputError):
+            pass
+    return out
+
+
+def _stars_at_saddle(phi2: PhiFunction, ts: np.ndarray, xs: np.ndarray,
+                     tols: Tolerances) -> np.ndarray:
+    """_phi2_star_at_saddle at each (t, x); NaN where x is NaN or refused."""
+    if phi2.convex and phi2.deriv is not None:
+        return ts * xs - phi2.values(ts)
+    out = np.full(ts.size, math.nan)
+    for i, x in enumerate(xs.tolist()):
+        if not math.isnan(x):
+            try:
+                out[i] = conjugate_value(phi2, x, tols)[0]
+            except (OutOfDomainError, InputError):
+                pass
+    return out
 
 
 def _phi2_star_at_saddle(phi2: PhiFunction, t: float, x: float,
@@ -188,15 +237,57 @@ def tangent_bracket_log(phi1: PhiFunction, geometry: SaddleGeometry) -> float:
     Log-sum-exp arithmetic keeps exponents in the thousands exact.
     """
     geometry.validate()
-    lam = geometry.lam
-    t0 = phi1.value(lam)
-    tm = math.log(lam) + geometry.s_minus - math.log(geometry.ds_minus)
-    tp = math.log(lam) + geometry.s_plus - math.log(-geometry.ds_plus)
+    g = geometry
+    return _bracket_log(g.lam, phi1.value(g.lam), g.s_minus, g.ds_minus,
+                        g.s_plus, g.ds_plus, g.x_plus)
+
+
+def _bracket_log(lam: float, t0: float, s_minus: float, ds_minus: float,
+                 s_plus: float, ds_plus: float, x_plus: float) -> float:
+    tm = math.log(lam) + s_minus - math.log(ds_minus)
+    tp = math.log(lam) + s_plus - math.log(-ds_plus)
     m = max(t0, tm, tp)
     bracket = math.exp(t0 - m) - math.exp(tm - m) - math.exp(tp - m)
     if bracket <= 0.0:
         return -math.inf
-    return -lam * geometry.x_plus + m + math.log(bracket)
+    return -lam * x_plus + m + math.log(bracket)
+
+
+def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, lams: np.ndarray,
+                  d1s: np.ndarray, d2s: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """tangent_bracket_log(phi1, make_geometry(phi2, lam, d1, d2)) per row.
+
+    -inf where make_geometry refuses the row or the bracket clamps (or is
+    NaN, which no maximum picks).  phi2 and x0 are evaluated once per
+    distinct mu, lam and nu of the batch, phi1 once per valid lam.
+    """
+    out = np.full(lams.size, -math.inf)
+    mus, nus = lams * (1.0 - d1s), lams * (1.0 + d2s)
+    dom = phi2.domain
+    rows = np.flatnonzero((0.0 < d1s) & (d1s < 1.0) & (0.0 < d2s) & dom.contains(mus)
+                          & dom.contains(lams) & dom.contains(nus))
+    if rows.size == 0:
+        return out
+    lam, k = lams[rows], rows.size
+    ts, inv = np.unique(np.concatenate([mus[rows], lam, nus[rows]]), return_inverse=True)
+    x0s = _x0_many(phi2, ts, tols)
+    stars = _stars_at_saddle(phi2, ts, x0s, tols)
+    xm, x0, xp = (x0s[inv[j * k:(j + 1) * k]] for j in range(3))
+    sm, s0, sp = (lam * x0s[inv[j * k:(j + 1) * k]] - stars[inv[j * k:(j + 1) * k]]
+                  for j in range(3))
+    dsm, dsp = lam - mus[rows], lam - nus[rows]
+    # SaddleGeometry.validate, with Python's max(a, b) == (b if b > a else a)
+    tol = 1e-9 * np.where(np.abs(s0) > 1.0, np.abs(s0), 1.0)
+    valid = ((xm < x0) & (x0 < xp) & (dsm > 0.0) & (dsp < 0.0)
+             & ~(s0 < np.where(sp > sm, sp, sm) - tol))
+    if not valid.any():
+        return out
+    t0 = phi1.values(lam[valid])
+    cols = [v[valid].tolist() for v in (lam, sm, dsm, sp, dsp, xp)]
+    lv = np.array([_bracket_log(l, t, a, b, c, d, e)
+                   for l, t, a, b, c, d, e in zip(cols[0], t0.tolist(), *cols[1:])])
+    out[rows[valid]] = np.where(np.isnan(lv), -math.inf, lv)
+    return out
 
 
 def tangent_bracket_lower(phi1: PhiFunction, geometry: SaddleGeometry) -> float:
@@ -235,39 +326,34 @@ def closure_lower_envelope(
         raise InputError("z_grid must be nonempty strictly increasing")
     dg = np.geomspace(1e-3, 0.5, 16) if delta_grid is None else np.asarray(delta_grid, float)
 
+    d1 = np.repeat(dg, dg.size)
+    d2 = np.tile(dg, dg.size)
+    if extra_offsets:
+        extra = np.asarray(list(extra_offsets), dtype=float).reshape(-1, 2)
+        d1, d2 = np.concatenate([d1, extra[:, 0]]), np.concatenate([d2, extra[:, 1]])
+    usable = np.flatnonzero(d1 < 1.0)
+
+    mus, no_saddle = _x0_inverse(phi2, zs, tols)
     log_vals = np.full(zs.size, -math.inf)
     per_z = {}
-    for i, z in enumerate(zs):
-        try:
-            mu = _x0_inverse(phi2, float(z), tols)
-        except (OutOfDomainError, InputError):
-            per_z[float(z)] = {"status": "no-saddle"}
+    for i, (z, mu) in enumerate(zip(zs.tolist(), mus.tolist())):
+        if i in no_saddle:
+            per_z[z] = {"status": "no-saddle"}
             continue
-        best = -math.inf
-        best_geo = None
-        pairs = [(float(d1), float(d2)) for d1 in dg for d2 in dg]
-        if extra_offsets:
-            pairs.extend((float(a), float(b)) for a, b in extra_offsets)
-        for d1, d2 in pairs:
-            if d1 >= 1.0:
-                continue
-            lam = mu / (1.0 - d1)
-            nu = lam * (1.0 + d2)
-            if not (phi2.domain.contains(lam) and phi2.domain.contains(nu)
-                    and phi1.domain.contains(lam)):
-                continue
-            try:
-                geo = make_geometry(phi2, lam, d1, d2, tols=tols)
-            except (GeometryInvalidError, OutOfDomainError, InputError):
-                continue
-            lv = tangent_bracket_log(phi1, geo)
-            if lv > best:
-                best = lv
-                best_geo = (d1, d2, lam)
+        # every (d1, d2) geometry of this z in one batch
+        lam = mu / (1.0 - d1[usable])
+        inside = (phi2.domain.contains(lam) & phi2.domain.contains(lam * (1.0 + d2[usable]))
+                  & phi1.domain.contains(lam))
+        rows, lam = usable[inside], lam[inside]
+        lv = np.full(d1.size, -math.inf)
+        lv[rows] = _bracket_logs(phi1, phi2, lam, d1[rows], d2[rows], tols)
+        j = int(np.argmax(lv))  # the first strict maximum in pair order
+        best = float(lv[j])
         log_vals[i] = min(best, 0.0)
-        per_z[float(z)] = {
+        per_z[z] = {
             "status": "ok" if best > -math.inf else "clamped",
-            "best_offsets": best_geo,
+            "best_offsets": (float(d1[j]), float(d2[j]), mu / (1.0 - float(d1[j])))
+            if best > -math.inf else None,
             "log_value": best,
         }
 
@@ -424,26 +510,16 @@ def pinched_lower_envelope(
     scale_hi = min(4.9, 0.49 / delta)
     scales = np.geomspace(0.3, scale_hi, 16)
     neg_log = np.full(cert_ladder.size, math.inf)
-    for i, z in enumerate(cert_ladder):
-        try:
-            mu = _x0_inverse(phi, float(z), tols)
-        except (OutOfDomainError, InputError):
+    ds = scales * delta
+    ds = ds[~(ds >= 0.5)]
+    mus, no_saddle = _x0_inverse(phi, cert_ladder, tols)
+    for i, mu in enumerate(mus.tolist()):
+        if i in no_saddle:
             continue
-        best = -math.inf
-        for s in scales:
-            d = float(s) * delta
-            if d >= 0.5:
-                continue
-            lam = mu / (1.0 - d)
-            nu = lam * (1.0 + d)
-            if not (phi.domain.contains(lam) and phi.domain.contains(nu)):
-                continue
-            try:
-                geo = make_geometry(phi, lam, d, d, tols=tols)
-            except (GeometryInvalidError, OutOfDomainError, InputError):
-                continue
-            lv = tangent_bracket_log(phi1, geo)
-            best = max(best, lv)
+        lam = mu / (1.0 - ds)
+        inside = phi.domain.contains(lam) & phi.domain.contains(lam * (1.0 + ds))
+        lv = _bracket_logs(phi1, phi, lam[inside], ds[inside], ds[inside], tols)
+        best = float(lv.max()) if lv.size else -math.inf
         if best > -math.inf:
             neg_log[i] = -best
 
@@ -542,10 +618,17 @@ def exact_mgf_sandwich(
     stars = np.array([conjugate_value(phi, float(x), tols)[0] for x in xs])
 
     b = phi.domain.hi
+    mus, no_saddle = _x0_inverse(phi, xs, tols)
+    if no_saddle:
+        raise no_saddle[min(no_saddle)]
+    if c1_grid is None and not math.isfinite(b):
+        # slope of the saddle path at each mu, by a central difference
+        hs = np.array([max(1e-6, 1e-4 * max(mu, 1.0)) for mu in mus.tolist()])
+        slopes = (_x0_many(phi, mus + hs, tols)
+                  - _x0_many(phi, np.maximum(mus - hs, phi.domain.lo), tols)) / (2 * hs)
     c2 = 0.0
     clamped = []
-    for x, star in zip(xs, stars):
-        mu = _x0_inverse(phi, float(x), tols)
+    for i, (x, star, mu) in enumerate(zip(xs.tolist(), stars.tolist(), mus.tolist())):
         pairs: list[tuple[float, float]] = []
         if c1_grid is not None:
             pairs = [(float(c), float(c)) for c in c1_grid]
@@ -560,34 +643,22 @@ def exact_mgf_sandwich(
         else:
             # additive offsets scaled by the saddle-path curvature: the
             # bracket needs roughly c^2 * x0'(mu) to beat ln(mu)
-            h = max(1e-6, 1e-4 * max(mu, 1.0))
-            try:
-                slope = (_x0(phi, mu + h, tols) - _x0(phi, max(mu - h, phi.domain.lo), tols)) / (2 * h)
-            except (OutOfDomainError, InputError):
-                slope = 1.0
+            slope = 1.0 if math.isnan(slopes[i]) else float(slopes[i])
             scale = math.sqrt(2.0 * max(math.log(max(mu, math.e)), 1.0)
                               / max(slope, 1e-12))
             for s in (0.6, 0.85, 1.2, 1.8, 2.7, 4.0):
                 pairs.append((s * scale, s * scale))
             pairs.extend([(1.0, 1.0), (2.5, 2.5)])
-        best = -math.inf
-        for c_minus, c_plus in pairs:
-            lam = mu + c_minus
-            nu = lam + c_plus
-            if not (phi.domain.contains(lam) and phi.domain.contains(nu)):
-                continue
-            d1 = c_minus / lam
-            d2 = c_plus / lam
-            try:
-                geo = make_geometry(phi, lam, d1, d2, tols=tols)
-            except (GeometryInvalidError, OutOfDomainError, InputError):
-                continue
-            lv = tangent_bracket_log(phi, geo)
-            best = max(best, lv)
+        c_minus, c_plus = np.array(pairs, dtype=float).reshape(-1, 2).T
+        lam = mu + c_minus
+        inside = phi.domain.contains(lam) & phi.domain.contains(lam + c_plus)
+        lam, c_minus, c_plus = lam[inside], c_minus[inside], c_plus[inside]
+        lv = _bracket_logs(phi, phi, lam, c_minus / lam, c_plus / lam, tols)
+        best = float(lv.max()) if lv.size else -math.inf
         if best == -math.inf:
-            clamped.append(float(x))
+            clamped.append(x)
             continue
-        c2 = max(c2, (-best - star) / float(x))
+        c2 = max(c2, (-best - star) / x)
 
     if clamped:
         raise NotCertifiedError(

@@ -47,7 +47,10 @@ def tail_transform_exponent(phi: PhiFunction, lam: float) -> float:
     overflows.  Returns -inf when phi(lam) == 0 (empty floor).
     """
     lam = float(lam)
-    p = phi.value(lam)
+    return _tail_transform_from_value(phi.value(lam), lam)
+
+
+def _tail_transform_from_value(p: float, lam: float) -> float:
     if p == 0.0:
         return -math.inf
     return p - math.log(lam) + math.log(-math.expm1(-p))
@@ -70,7 +73,7 @@ def _default_lam_range(phi: PhiFunction, threshold: float = 1.0) -> tuple[float,
     if not math.isfinite(hi):
         hi = max(100.0, 64.0 * max(lo, 1.0))
     probe = np.linspace(max(lo, 1e-12), hi, 4097)
-    vals = np.array([phi.value(float(t)) for t in probe])
+    vals = phi.values(probe)
     idx = np.where(vals >= threshold)[0]
     if idx.size == 0:
         raise NotCertifiedError(
@@ -109,55 +112,46 @@ def certify_dilation_dominance(
         raise InputError(f"bad verification range [{lo}, {hi}]")
     hi = min(hi, phi.domain.top())
     lams = np.geomspace(lo, hi, n_lambda) if lo > 0 else np.linspace(lo, hi, n_lambda)
-    aux = np.array([tail_transform_exponent(phi, float(t)) for t in lams])
+    aux = np.array([_tail_transform_from_value(p, t)
+                    for p, t in zip(phi.values(lams).tolist(), lams.tolist())])
     tol = tols.abs_tol
+    refused = DilationCertificate(c1=0.0, lam_range=(lo, hi), margin=-math.inf,
+                                  certified=False, n_grid=lams.size)
 
-    def val_at(c: float, t: float) -> float:
+    def vals_at(c, t):
         # c*t is mathematically inside the domain; clamp float rounding
-        ct = min(max(c * t, phi.domain.lo), phi.domain.top())
-        return phi.value(ct)
+        return phi.values(np.minimum(np.maximum(c * t, phi.domain.lo), phi.domain.top()))
 
     # per-lambda critical dilation: largest c with phi(c*lam) <= aux(lam);
     # phi is nondecreasing on [0, b) for envelope exponents, so bisection
-    # applies, and c1 is the worst case over the verification grid
-    c1 = 1.0
-    for t, a in zip(lams, aux):
-        t = float(t)
-        slack = tol * max(1.0, abs(a))
-        c_hi = min(1.0, phi.domain.top() / t)
-        c_lo = phi.domain.lo / t if phi.domain.lo > 0 else 1e-12
-        if c_lo >= c_hi:
-            return DilationCertificate(c1=0.0, lam_range=(lo, hi), margin=-math.inf,
-                                       certified=False, n_grid=lams.size)
-        if val_at(c_lo, t) > a + slack:
-            return DilationCertificate(c1=0.0, lam_range=(lo, hi), margin=-math.inf,
-                                       certified=False, n_grid=lams.size)
-        if val_at(c_hi, t) <= a + slack:
-            crit = c_hi
-        else:
-            fa, fb = c_lo, c_hi
-            for _ in range(45):
-                m = 0.5 * (fa + fb)
-                if val_at(m, t) <= a + slack:
-                    fa = m
-                else:
-                    fb = m
-            crit = fa
-        c1 = min(c1, crit)
-        if c1 <= 1e-10:
-            return DilationCertificate(c1=0.0, lam_range=(lo, hi), margin=-math.inf,
-                                       certified=False, n_grid=lams.size)
+    # applies, and c1 is the worst case over the verification grid.  All
+    # lambdas bisect together, each with its own 45 halvings.
+    ceiling = aux + tol * np.maximum(1.0, np.abs(aux))
+    c_hi = np.minimum(1.0, phi.domain.top() / lams)
+    c_lo = phi.domain.lo / lams if phi.domain.lo > 0 else np.full(lams.size, 1e-12)
+    if np.any(c_lo >= c_hi) or np.any(vals_at(c_lo, lams) > ceiling):
+        return refused
+    crit = c_hi.copy()
+    todo = np.flatnonzero(~(vals_at(c_hi, lams) <= ceiling))
+    fa, fb = c_lo[todo], c_hi[todo]
+    for _ in range(45):
+        mid = 0.5 * (fa + fb)
+        ok = vals_at(mid, lams[todo]) <= ceiling[todo]
+        fa, fb = np.where(ok, mid, fa), np.where(ok, fb, mid)
+    crit[todo] = fa
+    c1 = min(1.0, float(crit.min()))
+    if c1 <= 1e-10:
+        return refused
 
     if c_grid is not None:
         # explicit grid requested: snap down to its largest feasible entry
         cs = np.asarray(sorted(c_grid), dtype=float)
         at_most = cs[cs <= c1 + tol]
         if at_most.size == 0:
-            return DilationCertificate(c1=0.0, lam_range=(lo, hi), margin=-math.inf,
-                                       certified=False, n_grid=lams.size)
+            return refused
         c1 = min(c1, float(at_most.max()))
 
-    margin = float(min(aux[i] - val_at(c1, float(lams[i])) for i in range(lams.size)))
+    margin = float(np.min(aux - vals_at(c1, lams)))
     if margin < -10 * tol:
         return DilationCertificate(c1=0.0, lam_range=(lo, hi), margin=margin,
                                    certified=False, n_grid=lams.size)
@@ -210,7 +204,7 @@ def m_surrogate_from_upper(nu: PhiFunction, eps: float,
     ]
     lams = np.unique(np.concatenate(pieces))
     lams = lams[(lams >= nu.domain.lo) & (lams < nu.domain.hi)]
-    vals = np.array([nu.value(float(t)) for t in lams])
+    vals = nu.values(lams)
 
     def minorant(x: float) -> float:
         return max(float(np.max(lams * x - vals)), 0.0)

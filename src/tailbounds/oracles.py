@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.random import Philox
 from scipy.integrate import IntegrationWarning, quad as _scipy_quad
-from scipy.special import erf, erfc, log_ndtr, ndtri
+from scipy.special import erf, erfc, expit, log_ndtr, ndtri
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NotConvergedError
@@ -78,62 +77,99 @@ def quadrature(f: Callable[[float], float], a: float, b: float,
 
 # composite Gauss-Legendre nodes for the vectorized log-integrals
 _GL_NODES, _GL_WEIGHTS = leggauss(24)
+# rows per log_integral_exp call in the batched Weibull log-MGF: bounds the
+# (rows, 44 panels x 24 nodes) work arrays to about half a megabyte each
+QUAD_CHUNK_ROWS = 64
 
 
-def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo = edges[:-1][:, None]
-    hi = edges[1:][:, None]
-    half = 0.5 * (hi - lo)
-    xs = (0.5 * (hi + lo) + half * _GL_NODES[None, :]).ravel()
-    ws = (half * _GL_WEIGHTS[None, :]).ravel()
-    return xs, ws
+def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
+    """Row r equals ``np.linspace(start[r], stop[r], num)`` bit for bit,
+    unless its step underflows to zero from a nonzero span."""
+    y = np.arange(num, dtype=float) * ((stop - start) / (num - 1))[:, None]
+    y += start[:, None]
+    y[:, -1] = stop
+    return y
+
+
+def _geomspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
+    """Row r equals ``np.geomspace(start[r], stop[r], num)`` for positive ends."""
+    y = np.power(10.0, _linspace_rows(np.log10(start), np.log10(stop), num))
+    y[:, 0] = start
+    y[:, -1] = stop
+    return y
 
 
 def log_integral_exp(log_f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                     peak: Optional[float] = None) -> float:
+                     peak=None):
     """ln of the integral of exp(log_f) over [a, b] without overflow.
 
     The integrand is shifted by its peak value before exponentiating, so
     exponents in the thousands are handled exactly in log space.  ``peak``
     is a hint for the maximizer; when absent a coarse scan locates it.
+
+    An array of peaks integrates one row per peak: ``log_f`` then receives
+    (rows, nodes) arrays, row r belonging to ``peak[r]``, and the result is
+    an array.  Each row gets its own window and panels (8 left, 24 core,
+    12 geometric tail panels of 24 Gauss-Legendre nodes) and the same
+    arithmetic, so a row equals the scalar call with its peak bit for bit.
     """
-    if not math.isfinite(b):
-        # grow the window until log_f at the edge is far below the peak
-        hi = max(10.0, 2.0 * (peak or 1.0))
+    scalar = np.ndim(peak) == 0
+    pk = np.atleast_1d(np.asarray(1.0 if peak is None else peak, dtype=float))
+    rows = pk.size
+    if math.isfinite(b):
+        bs = np.full(rows, float(b))
+    else:
+        # grow each row's window until log_f at its edge is far below the peak
+        bs = np.maximum(10.0, 2.0 * np.where(pk != 0.0, pk, 1.0))
+        ref = np.zeros(rows) if peak is None else log_f(pk[:, None])[:, 0]
+        grow = np.ones(rows, dtype=bool)
         while True:
-            probe = float(log_f(np.array([hi]))[0])
-            ref = float(log_f(np.array([peak]))[0]) if peak is not None else 0.0
-            if probe < ref - 60.0 or hi > 1e12:
+            grow &= ~((log_f(bs[:, None])[:, 0] < ref - 60.0) | (bs > 1e12))
+            if not grow.any():
                 break
-            hi *= 2.0
-        b = hi
+            bs = np.where(grow, 2.0 * bs, bs)
     if peak is None:
-        scan = np.linspace(a, b, 513)
-        vals = np.asarray(log_f(scan))
-        peak = float(scan[int(np.argmax(vals))])
+        scan = np.linspace(a, bs[0], 513)
+        pk = scan[np.argmax(log_f(scan[None, :])[0])][None]
     # core width from the local curvature of the exponent at the peak
-    h = max(1e-6, 1e-4 * max(abs(peak), 1.0))
-    probe = np.array([max(a, peak - h), peak, min(b, peak + h)])
-    pv = np.asarray(log_f(probe))
-    curv = abs(pv[0] - 2.0 * pv[1] + pv[2]) / h ** 2
-    w = 1.0 / math.sqrt(curv) if curv > 1e-12 else max((b - a) * 0.05, 1.0)
-    w = min(max(w, (b - a) * 1e-4), b - a)
-    edges = [a]
-    core_lo, core_hi = max(a, peak - 10 * w), min(b, peak + 10 * w)
-    if core_lo > a:
-        edges.extend(np.linspace(a, core_lo, 9)[1:])
-    edges.extend(np.linspace(core_lo, core_hi, 25)[1:])
-    if core_hi < b:
-        edges.extend(np.geomspace(max(core_hi, 1e-12), b, 13)[1:])
-    edges = np.unique(np.asarray(edges, dtype=float))
-    xs, ws = _panel_nodes(edges)
-    logs = np.asarray(log_f(xs))
-    m = float(np.max(logs))
-    with np.errstate(under="ignore"):
-        total = float(np.sum(ws * np.exp(logs - m)))
-    if total <= 0:
-        return -math.inf
-    return m + math.log(total)
+    h = np.maximum(1e-6, 1e-4 * np.maximum(np.abs(pk), 1.0))
+    pv = log_f(np.stack([np.maximum(a, pk - h), pk, np.minimum(bs, pk + h)], axis=1))
+    curv = np.abs(pv[:, 0] - 2.0 * pv[:, 1] + pv[:, 2]) / np.array([t ** 2 for t in h.tolist()])
+    with np.errstate(divide="ignore"):
+        w = np.where(curv > 1e-12, 1.0 / np.sqrt(curv), np.maximum((bs - a) * 0.05, 1.0))
+    w = np.minimum(np.maximum(w, (bs - a) * 1e-4), bs - a)
+    core_lo = np.maximum(a, pk - 10 * w)
+    core_hi = np.minimum(bs, pk + 10 * w)
+    edges = np.concatenate([
+        np.full((rows, 1), float(a)),
+        _linspace_rows(np.full(rows, float(a)), core_lo, 9)[:, 1:],
+        _linspace_rows(core_lo, core_hi, 25)[:, 1:],
+        _geomspace_rows(np.maximum(core_hi, 1e-12), bs, 13)[:, 1:],
+    ], axis=1)
+    # panels 0-7 lie left of the core, 32-43 in the tail; a row without them
+    # (core_lo == a, core_hi == b) gets zero-width ones, which it skips
+    first = np.where(core_lo > a, 0, 8)
+    stop = np.where(core_hi < bs, 44, 32)
+    p0, p1 = int(first.min()), int(stop.max())
+    lo, hi = edges[:, p0:p1, None], edges[:, p0 + 1:p1 + 1, None]
+    half = 0.5 * (hi - lo)
+    xs = (0.5 * (hi + lo) + half * _GL_NODES).reshape(rows, -1)
+    ws = (half * _GL_WEIGHTS).reshape(rows, -1)
+    logs = log_f(xs)
+    m, total = np.empty(rows), np.empty(rows)
+    n = _GL_NODES.size
+    for q0, q1 in set(zip(first.tolist(), stop.tolist())):
+        sel = (first == q0) & (stop == q1)
+        cols = slice((q0 - p0) * n, (q1 - p0) * n)
+        if sel.all():
+            sel = slice(None)
+        block = logs[sel, cols]
+        m[sel] = np.max(block, axis=1)
+        with np.errstate(under="ignore"):
+            total[sel] = np.sum(ws[sel, cols] * np.exp(block - m[sel, None]), axis=1)
+    out = np.array([-math.inf if t <= 0 else mm + math.log(t)
+                    for mm, t in zip(m.tolist(), total.tolist())])
+    return float(out[0]) if scalar else out
 
 
 # --------------------------------------------------------------------------
@@ -246,38 +282,54 @@ def exponential_unit() -> OracleDistribution:
     )
 
 
-@lru_cache(maxsize=None)
-def _weibull_log_mgf(m: float, lam: float) -> float:
-    """ln E exp(lam*X) for X with tail exp(-x^m), via log-space quadrature."""
-    if lam == 0.0:
-        return 0.0
-    # density m x^{m-1} e^{-x^m}; integrand exponent:
-    def g(x: np.ndarray) -> np.ndarray:
-        x = np.maximum(x, 1e-300)
-        return math.log(m) + (m - 1.0) * np.log(x) + lam * x - x ** m
+def _weibull_rows(m: float, lams, slope: bool):
+    """ln E exp(lam*X), or its lam-derivative, for each lam: batched quadrature.
 
-    if m > 1.0:
-        peak = (lam / m) ** (1.0 / (m - 1.0)) if lam > 0 else 1.0
-    else:
-        peak = 1.0
-    return log_integral_exp(g, 0.0, math.inf, peak=max(peak, 1e-6))
+    X has density m x^{m-1} e^{-x^m}.  The log-MGF is 0 at lam == 0
+    without quadrature.  Scalars in, floats out; arrays in, arrays of the
+    same shape out.
+    """
+    lams = np.asarray(lams, dtype=float)
+    flat = lams.ravel()
+    out = np.zeros(flat.size)
+    todo = np.arange(flat.size) if slope else np.flatnonzero(flat != 0.0)
+    for k in range(0, todo.size, QUAD_CHUNK_ROWS):
+        sel = todo[k:k + QUAD_CHUNK_ROWS]
+        lam = flat[sel][:, None]
+
+        # integrand exponent; the slope's numerator has x^m for x^(m-1)
+        def g(x: np.ndarray, power: float = m - 1.0, lam=lam) -> np.ndarray:
+            x = np.maximum(x, 1e-300)
+            # log(m) + power*log(x) + lam*x - x**m, evaluated in place
+            out = np.log(x)
+            out *= power
+            out += math.log(m)
+            out += lam * x
+            out -= x ** m
+            return out
+
+        peaks = np.array([max((l / m) ** (1.0 / (m - 1.0)) if (m > 1.0 and l > 0) else 1.0, 1e-6)
+                          for l in flat[sel].tolist()])
+        den = log_integral_exp(g, 0.0, math.inf, peak=peaks)
+        if slope:
+            num = log_integral_exp(lambda x: g(x, m), 0.0, math.inf, peak=peaks)
+            out[sel] = [math.exp(n - d) for n, d in zip(num.tolist(), den.tolist())]
+        else:
+            out[sel] = den
+    return out.reshape(lams.shape) if lams.ndim else float(out[0])
 
 
-@lru_cache(maxsize=None)
-def _weibull_log_mgf_deriv(m: float, lam: float) -> float:
-    """d/dlam ln MGF = E[X e^{lam X}] / E[e^{lam X}] in log space."""
-    def g(x: np.ndarray) -> np.ndarray:
-        x = np.maximum(x, 1e-300)
-        return math.log(m) + (m - 1.0) * np.log(x) + lam * x - x ** m
+def _weibull_log_mgf(m: float, lams):
+    """ln E exp(lam*X) for X with tail exp(-x^m), via log-space quadrature.
 
-    def gx(x: np.ndarray) -> np.ndarray:
-        x = np.maximum(x, 1e-300)
-        return math.log(m) + m * np.log(x) + lam * x - x ** m
+    ``lams`` may be an array: one batched quadrature row per entry.
+    """
+    return _weibull_rows(m, lams, slope=False)
 
-    peak = (lam / m) ** (1.0 / (m - 1.0)) if (m > 1.0 and lam > 0) else 1.0
-    num = log_integral_exp(gx, 0.0, math.inf, peak=max(peak, 1e-6))
-    den = log_integral_exp(g, 0.0, math.inf, peak=max(peak, 1e-6))
-    return math.exp(num - den)
+
+def _weibull_log_mgf_deriv(m: float, lams):
+    """d/dlam ln MGF = E[X e^{lam X}] / E[e^{lam X}] in log space, batched."""
+    return _weibull_rows(m, lams, slope=True)
 
 
 def weibull_log_mgf_closed_m2(lam: float) -> float:
@@ -299,10 +351,10 @@ def weibull(m: float) -> OracleDistribution:
     mgf = None
     if mm > 1.0:
         mgf = PhiFunction.from_callable(
-            lambda l, mm=mm: _weibull_log_mgf(mm, float(l)), 0.0, math.inf,
-            deriv=lambda l, mm=mm: _weibull_log_mgf_deriv(mm, float(l)),
+            lambda l, mm=mm: _weibull_log_mgf(mm, l), 0.0, math.inf,
+            deriv=lambda l, mm=mm: _weibull_log_mgf_deriv(mm, l),
             convex=True, label=f"weibull({mm})-mgf-exponent",
-            slope_lim=math.inf,
+            slope_lim=math.inf, vectorized=True,
         )
     return OracleDistribution(
         name=f"weibull({mm})",
@@ -345,18 +397,17 @@ def gaussian_scale_mixture(weight: float, s1: float, s2: float) -> OracleDistrib
         raise InputError("mixture weight must be in (0, 1)")
     w, a, b = float(weight), float(s1), float(s2)
 
-    def exponent(l: float) -> float:
-        t1 = 0.5 * (a * l) ** 2
-        t2 = 0.5 * (b * l) ** 2
-        m = max(t1, t2)
-        return m + math.log(w * math.exp(t1 - m) + (1 - w) * math.exp(t2 - m))
+    # ln(w e^{t1} + (1-w) e^{t2}) with t_i = (s_i l)^2 / 2; plain arithmetic
+    # and one ufunc, so scalars and arrays agree bit for bit
+    lw, l1w = math.log(w), math.log(1.0 - w)
 
-    def exponent_deriv(l: float) -> float:
-        t1 = 0.5 * (a * l) ** 2
-        t2 = 0.5 * (b * l) ** 2
-        m = max(t1, t2)
-        e1, e2 = w * math.exp(t1 - m), (1 - w) * math.exp(t2 - m)
-        return (e1 * a * a * l + e2 * b * b * l) / (e1 + e2)
+    def exponent(l):
+        return np.logaddexp(lw + 0.5 * (a * l) * (a * l), l1w + 0.5 * (b * l) * (b * l))
+
+    def exponent_deriv(l):
+        # the weight of the first component under the tilted law
+        r1 = expit((lw + 0.5 * (a * l) * (a * l)) - (l1w + 0.5 * (b * l) * (b * l)))
+        return l * (a * a * r1 + b * b * (1.0 - r1))
 
     def icdf(u: np.ndarray) -> np.ndarray:
         # one uniform per draw: split it into component choice + quantile,
@@ -375,7 +426,7 @@ def gaussian_scale_mixture(weight: float, s1: float, s2: float) -> OracleDistrib
         log_tail=lambda x: _mixture_log_tail(x, w, a, b),
         mgf_exponent=PhiFunction.from_callable(
             exponent, 0.0, math.inf, deriv=exponent_deriv, convex=True,
-            label="gauss-mixture-exponent", slope_lim=math.inf,
+            label="gauss-mixture-exponent", slope_lim=math.inf, vectorized=True,
         ),
         density=lambda x: (w * math.exp(-0.5 * (x / a) ** 2) / (a * math.sqrt(2 * math.pi))
                            + (1 - w) * math.exp(-0.5 * (x / b) ** 2) / (b * math.sqrt(2 * math.pi))),

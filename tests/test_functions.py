@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from tailbounds.errors import (
     EmptyDomainError,
     InputError,
+    NegativeInputError,
     NonUniqueArgmaxError,
     OutOfDomainError,
     UnboundedObjectiveError,
@@ -404,6 +406,97 @@ class TestGridConjugateExact:
         assert g.value(2.0) == 2.0
         with pytest.raises(ValueError):
             g.knots[0][0] = 0.0
+
+
+def _vectorized(fn, deriv=None, lo=0.0, hi=math.inf, convex=False):
+    return PhiFunction.from_callable(fn, lo, hi, deriv=deriv, convex=convex,
+                                     vectorized=True)
+
+
+ARRAY_KINDS = {
+    "quadratic": PhiFunction.quadratic(0.7, 0.5, 40.0),
+    "power_log_r0": PhiFunction.power_log(2.5, 0.0, 1.0),
+    "power_log_r1": PhiFunction.power_log(1.5, 1.0, 0.0, 30.0),
+    "linear": PhiFunction.linear(1.3, 0.0, 25.0),
+    "grid": PhiFunction.from_grid([0.5, 1.0, 2.5, 4.0, 9.0], [0.1, 0.2, 1.5, 3.0, 20.0]),
+    "callable": PhiFunction.from_callable(lambda l: math.sqrt(l) + l * l, 0.0, math.inf,
+                                          convex=False),
+    "vectorized": _vectorized(lambda l: np.log1p(np.asarray(l, dtype=float)) + np.square(l),
+                              deriv=lambda l: 1.0 / (1.0 + np.asarray(l, dtype=float)) + 2.0 * l),
+    # negative below 1 (tiny negatives clamp to 0), non-finite at 7, 3*sin elsewhere
+    "vectorized_signed": _vectorized(
+        lambda l: np.where(np.asarray(l) < 1.0, -1e-13 * np.asarray(l),
+                           np.where(np.asarray(l) == 7.0, np.inf, 3.0 * np.sin(l))),
+        hi=20.0),
+    "dilated": PhiFunction.power_log(2.0, 1.0).dilate(1.5, 1.0, 30.0),
+    "dilated_vectorized": _vectorized(np.square, deriv=lambda l: 2.0 * np.asarray(l))
+    .dilate(0.5, 0.0, 12.0),
+}
+
+
+def _assert_same_as_scalar(batch, scalar, lams):
+    """batch(lams) equals [scalar(t) for t in lams] bit for bit, or raises
+    the error the first failing scalar call raises."""
+    try:
+        want = np.array([scalar(t) for t in lams], dtype=float)
+    except Exception as exc:  # noqa: BLE001 - the batch must raise the same
+        with pytest.raises(type(exc)) as got:
+            batch(np.asarray(lams, dtype=float))
+        assert str(got.value) == str(exc)
+        return
+    got = batch(np.asarray(lams, dtype=float))
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestArrayEvaluation:
+    @given(
+        kind=st.sampled_from(sorted(ARRAY_KINDS)),
+        lams=st.lists(st.one_of(st.floats(min_value=-1.0, max_value=45.0),
+                                st.sampled_from([0.0, 0.5, 1.0, 7.0, 9.0, 12.0, 20.0,
+                                                 25.0, 30.0, 40.0,
+                                                 float(np.nextafter(9.0, 10.0))])),
+                      min_size=0, max_size=12),
+    )
+    def test_equal_to_scalar_calls(self, kind, lams):
+        f = ARRAY_KINDS[kind]
+        _assert_same_as_scalar(f.values, f.value, lams)
+        _assert_same_as_scalar(f.derivatives, f.derivative, lams)
+
+    def test_shape_is_kept(self):
+        f = ARRAY_KINDS["quadratic"]
+        lams = np.linspace(1.0, 3.0, 6).reshape(2, 3)
+        assert f.values(lams).shape == (2, 3)
+        assert f.values(2.0).shape == ()
+        assert f.values(lams)[1, 2] == f.value(3.0)
+
+    def test_typed_errors(self):
+        with pytest.raises(OutOfDomainError):
+            ARRAY_KINDS["grid"].values([1.0, 9.5])
+        with pytest.raises(OutOfDomainError):
+            ARRAY_KINDS["quadratic"].values([1.0, 0.1])
+        with pytest.raises(NegativeInputError):
+            ARRAY_KINDS["vectorized_signed"].values([0.5, 5.0])
+        assert ARRAY_KINDS["vectorized_signed"].values([0.5]).tolist() == [0.0]
+
+    def test_vectorized_callable_called_once(self):
+        calls = []
+        f = _vectorized(lambda l: calls.append(np.shape(l)) or np.square(l))
+        f.values(np.linspace(0.0, 4.0, 50))
+        assert calls == [(50,)]
+        g = PhiFunction.from_callable(lambda l: calls.append(np.shape(l)) or l * l,
+                                      0.0, math.inf, convex=True)
+        calls.clear()
+        g.values(np.linspace(0.0, 4.0, 5))
+        assert calls == [()] * 5
+
+    def test_subnormal_lower_end_scans_without_overflow(self):
+        f = PhiFunction.from_callable(lambda l: l * l, 5e-324, 50.0, convex=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, a = conjugate_value(f, 2.0)
+        assert v == pytest.approx(1.0)
+        assert a == pytest.approx(1.0)
 
 
 class TestThreadSafety:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from tailbounds import oracles
-from tailbounds.errors import GeometryInvalidError, NotCertifiedError
+from tailbounds.config import DEFAULT
+from tailbounds.errors import GeometryInvalidError, NotCertifiedError, OutOfDomainError
 from tailbounds.functions import PhiFunction
 from tailbounds.lower_bilateral import (
+    _x0_inverse,
     closure_lower_envelope,
     exact_mgf_sandwich,
     make_geometry,
@@ -277,3 +279,42 @@ class TestExactMgfSandwich:
         tails = dist.exact_tail(xs)
         assert np.all(lower.values <= tails + 1e-12)
         assert np.all(upper.values >= tails - 1e-12)
+
+
+def _softplus():
+    """ln(1 + e^lam): convex, slope tends to 1 from below."""
+    return PhiFunction.from_callable(
+        lambda l: max(l, 0.0) + math.log1p(math.exp(-abs(l))), 0.0, math.inf,
+        deriv=lambda l: 0.5 * (1.0 + math.tanh(0.5 * l)), convex=True,
+        label="softplus", slope_lim=1.0)
+
+
+class TestSaddleInverse:
+    @pytest.mark.parametrize("phi", [PhiFunction.linear(1.0, lo=0.0), _softplus()],
+                             ids=["linear", "softplus"])
+    def test_no_bracket_is_an_error(self, phi):
+        # phi' never exceeds 1, so no t has x0(t) = 3
+        mus, errors = _x0_inverse(phi, np.array([3.0]), DEFAULT)
+        assert math.isnan(mus[0])
+        assert isinstance(errors[0], OutOfDomainError)
+
+    @pytest.mark.parametrize("phi", [PhiFunction.linear(1.0, lo=0.0), _softplus()],
+                             ids=["linear", "softplus"])
+    def test_closure_records_no_saddle(self, phi):
+        _, diag = closure_lower_envelope(phi, phi, [3.0, 4.0])
+        assert [diag.per_z[z]["status"] for z in (3.0, 4.0)] == ["no-saddle", "no-saddle"]
+
+    def test_batch_matches_each_point(self):
+        phi = _softplus()
+        zs = np.array([0.6, 0.7, 0.9, 0.99, 3.0])
+        mus, errors = _x0_inverse(phi, zs, DEFAULT)
+        assert list(errors) == [4]
+        for z, mu in zip(zs[:4], mus[:4]):
+            single, _ = _x0_inverse(phi, np.array([z]), DEFAULT)
+            assert single[0] == mu
+            assert mu == pytest.approx(math.log(z / (1.0 - z)), rel=1e-10)
+
+    def test_below_the_slope_at_lo(self):
+        mus, errors = _x0_inverse(PhiFunction.quadratic(lo=2.0), np.array([1.0, 6.0]), DEFAULT)
+        assert isinstance(errors[0], OutOfDomainError)
+        assert mus[1] == pytest.approx(6.0, rel=1e-12)

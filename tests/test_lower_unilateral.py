@@ -2,6 +2,7 @@
 normalization absorption, and the emitted lower envelope."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 
 from tailbounds import oracles
 from tailbounds.errors import NotCertifiedError
-from tailbounds.functions import PhiFunction
+from tailbounds.functions import PhiFunction, conjugate
 from tailbounds.lower_unilateral import (
     absorb_normalization,
     certify_dilation_dominance,
@@ -220,3 +221,21 @@ class TestTailTransformIdentity:
         val, _ = quad(lambda x: math.exp(lam * x - x ** 4), 0, np.inf)
         phi = oracles.weibull(4.0).mgf_exponent
         assert 1 + lam * val == pytest.approx(math.exp(phi.value(lam)), rel=1e-7)
+
+
+def test_weibull_results_identical_across_threads():
+    # one shared quadrature-backed exponent, no cache behind it
+    phi = oracles.weibull(2.0).mgf_exponent
+    xs = np.array([1.5, 3.0, 5.0])
+
+    def work():
+        res = conjugate(phi, xs)
+        env, cert = unilateral_lower_envelope(phi, 0.2, 2.0, xs)
+        return res.values, res.argmax, env.log_values, np.array([cert.c1, cert.c2, cert.lam1])
+
+    serial = work()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [pool.submit(work) for _ in range(2)]
+        for run in runs:
+            for got, want in zip(run.result(), serial):
+                np.testing.assert_array_equal(got, want)

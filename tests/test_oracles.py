@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import quad
+
 from tailbounds import oracles
 from tailbounds.errors import NotConvergedError
 from tailbounds.functions import conjugate
@@ -45,6 +47,45 @@ class TestLogIntegralExp:
         # peak value around e^{5000}: only representable in log space
         lv = oracles.log_integral_exp(lambda x: 200 * x - x * x / 2, 0.0, math.inf, peak=200.0)
         assert lv == pytest.approx(200 ** 2 / 2 + 0.5 * math.log(2 * math.pi), rel=1e-6)
+
+
+class TestBatchedWeibullLogMgf:
+    @pytest.mark.parametrize("m", [2.0, 4.0])
+    def test_batch_equals_scalar_calls(self, m):
+        phi = oracles.weibull(m).mgf_exponent
+        # more rows than one quadrature chunk, lam = 0 included
+        lams = np.concatenate([[0.0], np.geomspace(1e-3, 80.0, oracles.QUAD_CHUNK_ROWS + 9)])
+        vals = np.array([phi.value(l) for l in lams.tolist()])
+        slopes = np.array([phi.derivative(l) for l in lams.tolist()])
+        assert phi.values(lams).tobytes() == vals.tobytes()
+        assert phi.derivatives(lams).tobytes() == slopes.tobytes()
+
+    def test_m2_against_closed_form(self):
+        lams = np.geomspace(0.1, 200.0, 40)
+        got = oracles._weibull_log_mgf(2.0, lams)
+        want = np.array([oracles.weibull_log_mgf_closed_m2(l) for l in lams.tolist()])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0, 30.0])
+    def test_m4_against_scipy_quad(self, lam):
+        # ln int 4 x^3 exp(lam x - x^4) dx, shifted by the exponent's maximum
+        def expo(x):
+            return math.log(4.0) + 3.0 * math.log(x) + lam * x - x ** 4 if x > 0 else -math.inf
+
+        peak = (lam / 4.0) ** (1.0 / 3.0)
+        shift = expo(peak)
+        val, _ = quad(lambda x: math.exp(expo(x) - shift), 0.0, math.inf,
+                      epsabs=0.0, epsrel=1e-13, limit=200)
+        want = shift + math.log(val)
+        assert oracles._weibull_log_mgf(4.0, np.array([lam]))[0] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0, 10.0, 30.0])
+    def test_m2_slope_against_closed_form_difference(self, lam):
+        h = 1e-5 * lam
+        diff = (oracles.weibull_log_mgf_closed_m2(lam + h)
+                - oracles.weibull_log_mgf_closed_m2(lam - h)) / (2.0 * h)
+        got = oracles._weibull_log_mgf_deriv(2.0, np.array([lam]))[0]
+        assert got == pytest.approx(diff, rel=1e-8)
 
 
 class TestEmpiricalTail:
