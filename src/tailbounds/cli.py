@@ -395,7 +395,7 @@ def _validate_one(name: str, seed: int, mc_samples: int) -> dict:
     if dist.density is not None:
         errs = []
         for x in np.linspace(1.0, 6.0, 6):
-            val, _ = quadrature(dist.density, float(x), math.inf)
+            val, _ = quadrature(dist.density, float(x), math.inf, vectorized=True)
             errs.append(abs(val - dist.tail(float(x))))
         record("tail_quadrature", max(errs) < 1e-9, max_abs_err=max(errs))
 
@@ -406,11 +406,12 @@ def _validate_one(name: str, seed: int, mc_samples: int) -> dict:
         errs = []
         for lam in lam_probe:
             if dist.support_lo >= 0:
-                val, _ = quadrature(lambda x, l=lam: math.exp(l * x) * dist.density(x),
-                                    0.0, math.inf)
+                val, _ = quadrature(lambda x, l=lam: np.exp(l * x) * dist.density(x),
+                                    0.0, math.inf, vectorized=True)
             else:
-                val, _ = quadrature(lambda x, l=lam: math.exp(l * x) * dist.density(x)
-                                    + math.exp(-l * x) * dist.density(-x), 0.0, math.inf)
+                val, _ = quadrature(lambda x, l=lam: np.exp(l * x) * dist.density(x)
+                                    + np.exp(-l * x) * dist.density(-x), 0.0, math.inf,
+                                    vectorized=True)
             errs.append(abs(val - math.exp(phi.value(lam))) / val)
         record("mgf_consistency", max(errs) < 1e-7, max_rel_err=max(errs))
 

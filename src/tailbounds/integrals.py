@@ -62,6 +62,12 @@ def _pretest_decay(g, label: str, tols: Tolerances) -> None:
         )
 
 
+def _exp_neg(t: np.ndarray) -> np.ndarray:
+    """exp(-t), exactly 0 where t >= 745 (below the smallest subnormal)."""
+    with np.errstate(under="ignore"):
+        return np.where(t < 745.0, np.exp(-t), 0.0)
+
+
 def k_integral(zeta: PhiFunction, eps: float, tols: Tolerances = DEFAULT,
                details: Optional[dict] = None) -> float:
     """K(eps) = int_0^inf exp(-eps*zeta(x)) dx, or DivergentIntegral."""
@@ -77,12 +83,13 @@ def k_integral(zeta: PhiFunction, eps: float, tols: Tolerances = DEFAULT,
 
     _pretest_decay(g, f"K({eps})", tols)
 
-    def integrand(x: float) -> float:
-        t = g(x)
-        return math.exp(-t) if t < 745.0 else 0.0
+    # values are never negative: PhiFunction raises on a negative value
+    def integrand(xs: np.ndarray) -> np.ndarray:
+        return _exp_neg(eps * zeta.values(xs))
 
     try:
-        val, _ = quadrature(integrand, 0.0, math.inf, tols=tols, details=details)
+        val, _ = quadrature(integrand, 0.0, math.inf, tols=tols, details=details,
+                            vectorized=True)
     except NotConvergedError as exc:
         raise DivergentIntegral(
             f"K({eps}): tail contribution still above threshold at the window cap",
@@ -107,12 +114,12 @@ def r_integral(zeta: PhiFunction, eps: float, tols: Tolerances = DEFAULT,
 
     _pretest_decay(g, f"R({eps})", tols)
 
-    def integrand(x: float) -> float:
-        t = g(x)
-        return math.exp(-t) if t < 745.0 else 0.0
+    def integrand(xs: np.ndarray) -> np.ndarray:
+        return _exp_neg(zeta.values(xs) - zeta.values((1.0 - eps) * xs))
 
     try:
-        val, _ = quadrature(integrand, 0.0, math.inf, tols=tols, details=details)
+        val, _ = quadrature(integrand, 0.0, math.inf, tols=tols, details=details,
+                            vectorized=True)
     except NotConvergedError as exc:
         raise DivergentIntegral(
             f"R({eps}): tail contribution still above threshold at the window cap",

@@ -32,12 +32,12 @@ from .config import DEFAULT, Tolerances
 from .envelope import LOWER, TailEnvelope
 from .errors import (
     AbsorptionFailedError,
+    DivergentIntegral,
     InputError,
     NotCertifiedError,
     UnboundedObjectiveError,
 )
 from .functions import PhiFunction, conjugate_value
-from .integrals import k_integral
 
 
 def tail_transform_exponent(phi: PhiFunction, lam: float) -> float:
@@ -172,14 +172,24 @@ def m_surrogate_from_upper(nu: PhiFunction, eps: float,
     any upper MGF-exponent envelope nu, so damping nu* damps no less mass.
     Only the K route is monotone in the exponent; R is not used here.
 
-    The conjugate is replaced by its tangent minorant on a fine lambda grid
-    (max of the sampled supporting lines).  That only lowers the exponent,
-    so the returned value can only be larger than K[nu*] - still a valid,
-    marginally looser surrogate - while the integrand becomes a cheap
-    vectorized max.  Clipping the minorant at zero is licensed by the
-    exponential tail function being nonnegative, so the damped mass never
-    exceeds the clipped integral either.
+    The conjugate is replaced by its tangent minorant on a fine lambda grid,
+    the max of the sampled supporting lines lam_i*x - nu(lam_i), clipped at
+    zero.  That only lowers the exponent, so the returned value is never
+    below K[nu*]: still a valid, marginally looser surrogate.  Clipping is
+    licensed by the exponential tail function being nonnegative.  The
+    clipped minorant is convex and piecewise linear, so its K is computed
+    exactly, as a sum of exponential integrals over the pieces of the
+    lines' upper envelope (:func:`_clipped_minorant_k`), with no quadrature.
     """
+    if not (0.0 < eps <= 1.0):
+        raise InputError(f"eps must be in (0, 1], got {eps}")
+    lams, vals = _tangent_lines(nu, eps, tols)
+    return _clipped_minorant_k(lams, vals, eps)
+
+
+def _tangent_lines(nu: PhiFunction, eps: float,
+                   tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes lam_i and intercepts nu(lam_i) of the sampled supporting lines."""
     lo = max(nu.domain.lo, 0.0)
     hi = nu.domain.top()
     if not math.isfinite(hi):
@@ -204,14 +214,41 @@ def m_surrogate_from_upper(nu: PhiFunction, eps: float,
     ]
     lams = np.unique(np.concatenate(pieces))
     lams = lams[(lams >= nu.domain.lo) & (lams < nu.domain.hi)]
-    vals = nu.values(lams)
+    return lams, nu.values(lams)
 
-    def minorant(x: float) -> float:
-        return max(float(np.max(lams * x - vals)), 0.0)
 
-    zeta = PhiFunction.from_callable(minorant, 0.0, math.inf, convex=True,
-                                     label=f"tangent-minorant-conjugate[{nu.label}]")
-    return k_integral(zeta, eps, tols)
+def _clipped_minorant_k(slopes: np.ndarray, nus: np.ndarray, eps: float) -> float:
+    """int_0^inf exp(-eps*max(0, max_i(slopes[i]*x - nus[i]))) dx, exactly.
+
+    ``slopes`` increase strictly from above 0.  The exponent is the upper
+    envelope of the lines y = s*x - nu and y = 0 on x >= 0.  One pass over
+    the lines in slope order keeps the envelope's pieces on a stack: a line
+    that the next one overtakes before the line itself starts is dropped.
+    A piece of slope s starting at x0 with value h0 contributes
+    e^{-eps*h0} (1 - e^{-eps*s*width}) / (eps*s), its whole e^{-eps*h0} /
+    (eps*s) when it is the last; the zero line contributes its width.
+    """
+    env_s, env_b, env_x = [0.0], [0.0], [0.0]
+    for s, b in zip(slopes.tolist(), (-nus).tolist()):
+        while env_s:
+            x = (env_b[-1] - b) / (s - env_s[-1])
+            if x > env_x[-1]:
+                break
+            del env_s[-1], env_b[-1], env_x[-1]
+        env_x.append(max(x, 0.0) if env_s else 0.0)
+        env_s.append(s)
+        env_b.append(b)
+    if env_s[-1] <= 0.0:
+        raise DivergentIntegral(f"K({eps}): the tangent minorant never grows")
+    s, b, x0 = (np.array(v) for v in (env_s, env_b, env_x))
+    width = np.append(np.diff(x0), math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = eps * s
+        part = np.where(s > 0.0, -np.expm1(-rate * width) / rate, width)
+    k = math.fsum((np.exp(-eps * (s * x0 + b)) * part).tolist())
+    if not math.isfinite(k):
+        raise DivergentIntegral(f"K({eps}) of the tangent minorant overflows")
+    return k
 
 
 def _lam1_candidates(phi: PhiFunction, w_lo: float) -> list[float]:

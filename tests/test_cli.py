@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +191,25 @@ class TestValidateAndErrors:
         assert run(["validate", "--dist", "gaussian", "--out", str(out),
                     "--normalize"]) == 0
         assert json.loads(out.read_text())["config"]["seed"] == 7
+
+
+def test_library_never_imports_scipy_integrate(tmp_path):
+    # a fresh interpreter: the import, then three commands that integrate
+    code = f"""
+import sys
+import tailbounds
+assert "scipy.integrate" not in sys.modules, "import tailbounds"
+from tailbounds.cli import main
+out = {str(tmp_path / "r.json")!r}
+for argv in (["validate", "--dist", "gaussian"],
+             ["lower-uni", "--family", "quadratic", "--lambda-min", "0"],
+             ["moments", "--mode", "growth", "--m", "2", "--x", "3:10:0.5"]):
+    assert main(argv + ["--normalize", "--out", out]) == 0, argv
+    assert "scipy.integrate" not in sys.modules, argv
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

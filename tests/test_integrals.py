@@ -92,6 +92,21 @@ class TestEpsilonReport:
         rep = epsilon_report(LOG_TAIL, 0.3)
         assert rep.m is None
 
+    def test_diagnostics_carry_capped_windows(self):
+        rep = epsilon_report(HALF_SQUARE, 0.2)
+        for key in ("k", "r"):
+            assert set(rep.diagnostics[key]) == {"truncation", "abs_error", "capped_windows"}
+            assert rep.diagnostics[key]["capped_windows"] == 0
+
+    def test_capped_windows_counted_for_a_rough_exponent(self):
+        # a sawtooth exponent: more kinks per window than 200 panels resolve
+        saw = PhiFunction.from_callable(
+            lambda x: x + 0.5 * abs(math.sin(40.0 * x)), 0.0, math.inf, convex=False,
+            label="saw")
+        rep = epsilon_report(saw, 0.5)
+        assert rep.diagnostics["k"]["capped_windows"] > 0
+        assert rep.k == pytest.approx(k_integral(saw, 0.5), rel=0.0)
+
     def test_monotone_in_eps(self):
         eps_grid = [0.05, 0.1, 0.2, 0.35, 0.5]
         ks = [k_integral(HALF_SQUARE, e) for e in eps_grid]

@@ -9,9 +9,12 @@ import pytest
 from scipy.integrate import quad
 
 from tailbounds import oracles
-from tailbounds.errors import NotCertifiedError
+from tailbounds.config import DEFAULT
+from tailbounds.errors import DivergentIntegral, InputError, NotCertifiedError
 from tailbounds.functions import PhiFunction, conjugate
 from tailbounds.lower_unilateral import (
+    _clipped_minorant_k,
+    _tangent_lines,
     absorb_normalization,
     certify_dilation_dominance,
     m_surrogate_from_upper,
@@ -200,6 +203,73 @@ class TestSurrogate:
         val, _ = quad(lambda x: math.exp(-0.2 * star(x)), 0, 400, limit=400)
         assert m == pytest.approx(val, rel=2e-4)
         assert m >= val - 1e-7
+
+
+def _minorant_k_reference(lams, vals, eps, n_uniform=500, n_nodes=10):
+    """Composite Gauss-Legendre K of exp(-eps*max(0, max_i(lams*x - vals))).
+
+    The integrand is evaluated as a brute-force max over every line.  Panels
+    break at every crossing of consecutive lines and of each line with zero,
+    which holds every kink of the envelope of tangent lines to a convex nu,
+    and at a uniform grid; the range ends where the exponent passes 250/eps.
+    """
+    lams, vals = lams[np.isfinite(vals)], vals[np.isfinite(vals)]
+
+    def zeta(x):
+        out = np.zeros(x.size)
+        for k in range(0, x.size, 2048):
+            xs = x[k:k + 2048]
+            out[k:k + 2048] = np.maximum(0.0, np.max(lams[:, None] * xs - vals[:, None], axis=0))
+        return out
+
+    end = 1.0
+    while zeta(np.array([end]))[0] * eps < 250.0:
+        end *= 2.0
+    kinks = np.concatenate([np.diff(vals) / np.diff(lams), vals / lams])
+    edges = np.unique(np.concatenate([np.linspace(0.0, end, n_uniform),
+                                      kinks[(kinks > 0.0) & (kinks < end)]]))
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    half = 0.5 * np.diff(edges)[:, None]
+    xs = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes).ravel()
+    return math.fsum((np.exp(-eps * zeta(xs)) * (half * weights).ravel()).tolist())
+
+
+class TestClosedFormSurrogate:
+    @pytest.mark.parametrize("name", ["gaussian", "exponential", "weibull2", "weibull4"])
+    def test_matches_composite_gauss_legendre(self, name):
+        phi = oracles.suite()[name].mgf_exponent
+        lams, vals = _tangent_lines(phi, 0.2, DEFAULT)
+        ref = _minorant_k_reference(lams, vals, 0.2)
+        assert m_surrogate_from_upper(phi, 0.2) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_quadratic_coefficient_one_against_reference(self):
+        phi = PhiFunction.quadratic(coeff=1.0, lo=0.0)
+        lams, vals = _tangent_lines(phi, 0.5, DEFAULT)
+        ref = _minorant_k_reference(lams, vals, 0.5)
+        assert m_surrogate_from_upper(phi, 0.5) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_never_below_k_of_the_conjugate(self):
+        # nu = lam^2/2: nu* = x^2/2 and K = int exp(-0.2 x^2/2) = sqrt(pi/0.4)
+        m = m_surrogate_from_upper(QUAD0, 0.2)
+        assert m >= math.sqrt(math.pi / 0.4)
+        assert m == pytest.approx(math.sqrt(math.pi / 0.4), rel=1e-3)
+
+    def test_minorant_without_lines_is_divergent(self):
+        with pytest.raises(DivergentIntegral):
+            _clipped_minorant_k(np.empty(0), np.empty(0), 0.2)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5])
+    def test_eps_outside_unit_interval_is_input_error(self, eps):
+        with pytest.raises(InputError):
+            m_surrogate_from_upper(QUAD0, eps)
+
+    def test_lines_off_the_envelope_are_dropped(self):
+        # the middle line 1*x - 10 lies below max(0.5x, 2x - 3) everywhere
+        lams, vals = np.array([0.5, 1.0, 2.0]), np.array([0.0, 10.0, 3.0])
+        k = _clipped_minorant_k(lams, vals, 1.0)
+        # exp(-0.5x) on [0, 2], exp(-(2x - 3)) beyond
+        want = 2.0 * (1.0 - math.exp(-1.0)) + math.exp(-1.0) / 2.0
+        assert k == pytest.approx(want, rel=1e-14)
 
 
 class TestTailTransformIdentity:

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+# the independent reference for the in-package Gauss-Kronrod kernel
 from scipy.integrate import quad
 
 from tailbounds import oracles
@@ -35,6 +38,130 @@ class TestQuadrature:
         with pytest.raises(NotConvergedError):
             oracles.quadrature(lambda x: 1.0 / (1.0 + x), 0.0, math.inf)
 
+    def test_details_count_no_capped_window_on_smooth_integrand(self):
+        d = {}
+        oracles.quadrature(lambda x: np.exp(-x), 0.0, math.inf, details=d, vectorized=True)
+        assert set(d) == {"truncation", "abs_error", "capped_windows"}
+        assert d["capped_windows"] == 0
+
+    def test_window_at_its_panel_limit_is_counted(self):
+        # a square wave under exp(-x): each early window holds dozens of jumps,
+        # more than 200 bisected panels resolve to the target
+        def f(x):
+            return np.exp(-x) * (np.sin(300.0 * x) > 0.0)
+
+        d1, d2 = {}, {}
+        v1, _ = oracles.quadrature(f, 0.0, math.inf, details=d1, vectorized=True)
+        v2, _ = oracles.quadrature(f, 0.0, math.inf, details=d2, vectorized=True)
+        assert d1["capped_windows"] > 0
+        assert (v1, d1) == (v2, d2)
+        assert v1 == pytest.approx(0.5, rel=1e-2)
+
+    def test_finite_range_at_its_panel_limit_raises(self):
+        with pytest.raises(NotConvergedError):
+            oracles.quadrature(lambda x: np.sign(np.sin(1.0 / x)), 1e-6, 1.0,
+                               vectorized=True)
+
+    def test_vectorized_evaluates_whole_panels(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-x * x)
+
+        val, _ = oracles.quadrature(f, 0.0, math.inf, vectorized=True)
+        assert val == pytest.approx(math.sqrt(math.pi) / 2.0, rel=1e-12)
+        assert sizes and all(n % 21 == 0 for n in sizes)
+
+
+# integrand families: (numpy form, reference by scipy quad); each is scaled
+# so that its integral is of order one and the kernel's relative target binds
+
+def _gaussian_tail(a):
+    # int_a^inf exp(-(t^2 - a^2)/2) dt
+    f = lambda t: np.exp(-0.5 * (t - a) * (t + a))
+    return f, a, lambda g: quad(g, a, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def _tilted_gaussian(lam):
+    # int_0^inf exp(lam t - t^2/2 - lam^2/2) dt
+    f = lambda t: np.exp(-0.5 * (t - lam) ** 2)
+    return f, 0.0, lambda g: (quad(g, 0.0, lam, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                              + quad(g, lam, math.inf, epsabs=0.0, epsrel=1e-13,
+                                     limit=200)[0])
+
+
+def _exponential_moment(k, rate):
+    # int_0^inf t^k e^{-rate t} dt * rate^(k+1) / k! = 1
+    c = rate ** (k + 1) / math.factorial(k)
+    f = lambda t: c * t ** k * np.exp(-rate * t)
+    return f, 0.0, lambda g: quad(g, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def _pareto_damped(eps):
+    # exp(-eps * 3 ln t) above t = 1, 1 below: finite for eps > 1/3
+    f = lambda t: np.minimum(1.0, np.maximum(t, 1e-300) ** (-3.0 * eps))
+    return f, 0.0, lambda g: (quad(g, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+                              + quad(g, 1.0, math.inf, epsabs=0.0, epsrel=1e-13,
+                                     limit=200)[0])
+
+
+def _grid_zeta(widths, slopes):
+    # exp(-zeta) for zeta piecewise linear through knots, extended linearly
+    knots = np.concatenate([[0.0], np.cumsum(widths)])
+    vals = np.concatenate([[0.0], np.cumsum(np.asarray(widths) * slopes[:-1])])
+    last = slopes[-1]
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return np.exp(-np.where(t <= knots[-1], np.interp(t, knots, vals),
+                                vals[-1] + last * (t - knots[-1])))
+
+    def ref(g):
+        edges = knots.tolist()
+        inner = sum(quad(g, u, v, epsabs=0.0, epsrel=1e-13)[0]
+                    for u, v in zip(edges[:-1], edges[1:]))
+        return inner + quad(g, edges[-1], math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    return f, 0.0, ref
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+_integrands = st.one_of(
+    st.floats(0.0, 8.0, **_finite).map(_gaussian_tail),
+    st.floats(0.0, 20.0, **_finite).map(_tilted_gaussian),
+    st.builds(_exponential_moment, st.integers(0, 12), st.floats(0.2, 5.0, **_finite)),
+    st.floats(0.5, 1.0, **_finite).map(_pareto_damped),
+    st.integers(1, 6).flatmap(lambda n: st.builds(
+        _grid_zeta,
+        st.lists(st.floats(0.2, 3.0, **_finite), min_size=n, max_size=n),
+        st.lists(st.floats(0.2, 3.0, **_finite), min_size=n + 1, max_size=n + 1)
+        .map(np.array))),
+)
+
+
+class TestGaussKronrodAgainstQuadpack:
+    @given(_integrands)
+    def test_vectorized_matches_quad(self, case):
+        f, a, ref = case
+        want = ref(lambda t: float(f(t)))
+        got, _ = oracles.quadrature(f, a, math.inf, vectorized=True)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @given(_integrands)
+    def test_scalar_matches_quad(self, case):
+        f, a, ref = case
+        want = ref(lambda t: float(f(t)))
+        got, _ = oracles.quadrature(lambda t: float(f(t)), a, math.inf)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    @given(st.floats(-3.0, 3.0, **_finite), st.floats(0.1, 6.0, **_finite))
+    def test_finite_range_matches_quad(self, a, width):
+        f = lambda t: np.cos(3.0 * t) * np.exp(-0.25 * t * t) + 2.0
+        want = quad(lambda t: float(f(t)), a, a + width, epsabs=0.0, epsrel=1e-13)[0]
+        got, _ = oracles.quadrature(f, a, a + width, vectorized=True)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
 
 class TestLogIntegralExp:
     def test_matches_plain_quadrature(self):
@@ -42,6 +169,22 @@ class TestLogIntegralExp:
         closed = math.exp(4.5) * math.sqrt(2 * math.pi) * (
             1.0 - 0.5 * math.erfc(3.0 / math.sqrt(2.0)))
         assert lv == pytest.approx(math.log(closed), abs=1e-9)
+
+    def test_window_cap_raises_with_peak_and_edge(self):
+        # (1+x)^(-1/2) never falls 60 below its peak value before x = 1e12
+        with pytest.raises(NotConvergedError) as info:
+            oracles.log_integral_exp(lambda x: -0.5 * np.log1p(x), 0.0, math.inf, peak=0.0)
+        diag = info.value.diagnostic
+        assert diag["peak"] == 0.0 and diag["edge"] > 1e12 and diag["row"] == 0
+
+    def test_window_cap_names_the_divergent_row(self):
+        # row 0 decays like exp(-x^2), row 1 like (1+x)^(-1/2)
+        rate = np.array([[1.0], [0.0]])
+        with pytest.raises(NotConvergedError) as info:
+            oracles.log_integral_exp(lambda x: -rate * x * x - 0.5 * np.log1p(x),
+                                     0.0, math.inf, peak=np.array([1.0, 2.0]))
+        assert info.value.diagnostic["row"] == 1
+        assert info.value.diagnostic["peak"] == 2.0
 
     def test_huge_exponent_no_overflow(self):
         # peak value around e^{5000}: only representable in log space
