@@ -26,6 +26,7 @@ from .errors import (
     NegativeInputError,
     NonUniqueArgmaxError,
     OutOfDomainError,
+    TailboundsError,
     UnboundedObjectiveError,
 )
 
@@ -83,6 +84,9 @@ class PhiFunction:
     slope_lim: Optional[float] = None  # declared lim of f' at an unbounded top
     # fn and deriv accept arrays (callable kind; see from_callable)
     vectorized: bool = field(default=False, compare=False)
+    # ``convex`` speaks for [lo, convex_hi]: the top of certify_convex's
+    # probe grid where that decided it, +inf where it holds by construction
+    convex_hi: float = field(default=math.inf, compare=False, repr=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -141,18 +145,23 @@ class PhiFunction:
         label: str = "callable",
         slope_lim: Optional[float] = None,
         vectorized: bool = False,
+        convex_hi: float = math.inf,
     ) -> "PhiFunction":
         """Wrap ``fn`` (and its derivative ``deriv``) on [lo, hi).
 
         ``vectorized=True`` promises that ``fn`` and ``deriv`` map a float
         array elementwise to exactly what they return for each scalar, so
         :meth:`values` and :meth:`derivatives` call them once per array.
+        ``convex=None`` asks :func:`certify_convex`, whose answer holds up to
+        the top of its probe grid only; a given ``convex`` holds up to
+        ``convex_hi``.
         """
         f = PhiFunction(kind="callable", domain=Domain(lo, hi), fn=fn,
                         deriv=deriv, convex=convex, label=label,
-                        slope_lim=slope_lim, vectorized=vectorized)
+                        slope_lim=slope_lim, vectorized=vectorized, convex_hi=convex_hi)
         if convex is None:
             object.__setattr__(f, "convex", certify_convex(f))
+            object.__setattr__(f, "convex_hi", _probe_top(f.domain))
         return f
 
     @staticmethod
@@ -270,7 +279,7 @@ class PhiFunction:
             lambda mu: self.values(c * np.asarray(mu)), lo, hi,
             deriv=(lambda mu: c * self.derivatives(c * np.asarray(mu))) if self.deriv else None,
             convex=self.convex, label=f"dilated[{self.label}]x{c:.4g}",
-            vectorized=True,
+            vectorized=True, convex_hi=self.convex_hi / c if c > 0 else 0.0,
         )
 
     def slope_limit(self) -> Optional[float]:
@@ -302,21 +311,27 @@ def evaluate(f: PhiFunction, lam: float) -> float:
     return f.value(lam)
 
 
+def _probe_top(domain: Domain) -> float:
+    """Top of :func:`certify_convex`'s probe grid on ``domain``."""
+    hi = domain.top()
+    return hi if math.isfinite(hi) else max(100.0, 10.0 * max(domain.lo, 1.0))
+
+
 def certify_convex(f: PhiFunction, n_probe: int = 257, tol: float = 1e-9) -> bool:
     """Numerically certify convexity by second differences on a probe grid.
 
     A positive certificate is a statement about the probe grid only, which
     is how it is used: it licenses concave-objective golden search instead
-    of exhaustive scanning.
+    of exhaustive scanning, and, up to the top of the probe grid (which
+    :meth:`PhiFunction.from_callable` records as ``convex_hi``), the growth
+    step of the conjugate search on an unbounded domain that reads only
+    the two top points of each grid while the objective still rises there.
     """
     if f.kind == "grid":
         ls, vs = f.knots
         slopes = np.diff(vs) / np.diff(ls)
         return bool(np.all(np.diff(slopes) >= -tol * max(1.0, np.abs(slopes).max())))
-    lo, hi = f.domain.lo, f.domain.top()
-    if not math.isfinite(hi):
-        hi = max(100.0, 10.0 * max(lo, 1.0))
-    grid = np.linspace(lo, hi, n_probe)
+    grid = np.linspace(f.domain.lo, _probe_top(f.domain), n_probe)
     vals = f.values(grid)
     second = np.diff(vals, 2)
     scale = max(1.0, float(np.abs(vals).max()))
@@ -335,13 +350,17 @@ class ConjugateResult:
     ``values`` may contain +inf where the supremum diverges; ``argmax`` is
     NaN there.  ``argmax`` equals the derivative of the transform wherever
     the input is convex (envelope theorem), which downstream saddle-point
-    code relies on.
+    code relies on.  ``capped`` is True where the maximizer stopped at
+    ``tols.lambda_cap`` on an unbounded domain, so that the value is the
+    supremum over [lo, lambda_cap] only; a biconjugate, whose outer search
+    has no such cap, is False throughout.
     """
 
     x_grid: np.ndarray
     values: np.ndarray
     argmax: np.ndarray
     source_domain: Domain
+    capped: np.ndarray
 
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
@@ -361,28 +380,6 @@ class ConjugateResult:
             chords = np.diff(vf) / np.diff(xf)
             if np.any(np.diff(chords) < -1e-6 * max(1.0, float(np.abs(chords).max()))):
                 raise AssertionError("conjugate values not convex along the grid")
-
-
-def _golden_max(g: Callable[[float], float], a: float, b: float,
-                rel_width: float) -> tuple[float, float]:
-    """Golden-section maximization of g on [a, b]."""
-    fa, fb = g(a), g(b)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = g(c), g(d)
-    while (b - a) > rel_width * max(1.0, abs(a), abs(b)):
-        if fc >= fd:
-            b, fb = d, fd
-            d, fd = c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = g(c)
-        else:
-            a, fa = c, fc
-            c, fc = d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = g(d)
-    best = max((fa, a), (fc, c), (fd, d), (fb, b))
-    return best[1], best[0]
 
 
 def _scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -426,6 +423,205 @@ def _stationary_point(f: PhiFunction, x: float, top: float) -> Optional[float]:
     return float(min(max(lam, f.domain.lo), top))
 
 
+def _conjugate_exact(f: PhiFunction, x: float,
+                     tols: Tolerances) -> Optional[tuple[float, float]]:
+    """(value, argmax) where no search is needed, else None.
+
+    Grid knots, the closed forms, and the analytic unboundedness test,
+    which raises UnboundedObjectiveError.
+    """
+    if f.kind == "grid":
+        return _conjugate_grid_form(f, x)
+    hi = f.domain.top()
+    slope_lim = f.slope_limit()
+    if slope_lim is not None and not f.domain.bounded and x > slope_lim:
+        witness = np.geomspace(max(f.domain.lo, 1.0), tols.lambda_cap, 8)
+        raise UnboundedObjectiveError(x, witness)
+    lam_hat = _stationary_point(f, x, hi if math.isfinite(hi) else tols.lambda_cap)
+    if lam_hat is None:
+        return None
+    return lam_hat * x - f.value(lam_hat), lam_hat
+
+
+def _scan(f: PhiFunction, x: float, tols: Tolerances) -> tuple[np.ndarray, np.ndarray, int]:
+    """The scan grid, ``lam*x - f(lam)`` on it, and the index of its argmax.
+
+    On an unbounded domain the truncation point grows until the objective
+    stops rising at the top.  Where ``f`` is known convex on the whole grid
+    (up to ``f.convex_hi``) the objective is concave there, so while it
+    still rises between the two top points the argmax of the whole grid is
+    its last point: those two points decide the step, and the rest of the
+    grid is evaluated only where the growth stops.
+    """
+    lo, hi = f.domain.lo, f.domain.top()
+    if math.isfinite(hi):
+        grid = _scan_grid(lo, hi, tols.scan_points)
+        vals = grid * x - f.values(grid)
+        return grid, vals, int(np.argmax(vals))
+    hi_eff = max(10.0, 4.0 * abs(x), 4.0 * max(lo, 1.0))
+    while True:
+        grid = _scan_grid(lo, hi_eff, tols.scan_points)
+        top = None
+        if (f.convex is True and hi_eff < tols.lambda_cap and hi_eff <= f.convex_hi
+                and grid.size > 2):
+            try:
+                top = grid[-2:] * x - f.values(grid[-2:])
+            except TailboundsError:
+                pass  # the full scan below raises the first failing point's error
+        if top is None or not top[1] > top[0]:
+            if top is None:
+                vals = grid * x - f.values(grid)
+            else:
+                vals = np.concatenate([grid[:-2] * x - f.values(grid[:-2]), top])
+            i = int(np.argmax(vals))
+            if i < grid.size - 1:
+                return grid, vals, i
+            if hi_eff >= tols.lambda_cap:
+                if f.slope_limit() is None:
+                    raise UnboundedObjectiveError(x, grid[-6:])
+                return grid, vals, i  # analytic test said bounded; accept the cap
+        hi_eff = min(hi_eff * tols.unbounded_growth_factor, tols.lambda_cap)
+
+
+# rows of the golden-section state: the bracket ends a < b, the inner
+# points c < d, the objective at each, and the step's new point and value
+_A, _B, _C, _D, _FA, _FB, _FC, _FD, _NEW, _FNEW = range(10)
+# the rows of the next state, as columns that broadcast over the brackets;
+# fc >= fd keeps [a, d]: b, fb = d, fd; d, fd = c, fc; c, fc = new, fnew
+_LEFT = np.array([_A, _D, _NEW, _C, _FA, _FD, _FNEW, _FC])[:, None]
+# otherwise [c, b]: a, fa = c, fc; c, fc = d, fd; d, fd = new, fnew
+_RIGHT = np.array([_C, _B, _D, _NEW, _FC, _FB, _FD, _FNEW])[:, None]
+
+
+def _golden_lockstep(objective, a, b, fa, fb, rel_width: float) -> list:
+    """Golden-section maximization on [a_r, b_r] for every bracket r at once.
+
+    ``objective(rows, pts)`` evaluates bracket ``rows[i]`` at ``pts[i]``
+    for every i, in one batch, and returns the values and the set of rows
+    whose evaluation failed; those brackets stop.  ``fa`` and ``fb`` hold
+    the objective at the ends.  Each bracket takes the steps, stopping
+    test and tie-breaking of a scalar golden section, so it ends where that
+    ends, bit for bit; each step makes one objective call over the
+    brackets still narrowing.  Returns (value, argmax) per bracket, None
+    where it failed.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    rows = np.arange(a.size)
+    fcd, dead = objective(np.concatenate([rows, rows]), np.concatenate([c, d]))
+    state = np.empty((10, a.size))
+    state[:8] = [a, b, c, d, fa, fb, fcd[:a.size], fcd[a.size:]]
+    final = state[:8].copy()
+    keep = ~np.isin(rows, list(dead))
+    while True:
+        if keep is not None and not keep.all():
+            rows, state = rows[keep], state[:, keep]
+        keep = None
+        a, b = state[_A], state[_B]
+        wide = (b - a) > rel_width * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        if not wide.all():
+            final[:, rows[~wide]] = state[:8, ~wide]
+            rows, state = rows[wide], state[:, wide]
+        if rows.size == 0:
+            break
+        left = state[_FC] >= state[_FD]
+        a = np.where(left, state[_A], state[_C])
+        b = np.where(left, state[_D], state[_B])
+        w = _GOLDEN * (b - a)
+        new = np.where(left, b - w, a + w)
+        state[_NEW] = new
+        state[_FNEW], failed = objective(rows, new)
+        state[:8] = state[np.where(left, _LEFT, _RIGHT), np.arange(rows.size)]
+        if failed:
+            dead |= failed
+            keep = ~np.isin(rows, list(failed))
+    return [None if r in dead else max((fa, a), (fc, c), (fd, d), (fb, b))
+            for r, (a, b, c, d, fa, fb, fc, fd) in enumerate(final.T.tolist())]
+
+
+def conjugate_values(f: PhiFunction, xs: Sequence[float],
+                     tols: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray, dict]:
+    """:func:`conjugate_value` at each x of a 1-d sequence, in one search.
+
+    Returns (values, argmax, errors): ``errors`` maps the index of each x
+    whose :func:`conjugate_value` call raises a package error to that
+    error, and values and argmax are NaN there.  No x's result depends on
+    the other x's, so the batch equals its one-point calls bit for bit.
+    Exact kinds are solved point by point.  Searched points are scanned
+    one x at a time, each scan its own ``values`` call; then their
+    golden-section refinements run in lockstep, one ``values`` call per
+    step for all of them.
+    """
+    xs = np.asarray(xs, dtype=float).ravel().tolist()
+    vals = np.full(len(xs), math.nan)
+    arg = np.full(len(xs), math.nan)
+    errors: dict = {}
+    brackets = []
+    for k, x in enumerate(xs):
+        try:
+            exact = _conjugate_exact(f, x, tols)
+            if exact is None:
+                grid, gv, i = _scan(f, x, tols)
+        except TailboundsError as exc:
+            errors[k] = exc
+            continue
+        if exact is not None:
+            vals[k], arg[k] = exact
+            continue
+        lo_i, hi_i = max(i - 1, 0), min(i + 1, grid.size - 1)
+        if lo_i == hi_i:
+            vals[k], arg[k] = gv[i], grid[i]
+        else:
+            brackets.append((k, x, *map(float, (grid[lo_i], grid[hi_i], gv[lo_i], gv[hi_i],
+                                                 grid[i], gv[i]))))
+    if brackets:
+        ks, bx, a, b, fa, fb, gi, vi = zip(*brackets)
+        bx_arr = np.array(bx)
+
+        def objective(rows, lams):
+            try:
+                return np.multiply(lams, bx_arr[rows]) - f.values(lams), set()
+            except TailboundsError:
+                pass
+            # point by point, so that each bracket records the error of its
+            # own first failing point
+            out, failed = np.full(rows.size, math.nan), set()
+            for j, (r, t) in enumerate(zip(rows.tolist(), lams.tolist())):
+                if r in failed:
+                    continue
+                try:
+                    out[j] = t * bx[r] - f.value(t)
+                except TailboundsError as exc:
+                    errors[ks[r]] = exc
+                    failed.add(r)
+            return out, failed
+
+        refined = _golden_lockstep(objective, a, b, fa, fb, tols.golden_rel_width)
+        for k, best, g_i, v_i in zip(ks, refined, gi, vi):
+            if best is not None:
+                # the scan's best point wins only a strict comparison
+                vals[k], arg[k] = (v_i, g_i) if v_i > best[0] else best
+    return vals, arg, errors
+
+
+def _stars(f: PhiFunction, xs, tols: Tolerances) -> np.ndarray:
+    """f*(x) at each x; raises the error of the first x that has one."""
+    stars, _, errors = conjugate_values(f, xs, tols)
+    if errors:
+        raise errors[min(errors)]
+    return stars
+
+
+def _inf_where_unbounded(vals: np.ndarray, errors: dict) -> None:
+    """Set +inf in ``vals`` where the supremum diverges; raise any other
+    error of :func:`conjugate_values`, the one of the smallest index."""
+    for k in sorted(errors):
+        if not isinstance(errors[k], UnboundedObjectiveError):
+            raise errors[k]
+        vals[k] = math.inf
+
+
 def conjugate_value(f: PhiFunction, x: float,
                     tols: Tolerances = DEFAULT) -> tuple[float, float]:
     """sup over the domain of ``lam*x - f(lam)``; returns (value, argmax).
@@ -436,57 +632,18 @@ def conjugate_value(f: PhiFunction, x: float,
     forms ``quadratic``, ``linear`` and ``power_log`` with r = 0 and p > 1
     (stationary point clipped to the domain).  Callables and the other
     ``power_log`` cases are searched: a scan followed by golden-section
-    refinement.  On an unbounded domain both the closed forms and the
-    search stop at ``tols.lambda_cap``.
+    refinement; this is the one-point case of :func:`conjugate_values`.
+    Where ``f.convex`` is True the objective is concave, and the scan of
+    an unbounded domain grows its truncation point, while it stays at or
+    below ``f.convex_hi``, from the objective at the two top points of each
+    grid alone; the points it skips are not evaluated, so an error ``f``
+    would raise only there does not surface.  On an unbounded domain both
+    the closed forms and the search stop at ``tols.lambda_cap``.
     """
-    x = float(x)
-    if f.kind == "grid":
-        return _conjugate_grid_form(f, x)
-
-    lo = f.domain.lo
-    hi = f.domain.top()
-
-    # analytic unboundedness test for closed forms on [lo, inf)
-    slope_lim = f.slope_limit()
-    if slope_lim is not None and not f.domain.bounded:
-        if x > slope_lim:
-            witness = np.geomspace(max(lo, 1.0), tols.lambda_cap, 8)
-            raise UnboundedObjectiveError(x, witness)
-
-    lam_hat = _stationary_point(f, x, hi if math.isfinite(hi) else tols.lambda_cap)
-    if lam_hat is not None:
-        return lam_hat * x - f.value(lam_hat), lam_hat
-
-    def g(l: float) -> float:
-        return l * x - f.value(l)
-
-    if not math.isfinite(hi):
-        # grow the truncation point until the objective stops rising at the top
-        hi_eff = max(10.0, 4.0 * abs(x), 4.0 * max(lo, 1.0))
-        while True:
-            grid = _scan_grid(lo, hi_eff, tols.scan_points)
-            vals = grid * x - f.values(grid)
-            i = int(np.argmax(vals))
-            if i < grid.size - 1:
-                break
-            if hi_eff >= tols.lambda_cap:
-                if slope_lim is None:
-                    raise UnboundedObjectiveError(x, grid[-6:])
-                break  # analytic test said bounded; accept the cap
-            hi_eff = min(hi_eff * tols.unbounded_growth_factor, tols.lambda_cap)
-    else:
-        grid = _scan_grid(lo, hi_eff := hi, tols.scan_points)
-        vals = grid * x - f.values(grid)
-        i = int(np.argmax(vals))
-
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid.size - 1)]
-    if a == b:
-        return float(vals[i]), float(grid[i])
-    lam_hat, v_hat = _golden_max(g, float(a), float(b), tols.golden_rel_width)
-    if vals[i] > v_hat:
-        lam_hat, v_hat = float(grid[i]), float(vals[i])
-    return v_hat, lam_hat
+    vals, arg, errors = conjugate_values(f, [x], tols)
+    if errors:
+        raise errors[0]
+    return float(vals[0]), float(arg[0])
 
 
 def conjugate(f: PhiFunction, x_grid: Sequence[float],
@@ -495,7 +652,11 @@ def conjugate(f: PhiFunction, x_grid: Sequence[float],
 
     Divergent points are flagged with +inf values (NaN argmax) rather than
     raised, since envelopes legitimately hit them; callers that need a hard
-    error use :func:`conjugate_value`.
+    error use :func:`conjugate_value`.  Any other error is raised, the one
+    of the smallest x first.  The points are solved together by
+    :func:`conjugate_values`; where ``f`` is convex (up to
+    ``f.convex_hi``) its growth scan reads only the two top points of each
+    grid while the objective still rises.
     """
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
@@ -505,14 +666,11 @@ def conjugate(f: PhiFunction, x_grid: Sequence[float],
     if xs.size > 1 and not np.all(np.diff(xs) > 0):
         raise InputError("x_grid must be strictly increasing")
 
-    vals = np.empty_like(xs)
-    arg = np.empty_like(xs)
-    for k, x in enumerate(xs):
-        try:
-            vals[k], arg[k] = conjugate_value(f, float(x), tols)
-        except UnboundedObjectiveError:
-            vals[k], arg[k] = math.inf, math.nan
-    return ConjugateResult(x_grid=xs, values=vals, argmax=arg, source_domain=f.domain)
+    vals, arg, errors = conjugate_values(f, xs, tols)
+    _inf_where_unbounded(vals, errors)
+    capped = (arg == tols.lambda_cap) & (not f.domain.bounded)
+    return ConjugateResult(x_grid=xs, values=vals, argmax=arg, source_domain=f.domain,
+                           capped=capped)
 
 
 def biconjugate(f: PhiFunction, lam_grid: Sequence[float],
@@ -529,11 +687,6 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float],
     if lams.size > 1 and not np.all(np.diff(lams) > 0):
         raise InputError("lam_grid must be strictly increasing")
 
-    def fstar(x: float) -> tuple[float, float]:
-        return conjugate_value(f, x, tols)
-
-    vals = np.empty_like(lams)
-    args = np.empty_like(lams)
     lam_top = float(lams[-1])
 
     # locate the finite window of f* and the bracket for the largest lam
@@ -541,7 +694,7 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float],
     trace_hi = None
     for _ in range(200):
         try:
-            _, trace_hi = fstar(x_hi)
+            _, trace_hi = conjugate_value(f, x_hi, tols)
         except UnboundedObjectiveError:
             break
         if trace_hi > lam_top * 1.0001 + 1e-9:
@@ -550,35 +703,33 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float],
         if x_hi > 1e12:
             break
 
-    for k, lam in enumerate(lams):
-        def outer(x: float, lam=lam) -> float:
-            try:
-                v, _ = fstar(x)
-            except UnboundedObjectiveError:
-                return -math.inf
-            return lam * x - v
+    def fstar(xs: np.ndarray) -> np.ndarray:
+        # +inf where f* diverges, so that lam*x - f*(x) reads -inf there
+        v, _, errors = conjugate_values(f, xs, tols)
+        _inf_where_unbounded(v, errors)
+        return v.reshape(xs.shape)
 
-        grid = _scan_grid(0.0, x_hi, tols.scan_points)
-        ovals = np.array([outer(t) for t in grid])
-        i = int(np.argmax(ovals))
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, grid.size - 1)]
-        x_hat, v_hat = _golden_max(outer, float(a), float(b), tols.golden_rel_width)
-        if ovals[i] > v_hat:
-            x_hat, v_hat = float(grid[i]), float(ovals[i])
-        vals[k], args[k] = v_hat, x_hat
-    return ConjugateResult(x_grid=lams, values=vals, argmax=args, source_domain=f.domain)
+    # every lam scans the same x grid, then all refine in lockstep
+    grid = _scan_grid(0.0, x_hi, tols.scan_points)
+    ovals = lams[:, None] * grid - fstar(grid)
+    rows = np.arange(lams.size)
+    i = np.argmax(ovals, axis=1)
+    lo_i, hi_i = np.maximum(i - 1, 0), np.minimum(i + 1, grid.size - 1)
+    refined = _golden_lockstep(
+        lambda k, xs: (lams[k] * xs - fstar(xs), set()),
+        grid[lo_i], grid[hi_i], ovals[rows, lo_i], ovals[rows, hi_i], tols.golden_rel_width)
+    vals = np.array([best[0] for best in refined])
+    args = np.array([best[1] for best in refined])
+    scan_wins = ovals[rows, i] > vals
+    vals[scan_wins] = ovals[rows, i][scan_wins]
+    args[scan_wins] = grid[i][scan_wins]
+    return ConjugateResult(x_grid=lams, values=vals, argmax=args, source_domain=f.domain,
+                           capped=np.zeros(lams.size, dtype=bool))
 
 
 # --------------------------------------------------------------------------
 # Saddle point
 # --------------------------------------------------------------------------
-
-
-def conjugate_slope(f: PhiFunction, x: float, tols: Tolerances = DEFAULT) -> float:
-    """Derivative of f* at x, via the maximizer (envelope theorem)."""
-    _, lam_hat = conjugate_value(f, x, tols)
-    return lam_hat
 
 
 def saddle_point(phi2: PhiFunction, lam: float,
@@ -589,66 +740,119 @@ def saddle_point(phi2: PhiFunction, lam: float,
     For a differentiable convex ``phi2`` this equals phi2'(lam).  Located
     numerically on the conjugate trace; a flat maximizing set wider than
     ``flat_tol`` raises NonUniqueArgmaxError instead of silently picking a
-    point.
+    point.  The one-point case of :func:`_saddle_points`.
     """
-    lam = float(lam)
-    if not phi2.domain.contains(lam):
-        raise OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
+    (x0,) = _saddle_points(phi2, [lam], flat_tol, tols)
+    if isinstance(x0, Exception):
+        raise x0
+    return x0
 
+
+def _saddle_points(phi2: PhiFunction, lams, flat_tol: Optional[float] = None,
+                   tols: Tolerances = DEFAULT) -> list:
+    """:func:`saddle_point` at each lam: its float, or the package error it
+    raises.  Off grids, the searches run in lockstep: each round evaluates
+    the conjugate trace at the next point of every search still running,
+    in one :func:`conjugate_values` call."""
+    lams = [float(lam) for lam in lams]
     if phi2.kind == "grid":
-        ls, vs = phi2.knots
-        chords = np.diff(vs) / np.diff(ls)  # breakpoints of phi2* in x
-        if not np.all(np.diff(chords) >= -1e-12 * max(1.0, float(np.abs(chords).max()))):
-            raise InputError("saddle point needs a convex grid function")
-        if flat_tol is None:
-            flat_tol = 2.0 * float(np.diff(ls).max())
-        # phi2* is the upper envelope of the knot lines lam_j * x - v_j; on the
-        # piece where line j is active, dS/dx = lam - lam_j.  The maximum sits
-        # at the breakpoint where the active knot value crosses lam; if lam
-        # hits a knot exactly the maximizing set is the whole flat piece.
-        atol = 1e-12 * max(1.0, abs(lam))
-        hit = np.where(np.abs(ls - lam) <= atol)[0]
-        if hit.size:
-            j = int(hit[0])
-            if j == 0 or j == ls.size - 1:
-                edge = float(chords[0]) if j == 0 else float(chords[-1])
-                raise NonUniqueArgmaxError(edge, edge, flat_tol)
-            left, right = float(chords[j - 1]), float(chords[j])
-            if right - left > flat_tol:
-                raise NonUniqueArgmaxError(left, right, flat_tol)
-            return 0.5 * (left + right)
-        j = int(np.searchsorted(ls, lam)) - 1  # ls[j] < lam < ls[j+1]
-        if j < 0 or j >= chords.size:
-            raise OutOfDomainError(lam, float(ls[0]), float(ls[-1]))
-        return float(chords[j])
-
+        out = []
+        for lam in lams:
+            try:
+                out.append(_grid_saddle_point(phi2, lam, flat_tol))
+            except TailboundsError as exc:
+                out.append(exc)
+        return out
     if flat_tol is None:
         flat_tol = tols.flat_tol
+    searches = [_saddle_search(phi2, lam, flat_tol) for lam in lams]
+    out: list = [None] * len(searches)
+    pending: dict = {}
 
-    def trace(x: float) -> float:
-        # a diverging transform along the way means the maximizing set of
-        # S(lam, .) is unbounded or degenerate: report, never pick a point
+    def resume(i, advance):
         try:
-            return conjugate_slope(phi2, x, tols)
-        except UnboundedObjectiveError:
-            raise NonUniqueArgmaxError(x, math.inf, flat_tol) from None
+            pending[i] = advance()
+        except StopIteration as stop:
+            out[i] = stop.value
+        except TailboundsError as exc:
+            out[i] = exc
+
+    for i, search in enumerate(searches):
+        resume(i, search.__next__)
+    while pending:
+        idx = list(pending)
+        _, slopes, errors = conjugate_values(phi2, [pending[i] for i in idx], tols)
+        pending = {}
+        for k, i in enumerate(idx):
+            if k in errors:
+                resume(i, lambda s=searches[i], e=errors[k]: s.throw(e))
+            else:
+                resume(i, lambda s=searches[i], v=float(slopes[k]): s.send(v))
+    return out
+
+
+def _grid_saddle_point(phi2: PhiFunction, lam: float, flat_tol: Optional[float]) -> float:
+    if not phi2.domain.contains(lam):
+        raise OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
+    ls, vs = phi2.knots
+    chords = np.diff(vs) / np.diff(ls)  # breakpoints of phi2* in x
+    if not np.all(np.diff(chords) >= -1e-12 * max(1.0, float(np.abs(chords).max()))):
+        raise InputError("saddle point needs a convex grid function")
+    if flat_tol is None:
+        flat_tol = 2.0 * float(np.diff(ls).max())
+    # phi2* is the upper envelope of the knot lines lam_j * x - v_j; on the
+    # piece where line j is active, dS/dx = lam - lam_j.  The maximum sits
+    # at the breakpoint where the active knot value crosses lam; if lam
+    # hits a knot exactly the maximizing set is the whole flat piece.
+    atol = 1e-12 * max(1.0, abs(lam))
+    hit = np.where(np.abs(ls - lam) <= atol)[0]
+    if hit.size:
+        j = int(hit[0])
+        if j == 0 or j == ls.size - 1:
+            edge = float(chords[0]) if j == 0 else float(chords[-1])
+            raise NonUniqueArgmaxError(edge, edge, flat_tol)
+        left, right = float(chords[j - 1]), float(chords[j])
+        if right - left > flat_tol:
+            raise NonUniqueArgmaxError(left, right, flat_tol)
+        return 0.5 * (left + right)
+    j = int(np.searchsorted(ls, lam)) - 1  # ls[j] < lam < ls[j+1]
+    if j < 0 or j >= chords.size:
+        raise OutOfDomainError(lam, float(ls[0]), float(ls[-1]))
+    return float(chords[j])
+
+
+def _trace(x: float, flat_tol: float):
+    """Yield x, take back the conjugate slope there (the maximizer)."""
+    # a diverging transform along the way means the maximizing set of
+    # S(lam, .) is unbounded or degenerate: report, never pick a point
+    try:
+        return (yield x)
+    except UnboundedObjectiveError:
+        raise NonUniqueArgmaxError(x, math.inf, flat_tol) from None
+
+
+def _saddle_search(phi2: PhiFunction, lam: float, flat_tol: float):
+    """The trace search of :func:`saddle_point` off grids, as a generator
+    that yields each x whose trace value it needs."""
+    if not phi2.domain.contains(lam):
+        raise OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
 
     # expanding bracket on the monotone trace
     x_lo = max(phi2.domain.lo, 1e-12)
     x_hi = max(1.0, 2.0 * x_lo)
-    t_lo = trace(x_lo)
+    t_lo = yield from _trace(x_lo, flat_tol)
     grow = 0
     while t_lo > lam and x_lo > 1e-14:
         x_lo *= 0.25
-        t_lo = trace(x_lo)
+        t_lo = yield from _trace(x_lo, flat_tol)
         grow += 1
         if grow > 60:
             break
-    t_hi = trace(x_hi)
+    t_hi = yield from _trace(x_hi, flat_tol)
     grow = 0
     while t_hi <= lam:
         x_hi *= 2.0
-        t_hi = trace(x_hi)
+        t_hi = yield from _trace(x_hi, flat_tol)
         grow += 1
         if grow > 80:
             raise NonUniqueArgmaxError(x_lo, x_hi, flat_tol)
@@ -658,7 +862,7 @@ def saddle_point(phi2: PhiFunction, lam: float,
         if (b - a) <= 1e-12 * max(1.0, abs(b)):
             break
         m = 0.5 * (a + b)
-        if trace(m) <= lam:
+        if (yield from _trace(m, flat_tol)) <= lam:
             a = m
         else:
             b = m
@@ -667,24 +871,24 @@ def saddle_point(phi2: PhiFunction, lam: float,
     # flat-top detection: width of the set where the trace sits within a
     # slope tolerance of lam
     eps_slope = 1e-7 * max(1.0, abs(lam))
-    lo_edge = _bisect_trace(trace, max(x_lo * 0.5, 1e-14), x0, lam - eps_slope)
-    hi_edge = _bisect_trace(trace, x0, x_hi * 2.0, lam + eps_slope)
+    lo_edge = yield from _bisect_trace(flat_tol, max(x_lo * 0.5, 1e-14), x0, lam - eps_slope)
+    hi_edge = yield from _bisect_trace(flat_tol, x0, x_hi * 2.0, lam + eps_slope)
     width = hi_edge - lo_edge
     if width > max(flat_tol * max(1.0, abs(x0)), 100.0 * eps_slope * max(1.0, abs(x0))):
         raise NonUniqueArgmaxError(lo_edge, hi_edge, flat_tol)
     return float(x0)
 
 
-def _bisect_trace(trace, a, b, target):
-    fa = trace(a)
-    fb = trace(b)
+def _bisect_trace(flat_tol, a, b, target):
+    fa = yield from _trace(a, flat_tol)
+    fb = yield from _trace(b, flat_tol)
     if fa >= target:
         return a
     if fb <= target:
         return b
     for _ in range(60):
         m = 0.5 * (a + b)
-        if trace(m) < target:
+        if (yield from _trace(m, flat_tol)) < target:
             a = m
         else:
             b = m

@@ -37,7 +37,14 @@ from .errors import (
     NotCertifiedError,
     OutOfDomainError,
 )
-from .functions import PhiFunction, conjugate_value, saddle_point
+from .functions import (
+    PhiFunction,
+    _saddle_points,
+    _stars,
+    conjugate_value,
+    conjugate_values,
+    saddle_point,
+)
 
 _LOG_EPS = math.log(2.0) * -1074  # smallest log float
 
@@ -64,6 +71,14 @@ def _x0(phi2: PhiFunction, t: float, tols: Tolerances) -> float:
     return saddle_point(phi2, float(t), tols=tols)
 
 
+def _raise_unrefused(errors: dict) -> None:
+    """Raise the first error of :func:`conjugate_values` that is not a
+    refusal (OutOfDomainError or InputError)."""
+    for i in sorted(errors):
+        if not isinstance(errors[i], (OutOfDomainError, InputError)):
+            raise errors[i]
+
+
 def _x0_inverse(phi2: PhiFunction, zs, tols: Tolerances) -> tuple[np.ndarray, dict]:
     """The t with x0(t) = z for each z; equals the conjugate maximizer at z.
 
@@ -77,11 +92,8 @@ def _x0_inverse(phi2: PhiFunction, zs, tols: Tolerances) -> tuple[np.ndarray, di
     mus = np.full(zs.size, math.nan)
     errors: dict = {}
     if not (phi2.convex and phi2.deriv is not None):
-        for i, z in enumerate(zs.tolist()):
-            try:
-                mus[i] = conjugate_value(phi2, z, tols)[1]
-            except (OutOfDomainError, InputError) as exc:
-                errors[i] = exc
+        _, mus, errors = conjugate_values(phi2, zs, tols)
+        _raise_unrefused(errors)
         return mus, errors
     lo = max(phi2.domain.lo, 1e-12)
     hi = phi2.domain.top()
@@ -120,11 +132,11 @@ def _x0_many(phi2: PhiFunction, ts: np.ndarray, tols: Tolerances) -> np.ndarray:
     if phi2.convex and phi2.deriv is not None:
         return phi2.derivatives(ts)
     out = np.full(ts.size, math.nan)
-    for i, t in enumerate(ts.tolist()):
-        try:
-            out[i] = saddle_point(phi2, t, tols=tols)
-        except (OutOfDomainError, InputError):
-            pass
+    for i, x0 in enumerate(_saddle_points(phi2, ts.tolist(), tols=tols)):
+        if not isinstance(x0, Exception):
+            out[i] = x0
+        elif not isinstance(x0, (OutOfDomainError, InputError)):
+            raise x0
     return out
 
 
@@ -134,12 +146,9 @@ def _stars_at_saddle(phi2: PhiFunction, ts: np.ndarray, xs: np.ndarray,
     if phi2.convex and phi2.deriv is not None:
         return ts * xs - phi2.values(ts)
     out = np.full(ts.size, math.nan)
-    for i, x in enumerate(xs.tolist()):
-        if not math.isnan(x):
-            try:
-                out[i] = conjugate_value(phi2, x, tols)[0]
-            except (OutOfDomainError, InputError):
-                pass
+    at = np.flatnonzero(~np.isnan(xs))
+    out[at], _, errors = conjugate_values(phi2, xs[at], tols)
+    _raise_unrefused(errors)
     return out
 
 
@@ -498,7 +507,7 @@ def pinched_lower_envelope(
         phi.domain.lo, phi.domain.hi,
         deriv=(lambda l: (1.0 - delta * delta) * phi.deriv(l)) if phi.deriv else None,
         convex=phi.convex, label=f"pinched[{phi.label}]",
-        slope_lim=phi.slope_lim,
+        slope_lim=phi.slope_lim, convex_hi=phi.convex_hi,
     )
 
     if cert_ladder is None:
@@ -523,17 +532,19 @@ def pinched_lower_envelope(
         if best > -math.inf:
             neg_log[i] = -best
 
-    def envelope_exponent(c: float, z: float) -> float:
+    def envelope_exponents(c: float, zs: np.ndarray) -> np.ndarray:
         shrink = 1.0 - c * delta
-        star, _ = conjugate_value(phi, z / shrink, tols)
-        return shrink * star
+        return shrink * _stars(phi, zs / shrink, tols)
 
     c_grid = np.linspace(0.5 / c_steps, (1.0 / (2.0 * delta)) * (1 - 1e-9), c_steps)
     chosen = None
+    machinery = np.isfinite(neg_log)
     for c in c_grid:
+        exps = np.full(cert_ladder.size, math.nan)
+        exps[machinery] = envelope_exponents(float(c), cert_ladder[machinery])
         ok_from = None
-        for z, m in zip(cert_ladder, neg_log):
-            if not math.isfinite(m) or envelope_exponent(float(c), float(z)) < m:
+        for z, m, e in zip(cert_ladder, neg_log, exps.tolist()):
+            if not math.isfinite(m) or e < m:
                 ok_from = None
             elif ok_from is None:
                 ok_from = float(z)
@@ -550,7 +561,7 @@ def pinched_lower_envelope(
     zs = zs[zs >= math.e]
     if zs.size == 0:
         raise InputError("z_grid needs points at or above e")
-    log_vals = np.array([-envelope_exponent(c, float(z)) for z in zs])
+    log_vals = -envelope_exponents(c, zs)
     cert = PinchCertificate(delta=delta, c=c, certified_from=cert_from,
                             ladder_cap=cap, offsets_scale_grid=tuple(scales.tolist()),
                             machinery_points=int(np.isfinite(neg_log).sum()))
@@ -615,7 +626,7 @@ def exact_mgf_sandwich(
     if xs[0] < 1.0:
         raise InputError("sandwich asserted for x >= 1")
 
-    stars = np.array([conjugate_value(phi, float(x), tols)[0] for x in xs])
+    stars = _stars(phi, xs, tols)
 
     b = phi.domain.hi
     mus, no_saddle = _x0_inverse(phi, xs, tols)

@@ -35,9 +35,8 @@ from .errors import (
     DivergentIntegral,
     InputError,
     NotCertifiedError,
-    UnboundedObjectiveError,
 )
-from .functions import PhiFunction, conjugate_value
+from .functions import PhiFunction, _inf_where_unbounded, conjugate_values
 
 
 def tail_transform_exponent(phi: PhiFunction, lam: float) -> float:
@@ -351,26 +350,20 @@ class LowerEnvelopeCertificate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _exponent_factory(phi: PhiFunction, cert: LowerEnvelopeCertificate,
-                      nonneg_offset: float, tols: Tolerances):
-    """Build h(x) = max(mu1*x - offset, sup_{mu>=mu1} [mu*x - phi(c_tilde*mu)])."""
+def _exponents(phi: PhiFunction, cert: LowerEnvelopeCertificate,
+               nonneg_offset: float, xs: np.ndarray, tols: Tolerances) -> np.ndarray:
+    """h(x) = max(mu1*x - offset, sup_{mu>=mu1} [mu*x - phi(c_tilde*mu)]) at each x."""
     c_tilde = cert.c2 * (1.0 - cert.eps)
     mu_lo = max(cert.mu1, phi.domain.lo / c_tilde if c_tilde > 0 else cert.mu1)
     mu_hi = phi.domain.hi / (1.0 - cert.eps) if math.isfinite(phi.domain.hi) else math.inf
 
     dilated = phi.dilate(c_tilde, mu_lo, mu_hi)
-
-    def exponent(x: float) -> float:
-        linear = cert.mu1 * x - nonneg_offset
-        try:
-            star, _ = conjugate_value(dilated, x, tols)
-        except UnboundedObjectiveError:
-            # the minorant's conjugate diverges: the chain certifies nothing
-            # at this x and the envelope clamps to the trivial bound
-            return math.inf
-        return max(linear, star)
-
-    return exponent
+    stars, _, errors = conjugate_values(dilated, xs, tols)
+    # where the minorant's conjugate diverges the chain certifies nothing:
+    # h is +inf and the envelope clamps to the trivial bound
+    _inf_where_unbounded(stars, errors)
+    return np.array([max(cert.mu1 * x - nonneg_offset, star)
+                     for x, star in zip(xs.tolist(), stars.tolist())])
 
 
 def unilateral_lower_envelope(
@@ -442,9 +435,7 @@ def unilateral_lower_envelope(
     if degenerate:
         log_vals = np.full(xs.size, -math.inf)
     else:
-        exponent = _exponent_factory(phi, cert, offset, tols)
-        log_vals = np.array([-exponent(float(x)) for x in xs])
-        log_vals = np.minimum(log_vals, 0.0)
+        log_vals = np.minimum(-_exponents(phi, cert, offset, xs, tols), 0.0)
 
     env = TailEnvelope(
         x=xs, log_values=log_vals, side=LOWER,

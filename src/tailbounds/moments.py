@@ -18,7 +18,7 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .envelope import LOWER, UPPER, TailEnvelope
 from .errors import InputError, NotCertifiedError
-from .functions import PhiFunction, _read_csv_columns, conjugate_value
+from .functions import PhiFunction, _read_csv_columns, _stars
 from .integrals import CramerCertificate, cramer_check
 from .lower_unilateral import (
     LowerEnvelopeCertificate,
@@ -319,7 +319,7 @@ def growth_tail_recovery(
     ys = np.log(xs)
 
     phi2 = pair.phi2
-    stars_all = np.array([conjugate_value(phi2, float(y), tols)[0] for y in ys])
+    stars_all = _stars(phi2, ys, tols)
     pos = stars_all > 0
     if not pos.any():
         raise NotCertifiedError("upper exponent conjugate nonpositive on the grid; "

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,23 @@ class TestValidateAndErrors:
             assert run(["validate", "--dist", "gaussian", "--seed", "42",
                         "--out", str(path), "--normalize"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_reports_from_two_threads_match_a_single_run(self, tmp_path):
+        def report(path):
+            assert run(["validate", "--dist", "exponential", "--seed", "42",
+                        "--out", str(path), "--normalize"]) == 0
+            return path.read_bytes()
+
+        single = report(tmp_path / "single.json")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to interleave the runs
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                runs = [pool.submit(report, tmp_path / f"t{i}.json") for i in range(2)]
+                got = [r.result(timeout=120) for r in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [single, single]
 
     def test_unknown_distribution_is_input_error(self):
         assert run(["validate", "--dist", "nosuch"]) == 1

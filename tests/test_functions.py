@@ -2,13 +2,17 @@
 
 import dataclasses
 import math
+import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from tailbounds import oracles
+from tailbounds.config import DEFAULT
 
 from tailbounds.errors import (
     EmptyDomainError,
@@ -16,15 +20,19 @@ from tailbounds.errors import (
     NegativeInputError,
     NonUniqueArgmaxError,
     OutOfDomainError,
+    TailboundsError,
     UnboundedObjectiveError,
 )
 from tailbounds.functions import (
     Domain,
+    _saddle_points,
     PhiFunction,
     biconjugate,
     certify_convex,
+    _scan_grid,
     conjugate,
     conjugate_value,
+    conjugate_values,
     evaluate,
     saddle_point,
 )
@@ -193,6 +201,22 @@ class TestSaddlePoint:
         with pytest.raises(OutOfDomainError):
             saddle_point(PhiFunction.quadratic(hi=5.0), 6.0)
 
+    @pytest.mark.parametrize("f, lams", [
+        (PhiFunction.from_callable(lambda l: 0.5 * l * l + 0.1 * l, 0.0, 50.0),
+         [0.5, 3.0, 60.0, 7.5, 12.0]),
+        (PhiFunction.linear(2.0, lo=0.0), [1.0, 2.0, 3.0]),
+        (PhiFunction.power_log(2.0, 1.0, lo=0.0), [0.7, 2.0, 5.0]),
+    ])
+    def test_lockstep_equals_one_at_a_time(self, f, lams):
+        # the searches of several lams share each round's conjugate batch;
+        # each ends where its one-point call ends, or raises what it raises
+        for lam, got in zip(lams, _saddle_points(f, lams)):
+            want = _raised(saddle_point, f, lam) or saddle_point(f, lam)
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+            else:
+                assert got == want
+
 
 class TestInvariants:
     @given(
@@ -345,6 +369,20 @@ class TestClosedFormConjugates:
         counted = dataclasses.replace(f, fn=lambda l, fn=f.fn: calls.append(l) or fn(l))
         assert conjugate_value(counted, 2.5) == conjugate_value(f, 2.5)
         assert len(calls) == 1
+
+    def test_cap_is_reported(self):
+        # at x = 30 the maximizer 30^10 lies beyond lambda_cap = 1e8, at x = 2
+        # it is 2^10; on a bounded domain the top is no cap
+        f = PhiFunction.power_log(1.1)
+        for g in (f, _searched(f)):
+            res = conjugate(g, [2.0, 30.0])
+            assert res.capped.tolist() == [False, True]
+            assert res.argmax[1] == DEFAULT.lambda_cap
+        bounded = PhiFunction.power_log(1.1, hi=50.0)
+        for g in (bounded, _searched(bounded)):
+            res = conjugate(g, [30.0])
+            assert res.argmax[0] == pytest.approx(50.0) and not res.capped[0]
+        assert not biconjugate(f, [2.0, 3.0]).capped.any()
 
     def test_clipped_at_the_cap_like_the_search(self):
         # the stationary point 30^10 lies far above lambda_cap = 1e8
@@ -519,3 +557,254 @@ class TestThreadSafety:
             for run in runs:
                 for got, want in zip(run.result(), serial):
                     np.testing.assert_array_equal(got, want)
+
+
+def _reference_conjugate_value(f, x, tols=DEFAULT):
+    """The per-point search the batched one replaced: the full grid at every
+    growth step of the truncation point, then a scalar golden section."""
+    x = float(x)
+    lo, hi = f.domain.lo, f.domain.top()
+    slope_lim = f.slope_limit()
+    if slope_lim is not None and not f.domain.bounded and x > slope_lim:
+        raise UnboundedObjectiveError(x, np.geomspace(max(lo, 1.0), tols.lambda_cap, 8))
+
+    def g(t):
+        return t * x - f.value(t)
+
+    if not math.isfinite(hi):
+        hi_eff = max(10.0, 4.0 * abs(x), 4.0 * max(lo, 1.0))
+        while True:
+            grid = _scan_grid(lo, hi_eff, tols.scan_points)
+            vals = grid * x - f.values(grid)
+            i = int(np.argmax(vals))
+            if i < grid.size - 1:
+                break
+            if hi_eff >= tols.lambda_cap:
+                if slope_lim is None:
+                    raise UnboundedObjectiveError(x, grid[-6:])
+                break
+            hi_eff = min(hi_eff * tols.unbounded_growth_factor, tols.lambda_cap)
+    else:
+        grid = _scan_grid(lo, hi, tols.scan_points)
+        vals = grid * x - f.values(grid)
+        i = int(np.argmax(vals))
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+    if a == b:
+        return float(vals[i]), float(grid[i])
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    fa, fb = g(a), g(b)
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = g(c), g(d)
+    while (b - a) > tols.golden_rel_width * max(1.0, abs(a), abs(b)):
+        if fc >= fd:
+            b, fb, d, fd = d, fd, c, fc
+            c = b - gr * (b - a)
+            fc = g(c)
+        else:
+            a, fa, c, fc = c, fc, d, fd
+            d = a + gr * (b - a)
+            fd = g(d)
+    v_hat, lam_hat = max((fa, a), (fc, c), (fd, d), (fb, b))
+    if vals[i] > v_hat:
+        lam_hat, v_hat = float(grid[i]), float(vals[i])
+    return v_hat, lam_hat
+
+
+def _assert_batch_matches_reference(f, xs):
+    """conjugate_values, conjugate_value and conjugate against the per-point
+    reference: equal values and argmax, or the same error."""
+    vals, arg, errors = conjugate_values(f, xs)
+    for k, x in enumerate(xs):
+        try:
+            want = _reference_conjugate_value(f, x)
+        except TailboundsError as exc:
+            for got in (errors.get(k), _raised(conjugate_value, f, x)):
+                assert type(got) is type(exc)
+                assert str(got) == str(exc)
+                if isinstance(exc, UnboundedObjectiveError):
+                    assert np.array_equal(got.witness, exc.witness)
+            assert math.isnan(vals[k]) and math.isnan(arg[k])
+            continue
+        assert k not in errors
+        assert (vals[k], arg[k]) == want
+        assert conjugate_value(f, x) == want
+    # conjugate: +inf where unbounded; any other error of the smallest x raises
+    xg = np.unique(xs)
+    hard = [errors[xs.index(x)] for x in xg.tolist() if xs.index(x) in errors
+            and not isinstance(errors[xs.index(x)], UnboundedObjectiveError)]
+    if hard:
+        with pytest.raises(type(hard[0]), match=re.escape(str(hard[0]))):
+            conjugate(f, xg)
+        return
+    res = conjugate(f, xg)
+    for k, x in enumerate(xg.tolist()):
+        j = xs.index(x)
+        want = (math.inf, math.nan) if j in errors else (vals[j], arg[j])
+        np.testing.assert_array_equal([res.values[k], res.argmax[k]], want)
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except TailboundsError as exc:
+        return exc
+    return None
+
+
+def _bump(a, shift, depth, centre, width, lo=0.0, hi=math.inf, convex=False):
+    """a(l - shift)^2 + depth*(1 - exp(-((l - centre)/width)^2)): not convex,
+    and for small x its objective still rises at the top of the first scan
+    while its maximum sits in the narrow dip at ``centre``."""
+    return PhiFunction.from_callable(
+        lambda t: a * (t - shift) ** 2 + depth - depth * math.exp(-((t - centre) / width) ** 2),
+        lo, hi, convex=convex, label="bump")
+
+
+def _power_sum(a, q, b, vectorized, lo=0.0, hi=math.inf):
+    """a*l^q + b*l, convex for q >= 1, as a scalar or an array callable."""
+    def fn(t):
+        if vectorized:
+            t = np.asarray(t, dtype=float)
+        return a * t ** q + b * t
+
+    return PhiFunction.from_callable(fn, lo, hi, vectorized=vectorized,
+                                     label=f"power_sum(vectorized={vectorized})")
+
+
+XS = st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=4)
+# each example runs four searches per x, the reference one point by point
+FEW = settings(max_examples=25)
+
+
+class TestBatchedSearch:
+    """The batched search equals the per-point loop it replaced."""
+
+    @FEW
+    @given(p=st.floats(min_value=1.0, max_value=4.0), r=st.floats(min_value=0.05, max_value=2.0),
+           lo=st.sampled_from([0.0, 1.0]), xs=XS)
+    def test_power_log(self, p, r, lo, xs):
+        _assert_batch_matches_reference(PhiFunction.power_log(p, r, lo), xs)
+
+    @FEW
+    @given(a=st.floats(min_value=0.1, max_value=2.0), q=st.floats(min_value=1.2, max_value=3.0),
+           b=st.floats(min_value=0.0, max_value=1.0), vectorized=st.booleans(), xs=XS)
+    def test_callables(self, a, q, b, vectorized, xs):
+        f = _power_sum(a, q, b, vectorized)
+        assert f.convex is True  # certified, so the growth probe runs
+        _assert_batch_matches_reference(f, xs)
+
+    @settings(max_examples=4, deadline=None)
+    @given(m=st.sampled_from([2.0, 4.0]), c=st.floats(min_value=0.3, max_value=3.0),
+           lo=st.sampled_from([0.0, 0.5]),
+           xs=st.lists(st.floats(min_value=0.5, max_value=8.0), min_size=1, max_size=3))
+    def test_dilated_weibull(self, m, c, lo, xs):
+        _assert_batch_matches_reference(oracles.weibull(m).mgf_exponent.dilate(c, lo, math.inf), xs)
+
+    @FEW
+    @given(kind=st.sampled_from(["power_log", "callable", "bump"]),
+           lo=st.floats(min_value=0.0, max_value=3.0),
+           width=st.floats(min_value=0.5, max_value=60.0), xs=XS)
+    def test_bounded_domain(self, kind, lo, width, xs):
+        hi = lo + width
+        f = {"power_log": lambda: PhiFunction.power_log(2.5, 0.5, lo, hi),
+             "callable": lambda: _power_sum(0.3, 2.2, 0.1, False, lo, hi),
+             "bump": lambda: _bump(0.02, 12.0, 5.0, lo + 0.5 * width, 0.05, lo, hi)}[kind]()
+        _assert_batch_matches_reference(f, xs)
+
+    @FEW
+    @given(a=st.floats(min_value=0.005, max_value=0.05),
+           shift=st.floats(min_value=8.0, max_value=20.0),
+           depth=st.floats(min_value=1.0, max_value=6.0),
+           centre=st.floats(min_value=1.0, max_value=8.0),
+           width=st.floats(min_value=0.05, max_value=1.0),
+           xs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4))
+    def test_non_convex_callable(self, a, shift, depth, centre, width, xs):
+        _assert_batch_matches_reference(_bump(a, shift, depth, centre, width), xs)
+
+    def test_non_convex_callable_scans_every_step(self):
+        f = _bump(0.02, 12.0, 5.0, 3.0, 0.05)
+        want = _reference_conjugate_value(f, 0.1)
+        assert want[1] == pytest.approx(3.0, abs=1e-3)
+        assert conjugate_value(f, 0.1) == want
+        # declared convex, the two-point probe grows past the dip at 3
+        assert conjugate_value(dataclasses.replace(f, convex=True), 0.1)[1] > 10.0
+
+    @FEW
+    @given(depth=st.floats(min_value=9.0, max_value=12.0),
+           centre=st.floats(min_value=120.0, max_value=155.0),
+           width=st.floats(min_value=2.0, max_value=4.0),
+           xs=st.lists(st.floats(min_value=0.0, max_value=0.02), min_size=1, max_size=4))
+    def test_certified_only_up_to_the_probe_top(self, depth, centre, width, xs):
+        # convex on certify_convex's probe grid [0, 100], the dip lies beyond it
+        f = _bump(1e-4, 300.0, depth, centre, width, convex=None)
+        assert f.convex is True and f.convex_hi == 100.0
+        _assert_batch_matches_reference(f, xs)
+
+    def test_probe_stops_at_the_certified_top(self):
+        f = _bump(1e-4, 300.0, 10.0, 140.0, 3.0, convex=None)
+        want = _reference_conjugate_value(f, 0.01)
+        assert want[1] == pytest.approx(140.0, abs=0.1)
+        assert conjugate_value(f, 0.01) == want
+        # trusted beyond the probe grid, the probe skips the grid that holds
+        # the dip and ends on another one
+        assert conjugate_value(dataclasses.replace(f, convex_hi=math.inf), 0.01) != want
+        # a dilation carries the certified range, scaled; a family holds everywhere
+        assert f.dilate(2.0, 0.0, math.inf).convex_hi == 50.0
+        assert PhiFunction.quadratic().convex_hi == math.inf
+
+    @FEW
+    @given(kind=st.sampled_from(["convex", "concave_part", "slope_one", "sublinear"]),
+           s=st.floats(min_value=0.5, max_value=3.0),
+           u=st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=5))
+    def test_unbounded_points(self, kind, s, u):
+        # the objective diverges for x above the slope limit s (1 and 0 for
+        # the power_log cases): searched to the cap, or refused analytically
+        if kind == "convex":
+            f = PhiFunction.from_callable(lambda t: s * t + 1.0 / (1.0 + t), 0.0, math.inf)
+            assert f.convex is True
+        elif kind == "concave_part":
+            f = PhiFunction.from_callable(lambda t: s * t + math.sqrt(t), 0.0, math.inf)
+        elif kind == "slope_one":
+            f, s = PhiFunction.power_log(1.0), 1.0
+        else:
+            f, s = PhiFunction.power_log(0.5, 0.0, 0.0), 0.0
+        _assert_batch_matches_reference(f, [s * v for v in u])
+
+    @pytest.mark.parametrize("xs", [[2.9, 2.95, 2.955, 2.96, 3.5],
+                                    np.linspace(2.5, 3.5, 80).tolist()])
+    def test_failing_points_keep_their_own_error(self, xs):
+        # negative on (2.95, 2.96), where the refinement of some x lands but
+        # no scan point does
+        f = PhiFunction.from_callable(lambda t: -1.0 if 2.95 < t < 2.96 else 0.5 * t * t,
+                                      0.0, math.inf, convex=False)
+        _assert_batch_matches_reference(f, xs)
+        assert any(isinstance(e, NegativeInputError) for e in conjugate_values(f, xs)[2].values())
+
+    def test_many_points(self):
+        xs = np.linspace(0.0, 20.0, 80).tolist()
+        for f in (PhiFunction.power_log(2.0, 1.0), _power_sum(0.4, 2.5, 0.2, False),
+                  _power_sum(0.4, 2.5, 0.2, True, hi=30.0), _bump(0.02, 12.0, 5.0, 3.0, 0.05)):
+            _assert_batch_matches_reference(f, [x / 20.0 for x in xs] if f.label == "bump" else xs)
+
+    def test_errors_map_by_index(self):
+        vals, arg, errors = conjugate_values(PhiFunction.power_log(1.0), [0.5, 2.0, 0.75, 3.0])
+        assert sorted(errors) == [1, 3]
+        assert all(isinstance(e, UnboundedObjectiveError) for e in errors.values())
+        assert np.isfinite(vals[[0, 2]]).all() and np.isnan(arg[[1, 3]]).all()
+
+    def test_weibull_conjugate_work(self, monkeypatch):
+        # parent: 681 one-row calls and 10,460 rows; now 4,152 rows.  The one
+        # remaining one-row call is the last golden step, taken by the single
+        # bracket that needs the most steps
+        calls = []
+        inner = oracles.log_integral_exp
+
+        def counted(log_f, a, b, peak=None):
+            calls.append(1 if peak is None else int(np.size(peak)))
+            return inner(log_f, a, b, peak)
+
+        phi = oracles.weibull(4.0).mgf_exponent
+        monkeypatch.setattr(oracles, "log_integral_exp", counted)
+        conjugate(phi, np.linspace(1.0, 8.0, 15))
+        assert calls.count(1) <= 1
+        assert sum(calls) <= 4200
