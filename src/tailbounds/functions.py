@@ -382,13 +382,24 @@ class ConjugateResult:
                 raise AssertionError("conjugate values not convex along the grid")
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of a float array without NaNs or negative zeros.
+
+    np.unique without return_index or return_inverse imports numpy.ma (about
+    10 ms) on its first call, through its np.ma.is_masked check; the
+    return_inverse call in lower_bilateral skips that check.
+    """
+    s = np.sort(a)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
 def _scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
     pts = [np.linspace(lo, hi, n)]
     if lo > 0 and hi > 100.0 * lo:
         pts.append(np.geomspace(lo, hi, n))
     elif lo == 0.0 and hi > 100.0:
         pts.append(np.geomspace(min(1e-6, hi * 1e-9), hi, n))
-    return np.unique(np.concatenate(pts))
+    return _sorted_unique(np.concatenate(pts))
 
 
 def _conjugate_grid_form(f: PhiFunction, x: float) -> tuple[float, float]:

@@ -36,7 +36,7 @@ from .errors import (
     InputError,
     NotCertifiedError,
 )
-from .functions import PhiFunction, _inf_where_unbounded, conjugate_values
+from .functions import PhiFunction, _inf_where_unbounded, _sorted_unique, conjugate_values
 
 
 def tail_transform_exponent(phi: PhiFunction, lam: float) -> float:
@@ -211,7 +211,7 @@ def _tangent_lines(nu: PhiFunction, eps: float,
         if nu.domain.bounded else np.empty(0),
         np.asarray([lo]) if lo > 0 else np.empty(0),
     ]
-    lams = np.unique(np.concatenate(pieces))
+    lams = _sorted_unique(np.concatenate(pieces))
     lams = lams[(lams >= nu.domain.lo) & (lams < nu.domain.hi)]
     return lams, nu.values(lams)
 

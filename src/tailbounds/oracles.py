@@ -4,6 +4,18 @@ Each reference distribution carries an exact tail, an exact (closed-form or
 quadrature-backed) log-MGF with its domain, and a deterministic sampler.
 Sampling is inverse-transform from Philox4x64-10 counter-based raw output,
 so streams are reproducible bit-for-bit for a given seed.
+
+The module needs numpy and the standard library only.  Its three special
+functions are in-package kernels, checked against scipy.special and mpmath
+in ``tests/test_special.py``:
+
+* ``log_ndtr``: ln of the standard normal CDF, from ``math.erfc`` with its
+  argument's rounding corrected, and an asymptotic series below x = -37;
+* ``ndtri``: the standard normal quantile, a direct rational approximation
+  in three regions, as laid out by Wichura (AS 241, 1988), whose
+  coefficients ``scripts/fit_ndtri.py`` fits at 50 digits;
+* ``expit``: the logistic function, split by sign so that exp never
+  overflows.
 """
 
 from __future__ import annotations
@@ -15,7 +27,6 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.random import Philox
-from scipy.special import erf, erfc, expit, log_ndtr, ndtri
 
 from .config import DEFAULT, Tolerances
 from .errors import InputError, NotConvergedError
@@ -49,10 +60,18 @@ _GK_GAUSS[1:10:2] = _WG
 _GK_GAUSS[11:20:2] = _WG[::-1]
 _GK_WEIGHTS = np.stack([_GK_KRONROD, _GK_GAUSS], axis=1)
 _ROUNDOFF = 50.0 * np.finfo(float).eps
+# the interpolant through a panel's 21 node values, at the panel's two ends
+# (barycentric weights), and the share of the width outside the outer nodes
+_GK_BARY = 1.0 / np.prod(_GK_NODES[:, None] - _GK_NODES[None, :]
+                         + np.eye(21), axis=1)
+_GK_ENDS = np.stack([w / w.sum() for w in (_GK_BARY / (-1.0 - _GK_NODES),
+                                           _GK_BARY / (1.0 - _GK_NODES))], axis=1)
+_GK_BLIND = 0.5 * (1.0 - _XK[0])
 
 
 def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
-    """GK21 values and QUADPACK error estimates on the panels [lo, hi].
+    """GK21 values, QUADPACK error estimates and interpolated end values
+    (n x 2) on the panels [lo, hi].
 
     ``f`` is called once, on all 21 nodes of every panel.
     """
@@ -65,18 +84,43 @@ def _gk21(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray)
     dev = h * (np.abs(fv - 0.5 * k[:, None]) @ _GK_KRONROD)
     ratio = np.divide(200.0 * err, dev, out=np.ones_like(dev), where=dev > 0.0)
     err = np.where(dev > 0.0, dev * np.minimum(1.0, ratio ** 1.5), err)
-    return h * k, np.maximum(err, _ROUNDOFF * h * (np.abs(fv) @ _GK_KRONROD))
+    return h * k, np.maximum(err, _ROUNDOFF * h * (np.abs(fv) @ _GK_KRONROD)), fv @ _GK_ENDS
 
 
-def _adaptive_gk21(f, a: float, b: float, tol: float, base: float,
-                   limit: int) -> tuple[float, float, bool]:
+def _edge_errors(lo: np.ndarray, hi: np.ndarray, ends: np.ndarray,
+                 left_end: Optional[float]) -> np.ndarray:
+    """Error bounds from the panels' disagreement at the edges they share.
+
+    A kink closer to a panel's edge than its outermost node leaves no trace
+    in the panel's own nodes.  The interpolants of the two panels that share
+    that edge then disagree there, and the kink's error is at most that
+    disagreement times the width beyond the outer node.  ``left_end`` is the
+    previous window's interpolated value at ``lo.min()``, if any.
+    """
+    first = 0.0 if left_end is None else abs(left_end - ends[lo.argmin(), 0])
+    if lo.size == 1:  # most windows
+        return _GK_BLIND * (hi - lo) * first
+    order = lo.argsort(kind="stable")
+    gaps = np.empty(lo.size + 1)
+    gaps[0], gaps[-1] = first, 0.0
+    gaps[1:-1] = np.abs(ends[order[:-1], 1] - ends[order[1:], 0])
+    out = np.empty_like(lo)
+    out[order] = _GK_BLIND * (hi - lo)[order] * (gaps[:-1] + gaps[1:])
+    return out
+
+
+def _adaptive_gk21(f, a: float, b: float, tol: float, base: float, limit: int,
+                   left_end: Optional[float] = None) -> tuple[float, float, bool, float]:
     """Integrate f over [a, b] by bisecting GK21 panels.
 
     Stops when the summed error estimate is within max(tol, tol*|base +
     value|), ``base`` being what earlier windows contributed, or when
     ``limit`` panels are in use.  Each step bisects the fewest worst panels
     whose removal would meet the target, all in one call of f.  Returns
-    (value, error estimate, whether the panel limit stopped it).
+    (value, error estimate, whether the panel limit stopped it, the last
+    panel's interpolated value at b).  A panel's estimate is at least its
+    ``_edge_errors`` bound, ``left_end`` being the interpolated value at a
+    of the window before.
 
     The estimates of a bisected panel's halves are scaled up, where needed,
     to add up to how far their sum moved from the panel's value.  QUADPACK's
@@ -87,15 +131,18 @@ def _adaptive_gk21(f, a: float, b: float, tol: float, base: float,
     error, so the scaling costs at most one further bisection.
     """
     lo, hi = np.array([a]), np.array([b])
-    val, err = _gk21(f, lo, hi)
+    val, own, ends = _gk21(f, lo, hi)
     while True:
-        total, err_sum = float(val.sum()), float(err.sum())
+        total, err_sum = float(val.sum()), float(own.sum())
         target = max(tol, tol * abs(base + total))
-        if err_sum <= target:
-            return total, err_sum, False
         room = limit - lo.size
-        if room <= 0:
-            return total, err_sum, True
+        err = own
+        # the edge bounds are only needed once the panels' own estimates pass
+        if err_sum <= target or room <= 0:
+            err = np.maximum(own, _edge_errors(lo, hi, ends, left_end))
+            err_sum = float(err.sum())
+            if err_sum <= target or room <= 0:
+                return total, err_sum, err_sum > target, float(ends[hi.argmax(), 1])
         order = np.argsort(-err, kind="stable")
         rest = err_sum - np.cumsum(err[order])
         n = min(int(np.argmax(rest <= target)) + 1, room)
@@ -103,15 +150,16 @@ def _adaptive_gk21(f, a: float, b: float, tol: float, base: float,
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new_val, new_err = _gk21(f, new_lo, new_hi)
-        pair = np.tile(new_err[:n] + new_err[n:], 2)
+        new_val, new_own, new_ends = _gk21(f, new_lo, new_hi)
+        pair = np.tile(new_own[:n] + new_own[n:], 2)
         moved = np.tile(np.abs(val[split] - new_val[:n] - new_val[n:]), 2)
-        share = np.divide(new_err, pair, out=np.full(2 * n, 0.5), where=pair > 0.0)
-        new_err = np.maximum(new_err, moved * share)
+        share = np.divide(new_own, pair, out=np.full(2 * n, 0.5), where=pair > 0.0)
+        new_own = np.maximum(new_own, moved * share)
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         val = np.concatenate([val[keep], new_val])
-        err = np.concatenate([err[keep], new_err])
+        own = np.concatenate([own[keep], new_own])
+        ends = np.concatenate([ends[keep], new_ends])
 
 
 def quadrature(f: Callable[[float], float], a: float, b: float,
@@ -137,8 +185,11 @@ def quadrature(f: Callable[[float], float], a: float, b: float,
     their panel limit.
 
     A kink closer to a panel's edge than the outermost node (0.22% of the
-    panel's width) is invisible to the rule, so the estimate can fall short
-    there, as QUADPACK's does.
+    panel's width) is invisible to the rule.  The interpolants of the
+    panels on either side of that edge disagree, which bounds the error and
+    gets the panel bisected (``_edge_errors``).  At the edge between two
+    windows only the later window is refined, so a kink just before a
+    window's right end can still be missed, as QUADPACK misses it.
     """
     if not vectorized:
         scalar_f = f
@@ -147,7 +198,7 @@ def quadrature(f: Callable[[float], float], a: float, b: float,
             return np.array([scalar_f(x) for x in xs.tolist()], dtype=float)
 
     if math.isfinite(b):
-        val, err, capped = _adaptive_gk21(f, a, b, tol, 0.0, 400)
+        val, err, capped, _ = _adaptive_gk21(f, a, b, tol, 0.0, 400)
         if err > max(tol, tol * abs(val)) * 10:
             raise NotConvergedError("finite-range quadrature error too large",
                                     partial=val, diagnostic={"err": err})
@@ -156,12 +207,12 @@ def quadrature(f: Callable[[float], float], a: float, b: float,
                            capped_windows=int(capped))
         return float(val), float(err)
 
-    total, err_total, capped = 0.0, 0.0, 0
+    total, err_total, capped, end = 0.0, 0.0, 0, None
     left = a
     width = max(1.0, abs(a))
     for k in range(tols.quad_max_windows):
         right = left + width
-        val, err, hit = _adaptive_gk21(f, left, right, tol, total, 200)
+        val, err, hit, end = _adaptive_gk21(f, left, right, tol, total, 200, end)
         total += val
         err_total += err
         capped += hit
@@ -291,6 +342,157 @@ def log_integral_exp(log_f: Callable[[np.ndarray], np.ndarray], a: float, b: flo
 
 
 # --------------------------------------------------------------------------
+# Special functions: the normal tail, its log, its quantile, the logistic
+# --------------------------------------------------------------------------
+
+_SQRT1_2 = math.sqrt(0.5)
+_SQRT1_2_LO = -4.833646656726457e-17  # 1/sqrt(2) - _SQRT1_2
+_INV_SQRTPI = 1.0 / math.sqrt(math.pi)
+_LOG_SQRT_2PI = 0.9189385332046728
+
+
+def _split(a: float) -> tuple[float, float]:
+    """Veltkamp's split of a into two 26-bit halves, a == hi + lo."""
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _product_error(a: float, b: float) -> float:
+    """a*b - fl(a*b), exactly (Dekker's two-product)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _phi_q(x: float) -> float:
+    """Upper normal tail Q(x) = erfc(x/sqrt(2))/2, to within a few ulp.
+
+    erfc's condition number at z is about 2z^2, so the rounding of
+    z = x/sqrt(2) alone would cost about x^2 ulp.  The rounding error dz is
+    taken exactly, from a double-double 1/sqrt(2), and applied to first
+    order: erfc(z + dz) = erfc(z) - dz * 2 exp(-z^2) / sqrt(pi).
+    """
+    z = x * _SQRT1_2
+    q = 0.5 * math.erfc(z)
+    if abs(x) < 40.0:
+        dz = _product_error(x, _SQRT1_2) + x * _SQRT1_2_LO
+        q -= dz * math.exp(-z * z) * _INV_SQRTPI
+    return q
+
+
+def _log_ndtr_one(x: float) -> float:
+    if x > 0.0:
+        return math.log1p(-_phi_q(x))
+    if x >= -37.0:
+        return math.log(_phi_q(-x))
+    # 0.5 erfc underflows: Phi(x) = phi(x)/|x| * sum_k (-1)^k (2k-1)!! / x^(2k)
+    t = 1.0 / (x * x)
+    term = series = 1.0
+    k = 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k - 1) * t
+        series += term
+        k += 1
+    return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log(series)
+
+
+def log_ndtr(x) -> np.ndarray:
+    """ln Phi(x), the log of the standard normal CDF, elementwise.
+
+    One scalar evaluation per element: the callers' arrays hold at most a
+    few hundred points.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.array([_log_ndtr_one(t) for t in x.ravel().tolist()]).reshape(x.shape)
+
+
+def expit(d) -> np.ndarray:
+    """The logistic function 1 / (1 + e^-d), elementwise."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# Rational approximations of the normal quantile, (numerator, denominator)
+# with the highest degree first, from ``scripts/fit_ndtri.py``: x / q in
+# t = 0.180625 - q^2 for |q| <= 0.425, q = u - 1/2; then |x| in r - 1.6 for
+# r = sqrt(-ln min(u, 1 - u)) <= 5, and in r - 5 above
+_NDTRI_CENTRE = (
+    (2532.968244607674, 33679.500840188644, 67644.0189977642, 46108.50759685578,
+     13769.474982309319, 1974.8653346380079, 133.24219621964983, 3.3871328727963665),
+    (5271.685505273081, 28923.96013883249, 39509.892919939615, 21292.853010078066,
+     5407.8689600949165, 688.2429146405924, 42.34301017732299, 1.0),
+)
+_NDTRI_NEAR = (
+    (0.0007707230371973786, 0.02260249064450112, 0.24060184248773492, 1.265535297714908,
+     3.6380703855959893, 5.760532996716051, 4.627369448833493, 1.4234371107496837),
+    (1.053127236131669e-09, 0.0005448913396947963, 0.015117157738236202,
+     0.1473933181127769, 0.6872716243294084, 1.6725891361624319, 2.0511062536341798, 1.0),
+)
+_NDTRI_FAR = (
+    (2.0213414007472266e-07, 2.7220380252810085e-05, 0.0012459804645258469,
+     0.026579899909080267, 0.2969028166537738, 1.7860195517115895, 5.465390691729637,
+     6.657904643501103),
+    (2.070412270077239e-15, 1.4292947892261246e-07, 1.853341645345039e-05,
+     0.0007888677684563938, 0.014899273100415113, 0.1370558113521009,
+     0.6000733906297824, 1.0),
+)
+_NDTRI_CHUNK = 1 << 15  # a chunk's few work arrays stay in cache
+
+
+def _rational(coeffs, t: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """P(t) / Q(t) by Horner's rule, in place in ``out`` when given."""
+    p, q = coeffs
+    num = np.multiply(t, p[0], out=out)
+    num += p[1]
+    den = t * q[0]
+    den += q[1]
+    for a, b in zip(p[2:], q[2:]):
+        num *= t
+        num += a
+        den *= t
+        den += b
+    num /= den
+    return num
+
+
+def _ndtri_chunk(u: np.ndarray, x: np.ndarray) -> None:
+    q = u - 0.5
+    t = q * q
+    np.subtract(0.180625, t, out=t)  # negative where |q| > 0.425
+    _rational(_NDTRI_CENTRE, t, out=x)
+    x *= q
+    tail = np.flatnonzero(t < 0.0)
+    if tail.size:
+        qt = q[tail]
+        # min(u, 1 - u), exactly: 1 - u == 0.5 - q for u > 0.5
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.sqrt(-np.log(np.where(qt < 0.0, u[tail], 0.5 - qt)))
+            xt = _rational(_NDTRI_NEAR, r - 1.6)
+            far = np.flatnonzero(r > 5.0)
+            if far.size:
+                xt[far] = _rational(_NDTRI_FAR, r[far] - 5.0)
+        xt[r == math.inf] = math.inf
+        x[tail] = np.copysign(xt, qt)
+
+
+def ndtri(u) -> np.ndarray:
+    """The standard normal quantile Phi^-1(u), elementwise.
+
+    A direct rational approximation, without refinement, within a few ulp
+    for u down to the smallest subnormal; -inf and inf at 0 and 1, nan
+    outside [0, 1].  Evaluated a cache-sized chunk at a time.
+    """
+    u = np.asarray(u, dtype=float)
+    flat = u.ravel()
+    x = np.empty_like(flat)
+    for k in range(0, flat.size, _NDTRI_CHUNK):
+        _ndtri_chunk(flat[k:k + _NDTRI_CHUNK], x[k:k + _NDTRI_CHUNK])
+    return x.reshape(u.shape)
+
+
+# --------------------------------------------------------------------------
 # Seeded uniform stream
 # --------------------------------------------------------------------------
 
@@ -353,10 +555,6 @@ class OracleDistribution:
                                              math.inf, convex=None, label=label)
         return PhiFunction.from_callable(lambda x: -self.log_tail(x), 0.0, math.inf,
                                          convex=None, label=label, vectorized=True)
-
-
-def _phi_q(x: float) -> float:
-    return 0.5 * erfc(x / math.sqrt(2.0))
 
 
 def _mixture_log_tail(x, w: float, a: float, b: float):
@@ -452,15 +650,6 @@ def _weibull_log_mgf(m: float, lams):
 def _weibull_log_mgf_deriv(m: float, lams):
     """d/dlam ln MGF = E[X e^{lam X}] / E[e^{lam X}] in log space, batched."""
     return _weibull_rows(m, lams, slope=True)
-
-
-def weibull_log_mgf_closed_m2(lam: float) -> float:
-    """Closed form of ln E e^{lam X} for tail exp(-x^2); test cross-check."""
-    # E e^{lam X} = 1 + lam * (sqrt(pi)/2) e^{lam^2/4} (1 + erf(lam/2))
-    if lam == 0.0:
-        return 0.0
-    t = lam * lam / 4.0 + math.log(lam * math.sqrt(math.pi) / 2.0 * (1.0 + erf(lam / 2.0)))
-    return t + math.log1p(math.exp(-t)) if t > 0 else math.log1p(math.exp(t))
 
 
 def _weibull_density(x, m: float):

@@ -1,3 +1,5 @@
+import math
+
 import hypothesis
 import numpy as np
 import pytest
@@ -11,3 +13,12 @@ hypothesis.settings.load_profile("ci")
 @pytest.fixture(scope="session")
 def x_grid():
     return np.linspace(1.0, 8.0, 15)
+
+
+def weibull_log_mgf_closed_m2(lam: float) -> float:
+    """Closed form of ln E e^{lam X} for tail exp(-x^2), a cross-check."""
+    # E e^{lam X} = 1 + lam * (sqrt(pi)/2) e^{lam^2/4} (1 + erf(lam/2))
+    if lam == 0.0:
+        return 0.0
+    t = lam * lam / 4.0 + math.log(lam * math.sqrt(math.pi) / 2.0 * (1.0 + math.erf(lam / 2.0)))
+    return t + math.log1p(math.exp(-t)) if t > 0 else math.log1p(math.exp(t))

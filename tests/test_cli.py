@@ -211,19 +211,29 @@ class TestValidateAndErrors:
         assert json.loads(out.read_text())["config"]["seed"] == 7
 
 
-def test_library_never_imports_scipy_integrate(tmp_path):
-    # a fresh interpreter: the import, then three commands that integrate
+def test_library_never_imports_scipy(tmp_path):
+    # a fresh interpreter: the import, the commands that integrate, sample
+    # and take normal tails, and a mixture sampler; no scipy module at any
+    # point
     code = f"""
 import sys
+
+def assert_no_scipy(where):
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, (where, loaded[:5])
+
 import tailbounds
-assert "scipy.integrate" not in sys.modules, "import tailbounds"
+assert_no_scipy("import tailbounds")
 from tailbounds.cli import main
 out = {str(tmp_path / "r.json")!r}
 for argv in (["validate", "--dist", "gaussian"],
+             ["tauber", "--dist", "gaussian", "--mc", "--mc-samples", "20000"],
              ["lower-uni", "--family", "quadratic", "--lambda-min", "0"],
              ["moments", "--mode", "growth", "--m", "2", "--x", "3:10:0.5"]):
     assert main(argv + ["--normalize", "--out", out]) == 0, argv
-    assert "scipy.integrate" not in sys.modules, argv
+    assert_no_scipy(argv)
+tailbounds.oracles.gaussian_scale_mixture(0.3, 0.8, 1.0).sample(1, 1000)
+assert_no_scipy("gaussian_scale_mixture sample")
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -30,6 +30,7 @@ from tailbounds.functions import (
     biconjugate,
     certify_convex,
     _scan_grid,
+    _sorted_unique,
     conjugate,
     conjugate_value,
     conjugate_values,
@@ -485,6 +486,13 @@ def _assert_same_as_scalar(batch, scalar, lams):
     got = batch(np.asarray(lams, dtype=float))
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@given(st.lists(st.sampled_from([0.0, 1e-300, 0.5, 1.0, 3.0, 1e8]) | st.floats(-1e6, 1e6),
+                min_size=1, max_size=30))
+def test_sorted_unique_equals_np_unique(xs):
+    a = np.array(xs) + 0.0  # -0.0 + 0.0 == 0.0: one zero, as on the grids
+    assert _sorted_unique(a).tobytes() == np.unique(a).tobytes()
 
 
 class TestArrayEvaluation:

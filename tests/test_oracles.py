@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 # the independent reference for the in-package Gauss-Kronrod kernel
 from scipy.integrate import quad
 
+from conftest import weibull_log_mgf_closed_m2
 from tailbounds import oracles
 from tailbounds.errors import NotConvergedError
 from tailbounds.functions import conjugate
@@ -162,6 +163,13 @@ class TestGaussKronrodAgainstQuadpack:
         got, _ = oracles.quadrature(f, a, a + width, vectorized=True)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("knot", [1.00390625, 1.001])
+    def test_kink_beside_a_window_edge(self, knot):
+        # no node of the window [1, 3] lies between its edge and the knot
+        f, a, ref = _grid_zeta([knot], np.array([1.0, 2.0]))
+        got, _ = oracles.quadrature(f, a, math.inf, vectorized=True)
+        assert got == pytest.approx(ref(lambda t: float(f(t))), rel=1e-10, abs=0.0)
+
 
 class TestLogIntegralExp:
     def test_matches_plain_quadrature(self):
@@ -206,7 +214,7 @@ class TestBatchedWeibullLogMgf:
     def test_m2_against_closed_form(self):
         lams = np.geomspace(0.1, 200.0, 40)
         got = oracles._weibull_log_mgf(2.0, lams)
-        want = np.array([oracles.weibull_log_mgf_closed_m2(l) for l in lams.tolist()])
+        want = np.array([weibull_log_mgf_closed_m2(l) for l in lams.tolist()])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("lam", [0.5, 3.0, 30.0])
@@ -225,8 +233,8 @@ class TestBatchedWeibullLogMgf:
     @pytest.mark.parametrize("lam", [0.5, 3.0, 10.0, 30.0])
     def test_m2_slope_against_closed_form_difference(self, lam):
         h = 1e-5 * lam
-        diff = (oracles.weibull_log_mgf_closed_m2(lam + h)
-                - oracles.weibull_log_mgf_closed_m2(lam - h)) / (2.0 * h)
+        diff = (weibull_log_mgf_closed_m2(lam + h)
+                - weibull_log_mgf_closed_m2(lam - h)) / (2.0 * h)
         got = oracles._weibull_log_mgf_deriv(2.0, np.array([lam]))[0]
         assert got == pytest.approx(diff, rel=1e-8)
 
@@ -290,7 +298,7 @@ class TestSuiteExactness:
         phi = oracles.weibull(2.0).mgf_exponent
         for lam in (0.5, 3.0, 10.0, 30.0):
             assert phi.value(lam) == pytest.approx(
-                oracles.weibull_log_mgf_closed_m2(lam), rel=1e-10)
+                weibull_log_mgf_closed_m2(lam), rel=1e-10)
 
     def test_mixture_pinched_between_components(self):
         mix = oracles.gaussian_scale_mixture(0.3, 0.8, 1.0)
