@@ -18,6 +18,7 @@ import numpy as np
 
 from tailbounds import (
     PhiFunction,
+    TailboundsError,
     exact_mgf_sandwich,
     m_surrogate_from_upper,
     pinch_rate_diagnostic,
@@ -49,7 +50,7 @@ def main() -> int:
     for delta in (0.02, 0.05, 0.1, 0.2):
         try:
             _, cert = pinched_lower_envelope(phi, delta, zs)
-        except Exception as exc:  # report, keep sweeping
+        except TailboundsError as exc:  # report, keep sweeping
             print(f"delta={delta}: {exc}")
             continue
         rows.append({"sweep": "pinched", "knob": delta, "value": cert.c,

@@ -8,7 +8,6 @@ identities; everything is validated against exact reference laws.
 
 __version__ = "0.1.0"
 
-from .config import DEFAULT, Tolerances
 from .envelope import LOWER, UPPER, TailEnvelope
 from .errors import (
     AbsorptionFailedError,

@@ -59,9 +59,9 @@ class TailEnvelope:
         """The tail exponent -ln(envelope); +inf where clamped."""
         return -self.log_values
 
-    def validate_monotone(self, tol: float = 1e-9) -> None:
+    def validate_monotone(self) -> None:
         lv = self.log_values
         finite = np.isfinite(lv)
         scale = max(1.0, float(np.abs(lv[finite]).max())) if finite.any() else 1.0
-        if np.any(np.diff(lv) > tol * scale):
+        if np.any(np.diff(lv) > 1e-9 * scale):
             raise AssertionError("envelope values must be nonincreasing in x")

@@ -19,7 +19,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import (
     EmptyDomainError,
     InputError,
@@ -31,6 +30,16 @@ from .errors import (
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the conjugate search on an unbounded domain stops here
+LAMBDA_CAP = 1e8
+# points per scan grid, and per geometric part where one is added
+_SCAN_POINTS = 128
+# factor by which the truncation point of an unbounded scan grows
+_GROWTH_FACTOR = 4.0
+# golden-section brackets stop below this width, relative to max(1, |end|)
+_GOLDEN_REL_WIDTH = 1e-10
+# a flat maximizing set wider than this (relative) makes a saddle ambiguous
+_FLAT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -253,11 +262,11 @@ class PhiFunction:
         return np.array([self.derivative(t) for t in lams.ravel().tolist()],
                         dtype=float).reshape(lams.shape)
 
-    def derivative(self, lam: float, h_rel: float = 1e-6) -> float:
+    def derivative(self, lam: float) -> float:
         """Analytic derivative when the family has one, else central difference."""
         if self.deriv is not None:
             return float(self.deriv(float(lam)))
-        h = h_rel * max(1.0, abs(lam))
+        h = 1e-6 * max(1.0, abs(lam))
         a = max(self.domain.lo, lam - h)
         b = min(self.domain.top(), lam + h)
         if b <= a:
@@ -317,7 +326,7 @@ def _probe_top(domain: Domain) -> float:
     return hi if math.isfinite(hi) else max(100.0, 10.0 * max(domain.lo, 1.0))
 
 
-def certify_convex(f: PhiFunction, n_probe: int = 257, tol: float = 1e-9) -> bool:
+def certify_convex(f: PhiFunction) -> bool:
     """Numerically certify convexity by second differences on a probe grid.
 
     A positive certificate is a statement about the probe grid only, which
@@ -330,12 +339,12 @@ def certify_convex(f: PhiFunction, n_probe: int = 257, tol: float = 1e-9) -> boo
     if f.kind == "grid":
         ls, vs = f.knots
         slopes = np.diff(vs) / np.diff(ls)
-        return bool(np.all(np.diff(slopes) >= -tol * max(1.0, np.abs(slopes).max())))
-    grid = np.linspace(f.domain.lo, _probe_top(f.domain), n_probe)
+        return bool(np.all(np.diff(slopes) >= -1e-9 * max(1.0, np.abs(slopes).max())))
+    grid = np.linspace(f.domain.lo, _probe_top(f.domain), 257)
     vals = f.values(grid)
     second = np.diff(vals, 2)
     scale = max(1.0, float(np.abs(vals).max()))
-    return bool(np.all(second >= -tol * scale))
+    return bool(np.all(second >= -1e-9 * scale))
 
 
 # --------------------------------------------------------------------------
@@ -351,8 +360,8 @@ class ConjugateResult:
     NaN there.  ``argmax`` equals the derivative of the transform wherever
     the input is convex (envelope theorem), which downstream saddle-point
     code relies on.  ``capped`` is True where the maximizer stopped at
-    ``tols.lambda_cap`` on an unbounded domain, so that the value is the
-    supremum over [lo, lambda_cap] only; a biconjugate, whose outer search
+    ``LAMBDA_CAP`` on an unbounded domain, so that the value is the
+    supremum over [lo, LAMBDA_CAP] only; a biconjugate, whose outer search
     has no such cap, is False throughout.
     """
 
@@ -361,9 +370,6 @@ class ConjugateResult:
     argmax: np.ndarray
     source_domain: Domain
     capped: np.ndarray
-
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
 
     def validate(self, tol: float = 1e-7) -> None:
         v, a = self.values, self.argmax
@@ -393,12 +399,12 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
-def _scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    pts = [np.linspace(lo, hi, n)]
+def _scan_grid(lo: float, hi: float) -> np.ndarray:
+    pts = [np.linspace(lo, hi, _SCAN_POINTS)]
     if lo > 0 and hi > 100.0 * lo:
-        pts.append(np.geomspace(lo, hi, n))
+        pts.append(np.geomspace(lo, hi, _SCAN_POINTS))
     elif lo == 0.0 and hi > 100.0:
-        pts.append(np.geomspace(min(1e-6, hi * 1e-9), hi, n))
+        pts.append(np.geomspace(min(1e-6, hi * 1e-9), hi, _SCAN_POINTS))
     return _sorted_unique(np.concatenate(pts))
 
 
@@ -434,8 +440,7 @@ def _stationary_point(f: PhiFunction, x: float, top: float) -> Optional[float]:
     return float(min(max(lam, f.domain.lo), top))
 
 
-def _conjugate_exact(f: PhiFunction, x: float,
-                     tols: Tolerances) -> Optional[tuple[float, float]]:
+def _conjugate_exact(f: PhiFunction, x: float) -> Optional[tuple[float, float]]:
     """(value, argmax) where no search is needed, else None.
 
     Grid knots, the closed forms, and the analytic unboundedness test,
@@ -446,15 +451,15 @@ def _conjugate_exact(f: PhiFunction, x: float,
     hi = f.domain.top()
     slope_lim = f.slope_limit()
     if slope_lim is not None and not f.domain.bounded and x > slope_lim:
-        witness = np.geomspace(max(f.domain.lo, 1.0), tols.lambda_cap, 8)
+        witness = np.geomspace(max(f.domain.lo, 1.0), LAMBDA_CAP, 8)
         raise UnboundedObjectiveError(x, witness)
-    lam_hat = _stationary_point(f, x, hi if math.isfinite(hi) else tols.lambda_cap)
+    lam_hat = _stationary_point(f, x, hi if math.isfinite(hi) else LAMBDA_CAP)
     if lam_hat is None:
         return None
     return lam_hat * x - f.value(lam_hat), lam_hat
 
 
-def _scan(f: PhiFunction, x: float, tols: Tolerances) -> tuple[np.ndarray, np.ndarray, int]:
+def _scan(f: PhiFunction, x: float) -> tuple[np.ndarray, np.ndarray, int]:
     """The scan grid, ``lam*x - f(lam)`` on it, and the index of its argmax.
 
     On an unbounded domain the truncation point grows until the objective
@@ -466,14 +471,14 @@ def _scan(f: PhiFunction, x: float, tols: Tolerances) -> tuple[np.ndarray, np.nd
     """
     lo, hi = f.domain.lo, f.domain.top()
     if math.isfinite(hi):
-        grid = _scan_grid(lo, hi, tols.scan_points)
+        grid = _scan_grid(lo, hi)
         vals = grid * x - f.values(grid)
         return grid, vals, int(np.argmax(vals))
     hi_eff = max(10.0, 4.0 * abs(x), 4.0 * max(lo, 1.0))
     while True:
-        grid = _scan_grid(lo, hi_eff, tols.scan_points)
+        grid = _scan_grid(lo, hi_eff)
         top = None
-        if (f.convex is True and hi_eff < tols.lambda_cap and hi_eff <= f.convex_hi
+        if (f.convex is True and hi_eff < LAMBDA_CAP and hi_eff <= f.convex_hi
                 and grid.size > 2):
             try:
                 top = grid[-2:] * x - f.values(grid[-2:])
@@ -487,11 +492,11 @@ def _scan(f: PhiFunction, x: float, tols: Tolerances) -> tuple[np.ndarray, np.nd
             i = int(np.argmax(vals))
             if i < grid.size - 1:
                 return grid, vals, i
-            if hi_eff >= tols.lambda_cap:
+            if hi_eff >= LAMBDA_CAP:
                 if f.slope_limit() is None:
                     raise UnboundedObjectiveError(x, grid[-6:])
                 return grid, vals, i  # analytic test said bounded; accept the cap
-        hi_eff = min(hi_eff * tols.unbounded_growth_factor, tols.lambda_cap)
+        hi_eff = min(hi_eff * _GROWTH_FACTOR, LAMBDA_CAP)
 
 
 # rows of the golden-section state: the bracket ends a < b, the inner
@@ -551,8 +556,7 @@ def _golden_lockstep(objective, a, b, fa, fb, rel_width: float) -> list:
             for r, (a, b, c, d, fa, fb, fc, fd) in enumerate(final.T.tolist())]
 
 
-def conjugate_values(f: PhiFunction, xs: Sequence[float],
-                     tols: Tolerances = DEFAULT) -> tuple[np.ndarray, np.ndarray, dict]:
+def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, np.ndarray, dict]:
     """:func:`conjugate_value` at each x of a 1-d sequence, in one search.
 
     Returns (values, argmax, errors): ``errors`` maps the index of each x
@@ -571,9 +575,9 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float],
     brackets = []
     for k, x in enumerate(xs):
         try:
-            exact = _conjugate_exact(f, x, tols)
+            exact = _conjugate_exact(f, x)
             if exact is None:
-                grid, gv, i = _scan(f, x, tols)
+                grid, gv, i = _scan(f, x)
         except TailboundsError as exc:
             errors[k] = exc
             continue
@@ -608,7 +612,7 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float],
                     failed.add(r)
             return out, failed
 
-        refined = _golden_lockstep(objective, a, b, fa, fb, tols.golden_rel_width)
+        refined = _golden_lockstep(objective, a, b, fa, fb, _GOLDEN_REL_WIDTH)
         for k, best, g_i, v_i in zip(ks, refined, gi, vi):
             if best is not None:
                 # the scan's best point wins only a strict comparison
@@ -616,9 +620,9 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float],
     return vals, arg, errors
 
 
-def _stars(f: PhiFunction, xs, tols: Tolerances) -> np.ndarray:
+def _stars(f: PhiFunction, xs) -> np.ndarray:
     """f*(x) at each x; raises the error of the first x that has one."""
-    stars, _, errors = conjugate_values(f, xs, tols)
+    stars, _, errors = conjugate_values(f, xs)
     if errors:
         raise errors[min(errors)]
     return stars
@@ -633,8 +637,7 @@ def _inf_where_unbounded(vals: np.ndarray, errors: dict) -> None:
         vals[k] = math.inf
 
 
-def conjugate_value(f: PhiFunction, x: float,
-                    tols: Tolerances = DEFAULT) -> tuple[float, float]:
+def conjugate_value(f: PhiFunction, x: float) -> tuple[float, float]:
     """sup over the domain of ``lam*x - f(lam)``; returns (value, argmax).
 
     Raises UnboundedObjectiveError with the witness sequence when the
@@ -649,16 +652,15 @@ def conjugate_value(f: PhiFunction, x: float,
     below ``f.convex_hi``, from the objective at the two top points of each
     grid alone; the points it skips are not evaluated, so an error ``f``
     would raise only there does not surface.  On an unbounded domain both
-    the closed forms and the search stop at ``tols.lambda_cap``.
+    the closed forms and the search stop at ``LAMBDA_CAP``.
     """
-    vals, arg, errors = conjugate_values(f, [x], tols)
+    vals, arg, errors = conjugate_values(f, [x])
     if errors:
         raise errors[0]
     return float(vals[0]), float(arg[0])
 
 
-def conjugate(f: PhiFunction, x_grid: Sequence[float],
-              tols: Tolerances = DEFAULT) -> ConjugateResult:
+def conjugate(f: PhiFunction, x_grid: Sequence[float]) -> ConjugateResult:
     """Legendre transform of ``f`` on a strictly increasing grid of x >= 0.
 
     Divergent points are flagged with +inf values (NaN argmax) rather than
@@ -677,15 +679,14 @@ def conjugate(f: PhiFunction, x_grid: Sequence[float],
     if xs.size > 1 and not np.all(np.diff(xs) > 0):
         raise InputError("x_grid must be strictly increasing")
 
-    vals, arg, errors = conjugate_values(f, xs, tols)
+    vals, arg, errors = conjugate_values(f, xs)
     _inf_where_unbounded(vals, errors)
-    capped = (arg == tols.lambda_cap) & (not f.domain.bounded)
+    capped = (arg == LAMBDA_CAP) & (not f.domain.bounded)
     return ConjugateResult(x_grid=xs, values=vals, argmax=arg, source_domain=f.domain,
                            capped=capped)
 
 
-def biconjugate(f: PhiFunction, lam_grid: Sequence[float],
-                tols: Tolerances = DEFAULT) -> ConjugateResult:
+def biconjugate(f: PhiFunction, lam_grid: Sequence[float]) -> ConjugateResult:
     """(f*)* on ``lam_grid``: the closed convex envelope of ``f``.
 
     The outer supremum runs over the region where f* is finite; f*(x) is
@@ -705,7 +706,7 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float],
     trace_hi = None
     for _ in range(200):
         try:
-            _, trace_hi = conjugate_value(f, x_hi, tols)
+            _, trace_hi = conjugate_value(f, x_hi)
         except UnboundedObjectiveError:
             break
         if trace_hi > lam_top * 1.0001 + 1e-9:
@@ -716,19 +717,19 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float],
 
     def fstar(xs: np.ndarray) -> np.ndarray:
         # +inf where f* diverges, so that lam*x - f*(x) reads -inf there
-        v, _, errors = conjugate_values(f, xs, tols)
+        v, _, errors = conjugate_values(f, xs)
         _inf_where_unbounded(v, errors)
         return v.reshape(xs.shape)
 
     # every lam scans the same x grid, then all refine in lockstep
-    grid = _scan_grid(0.0, x_hi, tols.scan_points)
+    grid = _scan_grid(0.0, x_hi)
     ovals = lams[:, None] * grid - fstar(grid)
     rows = np.arange(lams.size)
     i = np.argmax(ovals, axis=1)
     lo_i, hi_i = np.maximum(i - 1, 0), np.minimum(i + 1, grid.size - 1)
     refined = _golden_lockstep(
         lambda k, xs: (lams[k] * xs - fstar(xs), set()),
-        grid[lo_i], grid[hi_i], ovals[rows, lo_i], ovals[rows, hi_i], tols.golden_rel_width)
+        grid[lo_i], grid[hi_i], ovals[rows, lo_i], ovals[rows, hi_i], _GOLDEN_REL_WIDTH)
     vals = np.array([best[0] for best in refined])
     args = np.array([best[1] for best in refined])
     scan_wins = ovals[rows, i] > vals
@@ -743,24 +744,22 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float],
 # --------------------------------------------------------------------------
 
 
-def saddle_point(phi2: PhiFunction, lam: float,
-                 flat_tol: Optional[float] = None,
-                 tols: Tolerances = DEFAULT) -> float:
+def saddle_point(phi2: PhiFunction, lam: float) -> float:
     """argmax over x of lam*x - phi2*(x); the inverse of (phi2*)'.
 
     For a differentiable convex ``phi2`` this equals phi2'(lam).  Located
     numerically on the conjugate trace; a flat maximizing set wider than
-    ``flat_tol`` raises NonUniqueArgmaxError instead of silently picking a
-    point.  The one-point case of :func:`_saddle_points`.
+    ``_FLAT_TOL`` (relative; twice the widest knot spacing on a grid) raises
+    NonUniqueArgmaxError instead of silently picking a point.  The
+    one-point case of :func:`_saddle_points`.
     """
-    (x0,) = _saddle_points(phi2, [lam], flat_tol, tols)
+    (x0,) = _saddle_points(phi2, [lam])
     if isinstance(x0, Exception):
         raise x0
     return x0
 
 
-def _saddle_points(phi2: PhiFunction, lams, flat_tol: Optional[float] = None,
-                   tols: Tolerances = DEFAULT) -> list:
+def _saddle_points(phi2: PhiFunction, lams) -> list:
     """:func:`saddle_point` at each lam: its float, or the package error it
     raises.  Off grids, the searches run in lockstep: each round evaluates
     the conjugate trace at the next point of every search still running,
@@ -770,13 +769,11 @@ def _saddle_points(phi2: PhiFunction, lams, flat_tol: Optional[float] = None,
         out = []
         for lam in lams:
             try:
-                out.append(_grid_saddle_point(phi2, lam, flat_tol))
+                out.append(_grid_saddle_point(phi2, lam))
             except TailboundsError as exc:
                 out.append(exc)
         return out
-    if flat_tol is None:
-        flat_tol = tols.flat_tol
-    searches = [_saddle_search(phi2, lam, flat_tol) for lam in lams]
+    searches = [_saddle_search(phi2, lam) for lam in lams]
     out: list = [None] * len(searches)
     pending: dict = {}
 
@@ -792,7 +789,7 @@ def _saddle_points(phi2: PhiFunction, lams, flat_tol: Optional[float] = None,
         resume(i, search.__next__)
     while pending:
         idx = list(pending)
-        _, slopes, errors = conjugate_values(phi2, [pending[i] for i in idx], tols)
+        _, slopes, errors = conjugate_values(phi2, [pending[i] for i in idx])
         pending = {}
         for k, i in enumerate(idx):
             if k in errors:
@@ -802,15 +799,14 @@ def _saddle_points(phi2: PhiFunction, lams, flat_tol: Optional[float] = None,
     return out
 
 
-def _grid_saddle_point(phi2: PhiFunction, lam: float, flat_tol: Optional[float]) -> float:
+def _grid_saddle_point(phi2: PhiFunction, lam: float) -> float:
     if not phi2.domain.contains(lam):
         raise OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
     ls, vs = phi2.knots
     chords = np.diff(vs) / np.diff(ls)  # breakpoints of phi2* in x
     if not np.all(np.diff(chords) >= -1e-12 * max(1.0, float(np.abs(chords).max()))):
         raise InputError("saddle point needs a convex grid function")
-    if flat_tol is None:
-        flat_tol = 2.0 * float(np.diff(ls).max())
+    flat_tol = 2.0 * float(np.diff(ls).max())
     # phi2* is the upper envelope of the knot lines lam_j * x - v_j; on the
     # piece where line j is active, dS/dx = lam - lam_j.  The maximum sits
     # at the breakpoint where the active knot value crosses lam; if lam
@@ -832,17 +828,17 @@ def _grid_saddle_point(phi2: PhiFunction, lam: float, flat_tol: Optional[float])
     return float(chords[j])
 
 
-def _trace(x: float, flat_tol: float):
+def _trace(x: float):
     """Yield x, take back the conjugate slope there (the maximizer)."""
     # a diverging transform along the way means the maximizing set of
     # S(lam, .) is unbounded or degenerate: report, never pick a point
     try:
         return (yield x)
     except UnboundedObjectiveError:
-        raise NonUniqueArgmaxError(x, math.inf, flat_tol) from None
+        raise NonUniqueArgmaxError(x, math.inf, _FLAT_TOL) from None
 
 
-def _saddle_search(phi2: PhiFunction, lam: float, flat_tol: float):
+def _saddle_search(phi2: PhiFunction, lam: float):
     """The trace search of :func:`saddle_point` off grids, as a generator
     that yields each x whose trace value it needs."""
     if not phi2.domain.contains(lam):
@@ -851,29 +847,29 @@ def _saddle_search(phi2: PhiFunction, lam: float, flat_tol: float):
     # expanding bracket on the monotone trace
     x_lo = max(phi2.domain.lo, 1e-12)
     x_hi = max(1.0, 2.0 * x_lo)
-    t_lo = yield from _trace(x_lo, flat_tol)
+    t_lo = yield from _trace(x_lo)
     grow = 0
     while t_lo > lam and x_lo > 1e-14:
         x_lo *= 0.25
-        t_lo = yield from _trace(x_lo, flat_tol)
+        t_lo = yield from _trace(x_lo)
         grow += 1
         if grow > 60:
             break
-    t_hi = yield from _trace(x_hi, flat_tol)
+    t_hi = yield from _trace(x_hi)
     grow = 0
     while t_hi <= lam:
         x_hi *= 2.0
-        t_hi = yield from _trace(x_hi, flat_tol)
+        t_hi = yield from _trace(x_hi)
         grow += 1
         if grow > 80:
-            raise NonUniqueArgmaxError(x_lo, x_hi, flat_tol)
+            raise NonUniqueArgmaxError(x_lo, x_hi, _FLAT_TOL)
 
     a, b = x_lo, x_hi
     for _ in range(200):
         if (b - a) <= 1e-12 * max(1.0, abs(b)):
             break
         m = 0.5 * (a + b)
-        if (yield from _trace(m, flat_tol)) <= lam:
+        if (yield from _trace(m)) <= lam:
             a = m
         else:
             b = m
@@ -882,24 +878,24 @@ def _saddle_search(phi2: PhiFunction, lam: float, flat_tol: float):
     # flat-top detection: width of the set where the trace sits within a
     # slope tolerance of lam
     eps_slope = 1e-7 * max(1.0, abs(lam))
-    lo_edge = yield from _bisect_trace(flat_tol, max(x_lo * 0.5, 1e-14), x0, lam - eps_slope)
-    hi_edge = yield from _bisect_trace(flat_tol, x0, x_hi * 2.0, lam + eps_slope)
+    lo_edge = yield from _bisect_trace(max(x_lo * 0.5, 1e-14), x0, lam - eps_slope)
+    hi_edge = yield from _bisect_trace(x0, x_hi * 2.0, lam + eps_slope)
     width = hi_edge - lo_edge
-    if width > max(flat_tol * max(1.0, abs(x0)), 100.0 * eps_slope * max(1.0, abs(x0))):
-        raise NonUniqueArgmaxError(lo_edge, hi_edge, flat_tol)
+    if width > max(_FLAT_TOL * max(1.0, abs(x0)), 100.0 * eps_slope * max(1.0, abs(x0))):
+        raise NonUniqueArgmaxError(lo_edge, hi_edge, _FLAT_TOL)
     return float(x0)
 
 
-def _bisect_trace(flat_tol, a, b, target):
-    fa = yield from _trace(a, flat_tol)
-    fb = yield from _trace(b, flat_tol)
+def _bisect_trace(a, b, target):
+    fa = yield from _trace(a)
+    fb = yield from _trace(b)
     if fa >= target:
         return a
     if fb <= target:
         return b
     for _ in range(60):
         m = 0.5 * (a + b)
-        if (yield from _trace(m, flat_tol)) < target:
+        if (yield from _trace(m)) < target:
             a = m
         else:
             b = m

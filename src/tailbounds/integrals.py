@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import (
     DivergentIntegral,
     InputError,
@@ -28,10 +27,12 @@ from .errors import (
     NotConvergedError,
     UnboundedObjectiveError,
 )
-from .functions import PhiFunction, conjugate_value
+from .functions import PhiFunction, _golden_lockstep, conjugate_value
 from .oracles import log_integral_exp, quadrature
 
 _PROBES = (1e5, 1e6, 1e8, 1e10)
+# exp(-g) is declared divergent when g(x)/ln(x) is at most this at every probe
+_DIVERGENCE_LOG_MARGIN = 1.000001
 
 
 def _require_halfline(zeta: PhiFunction) -> None:
@@ -44,7 +45,7 @@ def _require_halfline(zeta: PhiFunction) -> None:
         )
 
 
-def _pretest_decay(g, label: str, tols: Tolerances) -> None:
+def _pretest_decay(g, label: str) -> None:
     """Declare divergence when g(x) fails to outgrow ln(x) at the probes."""
     ratios = []
     for x in _PROBES:
@@ -55,7 +56,7 @@ def _pretest_decay(g, label: str, tols: Tolerances) -> None:
         if not math.isfinite(v):
             return
         ratios.append(v / math.log(x))
-    if max(ratios) <= tols.divergence_log_margin:
+    if max(ratios) <= _DIVERGENCE_LOG_MARGIN:
         raise DivergentIntegral(
             f"{label}: exponent grows no faster than ln(x) at the probe points",
             diagnostic={"probes": list(_PROBES), "ratios": ratios},
@@ -68,7 +69,7 @@ def _exp_neg(t: np.ndarray) -> np.ndarray:
         return np.where(t < 745.0, np.exp(-t), 0.0)
 
 
-def k_integral(zeta: PhiFunction, eps: float, tols: Tolerances = DEFAULT,
+def k_integral(zeta: PhiFunction, eps: float,
                details: Optional[dict] = None) -> float:
     """K(eps) = int_0^inf exp(-eps*zeta(x)) dx, or DivergentIntegral."""
     if not (0.0 < eps <= 1.0):
@@ -81,14 +82,14 @@ def k_integral(zeta: PhiFunction, eps: float, tols: Tolerances = DEFAULT,
             raise NegativeInputError(f"zeta({x}) = {v} < 0")
         return eps * v
 
-    _pretest_decay(g, f"K({eps})", tols)
+    _pretest_decay(g, f"K({eps})")
 
     # values are never negative: PhiFunction raises on a negative value
     def integrand(xs: np.ndarray) -> np.ndarray:
         return _exp_neg(eps * zeta.values(xs))
 
     try:
-        val, _ = quadrature(integrand, 0.0, math.inf, tols=tols, details=details,
+        val, _ = quadrature(integrand, 0.0, math.inf, details=details,
                             vectorized=True)
     except NotConvergedError as exc:
         raise DivergentIntegral(
@@ -98,7 +99,7 @@ def k_integral(zeta: PhiFunction, eps: float, tols: Tolerances = DEFAULT,
     return val
 
 
-def r_integral(zeta: PhiFunction, eps: float, tols: Tolerances = DEFAULT,
+def r_integral(zeta: PhiFunction, eps: float,
                details: Optional[dict] = None) -> float:
     """R(eps) = int_0^inf exp(zeta((1-eps)x) - zeta(x)) dx, or DivergentIntegral."""
     if not (0.0 < eps < 1.0):
@@ -112,13 +113,13 @@ def r_integral(zeta: PhiFunction, eps: float, tols: Tolerances = DEFAULT,
             raise NegativeInputError("zeta must be nonnegative")
         return b - a
 
-    _pretest_decay(g, f"R({eps})", tols)
+    _pretest_decay(g, f"R({eps})")
 
     def integrand(xs: np.ndarray) -> np.ndarray:
         return _exp_neg(zeta.values(xs) - zeta.values((1.0 - eps) * xs))
 
     try:
-        val, _ = quadrature(integrand, 0.0, math.inf, tols=tols, details=details,
+        val, _ = quadrature(integrand, 0.0, math.inf, details=details,
                             vectorized=True)
     except NotConvergedError as exc:
         raise DivergentIntegral(
@@ -147,24 +148,24 @@ class EpsilonReport:
         return min(finite) if finite else None
 
 
-def epsilon_report(zeta: PhiFunction, eps: float, tols: Tolerances = DEFAULT) -> EpsilonReport:
+def epsilon_report(zeta: PhiFunction, eps: float) -> EpsilonReport:
     diag = {}
     try:
         kd: dict = {}
-        k = k_integral(zeta, eps, tols, details=kd)
+        k = k_integral(zeta, eps, details=kd)
         diag["k"] = kd
     except DivergentIntegral as exc:
         k, diag["k"] = None, str(exc)
     try:
         rd: dict = {}
-        r = r_integral(zeta, eps, tols, details=rd)
+        r = r_integral(zeta, eps, details=rd)
         diag["r"] = rd
     except DivergentIntegral as exc:
         r, diag["r"] = None, str(exc)
     return EpsilonReport(eps=eps, k=k, r=r, diagnostics=diag)
 
 
-def log_i_integral(zeta: PhiFunction, lam: float, tols: Tolerances = DEFAULT) -> float:
+def log_i_integral(zeta: PhiFunction, lam: float) -> float:
     """ln of I(lam) = int_0^inf exp(lam*x - zeta(x)) dx, by peak-shifted quadrature.
 
     Stays in log space so exponents in the thousands are handled; divergence
@@ -175,7 +176,7 @@ def log_i_integral(zeta: PhiFunction, lam: float, tols: Tolerances = DEFAULT) ->
     def g(x: float) -> float:
         return zeta.value(x) - lam * x
 
-    _pretest_decay(g, f"I({lam})", tols)
+    _pretest_decay(g, f"I({lam})")
 
     def log_f(xs: np.ndarray) -> np.ndarray:
         return lam * xs - zeta.values(xs)
@@ -187,15 +188,14 @@ def log_i_integral(zeta: PhiFunction, lam: float, tols: Tolerances = DEFAULT) ->
     return log_integral_exp(log_f, 0.0, math.inf, peak=peak)
 
 
-def i_integral(zeta: PhiFunction, lam: float, tols: Tolerances = DEFAULT) -> float:
+def i_integral(zeta: PhiFunction, lam: float) -> float:
     """Direct quadrature of I(lam); +inf when the value exceeds float range."""
-    lv = log_i_integral(zeta, lam, tols)
+    lv = log_i_integral(zeta, lam)
     return math.exp(lv) if lv < 709.0 else math.inf
 
 
 def log_compound_upper_bound(zeta: PhiFunction, lam: float, eps: float,
-                             variant: str = "min",
-                             tols: Tolerances = DEFAULT) -> float:
+                             variant: str = "min") -> float:
     """ln of the compound upper bound on I(lam).
 
     variant="min":   ln min(K, R) + zeta*(lam/(1-eps))
@@ -207,9 +207,9 @@ def log_compound_upper_bound(zeta: PhiFunction, lam: float, eps: float,
     """
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must be in (0, 1), got {eps}")
-    rep = epsilon_report(zeta, eps, tols)
+    rep = epsilon_report(zeta, eps)
     try:
-        star, _ = conjugate_value(zeta, lam / (1.0 - eps), tols)
+        star, _ = conjugate_value(zeta, lam / (1.0 - eps))
     except UnboundedObjectiveError:
         return math.inf
     if variant == "min":
@@ -231,27 +231,24 @@ def log_compound_upper_bound(zeta: PhiFunction, lam: float, eps: float,
 
 
 def compound_upper_bound(zeta: PhiFunction, lam: float, eps: float,
-                         variant: str = "min",
-                         tols: Tolerances = DEFAULT) -> float:
+                         variant: str = "min") -> float:
     """Linear-scale compound bound; +inf when it exceeds float range."""
-    lb = log_compound_upper_bound(zeta, lam, eps, variant, tols)
+    lb = log_compound_upper_bound(zeta, lam, eps, variant)
     return math.exp(lb) if lb < 709.0 else math.inf
 
 
-def optimized_upper_bound(zeta: PhiFunction, lam: float,
-                          n_eps: int = 33,
-                          tols: Tolerances = DEFAULT) -> tuple[float, float]:
+def optimized_upper_bound(zeta: PhiFunction, lam: float) -> tuple[float, float]:
     """min over eps of the compound bound; geometric scan plus local refinement.
 
     Unimodality in eps is not assumed: the scan is exhaustive and golden
     refinement runs only between the best point's neighbours.  Returns
     (bound, eps_at_minimum).
     """
-    eps_grid = np.geomspace(0.01, 0.99, n_eps)
+    eps_grid = np.geomspace(0.01, 0.99, 33)
 
     def logbound(e: float) -> float:
         try:
-            return log_compound_upper_bound(zeta, lam, float(e), "min", tols)
+            return log_compound_upper_bound(zeta, lam, float(e), "min")
         except DivergentIntegral:
             return math.inf
 
@@ -259,37 +256,22 @@ def optimized_upper_bound(zeta: PhiFunction, lam: float,
     i = int(np.argmin(vals))
     if not math.isfinite(vals[i]):
         raise DivergentIntegral("compound bound divergent for every eps scanned")
-    a = eps_grid[max(i - 1, 0)]
-    b = eps_grid[min(i + 1, eps_grid.size - 1)]
-    # golden-section minimize on [a, b]
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = logbound(c), logbound(d)
-    for _ in range(60):
-        if (b - a) < 1e-4:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = logbound(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = logbound(d)
-    cands = [(vals[i], eps_grid[i]), (fc, c), (fd, d)]
-    best = min(cands)
+    lo_i, hi_i = max(i - 1, 0), min(i + 1, eps_grid.size - 1)
+    # golden-section minimize on the neighbours' bracket: maximize -logbound
+    ((neg, eps),) = _golden_lockstep(
+        lambda rows, es: (-np.array([logbound(e) for e in es.tolist()]), set()),
+        eps_grid[[lo_i]], eps_grid[[hi_i]], -vals[[lo_i]], -vals[[hi_i]], 1e-4)
+    best = min((vals[i], eps_grid[i]), (-neg, eps))
     value = math.exp(best[0]) if best[0] < 709.0 else math.inf
     return value, float(best[1])
 
 
-def finite_measure_upper_bound(zeta: PhiFunction, lam: float,
-                               tols: Tolerances = DEFAULT) -> float:
+def finite_measure_upper_bound(zeta: PhiFunction, lam: float) -> float:
     """Bounded-range shortcut: measure(X) * exp(zeta*(lam)) for X = [lo, hi)."""
     if not zeta.domain.bounded:
         raise InputError("finite-measure bound needs a bounded domain")
     measure = zeta.domain.hi - zeta.domain.lo
-    star, _ = conjugate_value(zeta, lam, tols)
+    star, _ = conjugate_value(zeta, lam)
     return measure * math.exp(star)
 
 
@@ -316,8 +298,7 @@ class CramerCertificate:
 
 
 def cramer_check(g: PhiFunction,
-                 eps_grid=(1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5),
-                 tols: Tolerances = DEFAULT) -> CramerCertificate:
+                 eps_grid=(1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5)) -> CramerCertificate:
     """Certify (or refuse to certify) an exponential tail for exponent g.
 
     Never raises on a negative outcome; the certificate is the result.
@@ -335,7 +316,7 @@ def cramer_check(g: PhiFunction,
     k_table = {}
     for eps in eps_grid:
         try:
-            k_table[float(eps)] = k_integral(g, float(eps), tols)
+            k_table[float(eps)] = k_integral(g, float(eps))
         except DivergentIntegral:
             k_table[float(eps)] = None
     return CramerCertificate(

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .envelope import LOWER, UPPER, TailEnvelope
 from .errors import (
     GeometryInvalidError,
@@ -54,21 +53,20 @@ _LOG_EPS = math.log(2.0) * -1074  # smallest log float
 # --------------------------------------------------------------------------
 
 
-def s_value(phi2: PhiFunction, lam: float, x: float,
-            tols: Tolerances = DEFAULT) -> tuple[float, float]:
+def s_value(phi2: PhiFunction, lam: float, x: float) -> tuple[float, float]:
     """S(lam, x) = lam*x - phi2*(x) and its x-derivative lam - (phi2*)'(x).
 
     The derivative uses the conjugate's maximizer (exact for convex phi2).
     """
-    star, arg = conjugate_value(phi2, float(x), tols)
+    star, arg = conjugate_value(phi2, float(x))
     return float(lam) * float(x) - star, float(lam) - arg
 
 
-def _x0(phi2: PhiFunction, t: float, tols: Tolerances) -> float:
+def _x0(phi2: PhiFunction, t: float) -> float:
     """Saddle abscissa x0(t); derivative fast path for convex phi2."""
     if phi2.convex and phi2.deriv is not None:
         return float(phi2.deriv(float(t)))
-    return saddle_point(phi2, float(t), tols=tols)
+    return saddle_point(phi2, float(t))
 
 
 def _raise_unrefused(errors: dict) -> None:
@@ -79,7 +77,7 @@ def _raise_unrefused(errors: dict) -> None:
             raise errors[i]
 
 
-def _x0_inverse(phi2: PhiFunction, zs, tols: Tolerances) -> tuple[np.ndarray, dict]:
+def _x0_inverse(phi2: PhiFunction, zs) -> tuple[np.ndarray, dict]:
     """The t with x0(t) = z for each z; equals the conjugate maximizer at z.
 
     Returns the t's and, by index, the error of each z without a saddle
@@ -92,7 +90,7 @@ def _x0_inverse(phi2: PhiFunction, zs, tols: Tolerances) -> tuple[np.ndarray, di
     mus = np.full(zs.size, math.nan)
     errors: dict = {}
     if not (phi2.convex and phi2.deriv is not None):
-        _, mus, errors = conjugate_values(phi2, zs, tols)
+        _, mus, errors = conjugate_values(phi2, zs)
         _raise_unrefused(errors)
         return mus, errors
     lo = max(phi2.domain.lo, 1e-12)
@@ -127,12 +125,12 @@ def _x0_inverse(phi2: PhiFunction, zs, tols: Tolerances) -> tuple[np.ndarray, di
     return mus, errors
 
 
-def _x0_many(phi2: PhiFunction, ts: np.ndarray, tols: Tolerances) -> np.ndarray:
+def _x0_many(phi2: PhiFunction, ts: np.ndarray) -> np.ndarray:
     """_x0 at each t; NaN where it refuses with OutOfDomainError or InputError."""
     if phi2.convex and phi2.deriv is not None:
         return phi2.derivatives(ts)
     out = np.full(ts.size, math.nan)
-    for i, x0 in enumerate(_saddle_points(phi2, ts.tolist(), tols=tols)):
+    for i, x0 in enumerate(_saddle_points(phi2, ts.tolist())):
         if not isinstance(x0, Exception):
             out[i] = x0
         elif not isinstance(x0, (OutOfDomainError, InputError)):
@@ -140,24 +138,22 @@ def _x0_many(phi2: PhiFunction, ts: np.ndarray, tols: Tolerances) -> np.ndarray:
     return out
 
 
-def _stars_at_saddle(phi2: PhiFunction, ts: np.ndarray, xs: np.ndarray,
-                     tols: Tolerances) -> np.ndarray:
+def _stars_at_saddle(phi2: PhiFunction, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """_phi2_star_at_saddle at each (t, x); NaN where x is NaN or refused."""
     if phi2.convex and phi2.deriv is not None:
         return ts * xs - phi2.values(ts)
     out = np.full(ts.size, math.nan)
     at = np.flatnonzero(~np.isnan(xs))
-    out[at], _, errors = conjugate_values(phi2, xs[at], tols)
+    out[at], _, errors = conjugate_values(phi2, xs[at])
     _raise_unrefused(errors)
     return out
 
 
-def _phi2_star_at_saddle(phi2: PhiFunction, t: float, x: float,
-                         tols: Tolerances) -> float:
+def _phi2_star_at_saddle(phi2: PhiFunction, t: float, x: float) -> float:
     """phi2*(x0(t)) via the touching identity t*x0 - phi2(t) for convex phi2."""
     if phi2.convex and phi2.deriv is not None:
         return float(t) * float(x) - phi2.value(float(t))
-    star, _ = conjugate_value(phi2, float(x), tols)
+    star, _ = conjugate_value(phi2, float(x))
     return star
 
 
@@ -194,16 +190,15 @@ class SaddleGeometry:
 
 def make_geometry(phi2: PhiFunction, lam: float, delta1: float,
                   delta2: Optional[float] = None,
-                  x_pair: Optional[tuple[float, float]] = None,
-                  tols: Tolerances = DEFAULT) -> SaddleGeometry:
+                  x_pair: Optional[tuple[float, float]] = None) -> SaddleGeometry:
     """Build the saddle geometry at lam from dilation offsets or explicit x's."""
     lam = float(lam)
     if x_pair is not None:
         xm, xp = map(float, x_pair)
-        x0v = _x0(phi2, lam, tols)
-        sm, dsm = s_value(phi2, lam, xm, tols)
-        sp, dsp = s_value(phi2, lam, xp, tols)
-        s0, _ = s_value(phi2, lam, x0v, tols)
+        x0v = _x0(phi2, lam)
+        sm, dsm = s_value(phi2, lam, xm)
+        sp, dsp = s_value(phi2, lam, xp)
+        s0, _ = s_value(phi2, lam, x0v)
         geo = SaddleGeometry(lam=lam, x0=x0v, x_minus=xm, x_plus=xp, rule="explicit",
                              delta1=math.nan, delta2=math.nan,
                              s_minus=sm, s_plus=sp, s_x0=s0,
@@ -221,12 +216,12 @@ def make_geometry(phi2: PhiFunction, lam: float, delta1: float,
     for t in (mu, lam, nu):
         if not phi2.domain.contains(t):
             raise OutOfDomainError(t, phi2.domain.lo, phi2.domain.hi)
-    xm = _x0(phi2, mu, tols)
-    xp = _x0(phi2, nu, tols)
-    x0v = _x0(phi2, lam, tols)
-    sm = lam * xm - _phi2_star_at_saddle(phi2, mu, xm, tols)
-    sp = lam * xp - _phi2_star_at_saddle(phi2, nu, xp, tols)
-    s0 = lam * x0v - _phi2_star_at_saddle(phi2, lam, x0v, tols)
+    xm = _x0(phi2, mu)
+    xp = _x0(phi2, nu)
+    x0v = _x0(phi2, lam)
+    sm = lam * xm - _phi2_star_at_saddle(phi2, mu, xm)
+    sp = lam * xp - _phi2_star_at_saddle(phi2, nu, xp)
+    s0 = lam * x0v - _phi2_star_at_saddle(phi2, lam, x0v)
     geo = SaddleGeometry(lam=lam, x0=x0v, x_minus=xm, x_plus=xp, rule=rule,
                          delta1=d1, delta2=d2,
                          s_minus=sm, s_plus=sp, s_x0=s0,
@@ -263,7 +258,7 @@ def _bracket_log(lam: float, t0: float, s_minus: float, ds_minus: float,
 
 
 def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, lams: np.ndarray,
-                  d1s: np.ndarray, d2s: np.ndarray, tols: Tolerances) -> np.ndarray:
+                  d1s: np.ndarray, d2s: np.ndarray) -> np.ndarray:
     """tangent_bracket_log(phi1, make_geometry(phi2, lam, d1, d2)) per row.
 
     -inf where make_geometry refuses the row or the bracket clamps (or is
@@ -279,8 +274,8 @@ def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, lams: np.ndarray,
         return out
     lam, k = lams[rows], rows.size
     ts, inv = np.unique(np.concatenate([mus[rows], lam, nus[rows]]), return_inverse=True)
-    x0s = _x0_many(phi2, ts, tols)
-    stars = _stars_at_saddle(phi2, ts, x0s, tols)
+    x0s = _x0_many(phi2, ts)
+    stars = _stars_at_saddle(phi2, ts, x0s)
     xm, x0, xp = (x0s[inv[j * k:(j + 1) * k]] for j in range(3))
     sm, s0, sp = (lam * x0s[inv[j * k:(j + 1) * k]] - stars[inv[j * k:(j + 1) * k]]
                   for j in range(3))
@@ -317,15 +312,12 @@ def closure_lower_envelope(
     phi1: PhiFunction,
     phi2: PhiFunction,
     z_grid: Sequence[float],
-    delta_grid: Optional[np.ndarray] = None,
-    extra_offsets: Optional[Sequence[tuple[float, float]]] = None,
-    tols: Tolerances = DEFAULT,
 ) -> tuple[TailEnvelope, ClosureDiagnostics]:
     """Optimize the tangent-line bound over geometries, per evaluation point.
 
     For each z the driving parameter is recovered by inverting
-    z = x0(lam(1-d1)), then (d1, d2) sweeps a log-spaced grid (plus any
-    caller-supplied offset pairs); the envelope records the best bound.
+    z = x0(lam(1-d1)), then (d1, d2) sweeps a 16 x 16 log-spaced grid on
+    [1e-3, 0.5]; the envelope records the best bound.
     Points where every geometry clamps carry value 0 and are flagged.
     """
     if phi2.convex is not True:
@@ -333,16 +325,11 @@ def closure_lower_envelope(
     zs = np.asarray(z_grid, dtype=float)
     if zs.ndim != 1 or zs.size == 0 or (zs.size > 1 and not np.all(np.diff(zs) > 0)):
         raise InputError("z_grid must be nonempty strictly increasing")
-    dg = np.geomspace(1e-3, 0.5, 16) if delta_grid is None else np.asarray(delta_grid, float)
-
+    dg = np.geomspace(1e-3, 0.5, 16)
     d1 = np.repeat(dg, dg.size)
     d2 = np.tile(dg, dg.size)
-    if extra_offsets:
-        extra = np.asarray(list(extra_offsets), dtype=float).reshape(-1, 2)
-        d1, d2 = np.concatenate([d1, extra[:, 0]]), np.concatenate([d2, extra[:, 1]])
-    usable = np.flatnonzero(d1 < 1.0)
 
-    mus, no_saddle = _x0_inverse(phi2, zs, tols)
+    mus, no_saddle = _x0_inverse(phi2, zs)
     log_vals = np.full(zs.size, -math.inf)
     per_z = {}
     for i, (z, mu) in enumerate(zip(zs.tolist(), mus.tolist())):
@@ -350,12 +337,12 @@ def closure_lower_envelope(
             per_z[z] = {"status": "no-saddle"}
             continue
         # every (d1, d2) geometry of this z in one batch
-        lam = mu / (1.0 - d1[usable])
-        inside = (phi2.domain.contains(lam) & phi2.domain.contains(lam * (1.0 + d2[usable]))
+        lam = mu / (1.0 - d1)
+        inside = (phi2.domain.contains(lam) & phi2.domain.contains(lam * (1.0 + d2))
                   & phi1.domain.contains(lam))
-        rows, lam = usable[inside], lam[inside]
+        rows, lam = np.flatnonzero(inside), lam[inside]
         lv = np.full(d1.size, -math.inf)
-        lv[rows] = _bracket_logs(phi1, phi2, lam, d1[rows], d2[rows], tols)
+        lv[rows] = _bracket_logs(phi1, phi2, lam, d1[rows], d2[rows])
         j = int(np.argmax(lv))  # the first strict maximum in pair order
         best = float(lv[j])
         log_vals[i] = min(best, 0.0)
@@ -393,10 +380,7 @@ class RegularityReport:
     grid: dict = field(default_factory=dict)
 
 
-def verify_regularity(phi: PhiFunction,
-                      lam_grid: Optional[np.ndarray] = None,
-                      delta_grid: Optional[np.ndarray] = None,
-                      tols: Tolerances = DEFAULT) -> RegularityReport:
+def verify_regularity(phi: PhiFunction) -> RegularityReport:
     """Estimate the normalized saddle-curvature infimum V and a feasible c0.
 
     V = inf over offsets d != 0 and lam >= e of
@@ -407,13 +391,11 @@ def verify_regularity(phi: PhiFunction,
     """
     if phi.convex is not True:
         raise NotCertifiedError("regularity check needs convexity-certified phi")
-    if lam_grid is None:
-        hi = phi.domain.top()
-        top = min(100.0, hi * 0.999) if math.isfinite(hi) else 100.0
-        lam_grid = np.geomspace(math.e, top, 24)
-    if delta_grid is None:
-        base = np.array([0.05, 0.1, 0.15, 0.25, 0.35, 0.5])
-        delta_grid = np.concatenate([-base[::-1], base])
+    hi = phi.domain.top()
+    top = min(100.0, hi * 0.999) if math.isfinite(hi) else 100.0
+    lam_grid = np.geomspace(math.e, top, 24)
+    base = np.array([0.05, 0.1, 0.15, 0.25, 0.35, 0.5])
+    delta_grid = np.concatenate([-base[::-1], base])
 
     v_best, v_arg = math.inf, (math.nan, math.nan)
     c0_best, c0_arg = -math.inf, (math.nan, math.nan)
@@ -431,10 +413,10 @@ def verify_regularity(phi: PhiFunction,
             if d == 0.0 or not phi.domain.contains(t):
                 continue
             try:
-                x_shift = _x0(phi, t, tols)
+                x_shift = _x0(phi, t)
             except (NonUniqueArgmaxError, OutOfDomainError, InputError):
                 continue  # degenerate saddle at this cell; the report decides
-            s_shift = lam * x_shift - _phi2_star_at_saddle(phi, t, x_shift, tols)
+            s_shift = lam * x_shift - _phi2_star_at_saddle(phi, t, x_shift)
             ratio = (s_peak - s_shift) / (s_peak * d * d)
             evaluated += 1
             if ratio < v_best:
@@ -445,9 +427,9 @@ def verify_regularity(phi: PhiFunction,
             t_up, t_dn = lam * (1.0 + ad), lam * (1.0 - ad)
             if not (phi.domain.contains(t_up) and phi.domain.contains(t_dn)):
                 continue
-            x_up = _x0(phi, t_up, tols)
-            x_dn = _x0(phi, t_dn, tols)
-            star_dn = _phi2_star_at_saddle(phi, t_dn, x_dn, tols)
+            x_up = _x0(phi, t_up)
+            x_dn = _x0(phi, t_dn)
+            star_dn = _phi2_star_at_saddle(phi, t_dn, x_dn)
             if star_dn <= 0:
                 continue
             c0_here = (lam * x_up - (1.0 - d * d) * phi.value(lam) - star_dn) / (ad * star_dn)
@@ -481,24 +463,21 @@ def pinched_lower_envelope(
     phi: PhiFunction,
     delta: float,
     z_grid: Sequence[float],
-    cert_ladder: Optional[np.ndarray] = None,
-    c_steps: int = 400,
-    tols: Tolerances = DEFAULT,
 ) -> tuple[TailEnvelope, PinchCertificate]:
     """Envelope exp(-(1-c*delta) phi*(z/(1-c*delta))) with a machinery-backed c.
 
     Under the hypothesis exp((1-delta^2) phi) <= MGF <= exp(phi), the
     tangent-line closure with offsets proportional to delta certifies the
-    claimed form from some threshold z on.  c is the smallest grid value
-    whose envelope is dominated by the machinery bound over the whole upper
-    part of a certification ladder; the threshold is recorded as the
-    certificate's ``certified_from`` and is the envelope's ``valid_from``.
+    claimed form from some threshold z on.  c is the smallest of 400 grid
+    values whose envelope is dominated by the machinery bound over the
+    whole upper part of a 40-point certification ladder; the threshold is
+    the certificate's ``certified_from`` and the envelope's ``valid_from``.
     Points of ``z_grid`` from e up are all emitted; those below the
     threshold carry the form but not the certificate.
     """
     if not (0.0 < delta < 0.5):
         raise InputError("delta must be in (0, 1/2)")
-    reg = verify_regularity(phi, tols=tols)
+    reg = verify_regularity(phi)
     if not reg.ok:
         raise NotCertifiedError("regularity report negative; refined envelope needs V > 0")
 
@@ -510,10 +489,8 @@ def pinched_lower_envelope(
         slope_lim=phi.slope_lim, convex_hi=phi.convex_hi,
     )
 
-    if cert_ladder is None:
-        cap = max(64.0, 14.0 / delta)
-        cert_ladder = np.geomspace(math.e, cap, 40)
-    cap = float(cert_ladder[-1])
+    cap = max(64.0, 14.0 / delta)
+    cert_ladder = np.geomspace(math.e, cap, 40)
 
     # machinery exponent along the ladder with symmetric offsets c2_scale*delta
     scale_hi = min(4.9, 0.49 / delta)
@@ -521,22 +498,22 @@ def pinched_lower_envelope(
     neg_log = np.full(cert_ladder.size, math.inf)
     ds = scales * delta
     ds = ds[~(ds >= 0.5)]
-    mus, no_saddle = _x0_inverse(phi, cert_ladder, tols)
+    mus, no_saddle = _x0_inverse(phi, cert_ladder)
     for i, mu in enumerate(mus.tolist()):
         if i in no_saddle:
             continue
         lam = mu / (1.0 - ds)
         inside = phi.domain.contains(lam) & phi.domain.contains(lam * (1.0 + ds))
-        lv = _bracket_logs(phi1, phi, lam[inside], ds[inside], ds[inside], tols)
+        lv = _bracket_logs(phi1, phi, lam[inside], ds[inside], ds[inside])
         best = float(lv.max()) if lv.size else -math.inf
         if best > -math.inf:
             neg_log[i] = -best
 
     def envelope_exponents(c: float, zs: np.ndarray) -> np.ndarray:
         shrink = 1.0 - c * delta
-        return shrink * _stars(phi, zs / shrink, tols)
+        return shrink * _stars(phi, zs / shrink)
 
-    c_grid = np.linspace(0.5 / c_steps, (1.0 / (2.0 * delta)) * (1 - 1e-9), c_steps)
+    c_grid = np.linspace(0.5 / 400, (1.0 / (2.0 * delta)) * (1 - 1e-9), 400)
     chosen = None
     machinery = np.isfinite(neg_log)
     for c in c_grid:
@@ -573,8 +550,7 @@ def pinched_lower_envelope(
     return env, cert
 
 
-def pinch_rate_diagnostic(phi: PhiFunction, deltas: Sequence[float], z: float,
-                          tols: Tolerances = DEFAULT) -> dict:
+def pinch_rate_diagnostic(phi: PhiFunction, deltas: Sequence[float], z: float) -> dict:
     """Measure how fast the pinched envelope tightens as delta shrinks.
 
     Returns the fitted log-log slope of (exponent ratio - 1) against delta.
@@ -585,10 +561,10 @@ def pinch_rate_diagnostic(phi: PhiFunction, deltas: Sequence[float], z: float,
     ds, gaps = [], []
     for delta in sorted(deltas, reverse=True):
         try:
-            env, cert = pinched_lower_envelope(phi, float(delta), np.array([z]), tols=tols)
+            env, cert = pinched_lower_envelope(phi, float(delta), np.array([z]))
         except (NotCertifiedError, InputError):
             continue
-        star, _ = conjugate_value(phi, z, tols)
+        star, _ = conjugate_value(phi, z)
         ratio = float(env.neg_log()[0]) / star
         if ratio > 1.0:
             ds.append(float(delta))
@@ -607,14 +583,12 @@ def pinch_rate_diagnostic(phi: PhiFunction, deltas: Sequence[float], z: float,
 def exact_mgf_sandwich(
     phi: PhiFunction,
     x_grid: Sequence[float],
-    c1_grid: Optional[Sequence[float]] = None,
-    tols: Tolerances = DEFAULT,
 ) -> tuple[TailEnvelope, TailEnvelope, float]:
     """Two-sided envelopes when E exp(lam*X) = exp(phi(lam)) exactly.
 
     Upper: exp(-phi*(x)).  Lower: exp(-phi*(x) - c2*x) with c2 extracted
     from the tangent-line closure run at additive saddle offsets
-    lam -> lam +- c1 (equivalently d = c1/lam), per-point over a c1 grid.
+    lam -> lam +- c1 (equivalently d = c1/lam), per point over a few c1.
     Returns (lower, upper, c2); c2 is the worst-case exponent excess per
     unit x over the requested grid.
     """
@@ -626,24 +600,22 @@ def exact_mgf_sandwich(
     if xs[0] < 1.0:
         raise InputError("sandwich asserted for x >= 1")
 
-    stars = _stars(phi, xs, tols)
+    stars = _stars(phi, xs)
 
     b = phi.domain.hi
-    mus, no_saddle = _x0_inverse(phi, xs, tols)
+    mus, no_saddle = _x0_inverse(phi, xs)
     if no_saddle:
         raise no_saddle[min(no_saddle)]
-    if c1_grid is None and not math.isfinite(b):
+    if not math.isfinite(b):
         # slope of the saddle path at each mu, by a central difference
         hs = np.array([max(1e-6, 1e-4 * max(mu, 1.0)) for mu in mus.tolist()])
-        slopes = (_x0_many(phi, mus + hs, tols)
-                  - _x0_many(phi, np.maximum(mus - hs, phi.domain.lo), tols)) / (2 * hs)
+        slopes = (_x0_many(phi, mus + hs)
+                  - _x0_many(phi, np.maximum(mus - hs, phi.domain.lo))) / (2 * hs)
     c2 = 0.0
     clamped = []
     for i, (x, star, mu) in enumerate(zip(xs.tolist(), stars.tolist(), mus.tolist())):
         pairs: list[tuple[float, float]] = []
-        if c1_grid is not None:
-            pairs = [(float(c), float(c)) for c in c1_grid]
-        elif math.isfinite(b):
+        if math.isfinite(b):
             # bounded exponent domains want a lopsided geometry: the driving
             # parameter close to the top, a thin remaining slice on the plus
             # side
@@ -664,7 +636,7 @@ def exact_mgf_sandwich(
         lam = mu + c_minus
         inside = phi.domain.contains(lam) & phi.domain.contains(lam + c_plus)
         lam, c_minus, c_plus = lam[inside], c_minus[inside], c_plus[inside]
-        lv = _bracket_logs(phi, phi, lam, c_minus / lam, c_plus / lam, tols)
+        lv = _bracket_logs(phi, phi, lam, c_minus / lam, c_plus / lam)
         best = float(lv.max()) if lv.size else -math.inf
         if best == -math.inf:
             clamped.append(x)

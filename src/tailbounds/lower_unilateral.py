@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .envelope import LOWER, TailEnvelope
 from .errors import (
     AbsorptionFailedError,
@@ -36,7 +35,16 @@ from .errors import (
     InputError,
     NotCertifiedError,
 )
-from .functions import PhiFunction, _inf_where_unbounded, _sorted_unique, conjugate_values
+from .functions import (
+    LAMBDA_CAP,
+    PhiFunction,
+    _inf_where_unbounded,
+    _sorted_unique,
+    conjugate_values,
+)
+
+# slack in the dilation and absorption inequalities, relative to max(1, |side|)
+_ABS_TOL = 1e-9
 
 
 def tail_transform_exponent(phi: PhiFunction, lam: float) -> float:
@@ -66,43 +74,48 @@ class DilationCertificate:
     n_grid: int = 0
 
 
-def _default_lam_range(phi: PhiFunction, threshold: float = 1.0) -> tuple[float, float]:
-    """[smallest lam with phi >= threshold, near the domain top]."""
+def _default_lam_range(phi: PhiFunction) -> tuple[float, float]:
+    """[smallest lam with phi >= 1, near the domain top]."""
     lo, hi = phi.domain.lo, phi.domain.top()
     if not math.isfinite(hi):
         hi = max(100.0, 64.0 * max(lo, 1.0))
     probe = np.linspace(max(lo, 1e-12), hi, 4097)
     vals = phi.values(probe)
-    idx = np.where(vals >= threshold)[0]
+    idx = np.where(vals >= 1.0)[0]
     if idx.size == 0:
         raise NotCertifiedError(
-            f"{phi.label}: never reaches {threshold} on [{lo}, {hi}]"
+            f"{phi.label}: never reaches 1.0 on [{lo}, {hi}]"
         )
     a, b = (probe[idx[0] - 1], probe[idx[0]]) if idx[0] > 0 else (probe[0], probe[0])
     for _ in range(60):
         if b - a <= 1e-12 * max(1.0, b):
             break
         m = 0.5 * (a + b)
-        if phi.value(m) >= threshold:
+        if phi.value(m) >= 1.0:
             b = m
         else:
             a = m
     return float(b), float(hi)
 
 
+def _values_at(phi: PhiFunction, c, ts: np.ndarray) -> np.ndarray:
+    """phi(c*t) at each t; c*t is mathematically inside the domain, and the
+    clamp undoes float rounding."""
+    return phi.values(np.minimum(np.maximum(c * ts, phi.domain.lo), phi.domain.top()))
+
+
 def certify_dilation_dominance(
     phi: PhiFunction,
     lam_range: Optional[tuple[float, float]] = None,
     c_grid: Optional[Sequence[float]] = None,
-    n_lambda: int = 200,
-    tols: Tolerances = DEFAULT,
 ) -> DilationCertificate:
     """Find the largest dilation c1 dominated by the tail-transform exponent.
 
     The default verification range starts at the first lam with
-    phi(lam) >= 1 and the default c grid is 200 linear points in (0, 1];
-    the winning grid entry is sharpened by bisection against the next
-    infeasible one.  A negative outcome is a valid result, not an error.
+    phi(lam) >= 1.  The range is sampled at 200 points, each point's
+    critical dilation is bisected, and c1 is the smallest of them; a
+    ``c_grid`` snaps c1 down to its largest feasible entry.  A negative
+    outcome is a valid result, not an error.
     """
     if lam_range is None:
         lam_range = _default_lam_range(phi)
@@ -110,32 +123,27 @@ def certify_dilation_dominance(
     if not (phi.domain.lo <= lo < hi):
         raise InputError(f"bad verification range [{lo}, {hi}]")
     hi = min(hi, phi.domain.top())
-    lams = np.geomspace(lo, hi, n_lambda) if lo > 0 else np.linspace(lo, hi, n_lambda)
+    lams = np.geomspace(lo, hi, 200) if lo > 0 else np.linspace(lo, hi, 200)
     aux = np.array([_tail_transform_from_value(p, t)
                     for p, t in zip(phi.values(lams).tolist(), lams.tolist())])
-    tol = tols.abs_tol
     refused = DilationCertificate(c1=0.0, lam_range=(lo, hi), margin=-math.inf,
                                   certified=False, n_grid=lams.size)
-
-    def vals_at(c, t):
-        # c*t is mathematically inside the domain; clamp float rounding
-        return phi.values(np.minimum(np.maximum(c * t, phi.domain.lo), phi.domain.top()))
 
     # per-lambda critical dilation: largest c with phi(c*lam) <= aux(lam);
     # phi is nondecreasing on [0, b) for envelope exponents, so bisection
     # applies, and c1 is the worst case over the verification grid.  All
     # lambdas bisect together, each with its own 45 halvings.
-    ceiling = aux + tol * np.maximum(1.0, np.abs(aux))
+    ceiling = aux + _ABS_TOL * np.maximum(1.0, np.abs(aux))
     c_hi = np.minimum(1.0, phi.domain.top() / lams)
     c_lo = phi.domain.lo / lams if phi.domain.lo > 0 else np.full(lams.size, 1e-12)
-    if np.any(c_lo >= c_hi) or np.any(vals_at(c_lo, lams) > ceiling):
+    if np.any(c_lo >= c_hi) or np.any(_values_at(phi, c_lo, lams) > ceiling):
         return refused
     crit = c_hi.copy()
-    todo = np.flatnonzero(~(vals_at(c_hi, lams) <= ceiling))
+    todo = np.flatnonzero(~(_values_at(phi, c_hi, lams) <= ceiling))
     fa, fb = c_lo[todo], c_hi[todo]
     for _ in range(45):
         mid = 0.5 * (fa + fb)
-        ok = vals_at(mid, lams[todo]) <= ceiling[todo]
+        ok = _values_at(phi, mid, lams[todo]) <= ceiling[todo]
         fa, fb = np.where(ok, mid, fa), np.where(ok, fb, mid)
     crit[todo] = fa
     c1 = min(1.0, float(crit.min()))
@@ -145,13 +153,13 @@ def certify_dilation_dominance(
     if c_grid is not None:
         # explicit grid requested: snap down to its largest feasible entry
         cs = np.asarray(sorted(c_grid), dtype=float)
-        at_most = cs[cs <= c1 + tol]
+        at_most = cs[cs <= c1 + _ABS_TOL]
         if at_most.size == 0:
             return refused
         c1 = min(c1, float(at_most.max()))
 
-    margin = float(np.min(aux - vals_at(c1, lams)))
-    if margin < -10 * tol:
+    margin = float(np.min(aux - _values_at(phi, c1, lams)))
+    if margin < -10 * _ABS_TOL:
         return DilationCertificate(c1=0.0, lam_range=(lo, hi), margin=margin,
                                    certified=False, n_grid=lams.size)
     return DilationCertificate(c1=c1, lam_range=(lo, hi), margin=margin,
@@ -163,8 +171,7 @@ def certify_dilation_dominance(
 # --------------------------------------------------------------------------
 
 
-def m_surrogate_from_upper(nu: PhiFunction, eps: float,
-                           tols: Tolerances = DEFAULT) -> float:
+def m_surrogate_from_upper(nu: PhiFunction, eps: float) -> float:
     """K[nu*](eps): a computable stand-in for the unknown normalization.
 
     Valid because the exponential tail function dominates the conjugate of
@@ -182,12 +189,11 @@ def m_surrogate_from_upper(nu: PhiFunction, eps: float,
     """
     if not (0.0 < eps <= 1.0):
         raise InputError(f"eps must be in (0, 1], got {eps}")
-    lams, vals = _tangent_lines(nu, eps, tols)
+    lams, vals = _tangent_lines(nu, eps)
     return _clipped_minorant_k(lams, vals, eps)
 
 
-def _tangent_lines(nu: PhiFunction, eps: float,
-                   tols: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _tangent_lines(nu: PhiFunction, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Slopes lam_i and intercepts nu(lam_i) of the sampled supporting lines."""
     lo = max(nu.domain.lo, 0.0)
     hi = nu.domain.top()
@@ -196,7 +202,7 @@ def _tangent_lines(nu: PhiFunction, eps: float,
         # integrand: lam*x(lam) - nu(lam) >= ~60/eps
         hi = max(10.0, 4.0 * max(lo, 1.0))
         target = 80.0 / eps
-        while hi < tols.lambda_cap:
+        while hi < LAMBDA_CAP:
             v = hi * nu.derivative(hi) - nu.value(hi)
             if v > target:
                 break
@@ -260,68 +266,61 @@ def _lam1_candidates(phi: PhiFunction, w_lo: float) -> list[float]:
 
 
 def absorb_normalization(phi: PhiFunction, c1: float, m_bound: float,
-                         w_lo: float,
-                         tols: Tolerances = DEFAULT) -> tuple[float, float]:
+                         w_lo: float) -> tuple[float, float]:
     """Find (lam1, c2 <= c1) with phi(c1*lam) - ln(M) >= phi(c2*lam) for lam >= lam1.
 
     lam1 runs over a geometric ladder (dyadic approach to the top for a
     bounded domain); at the first lam1 admitting a feasible c2 the largest
     one wins (per-lambda bisection on the verification grid).  Larger c2
-    means a smaller final dilation, hence a tighter envelope.
+    means a smaller final dilation, hence a tighter envelope.  Each test
+    over a candidate's 128-point grid is one ``values`` call.
     """
     lnM = math.log(m_bound)
-    tol = tols.abs_tol
     if lnM <= 0.0:
         return max(w_lo, phi.domain.lo), c1
 
-    b = phi.domain.hi
+    lo, top, b = phi.domain.lo, phi.domain.top(), phi.domain.hi
+
+    def val_at(c: float, t: float) -> float:  # _values_at of one point
+        return phi.value(min(max(c * t, lo), top))
+
     for lam1 in _lam1_candidates(phi, w_lo):
-        ver_hi = min(phi.domain.top(), max(2.0 ** 20, 4.0 * lam1)) if not math.isfinite(b) \
-            else phi.domain.top()
+        ver_hi = min(top, max(2.0 ** 20, 4.0 * lam1)) if not math.isfinite(b) else top
         if lam1 >= ver_hi:
             continue
         lams = np.geomspace(lam1, ver_hi, 128)
-
-        def val_at(c: float, t: float) -> float:
-            ct = min(max(c * t, phi.domain.lo), phi.domain.top())
-            return phi.value(ct)
-
-        c2 = c1
-        ok = True
-        for t in lams:
-            t = float(t)
-            if c1 * t >= phi.domain.hi:
-                ok = False
+        if np.any(c1 * lams >= b):
+            continue
+        ceiling = _values_at(phi, c1, lams) - lnM + _ABS_TOL
+        c_lo = np.maximum(lo / lams, 1e-12)
+        if not np.all(_values_at(phi, c_lo, lams) <= ceiling):
+            continue
+        # walk the grid in order: c2 holds until the first lambda where it
+        # fails, which bisects c2 down; then the walk resumes past it
+        c2, i = c1, 0
+        while c2 > 1e-10:
+            fails = np.flatnonzero(~(_values_at(phi, c2, lams[i:]) <= ceiling[i:]))
+            if fails.size == 0:
                 break
-            budget = val_at(c1, t) - lnM
-            c_lo = max(phi.domain.lo / t, 1e-12)
-            if val_at(c_lo, t) > budget + tol:
-                ok = False
-                break
-            if val_at(min(c2, c1), t) <= budget + tol:
-                crit = c2  # current candidate already fine at this lam
-            else:
-                fa, fb = c_lo, min(c2, c1)
-                for _ in range(45):
-                    m = 0.5 * (fa + fb)
-                    if val_at(m, t) <= budget + tol:
-                        fa = m
-                    else:
-                        fb = m
-                crit = fa
-            c2 = min(c2, crit)
-            if c2 <= 1e-10:
-                ok = False
-                break
-        if not ok:
+            i += int(fails[0])
+            t, fa, fb = float(lams[i]), float(c_lo[i]), c2
+            for _ in range(45):
+                m = 0.5 * (fa + fb)
+                if val_at(m, t) <= ceiling[i]:
+                    fa = m
+                else:
+                    fb = m
+            c2 = min(c2, fa)
+            i += 1
+        else:  # c2 fell to 1e-10: refused
             continue
         # growth sanity at the top of an unbounded verification window: the
         # slack should not be shrinking toward the cap
         if not math.isfinite(b):
-            top = float(lams[-1])
-            slack_top = val_at(c1, top) - lnM - val_at(c2, top)
-            slack_mid = val_at(c1, top * 0.8) - lnM - val_at(c2, top * 0.8)
-            if slack_top < slack_mid - tol:
+            t = float(lams[-1])
+            slack_top = val_at(c1, t) - lnM - val_at(c2, t)
+            slack_mid = val_at(c1, t * 0.8) - lnM - val_at(c2, t * 0.8)
+            if slack_top < slack_mid - _ABS_TOL:
                 continue
         return float(lam1), float(c2)
     raise AbsorptionFailedError(
@@ -351,14 +350,14 @@ class LowerEnvelopeCertificate:
 
 
 def _exponents(phi: PhiFunction, cert: LowerEnvelopeCertificate,
-               nonneg_offset: float, xs: np.ndarray, tols: Tolerances) -> np.ndarray:
+               nonneg_offset: float, xs: np.ndarray) -> np.ndarray:
     """h(x) = max(mu1*x - offset, sup_{mu>=mu1} [mu*x - phi(c_tilde*mu)]) at each x."""
     c_tilde = cert.c2 * (1.0 - cert.eps)
     mu_lo = max(cert.mu1, phi.domain.lo / c_tilde if c_tilde > 0 else cert.mu1)
     mu_hi = phi.domain.hi / (1.0 - cert.eps) if math.isfinite(phi.domain.hi) else math.inf
 
     dilated = phi.dilate(c_tilde, mu_lo, mu_hi)
-    stars, _, errors = conjugate_values(dilated, xs, tols)
+    stars, _, errors = conjugate_values(dilated, xs)
     # where the minorant's conjugate diverges the chain certifies nothing:
     # h is +inf and the envelope clamps to the trivial bound
     _inf_where_unbounded(stars, errors)
@@ -372,10 +371,8 @@ def unilateral_lower_envelope(
     m_surrogate: float,
     x_grid: Sequence[float],
     dilation_cert: Optional[DilationCertificate] = None,
-    lam_range: Optional[tuple[float, float]] = None,
     nonnegative: bool = True,
     cramer: Optional[bool] = None,
-    tols: Tolerances = DEFAULT,
 ) -> tuple[TailEnvelope, LowerEnvelopeCertificate]:
     """Run the full unilateral chain and emit the lower envelope for x >= 1.
 
@@ -392,7 +389,7 @@ def unilateral_lower_envelope(
     if not (m_surrogate > 0 and math.isfinite(m_surrogate)):
         raise InputError("m_surrogate must be finite and positive")
 
-    cert_w = dilation_cert or certify_dilation_dominance(phi, lam_range, tols=tols)
+    cert_w = dilation_cert or certify_dilation_dominance(phi)
     if not cert_w.certified:
         raise NotCertifiedError(
             f"{phi.label}: dilation dominance not certified on {cert_w.lam_range}"
@@ -403,7 +400,7 @@ def unilateral_lower_envelope(
         annotations.append("NoCramer")
 
     lam1, c2 = absorb_normalization(phi, cert_w.c1, m_surrogate,
-                                    cert_w.lam_range[0], tols)
+                                    cert_w.lam_range[0])
     a = 1.0 / (c2 * (1.0 - eps))
     mu1 = lam1 / (1.0 - eps)
 
@@ -435,7 +432,7 @@ def unilateral_lower_envelope(
     if degenerate:
         log_vals = np.full(xs.size, -math.inf)
     else:
-        log_vals = np.minimum(-_exponents(phi, cert, offset, xs, tols), 0.0)
+        log_vals = np.minimum(-_exponents(phi, cert, offset, xs), 0.0)
 
     env = TailEnvelope(
         x=xs, log_values=log_vals, side=LOWER,

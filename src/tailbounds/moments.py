@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .envelope import LOWER, UPPER, TailEnvelope
 from .errors import InputError, NotCertifiedError
 from .functions import PhiFunction, _read_csv_columns, _stars
@@ -78,16 +77,15 @@ def moment_power_pole(c: float, b: float, beta: float) -> MomentEnvelope:
     ))
 
 
-def moment_power_growth(m: float, c_low: float, c_high: float,
-                        p_max: float = math.inf) -> MomentEnvelope:
+def moment_power_growth(m: float, c_low: float, c_high: float) -> MomentEnvelope:
     """Two-sided envelope c_low * p^(1/m) <= |X|_p <= c_high * p^(1/m)."""
     if not (m > 0 and 0 < c_low <= c_high):
         raise InputError("need m > 0 and 0 < c_low <= c_high")
     lo_fn = lambda p: c_low * p ** (1.0 / m)
     hi_fn = lambda p: c_high * p ** (1.0 / m)
     return MomentEnvelope(
-        lower=PhiFunction.from_callable(lo_fn, 1.0, p_max, label=f"{c_low}*p^(1/{m})"),
-        upper=PhiFunction.from_callable(hi_fn, 1.0, p_max, label=f"{c_high}*p^(1/{m})"),
+        lower=PhiFunction.from_callable(lo_fn, 1.0, math.inf, label=f"{c_low}*p^(1/{m})"),
+        upper=PhiFunction.from_callable(hi_fn, 1.0, math.inf, label=f"{c_high}*p^(1/{m})"),
     )
 
 
@@ -171,8 +169,7 @@ def to_exponential(m: MomentEnvelope) -> ExponentPair:
 # --------------------------------------------------------------------------
 
 
-def _certify_with_walkup(phi: PhiFunction, tols: Tolerances,
-                         min_c1: float = 0.3):
+def _certify_with_walkup(phi: PhiFunction):
     """Dilation certificate, raising the verification start until it holds.
 
     The tail-transform exponent can be negative where phi is barely above 1,
@@ -188,18 +185,18 @@ def _certify_with_walkup(phi: PhiFunction, tols: Tolerances,
     for s in starts:
         try:
             if s is None:
-                cert = certify_dilation_dominance(phi, None, tols=tols)
+                cert = certify_dilation_dominance(phi, None)
             else:
                 if s <= lo:
                     continue
                 top = hi if math.isfinite(hi) else max(100.0, 64.0 * s)
                 if s >= top:
                     continue
-                cert = certify_dilation_dominance(phi, (s, top), tols=tols)
+                cert = certify_dilation_dominance(phi, (s, top))
         except (InputError, NotCertifiedError):
             continue
         last = cert
-        if cert.certified and cert.c1 >= min_c1:
+        if cert.certified and cert.c1 >= 0.3:
             return cert
     if last is not None and last.certified:
         return last
@@ -220,7 +217,6 @@ def power_tail_lower(
     x_grid: Sequence[float],
     eps: float = 0.05,
     m_surrogate: float = 2.0,
-    tols: Tolerances = DEFAULT,
 ) -> tuple[TailEnvelope, PowerTailReport]:
     """Power-form lower tail envelope from a pole-type moment lower envelope.
 
@@ -237,7 +233,7 @@ def power_tail_lower(
     if not math.isfinite(b):
         raise InputError("pole-type route expects a finite moment-domain top")
 
-    w_cert = _certify_with_walkup(phi, tols)
+    w_cert = _certify_with_walkup(phi)
 
     xs = np.asarray(x_grid, dtype=float)
     xs = xs[xs >= X_VALID_FLOOR]
@@ -247,7 +243,7 @@ def power_tail_lower(
     y_grid = np.log(xs)
     env_theta, chain_cert = unilateral_lower_envelope(
         phi, eps, m_surrogate, y_grid, dilation_cert=w_cert,
-        nonnegative=True, tols=tols,
+        nonnegative=True,
     )
     # re-express for |X| via x = e^y
     y_kept = env_theta.x
@@ -295,18 +291,16 @@ def growth_tail_recovery(
     m_exponent: float,
     moment_env: MomentEnvelope,
     x_grid: Sequence[float],
-    eps: float = 0.05,
     m_surrogate: float = 2.0,
-    tols: Tolerances = DEFAULT,
 ) -> tuple[Optional[TailEnvelope], TailEnvelope, GrowthRecoveryReport]:
     """Bilateral exp(-c2 x^m) <= T <= exp(-c1 x^m) envelopes from p^(1/m) growth.
 
     The upper coefficient comes from the conjugate of the upper exponent
     evaluated along ln x (the minimal ratio keeps it valid pointwise); the
-    lower coefficient absorbs the unilateral chain's exponent the same way
-    with the maximal ratio.  ``recovered_m`` is the log-log slope fit of the
-    upper exponent, the diagnostic the acceptance contract checks; the raw
-    lower-chain slope is reported alongside for transparency.
+    lower coefficient absorbs the unilateral chain's exponent (eps = 0.05)
+    the same way with the maximal ratio.  ``recovered_m`` is the log-log
+    slope fit of the upper exponent, the diagnostic the acceptance contract
+    checks; the raw lower-chain slope is reported alongside for transparency.
     """
     if moment_env.upper is None:
         raise InputError("growth recovery needs a two-sided moment envelope")
@@ -319,7 +313,7 @@ def growth_tail_recovery(
     ys = np.log(xs)
 
     phi2 = pair.phi2
-    stars_all = _stars(phi2, ys, tols)
+    stars_all = _stars(phi2, ys)
     pos = stars_all > 0
     if not pos.any():
         raise NotCertifiedError("upper exponent conjugate nonpositive on the grid; "
@@ -341,10 +335,10 @@ def growth_tail_recovery(
     chain_cert = None
     if not pair.degenerate_lower:
         try:
-            w_cert = _certify_with_walkup(pair.phi1, tols)
+            w_cert = _certify_with_walkup(pair.phi1)
             env_theta, chain_cert = unilateral_lower_envelope(
-                pair.phi1, eps, m_surrogate, ys, dilation_cert=w_cert,
-                nonnegative=True, tols=tols,
+                pair.phi1, 0.05, m_surrogate, ys, dilation_cert=w_cert,
+                nonnegative=True,
             )
             neg = -env_theta.log_values
             x_kept = np.exp(env_theta.x)
@@ -368,7 +362,7 @@ def growth_tail_recovery(
     g = PhiFunction.from_callable(lambda x: c1_coeff * x ** me, 0.0, math.inf,
                                   deriv=lambda x: c1_coeff * me * x ** (me - 1.0),
                                   label=f"{c1_coeff:.4g}*x^{me}")
-    cram = cramer_check(g, tols=tols)
+    cram = cramer_check(g)
 
     report = GrowthRecoveryReport(
         m_input=me, recovered_m=recovered_m, recovered_m_lower_raw=raw_slope,

@@ -28,7 +28,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from numpy.random import Philox
 
-from .config import DEFAULT, Tolerances
 from .errors import InputError, NotConvergedError
 from .functions import PhiFunction
 
@@ -109,12 +108,20 @@ def _edge_errors(lo: np.ndarray, hi: np.ndarray, ends: np.ndarray,
     return out
 
 
-def _adaptive_gk21(f, a: float, b: float, tol: float, base: float, limit: int,
+# quadrature's error target, absolute and relative
+QUAD_TOL = 1e-10
+# a semi-infinite integral stops once a window adds less than this share
+QUAD_REL_TAIL = 1e-16
+# windows of geometrically growing width before NotConvergedError
+QUAD_MAX_WINDOWS = 160
+
+
+def _adaptive_gk21(f, a: float, b: float, base: float, limit: int,
                    left_end: Optional[float] = None) -> tuple[float, float, bool, float]:
     """Integrate f over [a, b] by bisecting GK21 panels.
 
-    Stops when the summed error estimate is within max(tol, tol*|base +
-    value|), ``base`` being what earlier windows contributed, or when
+    Stops when the summed error estimate is within max(QUAD_TOL, QUAD_TOL *
+    |base + value|), ``base`` being what earlier windows contributed, or when
     ``limit`` panels are in use.  Each step bisects the fewest worst panels
     whose removal would meet the target, all in one call of f.  Returns
     (value, error estimate, whether the panel limit stopped it, the last
@@ -134,7 +141,7 @@ def _adaptive_gk21(f, a: float, b: float, tol: float, base: float, limit: int,
     val, own, ends = _gk21(f, lo, hi)
     while True:
         total, err_sum = float(val.sum()), float(own.sum())
-        target = max(tol, tol * abs(base + total))
+        target = max(QUAD_TOL, QUAD_TOL * abs(base + total))
         room = limit - lo.size
         err = own
         # the edge bounds are only needed once the panels' own estimates pass
@@ -163,19 +170,18 @@ def _adaptive_gk21(f, a: float, b: float, tol: float, base: float, limit: int,
 
 
 def quadrature(f: Callable[[float], float], a: float, b: float,
-               tol: float = DEFAULT.quad_tol,
-               tols: Tolerances = DEFAULT,
                details: Optional[dict] = None,
                vectorized: bool = False) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod quadrature of f over [a, b], b may be inf.
 
     Each window is integrated by bisecting 21-point Gauss-Kronrod panels
-    until the error estimate is within max(tol, tol*|value|), with at most
-    400 panels on a finite range and 200 per window.  Semi-infinite ranges
-    use geometric window growth until the last window contributes less
-    than ``quad_rel_tail`` of the running total.  Returns (value,
-    error_estimate); raises NotConvergedError when a finite range ends more
-    than ten times over that target or the window cap is reached.
+    until the error estimate is within max(QUAD_TOL, QUAD_TOL*|value|),
+    with at most 400 panels on a finite range and 200 per window.
+    Semi-infinite ranges use geometric window growth until the last window
+    contributes less than ``QUAD_REL_TAIL`` of the running total.  Returns
+    (value, error_estimate); raises NotConvergedError when a finite range
+    ends more than ten times over that target or the window cap
+    (``QUAD_MAX_WINDOWS``) is reached.
 
     ``vectorized=True`` promises that ``f`` maps a float array elementwise,
     as for :meth:`PhiFunction.from_callable`; f is then called once per
@@ -198,8 +204,8 @@ def quadrature(f: Callable[[float], float], a: float, b: float,
             return np.array([scalar_f(x) for x in xs.tolist()], dtype=float)
 
     if math.isfinite(b):
-        val, err, capped, _ = _adaptive_gk21(f, a, b, tol, 0.0, 400)
-        if err > max(tol, tol * abs(val)) * 10:
+        val, err, capped, _ = _adaptive_gk21(f, a, b, 0.0, 400)
+        if err > max(QUAD_TOL, QUAD_TOL * abs(val)) * 10:
             raise NotConvergedError("finite-range quadrature error too large",
                                     partial=val, diagnostic={"err": err})
         if details is not None:
@@ -210,14 +216,14 @@ def quadrature(f: Callable[[float], float], a: float, b: float,
     total, err_total, capped, end = 0.0, 0.0, 0, None
     left = a
     width = max(1.0, abs(a))
-    for k in range(tols.quad_max_windows):
+    for k in range(QUAD_MAX_WINDOWS):
         right = left + width
-        val, err, hit, end = _adaptive_gk21(f, left, right, tol, total, 200, end)
+        val, err, hit, end = _adaptive_gk21(f, left, right, total, 200, end)
         total += val
         err_total += err
         capped += hit
         scale = max(abs(total), 1e-300)
-        if k >= 2 and abs(val) < tols.quad_rel_tail * scale:
+        if k >= 2 and abs(val) < QUAD_REL_TAIL * scale:
             if details is not None:
                 details.update(truncation=float(right), abs_error=float(err_total),
                                capped_windows=capped)

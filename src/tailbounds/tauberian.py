@@ -19,7 +19,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import (
     InputError,
     NonInvertibleError,
@@ -31,8 +30,7 @@ from .oracles import OracleDistribution, empirical_tail
 
 
 def _invert_increasing(fn: Callable[[float], float], target: float,
-                       lo: float, hi_seed: float,
-                       rel_width: float = 1e-10) -> float:
+                       lo: float, hi_seed: float) -> float:
     """Monotone bisection for fn(x) = target with an expanding upper bracket."""
     lo = max(lo, 1e-12)
     f_lo = fn(lo)
@@ -49,7 +47,7 @@ def _invert_increasing(fn: Callable[[float], float], target: float,
         raise NonInvertibleError(f"no bracket for target {target}")
     a, b = lo, hi
     for _ in range(200):
-        if (b - a) <= rel_width * max(1.0, abs(b)):
+        if (b - a) <= 1e-10 * max(1.0, abs(b)):
             break
         m = 0.5 * (a + b)
         if fn(m) < target:
@@ -98,13 +96,11 @@ class TauberianReport:
 def tauberian_check(
     phi: PhiFunction,
     source: OracleDistribution | tuple[Callable[[float], float], Callable[[float], float]],
-    lam_ladder: Optional[Sequence[float]] = None,
     x_ladder: Optional[Sequence[float]] = None,
     monte_carlo: bool = False,
     n_samples: int = 10_000_000,
     seed: int = 42,
     check_regularity: bool = True,
-    tols: Tolerances = DEFAULT,
 ) -> TauberianReport:
     """Estimate both limit constants and their product.
 
@@ -119,7 +115,7 @@ def tauberian_check(
     if check_regularity:
         from .lower_bilateral import verify_regularity
 
-        reg = verify_regularity(phi, tols=tols)
+        reg = verify_regularity(phi)
         if not reg.ok:
             raise NotCertifiedError(
                 f"{phi.label}: saddle-curvature report negative (V = {reg.v_value})"
@@ -134,12 +130,10 @@ def tauberian_check(
         log_mgf, tail = source
         mgf_dom_top = math.inf
 
-    if lam_ladder is None:
-        top = min(50.0, mgf_dom_top * 0.98 if math.isfinite(mgf_dom_top) else 50.0)
-        lam_ladder = np.geomspace(max(phi.domain.lo, 1.0) + 1.0, top, 7)
+    top = min(50.0, mgf_dom_top * 0.98 if math.isfinite(mgf_dom_top) else 50.0)
+    lams = np.geomspace(max(phi.domain.lo, 1.0) + 1.0, top, 7)
     if x_ladder is None:
         x_ladder = 2.0 * 2.0 ** (np.arange(7) / 3.0)  # 2 .. 8 geometric
-    lams = np.asarray(lam_ladder, dtype=float)
     xs = np.asarray(x_ladder, dtype=float)
 
     # MGF side: phi^{-1}(ln MGF(lam)) / lam
@@ -154,7 +148,7 @@ def tauberian_check(
 
     # tail side: (phi*)^{-1}(|ln T(x)|) / x
     def phi_star(x: float) -> float:
-        v, _ = conjugate_value(phi, x, tols)
+        v, _ = conjugate_value(phi, x)
         return v
 
     mode = "analytic"

@@ -12,8 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailbounds import oracles
-from tailbounds.config import DEFAULT
-
 from tailbounds.errors import (
     EmptyDomainError,
     InputError,
@@ -24,6 +22,9 @@ from tailbounds.errors import (
     UnboundedObjectiveError,
 )
 from tailbounds.functions import (
+    LAMBDA_CAP,
+    _GOLDEN_REL_WIDTH,
+    _GROWTH_FACTOR,
     Domain,
     _saddle_points,
     PhiFunction,
@@ -378,7 +379,7 @@ class TestClosedFormConjugates:
         for g in (f, _searched(f)):
             res = conjugate(g, [2.0, 30.0])
             assert res.capped.tolist() == [False, True]
-            assert res.argmax[1] == DEFAULT.lambda_cap
+            assert res.argmax[1] == LAMBDA_CAP
         bounded = PhiFunction.power_log(1.1, hi=50.0)
         for g in (bounded, _searched(bounded)):
             res = conjugate(g, [30.0])
@@ -567,14 +568,14 @@ class TestThreadSafety:
                     np.testing.assert_array_equal(got, want)
 
 
-def _reference_conjugate_value(f, x, tols=DEFAULT):
+def _reference_conjugate_value(f, x):
     """The per-point search the batched one replaced: the full grid at every
     growth step of the truncation point, then a scalar golden section."""
     x = float(x)
     lo, hi = f.domain.lo, f.domain.top()
     slope_lim = f.slope_limit()
     if slope_lim is not None and not f.domain.bounded and x > slope_lim:
-        raise UnboundedObjectiveError(x, np.geomspace(max(lo, 1.0), tols.lambda_cap, 8))
+        raise UnboundedObjectiveError(x, np.geomspace(max(lo, 1.0), LAMBDA_CAP, 8))
 
     def g(t):
         return t * x - f.value(t)
@@ -582,18 +583,18 @@ def _reference_conjugate_value(f, x, tols=DEFAULT):
     if not math.isfinite(hi):
         hi_eff = max(10.0, 4.0 * abs(x), 4.0 * max(lo, 1.0))
         while True:
-            grid = _scan_grid(lo, hi_eff, tols.scan_points)
+            grid = _scan_grid(lo, hi_eff)
             vals = grid * x - f.values(grid)
             i = int(np.argmax(vals))
             if i < grid.size - 1:
                 break
-            if hi_eff >= tols.lambda_cap:
+            if hi_eff >= LAMBDA_CAP:
                 if slope_lim is None:
                     raise UnboundedObjectiveError(x, grid[-6:])
                 break
-            hi_eff = min(hi_eff * tols.unbounded_growth_factor, tols.lambda_cap)
+            hi_eff = min(hi_eff * _GROWTH_FACTOR, LAMBDA_CAP)
     else:
-        grid = _scan_grid(lo, hi, tols.scan_points)
+        grid = _scan_grid(lo, hi)
         vals = grid * x - f.values(grid)
         i = int(np.argmax(vals))
     a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
@@ -603,7 +604,7 @@ def _reference_conjugate_value(f, x, tols=DEFAULT):
     fa, fb = g(a), g(b)
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = g(c), g(d)
-    while (b - a) > tols.golden_rel_width * max(1.0, abs(a), abs(b)):
+    while (b - a) > _GOLDEN_REL_WIDTH * max(1.0, abs(a), abs(b)):
         if fc >= fd:
             b, fb, d, fd = d, fd, c, fc
             c = b - gr * (b - a)

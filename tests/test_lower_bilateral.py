@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from tailbounds import oracles
-from tailbounds.config import DEFAULT
 from tailbounds.errors import GeometryInvalidError, NotCertifiedError, OutOfDomainError
 from tailbounds.functions import PhiFunction
 from tailbounds.lower_bilateral import (
@@ -294,7 +293,7 @@ class TestSaddleInverse:
                              ids=["linear", "softplus"])
     def test_no_bracket_is_an_error(self, phi):
         # phi' never exceeds 1, so no t has x0(t) = 3
-        mus, errors = _x0_inverse(phi, np.array([3.0]), DEFAULT)
+        mus, errors = _x0_inverse(phi, np.array([3.0]))
         assert math.isnan(mus[0])
         assert isinstance(errors[0], OutOfDomainError)
 
@@ -307,14 +306,14 @@ class TestSaddleInverse:
     def test_batch_matches_each_point(self):
         phi = _softplus()
         zs = np.array([0.6, 0.7, 0.9, 0.99, 3.0])
-        mus, errors = _x0_inverse(phi, zs, DEFAULT)
+        mus, errors = _x0_inverse(phi, zs)
         assert list(errors) == [4]
         for z, mu in zip(zs[:4], mus[:4]):
-            single, _ = _x0_inverse(phi, np.array([z]), DEFAULT)
+            single, _ = _x0_inverse(phi, np.array([z]))
             assert single[0] == mu
             assert mu == pytest.approx(math.log(z / (1.0 - z)), rel=1e-10)
 
     def test_below_the_slope_at_lo(self):
-        mus, errors = _x0_inverse(PhiFunction.quadratic(lo=2.0), np.array([1.0, 6.0]), DEFAULT)
+        mus, errors = _x0_inverse(PhiFunction.quadratic(lo=2.0), np.array([1.0, 6.0]))
         assert isinstance(errors[0], OutOfDomainError)
         assert mus[1] == pytest.approx(6.0, rel=1e-12)

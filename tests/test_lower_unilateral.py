@@ -6,15 +6,22 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import weibull_log_mgf_closed_m2
 from tailbounds import oracles
-from tailbounds.config import DEFAULT
-from tailbounds.errors import DivergentIntegral, InputError, NotCertifiedError
+from tailbounds.errors import (
+    AbsorptionFailedError,
+    DivergentIntegral,
+    InputError,
+    NotCertifiedError,
+)
 from tailbounds.functions import PhiFunction, conjugate
 from tailbounds.lower_unilateral import (
     _clipped_minorant_k,
+    _lam1_candidates,
     _tangent_lines,
     absorb_normalization,
     certify_dilation_dominance,
@@ -22,6 +29,7 @@ from tailbounds.lower_unilateral import (
     tail_transform_exponent,
     unilateral_lower_envelope,
 )
+from tailbounds.moments import moment_power_growth, moment_power_pole, to_exponential
 
 QUAD0 = PhiFunction.quadratic(lo=0.0)
 M_GAUSS = 2.802495608198964  # damped-conjugate normalization at eps = 0.2
@@ -95,6 +103,122 @@ class TestAbsorption:
         cert = certify_dilation_dominance(QUAD0)
         lam1, c2 = absorb_normalization(QUAD0, cert.c1, 0.9, cert.lam_range[0])
         assert c2 == cert.c1
+
+
+def _absorb_one_at_a_time(phi, c1, m_bound, w_lo, moves=None):
+    """The absorption the batched one replaced: every test of every lambda a
+    scalar call, in grid order.  Appends each lambda where c2 moves to
+    ``moves``."""
+    lnM = math.log(m_bound)
+    tol = 1e-9
+    if lnM <= 0.0:
+        return max(w_lo, phi.domain.lo), c1
+    b = phi.domain.hi
+    for lam1 in _lam1_candidates(phi, w_lo):
+        ver_hi = min(phi.domain.top(), max(2.0 ** 20, 4.0 * lam1)) if not math.isfinite(b) \
+            else phi.domain.top()
+        if lam1 >= ver_hi:
+            continue
+        lams = np.geomspace(lam1, ver_hi, 128)
+
+        def val_at(c, t):
+            return phi.value(min(max(c * t, phi.domain.lo), phi.domain.top()))
+
+        c2, ok, moved = c1, True, []
+        for t in lams.tolist():
+            if c1 * t >= phi.domain.hi:
+                ok = False
+                break
+            budget = val_at(c1, t) - lnM
+            c_lo = max(phi.domain.lo / t, 1e-12)
+            if val_at(c_lo, t) > budget + tol:
+                ok = False
+                break
+            if val_at(min(c2, c1), t) <= budget + tol:
+                crit = c2
+            else:
+                moved.append(t)
+                fa, fb = c_lo, min(c2, c1)
+                for _ in range(45):
+                    m = 0.5 * (fa + fb)
+                    if val_at(m, t) <= budget + tol:
+                        fa = m
+                    else:
+                        fb = m
+                crit = fa
+            c2 = min(c2, crit)
+            if c2 <= 1e-10:
+                ok = False
+                break
+        if not ok:
+            continue
+        if not math.isfinite(b):
+            top = float(lams[-1])
+            slack_top = val_at(c1, top) - lnM - val_at(c2, top)
+            slack_mid = val_at(c1, top * 0.8) - lnM - val_at(c2, top * 0.8)
+            if slack_top < slack_mid - tol:
+                continue
+        if moves is not None:
+            moves.extend(moved)
+        return float(lam1), float(c2)
+    raise AbsorptionFailedError(f"no (lam1, c2) absorbs ln(M)={lnM:.4g} under c1={c1:.4g}")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AbsorptionFailedError as exc:
+        return str(exc)
+
+
+def _wavy(a, w):
+    """l^2/2 + a*l*(1 + sin(w*l)): nonnegative, not convex, so that the gap
+    phi(c1*l) - phi(c2*l) shrinks in places and c2 moves more than once."""
+    return PhiFunction.from_callable(
+        lambda t: 0.5 * t * t + a * t * (1.0 + np.sin(w * t)), 0.0, math.inf,
+        convex=False, vectorized=True, label="wavy")
+
+
+ABSORB_FAMILIES = st.one_of(
+    st.floats(0.05, 5.0).map(lambda c: PhiFunction.quadratic(c, lo=0.0)),
+    st.tuples(st.floats(1.0, 4.0), st.floats(-1.0, 2.0)).map(
+        lambda p_r: PhiFunction.power_log(*p_r, lo=0.0)),
+    st.floats(0.5, 4.0).map(lambda m: to_exponential(moment_power_growth(m, 1.0, 1.0)).phi1),
+    st.tuples(st.floats(0.5, 3.0), st.floats(1.5, 6.0), st.floats(0.2, 2.0)).map(
+        lambda cbb: to_exponential(moment_power_pole(*cbb)).phi1),
+    st.tuples(st.floats(0.0, 4.0), st.floats(0.3, 3.0)).map(lambda aw: _wavy(*aw)),
+)
+
+
+class TestBatchedAbsorption:
+    """The batched absorption equals the sequential loop it replaced."""
+
+    @settings(max_examples=40)
+    @given(phi=ABSORB_FAMILIES, c1=st.floats(0.05, 1.5), m_bound=st.floats(1.01, 1e3),
+           start=st.floats(0.0, 1.0))
+    def test_equals_one_at_a_time(self, phi, c1, m_bound, start):
+        lo, top = phi.domain.lo, phi.domain.top()
+        w_lo = lo + start * 0.5 * (min(top, lo + 4.0) - lo)
+        assert (_outcome(absorb_normalization, phi, c1, m_bound, w_lo)
+                == _outcome(_absorb_one_at_a_time, phi, c1, m_bound, w_lo))
+
+    def test_c2_moving_more_than_once(self):
+        phi, moves = _wavy(2.0, 1.0), []
+        want = _absorb_one_at_a_time(phi, 0.9, 3.0, 1.0, moves)
+        assert len(moves) >= 2
+        assert absorb_normalization(phi, 0.9, 3.0, 1.0) == want
+
+    def test_dilation_past_a_bounded_top_is_refused(self):
+        # c1 > 1 carries c1*lam past the top of the pole's domain
+        phi = to_exponential(moment_power_pole(1.5, 4.0, 2.0)).phi1
+        args = (phi, 1.2, 3.0, phi.domain.lo + 0.3 * (phi.domain.top() - phi.domain.lo))
+        want = _outcome(_absorb_one_at_a_time, *args)
+        assert want.startswith("no (lam1, c2) absorbs")
+        assert _outcome(absorb_normalization, *args) == want
+
+    def test_weibull(self):
+        args = (oracles.weibull(4.0).mgf_exponent, 0.5, 2.8, 1.5)
+        assert absorb_normalization(*args) == _absorb_one_at_a_time(*args)
 
 
 @pytest.fixture(scope="module")
@@ -239,13 +363,13 @@ class TestClosedFormSurrogate:
     @pytest.mark.parametrize("name", ["gaussian", "exponential", "weibull2", "weibull4"])
     def test_matches_composite_gauss_legendre(self, name):
         phi = oracles.suite()[name].mgf_exponent
-        lams, vals = _tangent_lines(phi, 0.2, DEFAULT)
+        lams, vals = _tangent_lines(phi, 0.2)
         ref = _minorant_k_reference(lams, vals, 0.2)
         assert m_surrogate_from_upper(phi, 0.2) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_quadratic_coefficient_one_against_reference(self):
         phi = PhiFunction.quadratic(coeff=1.0, lo=0.0)
-        lams, vals = _tangent_lines(phi, 0.5, DEFAULT)
+        lams, vals = _tangent_lines(phi, 0.5)
         ref = _minorant_k_reference(lams, vals, 0.5)
         assert m_surrogate_from_upper(phi, 0.5) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
