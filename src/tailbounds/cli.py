@@ -25,7 +25,6 @@ from .envelope import TailEnvelope
 from .errors import InputError, TailboundsError
 from .functions import PhiFunction, conjugate
 from .integrals import (
-    compound_upper_bound,
     cramer_check,
     epsilon_report,
     log_compound_upper_bound,
@@ -213,10 +212,7 @@ def cmd_conjugate(args) -> int:
 def cmd_upper(args) -> int:
     f = build_function(args)
     xs = parse_grid(args.x)
-    res = conjugate(f, xs)
-    log_vals = np.minimum(-res.values, 0.0)
-    env = TailEnvelope(x=xs, log_values=log_vals, side="upper",
-                       provenance="conjugate-upper", valid_from=float(xs[0]))
+    env = _chernoff_envelope(f, xs)
     results = {"chernoff": envelope_payload(env)}
     if args.bound_lambda is not None:
         lam_grid = parse_grid(args.bound_lambda)
@@ -224,8 +220,10 @@ def cmd_upper(args) -> int:
         for lam in lam_grid:
             entry = {}
             try:
-                entry["log_compound"] = log_compound_upper_bound(f, float(lam), args.epsilon)
-                entry["compound"] = compound_upper_bound(f, float(lam), args.epsilon)
+                log_c = log_compound_upper_bound(f, float(lam), args.epsilon)
+                entry["log_compound"] = log_c
+                # compound_upper_bound's clip, without repeating K, R and f*
+                entry["compound"] = math.exp(log_c) if log_c < 709.0 else math.inf
                 entry["log_integral"] = log_i_integral(f, float(lam))
             except TailboundsError as exc:
                 entry["error"] = str(exc)
@@ -318,18 +316,14 @@ def cmd_richter(args) -> int:
 
 def cmd_moments(args) -> int:
     xs = parse_grid(args.x)
-    if args.moments_csv:
-        env = moment_envelope_from_csv(args.moments_csv)
-        if env.upper is None:
+    if args.moments_csv or args.mode == "growth":
+        if args.moments_csv:
+            env = moment_envelope_from_csv(args.moments_csv)
+        else:
+            env = moment_power_growth(args.m, args.c_low, args.c_high)
+        if env.upper is None:  # only a CSV can lack the upper column
             raise InputError("CSV route currently needs both lower and upper columns "
                              "for growth recovery; use --mode pole for one-sided input")
-        lower, upper, rep = growth_tail_recovery(args.m, env, xs,
-                                                 m_surrogate=args.m_surrogate)
-        results = {"upper": envelope_payload(upper), "report": to_jsonable(rep)}
-        if lower is not None:
-            results["lower"] = envelope_payload(lower)
-    elif args.mode == "growth":
-        env = moment_power_growth(args.m, args.c_low, args.c_high)
         lower, upper, rep = growth_tail_recovery(args.m, env, xs,
                                                  m_surrogate=args.m_surrogate)
         results = {"upper": envelope_payload(upper), "report": to_jsonable(rep)}

@@ -789,11 +789,17 @@ def _saddle_points(phi2: PhiFunction, lams) -> list:
         resume(i, search.__next__)
     while pending:
         idx = list(pending)
-        _, slopes, errors = conjugate_values(phi2, [pending[i] for i in idx])
+        xs = [pending[i] for i in idx]
+        _, slopes, errors = conjugate_values(phi2, xs)
         pending = {}
         for k, i in enumerate(idx):
-            if k in errors:
-                resume(i, lambda s=searches[i], e=errors[k]: s.throw(e))
+            if isinstance(errors.get(k), UnboundedObjectiveError):
+                # a diverging transform along the way means the maximizing
+                # set of S(lam, .) is unbounded or degenerate: report, never
+                # pick a point
+                out[i] = NonUniqueArgmaxError(xs[k], math.inf, _FLAT_TOL)
+            elif k in errors:
+                out[i] = errors[k]
             else:
                 resume(i, lambda s=searches[i], v=float(slopes[k]): s.send(v))
     return out
@@ -828,51 +834,34 @@ def _grid_saddle_point(phi2: PhiFunction, lam: float) -> float:
     return float(chords[j])
 
 
-def _trace(x: float):
-    """Yield x, take back the conjugate slope there (the maximizer)."""
-    # a diverging transform along the way means the maximizing set of
-    # S(lam, .) is unbounded or degenerate: report, never pick a point
-    try:
-        return (yield x)
-    except UnboundedObjectiveError:
-        raise NonUniqueArgmaxError(x, math.inf, _FLAT_TOL) from None
-
-
 def _saddle_search(phi2: PhiFunction, lam: float):
     """The trace search of :func:`saddle_point` off grids, as a generator
-    that yields each x whose trace value it needs."""
+    that yields each x and takes back the conjugate slope there (the
+    maximizer)."""
     if not phi2.domain.contains(lam):
         raise OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
 
     # expanding bracket on the monotone trace
     x_lo = max(phi2.domain.lo, 1e-12)
     x_hi = max(1.0, 2.0 * x_lo)
-    t_lo = yield from _trace(x_lo)
+    t_lo = yield x_lo
     grow = 0
     while t_lo > lam and x_lo > 1e-14:
         x_lo *= 0.25
-        t_lo = yield from _trace(x_lo)
+        t_lo = yield x_lo
         grow += 1
         if grow > 60:
             break
-    t_hi = yield from _trace(x_hi)
+    t_hi = yield x_hi
     grow = 0
     while t_hi <= lam:
         x_hi *= 2.0
-        t_hi = yield from _trace(x_hi)
+        t_hi = yield x_hi
         grow += 1
         if grow > 80:
             raise NonUniqueArgmaxError(x_lo, x_hi, _FLAT_TOL)
 
-    a, b = x_lo, x_hi
-    for _ in range(200):
-        if (b - a) <= 1e-12 * max(1.0, abs(b)):
-            break
-        m = 0.5 * (a + b)
-        if (yield from _trace(m)) <= lam:
-            a = m
-        else:
-            b = m
+    a, b = yield from _bisect(x_lo, x_hi, lambda t: t <= lam, 200, 1e-12)
     x0 = 0.5 * (a + b)
 
     # flat-top detection: width of the set where the trace sits within a
@@ -887,21 +876,46 @@ def _saddle_search(phi2: PhiFunction, lam: float):
 
 
 def _bisect_trace(a, b, target):
-    fa = yield from _trace(a)
-    fb = yield from _trace(b)
+    fa = yield a
+    fb = yield b
     if fa >= target:
         return a
     if fb <= target:
         return b
-    for _ in range(60):
+    a, b = yield from _bisect(a, b, lambda t: t < target, 60, 1e-10)
+    return 0.5 * (a + b)
+
+
+# --------------------------------------------------------------------------
+# Bisection
+# --------------------------------------------------------------------------
+
+
+def _bisect(a, b, below, steps, rel=0.0):
+    """Bisection on [a, b] as a generator: yields each midpoint m and takes
+    back the value there, keeping [m, b] where ``below(value)`` holds and
+    [a, m] otherwise.  Stops after ``steps`` halvings, or before a halving
+    once b - a <= rel * max(1, |b|); returns (a, b)."""
+    for _ in range(steps):
+        if b - a <= rel * max(1.0, abs(b)):
+            break
         m = 0.5 * (a + b)
-        if (yield from _trace(m)) < target:
+        if below((yield m)):
             a = m
         else:
             b = m
-        if (b - a) <= 1e-10 * max(1.0, abs(b)):
-            break
-    return 0.5 * (a + b)
+    return a, b
+
+
+def _solve(search, fn):
+    """Run one search generator alone, answering each point it yields with
+    ``fn`` there; returns the search's result."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(fn(x))
+    except StopIteration as stop:
+        return stop.value
 
 
 # --------------------------------------------------------------------------

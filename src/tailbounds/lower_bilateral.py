@@ -42,7 +42,6 @@ from .functions import (
     _stars,
     conjugate_value,
     conjugate_values,
-    saddle_point,
 )
 
 _LOG_EPS = math.log(2.0) * -1074  # smallest log float
@@ -62,18 +61,11 @@ def s_value(phi2: PhiFunction, lam: float, x: float) -> tuple[float, float]:
     return float(lam) * float(x) - star, float(lam) - arg
 
 
-def _x0(phi2: PhiFunction, t: float) -> float:
-    """Saddle abscissa x0(t); derivative fast path for convex phi2."""
-    if phi2.convex and phi2.deriv is not None:
-        return float(phi2.deriv(float(t)))
-    return saddle_point(phi2, float(t))
-
-
-def _raise_unrefused(errors: dict) -> None:
-    """Raise the first error of :func:`conjugate_values` that is not a
-    refusal (OutOfDomainError or InputError)."""
+def _raise_unrefused(errors: dict, refusals=(OutOfDomainError, InputError)) -> None:
+    """Raise the error of the smallest index in ``errors`` that is not one
+    of ``refusals``; ``refusals=()`` raises the first error."""
     for i in sorted(errors):
-        if not isinstance(errors[i], (OutOfDomainError, InputError)):
+        if not isinstance(errors[i], refusals):
             raise errors[i]
 
 
@@ -125,36 +117,32 @@ def _x0_inverse(phi2: PhiFunction, zs) -> tuple[np.ndarray, dict]:
     return mus, errors
 
 
-def _x0_many(phi2: PhiFunction, ts: np.ndarray) -> np.ndarray:
-    """_x0 at each t; NaN where it refuses with OutOfDomainError or InputError."""
+def _x0s(phi2: PhiFunction, ts: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Saddle abscissa x0(t) at each t, and by index the package error of
+    each t without one (its x0 is NaN).  phi2' for a convex phi2 with a
+    derivative (which raises the error of the first failing t), the
+    lockstep saddle searches of :func:`_saddle_points` otherwise."""
     if phi2.convex and phi2.deriv is not None:
-        return phi2.derivatives(ts)
-    out = np.full(ts.size, math.nan)
+        return phi2.derivatives(ts), {}
+    out, errors = np.full(ts.size, math.nan), {}
     for i, x0 in enumerate(_saddle_points(phi2, ts.tolist())):
-        if not isinstance(x0, Exception):
+        if isinstance(x0, Exception):
+            errors[i] = x0
+        else:
             out[i] = x0
-        elif not isinstance(x0, (OutOfDomainError, InputError)):
-            raise x0
-    return out
+    return out, errors
 
 
-def _stars_at_saddle(phi2: PhiFunction, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """_phi2_star_at_saddle at each (t, x); NaN where x is NaN or refused."""
+def _stars_at_saddle(phi2: PhiFunction, ts: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """phi2*(x) at each saddle x = x0(t), and by index the error of each x
+    whose conjugate has one; NaN there and where x is NaN.  For a convex
+    phi2 with a derivative, the touching identity t*x - phi2(t)."""
     if phi2.convex and phi2.deriv is not None:
-        return ts * xs - phi2.values(ts)
+        return ts * xs - phi2.values(ts), {}
     out = np.full(ts.size, math.nan)
     at = np.flatnonzero(~np.isnan(xs))
     out[at], _, errors = conjugate_values(phi2, xs[at])
-    _raise_unrefused(errors)
-    return out
-
-
-def _phi2_star_at_saddle(phi2: PhiFunction, t: float, x: float) -> float:
-    """phi2*(x0(t)) via the touching identity t*x0 - phi2(t) for convex phi2."""
-    if phi2.convex and phi2.deriv is not None:
-        return float(t) * float(x) - phi2.value(float(t))
-    star, _ = conjugate_value(phi2, float(x))
-    return star
+    return out, {int(at[k]): e for k, e in errors.items()}
 
 
 @dataclass(frozen=True)
@@ -195,7 +183,9 @@ def make_geometry(phi2: PhiFunction, lam: float, delta1: float,
     lam = float(lam)
     if x_pair is not None:
         xm, xp = map(float, x_pair)
-        x0v = _x0(phi2, lam)
+        x0s, errors = _x0s(phi2, np.array([lam]))
+        _raise_unrefused(errors, ())
+        x0v = float(x0s[0])
         sm, dsm = s_value(phi2, lam, xm)
         sp, dsp = s_value(phi2, lam, xp)
         s0, _ = s_value(phi2, lam, x0v)
@@ -216,12 +206,13 @@ def make_geometry(phi2: PhiFunction, lam: float, delta1: float,
     for t in (mu, lam, nu):
         if not phi2.domain.contains(t):
             raise OutOfDomainError(t, phi2.domain.lo, phi2.domain.hi)
-    xm = _x0(phi2, mu)
-    xp = _x0(phi2, nu)
-    x0v = _x0(phi2, lam)
-    sm = lam * xm - _phi2_star_at_saddle(phi2, mu, xm)
-    sp = lam * xp - _phi2_star_at_saddle(phi2, nu, xp)
-    s0 = lam * x0v - _phi2_star_at_saddle(phi2, lam, x0v)
+    ts = np.array([mu, nu, lam])
+    x0s, errors = _x0s(phi2, ts)
+    _raise_unrefused(errors, ())
+    stars, errors = _stars_at_saddle(phi2, ts, x0s)
+    _raise_unrefused(errors, ())
+    xm, xp, x0v = x0s.tolist()
+    sm, sp, s0 = (lam * x0s - stars).tolist()
     geo = SaddleGeometry(lam=lam, x0=x0v, x_minus=xm, x_plus=xp, rule=rule,
                          delta1=d1, delta2=d2,
                          s_minus=sm, s_plus=sp, s_x0=s0,
@@ -274,8 +265,10 @@ def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, lams: np.ndarray,
         return out
     lam, k = lams[rows], rows.size
     ts, inv = np.unique(np.concatenate([mus[rows], lam, nus[rows]]), return_inverse=True)
-    x0s = _x0_many(phi2, ts)
-    stars = _stars_at_saddle(phi2, ts, x0s)
+    x0s, errors = _x0s(phi2, ts)
+    _raise_unrefused(errors)
+    stars, errors = _stars_at_saddle(phi2, ts, x0s)
+    _raise_unrefused(errors)
     xm, x0, xp = (x0s[inv[j * k:(j + 1) * k]] for j in range(3))
     sm, s0, sp = (lam * x0s[inv[j * k:(j + 1) * k]] - stars[inv[j * k:(j + 1) * k]]
                   for j in range(3))
@@ -397,6 +390,22 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     base = np.array([0.05, 0.1, 0.15, 0.25, 0.35, 0.5])
     delta_grid = np.concatenate([-base[::-1], base])
 
+    # x0 and phi*(x0) at every shifted lam of the grid in one batch; the
+    # walk below meets each error where a cell asks for that point
+    ts = lam_grid[:, None] * (1.0 + delta_grid)
+    ts = np.unique(ts[phi.domain.contains(lam_grid)[:, None] & phi.domain.contains(ts)])
+    x0s, x0_errors = _x0s(phi, ts)
+    stars, star_errors = _stars_at_saddle(phi, ts, x0s)
+    star_errors.update(x0_errors)  # no phi* where x0 has no value
+    at = {t: k for k, t in enumerate(ts.tolist())}
+    x0s, stars = x0s.tolist(), stars.tolist()
+
+    def pick(vals: list, errors: dict, t: float) -> float:
+        k = at[t]
+        if k in errors:
+            raise errors[k]
+        return vals[k]
+
     v_best, v_arg = math.inf, (math.nan, math.nan)
     c0_best, c0_arg = -math.inf, (math.nan, math.nan)
     evaluated = 0
@@ -413,10 +422,10 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
             if d == 0.0 or not phi.domain.contains(t):
                 continue
             try:
-                x_shift = _x0(phi, t)
+                x_shift = pick(x0s, x0_errors, t)
             except (NonUniqueArgmaxError, OutOfDomainError, InputError):
                 continue  # degenerate saddle at this cell; the report decides
-            s_shift = lam * x_shift - _phi2_star_at_saddle(phi, t, x_shift)
+            s_shift = lam * x_shift - pick(stars, star_errors, t)
             ratio = (s_peak - s_shift) / (s_peak * d * d)
             evaluated += 1
             if ratio < v_best:
@@ -427,9 +436,8 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
             t_up, t_dn = lam * (1.0 + ad), lam * (1.0 - ad)
             if not (phi.domain.contains(t_up) and phi.domain.contains(t_dn)):
                 continue
-            x_up = _x0(phi, t_up)
-            x_dn = _x0(phi, t_dn)
-            star_dn = _phi2_star_at_saddle(phi, t_dn, x_dn)
+            x_up = pick(x0s, x0_errors, t_up)
+            star_dn = pick(stars, star_errors, t_dn)
             if star_dn <= 0:
                 continue
             c0_here = (lam * x_up - (1.0 - d * d) * phi.value(lam) - star_dn) / (ad * star_dn)
@@ -609,8 +617,9 @@ def exact_mgf_sandwich(
     if not math.isfinite(b):
         # slope of the saddle path at each mu, by a central difference
         hs = np.array([max(1e-6, 1e-4 * max(mu, 1.0)) for mu in mus.tolist()])
-        slopes = (_x0_many(phi, mus + hs)
-                  - _x0_many(phi, np.maximum(mus - hs, phi.domain.lo))) / (2 * hs)
+        x0s, errors = _x0s(phi, np.concatenate([mus + hs, np.maximum(mus - hs, phi.domain.lo)]))
+        _raise_unrefused(errors)
+        slopes = (x0s[:mus.size] - x0s[mus.size:]) / (2 * hs)
     c2 = 0.0
     clamped = []
     for i, (x, star, mu) in enumerate(zip(xs.tolist(), stars.tolist(), mus.tolist())):

@@ -38,7 +38,9 @@ from .errors import (
 from .functions import (
     LAMBDA_CAP,
     PhiFunction,
+    _bisect,
     _inf_where_unbounded,
+    _solve,
     _sorted_unique,
     conjugate_values,
 )
@@ -87,14 +89,7 @@ def _default_lam_range(phi: PhiFunction) -> tuple[float, float]:
             f"{phi.label}: never reaches 1.0 on [{lo}, {hi}]"
         )
     a, b = (probe[idx[0] - 1], probe[idx[0]]) if idx[0] > 0 else (probe[0], probe[0])
-    for _ in range(60):
-        if b - a <= 1e-12 * max(1.0, b):
-            break
-        m = 0.5 * (a + b)
-        if phi.value(m) >= 1.0:
-            b = m
-        else:
-            a = m
+    _, b = _solve(_bisect(a, b, lambda v: not v >= 1.0, 60, 1e-12), phi.value)
     return float(b), float(hi)
 
 
@@ -303,13 +298,9 @@ def absorb_normalization(phi: PhiFunction, c1: float, m_bound: float,
             if fails.size == 0:
                 break
             i += int(fails[0])
-            t, fa, fb = float(lams[i]), float(c_lo[i]), c2
-            for _ in range(45):
-                m = 0.5 * (fa + fb)
-                if val_at(m, t) <= ceiling[i]:
-                    fa = m
-                else:
-                    fb = m
+            t = float(lams[i])
+            fa, _ = _solve(_bisect(float(c_lo[i]), c2, lambda v: v <= ceiling[i], 45),
+                           lambda c: val_at(c, t))
             c2 = min(c2, fa)
             i += 1
         else:  # c2 fell to 1e-10: refused

@@ -17,7 +17,7 @@ import numpy as np
 
 from .envelope import LOWER, UPPER, TailEnvelope
 from .errors import InputError, NotCertifiedError
-from .functions import PhiFunction, _read_csv_columns, _stars
+from .functions import PhiFunction, _bisect, _read_csv_columns, _solve, _stars
 from .integrals import CramerCertificate, cramer_check
 from .lower_unilateral import (
     LowerEnvelopeCertificate,
@@ -133,14 +133,7 @@ def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, b
     lam_star = float(above[0])
     if lam_star > probe[0]:
         a = float(probe[probe < lam_star][-1]) if np.any(probe < lam_star) else lo
-        bnd = lam_star
-        for _ in range(60):
-            m = 0.5 * (a + bnd)
-            if curve.value(m) >= 1.0:
-                bnd = m
-            else:
-                a = m
-        lam_star = bnd
+        _, lam_star = _solve(_bisect(a, lam_star, lambda v: not v >= 1.0, 60), curve.value)
     lam_star = max(lam_star, lo, 1.0)
 
     def fn(l: float, c=curve) -> float:

@@ -25,7 +25,7 @@ from .errors import (
     NotCertifiedError,
     NotConvergedError,
 )
-from .functions import PhiFunction, conjugate_value
+from .functions import PhiFunction, _bisect, _solve, conjugate_value
 from .oracles import OracleDistribution, empirical_tail
 
 
@@ -45,15 +45,7 @@ def _invert_increasing(fn: Callable[[float], float], target: float,
         hi *= 2.0
     else:
         raise NonInvertibleError(f"no bracket for target {target}")
-    a, b = lo, hi
-    for _ in range(200):
-        if (b - a) <= 1e-10 * max(1.0, abs(b)):
-            break
-        m = 0.5 * (a + b)
-        if fn(m) < target:
-            a = m
-        else:
-            b = m
+    a, b = _solve(_bisect(lo, hi, lambda v: v < target, 200, 1e-10), fn)
     return 0.5 * (a + b)
 
 

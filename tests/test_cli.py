@@ -60,6 +60,25 @@ class TestUpper:
         entry = rep["results"]["integral_bounds"]["3.0"]
         assert entry["compound"] >= math.exp(entry["log_integral"]) * (1 - 1e-9)
 
+    def test_bound_lambda_computes_each_integral_once_per_lambda(self, tmp_path, monkeypatch):
+        # K and R once per lambda plus once for the epsilon report, and the
+        # conjugate once per lambda: "compound" is exp of "log_compound"
+        from tailbounds import integrals
+
+        calls = {"k_integral": 0, "r_integral": 0, "conjugate_value": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(integrals, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(integrals, name, counted)
+        out = tmp_path / "r.json"
+        assert run(["upper", "--family", "quadratic", "--lambda-min", "0", "--x", "1:4:1",
+                    "--bound-lambda", "1,2", "--epsilon", "0.2",
+                    "--out", str(out), "--normalize"]) == 0
+        assert calls == {"k_integral": 3, "r_integral": 3, "conjugate_value": 2}
+        for entry in json.loads(out.read_text())["results"]["integral_bounds"].values():
+            assert entry["compound"] == math.exp(entry["log_compound"])
+
 
 class TestLowerUni:
     def test_certificate_constants(self, tmp_path):

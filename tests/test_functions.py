@@ -26,7 +26,9 @@ from tailbounds.functions import (
     _GOLDEN_REL_WIDTH,
     _GROWTH_FACTOR,
     Domain,
+    _bisect,
     _saddle_points,
+    _solve,
     PhiFunction,
     biconjugate,
     certify_convex,
@@ -218,6 +220,145 @@ class TestSaddlePoint:
                 assert type(got) is type(want) and str(got) == str(want)
             else:
                 assert got == want
+
+    def test_unbounded_trace_is_an_unbounded_flat_top(self):
+        # lam = 2 is the slope of 2*lam: the trace search meets x beyond the
+        # slope, where the conjugate diverges, and reports the flat set
+        f = PhiFunction.from_callable(lambda l: 2.0 * l, 0.0, math.inf, convex=True)
+        with pytest.raises(NonUniqueArgmaxError) as info:
+            saddle_point(f, 2.0)
+        assert info.value.hi == math.inf and info.value.lo > 2.0
+
+
+# Hand-rolled bisection loops as the searches once wrote them, each the
+# reference that its ``_bisect`` call is compared with bit for bit.  Each
+# takes the bracket and the function and returns what its caller kept.
+def _loop_saddle(a, b, fn):
+    for _ in range(200):
+        if (b - a) <= 1e-12 * max(1.0, abs(b)):
+            break
+        m = 0.5 * (a + b)
+        if fn(m) <= 0.0:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def _loop_trace(a, b, fn):
+    # the only loop that tested the width after each halving
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        if fn(m) < 0.0:
+            a = m
+        else:
+            b = m
+        if (b - a) <= 1e-10 * max(1.0, abs(b)):
+            break
+    return 0.5 * (a + b)
+
+
+def _loop_lam_range(a, b, fn):
+    for _ in range(60):
+        if b - a <= 1e-12 * max(1.0, b):
+            break
+        m = 0.5 * (a + b)
+        if fn(m) >= 1.0:
+            b = m
+        else:
+            a = m
+    return b
+
+
+def _loop_absorb(fa, fb, fn):
+    for _ in range(45):
+        m = 0.5 * (fa + fb)
+        if fn(m) <= 1.0:
+            fa = m
+        else:
+            fb = m
+    return fa
+
+
+def _loop_moments(a, bnd, fn):
+    for _ in range(60):
+        m = 0.5 * (a + bnd)
+        if fn(m) >= 1.0:
+            bnd = m
+        else:
+            a = m
+    return bnd
+
+
+def _loop_invert(a, b, fn):
+    for _ in range(200):
+        if (b - a) <= 1e-10 * max(1.0, abs(b)):
+            break
+        m = 0.5 * (a + b)
+        if fn(m) < 1.0:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def _search(below, steps, rel, keep):
+    """One ``_bisect`` search whose caller keeps ``keep(a, b)`` of its bracket."""
+    def run(a, b):
+        a, b = yield from _bisect(a, b, below, steps, rel)
+        return keep(a, b)
+    return run
+
+
+def _mid(a, b):
+    return 0.5 * (a + b)
+
+
+# each reference loop and the same search through _bisect
+_BISECTIONS = {
+    "saddle": (_loop_saddle, _search(lambda t: t <= 0.0, 200, 1e-12, _mid)),
+    "trace": (_loop_trace, _search(lambda t: t < 0.0, 60, 1e-10, _mid)),
+    "lam_range": (_loop_lam_range, _search(lambda v: not v >= 1.0, 60, 1e-12, lambda a, b: b)),
+    "absorb": (_loop_absorb, _search(lambda v: v <= 1.0, 45, 0.0, lambda a, b: a)),
+    "moments": (_loop_moments, _search(lambda v: not v >= 1.0, 60, 0.0, lambda a, b: b)),
+    "invert": (_loop_invert, _search(lambda v: v < 1.0, 200, 1e-10, _mid)),
+}
+
+
+class TestBisect:
+    @pytest.mark.parametrize("name", sorted(_BISECTIONS))
+    @given(
+        a=st.floats(min_value=0.0, max_value=100.0),
+        # down to widths far below every stopping width, and none at all
+        width=st.one_of(st.just(0.0), st.integers(-17, 2).map(lambda e: 10.0 ** e),
+                        st.floats(min_value=0.0, max_value=50.0)),
+        root=st.floats(min_value=-1.0, max_value=160.0),
+        slope=st.sampled_from([0.25, 1.0, 3.0]),
+        level=st.sampled_from([0.0, 1.0]),
+        nan_from=st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=160.0)),
+    )
+    def test_matches_the_hand_rolled_loop(self, name, a, width, root, slope, level, nan_from):
+        def fn(x):  # increasing, NaN from nan_from up
+            return math.nan if x >= nan_from else level + slope * (x - root)
+
+        loop, search = _BISECTIONS[name]
+        b = a + width
+        got = _solve(search(a, b), fn)
+        if name == "trace" and b - a <= 1e-10 * max(1.0, abs(b)):
+            # narrower than its width already: the loop halved once before
+            # its first test, the generator halves not at all
+            assert got == 0.5 * (a + b)
+        else:
+            assert got == loop(a, b, fn)
+
+    def test_stops_on_width_before_a_halving(self):
+        seen = []
+        assert _solve(_bisect(1.0, 1.0 + 1e-13, lambda v: v < 0, 60, 1e-12),
+                      seen.append) == (1.0, 1.0 + 1e-13)
+        assert seen == []
+
+    def test_solve_without_a_yield_returns_at_once(self):
+        assert _solve(_bisect(2.0, 3.0, lambda v: True, 0), math.sqrt) == (2.0, 3.0)
 
 
 class TestInvariants:

@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 from tailbounds import oracles
-from tailbounds.errors import GeometryInvalidError, NotCertifiedError, OutOfDomainError
-from tailbounds.functions import PhiFunction
+from tailbounds.errors import (
+    GeometryInvalidError,
+    InputError,
+    NonUniqueArgmaxError,
+    NotCertifiedError,
+    OutOfDomainError,
+    TailboundsError,
+)
+from tailbounds.functions import PhiFunction, conjugate_value, saddle_point
 from tailbounds.lower_bilateral import (
+    RegularityReport,
+    SaddleGeometry,
     _x0_inverse,
     closure_lower_envelope,
     exact_mgf_sandwich,
@@ -317,3 +326,187 @@ class TestSaddleInverse:
         mus, errors = _x0_inverse(PhiFunction.quadratic(lo=2.0), np.array([1.0, 6.0]))
         assert isinstance(errors[0], OutOfDomainError)
         assert mus[1] == pytest.approx(6.0, rel=1e-12)
+
+
+# Scalar versions of the saddle path, one t at a time, as the geometry and
+# the regularity report were once written: the reference for the batched
+# _x0s / _stars_at_saddle path, compared bit for bit.
+def _scalar_x0(phi2, t):
+    if phi2.convex and phi2.deriv is not None:
+        return float(phi2.deriv(float(t)))
+    return saddle_point(phi2, float(t))
+
+
+def _scalar_star_at_saddle(phi2, t, x):
+    if phi2.convex and phi2.deriv is not None:
+        return float(t) * float(x) - phi2.value(float(t))
+    star, _ = conjugate_value(phi2, float(x))
+    return star
+
+
+def _scalar_make_geometry(phi2, lam, delta1, delta2=None, x_pair=None):
+    lam = float(lam)
+    if x_pair is not None:
+        xm, xp = map(float, x_pair)
+        x0v = _scalar_x0(phi2, lam)
+        sm, dsm = s_value(phi2, lam, xm)
+        sp, dsp = s_value(phi2, lam, xp)
+        s0, _ = s_value(phi2, lam, x0v)
+        geo = SaddleGeometry(lam=lam, x0=x0v, x_minus=xm, x_plus=xp, rule="explicit",
+                             delta1=math.nan, delta2=math.nan, s_minus=sm, s_plus=sp,
+                             s_x0=s0, ds_minus=dsm, ds_plus=dsp)
+        geo.validate()
+        return geo
+    d1 = float(delta1)
+    d2 = d1 if delta2 is None else float(delta2)
+    rule = "symmetric" if d2 == d1 else "asymmetric"
+    if not (0.0 < d1 < 1.0 and 0.0 < d2):
+        raise InputError("dilation offsets must be positive, delta1 < 1")
+    mu = lam * (1.0 - d1)
+    nu = lam * (1.0 + d2)
+    for t in (mu, lam, nu):
+        if not phi2.domain.contains(t):
+            raise OutOfDomainError(t, phi2.domain.lo, phi2.domain.hi)
+    xm = _scalar_x0(phi2, mu)
+    xp = _scalar_x0(phi2, nu)
+    x0v = _scalar_x0(phi2, lam)
+    sm = lam * xm - _scalar_star_at_saddle(phi2, mu, xm)
+    sp = lam * xp - _scalar_star_at_saddle(phi2, nu, xp)
+    s0 = lam * x0v - _scalar_star_at_saddle(phi2, lam, x0v)
+    geo = SaddleGeometry(lam=lam, x0=x0v, x_minus=xm, x_plus=xp, rule=rule,
+                         delta1=d1, delta2=d2, s_minus=sm, s_plus=sp, s_x0=s0,
+                         ds_minus=lam - mu, ds_plus=lam - nu)
+    geo.validate()
+    return geo
+
+
+def _scalar_verify_regularity(phi, skipped):
+    """The regularity report cell by cell; appends each skipped error."""
+    if phi.convex is not True:
+        raise NotCertifiedError("regularity check needs convexity-certified phi")
+    hi = phi.domain.top()
+    top = min(100.0, hi * 0.999) if math.isfinite(hi) else 100.0
+    lam_grid = np.geomspace(math.e, top, 24)
+    base = np.array([0.05, 0.1, 0.15, 0.25, 0.35, 0.5])
+    delta_grid = np.concatenate([-base[::-1], base])
+    v_best, v_arg = math.inf, (math.nan, math.nan)
+    c0_best, c0_arg = -math.inf, (math.nan, math.nan)
+    evaluated = 0
+    for lam in lam_grid:
+        lam = float(lam)
+        if not phi.domain.contains(lam):
+            continue
+        s_peak = phi.value(lam)
+        if s_peak <= 0:
+            continue
+        for d in delta_grid:
+            d = float(d)
+            t = lam * (1.0 + d)
+            if d == 0.0 or not phi.domain.contains(t):
+                continue
+            try:
+                x_shift = _scalar_x0(phi, t)
+            except (NonUniqueArgmaxError, OutOfDomainError, InputError) as exc:
+                skipped.append(exc)
+                continue
+            s_shift = lam * x_shift - _scalar_star_at_saddle(phi, t, x_shift)
+            ratio = (s_peak - s_shift) / (s_peak * d * d)
+            evaluated += 1
+            if ratio < v_best:
+                v_best, v_arg = ratio, (lam, d)
+            ad = abs(d)
+            t_up, t_dn = lam * (1.0 + ad), lam * (1.0 - ad)
+            if not (phi.domain.contains(t_up) and phi.domain.contains(t_dn)):
+                continue
+            x_up = _scalar_x0(phi, t_up)
+            x_dn = _scalar_x0(phi, t_dn)
+            star_dn = _scalar_star_at_saddle(phi, t_dn, x_dn)
+            if star_dn <= 0:
+                continue
+            c0_here = (lam * x_up - (1.0 - d * d) * phi.value(lam) - star_dn) / (ad * star_dn)
+            if c0_here > c0_best:
+                c0_best, c0_arg = c0_here, (lam, ad)
+    ok = bool(evaluated > 0 and v_best > 0 and math.isfinite(c0_best))
+    return RegularityReport(
+        v_value=v_best, v_argmin=v_arg, c0=max(c0_best, 0.0), c0_argmax=c0_arg,
+        ok=ok, grid={"n_lam": len(lam_grid), "n_delta": len(delta_grid),
+                     "evaluated": evaluated},
+    )
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the result, or the type and message of the package error."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except TailboundsError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_KNOTS = np.linspace(0.0, 30.0, 301)
+_SADDLE_PATH_PHIS = {
+    "half-square-knots": PhiFunction.from_grid(_KNOTS, 0.5 * _KNOTS * _KNOTS),
+    "quadratic": QUAD0,
+    "power-log-2-1": PhiFunction.power_log(2.0, 1.0),
+}
+
+
+class TestBatchedSaddlePath:
+    @pytest.mark.parametrize("name", sorted(_SADDLE_PATH_PHIS))
+    def test_regularity_matches_the_scalar_walk(self, name):
+        phi = _SADDLE_PATH_PHIS[name]
+        skipped = []
+        want = _scalar_verify_regularity(phi, skipped)
+        assert repr(verify_regularity(phi)) == repr(want)
+        if name == "half-square-knots":
+            assert want.grid["evaluated"] == 274  # 14 shifted lams pass the last knot
+
+    @staticmethod
+    def _kinked_knots(kinks):
+        # lam^2/2 on unit knots plus a slope jump of 3 at each kink: the
+        # saddle of a shifted lam that lands on a kink is a flat piece
+        ls = np.union1d(np.linspace(0.0, 120.0, 121), kinks)
+        return PhiFunction.from_grid(
+            ls, 0.5 * ls * ls + 3.0 * np.maximum(ls[:, None] - kinks, 0.0).sum(axis=1))
+
+    def test_kinks_skip_cells_as_the_scalar_walk_does(self):
+        lams = np.geomspace(math.e, 100.0, 24)
+        # lam(1 - 1/2) on a kink for the two top lams, whose lam(1 + 1/2)
+        # leaves the domain: those cells are skipped, not raised
+        phi = self._kinked_knots(0.5 * lams[lams > 80.0])
+        skipped = []
+        want = _scalar_verify_regularity(phi, skipped)
+        assert repr(verify_regularity(phi)) == repr(want)
+        assert len(skipped) == 2 and all(isinstance(e, NonUniqueArgmaxError) for e in skipped)
+
+    def test_kinks_raise_where_the_scalar_walk_raises(self):
+        # lam(1 - 0.05) on a kink for every lam: the cell d = -0.05 skips,
+        # then the cell d = +0.05 needs x0 there for its absorption test
+        phi = self._kinked_knots(0.95 * np.geomspace(math.e, 100.0, 24))
+        want = _outcome(_scalar_verify_regularity, phi, [])
+        assert want[0] == "NonUniqueArgmaxError"
+        assert _outcome(verify_regularity, phi) == want
+
+    @pytest.mark.parametrize("name", sorted(_SADDLE_PATH_PHIS))
+    @pytest.mark.parametrize("lam, d1, d2, x_pair", [
+        (3.0, 0.2, None, None),           # symmetric rule
+        (3.05, 0.1, 0.3, None),           # asymmetric rule
+        (3.05, math.nan, None, (1.0, 9.0)),   # explicit rule
+        (3.05, math.nan, None, (9.0, 1.0)),   # GeometryInvalidError
+        (3.0, 1.5, None, None),           # InputError
+        (29.0, 0.2, None, None),          # OutOfDomainError past the knots
+        (0.0, 0.2, None, None),           # NonUniqueArgmaxError at the first knot
+        (1.2, 0.5, None, None),           # OutOfDomainError below lo = 1
+    ])
+    def test_geometry_matches_the_scalar_one(self, name, lam, d1, d2, x_pair):
+        phi = _SADDLE_PATH_PHIS[name]
+        want = _outcome(_scalar_make_geometry, phi, lam, d1, d2, x_pair=x_pair)
+        assert _outcome(make_geometry, phi, lam, d1, d2, x_pair=x_pair) == want
+
+    def test_geometry_cases_reach_every_error(self):
+        outcomes = {
+            _outcome(_scalar_make_geometry, phi, lam, d1, d2, x_pair=pair)[0]
+            for phi in _SADDLE_PATH_PHIS.values()
+            for lam, d1, d2, pair in [(3.05, math.nan, None, (9.0, 1.0)), (3.0, 1.5, None, None),
+                                      (29.0, 0.2, None, None), (0.0, 0.2, None, None)]}
+        assert {"GeometryInvalidError", "InputError", "OutOfDomainError",
+                "NonUniqueArgmaxError"} <= outcomes
