@@ -47,7 +47,7 @@ from .moments import (
     moment_power_pole,
     power_tail_lower,
 )
-from .oracles import empirical_tail, gaussian, quadrature, suite
+from .oracles import OracleDistribution, empirical_tail, gaussian, quadrature, suite
 from .tauberian import tauberian_check
 
 SCHEMA_VERSION = 1
@@ -374,9 +374,8 @@ def cmd_tauber(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _validate_one(name: str, seed: int, mc_samples: int) -> dict:
+def _validate_one(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
     """Full sandwich and consistency battery for one reference law."""
-    dist = suite()[name]
     checks: dict[str, dict] = {}
 
     def record(key: str, ok: bool, **info):
@@ -473,14 +472,12 @@ def _validate_one(name: str, seed: int, mc_samples: int) -> dict:
 
 def cmd_validate(args) -> int:
     seed = resolve_seed(args)
-    names = list(suite().keys()) if args.dist == "all" else [args.dist]
     known = suite()
+    names = list(known) if args.dist == "all" else [args.dist]
     for n in names:
         if n not in known:
             raise InputError(f"unknown distribution {n!r}; choose from {sorted(known)}")
-    all_checks = {}
-    for n in names:
-        all_checks[n] = _validate_one(n, seed, args.mc_samples)
+    all_checks = {n: _validate_one(known[n], seed, args.mc_samples) for n in names}
     ok = all(c["pass"] for per in all_checks.values() for c in per.values())
     write_report({
         "command": "validate",

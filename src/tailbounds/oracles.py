@@ -1,9 +1,9 @@
 """Ground truth for validation: reference laws, quadrature, seeded sampling.
 
-Each reference distribution carries an exact tail, an exact (closed-form or
-quadrature-backed) log-MGF with its domain, and a deterministic sampler.
-Sampling is inverse-transform from Philox4x64-10 counter-based raw output,
-so streams are reproducible bit-for-bit for a given seed.
+Each reference distribution carries an exact tail, an exact (closed-form,
+series or quadrature-backed) log-MGF with its domain, and a deterministic
+sampler.  Sampling is inverse-transform from Philox4x64-10 counter-based
+raw output, so streams are reproducible bit-for-bit for a given seed.
 
 The module needs numpy and the standard library only.  Its three special
 functions are in-package kernels, checked against scipy.special and mpmath
@@ -608,17 +608,91 @@ def exponential_unit() -> OracleDistribution:
     )
 
 
-def _weibull_rows(m: float, lams, slope: bool):
-    """ln E exp(lam*X), or its lam-derivative, for each lam: batched quadrature.
+# the longest moment series a Weibull row takes; a row needing more terms
+# is integrated instead
+_SERIES_TERMS = 2048
+# rows x terms of one series work array, about half a megabyte
+_SERIES_CHUNK = 1 << 16
 
-    X has density m x^{m-1} e^{-x^m}.  The log-MGF is 0 at lam == 0
-    without quadrature.  Scalars in, floats out; arrays in, arrays of the
-    same shape out.
+
+def _weibull_log_coefficients(m: float) -> np.ndarray:
+    """ln(E X^k / k!) = lgamma(1 + k/m) - lgamma(k + 1) for k < _SERIES_TERMS."""
+    return np.array([math.lgamma(1.0 + k / m) - math.lgamma(k + 1.0)
+                     for k in range(_SERIES_TERMS)])
+
+
+def _series_terms(m: float, lams: np.ndarray) -> np.ndarray:
+    """The moment series' term count for each lam: a power of two, at least
+    32, ten standard deviations past the index of the largest term."""
+    with np.errstate(over="ignore"):
+        top = (lams / m ** (1.0 / m)) ** (m / (m - 1.0))
+        need = np.maximum(32.0, top + 10.0 * np.sqrt(top * m / (m - 1.0)) + 20.0)
+    return np.exp2(np.ceil(np.log2(need)))
+
+
+def _series_rows(log_c: np.ndarray, lams: np.ndarray, slope: bool) -> np.ndarray:
+    """ln M(lam), or its lam-derivative, from the terms exp(log_c[k] + k ln lam)
+    of M's moment series, for each lam > 0; nan where the terms are not
+    shown to have ended.
+
+    Every term is positive and the terms are log-concave in k, so once the
+    last term t falls by the ratio r < 1 the rest sum to at most t r/(1-r).
+    A row is kept only if that bound is below e^-40 of its largest term.
+    """
+    k = np.arange(log_c.size, dtype=float)
+    t = np.log(lams)[:, None] * k
+    t += log_c
+    top = t.max(axis=1)
+    log_r = t[:, -1] - t[:, -2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = t[:, -1] + log_r - np.log(-np.expm1(log_r))
+    ended = (log_r < 0.0) & (tail < top - 40.0)
+    e = np.exp(t - top[:, None])
+    rest = e[:, 1:].sum(axis=1)
+    if slope:
+        out = (e * k).sum(axis=1) / (lams * (e[:, 0] + rest))
+    else:
+        # the k = 0 term is 1: with it the largest, ln M = log1p(rest)
+        out = np.where(t[:, 0] == top, np.log1p(rest), top + np.log(e[:, 0] + rest))
+    return np.where(ended, out, math.nan)
+
+
+def _weibull_rows(m: float, lams, slope: bool, table: list):
+    """ln E exp(lam*X), or its lam-derivative, for each lam.
+
+    X has density m x^{m-1} e^{-x^m}, m > 1, so E exp(lam X) is the series
+    sum_k Gamma(1 + k/m) lam^k / k! of positive terms.  A row whose series
+    takes at most ``_SERIES_TERMS`` terms sums it; the others, and any whose
+    series is not shown to have ended, take batched log-space quadrature.
+    Rows are grouped by their own term count, so a row's result does not
+    depend on the batch it is in.  ``table`` holds the coefficients'
+    logs, computed on its first use.
+
+    At lam == 0 the log-MGF is 0 and its slope E X = Gamma(1 + 1/m).
+    Scalars in, floats out; arrays in, arrays of the same shape out.
     """
     lams = np.asarray(lams, dtype=float)
     flat = lams.ravel()
     out = np.zeros(flat.size)
-    todo = np.arange(flat.size) if slope else np.flatnonzero(flat != 0.0)
+    if slope:
+        out[flat == 0.0] = math.gamma(1.0 + 1.0 / m)
+    todo = np.flatnonzero(flat != 0.0)
+    terms = _series_terms(m, flat[todo])
+    short = terms <= _SERIES_TERMS
+    quad = [todo[~short]]
+    if short.any() and not table:
+        table.append(_weibull_log_coefficients(m))
+    for n in np.unique(terms[short]).tolist():
+        log_c = table[0][:int(n)]
+        rows = todo[terms == n]
+        step = _SERIES_CHUNK // log_c.size
+        for k in range(0, rows.size, step):
+            sel = rows[k:k + step]
+            v = _series_rows(log_c, flat[sel], slope)
+            ok = ~np.isnan(v)
+            out[sel[ok]] = v[ok]
+            quad.append(sel[~ok])
+    todo = np.concatenate(quad)
     for k in range(0, todo.size, QUAD_CHUNK_ROWS):
         sel = todo[k:k + QUAD_CHUNK_ROWS]
         lam = flat[sel][:, None]
@@ -634,8 +708,7 @@ def _weibull_rows(m: float, lams, slope: bool):
             out -= x ** m
             return out
 
-        peaks = np.array([max((l / m) ** (1.0 / (m - 1.0)) if (m > 1.0 and l > 0) else 1.0, 1e-6)
-                          for l in flat[sel].tolist()])
+        peaks = np.array([max((l / m) ** (1.0 / (m - 1.0)), 1e-6) for l in flat[sel].tolist()])
         den = log_integral_exp(g, 0.0, math.inf, peak=peaks)
         if slope:
             num = log_integral_exp(lambda x: g(x, m), 0.0, math.inf, peak=peaks)
@@ -645,17 +718,16 @@ def _weibull_rows(m: float, lams, slope: bool):
     return out.reshape(lams.shape) if lams.ndim else float(out[0])
 
 
-def _weibull_log_mgf(m: float, lams):
-    """ln E exp(lam*X) for X with tail exp(-x^m), via log-space quadrature.
+def _weibull_log_mgf(m: float, lams, table: Optional[list] = None):
+    """ln E exp(lam*X) for X with tail exp(-x^m), m > 1, batched over
+    ``lams``; ``table`` is the exponent's coefficient holder (a fresh one
+    when absent)."""
+    return _weibull_rows(m, lams, False, [] if table is None else table)
 
-    ``lams`` may be an array: one batched quadrature row per entry.
-    """
-    return _weibull_rows(m, lams, slope=False)
 
-
-def _weibull_log_mgf_deriv(m: float, lams):
-    """d/dlam ln MGF = E[X e^{lam X}] / E[e^{lam X}] in log space, batched."""
-    return _weibull_rows(m, lams, slope=True)
+def _weibull_log_mgf_deriv(m: float, lams, table: Optional[list] = None):
+    """d/dlam ln MGF = E[X e^{lam X}] / E[e^{lam X}], batched."""
+    return _weibull_rows(m, lams, True, [] if table is None else table)
 
 
 def _weibull_density(x, m: float):
@@ -672,9 +744,11 @@ def weibull(m: float) -> OracleDistribution:
         return exponential_unit()
     mgf = None
     if mm > 1.0:
+        # the series coefficients, computed on the first series row
+        table: list = []
         mgf = PhiFunction.from_callable(
-            lambda l, mm=mm: _weibull_log_mgf(mm, l), 0.0, math.inf,
-            deriv=lambda l, mm=mm: _weibull_log_mgf_deriv(mm, l),
+            lambda l, mm=mm: _weibull_log_mgf(mm, l, table), 0.0, math.inf,
+            deriv=lambda l, mm=mm: _weibull_log_mgf_deriv(mm, l, table),
             convex=True, label=f"weibull({mm})-mgf-exponent",
             slope_lim=math.inf, vectorized=True,
         )

@@ -182,6 +182,20 @@ class TestValidateAndErrors:
         assert rep["status"] == "ok"
         assert all(c["pass"] for c in rep["results"]["gaussian"].values())
 
+    def test_validate_builds_the_suite_once(self, tmp_path, monkeypatch):
+        from tailbounds import cli, oracles
+
+        built = []
+
+        def counted():
+            built.append(1)
+            return oracles.suite()
+
+        monkeypatch.setattr(cli, "suite", counted)
+        assert run(["validate", "--dist", "gaussian", "--seed", "42",
+                    "--out", str(tmp_path / "r.json"), "--normalize"]) == 0
+        assert len(built) == 1
+
     def test_byte_identical_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

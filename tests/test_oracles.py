@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +14,7 @@ from scipy.integrate import quad
 from conftest import weibull_log_mgf_closed_m2
 from tailbounds import oracles
 from tailbounds.errors import NotConvergedError
-from tailbounds.functions import conjugate
+from tailbounds.functions import certify_convex, conjugate
 
 
 class TestQuadrature:
@@ -237,6 +238,153 @@ class TestBatchedWeibullLogMgf:
                 - weibull_log_mgf_closed_m2(lam - h)) / (2.0 * h)
         got = oracles._weibull_log_mgf_deriv(2.0, np.array([lam]))[0]
         assert got == pytest.approx(diff, rel=1e-8)
+
+
+SHAPES = (1.5, 2.0, 3.0, 4.0, 6.0)
+MP_LAMS = (1e-12, 1e-9, 1e-6, 1e-3, 0.5, 3.0, 20.0)
+
+
+def _switch(m):
+    """(last lam whose moment series fits in _SERIES_TERMS terms, next
+    double above it), by bisection of the term count."""
+    lo, hi = 1.0, 1e4
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if oracles._series_terms(m, np.array([mid]))[0] <= oracles._SERIES_TERMS:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _mp_weibull(m, lam):
+    """ln E e^{lam X} and its slope for the tail exp(-x^m), at 30 digits.
+
+    Up to lam = 3 the moment series, summed until its terms fall below
+    1e-35 of the sum; above, tanh-sinh quadrature of the density, split at
+    the tilted peak and ten of its widths either side.
+    """
+    with mp.workdps(30):
+        m, lam = mp.mpf(m), mp.mpf(lam)
+        if lam <= 3:
+            total = first = mp.mpf(0)
+            k = 0
+            while True:
+                t = mp.exp(mp.loggamma(1 + k / m) - mp.loggamma(k + 1) + k * mp.log(lam))
+                total += t
+                first += k * t
+                if k > 10 and t < total * mp.mpf(10) ** -35:
+                    return float(mp.log(total)), float(first / (lam * total))
+                k += 1
+        peak = (lam / m) ** (1 / (m - 1))
+        width = 1 / mp.sqrt(m * (m - 1) * peak ** (m - 2))
+        cuts = sorted({mp.mpf(1)} | {p for p in (peak - 10 * width, peak, peak + 10 * width)
+                                     if p > 0})
+        cuts = [mp.mpf(0)] + cuts + [mp.inf]
+        shift = lam * peak - peak ** m
+
+        def density(x):
+            return m * x ** (m - 1) * mp.exp(lam * x - x ** m - shift)
+
+        den = mp.quad(density, cuts)
+        num = mp.quad(lambda x: x * density(x), cuts)
+        return float(mp.log(den) + shift), float(num / den)
+
+
+def _count_quadrature(monkeypatch):
+    """Count log_integral_exp calls from here on."""
+    calls = []
+    real = oracles.log_integral_exp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "log_integral_exp", counted)
+    return calls
+
+
+class TestWeibullMomentSeries:
+    @pytest.mark.parametrize("m,lam", [(m, lam) for m in SHAPES for lam in MP_LAMS]
+                             + [(m, lam) for m in SHAPES for lam in _switch(m)])
+    def test_against_mpmath(self, m, lam, monkeypatch):
+        # a series row within 1e-14, a quadrature row within its 1e-10 target
+        calls = _count_quadrature(monkeypatch)
+        phi = oracles.weibull(m).mgf_exponent
+        got = (phi.value(lam), phi.derivative(lam))
+        series = not calls
+        below, above = _switch(m)
+        if lam in (below, above):
+            assert series == (lam == below)
+        want = _mp_weibull(m, lam)
+        rel = 1e-14 if series else 1e-10
+        assert got[0] == pytest.approx(want[0], rel=rel, abs=0.0)
+        assert got[1] == pytest.approx(want[1], rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("m", [2.0, 4.0])
+    def test_batch_across_term_counts_and_switch_equals_scalar_calls(self, m):
+        phi = oracles.weibull(m).mgf_exponent
+        top = _switch(m)[1]
+        lams = np.concatenate([[0.0], np.geomspace(1e-6, 3.0 * top, 150), [top]])
+        lams = np.random.default_rng(3).permutation(lams)
+        terms = oracles._series_terms(m, lams)
+        assert np.unique(terms[terms <= oracles._SERIES_TERMS]).size >= 4
+        assert np.any(terms > oracles._SERIES_TERMS)
+        vals = np.array([phi.value(l) for l in lams.tolist()])
+        slopes = np.array([phi.derivative(l) for l in lams.tolist()])
+        assert phi.values(lams).tobytes() == vals.tobytes()
+        assert phi.derivatives(lams).tobytes() == slopes.tobytes()
+
+    @pytest.mark.parametrize("m", SHAPES)
+    def test_slope_at_zero_is_the_mean(self, m):
+        phi = oracles.weibull(m).mgf_exponent
+        assert phi.derivative(0.0) == math.gamma(1.0 + 1.0 / m)
+        assert phi.value(0.0) == 0.0
+
+    def test_below_the_switch_takes_no_quadrature(self, monkeypatch):
+        calls = _count_quadrature(monkeypatch)
+        phi = oracles.weibull(4.0).mgf_exponent
+        phi.values(np.geomspace(1e-3, 100.0, 200))
+        phi.derivatives(np.geomspace(1e-3, 100.0, 200))
+        assert not calls
+
+    def test_series_cut_short_is_refused(self):
+        # at lam = 20 the m = 2 terms still rise at k = 31: the row must fall
+        # back to quadrature, not report a truncated sum
+        log_c = oracles._weibull_log_coefficients(2.0)
+        lams = np.array([20.0, 1.0])
+        for slope in (False, True):
+            got = oracles._series_rows(log_c[:32], lams, slope)
+            assert math.isnan(got[0]) and math.isfinite(got[1])
+
+    def test_coefficient_table_is_built_lazily_and_kept(self, monkeypatch, tmp_path):
+        from tailbounds.cli import main
+
+        built = []
+        real = oracles._weibull_log_coefficients
+
+        def counted(m):
+            built.append(m)
+            return real(m)
+
+        monkeypatch.setattr(oracles, "_weibull_log_coefficients", counted)
+        laws = oracles.suite()
+        assert main(["validate", "--dist", "gaussian", "--seed", "42",
+                     "--out", str(tmp_path / "r.json"), "--normalize"]) == 0
+        assert built == []
+        phi = laws["weibull2"].mgf_exponent
+        phi.value(1.0)
+        phi.values(np.geomspace(1e-3, 50.0, 40))
+        phi.derivative(3.0)
+        assert built == [2.0]
+
+    @pytest.mark.parametrize("m", SHAPES)
+    def test_convex_across_the_switch(self, m):
+        phi = oracles.weibull(m).mgf_exponent
+        assert certify_convex(phi)
+        top = _switch(m)[1]
+        vals = phi.values(np.linspace(0.95 * top, 1.05 * top, 801))
+        assert np.all(np.diff(vals, 2) >= -1e-12 * np.abs(vals[1:-1]))
 
 
 class TestEmpiricalTail:
