@@ -776,6 +776,8 @@ def _saddle_points(phi2: PhiFunction, lams) -> list:
     searches = [_saddle_search(phi2, lam) for lam in lams]
     out: list = [None] * len(searches)
     pending: dict = {}
+    # per search, the largest x where the transform converged
+    top = [-math.inf] * len(searches)
 
     def resume(i, advance):
         try:
@@ -793,16 +795,20 @@ def _saddle_points(phi2: PhiFunction, lams) -> list:
         _, slopes, errors = conjugate_values(phi2, xs)
         pending = {}
         for k, i in enumerate(idx):
-            if isinstance(errors.get(k), UnboundedObjectiveError):
-                # a diverging transform along the way means the maximizing
-                # set of S(lam, .) is unbounded or degenerate: report, never
-                # pick a point
-                out[i] = NonUniqueArgmaxError(xs[k], math.inf, _FLAT_TOL)
-            elif k in errors:
+            if k in errors and not isinstance(errors[k], UnboundedObjectiveError):
                 out[i] = errors[k]
+                continue
+            if k in errors:
+                # x lies beyond phi2's slopes: the maximizer has run off to
+                # +inf, and so has the trace
+                v = math.inf
             else:
-                resume(i, lambda s=searches[i], v=float(slopes[k]): s.send(v))
-    return out
+                top[i] = max(top[i], xs[k])
+                v = float(slopes[k])
+            resume(i, lambda s=searches[i], v=v: s.send(v))
+    # x0 stays where the transform converged.  The flat-top probe evaluates
+    # it at x0 itself, so this moves x0 only where it diverged there
+    return [min(x0, t) if isinstance(x0, float) else x0 for x0, t in zip(out, top)]
 
 
 def _grid_saddle_point(phi2: PhiFunction, lam: float) -> float:
@@ -845,6 +851,10 @@ def _saddle_search(phi2: PhiFunction, lam: float):
     x_lo = max(phi2.domain.lo, 1e-12)
     x_hi = max(1.0, 2.0 * x_lo)
     t_lo = yield x_lo
+    if t_lo == math.inf:
+        # the transform diverges from the first x up: the saddle lies below
+        # every x the search takes
+        raise NonUniqueArgmaxError(x_lo, math.inf, _FLAT_TOL)
     grow = 0
     while t_lo > lam and x_lo > 1e-14:
         x_lo *= 0.25

@@ -1,7 +1,7 @@
 """Ground truth for validation: reference laws, quadrature, seeded sampling.
 
 Each reference distribution carries an exact tail, an exact (closed-form,
-series or quadrature-backed) log-MGF with its domain, and a deterministic
+series or Gauss-Hermite) log-MGF with its domain, and a deterministic
 sampler.  Sampling is inverse-transform from Philox4x64-10 counter-based
 raw output, so streams are reproducible bit-for-bit for a given seed.
 
@@ -20,11 +20,13 @@ in ``tests/test_special.py``:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 from numpy.random import Philox
 
@@ -238,113 +240,64 @@ def quadrature(f: Callable[[float], float], a: float, b: float,
     )
 
 
-# composite Gauss-Legendre nodes for the vectorized log-integrals
+# composite Gauss-Legendre nodes for the log-integrals
 _GL_NODES, _GL_WEIGHTS = leggauss(24)
-# rows per log_integral_exp call in the batched Weibull log-MGF: bounds the
-# (rows, 44 panels x 24 nodes) work arrays to about half a megabyte each
-QUAD_CHUNK_ROWS = 64
-
-
-def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
-    """Row r equals ``np.linspace(start[r], stop[r], num)`` bit for bit,
-    unless its step underflows to zero from a nonzero span."""
-    y = np.arange(num, dtype=float) * ((stop - start) / (num - 1))[:, None]
-    y += start[:, None]
-    y[:, -1] = stop
-    return y
-
-
-def _geomspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
-    """Row r equals ``np.geomspace(start[r], stop[r], num)`` for positive ends."""
-    y = np.power(10.0, _linspace_rows(np.log10(start), np.log10(stop), num))
-    y[:, 0] = start
-    y[:, -1] = stop
-    return y
 
 
 def log_integral_exp(log_f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                     peak=None):
+                     peak: Optional[float] = None) -> float:
     """ln of the integral of exp(log_f) over [a, b] without overflow.
 
     The integrand is shifted by its peak value before exponentiating, so
     exponents in the thousands are handled exactly in log space.  ``peak``
     is a hint for the maximizer; when absent a coarse scan locates it.
-    On [a, inf) a row's window doubles until log_f at its edge is 60 below
-    the peak value; NotConvergedError names the row's peak and edge when
-    that edge passes 1e12 first.
-
-    An array of peaks integrates one row per peak: ``log_f`` then receives
-    (rows, nodes) arrays, row r belonging to ``peak[r]``, and the result is
-    an array.  Each row gets its own window and panels (8 left, 24 core,
-    12 geometric tail panels of 24 Gauss-Legendre nodes) and the same
-    arithmetic, so a row equals the scalar call with its peak bit for bit.
+    ``log_f`` maps a float array elementwise.  On [a, inf) the window
+    doubles until log_f at its edge is 60 below the peak value;
+    NotConvergedError names the peak and the edge when that edge passes
+    1e12 first.  The window is split into 8 left, 24 core and 12 geometric
+    tail panels of 24 Gauss-Legendre nodes.
     """
-    scalar = np.ndim(peak) == 0
-    pk = np.atleast_1d(np.asarray(1.0 if peak is None else peak, dtype=float))
-    rows = pk.size
+    pk = 1.0 if peak is None else float(peak)
     if math.isfinite(b):
-        bs = np.full(rows, float(b))
+        bs = float(b)
     else:
-        # grow each row's window until log_f at its edge is far below the peak
-        bs = np.maximum(10.0, 2.0 * np.where(pk != 0.0, pk, 1.0))
-        ref = np.zeros(rows) if peak is None else log_f(pk[:, None])[:, 0]
-        grow = np.ones(rows, dtype=bool)
-        while True:
-            grow &= ~(log_f(bs[:, None])[:, 0] < ref - 60.0)
-            if not grow.any():
-                break
-            stuck = grow & (bs > 1e12)
-            if stuck.any():
-                r = int(np.argmax(stuck))
+        # grow the window until log_f at its edge is far below the peak
+        bs = max(10.0, 2.0 * (pk if pk != 0.0 else 1.0))
+        ref = 0.0 if peak is None else float(log_f(np.array([pk]))[0])
+        while not log_f(np.array([bs]))[0] < ref - 60.0:
+            if bs > 1e12:
                 raise NotConvergedError(
                     "log_integral_exp: integrand still within 60 of its peak "
                     "past the 1e12 window cap",
-                    diagnostic={"row": r, "peak": None if peak is None else float(pk[r]),
-                                "edge": float(bs[r])},
+                    diagnostic={"peak": None if peak is None else pk, "edge": bs},
                 )
-            bs = np.where(grow, 2.0 * bs, bs)
+            bs *= 2.0
     if peak is None:
-        scan = np.linspace(a, bs[0], 513)
-        pk = scan[np.argmax(log_f(scan[None, :])[0])][None]
+        scan = np.linspace(a, bs, 513)
+        pk = float(scan[np.argmax(log_f(scan))])
     # core width from the local curvature of the exponent at the peak
-    h = np.maximum(1e-6, 1e-4 * np.maximum(np.abs(pk), 1.0))
-    pv = log_f(np.stack([np.maximum(a, pk - h), pk, np.minimum(bs, pk + h)], axis=1))
-    curv = np.abs(pv[:, 0] - 2.0 * pv[:, 1] + pv[:, 2]) / np.array([t ** 2 for t in h.tolist()])
-    with np.errstate(divide="ignore"):
-        w = np.where(curv > 1e-12, 1.0 / np.sqrt(curv), np.maximum((bs - a) * 0.05, 1.0))
-    w = np.minimum(np.maximum(w, (bs - a) * 1e-4), bs - a)
-    core_lo = np.maximum(a, pk - 10 * w)
-    core_hi = np.minimum(bs, pk + 10 * w)
+    h = max(1e-6, 1e-4 * max(abs(pk), 1.0))
+    pv = log_f(np.array([max(a, pk - h), pk, min(bs, pk + h)]))
+    curv = float(abs(pv[0] - 2.0 * pv[1] + pv[2])) / h ** 2
+    w = 1.0 / math.sqrt(curv) if curv > 1e-12 else max((bs - a) * 0.05, 1.0)
+    w = min(max(w, (bs - a) * 1e-4), bs - a)
+    core_lo = max(a, pk - 10 * w)
+    core_hi = min(bs, pk + 10 * w)
     edges = np.concatenate([
-        np.full((rows, 1), float(a)),
-        _linspace_rows(np.full(rows, float(a)), core_lo, 9)[:, 1:],
-        _linspace_rows(core_lo, core_hi, 25)[:, 1:],
-        _geomspace_rows(np.maximum(core_hi, 1e-12), bs, 13)[:, 1:],
-    ], axis=1)
-    # panels 0-7 lie left of the core, 32-43 in the tail; a row without them
-    # (core_lo == a, core_hi == b) gets zero-width ones, which it skips
-    first = np.where(core_lo > a, 0, 8)
-    stop = np.where(core_hi < bs, 44, 32)
-    p0, p1 = int(first.min()), int(stop.max())
-    lo, hi = edges[:, p0:p1, None], edges[:, p0 + 1:p1 + 1, None]
+        [float(a)], np.linspace(a, core_lo, 9)[1:], np.linspace(core_lo, core_hi, 25)[1:],
+        np.geomspace(max(core_hi, 1e-12), bs, 13)[1:],
+    ])
+    # panels 0-7 lie left of the core, 32-43 in the tail; without room for
+    # them (core_lo == a, core_hi == b) they are skipped
+    first = 0 if core_lo > a else 8
+    stop = 44 if core_hi < bs else 32
+    lo, hi = edges[first:stop, None], edges[first + 1:stop + 1, None]
     half = 0.5 * (hi - lo)
-    xs = (0.5 * (hi + lo) + half * _GL_NODES).reshape(rows, -1)
-    ws = (half * _GL_WEIGHTS).reshape(rows, -1)
-    logs = log_f(xs)
-    m, total = np.empty(rows), np.empty(rows)
-    n = _GL_NODES.size
-    for q0, q1 in set(zip(first.tolist(), stop.tolist())):
-        sel = (first == q0) & (stop == q1)
-        cols = slice((q0 - p0) * n, (q1 - p0) * n)
-        if sel.all():
-            sel = slice(None)
-        block = logs[sel, cols]
-        m[sel] = np.max(block, axis=1)
-        with np.errstate(under="ignore"):
-            total[sel] = np.sum(ws[sel, cols] * np.exp(block - m[sel, None]), axis=1)
-    out = np.array([-math.inf if t <= 0 else mm + math.log(t)
-                    for mm, t in zip(m.tolist(), total.tolist())])
-    return float(out[0]) if scalar else out
+    logs = log_f((0.5 * (hi + lo) + half * _GL_NODES).ravel())
+    top = float(np.max(logs))
+    with np.errstate(under="ignore"):
+        total = float(np.sum((half * _GL_WEIGHTS).ravel() * np.exp(logs - top)))
+    return -math.inf if total <= 0 else top + math.log(total)
 
 
 # --------------------------------------------------------------------------
@@ -609,8 +562,8 @@ def exponential_unit() -> OracleDistribution:
 
 
 # the longest moment series a Weibull row takes; a row needing more terms
-# is integrated instead
-_SERIES_TERMS = 2048
+# takes the Gauss-Hermite rule instead
+_SERIES_TERMS = 1024
 # rows x terms of one series work array, about half a megabyte
 _SERIES_CHUNK = 1 << 16
 
@@ -657,14 +610,109 @@ def _series_rows(log_c: np.ndarray, lams: np.ndarray, slope: bool) -> np.ndarray
     return np.where(ended, out, math.nan)
 
 
+# probabilists' Gauss-Hermite orders of the peak-centred rule, tried in
+# turn until two in a row agree within _GH_AGREE relative
+_GH_ORDERS = (24, 32, 64, 96)
+_GH_AGREE = 1e-14
+# below this |eps| the rule's exponent brackets take their power series,
+# whose terms past eps^_GH_SERIES_TOP fall below 1e-17 of the first
+_GH_SERIES_EPS = 0.1
+_GH_SERIES_TOP = 18
+# Newton steps for the tilted peak, from (lam/m)^(1/(m-1)); a fixed count
+# keeps each row's arithmetic its own, and the exponent carries whatever
+# residual is left
+_GH_NEWTON = 6
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule for the weight e^{-u^2/2},
+    built on first use; read-only, as every caller shares them."""
+    u, w = hermegauss(n)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def _hermite_rows(m: float, lams: np.ndarray, slope: bool) -> np.ndarray:
+    """ln M(lam), or its lam-derivative, by a peak-centred Gauss-Hermite rule.
+
+    With x = xh + s u around the tilted peak xh of the exponent
+    g(x) = (m-1) ln x + lam x - x^m, and s = (-g''(xh))^(-1/2), the exponent
+    relative to the peak is, for eps = s u / xh,
+
+        (m-1)(log1p(eps) - eps) - xh^m ((1+eps)^m - 1 - m eps) + r s u
+
+    (r = g'(xh), Newton's residual), so no two large terms cancel at a node.
+    Its two brackets are power series below |eps| = _GH_SERIES_EPS.  The
+    slope is xh + s E[u] under the tilted law.  Each row takes the orders
+    of ``_GH_ORDERS`` until two in a row agree within ``_GH_AGREE``
+    relative, and keeps the higher; a row with no such pair raises
+    NotConvergedError naming m and lam.
+    """
+    xh = (lams / m) ** (1.0 / (m - 1.0))
+    for _ in range(_GH_NEWTON):
+        xp = xh ** (m - 1.0)
+        xh = xh + ((m - 1.0) / xh + lams - m * xp) * xh * xh / ((m - 1.0) * (1.0 + m * xh * xp))
+    xp = xh ** (m - 1.0)
+    xm = xh * xp
+    r = (m - 1.0) / xh + lams - m * xp
+    s = xh / np.sqrt((m - 1.0) * (1.0 + m * xm))
+    # ln M at u = 0, less ln of the rule's sum
+    base = math.log(m) + (m - 1.0) * np.log(xh) + xh * (lams - xp) + np.log(s)
+    # each row's two brackets as one series: eps^2 times a polynomial in eps
+    k = np.arange(2, _GH_SERIES_TOP + 1)
+    binom = m * np.cumprod((m - k + 1.0) / k)
+    coef = (m - 1.0) * (-1.0) ** (k + 1) / k - xm[:, None] * binom
+
+    def rule(n: int, rows: np.ndarray) -> np.ndarray:
+        u, w = _hermite_rule(n)
+        eps = (s[rows] / xh[rows])[:, None] * u
+        c = coef[rows]
+        series = c[:, -1, None] * eps
+        for j in range(c.shape[1] - 2, -1, -1):
+            series += c[:, j, None]
+            series *= eps
+        series *= eps
+        # non-finite rows fail the agreement test below
+        with np.errstate(all="ignore"):
+            lp = np.log1p(eps)
+            direct = (m - 1.0) * (lp - eps) - xm[rows, None] * (np.expm1(m * lp) - m * eps)
+            # x = xh (1 + eps) <= 0 lies outside the support
+            expo = np.where(np.abs(eps) < _GH_SERIES_EPS, series,
+                            np.where(eps > -1.0, direct, -math.inf))
+            expo += (r[rows] * s[rows])[:, None] * u + 0.5 * u * u
+            e = w * np.exp(expo)
+            total = e.sum(axis=1)
+            if slope:
+                return xh[rows] + s[rows] * ((e * u).sum(axis=1) / total)
+            return base[rows] + np.log(total)
+
+    rows = np.arange(lams.size)
+    prev = rule(_GH_ORDERS[0], rows)
+    out = prev.copy()
+    for n in _GH_ORDERS[1:]:
+        new = rule(n, rows)
+        with np.errstate(invalid="ignore"):
+            ok = np.abs(new - prev) <= _GH_AGREE * np.abs(new)
+        out[rows] = new
+        rows, prev = rows[~ok], new[~ok]
+        if not rows.size:
+            return out
+    lam = float(lams[rows[0]])
+    raise NotConvergedError(
+        f"weibull({m}) log-MGF at lam = {lam!r}: Gauss-Hermite orders "
+        f"{_GH_ORDERS[-2]} and {_GH_ORDERS[-1]} disagree", diagnostic={"m": m, "lam": lam})
+
+
 def _weibull_rows(m: float, lams, slope: bool, table: list):
     """ln E exp(lam*X), or its lam-derivative, for each lam.
 
     X has density m x^{m-1} e^{-x^m}, m > 1, so E exp(lam X) is the series
     sum_k Gamma(1 + k/m) lam^k / k! of positive terms.  A row whose series
     takes at most ``_SERIES_TERMS`` terms sums it; the others, and any whose
-    series is not shown to have ended, take batched log-space quadrature.
-    Rows are grouped by their own term count, so a row's result does not
+    series is not shown to have ended, take the peak-centred Gauss-Hermite
+    rule (``_hermite_rows``).  Rows are grouped by their own term count, and
+    each rule row's arithmetic is its own, so a row's result does not
     depend on the batch it is in.  ``table`` holds the coefficients'
     logs, computed on its first use.
 
@@ -679,7 +727,7 @@ def _weibull_rows(m: float, lams, slope: bool, table: list):
     todo = np.flatnonzero(flat != 0.0)
     terms = _series_terms(m, flat[todo])
     short = terms <= _SERIES_TERMS
-    quad = [todo[~short]]
+    rule = [todo[~short]]
     if short.any() and not table:
         table.append(_weibull_log_coefficients(m))
     for n in np.unique(terms[short]).tolist():
@@ -691,30 +739,13 @@ def _weibull_rows(m: float, lams, slope: bool, table: list):
             v = _series_rows(log_c, flat[sel], slope)
             ok = ~np.isnan(v)
             out[sel[ok]] = v[ok]
-            quad.append(sel[~ok])
-    todo = np.concatenate(quad)
-    for k in range(0, todo.size, QUAD_CHUNK_ROWS):
-        sel = todo[k:k + QUAD_CHUNK_ROWS]
-        lam = flat[sel][:, None]
-
-        # integrand exponent; the slope's numerator has x^m for x^(m-1)
-        def g(x: np.ndarray, power: float = m - 1.0, lam=lam) -> np.ndarray:
-            x = np.maximum(x, 1e-300)
-            # log(m) + power*log(x) + lam*x - x**m, evaluated in place
-            out = np.log(x)
-            out *= power
-            out += math.log(m)
-            out += lam * x
-            out -= x ** m
-            return out
-
-        peaks = np.array([max((l / m) ** (1.0 / (m - 1.0)), 1e-6) for l in flat[sel].tolist()])
-        den = log_integral_exp(g, 0.0, math.inf, peak=peaks)
-        if slope:
-            num = log_integral_exp(lambda x: g(x, m), 0.0, math.inf, peak=peaks)
-            out[sel] = [math.exp(n - d) for n, d in zip(num.tolist(), den.tolist())]
-        else:
-            out[sel] = den
+            rule.append(sel[~ok])
+    todo = np.concatenate(rule)
+    # rows x nodes of the rule's work arrays, at its top order, fit one chunk
+    step = _SERIES_CHUNK // _GH_ORDERS[-1]
+    for k in range(0, todo.size, step):
+        sel = todo[k:k + step]
+        out[sel] = _hermite_rows(m, flat[sel], slope)
     return out.reshape(lams.shape) if lams.ndim else float(out[0])
 
 

@@ -244,6 +244,16 @@ class TestValidateAndErrors:
         assert json.loads(out.read_text())["config"]["seed"] == 7
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter on this checkout's src; it must exit 0."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_library_never_imports_scipy(tmp_path):
     # a fresh interpreter: the import, the commands that integrate, sample
     # and take normal tails, and a mixture sampler; no scipy module at any
@@ -268,9 +278,23 @@ for argv in (["validate", "--dist", "gaussian"],
 tailbounds.oracles.gaussian_scale_mixture(0.3, 0.8, 1.0).sample(1, 1000)
 assert_no_scipy("gaussian_scale_mixture sample")
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(code)
+
+
+def test_hermite_tables_are_built_lazily(tmp_path):
+    # a fresh interpreter: neither the import nor a validate run without a
+    # Weibull law builds a Gauss-Hermite table; the first Weibull row above
+    # the series switch builds the 24- and 32-node ones
+    code = f"""
+import tailbounds.cli
+from tailbounds import oracles
+rule = oracles._hermite_rule
+assert rule.cache_info().currsize == 0, "import tailbounds.cli"
+out = {str(tmp_path / "r.json")!r}
+assert tailbounds.cli.main(["validate", "--dist", "gaussian", "--seed", "42",
+                            "--normalize", "--out", out]) == 0
+assert rule.cache_info().currsize == 0, "validate --dist gaussian"
+oracles.weibull(4.0).mgf_exponent.value(1e4)
+assert rule.cache_info().currsize == 2, rule.cache_info()
+"""
+    _run_fresh(code)

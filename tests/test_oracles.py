@@ -1,5 +1,6 @@
 """Reference laws, quadrature, and the seeded sampling machinery."""
 
+import functools
 import math
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from mpmath.calculus.quadrature import GaussLegendre
 
 # the independent reference for the in-package Gauss-Kronrod kernel
 from scipy.integrate import quad
@@ -14,7 +16,8 @@ from scipy.integrate import quad
 from conftest import weibull_log_mgf_closed_m2
 from tailbounds import oracles
 from tailbounds.errors import NotConvergedError
-from tailbounds.functions import certify_convex, conjugate
+from tailbounds.functions import PhiFunction, certify_convex, conjugate
+from tailbounds.integrals import log_i_integral
 
 
 class TestQuadrature:
@@ -184,16 +187,33 @@ class TestLogIntegralExp:
         with pytest.raises(NotConvergedError) as info:
             oracles.log_integral_exp(lambda x: -0.5 * np.log1p(x), 0.0, math.inf, peak=0.0)
         diag = info.value.diagnostic
-        assert diag["peak"] == 0.0 and diag["edge"] > 1e12 and diag["row"] == 0
+        assert diag["peak"] == 0.0 and diag["edge"] > 1e12
 
-    def test_window_cap_names_the_divergent_row(self):
-        # row 0 decays like exp(-x^2), row 1 like (1+x)^(-1/2)
-        rate = np.array([[1.0], [0.0]])
-        with pytest.raises(NotConvergedError) as info:
-            oracles.log_integral_exp(lambda x: -rate * x * x - 0.5 * np.log1p(x),
-                                     0.0, math.inf, peak=np.array([1.0, 2.0]))
-        assert info.value.diagnostic["row"] == 1
-        assert info.value.diagnostic["peak"] == 2.0
+    @pytest.mark.parametrize("integral, want", [
+        pytest.param(lambda: oracles.log_integral_exp(
+            lambda x: 3 * x - x * x / 2, 0.0, math.inf, peak=3.0), 5.417587723239924,
+            id="gauss-peak-3"),
+        pytest.param(lambda: oracles.log_integral_exp(
+            lambda x: 200 * x - x * x / 2, 0.0, math.inf, peak=200.0), 20000.918938533207,
+            id="gauss-peak-200"),
+        pytest.param(lambda: oracles.log_integral_exp(
+            lambda x: np.log1p(x) - x * x, 0.0, 5.0, peak=0.5), 0.3265856142378286,
+            id="finite-range"),
+        pytest.param(lambda: oracles.log_integral_exp(
+            lambda x: 2 * x - x ** 1.5, 0.0, math.inf), 2.3240082077517386,
+            id="no-peak-hint"),
+        pytest.param(lambda: log_i_integral(PhiFunction.power_log(4.0, lo=0.0), 2.0),
+                     2.059706354543926, id="i-quartic"),
+        pytest.param(lambda: log_i_integral(PhiFunction.quadratic(lo=0.0), 30.0),
+                     450.91893853320465, id="i-quadratic"),
+        pytest.param(lambda: log_i_integral(PhiFunction.from_callable(
+            lambda x: x ** 1.5, 0.0, math.inf, convex=True), 3.0), 5.399651590757236,
+            id="i-callable"),
+    ])
+    def test_pinned_bit_for_bit(self, integral, want):
+        # the one-peak integral and log_i_integral, which calls it: any change
+        # to the panels or their arithmetic moves these values
+        assert integral() == want
 
     def test_huge_exponent_no_overflow(self):
         # peak value around e^{5000}: only representable in log space
@@ -205,8 +225,10 @@ class TestBatchedWeibullLogMgf:
     @pytest.mark.parametrize("m", [2.0, 4.0])
     def test_batch_equals_scalar_calls(self, m):
         phi = oracles.weibull(m).mgf_exponent
-        # more rows than one quadrature chunk, lam = 0 included
-        lams = np.concatenate([[0.0], np.geomspace(1e-3, 80.0, oracles.QUAD_CHUNK_ROWS + 9)])
+        # lam = 0, series rows, and more rule rows than one rule chunk
+        chunk = oracles._SERIES_CHUNK // oracles._GH_ORDERS[-1]
+        lams = np.concatenate([[0.0], np.geomspace(1e-3, 80.0, 40),
+                               np.geomspace(_switch(m)[1], 1e6, chunk + 9)])
         vals = np.array([phi.value(l) for l in lams.tolist()])
         slopes = np.array([phi.derivative(l) for l in lams.tolist()])
         assert phi.values(lams).tobytes() == vals.tobytes()
@@ -257,14 +279,29 @@ def _switch(m):
     return lo, hi
 
 
+def _above_switch(m):
+    """Three lams from just above the switch to 1e6."""
+    return tuple(np.geomspace(_switch(m)[1], 1e6, 4)[1:].tolist())
+
+
+with mp.workdps(50):
+    _MP_GAUSS_LEGENDRE_12 = GaussLegendre(mp.mp).get_nodes(-1, 1, 3, mp.mp.prec)
+
+
+@functools.lru_cache(maxsize=None)
 def _mp_weibull(m, lam):
-    """ln E e^{lam X} and its slope for the tail exp(-x^m), at 30 digits.
+    """ln E e^{lam X} and its slope for the tail exp(-x^m), at 50 digits.
 
     Up to lam = 3 the moment series, summed until its terms fall below
-    1e-35 of the sum; above, tanh-sinh quadrature of the density, split at
-    the tilted peak and ten of its widths either side.
+    1e-55 of the sum.  Above, the density integrated over 120 panels one
+    standard deviation s wide, from the tilted peak -60 s (or 0) to +60 s,
+    by 12-node Gauss-Legendre on each; the mass outside is below e^-1700 of
+    the total.  The density's x^(m-1) is not smooth at 0, so the panels
+    need the peak far above 0: at least ten widths at every lam > 3 used
+    here.  Cached: value and slope share one integral.
     """
-    with mp.workdps(30):
+    with mp.workdps(50):
+        power = int(m) if m == int(m) else mp.mpf(m)
         m, lam = mp.mpf(m), mp.mpf(lam)
         if lam <= 3:
             total = first = mp.mpf(0)
@@ -273,53 +310,66 @@ def _mp_weibull(m, lam):
                 t = mp.exp(mp.loggamma(1 + k / m) - mp.loggamma(k + 1) + k * mp.log(lam))
                 total += t
                 first += k * t
-                if k > 10 and t < total * mp.mpf(10) ** -35:
+                if k > 10 and t < total * mp.mpf(10) ** -55:
                     return float(mp.log(total)), float(first / (lam * total))
                 k += 1
-        peak = (lam / m) ** (1 / (m - 1))
-        width = 1 / mp.sqrt(m * (m - 1) * peak ** (m - 2))
-        cuts = sorted({mp.mpf(1)} | {p for p in (peak - 10 * width, peak, peak + 10 * width)
-                                     if p > 0})
-        cuts = [mp.mpf(0)] + cuts + [mp.inf]
-        shift = lam * peak - peak ** m
+        x = (lam / m) ** (1 / (m - 1))
+        for _ in range(100):
+            slope = (m - 1) / x + lam - m * x ** (power - 1)
+            curv = (m - 1) / x ** 2 + m * (m - 1) * x ** (power - 2)
+            x += slope / curv
+            if abs(slope / curv) < x * mp.mpf(10) ** -45:
+                break
+        s = 1 / mp.sqrt(curv)
 
-        def density(x):
-            return m * x ** (m - 1) * mp.exp(lam * x - x ** m - shift)
+        def expo(t):
+            return (m - 1) * mp.log(t) + lam * t - t ** power
 
-        den = mp.quad(density, cuts)
-        num = mp.quad(lambda x: x * density(x), cuts)
-        return float(mp.log(den) + shift), float(num / den)
+        shift = expo(x)
+        den = num = mp.mpf(0)
+        for j in range(-60, 60):
+            a, b = max(x + j * s, 0), x + (j + 1) * s
+            if b <= 0:
+                continue
+            c, h = (a + b) / 2, (b - a) / 2
+            for t, w in _MP_GAUSS_LEGENDRE_12:
+                y = c + h * t
+                e = w * h * mp.exp(expo(y) - shift)
+                den += e
+                num += e * y
+        return float(mp.log(m) + shift + mp.log(den)), float(num / den)
 
 
-def _count_quadrature(monkeypatch):
-    """Count log_integral_exp calls from here on."""
-    calls = []
-    real = oracles.log_integral_exp
+def _count_rule_rows(monkeypatch):
+    """Count the rows that take the Gauss-Hermite rule from here on."""
+    rows = []
+    real = oracles._hermite_rows
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(m, lams, slope):
+        rows.append(lams.size)
+        return real(m, lams, slope)
 
-    monkeypatch.setattr(oracles, "log_integral_exp", counted)
-    return calls
+    monkeypatch.setattr(oracles, "_hermite_rows", counted)
+    return rows
 
 
 class TestWeibullMomentSeries:
     @pytest.mark.parametrize("m,lam", [(m, lam) for m in SHAPES for lam in MP_LAMS]
-                             + [(m, lam) for m in SHAPES for lam in _switch(m)])
+                             + [(m, lam) for m in SHAPES for lam in _switch(m)]
+                             + [(m, lam) for m in SHAPES for lam in _above_switch(m)])
     def test_against_mpmath(self, m, lam, monkeypatch):
-        # a series row within 1e-14, a quadrature row within its 1e-10 target
-        calls = _count_quadrature(monkeypatch)
+        # series rows and Gauss-Hermite rule rows, each within 1e-14
+        rows = _count_rule_rows(monkeypatch)
         phi = oracles.weibull(m).mgf_exponent
         got = (phi.value(lam), phi.derivative(lam))
-        series = not calls
         below, above = _switch(m)
         if lam in (below, above):
-            assert series == (lam == below)
+            assert (not rows) == (lam == below)
+        if lam > above:
+            assert rows == [1, 1]
         want = _mp_weibull(m, lam)
-        rel = 1e-14 if series else 1e-10
-        assert got[0] == pytest.approx(want[0], rel=rel, abs=0.0)
-        assert got[1] == pytest.approx(want[1], rel=rel, abs=0.0)
+        assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0.0)
+        assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("m", [2.0, 4.0])
     def test_batch_across_term_counts_and_switch_equals_scalar_calls(self, m):
@@ -341,16 +391,16 @@ class TestWeibullMomentSeries:
         assert phi.derivative(0.0) == math.gamma(1.0 + 1.0 / m)
         assert phi.value(0.0) == 0.0
 
-    def test_below_the_switch_takes_no_quadrature(self, monkeypatch):
-        calls = _count_quadrature(monkeypatch)
+    def test_below_the_switch_takes_no_rule_row(self, monkeypatch):
+        rows = _count_rule_rows(monkeypatch)
         phi = oracles.weibull(4.0).mgf_exponent
         phi.values(np.geomspace(1e-3, 100.0, 200))
         phi.derivatives(np.geomspace(1e-3, 100.0, 200))
-        assert not calls
+        assert not rows
 
     def test_series_cut_short_is_refused(self):
         # at lam = 20 the m = 2 terms still rise at k = 31: the row must fall
-        # back to quadrature, not report a truncated sum
+        # back to the Gauss-Hermite rule, not report a truncated sum
         log_c = oracles._weibull_log_coefficients(2.0)
         lams = np.array([20.0, 1.0])
         for slope in (False, True):
@@ -385,6 +435,50 @@ class TestWeibullMomentSeries:
         top = _switch(m)[1]
         vals = phi.values(np.linspace(0.95 * top, 1.05 * top, 801))
         assert np.all(np.diff(vals, 2) >= -1e-12 * np.abs(vals[1:-1]))
+
+
+class TestWeibullHermiteRule:
+    @staticmethod
+    def _perturb(monkeypatch, orders):
+        # the rules of ``orders`` get their weights tilted, each by its own
+        # factor, so that no two of them agree; returns the orders asked for
+        asked = []
+        real = oracles._hermite_rule
+
+        def rule(n):
+            asked.append(n)
+            u, w = real(n)
+            return (u, w * (1.0 + 1e-6 * n * (1.0 + u))) if n in orders else (u, w)
+
+        monkeypatch.setattr(oracles, "_hermite_rule", rule)
+        return asked
+
+    @pytest.mark.parametrize("slope", [False, True])
+    def test_no_agreeing_pair_raises(self, monkeypatch, slope):
+        asked = self._perturb(monkeypatch, oracles._GH_ORDERS)
+        with pytest.raises(NotConvergedError) as info:
+            oracles._weibull_rows(4.0, np.array([500.0, 1e4]), slope, [])
+        assert "weibull(4.0)" in str(info.value) and "500.0" in str(info.value)
+        assert info.value.diagnostic == {"m": 4.0, "lam": 500.0}
+        assert asked == list(oracles._GH_ORDERS)
+
+    @pytest.mark.parametrize("slope", [False, True])
+    def test_disagreement_escalates(self, monkeypatch, slope):
+        lams = np.array([500.0, 1e4])
+        want = oracles._weibull_rows(4.0, lams, slope, [])
+        asked = self._perturb(monkeypatch, (24,))
+        got = oracles._weibull_rows(4.0, lams, slope, [])
+        assert asked == [24, 32, 64]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("m", SHAPES)
+    def test_rule_takes_every_row_above_the_switch(self, monkeypatch, m):
+        rows = _count_rule_rows(monkeypatch)
+        lams = np.geomspace(_switch(m)[1], 1e6, 50)
+        vals = oracles._weibull_log_mgf(m, lams)
+        slopes = oracles._weibull_log_mgf_deriv(m, lams)
+        assert sum(rows) == 2 * lams.size
+        assert np.all(np.diff(vals) > 0) and np.all(np.diff(slopes) > 0)
 
 
 class TestEmpiricalTail:
