@@ -561,17 +561,25 @@ def exponential_unit() -> OracleDistribution:
     )
 
 
-# the longest moment series a Weibull row takes; a row needing more terms
-# takes the Gauss-Hermite rule instead
+# the longest moment series a Weibull row takes while the Gauss-Hermite rule
+# can take it instead
 _SERIES_TERMS = 1024
 # rows x terms of one series work array, about half a megabyte
 _SERIES_CHUNK = 1 << 16
+# the Gauss-Hermite rule takes a row only if its tilted peak lies this many
+# widths above x = 0, where the density's x^(m-1) is not smooth; for m from
+# 1.01 to 1.08 it misses 1e-14 against mpmath at 5 widths, not at 6.5
+_GH_CLEAR = 8.0
+# the least shape m > 1 a Weibull law takes: the rule's slope carries a
+# rounding error of about 1e-16 / (m-1) relative; at m = 1.01 its two orders
+# differ by more than _GH_AGREE, at m = 1.02 it is within 6e-15 of mpmath
+_WEIBULL_M_MIN = 1.05
 
 
-def _weibull_log_coefficients(m: float) -> np.ndarray:
-    """ln(E X^k / k!) = lgamma(1 + k/m) - lgamma(k + 1) for k < _SERIES_TERMS."""
+def _weibull_log_coefficients(m: float, n: int) -> np.ndarray:
+    """ln(E X^k / k!) = lgamma(1 + k/m) - lgamma(k + 1) for k < n."""
     return np.array([math.lgamma(1.0 + k / m) - math.lgamma(k + 1.0)
-                     for k in range(_SERIES_TERMS)])
+                     for k in range(n)])
 
 
 def _series_terms(m: float, lams: np.ndarray) -> np.ndarray:
@@ -610,14 +618,10 @@ def _series_rows(log_c: np.ndarray, lams: np.ndarray, slope: bool) -> np.ndarray
     return np.where(ended, out, math.nan)
 
 
-# probabilists' Gauss-Hermite orders of the peak-centred rule, tried in
-# turn until two in a row agree within _GH_AGREE relative
-_GH_ORDERS = (24, 32, 64, 96)
+# probabilists' Gauss-Hermite orders of the peak-centred rule, whose results
+# must agree within _GH_AGREE relative
+_GH_ORDERS = (24, 32)
 _GH_AGREE = 1e-14
-# below this |eps| the rule's exponent brackets take their power series,
-# whose terms past eps^_GH_SERIES_TOP fall below 1e-17 of the first
-_GH_SERIES_EPS = 0.1
-_GH_SERIES_TOP = 18
 # Newton steps for the tilted peak, from (lam/m)^(1/(m-1)); a fixed count
 # keeps each row's arithmetic its own, and the exponent carries whatever
 # residual is left
@@ -643,78 +647,66 @@ def _hermite_rows(m: float, lams: np.ndarray, slope: bool) -> np.ndarray:
         (m-1)(log1p(eps) - eps) - xh^m ((1+eps)^m - 1 - m eps) + r s u
 
     (r = g'(xh), Newton's residual), so no two large terms cancel at a node.
-    Its two brackets are power series below |eps| = _GH_SERIES_EPS.  The
-    slope is xh + s E[u] under the tilted law.  Each row takes the orders
-    of ``_GH_ORDERS`` until two in a row agree within ``_GH_AGREE``
-    relative, and keeps the higher; a row with no such pair raises
-    NotConvergedError naming m and lam.
+    The slope is xh + s E[u] under the tilted law.  The orders of
+    ``_GH_ORDERS`` must agree within ``_GH_AGREE`` relative, and the higher
+    is kept; a row where they do not raises NotConvergedError naming m and
+    lam.
     """
     xh = (lams / m) ** (1.0 / (m - 1.0))
     for _ in range(_GH_NEWTON):
         xp = xh ** (m - 1.0)
-        xh = xh + ((m - 1.0) / xh + lams - m * xp) * xh * xh / ((m - 1.0) * (1.0 + m * xh * xp))
+        xh = xh + ((m - 1.0) / xh + lams - m * xp) * xh / ((m - 1.0) * (1.0 / xh + m * xp))
     xp = xh ** (m - 1.0)
     xm = xh * xp
     r = (m - 1.0) / xh + lams - m * xp
     s = xh / np.sqrt((m - 1.0) * (1.0 + m * xm))
     # ln M at u = 0, less ln of the rule's sum
     base = math.log(m) + (m - 1.0) * np.log(xh) + xh * (lams - xp) + np.log(s)
-    # each row's two brackets as one series: eps^2 times a polynomial in eps
-    k = np.arange(2, _GH_SERIES_TOP + 1)
-    binom = m * np.cumprod((m - k + 1.0) / k)
-    coef = (m - 1.0) * (-1.0) ** (k + 1) / k - xm[:, None] * binom
 
-    def rule(n: int, rows: np.ndarray) -> np.ndarray:
+    def rule(n: int) -> np.ndarray:
         u, w = _hermite_rule(n)
-        eps = (s[rows] / xh[rows])[:, None] * u
-        c = coef[rows]
-        series = c[:, -1, None] * eps
-        for j in range(c.shape[1] - 2, -1, -1):
-            series += c[:, j, None]
-            series *= eps
-        series *= eps
+        eps = (s / xh)[:, None] * u
         # non-finite rows fail the agreement test below
         with np.errstate(all="ignore"):
             lp = np.log1p(eps)
-            direct = (m - 1.0) * (lp - eps) - xm[rows, None] * (np.expm1(m * lp) - m * eps)
+            expo = (m - 1.0) * (lp - eps) - xm[:, None] * (np.expm1(m * lp) - m * eps)
             # x = xh (1 + eps) <= 0 lies outside the support
-            expo = np.where(np.abs(eps) < _GH_SERIES_EPS, series,
-                            np.where(eps > -1.0, direct, -math.inf))
-            expo += (r[rows] * s[rows])[:, None] * u + 0.5 * u * u
-            e = w * np.exp(expo)
+            expo = np.where(eps > -1.0, expo, -math.inf)
+            expo += (r * s)[:, None] * u + 0.5 * u * u
+            # r s is large where xh's rounding spans many widths (m near 1,
+            # large lam); the shift by each row's largest exponent keeps exp
+            # in range there
+            top = expo.max(axis=1)
+            e = w * np.exp(expo - top[:, None])
             total = e.sum(axis=1)
             if slope:
-                return xh[rows] + s[rows] * ((e * u).sum(axis=1) / total)
-            return base[rows] + np.log(total)
+                return xh + s * ((e * u).sum(axis=1) / total)
+            return base + top + np.log(total)
 
-    rows = np.arange(lams.size)
-    prev = rule(_GH_ORDERS[0], rows)
-    out = prev.copy()
-    for n in _GH_ORDERS[1:]:
-        new = rule(n, rows)
-        with np.errstate(invalid="ignore"):
-            ok = np.abs(new - prev) <= _GH_AGREE * np.abs(new)
-        out[rows] = new
-        rows, prev = rows[~ok], new[~ok]
-        if not rows.size:
-            return out
-    lam = float(lams[rows[0]])
-    raise NotConvergedError(
-        f"weibull({m}) log-MGF at lam = {lam!r}: Gauss-Hermite orders "
-        f"{_GH_ORDERS[-2]} and {_GH_ORDERS[-1]} disagree", diagnostic={"m": m, "lam": lam})
+    low, out = (rule(n) for n in _GH_ORDERS)
+    with np.errstate(invalid="ignore"):
+        bad = np.flatnonzero(~(np.abs(out - low) <= _GH_AGREE * np.abs(out)))
+    if bad.size:
+        lam = float(lams[bad[0]])
+        raise NotConvergedError(
+            f"weibull({m}) log-MGF at lam = {lam!r}: Gauss-Hermite orders "
+            f"{_GH_ORDERS[0]} and {_GH_ORDERS[1]} disagree", diagnostic={"m": m, "lam": lam})
+    return out
 
 
 def _weibull_rows(m: float, lams, slope: bool, table: list):
     """ln E exp(lam*X), or its lam-derivative, for each lam.
 
     X has density m x^{m-1} e^{-x^m}, m > 1, so E exp(lam X) is the series
-    sum_k Gamma(1 + k/m) lam^k / k! of positive terms.  A row whose series
-    takes at most ``_SERIES_TERMS`` terms sums it; the others, and any whose
-    series is not shown to have ended, take the peak-centred Gauss-Hermite
-    rule (``_hermite_rows``).  Rows are grouped by their own term count, and
-    each rule row's arithmetic is its own, so a row's result does not
-    depend on the batch it is in.  ``table`` holds the coefficients'
-    logs, computed on its first use.
+    sum_k Gamma(1 + k/m) lam^k / k! of positive terms.  A row sums it if it
+    takes at most ``_SERIES_TERMS`` terms, or if the tilted peak lies fewer
+    than ``_GH_CLEAR`` widths above 0 (at most 4,096 terms for m >= 1.05);
+    a row whose series is not shown to have ended tries twice the terms.
+    The other rows take the peak-centred Gauss-Hermite rule
+    (``_hermite_rows``).  Each row's path and arithmetic are its own, so its
+    result does not depend on the batch it is in.  ``table`` holds the
+    coefficients' logs, computed on their first use and lengthened when a
+    row needs more.
 
     At lam == 0 the log-MGF is 0 and its slope E X = Gamma(1 + 1/m).
     Scalars in, floats out; arrays in, arrays of the same shape out.
@@ -725,23 +717,32 @@ def _weibull_rows(m: float, lams, slope: bool, table: list):
     if slope:
         out[flat == 0.0] = math.gamma(1.0 + 1.0 / m)
     todo = np.flatnonzero(flat != 0.0)
-    terms = _series_terms(m, flat[todo])
-    short = terms <= _SERIES_TERMS
-    rule = [todo[~short]]
-    if short.any() and not table:
-        table.append(_weibull_log_coefficients(m))
-    for n in np.unique(terms[short]).tolist():
-        log_c = table[0][:int(n)]
-        rows = todo[terms == n]
-        step = _SERIES_CHUNK // log_c.size
-        for k in range(0, rows.size, step):
-            sel = rows[k:k + step]
-            v = _series_rows(log_c, flat[sel], slope)
-            ok = ~np.isnan(v)
-            out[sel[ok]] = v[ok]
-            rule.append(sel[~ok])
-    todo = np.concatenate(rule)
-    # rows x nodes of the rule's work arrays, at its top order, fit one chunk
+    terms = _series_terms(m, flat)
+    # the peak lies just above (lam/m)^(1/(m-1)), sqrt((m-1)(1 + m x^m))
+    # widths above 0
+    with np.errstate(over="ignore"):
+        x = (flat / m) ** (1.0 / (m - 1.0))
+        near = (m - 1.0) * (1.0 + m * x ** m) < _GH_CLEAR ** 2
+    rule = []
+    n = 32
+    while todo.size:
+        if n > _SERIES_TERMS:
+            rule.append(todo[~near[todo]])
+            todo = todo[near[todo]]
+        rows = todo[terms[todo] == n]
+        if rows.size:
+            if not table or table[0].size < n:
+                table[:] = [_weibull_log_coefficients(m, max(n, _SERIES_TERMS))]
+            step = _SERIES_CHUNK // n
+            for k in range(0, rows.size, step):
+                sel = rows[k:k + step]
+                out[sel] = _series_rows(table[0][:n], flat[sel], slope)
+            # a row whose series is not shown to have ended tries twice the terms
+            terms[rows[np.isnan(out[rows])]] = 2 * n
+            todo = todo[terms[todo] > n]
+        n *= 2
+    todo = np.concatenate([todo, *rule])
+    # rows x nodes of the rule's work arrays, at its higher order, fit one chunk
     step = _SERIES_CHUNK // _GH_ORDERS[-1]
     for k in range(0, todo.size, step):
         sel = todo[k:k + step]
@@ -767,9 +768,13 @@ def _weibull_density(x, m: float):
 
 
 def weibull(m: float) -> OracleDistribution:
-    """Stretched/compressed exponential: tail exp(-x^m) on x >= 0."""
+    """Stretched/compressed exponential: tail exp(-x^m) on x >= 0, for
+    0 < m <= 1 or m >= 1.05."""
     if m <= 0:
         raise InputError("weibull shape m must be positive")
+    if 1.0 < m < _WEIBULL_M_MIN:
+        raise InputError(f"weibull shape m in (1, {_WEIBULL_M_MIN}) is not supported: "
+                         "its log-MGF is not computed to 1e-14 there")
     mm = float(m)
     if mm == 1.0:
         return exponential_unit()

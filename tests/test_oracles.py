@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from conftest import weibull_log_mgf_closed_m2
 from tailbounds import oracles
-from tailbounds.errors import NotConvergedError
+from tailbounds.errors import InputError, NotConvergedError
 from tailbounds.functions import PhiFunction, certify_convex, conjugate
 from tailbounds.integrals import log_i_integral
 
@@ -264,6 +264,9 @@ class TestBatchedWeibullLogMgf:
 
 SHAPES = (1.5, 2.0, 3.0, 4.0, 6.0)
 MP_LAMS = (1e-12, 1e-9, 1e-6, 1e-3, 0.5, 3.0, 20.0)
+# shapes near the least one taken, where the peak sits fewer than
+# _GH_CLEAR widths above 0 at the series switch
+NEAR_ONE = (1.05, 1.1, 1.2)
 
 
 def _switch(m):
@@ -284,26 +287,50 @@ def _above_switch(m):
     return tuple(np.geomspace(_switch(m)[1], 1e6, 4)[1:].tolist())
 
 
+def _clear(m):
+    """(last lam whose peak estimate lies fewer than _GH_CLEAR widths above 0,
+    next double above it), by bisection."""
+    def near(lam):
+        x = (lam / m) ** (1.0 / (m - 1.0))
+        return (m - 1.0) * (1.0 + m * x ** m) < oracles._GH_CLEAR ** 2
+
+    lo, hi = 1.0, 10.0
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if near(mid) else (lo, mid)
+    return lo, hi
+
+
 with mp.workdps(50):
     _MP_GAUSS_LEGENDRE_12 = GaussLegendre(mp.mp).get_nodes(-1, 1, 3, mp.mp.prec)
 
 
 @functools.lru_cache(maxsize=None)
 def _mp_weibull(m, lam):
-    """ln E e^{lam X} and its slope for the tail exp(-x^m), at 50 digits.
+    """ln E e^{lam X} and its slope for the tail exp(-x^m), at 50 digits,
+    or 30 past the magnitude of lam times the tilted peak.
 
-    Up to lam = 3 the moment series, summed until its terms fall below
-    1e-55 of the sum.  Above, the density integrated over 120 panels one
-    standard deviation s wide, from the tilted peak -60 s (or 0) to +60 s,
-    by 12-node Gauss-Legendre on each; the mass outside is below e^-1700 of
-    the total.  The density's x^(m-1) is not smooth at 0, so the panels
-    need the peak far above 0: at least ten widths at every lam > 3 used
-    here.  Cached: value and slope share one integral.
+    Where the tilted peak lies fewer than ten standard deviations s above 0,
+    the moment series, summed until its terms fall below 1e-55 of the sum.
+    Elsewhere the density integrated over 120 panels s wide, from the peak
+    -60 s (or 0) to +60 s, by 12-node Gauss-Legendre on each; the mass
+    outside is below e^-1700 of the total.  The density's x^(m-1) is not
+    smooth at 0, hence the ten widths.  Cached: value and slope share one
+    integral.
     """
-    with mp.workdps(50):
+    peak = (lam / m) ** (1 / (m - 1))
+    with mp.workdps(max(50, 30 + int(math.log10(max(peak * lam, 1.0))))):
         power = int(m) if m == int(m) else mp.mpf(m)
         m, lam = mp.mpf(m), mp.mpf(lam)
-        if lam <= 3:
+        x = mp.mpf(peak)
+        for _ in range(200):
+            slope = (m - 1) / x + lam - m * x ** (power - 1)
+            curv = (m - 1) / x ** 2 + m * (m - 1) * x ** (power - 2)
+            x += slope / curv
+            if abs(slope / curv) < x * mp.mpf(10) ** -45:
+                break
+        s = 1 / mp.sqrt(curv)
+        if x < 10 * s:
             total = first = mp.mpf(0)
             k = 0
             while True:
@@ -313,14 +340,6 @@ def _mp_weibull(m, lam):
                 if k > 10 and t < total * mp.mpf(10) ** -55:
                     return float(mp.log(total)), float(first / (lam * total))
                 k += 1
-        x = (lam / m) ** (1 / (m - 1))
-        for _ in range(100):
-            slope = (m - 1) / x + lam - m * x ** (power - 1)
-            curv = (m - 1) / x ** 2 + m * (m - 1) * x ** (power - 2)
-            x += slope / curv
-            if abs(slope / curv) < x * mp.mpf(10) ** -45:
-                break
-        s = 1 / mp.sqrt(curv)
 
         def expo(t):
             return (m - 1) * mp.log(t) + lam * t - t ** power
@@ -371,7 +390,7 @@ class TestWeibullMomentSeries:
         assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0.0)
         assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0.0)
 
-    @pytest.mark.parametrize("m", [2.0, 4.0])
+    @pytest.mark.parametrize("m", [1.1, 2.0, 4.0])
     def test_batch_across_term_counts_and_switch_equals_scalar_calls(self, m):
         phi = oracles.weibull(m).mgf_exponent
         top = _switch(m)[1]
@@ -399,9 +418,9 @@ class TestWeibullMomentSeries:
         assert not rows
 
     def test_series_cut_short_is_refused(self):
-        # at lam = 20 the m = 2 terms still rise at k = 31: the row must fall
-        # back to the Gauss-Hermite rule, not report a truncated sum
-        log_c = oracles._weibull_log_coefficients(2.0)
+        # at lam = 20 the m = 2 terms still rise at k = 31: the row must try
+        # more terms, not report a truncated sum
+        log_c = oracles._weibull_log_coefficients(2.0, oracles._SERIES_TERMS)
         lams = np.array([20.0, 1.0])
         for slope in (False, True):
             got = oracles._series_rows(log_c[:32], lams, slope)
@@ -413,9 +432,9 @@ class TestWeibullMomentSeries:
         built = []
         real = oracles._weibull_log_coefficients
 
-        def counted(m):
-            built.append(m)
-            return real(m)
+        def counted(m, n):
+            built.append((m, n))
+            return real(m, n)
 
         monkeypatch.setattr(oracles, "_weibull_log_coefficients", counted)
         laws = oracles.suite()
@@ -426,7 +445,7 @@ class TestWeibullMomentSeries:
         phi.value(1.0)
         phi.values(np.geomspace(1e-3, 50.0, 40))
         phi.derivative(3.0)
-        assert built == [2.0]
+        assert built == [(2.0, oracles._SERIES_TERMS)]
 
     @pytest.mark.parametrize("m", SHAPES)
     def test_convex_across_the_switch(self, m):
@@ -462,15 +481,6 @@ class TestWeibullHermiteRule:
         assert info.value.diagnostic == {"m": 4.0, "lam": 500.0}
         assert asked == list(oracles._GH_ORDERS)
 
-    @pytest.mark.parametrize("slope", [False, True])
-    def test_disagreement_escalates(self, monkeypatch, slope):
-        lams = np.array([500.0, 1e4])
-        want = oracles._weibull_rows(4.0, lams, slope, [])
-        asked = self._perturb(monkeypatch, (24,))
-        got = oracles._weibull_rows(4.0, lams, slope, [])
-        assert asked == [24, 32, 64]
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-
     @pytest.mark.parametrize("m", SHAPES)
     def test_rule_takes_every_row_above_the_switch(self, monkeypatch, m):
         rows = _count_rule_rows(monkeypatch)
@@ -479,6 +489,58 @@ class TestWeibullHermiteRule:
         slopes = oracles._weibull_log_mgf_deriv(m, lams)
         assert sum(rows) == 2 * lams.size
         assert np.all(np.diff(vals) > 0) and np.all(np.diff(slopes) > 0)
+
+
+class TestWeibullNearZeroPeak:
+    # rows whose tilted peak lies fewer than _GH_CLEAR widths above 0, where
+    # the Gauss-Hermite rule misses 1e-14, and shapes near the least one
+    # taken
+
+    @pytest.mark.parametrize("m,lam", [(m, lam) for m in NEAR_ONE
+                                       for lam in (_switch(m)[1], *_clear(m), 1e6)]
+                             # xh's rounding spans 14 widths: the rule's node
+                             # terms once overflowed
+                             + [(1.2, 732710.5861386189)]
+                             # xh passes 1e154: squaring it once overflowed
+                             # Newton's step
+                             + [(1.05, 86958713.17136206)]
+                             # the 32-term series has not ended
+                             + [(1.5, lam) for lam in (1.0, 2.0, 3.5)])
+    def test_against_mpmath(self, m, lam):
+        phi = oracles.weibull(m).mgf_exponent
+        want = _mp_weibull(m, lam)
+        assert phi.value(lam) == pytest.approx(want[0], rel=1e-14, abs=0.0)
+        assert phi.derivative(lam) == pytest.approx(want[1], rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("m", [1.05, 1.1])
+    def test_series_takes_long_rows_near_zero(self, monkeypatch, m):
+        rows = _count_rule_rows(monkeypatch)
+        lams = np.array([_switch(m)[1], _clear(m)[0]])
+        assert np.all(oracles._series_terms(m, lams) > oracles._SERIES_TERMS)
+        oracles._weibull_log_mgf(m, lams)
+        assert not rows
+        oracles._weibull_log_mgf(m, _clear(m)[1])
+        assert rows == [1]
+
+    def test_series_that_has_not_ended_takes_more_terms(self, monkeypatch):
+        rows = _count_rule_rows(monkeypatch)
+        assert oracles._series_terms(1.5, np.array([1.0]))[0] == 32
+        log_c = oracles._weibull_log_coefficients(1.5, 32)
+        assert math.isnan(oracles._series_rows(log_c, np.array([1.0]), False)[0])
+        assert math.isfinite(oracles._weibull_log_mgf(1.5, 1.0))
+        assert not rows
+
+    @pytest.mark.parametrize("m", NEAR_ONE + SHAPES)
+    def test_every_row_up_to_1e8(self, m):
+        lams = np.geomspace(1e-3, 1e8, 300)
+        vals = oracles._weibull_log_mgf(m, lams)
+        slopes = oracles._weibull_log_mgf_deriv(m, lams)
+        assert np.all(np.diff(vals) > 0) and np.all(np.diff(slopes) > 0)
+
+    @pytest.mark.parametrize("m", [1.0001, 1.01, 1.0499])
+    def test_shapes_below_the_least_are_refused(self, m):
+        with pytest.raises(InputError):
+            oracles.weibull(m)
 
 
 class TestEmpiricalTail:
