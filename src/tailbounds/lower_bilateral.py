@@ -186,9 +186,11 @@ def make_geometry(phi2: PhiFunction, lam: float, delta1: float,
         x0s, errors = _x0s(phi2, np.array([lam]))
         _raise_unrefused(errors, ())
         x0v = float(x0s[0])
-        sm, dsm = s_value(phi2, lam, xm)
-        sp, dsp = s_value(phi2, lam, xp)
-        s0, _ = s_value(phi2, lam, x0v)
+        xs = np.array([xm, xp, x0v])
+        stars, args, errors = conjugate_values(phi2, xs)
+        _raise_unrefused(errors, ())
+        sm, sp, s0 = (lam * xs - stars).tolist()
+        dsm, dsp, _ = (lam - args).tolist()
         geo = SaddleGeometry(lam=lam, x0=x0v, x_minus=xm, x_plus=xp, rule="explicit",
                              delta1=math.nan, delta2=math.nan,
                              s_minus=sm, s_plus=sp, s_x0=s0,

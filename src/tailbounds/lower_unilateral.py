@@ -5,7 +5,9 @@ Given phi with E exp(lam*X) >= exp(phi(lam)) on [lo, b), the chain is:
 1. the tail transform satisfies int_0^inf e^{lam x} T(x) dx >= (e^phi - 1)/lam,
    whose log is :func:`tail_transform_exponent`;
 2. a dilation certificate: phi's tail-transform exponent dominates a dilated
-   copy phi(c1*lam) on a verification range (:func:`certify_dilation_dominance`);
+   copy phi(c1*lam) on a verification range (:func:`certify_dilation_dominance`).
+   The range starts where phi reaches 1; where the exponent is still too
+   small there, the start walks up until a range certifies;
 3. the compound integral estimate turns step 1 into a lower bound on the
    conjugate of the exponential tail function G, with a computable
    normalization surrogate M;
@@ -73,7 +75,6 @@ class DilationCertificate:
     lam_range: tuple[float, float]
     margin: float
     certified: bool
-    n_grid: int = 0
 
 
 def _default_lam_range(phi: PhiFunction) -> tuple[float, float]:
@@ -99,22 +100,55 @@ def _values_at(phi: PhiFunction, c, ts: np.ndarray) -> np.ndarray:
     return phi.values(np.minimum(np.maximum(c * ts, phi.domain.lo), phi.domain.top()))
 
 
-def certify_dilation_dominance(
-    phi: PhiFunction,
-    lam_range: Optional[tuple[float, float]] = None,
-    c_grid: Optional[Sequence[float]] = None,
-) -> DilationCertificate:
-    """Find the largest dilation c1 dominated by the tail-transform exponent.
+def certify_dilation_dominance(phi: PhiFunction) -> DilationCertificate:
+    """Find a dilation c1 dominated by the tail-transform exponent.
 
-    The default verification range starts at the first lam with
-    phi(lam) >= 1.  The range is sampled at 200 points, each point's
-    critical dilation is bisected, and c1 is the smallest of them; a
-    ``c_grid`` snaps c1 down to its largest feasible entry.  A negative
-    outcome is a valid result, not an error.
+    The inequality only has to hold on *some* verification range, and the
+    tail-transform exponent can be negative where phi is barely above 1, so
+    the start of the range walks up.  The first range starts at the first
+    lam with phi(lam) >= 1 and ends near the domain top.  Then the start
+    rises: to 2^k for k = 1..8 on an unbounded domain (each range ending at
+    max(100, 64 * start)), to lo + q*(top - lo) for q in 0.3, 0.45, 0.6,
+    0.75 on a bounded one.  The ranges are tried one after another: the
+    first certificate with c1 >= 0.3 wins, else the largest c1 certified.
+    Raises NotCertifiedError, naming the ranges tried, when none certifies.
     """
-    if lam_range is None:
-        lam_range = _default_lam_range(phi)
-    lo, hi = float(lam_range[0]), float(lam_range[1])
+    lo, top = phi.domain.lo, float(phi.domain.top())
+    ranges = []
+    try:
+        ranges.append(_default_lam_range(phi))
+    except NotCertifiedError:
+        pass
+    if math.isfinite(top):
+        ranges += [(lo + q * (top - lo), top) for q in (0.3, 0.45, 0.6, 0.75)]
+    else:
+        ranges += [(s, max(100.0, 64.0 * s)) for s in (2.0 ** k for k in range(1, 9)) if s > lo]
+    certified = []
+    for start, end in ranges:
+        try:
+            cert = _certify_on_range(phi, start, end)
+        except InputError:
+            continue
+        if cert.certified and cert.c1 >= 0.3:
+            return cert
+        if cert.certified:
+            certified.append(cert)
+    if certified:
+        return max(certified, key=lambda c: c.c1)
+    raise NotCertifiedError(
+        f"{phi.label}: dilation dominance not certified on "
+        + (", ".join(f"({a:.6g}, {b:.6g})" for a, b in ranges) or "any range")
+    )
+
+
+def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> DilationCertificate:
+    """The largest c1 that the verification range [lo, hi] certifies.
+
+    The range is sampled at 200 points, each point's critical dilation is
+    bisected, and c1 is the smallest of them.  A refusal returns
+    ``certified=False``.
+    """
+    lo, hi = float(lo), float(hi)
     if not (phi.domain.lo <= lo < hi):
         raise InputError(f"bad verification range [{lo}, {hi}]")
     hi = min(hi, phi.domain.top())
@@ -122,7 +156,7 @@ def certify_dilation_dominance(
     aux = np.array([_tail_transform_from_value(p, t)
                     for p, t in zip(phi.values(lams).tolist(), lams.tolist())])
     refused = DilationCertificate(c1=0.0, lam_range=(lo, hi), margin=-math.inf,
-                                  certified=False, n_grid=lams.size)
+                                  certified=False)
 
     # per-lambda critical dilation: largest c with phi(c*lam) <= aux(lam);
     # phi is nondecreasing on [0, b) for envelope exponents, so bisection
@@ -145,20 +179,11 @@ def certify_dilation_dominance(
     if c1 <= 1e-10:
         return refused
 
-    if c_grid is not None:
-        # explicit grid requested: snap down to its largest feasible entry
-        cs = np.asarray(sorted(c_grid), dtype=float)
-        at_most = cs[cs <= c1 + _ABS_TOL]
-        if at_most.size == 0:
-            return refused
-        c1 = min(c1, float(at_most.max()))
-
     margin = float(np.min(aux - _values_at(phi, c1, lams)))
     if margin < -10 * _ABS_TOL:
-        return DilationCertificate(c1=0.0, lam_range=(lo, hi), margin=margin,
-                                   certified=False, n_grid=lams.size)
+        return refused
     return DilationCertificate(c1=c1, lam_range=(lo, hi), margin=margin,
-                               certified=True, n_grid=lams.size)
+                               certified=True)
 
 
 # --------------------------------------------------------------------------
@@ -361,7 +386,6 @@ def unilateral_lower_envelope(
     eps: float,
     m_surrogate: float,
     x_grid: Sequence[float],
-    dilation_cert: Optional[DilationCertificate] = None,
     nonnegative: bool = True,
     cramer: Optional[bool] = None,
 ) -> tuple[TailEnvelope, LowerEnvelopeCertificate]:
@@ -380,11 +404,7 @@ def unilateral_lower_envelope(
     if not (m_surrogate > 0 and math.isfinite(m_surrogate)):
         raise InputError("m_surrogate must be finite and positive")
 
-    cert_w = dilation_cert or certify_dilation_dominance(phi)
-    if not cert_w.certified:
-        raise NotCertifiedError(
-            f"{phi.label}: dilation dominance not certified on {cert_w.lam_range}"
-        )
+    cert_w = certify_dilation_dominance(phi)
 
     annotations = []
     if cramer is False:

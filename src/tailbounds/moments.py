@@ -19,11 +19,7 @@ from .envelope import LOWER, UPPER, TailEnvelope
 from .errors import InputError, NotCertifiedError
 from .functions import PhiFunction, _bisect, _read_csv_columns, _solve, _stars
 from .integrals import CramerCertificate, cramer_check
-from .lower_unilateral import (
-    LowerEnvelopeCertificate,
-    certify_dilation_dominance,
-    unilateral_lower_envelope,
-)
+from .lower_unilateral import LowerEnvelopeCertificate, unilateral_lower_envelope
 
 X_VALID_FLOOR = math.e  # T_X(x) = T_theta(ln x) needs ln x >= 1
 
@@ -120,7 +116,7 @@ def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, b
     """
     lo, hi = curve.domain.lo, curve.domain.top()
     probe = _probe_grid(curve.domain)
-    vals = np.array([curve.value(float(p)) for p in probe])
+    vals = curve.values(probe)
     if np.any(vals <= 0):
         raise InputError(f"{label}: envelope must be positive")
     above = probe[vals >= 1.0]
@@ -162,40 +158,6 @@ def to_exponential(m: MomentEnvelope) -> ExponentPair:
 # --------------------------------------------------------------------------
 
 
-def _certify_with_walkup(phi: PhiFunction):
-    """Dilation certificate, raising the verification start until it holds.
-
-    The tail-transform exponent can be negative where phi is barely above 1,
-    which blocks certification at the default start; the condition only
-    needs to hold on *some* verification range, so the start walks up.
-    """
-    lo, hi = phi.domain.lo, phi.domain.top()
-    if math.isfinite(hi):
-        starts = [lo + q * (hi - lo) for q in (0.0, 0.3, 0.45, 0.6, 0.75)]
-    else:
-        starts = [None] + [2.0 ** k for k in range(1, 9)]
-    last = None
-    for s in starts:
-        try:
-            if s is None:
-                cert = certify_dilation_dominance(phi, None)
-            else:
-                if s <= lo:
-                    continue
-                top = hi if math.isfinite(hi) else max(100.0, 64.0 * s)
-                if s >= top:
-                    continue
-                cert = certify_dilation_dominance(phi, (s, top))
-        except (InputError, NotCertifiedError):
-            continue
-        last = cert
-        if cert.certified and cert.c1 >= 0.3:
-            return cert
-    if last is not None and last.certified:
-        return last
-    raise NotCertifiedError(f"{phi.label}: dilation dominance not certifiable")
-
-
 @dataclass(frozen=True)
 class PowerTailReport:
     gamma: float
@@ -226,8 +188,6 @@ def power_tail_lower(
     if not math.isfinite(b):
         raise InputError("pole-type route expects a finite moment-domain top")
 
-    w_cert = _certify_with_walkup(phi)
-
     xs = np.asarray(x_grid, dtype=float)
     xs = xs[xs >= X_VALID_FLOOR]
     if xs.size == 0:
@@ -235,8 +195,7 @@ def power_tail_lower(
 
     y_grid = np.log(xs)
     env_theta, chain_cert = unilateral_lower_envelope(
-        phi, eps, m_surrogate, y_grid, dilation_cert=w_cert,
-        nonnegative=True,
+        phi, eps, m_surrogate, y_grid, nonnegative=True,
     )
     # re-express for |X| via x = e^y
     y_kept = env_theta.x
@@ -328,10 +287,8 @@ def growth_tail_recovery(
     chain_cert = None
     if not pair.degenerate_lower:
         try:
-            w_cert = _certify_with_walkup(pair.phi1)
             env_theta, chain_cert = unilateral_lower_envelope(
-                pair.phi1, 0.05, m_surrogate, ys, dilation_cert=w_cert,
-                nonnegative=True,
+                pair.phi1, 0.05, m_surrogate, ys, nonnegative=True,
             )
             neg = -env_theta.log_values
             x_kept = np.exp(env_theta.x)

@@ -101,13 +101,20 @@ class TestLowerUni:
         assert rep["config"]["m_surrogate"] == pytest.approx(2.8025, rel=1e-3)
 
     @pytest.mark.parametrize("family,extra", [
+        ("quadratic", ["--lambda-min", "0"]),
+        ("power-log", ["--p", "2", "--r", "1", "--lambda-min", "0"]),
+        ("linear", ["--m-surrogate", "2.0", "--lambda-min", "0"]),
+        # the default --lambda-min 1, where the dilation certificate's
+        # verification range has to start above the default one
         ("quadratic", []),
+        ("quartic", []),
+        ("power-log", ["--p", "3"]),
         ("power-log", ["--p", "2", "--r", "1"]),
-        ("linear", ["--m-surrogate", "2.0"]),
+        ("linear", []),
     ])
     def test_lower_never_exceeds_chernoff_in_report(self, tmp_path, family, extra):
         out = tmp_path / "r.json"
-        code = run(["lower-uni", "--family", family, "--lambda-min", "0",
+        code = run(["lower-uni", "--family", family,
                     "--x", "1:6:1", "--out", str(out), "--normalize"] + extra)
         assert code == 0
         res = json.loads(out.read_text())["results"]

@@ -20,7 +20,9 @@ from tailbounds.errors import (
 )
 from tailbounds.functions import PhiFunction, conjugate
 from tailbounds.lower_unilateral import (
+    _certify_on_range,
     _clipped_minorant_k,
+    _default_lam_range,
     _lam1_candidates,
     _tangent_lines,
     absorb_normalization,
@@ -75,21 +77,45 @@ class TestDilationCertificate:
         assert cert.certified
         assert 0.0 < cert.c1 <= 1.0
 
-    def test_range_from_one_fails(self):
+    def test_range_from_one_fails_and_the_start_walks_up(self):
         # the auxiliary exponent is negative at lam = 1 for the quadratic
-        cert = certify_dilation_dominance(QUAD0, lam_range=(1.0, 100.0))
-        assert not cert.certified
+        assert not _certify_on_range(QUAD0, 1.0, 100.0).certified
+        # on [1, inf) the default range, from sqrt(2), is refused too, so the
+        # start rises to 2.  0.5*lam^2 is the log-MGF of N(0, 1): the chain
+        # from there must stay below its exact tail
+        phi = PhiFunction.quadratic(lo=1.0)
+        xs = np.linspace(1.0, 12.0, 45)
+        env, cert = unilateral_lower_envelope(phi, 0.2, m_surrogate_from_upper(phi, 0.2),
+                                              xs, nonnegative=False)
+        assert cert.diagnostics["lam_range"] == (2.0, 128.0)
+        assert cert.c1 == pytest.approx(0.762, abs=1e-3)
+        assert np.all(env.log_values <= np.log(oracles.gaussian().exact_tail(env.x)))
 
     def test_exponential_exact_self_dominance(self):
         phi = oracles.exponential_unit().mgf_exponent
         cert = certify_dilation_dominance(phi)
         assert cert.certified
         assert cert.c1 == pytest.approx(1.0, abs=1e-6)
+        # a bounded domain tries its default range, from phi = 1, first
+        assert cert.lam_range[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
 
-    def test_explicit_coarse_grid_snaps_down(self):
-        cert = certify_dilation_dominance(QUAD0, c_grid=np.arange(1, 21) / 20.0)
-        assert cert.certified
-        assert cert.c1 == pytest.approx(0.40, abs=1e-9)
+    def test_a_small_c1_walks_up(self):
+        # the default range of 0.36*lam^2 certifies c1 = 0.17 only, below the
+        # 0.3 that ends the walk; the range from 2 certifies 0.58
+        phi = PhiFunction.quadratic(coeff=0.36, lo=0.0)
+        first = _certify_on_range(phi, *_default_lam_range(phi))
+        assert first.certified and first.c1 < 0.3
+        cert = certify_dilation_dominance(phi)
+        assert cert.lam_range == (2.0, 128.0)
+        assert cert.c1 == pytest.approx(0.575, abs=1e-3)
+
+    def test_a_small_c1_stands_when_no_raised_start_certifies(self):
+        # on [0, 1.9) every raised start has phi < 1 at its floor and is
+        # refused, so the default range's c1 = 0.17 is the certificate
+        phi = PhiFunction.quadratic(coeff=0.36, lo=0.0, hi=1.9)
+        cert = certify_dilation_dominance(phi)
+        assert cert.lam_range[0] == _default_lam_range(phi)[0]
+        assert 0.0 < cert.c1 < 0.3
 
 
 class TestAbsorption:
@@ -299,11 +325,13 @@ class TestChainAcrossOracles:
         assert c1.c2 * c1.dilation * (1 - c1.eps) == pytest.approx(1.0, rel=1e-12)
 
     def test_uncertified_input_raises(self):
-        bumpy = PhiFunction.from_callable(
-            lambda l: 0.05 * l, 0.0, math.inf, deriv=lambda l: 0.05,
-            convex=True, label="slow-linear", slope_lim=0.05)
-        with pytest.raises(NotCertifiedError):
-            unilateral_lower_envelope(bumpy, 0.2, 2.0, np.array([2.0]))
+        # phi stays below 1 on [0, 10): no range certifies, and the refusal
+        # names the raised starts it tried
+        slow = PhiFunction.from_callable(
+            lambda l: 0.05 * l, 0.0, 10.0, deriv=lambda l: 0.05,
+            convex=True, label="slow-linear")
+        with pytest.raises(NotCertifiedError, match=r"not certified on \(3, 10\), \(4\.5, 10\)"):
+            unilateral_lower_envelope(slow, 0.2, 2.0, np.array([2.0]))
 
 
 def _conj(phi, x):
