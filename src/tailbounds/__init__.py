@@ -58,7 +58,6 @@ from .lower_bilateral import (
     make_geometry,
     pinch_rate_diagnostic,
     pinched_lower_envelope,
-    s_value,
     tangent_bracket_log,
     tangent_bracket_lower,
     verify_regularity,

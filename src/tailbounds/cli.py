@@ -283,7 +283,10 @@ def cmd_lower_bi(args) -> int:
     else:
         env, diag = closure_lower_envelope(f, f, xs)
         results = {"envelope": envelope_payload(env),
-                   "diagnostics": to_jsonable({"all_clamped": diag.all_clamped})}
+                   "diagnostics": to_jsonable({
+                       "all_clamped": diag.all_clamped,
+                       # a list in z order: a float z never becomes a JSON key
+                       "per_z": [{"z": z, **d} for z, d in diag.per_z.items()]})}
     results["chernoff"] = envelope_payload(_chernoff_envelope(f, env.x))
     results["regularity"] = to_jsonable(verify_regularity(f))
     rows = [{"x": float(x), "lower": float(v)} for x, v in zip(env.x, env.values)]

@@ -52,15 +52,6 @@ _LOG_EPS = math.log(2.0) * -1074  # smallest log float
 # --------------------------------------------------------------------------
 
 
-def s_value(phi2: PhiFunction, lam: float, x: float) -> tuple[float, float]:
-    """S(lam, x) = lam*x - phi2*(x) and its x-derivative lam - (phi2*)'(x).
-
-    The derivative uses the conjugate's maximizer (exact for convex phi2).
-    """
-    star, arg = conjugate_value(phi2, float(x))
-    return float(lam) * float(x) - star, float(lam) - arg
-
-
 def _raise_unrefused(errors: dict, refusals=(OutOfDomainError, InputError)) -> None:
     """Raise the error of the smallest index in ``errors`` that is not one
     of ``refusals``; ``refusals=()`` raises the first error."""
@@ -145,6 +136,37 @@ def _stars_at_saddle(phi2: PhiFunction, ts: np.ndarray, xs: np.ndarray) -> tuple
     return out, {int(at[k]): e for k, e in errors.items()}
 
 
+def _saddle_rows(phi2: PhiFunction, mus: np.ndarray, lams: np.ndarray,
+                 nus: np.ndarray) -> tuple[dict, dict]:
+    """The saddle geometry of each row x_minus = x0(mu) < x0(lam) < x_plus =
+    x0(nu), its mu, lam and nu inside phi2's domain: the SaddleGeometry
+    fields x_minus, x0, x_plus, s_minus, s_x0, s_plus (S(lam, .) at each),
+    ds_minus = lam - mu and ds_plus = lam - nu, as arrays over the rows.
+    x0 and phi2* are evaluated once per distinct t of the batch.  Also
+    returns, by index of the sorted distinct t's, the error of each t
+    without a saddle or conjugate (NaN in the rows that use it).
+    """
+    k = lams.size
+    ts, inv = np.unique(np.concatenate([mus, lams, nus]), return_inverse=True)
+    x0s, errors = _x0s(phi2, ts)
+    stars, star_errors = _stars_at_saddle(phi2, ts, x0s)
+    errors.update(star_errors)  # a t has a phi2* error only where x0 has a value
+    at = [inv[j * k:(j + 1) * k] for j in range(3)]
+    xm, x0, xp = (x0s[i] for i in at)
+    sm, s0, sp = (lams * x0s[i] - stars[i] for i in at)
+    return dict(x_minus=xm, x0=x0, x_plus=xp, s_minus=sm, s_x0=s0, s_plus=sp,
+                ds_minus=lams - mus, ds_plus=lams - nus), errors
+
+
+def _geometry_ok(x_minus, x0, x_plus, s_minus, s_x0, s_plus, ds_minus, ds_plus):
+    """x_minus < x0 < x_plus, tangent slopes straddling zero, and S at the
+    saddle not below S at either side point (slack 1e-9 max(1, |S(x0)|)).
+    Elementwise on arrays; np.where(b > a, b, a) is Python's max(a, b)."""
+    tol = 1e-9 * np.where(np.abs(s_x0) > 1.0, np.abs(s_x0), 1.0)
+    return ((x_minus < x0) & (x0 < x_plus) & (ds_minus > 0.0) & (ds_plus < 0.0)
+            & ~(s_x0 < np.where(s_plus > s_minus, s_plus, s_minus) - tol))
+
+
 @dataclass(frozen=True)
 class SaddleGeometry:
     """One (lam, x_minus, x0, x_plus) configuration with S data attached."""
@@ -153,7 +175,7 @@ class SaddleGeometry:
     x0: float
     x_minus: float
     x_plus: float
-    rule: str                  # "symmetric" | "asymmetric" | "explicit"
+    rule: str                  # "symmetric" | "asymmetric"
     delta1: float
     delta2: float
     s_minus: float
@@ -163,62 +185,37 @@ class SaddleGeometry:
     ds_plus: float             # < 0 required
 
     def validate(self) -> None:
-        if not (self.x_minus < self.x0 < self.x_plus):
+        if not _geometry_ok(self.x_minus, self.x0, self.x_plus, self.s_minus,
+                            self.s_x0, self.s_plus, self.ds_minus, self.ds_plus):
             raise GeometryInvalidError(
-                f"need x_minus < x0 < x_plus, got {self.x_minus}, {self.x0}, {self.x_plus}"
+                "need x_minus < x0 < x_plus, slopes straddling zero and S at the "
+                f"saddle not below the sides; got x = ({self.x_minus}, {self.x0}, "
+                f"{self.x_plus}), slopes ({self.ds_minus}, {self.ds_plus}), "
+                f"S = ({self.s_minus}, {self.s_x0}, {self.s_plus})"
             )
-        if not (self.ds_minus > 0.0 and self.ds_plus < 0.0):
-            raise GeometryInvalidError(
-                f"tangent slopes must straddle zero: {self.ds_minus}, {self.ds_plus}"
-            )
-        tol = 1e-9 * max(1.0, abs(self.s_x0))
-        if self.s_x0 < max(self.s_minus, self.s_plus) - tol:
-            raise GeometryInvalidError("S at the saddle below S at the side points")
 
 
 def make_geometry(phi2: PhiFunction, lam: float, delta1: float,
-                  delta2: Optional[float] = None,
-                  x_pair: Optional[tuple[float, float]] = None) -> SaddleGeometry:
-    """Build the saddle geometry at lam from dilation offsets or explicit x's."""
-    lam = float(lam)
-    if x_pair is not None:
-        xm, xp = map(float, x_pair)
-        x0s, errors = _x0s(phi2, np.array([lam]))
-        _raise_unrefused(errors, ())
-        x0v = float(x0s[0])
-        xs = np.array([xm, xp, x0v])
-        stars, args, errors = conjugate_values(phi2, xs)
-        _raise_unrefused(errors, ())
-        sm, sp, s0 = (lam * xs - stars).tolist()
-        dsm, dsp, _ = (lam - args).tolist()
-        geo = SaddleGeometry(lam=lam, x0=x0v, x_minus=xm, x_plus=xp, rule="explicit",
-                             delta1=math.nan, delta2=math.nan,
-                             s_minus=sm, s_plus=sp, s_x0=s0,
-                             ds_minus=dsm, ds_plus=dsp)
-        geo.validate()
-        return geo
-
-    d1 = float(delta1)
+                  delta2: Optional[float] = None) -> SaddleGeometry:
+    """The saddle geometry at lam with x_minus = x0(lam(1-delta1)) and x_plus
+    = x0(lam(1+delta2)); delta2 defaults to delta1.  The one-row case of the
+    batch behind :func:`_bracket_logs`, raising what the batch refuses:
+    InputError for the offsets, OutOfDomainError for the first of mu, lam,
+    nu outside phi2's domain, the saddle path's error at the smallest t,
+    and GeometryInvalidError.
+    """
+    lam, d1 = float(lam), float(delta1)
     d2 = d1 if delta2 is None else float(delta2)
-    rule = "symmetric" if d2 == d1 else "asymmetric"
     if not (0.0 < d1 < 1.0 and 0.0 < d2):
         raise InputError("dilation offsets must be positive, delta1 < 1")
-    mu = lam * (1.0 - d1)
-    nu = lam * (1.0 + d2)
-    for t in (mu, lam, nu):
+    ts = np.array([lam * (1.0 - d1), lam, lam * (1.0 + d2)])
+    for t in ts.tolist():
         if not phi2.domain.contains(t):
             raise OutOfDomainError(t, phi2.domain.lo, phi2.domain.hi)
-    ts = np.array([mu, nu, lam])
-    x0s, errors = _x0s(phi2, ts)
+    cols, errors = _saddle_rows(phi2, *ts[:, None])
     _raise_unrefused(errors, ())
-    stars, errors = _stars_at_saddle(phi2, ts, x0s)
-    _raise_unrefused(errors, ())
-    xm, xp, x0v = x0s.tolist()
-    sm, sp, s0 = (lam * x0s - stars).tolist()
-    geo = SaddleGeometry(lam=lam, x0=x0v, x_minus=xm, x_plus=xp, rule=rule,
-                         delta1=d1, delta2=d2,
-                         s_minus=sm, s_plus=sp, s_x0=s0,
-                         ds_minus=lam - mu, ds_plus=lam - nu)
+    geo = SaddleGeometry(lam=lam, rule="symmetric" if d2 == d1 else "asymmetric",
+                         delta1=d1, delta2=d2, **{k: float(v[0]) for k, v in cols.items()})
     geo.validate()
     return geo
 
@@ -250,42 +247,32 @@ def _bracket_log(lam: float, t0: float, s_minus: float, ds_minus: float,
     return -lam * x_plus + m + math.log(bracket)
 
 
-def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, lams: np.ndarray,
-                  d1s: np.ndarray, d2s: np.ndarray) -> np.ndarray:
-    """tangent_bracket_log(phi1, make_geometry(phi2, lam, d1, d2)) per row.
+def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, lams, d1s, d2s) -> np.ndarray:
+    """tangent_bracket_log(phi1, make_geometry(phi2, lam, d1, d2)) for each
+    element of the broadcast arrays, in their shape.
 
-    -inf where make_geometry refuses the row or the bracket clamps (or is
-    NaN, which no maximum picks).  phi2 and x0 are evaluated once per
-    distinct mu, lam and nu of the batch, phi1 once per valid lam.
+    -inf where make_geometry refuses the row with an InputError or an
+    OutOfDomainError, where lam lies outside phi1's domain, and where the
+    bracket clamps (or is NaN, which no maximum picks).  Any other error of
+    the saddle path raises: the one at the smallest t of the batch.
     """
-    out = np.full(lams.size, -math.inf)
+    lams, d1s, d2s = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                           for a in (lams, d1s, d2s)))
+    out = np.full(lams.shape, -math.inf)
     mus, nus = lams * (1.0 - d1s), lams * (1.0 + d2s)
     dom = phi2.domain
-    rows = np.flatnonzero((0.0 < d1s) & (d1s < 1.0) & (0.0 < d2s) & dom.contains(mus)
-                          & dom.contains(lams) & dom.contains(nus))
-    if rows.size == 0:
-        return out
-    lam, k = lams[rows], rows.size
-    ts, inv = np.unique(np.concatenate([mus[rows], lam, nus[rows]]), return_inverse=True)
-    x0s, errors = _x0s(phi2, ts)
+    rows = np.nonzero((0.0 < d1s) & (d1s < 1.0) & (0.0 < d2s) & dom.contains(mus)
+                      & dom.contains(lams) & dom.contains(nus) & phi1.domain.contains(lams))
+    lam = lams[rows]
+    cols, errors = _saddle_rows(phi2, mus[rows], lam, nus[rows])
     _raise_unrefused(errors)
-    stars, errors = _stars_at_saddle(phi2, ts, x0s)
-    _raise_unrefused(errors)
-    xm, x0, xp = (x0s[inv[j * k:(j + 1) * k]] for j in range(3))
-    sm, s0, sp = (lam * x0s[inv[j * k:(j + 1) * k]] - stars[inv[j * k:(j + 1) * k]]
-                  for j in range(3))
-    dsm, dsp = lam - mus[rows], lam - nus[rows]
-    # SaddleGeometry.validate, with Python's max(a, b) == (b if b > a else a)
-    tol = 1e-9 * np.where(np.abs(s0) > 1.0, np.abs(s0), 1.0)
-    valid = ((xm < x0) & (x0 < xp) & (dsm > 0.0) & (dsp < 0.0)
-             & ~(s0 < np.where(sp > sm, sp, sm) - tol))
-    if not valid.any():
-        return out
-    t0 = phi1.values(lam[valid])
-    cols = [v[valid].tolist() for v in (lam, sm, dsm, sp, dsp, xp)]
-    lv = np.array([_bracket_log(l, t, a, b, c, d, e)
-                   for l, t, a, b, c, d, e in zip(cols[0], t0.tolist(), *cols[1:])])
-    out[rows[valid]] = np.where(np.isnan(lv), -math.inf, lv)
+    valid = _geometry_ok(**cols)
+    lam = lam[valid]
+    sides = [cols[k][valid].tolist() for k in ("s_minus", "ds_minus", "s_plus", "ds_plus",
+                                               "x_plus")]
+    lv = np.array([_bracket_log(*row) for row in
+                   zip(lam.tolist(), phi1.values(lam).tolist(), *sides)], dtype=float)
+    out[tuple(r[valid] for r in rows)] = np.where(np.isnan(lv), -math.inf, lv)
     return out
 
 
@@ -324,28 +311,24 @@ def closure_lower_envelope(
     d1 = np.repeat(dg, dg.size)
     d2 = np.tile(dg, dg.size)
 
+    # every (z, d1, d2) geometry in one batch; a z without a saddle has a
+    # NaN mu, which no domain contains
     mus, no_saddle = _x0_inverse(phi2, zs)
-    log_vals = np.full(zs.size, -math.inf)
+    lv = _bracket_logs(phi1, phi2, mus[:, None] / (1.0 - d1), d1, d2)
+    best_j = np.argmax(lv, axis=1)  # the first strict maximum in pair order
+    best = lv[np.arange(zs.size), best_j]
+    log_vals = np.minimum(best, 0.0)
     per_z = {}
-    for i, (z, mu) in enumerate(zip(zs.tolist(), mus.tolist())):
+    for i, (z, mu, j, b) in enumerate(zip(zs.tolist(), mus.tolist(), best_j.tolist(),
+                                         best.tolist())):
         if i in no_saddle:
             per_z[z] = {"status": "no-saddle"}
             continue
-        # every (d1, d2) geometry of this z in one batch
-        lam = mu / (1.0 - d1)
-        inside = (phi2.domain.contains(lam) & phi2.domain.contains(lam * (1.0 + d2))
-                  & phi1.domain.contains(lam))
-        rows, lam = np.flatnonzero(inside), lam[inside]
-        lv = np.full(d1.size, -math.inf)
-        lv[rows] = _bracket_logs(phi1, phi2, lam, d1[rows], d2[rows])
-        j = int(np.argmax(lv))  # the first strict maximum in pair order
-        best = float(lv[j])
-        log_vals[i] = min(best, 0.0)
         per_z[z] = {
-            "status": "ok" if best > -math.inf else "clamped",
+            "status": "ok" if b > -math.inf else "clamped",
             "best_offsets": (float(d1[j]), float(d2[j]), mu / (1.0 - float(d1[j])))
-            if best > -math.inf else None,
-            "log_value": best,
+            if b > -math.inf else None,
+            "log_value": b,
         }
 
     diag = ClosureDiagnostics(all_clamped=bool(np.all(np.isneginf(log_vals))), per_z=per_z)
@@ -505,19 +488,9 @@ def pinched_lower_envelope(
     # machinery exponent along the ladder with symmetric offsets c2_scale*delta
     scale_hi = min(4.9, 0.49 / delta)
     scales = np.geomspace(0.3, scale_hi, 16)
-    neg_log = np.full(cert_ladder.size, math.inf)
     ds = scales * delta
-    ds = ds[~(ds >= 0.5)]
-    mus, no_saddle = _x0_inverse(phi, cert_ladder)
-    for i, mu in enumerate(mus.tolist()):
-        if i in no_saddle:
-            continue
-        lam = mu / (1.0 - ds)
-        inside = phi.domain.contains(lam) & phi.domain.contains(lam * (1.0 + ds))
-        lv = _bracket_logs(phi1, phi, lam[inside], ds[inside], ds[inside])
-        best = float(lv.max()) if lv.size else -math.inf
-        if best > -math.inf:
-            neg_log[i] = -best
+    mus, _ = _x0_inverse(phi, cert_ladder)  # NaN where no saddle, so neg_log is inf
+    neg_log = -_bracket_logs(phi1, phi, mus[:, None] / (1.0 - ds), ds, ds).max(axis=1)
 
     def envelope_exponents(c: float, zs: np.ndarray) -> np.ndarray:
         shrink = 1.0 - c * delta
@@ -568,13 +541,13 @@ def pinch_rate_diagnostic(phi: PhiFunction, deltas: Sequence[float], z: float) -
     question; this reports the empirically realized rate of the machinery
     and asserts nothing.
     """
+    star, _ = conjugate_value(phi, z)
     ds, gaps = [], []
     for delta in sorted(deltas, reverse=True):
         try:
             env, cert = pinched_lower_envelope(phi, float(delta), np.array([z]))
         except (NotCertifiedError, InputError):
             continue
-        star, _ = conjugate_value(phi, z)
         ratio = float(env.neg_log()[0]) / star
         if ratio > 1.0:
             ds.append(float(delta))
@@ -616,48 +589,36 @@ def exact_mgf_sandwich(
     mus, no_saddle = _x0_inverse(phi, xs)
     if no_saddle:
         raise no_saddle[min(no_saddle)]
-    if not math.isfinite(b):
-        # slope of the saddle path at each mu, by a central difference
+    if math.isfinite(b):
+        # bounded exponent domains want a lopsided geometry: the driving
+        # parameter close to the top, a thin remaining slice on the plus side
+        f1 = np.repeat([0.3, 0.6, 0.85, 0.95, 0.98, 0.995], 4)
+        f2 = np.tile([0.3, 0.6, 0.9, 0.97], 6)
+        gap = (b - mus)[:, None]
+        c_minus, c_plus = f1 * gap, f2 * gap * (1.0 - f1)
+    else:
+        # additive offsets scaled by the saddle-path curvature: the bracket
+        # needs roughly c^2 * x0'(mu) to beat ln(mu); the slope of the
+        # saddle path at each mu by a central difference
         hs = np.array([max(1e-6, 1e-4 * max(mu, 1.0)) for mu in mus.tolist()])
         x0s, errors = _x0s(phi, np.concatenate([mus + hs, np.maximum(mus - hs, phi.domain.lo)]))
         _raise_unrefused(errors)
         slopes = (x0s[:mus.size] - x0s[mus.size:]) / (2 * hs)
-    c2 = 0.0
-    clamped = []
-    for i, (x, star, mu) in enumerate(zip(xs.tolist(), stars.tolist(), mus.tolist())):
-        pairs: list[tuple[float, float]] = []
-        if math.isfinite(b):
-            # bounded exponent domains want a lopsided geometry: the driving
-            # parameter close to the top, a thin remaining slice on the plus
-            # side
-            gap = b - mu
-            for f1 in (0.3, 0.6, 0.85, 0.95, 0.98, 0.995):
-                for f2 in (0.3, 0.6, 0.9, 0.97):
-                    pairs.append((f1 * gap, f2 * gap * (1.0 - f1)))
-        else:
-            # additive offsets scaled by the saddle-path curvature: the
-            # bracket needs roughly c^2 * x0'(mu) to beat ln(mu)
-            slope = 1.0 if math.isnan(slopes[i]) else float(slopes[i])
-            scale = math.sqrt(2.0 * max(math.log(max(mu, math.e)), 1.0)
-                              / max(slope, 1e-12))
-            for s in (0.6, 0.85, 1.2, 1.8, 2.7, 4.0):
-                pairs.append((s * scale, s * scale))
-            pairs.extend([(1.0, 1.0), (2.5, 2.5)])
-        c_minus, c_plus = np.array(pairs, dtype=float).reshape(-1, 2).T
-        lam = mu + c_minus
-        inside = phi.domain.contains(lam) & phi.domain.contains(lam + c_plus)
-        lam, c_minus, c_plus = lam[inside], c_minus[inside], c_plus[inside]
-        lv = _bracket_logs(phi, phi, lam, c_minus / lam, c_plus / lam)
-        best = float(lv.max()) if lv.size else -math.inf
-        if best == -math.inf:
-            clamped.append(x)
-            continue
-        c2 = max(c2, (-best - star) / x)
-
+        scale = np.array([
+            math.sqrt(2.0 * max(math.log(max(mu, math.e)), 1.0)
+                      / max(1.0 if math.isnan(slope) else slope, 1e-12))
+            for mu, slope in zip(mus.tolist(), slopes.tolist())])
+        c_minus = c_plus = np.concatenate(
+            [scale[:, None] * [0.6, 0.85, 1.2, 1.8, 2.7, 4.0],
+             np.broadcast_to([1.0, 2.5], (xs.size, 2))], axis=1)
+    lam = mus[:, None] + c_minus
+    best = _bracket_logs(phi, phi, lam, c_minus / lam, c_plus / lam).max(axis=1)
+    clamped = xs[best == -math.inf].tolist()
     if clamped:
         raise NotCertifiedError(
             f"tangent closure clamped at x = {clamped}; no finite c2 certified there"
         )
+    c2 = max([0.0, *((-best - stars) / xs).tolist()])
 
     upper = TailEnvelope(
         x=xs, log_values=np.minimum(-stars, 0.0), side=UPPER,

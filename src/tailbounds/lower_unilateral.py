@@ -179,10 +179,11 @@ def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> DilationCertifi
     if c1 <= 1e-10:
         return refused
 
-    margin = float(np.min(aux - _values_at(phi, c1, lams)))
-    if margin < -10 * _ABS_TOL:
+    # the bisection's slack is relative to each side, so is the check's
+    slack = aux - _values_at(phi, c1, lams)
+    if np.any(slack < -10 * _ABS_TOL * np.maximum(1.0, np.abs(aux))):
         return refused
-    return DilationCertificate(c1=c1, lam_range=(lo, hi), margin=margin,
+    return DilationCertificate(c1=c1, lam_range=(lo, hi), margin=float(np.min(slack)),
                                certified=True)
 
 

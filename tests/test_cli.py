@@ -178,6 +178,29 @@ class TestOtherCommands:
         rep = json.loads(out.read_text())
         assert rep["results"]["regularity"]["v_value"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_lower_bi_closure_reports_each_z(self, tmp_path):
+        # per z in z order: z = 1.5 clamps; a quadratic on [2, inf) has no
+        # saddle below phi'(2) = 2
+        out = tmp_path / "r.json"
+        code = run(["lower-bi", "--family", "quadratic", "--lambda-min", "0",
+                    "--x", "1.5,3,5", "--out", str(out), "--normalize"])
+        assert code == 0
+        rep = json.loads(out.read_text())
+        per_z = rep["results"]["diagnostics"]["per_z"]
+        assert [row["z"] for row in per_z] == [1.5, 3.0, 5.0]
+        assert [row["status"] for row in per_z] == ["clamped", "ok", "ok"]
+        assert per_z[0]["best_offsets"] is None and per_z[0]["log_value"] == "-inf"
+        assert rep["results"]["envelope"]["log_value"][1:] == [r["log_value"]
+                                                                for r in per_z[1:]]
+        d1, d2, lam = per_z[1]["best_offsets"]
+        assert lam == pytest.approx(3.0 / (1.0 - d1), rel=1e-9) and 0.0 < d2 <= 0.5
+        code = run(["lower-bi", "--family", "quadratic", "--lambda-min", "2",
+                    "--x", "1.5,3", "--out", str(out), "--normalize"])
+        assert code == 0
+        per_z = json.loads(out.read_text())["results"]["diagnostics"]["per_z"]
+        assert per_z == [{"z": 1.5, "status": "no-saddle"}, per_z[1]]
+        assert per_z[1]["status"] == "ok"
+
 
 class TestValidateAndErrors:
     def test_gaussian_validate_exits_zero(self, tmp_path):

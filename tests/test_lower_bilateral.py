@@ -1,5 +1,6 @@
 """Saddle geometry, tangent-line bounds, closure, regularity, sandwiches."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,12 +19,12 @@ from tailbounds.functions import PhiFunction, conjugate_value, saddle_point
 from tailbounds.lower_bilateral import (
     RegularityReport,
     SaddleGeometry,
+    _bracket_logs,
     _x0_inverse,
     closure_lower_envelope,
     exact_mgf_sandwich,
     make_geometry,
     pinched_lower_envelope,
-    s_value,
     tangent_bracket_log,
     tangent_bracket_lower,
     verify_regularity,
@@ -36,37 +37,39 @@ def q_tail(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-class TestSValue:
-    def test_spot_left(self):
-        s, ds = s_value(QUAD0, 10.0, 7.0)
-        assert s == pytest.approx(45.5, abs=1e-9)
-        assert ds == pytest.approx(3.0, abs=1e-6)
-
-    def test_spot_right(self):
-        s, ds = s_value(QUAD0, 10.0, 13.0)
-        assert s == pytest.approx(45.5, abs=1e-9)
-        assert ds == pytest.approx(-3.0, abs=1e-6)
-
-    def test_saddle_touching_identity(self):
-        # S(lam, x0(lam)) recovers phi(lam) for convex phi
-        for lam in (2.0, 5.0, 20.0):
-            s, _ = s_value(QUAD0, lam, lam)
-            assert s == pytest.approx(QUAD0.value(lam), rel=1e-10)
-
-
 class TestGeometry:
     def test_symmetric_offsets(self):
         geo = make_geometry(QUAD0, 10.0, 0.3)
         assert (geo.x_minus, geo.x0, geo.x_plus) == (7.0, 10.0, 13.0)
         assert geo.ds_minus > 0 > geo.ds_plus
+        assert geo.rule == "symmetric"
+        assert make_geometry(QUAD0, 10.0, 0.3, 0.2).rule == "asymmetric"
 
-    def test_explicit_pair(self):
-        geo = make_geometry(QUAD0, 10.0, math.nan, x_pair=(7.0, 13.0))
-        assert geo.s_minus == pytest.approx(45.5, abs=1e-8)
+    def test_side_values(self):
+        # S(10, x) = 10 x - x^2/2 and its slope 10 - x at x = 7 and 13
+        geo = make_geometry(QUAD0, 10.0, 0.3)
+        assert geo.s_minus == pytest.approx(45.5, abs=1e-9)
+        assert geo.s_plus == pytest.approx(45.5, abs=1e-9)
+        assert geo.ds_minus == pytest.approx(3.0, abs=1e-12)
+        assert geo.ds_plus == pytest.approx(-3.0, abs=1e-12)
+
+    def test_saddle_touching_identity(self):
+        # S(lam, x0(lam)) recovers phi(lam) for convex phi
+        for lam in (2.0, 5.0, 20.0):
+            geo = make_geometry(QUAD0, lam, 0.2)
+            assert geo.s_x0 == pytest.approx(QUAD0.value(lam), rel=1e-10)
 
     def test_invalid_ordering_rejected(self):
+        geo = dataclasses.replace(make_geometry(QUAD0, 10.0, 0.3), x_minus=13.0, x_plus=7.0)
         with pytest.raises(GeometryInvalidError):
-            make_geometry(QUAD0, 10.0, math.nan, x_pair=(13.0, 7.0))
+            geo.validate()
+        with pytest.raises(GeometryInvalidError):
+            tangent_bracket_log(QUAD0, geo)
+
+    def test_flat_saddle_piece_rejected(self):
+        # mu, lam and nu all inside the knot piece (3.0, 3.1): one saddle
+        with pytest.raises(GeometryInvalidError):
+            make_geometry(_SADDLE_PATH_PHIS["half-square-knots"], 3.05, 0.01)
 
 
 LOG_SPOT = math.log(1.0 - (20.0 / 3.0) * math.exp(-4.5)) - 80.0
@@ -344,19 +347,8 @@ def _scalar_star_at_saddle(phi2, t, x):
     return star
 
 
-def _scalar_make_geometry(phi2, lam, delta1, delta2=None, x_pair=None):
+def _scalar_make_geometry(phi2, lam, delta1, delta2=None):
     lam = float(lam)
-    if x_pair is not None:
-        xm, xp = map(float, x_pair)
-        x0v = _scalar_x0(phi2, lam)
-        sm, dsm = s_value(phi2, lam, xm)
-        sp, dsp = s_value(phi2, lam, xp)
-        s0, _ = s_value(phi2, lam, x0v)
-        geo = SaddleGeometry(lam=lam, x0=x0v, x_minus=xm, x_plus=xp, rule="explicit",
-                             delta1=math.nan, delta2=math.nan, s_minus=sm, s_plus=sp,
-                             s_x0=s0, ds_minus=dsm, ds_plus=dsp)
-        geo.validate()
-        return geo
     d1 = float(delta1)
     d2 = d1 if delta2 is None else float(delta2)
     rule = "symmetric" if d2 == d1 else "asymmetric"
@@ -450,6 +442,24 @@ _SADDLE_PATH_PHIS = {
 }
 
 
+_GEOMETRY_CASES = [
+    (3.0, 0.2, None),           # symmetric rule
+    (3.05, 0.1, 0.3),           # asymmetric rule
+    (3.05, 0.01, None),         # GeometryInvalidError on one knot piece
+    (3.0, 1.5, None),           # InputError
+    (29.0, 0.2, None),          # OutOfDomainError past the knots
+    (0.0, 0.2, None),           # NonUniqueArgmaxError at the first knot
+    (1.2, 0.5, None),           # OutOfDomainError below lo = 1
+]
+_BRACKET_CASES = [
+    (10.0, 0.3, None),          # the spot value
+    (4.0, 0.25, None),          # clamps
+    (20.0, 0.4, 0.2),
+    (3.0, 0.2, -0.1),           # InputError on delta2
+    (math.nan, 0.2, None),      # OutOfDomainError
+]
+
+
 class TestBatchedSaddlePath:
     @pytest.mark.parametrize("name", sorted(_SADDLE_PATH_PHIS))
     def test_regularity_matches_the_scalar_walk(self, name):
@@ -487,26 +497,56 @@ class TestBatchedSaddlePath:
         assert _outcome(verify_regularity, phi) == want
 
     @pytest.mark.parametrize("name", sorted(_SADDLE_PATH_PHIS))
-    @pytest.mark.parametrize("lam, d1, d2, x_pair", [
-        (3.0, 0.2, None, None),           # symmetric rule
-        (3.05, 0.1, 0.3, None),           # asymmetric rule
-        (3.05, math.nan, None, (1.0, 9.0)),   # explicit rule
-        (3.05, math.nan, None, (9.0, 1.0)),   # GeometryInvalidError
-        (3.0, 1.5, None, None),           # InputError
-        (29.0, 0.2, None, None),          # OutOfDomainError past the knots
-        (0.0, 0.2, None, None),           # NonUniqueArgmaxError at the first knot
-        (1.2, 0.5, None, None),           # OutOfDomainError below lo = 1
-    ])
-    def test_geometry_matches_the_scalar_one(self, name, lam, d1, d2, x_pair):
+    @pytest.mark.parametrize("lam, d1, d2", _GEOMETRY_CASES)
+    def test_geometry_matches_the_scalar_one(self, name, lam, d1, d2):
         phi = _SADDLE_PATH_PHIS[name]
-        want = _outcome(_scalar_make_geometry, phi, lam, d1, d2, x_pair=x_pair)
-        assert _outcome(make_geometry, phi, lam, d1, d2, x_pair=x_pair) == want
+        want = _outcome(_scalar_make_geometry, phi, lam, d1, d2)
+        assert _outcome(make_geometry, phi, lam, d1, d2) == want
 
     def test_geometry_cases_reach_every_error(self):
-        outcomes = {
-            _outcome(_scalar_make_geometry, phi, lam, d1, d2, x_pair=pair)[0]
-            for phi in _SADDLE_PATH_PHIS.values()
-            for lam, d1, d2, pair in [(3.05, math.nan, None, (9.0, 1.0)), (3.0, 1.5, None, None),
-                                      (29.0, 0.2, None, None), (0.0, 0.2, None, None)]}
+        outcomes = {_outcome(_scalar_make_geometry, phi, *case)[0]
+                    for phi in _SADDLE_PATH_PHIS.values() for case in _GEOMETRY_CASES}
         assert {"GeometryInvalidError", "InputError", "OutOfDomainError",
                 "NonUniqueArgmaxError"} <= outcomes
+
+    @pytest.mark.parametrize("name", sorted(_SADDLE_PATH_PHIS))
+    def test_bracket_batch_matches_make_geometry(self, name):
+        # one 2-D batch against the one-row path: -inf wherever make_geometry
+        # refuses the row, the scalar bracket elsewhere, bit for bit
+        phi = _SADDLE_PATH_PHIS[name]
+        rows = np.array([(lam, d1, d1 if d2 is None else d2)
+                         for lam, d1, d2 in _GEOMETRY_CASES + _BRACKET_CASES
+                         if _outcome(make_geometry, phi, lam, d1, d2)[0]
+                         != "NonUniqueArgmaxError"])
+        # the rows forwards and backwards: a 2 x n batch
+        lams, d1s, d2s = np.stack([rows, rows[::-1]]).transpose(2, 0, 1)
+        got = _bracket_logs(phi, phi, lams, d1s, d2s)
+        assert got.shape == lams.shape
+        want, refused = [], set()
+        for lam, d1, d2 in zip(lams.ravel(), d1s.ravel(), d2s.ravel()):
+            try:
+                want.append(tangent_bracket_log(phi, make_geometry(phi, lam, d1, d2)))
+            except TailboundsError as exc:
+                want.append(-math.inf)
+                refused.add(type(exc).__name__)
+        assert got.ravel().tolist() == want
+        assert np.isfinite(got).any()
+        expect = {"InputError", "OutOfDomainError"}
+        if name == "half-square-knots":
+            expect.add("GeometryInvalidError")
+        assert expect <= refused
+
+    def test_batch_raises_the_error_at_the_smallest_t(self):
+        # t = 6 and t = 8 sit on kinks; the rows (10, 0.2) and (8, 0.25)
+        # ask for x0 at 8, 10, 12 and at 6, 8, 10: the batch raises the
+        # error at t = 6 from its second row, as make_geometry(8, 0.25) does
+        phi = self._kinked_knots(np.array([6.0, 8.0]))
+        with pytest.raises(NonUniqueArgmaxError) as first:
+            make_geometry(phi, 10.0, 0.2)
+        with pytest.raises(NonUniqueArgmaxError) as smallest:
+            make_geometry(phi, 8.0, 0.25)
+        assert str(first.value) != str(smallest.value)
+        with pytest.raises(NonUniqueArgmaxError) as batch:
+            _bracket_logs(phi, phi, np.array([10.0, 8.0]), np.array([0.2, 0.25]),
+                          np.array([0.2, 0.25]))
+        assert str(batch.value) == str(smallest.value)

@@ -91,6 +91,15 @@ class TestDilationCertificate:
         assert cert.c1 == pytest.approx(0.762, abs=1e-3)
         assert np.all(env.log_values <= np.log(oracles.gaussian().exact_tail(env.x)))
 
+    def test_margin_check_is_relative_like_the_bisection(self):
+        # phi = lam on [1, inf): c1 = 1 - ln(16)/16 holds on (16, 1024), where
+        # the binding side is about 10 and the bisected c1 leaves an absolute
+        # margin of about -1.3e-8, inside the bisection's relative slack
+        cert = _certify_on_range(PhiFunction.linear(lo=1.0), 16.0, 1024.0)
+        assert cert.certified
+        assert cert.c1 == pytest.approx(1.0 - math.log(16.0) / 16.0, abs=1e-6)
+        assert -1e-7 < cert.margin < 0.0
+
     def test_exponential_exact_self_dominance(self):
         phi = oracles.exponential_unit().mgf_exponent
         cert = certify_dilation_dominance(phi)
