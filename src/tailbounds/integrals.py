@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     DivergentIntegral,
     InputError,
-    NegativeInputError,
     NotConvergedError,
     UnboundedObjectiveError,
 )
@@ -47,15 +46,11 @@ def _require_halfline(zeta: PhiFunction) -> None:
 
 def _pretest_decay(g, label: str) -> None:
     """Declare divergence when g(x) fails to outgrow ln(x) at the probes."""
-    ratios = []
-    for x in _PROBES:
-        try:
-            v = g(x)
-        except OverflowError:
-            return  # super-fast growth: certainly integrable
-        if not math.isfinite(v):
-            return
-        ratios.append(v / math.log(x))
+    try:
+        vals = g(np.array(_PROBES)).tolist()
+    except OverflowError:
+        return  # super-fast growth: certainly integrable
+    ratios = [v / math.log(x) for x, v in zip(_PROBES, vals)]
     if max(ratios) <= _DIVERGENCE_LOG_MARGIN:
         raise DivergentIntegral(
             f"{label}: exponent grows no faster than ln(x) at the probe points",
@@ -69,34 +64,27 @@ def _exp_neg(t: np.ndarray) -> np.ndarray:
         return np.where(t < 745.0, np.exp(-t), 0.0)
 
 
+def _damped_integral(g, label: str, details: Optional[dict]) -> float:
+    """int_0^inf exp(-g(x)) dx for an exponent g that maps float arrays, or
+    DivergentIntegral from the growth pre-test or the quadrature's window cap."""
+    _pretest_decay(g, label)
+    try:
+        val, _ = quadrature(lambda xs: _exp_neg(g(xs)), 0.0, math.inf, details=details)
+    except NotConvergedError as exc:
+        raise DivergentIntegral(
+            f"{label}: tail contribution still above threshold at the window cap",
+            diagnostic=exc.diagnostic,
+        ) from exc
+    return val
+
+
 def k_integral(zeta: PhiFunction, eps: float,
                details: Optional[dict] = None) -> float:
     """K(eps) = int_0^inf exp(-eps*zeta(x)) dx, or DivergentIntegral."""
     if not (0.0 < eps <= 1.0):
         raise InputError(f"eps must be in (0, 1], got {eps}")
     _require_halfline(zeta)
-
-    def g(x: float) -> float:
-        v = zeta.value(x)
-        if v < 0:
-            raise NegativeInputError(f"zeta({x}) = {v} < 0")
-        return eps * v
-
-    _pretest_decay(g, f"K({eps})")
-
-    # values are never negative: PhiFunction raises on a negative value
-    def integrand(xs: np.ndarray) -> np.ndarray:
-        return _exp_neg(eps * zeta.values(xs))
-
-    try:
-        val, _ = quadrature(integrand, 0.0, math.inf, details=details,
-                            vectorized=True)
-    except NotConvergedError as exc:
-        raise DivergentIntegral(
-            f"K({eps}): tail contribution still above threshold at the window cap",
-            diagnostic=exc.diagnostic,
-        ) from exc
-    return val
+    return _damped_integral(lambda xs: eps * zeta.values(xs), f"K({eps})", details)
 
 
 def r_integral(zeta: PhiFunction, eps: float,
@@ -105,28 +93,8 @@ def r_integral(zeta: PhiFunction, eps: float,
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must be in (0, 1), got {eps}")
     _require_halfline(zeta)
-
-    def g(x: float) -> float:
-        a = zeta.value((1.0 - eps) * x)
-        b = zeta.value(x)
-        if a < 0 or b < 0:
-            raise NegativeInputError("zeta must be nonnegative")
-        return b - a
-
-    _pretest_decay(g, f"R({eps})")
-
-    def integrand(xs: np.ndarray) -> np.ndarray:
-        return _exp_neg(zeta.values(xs) - zeta.values((1.0 - eps) * xs))
-
-    try:
-        val, _ = quadrature(integrand, 0.0, math.inf, details=details,
-                            vectorized=True)
-    except NotConvergedError as exc:
-        raise DivergentIntegral(
-            f"R({eps}): tail contribution still above threshold at the window cap",
-            diagnostic=exc.diagnostic,
-        ) from exc
-    return val
+    return _damped_integral(lambda xs: zeta.values(xs) - zeta.values((1.0 - eps) * xs),
+                            f"R({eps})", details)
 
 
 @dataclass(frozen=True)
@@ -173,14 +141,10 @@ def log_i_integral(zeta: PhiFunction, lam: float) -> float:
     """
     _require_halfline(zeta)
 
-    def g(x: float) -> float:
-        return zeta.value(x) - lam * x
-
-    _pretest_decay(g, f"I({lam})")
-
     def log_f(xs: np.ndarray) -> np.ndarray:
         return lam * xs - zeta.values(xs)
 
+    _pretest_decay(lambda xs: -log_f(xs), f"I({lam})")
     # coarse peak hint
     probe = np.geomspace(1e-3, 1e6, 200)
     pv = log_f(probe)
@@ -304,7 +268,7 @@ def cramer_check(g: PhiFunction,
     Never raises on a negative outcome; the certificate is the result.
     """
     probe = np.geomspace(1.0, 1e8, 33)
-    ratios = np.array([g.value(float(x)) / float(x) for x in probe])
+    ratios = g.values(probe) / probe
     # trend of G(x)/x on the top decades decides the liminf
     top = probe >= 1e4
     with np.errstate(divide="ignore"):

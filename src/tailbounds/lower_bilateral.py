@@ -22,6 +22,7 @@ already at lam around 40.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -463,8 +464,11 @@ def pinched_lower_envelope(
     tangent-line closure with offsets proportional to delta certifies the
     claimed form from some threshold z on.  c is the smallest of 400 grid
     values whose envelope is dominated by the machinery bound over the
-    whole upper part of a 40-point certification ladder; the threshold is
-    the certificate's ``certified_from`` and the envelope's ``valid_from``.
+    whole upper part of a 40-point certification ladder, found by bisection
+    over the grid: t*phi*(z/t) does not increase in t = 1 - c*delta, so
+    domination only grows with c.  The threshold, where the run of
+    dominated points that reaches the top starts, is the certificate's
+    ``certified_from`` and the envelope's ``valid_from``.
     Points of ``z_grid`` from e up are all emitted; those below the
     threshold carry the form but not the certificate.
     """
@@ -496,26 +500,26 @@ def pinched_lower_envelope(
         shrink = 1.0 - c * delta
         return shrink * _stars(phi, zs / shrink)
 
-    c_grid = np.linspace(0.5 / 400, (1.0 / (2.0 * delta)) * (1 - 1e-9), 400)
-    chosen = None
     machinery = np.isfinite(neg_log)
-    for c in c_grid:
-        exps = np.full(cert_ladder.size, math.nan)
-        exps[machinery] = envelope_exponents(float(c), cert_ladder[machinery])
-        ok_from = None
-        for z, m, e in zip(cert_ladder, neg_log, exps.tolist()):
-            if not math.isfinite(m) or e < m:
-                ok_from = None
-            elif ok_from is None:
-                ok_from = float(z)
-        if ok_from is not None and ok_from <= cap / 2.0:
-            chosen = (float(c), ok_from)
-            break
-    if chosen is None:
+
+    def dominated(c: float) -> np.ndarray:
+        """Ladder points whose machinery exponent the envelope's reaches."""
+        out = machinery.copy()
+        out[machinery] = ~(envelope_exponents(c, cert_ladder[machinery]) < neg_log[machinery])
+        return out
+
+    # c certifies when the run of dominated points that reaches the top of
+    # the ladder starts at or below cap/2: the points from ``half`` on
+    half = int(np.searchsorted(cert_ladder, cap / 2.0, side="right")) - 1
+    c_grid = np.linspace(0.5 / 400, (1.0 / (2.0 * delta)) * (1 - 1e-9), 400)
+    i = bisect.bisect_left(c_grid, True, key=lambda c: bool(dominated(float(c))[half:].all()))
+    if i == c_grid.size:
         raise NotCertifiedError(
             f"no c in (0, {1/(2*delta):.3g}) dominated by the machinery on the ladder"
         )
-    c, cert_from = chosen
+    c = float(c_grid[i])
+    gaps = np.flatnonzero(~dominated(c))
+    cert_from = float(cert_ladder[gaps[-1] + 1 if gaps.size else 0])
 
     zs = np.asarray(z_grid, dtype=float)
     zs = zs[zs >= math.e]

@@ -171,9 +171,8 @@ def _adaptive_gk21(f, a: float, b: float, base: float, limit: int,
         ends = np.concatenate([ends[keep], new_ends])
 
 
-def quadrature(f: Callable[[float], float], a: float, b: float,
-               details: Optional[dict] = None,
-               vectorized: bool = False) -> tuple[float, float]:
+def quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+               details: Optional[dict] = None) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod quadrature of f over [a, b], b may be inf.
 
     Each window is integrated by bisecting 21-point Gauss-Kronrod panels
@@ -185,12 +184,10 @@ def quadrature(f: Callable[[float], float], a: float, b: float,
     ends more than ten times over that target or the window cap
     (``QUAD_MAX_WINDOWS``) is reached.
 
-    ``vectorized=True`` promises that ``f`` maps a float array elementwise,
-    as for :meth:`PhiFunction.from_callable`; f is then called once per
-    refinement step with every new node.  Otherwise f gets one float at a
-    time.  When ``details`` is a dict it receives the truncation point, the
-    error estimate and ``capped_windows``, the number of windows that hit
-    their panel limit.
+    ``f`` maps a float array elementwise, and is called once per
+    refinement step with every new node.  When ``details`` is a dict it
+    receives the truncation point, the error estimate and
+    ``capped_windows``, the number of windows that hit their panel limit.
 
     A kink closer to a panel's edge than the outermost node (0.22% of the
     panel's width) is invisible to the rule.  The interpolants of the
@@ -199,12 +196,6 @@ def quadrature(f: Callable[[float], float], a: float, b: float,
     windows only the later window is refined, so a kink just before a
     window's right end can still be missed, as QUADPACK misses it.
     """
-    if not vectorized:
-        scalar_f = f
-
-        def f(xs: np.ndarray) -> np.ndarray:
-            return np.array([scalar_f(x) for x in xs.tolist()], dtype=float)
-
     if math.isfinite(b):
         val, err, capped, _ = _adaptive_gk21(f, a, b, 0.0, 400)
         if err > max(QUAD_TOL, QUAD_TOL * abs(val)) * 10:
@@ -482,38 +473,26 @@ class OracleDistribution:
     name: str
     tail: Callable[[float], float]  # two-sided tail per max(P(X>=x), P(X<-x))
     inverse_cdf: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    density: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    log_tail: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     cramer: bool = True
     mgf_exponent: Optional[PhiFunction] = None
-    density: Optional[Callable[[float], float]] = field(default=None, compare=False)
     support_lo: float = 0.0
     nonnegative: bool = True
-    log_tail: Optional[Callable[[float], float]] = field(default=None, compare=False)
 
     def exact_tail(self, x) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.array([self.tail(float(t)) for t in xs])
         return out if np.ndim(x) else float(out[0])
 
-    def exact_log_tail(self, x: float) -> float:
-        """ln(tail), exact far beyond float underflow of the tail itself."""
-        if self.log_tail is not None:
-            return float(self.log_tail(float(x)))
-        t = self.tail(float(x))
-        if t <= 0:
-            raise InputError(f"{self.name}: tail underflowed at x={x}")
-        return math.log(t)
-
     def sample(self, seed: int, n: int) -> np.ndarray:
         return self.inverse_cdf(uniform_stream(seed, n))
 
     def exponential_tail_fn(self) -> PhiFunction:
         """-ln(tail) on [0, inf); identically 0 below the support."""
-        label = f"neglog-tail[{self.name}]"
-        if self.log_tail is None:
-            return PhiFunction.from_callable(lambda x: -self.exact_log_tail(x), 0.0,
-                                             math.inf, convex=None, label=label)
         return PhiFunction.from_callable(lambda x: -self.log_tail(x), 0.0, math.inf,
-                                         convex=None, label=label, vectorized=True)
+                                         convex=None, label=f"neglog-tail[{self.name}]",
+                                         vectorized=True)
 
 
 def _mixture_log_tail(x, w: float, a: float, b: float):

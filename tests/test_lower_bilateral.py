@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailbounds import oracles
 from tailbounds.errors import (
@@ -15,7 +17,7 @@ from tailbounds.errors import (
     OutOfDomainError,
     TailboundsError,
 )
-from tailbounds.functions import PhiFunction, conjugate_value, saddle_point
+from tailbounds.functions import PhiFunction, _stars, conjugate_value, saddle_point
 from tailbounds.lower_bilateral import (
     RegularityReport,
     SaddleGeometry,
@@ -240,6 +242,64 @@ class TestPinchedEnvelope:
         assert set(diag) == {"rate", "deltas", "gaps"}
         assert len(diag["deltas"]) >= 2
         assert math.isfinite(diag["rate"])
+
+
+# The pinch's c search as it was once written: a linear scan of the c grid
+# that walks the ladder point by point for each c.  The reference for the
+# bisection; it also returns each grid value's verdict.
+def _scan_pinch(phi, delta):
+    phi1 = PhiFunction.from_callable(
+        lambda l: (1.0 - delta * delta) * phi.value(l), phi.domain.lo, phi.domain.hi,
+        deriv=(lambda l: (1.0 - delta * delta) * phi.deriv(l)) if phi.deriv else None,
+        convex=phi.convex, slope_lim=phi.slope_lim, convex_hi=phi.convex_hi)
+    cap = max(64.0, 14.0 / delta)
+    ladder = np.geomspace(math.e, cap, 40)
+    ds = np.geomspace(0.3, min(4.9, 0.49 / delta), 16) * delta
+    mus, _ = _x0_inverse(phi, ladder)
+    neg_log = -_bracket_logs(phi1, phi, mus[:, None] / (1.0 - ds), ds, ds).max(axis=1)
+    machinery = np.isfinite(neg_log)
+    chosen, verdicts = None, []
+    for c in np.linspace(0.5 / 400, (1.0 / (2.0 * delta)) * (1 - 1e-9), 400):
+        shrink = 1.0 - float(c) * delta
+        exps = np.full(ladder.size, math.nan)
+        exps[machinery] = shrink * _stars(phi, ladder[machinery] / shrink)
+        ok_from = None
+        for z, m, e in zip(ladder, neg_log, exps.tolist()):
+            if not math.isfinite(m) or e < m:
+                ok_from = None
+            elif ok_from is None:
+                ok_from = float(z)
+        verdicts.append(ok_from is not None and ok_from <= cap / 2.0)
+        if verdicts[-1] and chosen is None:
+            chosen = (float(c), ok_from)
+    if chosen is None:
+        chosen = f"no c in (0, {1/(2*delta):.3g}) dominated by the machinery on the ladder"
+    return chosen, verdicts
+
+
+def _pinch_outcome(phi, delta):
+    try:
+        _, cert = pinched_lower_envelope(phi, delta, [math.e])
+    except NotCertifiedError as exc:
+        return str(exc)
+    return cert.c, cert.certified_from
+
+
+class TestPinchBisection:
+    @settings(max_examples=8)
+    @given(coeff=st.floats(0.3, 3.0), delta=st.floats(0.02, 0.45))
+    def test_matches_the_scan(self, coeff, delta):
+        phi = PhiFunction.quadratic(coeff=coeff, lo=0.0)
+        want, verdicts = _scan_pinch(phi, delta)
+        # domination only grows with c: the verdicts run False...True
+        assert verdicts == sorted(verdicts)
+        assert _pinch_outcome(phi, delta) == want
+
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.3])
+    def test_quadratic_spots_match_the_scan(self, delta):
+        want, _ = _scan_pinch(QUAD0, delta)
+        assert _pinch_outcome(QUAD0, delta) == want
+        assert isinstance(want, str) == (delta == 0.3)  # 0.3 refuses
 
 
 R_MIN_C2 = (-math.log(0.5 * math.erfc(2.0 / math.sqrt(2.0))) - 2.0) / 2.0
