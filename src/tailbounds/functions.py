@@ -24,6 +24,7 @@ from .errors import (
     InputError,
     NegativeInputError,
     NonUniqueArgmaxError,
+    NotCertifiedError,
     OutOfDomainError,
     TailboundsError,
     UnboundedObjectiveError,
@@ -75,8 +76,10 @@ class PhiFunction:
     """Nonnegative scalar function on a half-open domain.
 
     ``kind`` is one of ``quadratic``, ``power_log``, ``linear``, ``grid``,
-    ``callable``.  Closed forms carry analytic derivatives; grids use exact
-    piecewise-linear arithmetic (no extrapolation past the last knot).
+    ``callable``.  Closed forms carry analytic derivatives built from numpy
+    ufuncs, so they evaluate whole arrays, as grids (exact piecewise-linear
+    arithmetic, no extrapolation past the last knot) and callables declared
+    ``vectorized`` do; other callables are called once per point.
     Equality compares kind, domain, params and label only: two grids (or
     two callables) that differ in their knots (or bodies) may compare equal.
     """
@@ -91,7 +94,8 @@ class PhiFunction:
     convex: Optional[bool] = None
     label: str = ""
     slope_lim: Optional[float] = None  # declared lim of f' at an unbounded top
-    # fn and deriv accept arrays (callable kind; see from_callable)
+    # fn and deriv map float arrays elementwise: every closed form, and the
+    # callables that declare it (see from_callable)
     vectorized: bool = field(default=False, compare=False)
     # ``convex`` speaks for [lo, convex_hi]: the top of certify_convex's
     # probe grid where that decided it, +inf where it holds by construction
@@ -108,29 +112,37 @@ class PhiFunction:
             kind="quadratic", domain=Domain(lo, hi), params=(coeff,),
             fn=lambda l, c=coeff: c * l * l,
             deriv=lambda l, c=coeff: 2.0 * c * l,
-            convex=True, label=f"quadratic(coeff={coeff})",
+            convex=True, label=f"quadratic(coeff={coeff})", vectorized=True,
         )
 
     @staticmethod
     def power_log(p: float, r: float = 0.0, lo: float = 1.0, hi: float = math.inf) -> "PhiFunction":
-        """lam^p * ln(e + lam)^r / p  (power family with slowly varying factor)."""
+        """lam^p * ln(e + lam)^r / p  (power family with slowly varying factor).
+
+        numpy ufuncs only, never ``math.log`` or ``**``: a ufunc gives a
+        float the bits it gives the same float inside an array, while numpy's
+        SIMD ``log`` and ``pow`` may differ from libm's by an ulp.
+        """
         if p <= 0:
             raise InputError("power exponent p must be positive")
 
         def _f(l, p=p, r=r):
-            return (l ** p) * math.log(math.e + l) ** r / p
+            if r == 0.0:
+                return np.power(l, p) / p
+            return np.power(l, p) * np.power(np.log(np.e + l), r) / p
 
         def _d(l, p=p, r=r):
-            big_l = math.log(math.e + l)
-            out = (l ** (p - 1.0)) * big_l ** r
-            if r != 0.0:
-                out += (l ** p) * r * big_l ** (r - 1.0) / (p * (math.e + l))
-            return out
+            if r == 0.0:
+                return np.power(l, p - 1.0)
+            big_l = np.log(np.e + l)
+            return (np.power(l, p - 1.0) * np.power(big_l, r)
+                    + np.power(l, p) * r * np.power(big_l, r - 1.0) / (p * (np.e + l)))
 
         convex = bool(p >= 1.0 and r >= 0.0)
         return PhiFunction(
             kind="power_log", domain=Domain(lo, hi), params=(p, r),
             fn=_f, deriv=_d, convex=convex, label=f"power_log(p={p}, r={r})",
+            vectorized=True,
         )
 
     @staticmethod
@@ -141,7 +153,7 @@ class PhiFunction:
             kind="linear", domain=Domain(lo, hi), params=(slope,),
             fn=lambda l, s=slope: s * l,
             deriv=lambda l, s=slope: s,
-            convex=True, label=f"linear(slope={slope})",
+            convex=True, label=f"linear(slope={slope})", vectorized=True,
         )
 
     @staticmethod
@@ -160,10 +172,12 @@ class PhiFunction:
 
         ``vectorized=True`` promises that ``fn`` and ``deriv`` map a float
         array elementwise to exactly what they return for each scalar, so
-        :meth:`values` and :meth:`derivatives` call them once per array.
-        ``convex=None`` asks :func:`certify_convex`, whose answer holds up to
-        the top of its probe grid only; a given ``convex`` holds up to
-        ``convex_hi``.
+        :meth:`values` and :meth:`derivatives` call them once per array;
+        build such bodies from numpy ufuncs, not ``math`` functions or
+        ``**``, so that a scalar and an array give the same bits.  Otherwise
+        ``values`` calls ``fn`` once per point.  ``convex=None`` asks
+        :func:`certify_convex`, whose answer holds up to the top of its
+        probe grid only; a given ``convex`` holds up to ``convex_hi``.
         """
         f = PhiFunction(kind="callable", domain=Domain(lo, hi), fn=fn,
                         deriv=deriv, convex=convex, label=label,
@@ -224,29 +238,35 @@ class PhiFunction:
             raise NegativeInputError(f"{self.label}: negative value {v} at lam={lam}")
         return v
 
-    def _evaluates_arrays(self) -> bool:
-        return self.kind in ("grid", "quadratic", "linear") or self.vectorized
-
     def values(self, lams) -> np.ndarray:
         """``[value(l) for l in lams]`` as an array of the same shape.
 
         Equal to the scalar calls bit for bit; the first failing point
-        raises the error its scalar call raises.  Grid, quadratic and linear
-        kinds and vectorized callables evaluate in one array call, the
-        other kinds loop over :meth:`value`.
+        raises the error its scalar call raises.  Grids, the closed forms
+        and vectorized callables evaluate the points in the domain in one
+        array call; other callables call ``fn`` once per point, in a plain
+        loop.  Both then take the same array checks.
         """
         lams = np.asarray(lams, dtype=float)
         flat = lams.ravel()
-        if not self._evaluates_arrays():
-            return np.array([self.value(t) for t in flat.tolist()], dtype=float).reshape(lams.shape)
         inside = self.domain.contains(flat)
         n = flat.size if inside.all() else int(np.argmin(inside))
         head = flat[:n]
         if self.kind == "grid":
             ls, vs = self.knots
             v = np.where(head > ls[-1], math.nan, np.interp(head, ls, vs))
+        elif self.vectorized:
+            v = np.asarray(self.fn(head), dtype=float)
+            if v.shape != head.shape:  # a scalar answer
+                v = np.broadcast_to(v, head.shape)
         else:
-            v = np.broadcast_to(np.asarray(self.fn(head), dtype=float), head.shape)
+            points = head.tolist()
+            try:
+                v = np.fromiter(map(self.fn, points), dtype=float, count=n)
+            except Exception:
+                for t in points:
+                    self.value(t)  # an earlier failing point raises first
+                raise
         bad = ~np.isfinite(v) | (v <= -1e-12)
         if bad.any():
             self.value(head[int(np.argmax(bad))])  # raises that point's error
@@ -257,15 +277,23 @@ class PhiFunction:
     def derivatives(self, lams) -> np.ndarray:
         """``[derivative(l) for l in lams]`` as an array, bit for bit."""
         lams = np.asarray(lams, dtype=float)
-        if self.deriv is not None and self._evaluates_arrays():
-            return np.broadcast_to(np.asarray(self.deriv(lams), dtype=float), lams.shape).copy()
+        if self.deriv is not None and self.vectorized:
+            inside = self.domain.contains(lams)
+            if not inside.all():
+                self.derivative(lams.ravel()[int(np.argmin(inside.ravel()))])
+            d = np.asarray(self.deriv(lams), dtype=float)
+            return np.array(d if d.shape == lams.shape else np.broadcast_to(d, lams.shape))
         return np.array([self.derivative(t) for t in lams.ravel().tolist()],
                         dtype=float).reshape(lams.shape)
 
     def derivative(self, lam: float) -> float:
-        """Analytic derivative when the family has one, else central difference."""
+        """Analytic derivative when the family has one, else central
+        difference; OutOfDomainError outside [lo, hi)."""
         if self.deriv is not None:
-            return float(self.deriv(float(lam)))
+            lam = float(lam)
+            if not self.domain.contains(lam):
+                raise OutOfDomainError(lam, self.domain.lo, self.domain.hi)
+            return float(self.deriv(lam))
         h = 1e-6 * max(1.0, abs(lam))
         a = max(self.domain.lo, lam - h)
         b = min(self.domain.top(), lam + h)
@@ -440,23 +468,16 @@ def _stationary_point(f: PhiFunction, x: float, top: float) -> Optional[float]:
     return float(min(max(lam, f.domain.lo), top))
 
 
-def _conjugate_exact(f: PhiFunction, x: float) -> Optional[tuple[float, float]]:
-    """(value, argmax) where no search is needed, else None.
-
-    Grid knots, the closed forms, and the analytic unboundedness test,
-    which raises UnboundedObjectiveError.
-    """
-    if f.kind == "grid":
-        return _conjugate_grid_form(f, x)
+def _exact_argmax(f: PhiFunction, x: float) -> Optional[float]:
+    """The analytic unboundedness test, which raises UnboundedObjectiveError,
+    then the maximizer of a closed form; None for a kind that is searched.
+    Not for grids."""
     hi = f.domain.top()
     slope_lim = f.slope_limit()
     if slope_lim is not None and not f.domain.bounded and x > slope_lim:
         witness = np.geomspace(max(f.domain.lo, 1.0), LAMBDA_CAP, 8)
         raise UnboundedObjectiveError(x, witness)
-    lam_hat = _stationary_point(f, x, hi if math.isfinite(hi) else LAMBDA_CAP)
-    if lam_hat is None:
-        return None
-    return lam_hat * x - f.value(lam_hat), lam_hat
+    return _stationary_point(f, x, hi if math.isfinite(hi) else LAMBDA_CAP)
 
 
 def _scan(f: PhiFunction, x: float) -> tuple[np.ndarray, np.ndarray, int]:
@@ -556,6 +577,28 @@ def _golden_lockstep(objective, a, b, fa, fb, rel_width: float) -> list:
             for r, (a, b, c, d, fa, fb, fc, fd) in enumerate(final.T.tolist())]
 
 
+def _objectives(f: PhiFunction, lams: np.ndarray, xs: np.ndarray, owners: np.ndarray,
+                errors: dict) -> tuple[np.ndarray, set]:
+    """``lams*xs - f(lams)`` in one ``values`` call.  Where ``f`` raises,
+    point by point instead, so that each owner (the index of its x) records
+    in ``errors`` the error of its own first failing point, NaN there and
+    after; returns the values and the set of owners that failed."""
+    try:
+        return lams * xs - f.values(lams), set()
+    except TailboundsError:
+        pass
+    out, failed = np.full(lams.size, math.nan), set()
+    for j, (k, t, x) in enumerate(zip(owners.tolist(), lams.tolist(), xs.tolist())):
+        if k in failed:
+            continue
+        try:
+            out[j] = t * x - f.value(t)
+        except TailboundsError as exc:
+            errors[k] = exc
+            failed.add(k)
+    return out, failed
+
+
 def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, np.ndarray, dict]:
     """:func:`conjugate_value` at each x of a 1-d sequence, in one search.
 
@@ -563,26 +606,31 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     whose :func:`conjugate_value` call raises a package error to that
     error, and values and argmax are NaN there.  No x's result depends on
     the other x's, so the batch equals its one-point calls bit for bit.
-    Exact kinds are solved point by point.  Searched points are scanned
-    one x at a time, each scan its own ``values`` call; then their
-    golden-section refinements run in lockstep, one ``values`` call per
-    step for all of them.
+    Grids are solved point by point at their knots.  The closed forms take
+    each x's stationary point, then evaluate ``f`` at all of them in one
+    ``values`` call.  Searched points are scanned one x at a time, each
+    scan its own ``values`` call; then their golden-section refinements
+    run in lockstep, one ``values`` call per step for all of them.
     """
-    xs = np.asarray(xs, dtype=float).ravel().tolist()
+    x_arr = np.asarray(xs, dtype=float).ravel()
+    xs = x_arr.tolist()
     vals = np.full(len(xs), math.nan)
     arg = np.full(len(xs), math.nan)
     errors: dict = {}
-    brackets = []
+    closed, brackets = [], []
     for k, x in enumerate(xs):
         try:
-            exact = _conjugate_exact(f, x)
-            if exact is None:
+            if f.kind == "grid":
+                vals[k], arg[k] = _conjugate_grid_form(f, x)
+                continue
+            lam_hat = _exact_argmax(f, x)
+            if lam_hat is None:
                 grid, gv, i = _scan(f, x)
         except TailboundsError as exc:
             errors[k] = exc
             continue
-        if exact is not None:
-            vals[k], arg[k] = exact
+        if lam_hat is not None:
+            closed.append((k, lam_hat))
             continue
         lo_i, hi_i = max(i - 1, 0), min(i + 1, grid.size - 1)
         if lo_i == hi_i:
@@ -590,27 +638,17 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
         else:
             brackets.append((k, x, *map(float, (grid[lo_i], grid[hi_i], gv[lo_i], gv[hi_i],
                                                  grid[i], gv[i]))))
+    if closed:
+        ks, lam = (np.array(c) for c in zip(*closed))
+        vals[ks], _ = _objectives(f, lam, x_arr[ks], ks, errors)
+        arg[ks] = np.where(np.isnan(vals[ks]), math.nan, lam)
     if brackets:
         ks, bx, a, b, fa, fb, gi, vi = zip(*brackets)
-        bx_arr = np.array(bx)
+        ks_arr, bx_arr = np.array(ks), np.array(bx)
 
         def objective(rows, lams):
-            try:
-                return np.multiply(lams, bx_arr[rows]) - f.values(lams), set()
-            except TailboundsError:
-                pass
-            # point by point, so that each bracket records the error of its
-            # own first failing point
-            out, failed = np.full(rows.size, math.nan), set()
-            for j, (r, t) in enumerate(zip(rows.tolist(), lams.tolist())):
-                if r in failed:
-                    continue
-                try:
-                    out[j] = t * bx[r] - f.value(t)
-                except TailboundsError as exc:
-                    errors[ks[r]] = exc
-                    failed.add(r)
-            return out, failed
+            out, failed = _objectives(f, lams, bx_arr[rows], ks_arr[rows], errors)
+            return out, {r for r in rows.tolist() if ks[r] in failed} if failed else failed
 
         refined = _golden_lockstep(objective, a, b, fa, fb, _GOLDEN_REL_WIDTH)
         for k, best, g_i, v_i in zip(ks, refined, gi, vi):
@@ -620,9 +658,22 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     return vals, arg, errors
 
 
-def _stars(f: PhiFunction, xs) -> np.ndarray:
-    """f*(x) at each x; raises the error of the first x that has one."""
-    stars, _, errors = conjugate_values(f, xs)
+def _stars(f: PhiFunction, xs, lower_at=None) -> np.ndarray:
+    """f*(x) at each x; raises the error of the first x that has one.
+
+    ``lower_at`` (one point per x) says the stars are the exponents of a
+    lower bound at those points.  A star whose maximizer stopped at
+    ``LAMBDA_CAP`` on an unbounded domain is the supremum over [lo,
+    LAMBDA_CAP] only: too small for that, though safe in an upper bound.
+    So the first such point is refused too, with NotCertifiedError.
+    """
+    stars, arg, errors = conjugate_values(f, xs)
+    if lower_at is not None and not f.domain.bounded:
+        # a point with an error has a NaN argmax, never the cap
+        for k in np.flatnonzero(arg == LAMBDA_CAP)[:1].tolist():
+            errors[k] = NotCertifiedError(
+                f"the conjugate behind the lower bound at {float(lower_at[k])!r} stops at "
+                f"the search cap lambda = {LAMBDA_CAP:g}, so it is too small there")
     if errors:
         raise errors[min(errors)]
     return stars
@@ -766,13 +817,7 @@ def _saddle_points(phi2: PhiFunction, lams) -> list:
     in one :func:`conjugate_values` call."""
     lams = [float(lam) for lam in lams]
     if phi2.kind == "grid":
-        out = []
-        for lam in lams:
-            try:
-                out.append(_grid_saddle_point(phi2, lam))
-            except TailboundsError as exc:
-                out.append(exc)
-        return out
+        return _grid_saddle_points(phi2, lams)
     searches = [_saddle_search(phi2, lam) for lam in lams]
     out: list = [None] * len(searches)
     pending: dict = {}
@@ -811,33 +856,47 @@ def _saddle_points(phi2: PhiFunction, lams) -> list:
     return [min(x0, t) if isinstance(x0, float) else x0 for x0, t in zip(out, top)]
 
 
-def _grid_saddle_point(phi2: PhiFunction, lam: float) -> float:
-    if not phi2.domain.contains(lam):
-        raise OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
+def _grid_saddle_points(phi2: PhiFunction, lams: list) -> list:
+    """:func:`_saddle_points` on a grid: the chords, their convexity test
+    and the flat tolerance once for the batch, then each lam in turn, which
+    raises OutOfDomainError before the convexity InputError."""
     ls, vs = phi2.knots
     chords = np.diff(vs) / np.diff(ls)  # breakpoints of phi2* in x
-    if not np.all(np.diff(chords) >= -1e-12 * max(1.0, float(np.abs(chords).max()))):
-        raise InputError("saddle point needs a convex grid function")
+    convex = bool(np.all(np.diff(chords) >= -1e-12 * max(1.0, float(np.abs(chords).max()))))
     flat_tol = 2.0 * float(np.diff(ls).max())
     # phi2* is the upper envelope of the knot lines lam_j * x - v_j; on the
     # piece where line j is active, dS/dx = lam - lam_j.  The maximum sits
     # at the breakpoint where the active knot value crosses lam; if lam
-    # hits a knot exactly the maximizing set is the whole flat piece.
-    atol = 1e-12 * max(1.0, abs(lam))
-    hit = np.where(np.abs(ls - lam) <= atol)[0]
-    if hit.size:
-        j = int(hit[0])
-        if j == 0 or j == ls.size - 1:
-            edge = float(chords[0]) if j == 0 else float(chords[-1])
-            raise NonUniqueArgmaxError(edge, edge, flat_tol)
-        left, right = float(chords[j - 1]), float(chords[j])
-        if right - left > flat_tol:
-            raise NonUniqueArgmaxError(left, right, flat_tol)
-        return 0.5 * (left + right)
-    j = int(np.searchsorted(ls, lam)) - 1  # ls[j] < lam < ls[j+1]
-    if j < 0 or j >= chords.size:
-        raise OutOfDomainError(lam, float(ls[0]), float(ls[-1]))
-    return float(chords[j])
+    # hits a knot (within atol) the maximizing set is the whole flat piece.
+    # Every hit lies within 2 atol of lam, so two sorted searches bound the
+    # knots the hit test reads.
+    lam_arr = np.array(lams, dtype=float)
+    atol = 1e-12 * np.maximum(1.0, np.abs(lam_arr))
+    near_lo = np.searchsorted(ls, lam_arr - 2.0 * atol).tolist()
+    near_hi = np.searchsorted(ls, lam_arr + 2.0 * atol, side="right").tolist()
+    above = np.searchsorted(ls, lam_arr).tolist()
+    out: list = []
+    for lam, tol, a, b, j in zip(lams, atol.tolist(), near_lo, near_hi, above):
+        hit = np.flatnonzero(np.abs(ls[a:b] - lam) <= tol) if b > a else ()
+        if not phi2.domain.contains(lam):
+            x0 = OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
+        elif not convex:
+            x0 = InputError("saddle point needs a convex grid function")
+        elif len(hit):
+            k = a + int(hit[0])
+            if k in (0, ls.size - 1):  # the flat piece runs off the grid
+                edge = float(chords[0] if k == 0 else chords[-1])
+                x0 = NonUniqueArgmaxError(edge, edge, flat_tol)
+            else:
+                left, right = float(chords[k - 1]), float(chords[k])
+                x0 = (NonUniqueArgmaxError(left, right, flat_tol) if right - left > flat_tol
+                      else 0.5 * (left + right))
+        elif 0 < j <= chords.size:  # ls[j-1] < lam < ls[j]
+            x0 = float(chords[j - 1])
+        else:
+            x0 = OutOfDomainError(lam, float(ls[0]), float(ls[-1]))
+        out.append(x0)
+    return out
 
 
 def _saddle_search(phi2: PhiFunction, lam: float):

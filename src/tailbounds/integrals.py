@@ -47,8 +47,11 @@ def _require_halfline(zeta: PhiFunction) -> None:
 def _pretest_decay(g, label: str) -> None:
     """Declare divergence when g(x) fails to outgrow ln(x) at the probes."""
     try:
-        vals = g(np.array(_PROBES)).tolist()
-    except OverflowError:
+        # a numpy overflow raises FloatingPointError here, as a float power
+        # raises OverflowError
+        with np.errstate(over="raise"):
+            vals = g(np.array(_PROBES)).tolist()
+    except (OverflowError, FloatingPointError):
         return  # super-fast growth: certainly integrable
     ratios = [v / math.log(x) for x, v in zip(_PROBES, vals)]
     if max(ratios) <= _DIVERGENCE_LOG_MARGIN:

@@ -395,11 +395,9 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     v_best, v_arg = math.inf, (math.nan, math.nan)
     c0_best, c0_arg = -math.inf, (math.nan, math.nan)
     evaluated = 0
-    for lam in lam_grid:
-        lam = float(lam)
-        if not phi.domain.contains(lam):
-            continue
-        s_peak = phi.value(lam)  # S(lam, x0(lam)) by the touching identity
+    lams = lam_grid[phi.domain.contains(lam_grid)]
+    # S(lam, x0(lam)) = phi(lam) by the touching identity
+    for lam, s_peak in zip(lams.tolist(), phi.values(lams).tolist()):
         if s_peak <= 0:
             continue
         for d in delta_grid:
@@ -426,7 +424,7 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
             star_dn = pick(stars, star_errors, t_dn)
             if star_dn <= 0:
                 continue
-            c0_here = (lam * x_up - (1.0 - d * d) * phi.value(lam) - star_dn) / (ad * star_dn)
+            c0_here = (lam * x_up - (1.0 - d * d) * s_peak - star_dn) / (ad * star_dn)
             if c0_here > c0_best:
                 c0_best, c0_arg = c0_here, (lam, ad)
 
@@ -470,7 +468,10 @@ def pinched_lower_envelope(
     dominated points that reaches the top starts, is the certificate's
     ``certified_from`` and the envelope's ``valid_from``.
     Points of ``z_grid`` from e up are all emitted; those below the
-    threshold carry the form but not the certificate.
+    threshold carry the form but not the certificate.  A point whose
+    phi*(z/(1-c*delta)) stopped at ``LAMBDA_CAP`` on an unbounded domain is
+    refused with NotCertifiedError: that supremum is too small to bound the
+    tail from below.
     """
     if not (0.0 < delta < 0.5):
         raise InputError("delta must be in (0, 1/2)")
@@ -479,11 +480,11 @@ def pinched_lower_envelope(
         raise NotCertifiedError("regularity report negative; refined envelope needs V > 0")
 
     phi1 = PhiFunction.from_callable(
-        lambda l: (1.0 - delta * delta) * phi.value(l),
+        lambda l: (1.0 - delta * delta) * phi.values(l),
         phi.domain.lo, phi.domain.hi,
-        deriv=(lambda l: (1.0 - delta * delta) * phi.deriv(l)) if phi.deriv else None,
+        deriv=(lambda l: (1.0 - delta * delta) * phi.derivatives(l)) if phi.deriv else None,
         convex=phi.convex, label=f"pinched[{phi.label}]",
-        slope_lim=phi.slope_lim, convex_hi=phi.convex_hi,
+        slope_lim=phi.slope_lim, vectorized=True, convex_hi=phi.convex_hi,
     )
 
     cap = max(64.0, 14.0 / delta)
@@ -496,9 +497,11 @@ def pinched_lower_envelope(
     mus, _ = _x0_inverse(phi, cert_ladder)  # NaN where no saddle, so neg_log is inf
     neg_log = -_bracket_logs(phi1, phi, mus[:, None] / (1.0 - ds), ds, ds).max(axis=1)
 
-    def envelope_exponents(c: float, zs: np.ndarray) -> np.ndarray:
+    def envelope_exponents(c: float, zs: np.ndarray, emitted: bool = False) -> np.ndarray:
+        # a capped star only lowers the exponent, so on the ladder it can
+        # only withhold domination; an emitted point refuses it
         shrink = 1.0 - c * delta
-        return shrink * _stars(phi, zs / shrink)
+        return shrink * _stars(phi, zs / shrink, lower_at=zs if emitted else None)
 
     machinery = np.isfinite(neg_log)
 
@@ -525,7 +528,7 @@ def pinched_lower_envelope(
     zs = zs[zs >= math.e]
     if zs.size == 0:
         raise InputError("z_grid needs points at or above e")
-    log_vals = -envelope_exponents(c, zs)
+    log_vals = -envelope_exponents(c, zs, emitted=True)
     cert = PinchCertificate(delta=delta, c=c, certified_from=cert_from,
                             ladder_cap=cap, offsets_scale_grid=tuple(scales.tolist()),
                             machinery_points=int(np.isfinite(neg_log).sum()))
@@ -577,7 +580,9 @@ def exact_mgf_sandwich(
     from the tangent-line closure run at additive saddle offsets
     lam -> lam +- c1 (equivalently d = c1/lam), per point over a few c1.
     Returns (lower, upper, c2); c2 is the worst-case exponent excess per
-    unit x over the requested grid.
+    unit x over the requested grid.  An x whose phi*(x) stopped at
+    ``LAMBDA_CAP`` on an unbounded domain is refused with NotCertifiedError,
+    since the lower envelope would rest on a supremum that is too small.
     """
     if phi.convex is not True:
         raise NotCertifiedError("sandwich needs convexity-certified phi")
@@ -587,7 +592,7 @@ def exact_mgf_sandwich(
     if xs[0] < 1.0:
         raise InputError("sandwich asserted for x >= 1")
 
-    stars = _stars(phi, xs)
+    stars = _stars(phi, xs, lower_at=xs)
 
     b = phi.domain.hi
     mus, no_saddle = _x0_inverse(phi, xs)

@@ -33,23 +33,26 @@ class MomentEnvelope:
 
     def __post_init__(self):
         probe = _probe_grid(self.lower.domain)
-        for p in probe:
-            if self.lower.value(p) <= 0:
-                raise InputError(f"lower moment envelope must be positive (p={p})")
+        low = self.lower.values(probe)
+        if np.any(low <= 0):
+            raise InputError(f"lower moment envelope must be positive "
+                             f"(p={probe[np.argmax(low <= 0)]})")
         if self.upper is not None:
             lo = max(self.lower.domain.lo, self.upper.domain.lo)
             hi = min(self.lower.domain.top(), self.upper.domain.top())
             if not math.isfinite(hi):
                 hi = max(50.0, 10.0 * max(lo, 1.0))
             if hi > lo:
-                for p in np.linspace(lo, hi, 64):
-                    lw, up = self.lower.value(float(p)), self.upper.value(float(p))
-                    if up <= 0:
-                        raise InputError(f"upper moment envelope must be positive (p={p})")
-                    if lw > up * (1 + 1e-9):
-                        raise InputError(
-                            f"moment envelopes cross at p={p}: lower {lw} > upper {up}"
-                        )
+                ps = np.linspace(lo, hi, 64)
+                lw, up = self.lower.values(ps), self.upper.values(ps)
+                bad = (up <= 0) | (lw > up * (1 + 1e-9))
+                if bad.any():
+                    k = int(np.argmax(bad))
+                    if up[k] <= 0:
+                        raise InputError(f"upper moment envelope must be positive (p={ps[k]})")
+                    raise InputError(
+                        f"moment envelopes cross at p={ps[k]}: lower {lw[k]} > upper {up[k]}"
+                    )
 
     @property
     def p_domain(self) -> tuple[float, float]:
@@ -67,9 +70,10 @@ def moment_power_pole(c: float, b: float, beta: float) -> MomentEnvelope:
     """Lower envelope |X|_p >= c * (b - p)^(-beta) on [1, b)."""
     if not (b > 1 and beta > 0 and c > 0):
         raise InputError("need b > 1, beta > 0, c > 0")
-    fn = lambda p: c * (b - p) ** (-beta)
+    fn = lambda p: c * np.power(b - p, -beta)
     return MomentEnvelope(lower=PhiFunction.from_callable(
         fn, 1.0, b, convex=None, label=f"pole-envelope(c={c},b={b},beta={beta})",
+        vectorized=True,
     ))
 
 
@@ -77,11 +81,13 @@ def moment_power_growth(m: float, c_low: float, c_high: float) -> MomentEnvelope
     """Two-sided envelope c_low * p^(1/m) <= |X|_p <= c_high * p^(1/m)."""
     if not (m > 0 and 0 < c_low <= c_high):
         raise InputError("need m > 0 and 0 < c_low <= c_high")
-    lo_fn = lambda p: c_low * p ** (1.0 / m)
-    hi_fn = lambda p: c_high * p ** (1.0 / m)
+    lo_fn = lambda p: c_low * np.power(p, 1.0 / m)
+    hi_fn = lambda p: c_high * np.power(p, 1.0 / m)
     return MomentEnvelope(
-        lower=PhiFunction.from_callable(lo_fn, 1.0, math.inf, label=f"{c_low}*p^(1/{m})"),
-        upper=PhiFunction.from_callable(hi_fn, 1.0, math.inf, label=f"{c_high}*p^(1/{m})"),
+        lower=PhiFunction.from_callable(lo_fn, 1.0, math.inf, label=f"{c_low}*p^(1/{m})",
+                                        vectorized=True),
+        upper=PhiFunction.from_callable(hi_fn, 1.0, math.inf, label=f"{c_high}*p^(1/{m})",
+                                        vectorized=True),
     )
 
 
@@ -123,7 +129,7 @@ def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, b
     if above.size == 0 or float(vals.max()) <= 1.0 + 1e-12:
         zero = PhiFunction.from_callable(lambda l: 0.0, max(lo, 1.0), curve.domain.hi,
                                          deriv=lambda l: 0.0, convex=True,
-                                         label=f"zero[{label}]")
+                                         label=f"zero[{label}]", vectorized=True)
         return zero, True, max(lo, 1.0)
     # refine the crossing point
     lam_star = float(above[0])
@@ -132,12 +138,12 @@ def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, b
         _, lam_star = _solve(_bisect(a, lam_star, lambda v: not v >= 1.0, 60), curve.value)
     lam_star = max(lam_star, lo, 1.0)
 
-    def fn(l: float, c=curve) -> float:
-        return l * math.log(c.value(l))
+    def fn(l, c=curve):
+        return l * np.log(c.values(l))
 
     return (
         PhiFunction.from_callable(fn, lam_star, curve.domain.hi,
-                                  convex=None, label=f"exponent[{label}]"),
+                                  convex=None, label=f"exponent[{label}]", vectorized=True),
         False,
         lam_star,
     )
@@ -309,9 +315,9 @@ def growth_tail_recovery(
         notes.append("lower moment envelope degenerate; no lower tail bound")
 
     # exponential-level tail exponent of the produced upper envelope
-    g = PhiFunction.from_callable(lambda x: c1_coeff * x ** me, 0.0, math.inf,
-                                  deriv=lambda x: c1_coeff * me * x ** (me - 1.0),
-                                  label=f"{c1_coeff:.4g}*x^{me}")
+    g = PhiFunction.from_callable(lambda x: c1_coeff * np.power(x, me), 0.0, math.inf,
+                                  deriv=lambda x: c1_coeff * me * np.power(x, me - 1.0),
+                                  label=f"{c1_coeff:.4g}*x^{me}", vectorized=True)
     cram = cramer_check(g)
 
     report = GrowthRecoveryReport(

@@ -41,6 +41,12 @@ from tailbounds.functions import (
     saddle_point,
 )
 from tailbounds.lower_bilateral import pinched_lower_envelope
+from tailbounds.moments import (
+    MomentEnvelope,
+    moment_power_growth,
+    moment_power_pole,
+    to_exponential,
+)
 
 
 class TestEvaluate:
@@ -222,6 +228,32 @@ class TestSaddlePoint:
                 assert type(got) is type(want) and str(got) == str(want)
             else:
                 assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        convex=st.booleans(),
+        picks=st.lists(st.tuples(st.integers(0, 9), st.sampled_from(
+            [0.0, 0.3, 0.5, -1e-12, 1e-12, -3e-13, 2e-13, -1.0, 1.0])), min_size=1, max_size=12),
+    )
+    def test_grid_batch_equals_the_per_lam_scan(self, convex, picks):
+        # lams on, beside (within and beyond the hit tolerance) and between
+        # the knots, below and above the grid: the batch's sorted searches
+        # give what the old full scan per lam gave, errors included, in the
+        # per-lam order OutOfDomainError before the convexity InputError
+        ls = np.array([0.5, 1.0, 1.0 + 4e-13, 2.0, 3.5, 3.5 + 1e-12, 5.0, 6.0, 8.0, 9.0])
+        vs = 0.5 * ls ** 2 if convex else 4.0 * np.sqrt(ls)
+        g = PhiFunction.from_grid(ls, vs)
+        lams = [float(ls[i]) + off * (1.0 if abs(off) < 1e-9 else 0.5) for i, off in picks]
+        batch = _saddle_points(g, lams)
+        for lam, got in zip(lams, batch):
+            want = _raised(_reference_grid_saddle_point, g, lam) or \
+                _reference_grid_saddle_point(g, lam)
+            alone = _saddle_points(g, [lam])[0]
+            for x0 in (got, alone):
+                if isinstance(want, Exception):
+                    assert type(x0) is type(want) and str(x0) == str(want)
+                else:
+                    assert x0 == want and type(x0) is float
 
     @pytest.mark.parametrize("fn, lam, want", [
         (lambda l: max(l, 2.0 * l - 3.0), 0.5, 1.0),
@@ -514,12 +546,13 @@ class TestClosedFormConjugates:
                  "above": coeff * (1.0 + u) + 1e-3}[where]
         else:
             # x = f'(target): the stationary point sits at the target,
-            # which may lie below lo or above the top
+            # which may lie below lo or above the top, where only the raw
+            # formula f.deriv answers (f.derivative refuses outside the domain)
             target = {"zero": 0.0, "below": lo * u,
                       "inside": lo + u * min(width, 100.0),
                       "above": top * (1.0 + u) + 1e-3 if math.isfinite(top) else lo + 100.0 * u,
                       }[where]
-            x = f.derivative(target) if target > 0 else 0.0
+            x = float(f.deriv(target)) if target > 0 else 0.0
         g = _searched(f)
         if family == "linear" and where == "above" and not f.domain.bounded:
             with pytest.raises(UnboundedObjectiveError):
@@ -706,6 +739,80 @@ class TestArrayEvaluation:
         g.values(np.linspace(0.0, 4.0, 5))
         assert calls == [()] * 5
 
+    @pytest.mark.parametrize("make", [
+        lambda: PhiFunction.power_log(2.5, 0.0, 1.0),
+        lambda: PhiFunction.power_log(1.5, 1.0, 0.0),
+        lambda: moment_power_growth(2.0, 0.5, 2.0).lower,
+        lambda: moment_power_growth(2.0, 0.5, 2.0).upper,
+        lambda: moment_power_pole(1.0, 3.0, 1.0).lower,
+        lambda: to_exponential(moment_power_growth(2.0, 0.5, 2.0)).phi1,
+        lambda: to_exponential(moment_power_pole(1.0, 3.0, 1.0)).phi1,
+    ], ids=["power_log_r0", "power_log_r1", "growth_lower", "growth_upper", "pole",
+            "growth_exponent", "pole_exponent"])
+    def test_library_exponents_call_fn_once_per_array(self, make):
+        f = make()
+        calls = []
+        counted = dataclasses.replace(f, fn=lambda l: calls.append(np.shape(l)) or f.fn(l))
+        lams = np.linspace(f.domain.lo, min(f.domain.top(), 40.0), 50)
+        got = counted.values(lams)
+        assert calls == [(50,)]
+        want = np.array([f.value(t) for t in lams.tolist()])
+        assert got.tobytes() == want.tobytes()
+        if f.deriv is not None:
+            slopes = np.array([f.derivative(t) for t in lams.tolist()])
+            assert f.derivatives(lams).tobytes() == slopes.tobytes()
+
+    def test_exponent_evaluates_its_curve_once_per_array(self):
+        calls = []
+        curve = PhiFunction.from_callable(
+            lambda p: calls.append(np.shape(p)) or 2.0 * np.sqrt(p), 1.0, math.inf,
+            label="2*sqrt(p)", vectorized=True)
+        phi = to_exponential(MomentEnvelope(lower=curve)).phi1
+        calls.clear()
+        phi.values(np.linspace(2.0, 30.0, 40))
+        assert calls == [(40,)]
+
+    def test_scalar_callable_earlier_nan_wins_over_a_raise(self):
+        # NaN at the third point, a raise at the fifth: the NaN's error, as
+        # the scalar calls in order meet it first
+        def fn(l):
+            if l == 2.0:
+                return math.nan
+            if l == 4.0:
+                raise ZeroDivisionError("at 4")
+            return l
+
+        f = PhiFunction.from_callable(fn, 0.0, math.inf, convex=True)
+        lams = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        with pytest.raises(NegativeInputError, match="lam=2.0"):
+            f.values(lams)
+        _assert_same_as_scalar(f.values, f.value, lams)
+        with pytest.raises(ZeroDivisionError, match="at 4"):
+            f.values([3.0, 4.0, 2.0])
+
+    def test_scalar_callable_loop_takes_the_array_checks(self):
+        calls = []
+        f = PhiFunction.from_callable(lambda l: calls.append(l) or l - 1e-13, 0.0, 10.0,
+                                      convex=True)
+        got = f.values(np.array([[0.0, 1.0], [2.0, 3.0]]))
+        assert calls == [0.0, 1.0, 2.0, 3.0]
+        assert got.tolist() == [[0.0, 1.0 - 1e-13], [2.0 - 1e-13, 3.0 - 1e-13]]
+        with pytest.raises(OutOfDomainError):
+            f.values([1.0, 10.0])
+
+    @pytest.mark.parametrize("kind", ["power_log_r0", "power_log_r1", "quadratic", "linear",
+                                      "vectorized", "dilated"])
+    def test_derivative_outside_the_domain_is_refused_without_a_warning(self, kind):
+        f = ARRAY_KINDS[kind]
+        below = f.domain.lo - 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomainError) as scalar:
+                f.derivative(below)
+            with pytest.raises(OutOfDomainError) as batch:
+                f.derivatives([f.domain.lo + 1.0, below])
+        assert str(batch.value) == str(scalar.value)
+
     def test_subnormal_lower_end_scans_without_overflow(self):
         f = PhiFunction.from_callable(lambda l: l * l, 5e-324, 50.0, convex=True)
         with warnings.catch_warnings():
@@ -735,6 +842,33 @@ class TestThreadSafety:
             for run in runs:
                 for got, want in zip(run.result(), serial):
                     np.testing.assert_array_equal(got, want)
+
+
+def _reference_grid_saddle_point(phi2, lam):
+    """The per-lam grid saddle the batched one replaced: the chords, their
+    convexity test and a full scan of the knots for a hit, at every lam."""
+    if not phi2.domain.contains(lam):
+        raise OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
+    ls, vs = phi2.knots
+    chords = np.diff(vs) / np.diff(ls)
+    if not np.all(np.diff(chords) >= -1e-12 * max(1.0, float(np.abs(chords).max()))):
+        raise InputError("saddle point needs a convex grid function")
+    flat_tol = 2.0 * float(np.diff(ls).max())
+    atol = 1e-12 * max(1.0, abs(lam))
+    hit = np.where(np.abs(ls - lam) <= atol)[0]
+    if hit.size:
+        j = int(hit[0])
+        if j == 0 or j == ls.size - 1:
+            edge = float(chords[0]) if j == 0 else float(chords[-1])
+            raise NonUniqueArgmaxError(edge, edge, flat_tol)
+        left, right = float(chords[j - 1]), float(chords[j])
+        if right - left > flat_tol:
+            raise NonUniqueArgmaxError(left, right, flat_tol)
+        return 0.5 * (left + right)
+    j = int(np.searchsorted(ls, lam)) - 1
+    if j < 0 or j >= chords.size:
+        raise OutOfDomainError(lam, float(ls[0]), float(ls[-1]))
+    return float(chords[j])
 
 
 def _reference_conjugate_value(f, x):
@@ -856,6 +990,31 @@ FEW = settings(max_examples=25)
 
 class TestBatchedSearch:
     """The batched search equals the per-point loop it replaced."""
+
+    @pytest.mark.parametrize("f", [PhiFunction.quadratic(0.7, 0.0),
+                                   PhiFunction.power_log(4.0, 0.0, 0.0),
+                                   PhiFunction.linear(1.3, 0.0, 25.0)])
+    def test_closed_forms_value_a_table_in_one_call(self, f):
+        calls = []
+        counted = dataclasses.replace(f, fn=lambda l: calls.append(np.shape(l)) or f.fn(l))
+        xs = np.linspace(0.0, 20.0, 41)
+        vals, arg, errors = conjugate_values(counted, xs)
+        assert calls == [(41,)] and not errors
+        for k, x in enumerate(xs.tolist()):
+            assert (vals[k], arg[k]) == conjugate_value(f, x)
+            assert vals[k] == arg[k] * x - f.value(arg[k])
+
+    def test_closed_form_that_overflows_is_refused_point_by_point(self):
+        # the maximizer of x = 1e308 is 1e308^(1/39), where lam^40 overflows
+        f = PhiFunction.power_log(40.0, 0.0, 0.0, 1e10)
+        xs = [1.0, 1e308, 2.0]
+        with np.errstate(over="ignore"):
+            vals, arg, errors = conjugate_values(f, xs)
+            assert list(errors) == [1] and isinstance(errors[1], NegativeInputError)
+            assert str(errors[1]) == str(_raised(conjugate_value, f, 1e308))
+        assert math.isnan(vals[1]) and math.isnan(arg[1])
+        for k in (0, 2):
+            assert (vals[k], arg[k]) == conjugate_value(f, xs[k])
 
     @FEW
     @given(p=st.floats(min_value=1.0, max_value=4.0), r=st.floats(min_value=0.05, max_value=2.0),

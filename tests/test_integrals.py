@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -49,6 +50,19 @@ class TestKIntegral:
     def test_log_growth_divergent(self):
         with pytest.raises(DivergentIntegral):
             k_integral(LOG_TAIL, 0.4)
+
+    @pytest.mark.parametrize("zeta", [
+        PhiFunction.power_log(40.0, 0.0, lo=0.0),
+        PhiFunction.from_callable(lambda x: x ** 40.0 / 40.0, 0.0, math.inf, convex=True),
+    ], ids=["numpy_power", "float_power"])
+    def test_overflowing_growth_probe_is_integrable(self, zeta):
+        # x^40/40 overflows at the 1e10 probe: numpy's power overflows to
+        # inf, a float power raises OverflowError; either passes the growth
+        # test, silently, and K(eps) = (p/eps)^(1/p) Gamma(1 + 1/p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = k_integral(zeta, 0.5)
+        assert got == pytest.approx(80.0 ** (1 / 40) * math.gamma(1.025), rel=1e-9)
 
     def test_eps_domain(self):
         with pytest.raises(InputError):

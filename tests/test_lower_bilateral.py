@@ -17,7 +17,15 @@ from tailbounds.errors import (
     OutOfDomainError,
     TailboundsError,
 )
-from tailbounds.functions import PhiFunction, _stars, conjugate_value, saddle_point
+from tailbounds import lower_bilateral
+from tailbounds.functions import (
+    LAMBDA_CAP,
+    PhiFunction,
+    _stars,
+    conjugate,
+    conjugate_value,
+    saddle_point,
+)
 from tailbounds.lower_bilateral import (
     RegularityReport,
     SaddleGeometry,
@@ -300,6 +308,66 @@ class TestPinchBisection:
         want, _ = _scan_pinch(QUAD0, delta)
         assert _pinch_outcome(QUAD0, delta) == want
         assert isinstance(want, str) == (delta == 0.3)  # 0.3 refuses
+
+
+class TestCappedConjugateUnderALowerBound:
+    # power_log(1.3): phi*(x) = x^q/q with q = 1.3/0.3, its maximizer x^(1/0.3)
+    # passes LAMBDA_CAP = 1e8 from x = 1e8^0.3 = 251.2
+    P, DELTA = 1.3, 0.1
+    Q = P / (P - 1.0)
+
+    def test_pinch_below_the_cap_carries_the_exact_conjugate(self):
+        phi = PhiFunction.power_log(self.P, 0.0, lo=0.0)
+        zs = np.arange(3.0, 201.0)
+        env, cert = pinched_lower_envelope(phi, self.DELTA, zs)
+        t = 1.0 - cert.c * self.DELTA
+        exact = t * (env.x / t) ** self.Q / self.Q
+        np.testing.assert_allclose(env.neg_log(), exact, rtol=1e-12)
+        assert cert.certified_from < zs[-1]
+
+    def test_pinch_refuses_the_first_capped_point(self):
+        phi = PhiFunction.power_log(self.P, 0.0, lo=0.0)
+        zs = np.arange(3.0, 301.0)
+        _, cert = pinched_lower_envelope(phi, self.DELTA, zs[zs <= 200.0])
+        t = 1.0 - cert.c * self.DELTA
+        # the first z whose exact maximizer (z/t)^(1/(p-1)) passes the cap
+        first = float(zs[(zs / t) ** (1.0 / (self.P - 1.0)) >= LAMBDA_CAP][0])
+        with pytest.raises(NotCertifiedError, match=rf"at {first!r} stops at the search "
+                                                    r"cap lambda = 1e\+08"):
+            pinched_lower_envelope(phi, self.DELTA, zs)
+
+    def test_sandwich_refuses_and_the_chernoff_bound_keeps_its_values(self):
+        phi = PhiFunction.power_log(self.P, 0.0, lo=0.0)
+        xs = np.array([100.0, 240.0, 260.0, 300.0])
+        with pytest.raises(NotCertifiedError, match=r"at 260\.0 stops"):
+            exact_mgf_sandwich(phi, xs)
+        # an upper envelope may rest on the capped supremum, which is too small
+        res = conjugate(phi, xs)
+        assert res.capped.tolist() == [False, False, True, True]
+        assert np.all(res.values[2:] < xs[2:] ** self.Q / self.Q)
+        np.testing.assert_allclose(res.values[:2], xs[:2] ** self.Q / self.Q, rtol=1e-12)
+
+
+def test_pinch_exponent_calls_phi_once_per_array(monkeypatch):
+    calls = []
+    phi = dataclasses.replace(QUAD0, fn=lambda l: calls.append(np.shape(l)) or QUAD0.fn(l))
+    seen = []
+    real = lower_bilateral._bracket_logs
+
+    def recording(phi1, *args):
+        seen.append(phi1)
+        return real(phi1, *args)
+
+    monkeypatch.setattr(lower_bilateral, "_bracket_logs", recording)
+    pinched_lower_envelope(phi, 0.1, np.linspace(3.0, 8.0, 6))
+    phi1 = seen[0]
+    calls.clear()
+    lams = np.linspace(1.0, 5.0, 50)
+    got = phi1.values(lams)
+    assert calls == [(50,)]
+    assert got.tobytes() == np.array([phi1.value(t) for t in lams.tolist()]).tobytes()
+    assert got.tobytes() == ((1.0 - 0.01) * QUAD0.values(lams)).tobytes()
+    assert phi1.derivatives(lams).tobytes() == ((1.0 - 0.01) * QUAD0.derivatives(lams)).tobytes()
 
 
 R_MIN_C2 = (-math.log(0.5 * math.erfc(2.0 / math.sqrt(2.0))) - 2.0) / 2.0

@@ -297,6 +297,19 @@ with mp.workdps(50):
     _MP_GAUSS_LEGENDRE_12 = GaussLegendre(mp.mp).get_nodes(-1, 1, 3, mp.mp.prec)
 
 
+# ln(Gamma(1 + k/m) / k!) by (shape, working precision), k = 0, 1, ...: the
+# moment-series coefficients, shared by every lam of a shape
+_MP_SERIES: dict = {}
+
+
+def _mp_series_coefficient(m, k):
+    cs = _MP_SERIES.setdefault((m, mp.mp.dps), [])
+    while len(cs) <= k:
+        j = len(cs)
+        cs.append(mp.loggamma(1 + j / m) - mp.loggamma(j + 1))
+    return cs[k]
+
+
 @functools.lru_cache(maxsize=None)
 def _mp_weibull(m, lam):
     """ln E e^{lam X} and its slope for the tail exp(-x^m), at 50 digits,
@@ -324,9 +337,10 @@ def _mp_weibull(m, lam):
         s = 1 / mp.sqrt(curv)
         if x < 10 * s:
             total = first = mp.mpf(0)
+            log_lam = mp.log(lam)
             k = 0
             while True:
-                t = mp.exp(mp.loggamma(1 + k / m) - mp.loggamma(k + 1) + k * mp.log(lam))
+                t = mp.exp(_mp_series_coefficient(m, k) + k * log_lam)
                 total += t
                 first += k * t
                 if k > 10 and t < total * mp.mpf(10) ** -55:
@@ -364,11 +378,31 @@ def _count_rule_rows(monkeypatch):
     return rows
 
 
+# the (shape, lam) rows each of the two classes below checks against mpmath
+MOMENT_SERIES_ROWS = ([(m, lam) for m in SHAPES for lam in MP_LAMS]
+                      + [(m, lam) for m in SHAPES for lam in _switch(m)]
+                      + [(m, lam) for m in SHAPES for lam in _above_switch(m)])
+NEAR_ZERO_PEAK_ROWS = ([(m, lam) for m in NEAR_ONE for lam in (_switch(m)[1], *_clear(m), 1e6)]
+                       # xh's rounding spans 14 widths: the rule's node
+                       # terms once overflowed
+                       + [(1.2, 732710.5861386189)]
+                       # xh passes 1e154: squaring it once overflowed
+                       # Newton's step
+                       + [(1.05, 86958713.17136206)]
+                       # the 32-term series has not ended
+                       + [(1.5, lam) for lam in (1.0, 2.0, 3.5)])
+
+
+@pytest.fixture(scope="module")
+def mp_refs():
+    """The mpmath references of every row, computed once per module: the
+    rows of a shape share its moment-series coefficients."""
+    return {row: _mp_weibull(*row) for row in MOMENT_SERIES_ROWS + NEAR_ZERO_PEAK_ROWS}
+
+
 class TestWeibullMomentSeries:
-    @pytest.mark.parametrize("m,lam", [(m, lam) for m in SHAPES for lam in MP_LAMS]
-                             + [(m, lam) for m in SHAPES for lam in _switch(m)]
-                             + [(m, lam) for m in SHAPES for lam in _above_switch(m)])
-    def test_against_mpmath(self, m, lam, monkeypatch):
+    @pytest.mark.parametrize("m,lam", MOMENT_SERIES_ROWS)
+    def test_against_mpmath(self, m, lam, monkeypatch, mp_refs):
         # series rows and Gauss-Hermite rule rows, each within 1e-14
         rows = _count_rule_rows(monkeypatch)
         phi = oracles.weibull(m).mgf_exponent
@@ -378,7 +412,7 @@ class TestWeibullMomentSeries:
             assert (not rows) == (lam == below)
         if lam > above:
             assert rows == [1, 1]
-        want = _mp_weibull(m, lam)
+        want = mp_refs[m, lam]
         assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0.0)
         assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0.0)
 
@@ -488,19 +522,10 @@ class TestWeibullNearZeroPeak:
     # the Gauss-Hermite rule misses 1e-14, and shapes near the least one
     # taken
 
-    @pytest.mark.parametrize("m,lam", [(m, lam) for m in NEAR_ONE
-                                       for lam in (_switch(m)[1], *_clear(m), 1e6)]
-                             # xh's rounding spans 14 widths: the rule's node
-                             # terms once overflowed
-                             + [(1.2, 732710.5861386189)]
-                             # xh passes 1e154: squaring it once overflowed
-                             # Newton's step
-                             + [(1.05, 86958713.17136206)]
-                             # the 32-term series has not ended
-                             + [(1.5, lam) for lam in (1.0, 2.0, 3.5)])
-    def test_against_mpmath(self, m, lam):
+    @pytest.mark.parametrize("m,lam", NEAR_ZERO_PEAK_ROWS)
+    def test_against_mpmath(self, m, lam, mp_refs):
         phi = oracles.weibull(m).mgf_exponent
-        want = _mp_weibull(m, lam)
+        want = mp_refs[m, lam]
         assert phi.value(lam) == pytest.approx(want[0], rel=1e-14, abs=0.0)
         assert phi.derivative(lam) == pytest.approx(want[1], rel=1e-14, abs=0.0)
 
