@@ -818,39 +818,23 @@ def _saddle_points(phi2: PhiFunction, lams) -> list:
     lams = [float(lam) for lam in lams]
     if phi2.kind == "grid":
         return _grid_saddle_points(phi2, lams)
-    searches = [_saddle_search(phi2, lam) for lam in lams]
-    out: list = [None] * len(searches)
-    pending: dict = {}
     # per search, the largest x where the transform converged
-    top = [-math.inf] * len(searches)
+    top = [-math.inf] * len(lams)
 
-    def resume(i, advance):
-        try:
-            pending[i] = advance()
-        except StopIteration as stop:
-            out[i] = stop.value
-        except TailboundsError as exc:
-            out[i] = exc
-
-    for i, search in enumerate(searches):
-        resume(i, search.__next__)
-    while pending:
-        idx = list(pending)
-        xs = [pending[i] for i in idx]
+    def evaluate(idx, xs):
         _, slopes, errors = conjugate_values(phi2, xs)
-        pending = {}
+        vals = slopes.tolist()
         for k, i in enumerate(idx):
-            if k in errors and not isinstance(errors[k], UnboundedObjectiveError):
-                out[i] = errors[k]
-                continue
-            if k in errors:
+            if k not in errors:
+                top[i] = max(top[i], xs[k])
+            elif isinstance(errors[k], UnboundedObjectiveError):
                 # x lies beyond phi2's slopes: the maximizer has run off to
                 # +inf, and so has the trace
-                v = math.inf
-            else:
-                top[i] = max(top[i], xs[k])
-                v = float(slopes[k])
-            resume(i, lambda s=searches[i], v=v: s.send(v))
+                vals[k] = math.inf
+                del errors[k]
+        return vals, errors
+
+    out = _lockstep([_saddle_search(phi2, lam) for lam in lams], evaluate)
     # x0 stays where the transform converged.  The flat-top probe evaluates
     # it at x0 itself, so this moves x0 only where it diverged there
     return [min(x0, t) if isinstance(x0, float) else x0 for x0, t in zip(out, top)]
@@ -974,6 +958,34 @@ def _bisect(a, b, below, steps, rel=0.0):
         else:
             b = m
     return a, b
+
+
+def _lockstep(searches: list, evaluate) -> list:
+    """Run search generators together: each round, ``evaluate(idx, xs)``
+    answers the point xs[k] of each running search idx[k] in one call, with
+    the answers and, by position k, the error that ends search idx[k]
+    instead.  Returns each search's result, or the error that ended it."""
+    out: list = [None] * len(searches)
+    answers = dict.fromkeys(range(len(searches)))  # send(None) starts a search
+    while answers:
+        pending = {}
+        for i, v in answers.items():
+            try:
+                pending[i] = searches[i].send(v)
+            except StopIteration as stop:
+                out[i] = stop.value
+            except TailboundsError as exc:
+                out[i] = exc
+        if not pending:
+            break
+        vals, errors = evaluate(list(pending), list(pending.values()))
+        answers = {}
+        for k, i in enumerate(pending):
+            if k in errors:
+                out[i] = errors[k]
+            else:
+                answers[i] = vals[k]
+    return out
 
 
 def _solve(search, fn):

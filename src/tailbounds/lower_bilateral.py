@@ -116,13 +116,9 @@ def _x0s(phi2: PhiFunction, ts: np.ndarray) -> tuple[np.ndarray, dict]:
     lockstep saddle searches of :func:`_saddle_points` otherwise."""
     if phi2.convex and phi2.deriv is not None:
         return phi2.derivatives(ts), {}
-    out, errors = np.full(ts.size, math.nan), {}
-    for i, x0 in enumerate(_saddle_points(phi2, ts.tolist())):
-        if isinstance(x0, Exception):
-            errors[i] = x0
-        else:
-            out[i] = x0
-    return out, errors
+    x0s = _saddle_points(phi2, ts.tolist())
+    errors = {i: x0 for i, x0 in enumerate(x0s) if isinstance(x0, Exception)}
+    return np.array([math.nan if i in errors else x0 for i, x0 in enumerate(x0s)]), errors
 
 
 def _stars_at_saddle(phi2: PhiFunction, ts: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -233,19 +229,19 @@ def tangent_bracket_log(phi1: PhiFunction, geometry: SaddleGeometry) -> float:
     """
     geometry.validate()
     g = geometry
-    return _bracket_log(g.lam, phi1.value(g.lam), g.s_minus, g.ds_minus,
-                        g.s_plus, g.ds_plus, g.x_plus)
+    return float(_bracket_formula(g.lam, phi1.value(g.lam), g.s_minus, g.ds_minus,
+                                  g.s_plus, g.ds_plus, g.x_plus))
 
 
-def _bracket_log(lam: float, t0: float, s_minus: float, ds_minus: float,
-                 s_plus: float, ds_plus: float, x_plus: float) -> float:
-    tm = math.log(lam) + s_minus - math.log(ds_minus)
-    tp = math.log(lam) + s_plus - math.log(-ds_plus)
-    m = max(t0, tm, tp)
-    bracket = math.exp(t0 - m) - math.exp(tm - m) - math.exp(tp - m)
-    if bracket <= 0.0:
-        return -math.inf
-    return -lam * x_plus + m + math.log(bracket)
+def _bracket_formula(lam, t0, s_minus, ds_minus, s_plus, ds_plus, x_plus):
+    """The bracket's log over arrays of rows; -inf where it clamps or a row is NaN."""
+    with np.errstate(all="ignore"):
+        tm = np.log(lam) + s_minus - np.log(ds_minus)
+        tp = np.log(lam) + s_plus - np.log(-ds_plus)
+        m = np.maximum(np.maximum(t0, tm), tp)
+        bracket = np.exp(t0 - m) - np.exp(tm - m) - np.exp(tp - m)
+        lv = -lam * x_plus + m + np.log(bracket)
+        return np.where((bracket > 0.0) & ~np.isnan(lv), lv, -math.inf)
 
 
 def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, lams, d1s, d2s) -> np.ndarray:
@@ -254,8 +250,8 @@ def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, lams, d1s, d2s) -> np.nd
 
     -inf where make_geometry refuses the row with an InputError or an
     OutOfDomainError, where lam lies outside phi1's domain, and where the
-    bracket clamps (or is NaN, which no maximum picks).  Any other error of
-    the saddle path raises: the one at the smallest t of the batch.
+    bracket clamps (or is NaN).  Any other error of the saddle path raises:
+    the one at the smallest t of the batch.
     """
     lams, d1s, d2s = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                            for a in (lams, d1s, d2s)))
@@ -269,11 +265,9 @@ def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, lams, d1s, d2s) -> np.nd
     _raise_unrefused(errors)
     valid = _geometry_ok(**cols)
     lam = lam[valid]
-    sides = [cols[k][valid].tolist() for k in ("s_minus", "ds_minus", "s_plus", "ds_plus",
-                                               "x_plus")]
-    lv = np.array([_bracket_log(*row) for row in
-                   zip(lam.tolist(), phi1.values(lam).tolist(), *sides)], dtype=float)
-    out[tuple(r[valid] for r in rows)] = np.where(np.isnan(lv), -math.inf, lv)
+    out[tuple(r[valid] for r in rows)] = _bracket_formula(
+        lam, phi1.values(lam), *(cols[k][valid] for k in ("s_minus", "ds_minus", "s_plus",
+                                                           "ds_plus", "x_plus")))
     return out
 
 
@@ -376,57 +370,56 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     base = np.array([0.05, 0.1, 0.15, 0.25, 0.35, 0.5])
     delta_grid = np.concatenate([-base[::-1], base])
 
-    # x0 and phi*(x0) at every shifted lam of the grid in one batch; the
-    # walk below meets each error where a cell asks for that point
-    ts = lam_grid[:, None] * (1.0 + delta_grid)
-    ts = np.unique(ts[phi.domain.contains(lam_grid)[:, None] & phi.domain.contains(ts)])
+    # x0 and phi*(x0) at every shifted lam t = lam(1 + d) in one batch, then
+    # the (lam, d) cells as tables, in lam-major order: a cell whose x0 is
+    # degenerate is skipped, and the first error a cell needs is raised
+    lams = lam_grid[phi.domain.contains(lam_grid)]
+    ts_cell = lams[:, None] * (1.0 + delta_grid)
+    in_dom = phi.domain.contains(ts_cell)
+    ts = np.unique(ts_cell[in_dom])
     x0s, x0_errors = _x0s(phi, ts)
     stars, star_errors = _stars_at_saddle(phi, ts, x0s)
-    star_errors.update(x0_errors)  # no phi* where x0 has no value
-    at = {t: k for k, t in enumerate(ts.tolist())}
-    x0s, stars = x0s.tolist(), stars.tolist()
+    errors = {**star_errors, **x0_errors}  # no phi* where x0 has no value
+    s_peak = phi.values(lams)[:, None]  # S(lam, x0(lam)), by the touching identity
 
-    def pick(vals: list, errors: dict, t: float) -> float:
-        k = at[t]
-        if k in errors:
-            raise errors[k]
-        return vals[k]
+    def flags(errs, kinds=Exception):  # by index of ts, one more for cells outside
+        return np.isin(np.arange(ts.size + 1), [k for k, e in errs.items() if isinstance(e, kinds)])
 
-    v_best, v_arg = math.inf, (math.nan, math.nan)
-    c0_best, c0_arg = -math.inf, (math.nan, math.nan)
-    evaluated = 0
-    lams = lam_grid[phi.domain.contains(lam_grid)]
-    # S(lam, x0(lam)) = phi(lam) by the touching identity
-    for lam, s_peak in zip(lams.tolist(), phi.values(lams).tolist()):
-        if s_peak <= 0:
-            continue
-        for d in delta_grid:
-            d = float(d)
-            t = lam * (1.0 + d)
-            if d == 0.0 or not phi.domain.contains(t):
-                continue
-            try:
-                x_shift = pick(x0s, x0_errors, t)
-            except (NonUniqueArgmaxError, OutOfDomainError, InputError):
-                continue  # degenerate saddle at this cell; the report decides
-            s_shift = lam * x_shift - pick(stars, star_errors, t)
-            ratio = (s_peak - s_shift) / (s_peak * d * d)
-            evaluated += 1
-            if ratio < v_best:
-                v_best, v_arg = ratio, (lam, d)
-            # absorption: lam*x0(lam(1+|d|)) - (1-d^2) phi(lam)
-            #             <= (1 + c0*|d|) * phi*(x0(lam(1-|d|)))
-            ad = abs(d)
-            t_up, t_dn = lam * (1.0 + ad), lam * (1.0 - ad)
-            if not (phi.domain.contains(t_up) and phi.domain.contains(t_dn)):
-                continue
-            x_up = pick(x0s, x0_errors, t_up)
-            star_dn = pick(stars, star_errors, t_dn)
-            if star_dn <= 0:
-                continue
-            c0_here = (lam * x_up - (1.0 - d * d) * s_peak - star_dn) / (ad * star_dn)
-            if c0_here > c0_best:
-                c0_best, c0_arg = c0_here, (lam, ad)
+    skip = flags(x0_errors, (NonUniqueArgmaxError, OutOfDomainError, InputError))
+    x0_bad, bad = flags(x0_errors), flags(errors)
+    x0s, stars = np.append(x0s, math.nan), np.append(stars, math.nan)
+    k = np.searchsorted(ts, ts_cell)
+    # t_up = lam(1 + |d|) and t_dn = lam(1 - |d|): the columns of +|d| and -|d|
+    ad = np.abs(delta_grid)
+    up, dn = np.searchsorted(delta_grid, ad), np.searchsorted(delta_grid, -ad)
+    k_up, k_dn = k[:, up], k[:, dn]
+
+    cell = in_dom & (s_peak > 0) & ~skip[k]
+    ratio_ok = cell & ~bad[k]
+    absorb = ratio_ok & in_dom[:, up] & in_dom[:, dn]
+    raises = (cell & bad[k]) | (absorb & (x0_bad[k_up] | bad[k_dn]))
+    if raises.any():
+        i, j = np.unravel_index(np.argmax(raises), raises.shape)
+        if bad[k[i, j]]:
+            raise errors[k[i, j]]
+        raise x0_errors[k_up[i, j]] if x0_bad[k_up[i, j]] else errors[k_dn[i, j]]
+    with np.errstate(all="ignore"):
+        ratio = (s_peak - (lams[:, None] * x0s[k] - stars[k])) / (s_peak * delta_grid * delta_grid)
+        # absorption: lam*x0(lam(1+|d|)) - (1-d^2) phi(lam)
+        #             <= (1 + c0*|d|) * phi*(x0(lam(1-|d|)))
+        star_dn = stars[k_dn]
+        c0s = ((lams[:, None] * x0s[k_up] - (1.0 - delta_grid * delta_grid) * s_peak - star_dn)
+               / (ad * star_dn))
+    ratio = np.where(ratio_ok & ~np.isnan(ratio), ratio, math.inf)
+    c0s = np.where(absorb & ~(star_dn <= 0) & ~np.isnan(c0s), c0s, -math.inf)
+    # the first strict minimum and maximum in (lam, d) order
+    i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
+    v_best = float(ratio[i, j])
+    v_arg = (float(lams[i]), float(delta_grid[j])) if v_best < math.inf else (math.nan, math.nan)
+    i, j = np.unravel_index(np.argmax(c0s), c0s.shape)
+    c0_best = float(c0s[i, j])
+    c0_arg = (float(lams[i]), float(ad[j])) if c0_best > -math.inf else (math.nan, math.nan)
+    evaluated = int(ratio_ok.sum())
 
     ok = bool(evaluated > 0 and v_best > 0 and math.isfinite(c0_best))
     return RegularityReport(

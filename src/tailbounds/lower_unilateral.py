@@ -378,8 +378,7 @@ def _exponents(phi: PhiFunction, cert: LowerEnvelopeCertificate,
     # where the minorant's conjugate diverges the chain certifies nothing:
     # h is +inf and the envelope clamps to the trivial bound
     _inf_where_unbounded(stars, errors)
-    return np.array([max(cert.mu1 * x - nonneg_offset, star)
-                     for x, star in zip(xs.tolist(), stars.tolist())])
+    return np.maximum(cert.mu1 * xs - nonneg_offset, stars)
 
 
 def unilateral_lower_envelope(

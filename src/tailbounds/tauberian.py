@@ -24,29 +24,38 @@ from .errors import (
     NonInvertibleError,
     NotCertifiedError,
     NotConvergedError,
+    TailboundsError,
 )
-from .functions import PhiFunction, _bisect, _solve, conjugate_value
+from .functions import PhiFunction, _bisect, _lockstep, conjugate_values
 from .oracles import OracleDistribution, empirical_tail
 
 
-def _invert_increasing(fn: Callable[[float], float], target: float,
-                       lo: float, hi_seed: float) -> float:
-    """Monotone bisection for fn(x) = target with an expanding upper bracket."""
+def _invert_increasing(target: float, lo: float, hi_seed: float):
+    """Bisection for increasing fn(x) = target as a generator: yields x, takes fn(x)."""
     lo = max(lo, 1e-12)
-    f_lo = fn(lo)
+    f_lo = yield lo
     if f_lo > target:
         raise NonInvertibleError(
             f"target {target} below function value {f_lo} at the domain floor"
         )
     hi = max(hi_seed, 2.0 * lo)
     for _ in range(200):
-        if fn(hi) >= target:
+        if (yield hi) >= target:
             break
         hi *= 2.0
     else:
         raise NonInvertibleError(f"no bracket for target {target}")
-    a, b = _solve(_bisect(lo, hi, lambda v: v < target, 200, 1e-10), fn)
+    a, b = yield from _bisect(lo, hi, lambda v: v < target, 200, 1e-10)
     return 0.5 * (a + b)
+
+
+def _inverses(searches: list, evaluate) -> np.ndarray:
+    """The searches' roots in lockstep; raises the first search's error."""
+    out = _lockstep(searches, evaluate)
+    first = next((res for res in out if isinstance(res, Exception)), None)
+    if first is not None:
+        raise first
+    return np.array(out)
 
 
 def _extrapolate(xs: np.ndarray, ks: np.ndarray) -> tuple[float, bool]:
@@ -115,12 +124,12 @@ def tauberian_check(
     if isinstance(source, OracleDistribution):
         if source.mgf_exponent is None:
             raise InputError(f"{source.name} has no finite MGF to diagnose")
-        log_mgf = lambda l: source.mgf_exponent.value(l)
+        log_mgf = source.mgf_exponent.values
         tail = lambda x: source.tail(x)
         mgf_dom_top = source.mgf_exponent.domain.top()
     else:
-        log_mgf, tail = source
-        mgf_dom_top = math.inf
+        (mgf, tail), mgf_dom_top = source, math.inf
+        log_mgf = lambda ls: np.array([float(mgf(l)) for l in ls.tolist()])
 
     top = min(50.0, mgf_dom_top * 0.98 if math.isfinite(mgf_dom_top) else 50.0)
     lams = np.geomspace(max(phi.domain.lo, 1.0) + 1.0, top, 7)
@@ -128,20 +137,24 @@ def tauberian_check(
         x_ladder = 2.0 * 2.0 ** (np.arange(7) / 3.0)  # 2 .. 8 geometric
     xs = np.asarray(x_ladder, dtype=float)
 
-    # MGF side: phi^{-1}(ln MGF(lam)) / lam
-    k_mgf_vals = []
-    for lam in lams:
-        target = float(log_mgf(float(lam)))
-        inv = _invert_increasing(lambda t: phi.value(t), target,
-                                 phi.domain.lo, max(lam, 1.0))
-        k_mgf_vals.append(inv / float(lam))
-    k_mgf_vals = np.array(k_mgf_vals)
-    k_mgf, conv_m = _extrapolate(lams, k_mgf_vals)
+    # MGF side: phi^{-1}(ln MGF(lam)) / lam, each round one values call
+    def phi_values(idx, ts):
+        try:
+            return phi.values(ts).tolist(), {}
+        except TailboundsError:
+            # a point fails: each search takes its own point's value or error
+            vals, errors = [math.nan] * len(ts), {}
+            for k, t in enumerate(ts):
+                try:
+                    vals[k] = phi.value(t)
+                except TailboundsError as exc:
+                    errors[k] = exc
+            return vals, errors
 
-    # tail side: (phi*)^{-1}(|ln T(x)|) / x
-    def phi_star(x: float) -> float:
-        v, _ = conjugate_value(phi, x)
-        return v
+    k_mgf_vals = _inverses([_invert_increasing(t, phi.domain.lo, max(lam, 1.0))
+                            for lam, t in zip(lams.tolist(), log_mgf(lams).tolist())],
+                           phi_values) / lams
+    k_mgf, conv_m = _extrapolate(lams, k_mgf_vals)
 
     mode = "analytic"
     details: dict = {}
@@ -165,12 +178,14 @@ def tauberian_check(
         if np.any(tail_vals <= 0):
             raise InputError("tail must be positive along the ladder")
 
-    k_tail_vals = []
-    for x, t in zip(xs, tail_vals):
-        target = abs(math.log(t))
-        inv = _invert_increasing(phi_star, target, 1e-9, max(float(x), 1.0))
-        k_tail_vals.append(inv / float(x))
-    k_tail_vals = np.array(k_tail_vals)
+    # tail side: (phi*)^{-1}(|ln T(x)|) / x, each round one conjugate_values call
+    def phi_stars(idx, ts):
+        vals, _, errors = conjugate_values(phi, ts)
+        return vals.tolist(), errors
+
+    k_tail_vals = _inverses([_invert_increasing(abs(math.log(t)), 1e-9, max(x, 1.0))
+                             for x, t in zip(xs.tolist(), tail_vals.tolist())],
+                            phi_stars) / xs
 
     if monte_carlo:
         k_tail, conv_t = float(k_tail_vals[-1]), bool(xs.size >= 3)

@@ -1,8 +1,10 @@
 """Saddle geometry, tangent-line bounds, closure, regularity, sandwiches."""
 
+import contextlib
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -678,3 +680,77 @@ class TestBatchedSaddlePath:
             _bracket_logs(phi, phi, np.array([10.0, 8.0]), np.array([0.2, 0.25]),
                           np.array([0.2, 0.25]))
         assert str(batch.value) == str(smallest.value)
+
+
+def _mp_bracket(row):
+    """The bracket formula at 30 digits on one row of doubles: (its log, or
+    None where it clamps, and the sum of its three terms over the bracket)."""
+    with mp.workdps(30):
+        lam, t0, s_minus, ds_minus, s_plus, ds_plus, x_plus = map(mp.mpf, row)
+        tm = mp.log(lam) + s_minus - mp.log(ds_minus)
+        tp = mp.log(lam) + s_plus - mp.log(-ds_plus)
+        m = max(t0, tm, tp)
+        terms = [mp.exp(t0 - m), mp.exp(tm - m), mp.exp(tp - m)]
+        bracket = terms[0] - terms[1] - terms[2]
+        if bracket <= 0:
+            return None, math.inf
+        return float(-lam * x_plus + m + mp.log(bracket)), float(mp.fsum(terms) / bracket)
+
+
+class TestBracketAgainstMpmath:
+    @staticmethod
+    def _batch_rows(monkeypatch):
+        """Every row the closure, the pinch and the sandwich of the quadratic,
+        power_log(2, 1) and the half-square grid bracket, with the values
+        _bracket_logs stores for them."""
+        rows, got = [], []
+        real = lower_bilateral._bracket_formula
+
+        def recording(*cols):
+            out = real(*cols)
+            rows.append(np.column_stack(cols))
+            got.append(out)
+            return out
+
+        monkeypatch.setattr(lower_bilateral, "_bracket_formula", recording)
+        for phi in _SADDLE_PATH_PHIS.values():
+            closure_lower_envelope(phi, phi, np.arange(2.0, 8.5, 0.5))
+            with contextlib.suppress(NotCertifiedError):  # the grid's pinch refuses
+                pinched_lower_envelope(phi, 0.1, np.arange(3.0, 30.0))
+            exact_mgf_sandwich(phi, np.arange(2.0, 9.0))
+        return np.concatenate(rows), np.concatenate(got)
+
+    def test_batches_match_30_digits(self, monkeypatch):
+        rows, got = self._batch_rows(monkeypatch)
+        finite = np.isfinite(got)
+        # every finite row and one clamped row in 40
+        pick = np.flatnonzero(finite | (np.cumsum(~finite) % 40 == 0))
+        assert np.count_nonzero(~finite[pick]) >= 100
+        # a row near cancellation, and one just past it, from the first
+        # finite row: t0 lowered onto the sum of the two side terms
+        row = rows[np.flatnonzero(finite)[0]].copy()
+        lam, _, s_minus, ds_minus, s_plus, ds_plus, _ = row
+        sides = np.logaddexp(math.log(lam) + s_minus - math.log(ds_minus),
+                             math.log(lam) + s_plus - math.log(-ds_plus))
+        near = np.array([row, row, row])
+        near[:, 1] = sides + np.array([1e-6, 1e-3, -1e-9])
+        # NaN in each column in turn
+        nan_rows = np.repeat(row[None, :], 7, axis=0)
+        nan_rows[np.arange(7), np.arange(7)] = math.nan
+        table = np.concatenate([rows[pick], near, nan_rows])
+        lv = lower_bilateral._bracket_formula(*table.T)
+        assert lv[:pick.size].tolist() == got[pick].tolist()
+        for r, v in zip(table.tolist(), lv.tolist()):
+            if any(math.isnan(c) for c in r):
+                assert v == -math.inf
+                continue
+            want, kappa = _mp_bracket(r)
+            if want is None:
+                assert v == -math.inf
+                continue
+            # 4 ulp, plus the cancellation of the three terms amplifying the
+            # rounding of their exponents (kappa, the terms' sum over the
+            # bracket, is near 1 unless they cancel)
+            tol = 4 * math.ulp(want) + 4 * 2.0 ** -52 * (kappa - 1.0) * (1.0 + abs(r[1]))
+            assert abs(v - want) <= tol, (r, v, want)
+        assert _mp_bracket(near[0])[1] > 1e5 and _mp_bracket(near[2])[0] is None

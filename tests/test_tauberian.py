@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from tailbounds import oracles
-from tailbounds.errors import InputError
-from tailbounds.functions import PhiFunction
-from tailbounds.tauberian import tauberian_check
+from tailbounds.errors import InputError, NonInvertibleError, OutOfDomainError
+from tailbounds.functions import PhiFunction, _bisect, _solve, conjugate_value
+from tailbounds.tauberian import TauberianReport, _extrapolate, tauberian_check
 
 QREF = PhiFunction.quadratic(lo=0.0)
 
@@ -78,3 +78,94 @@ class TestMonteCarlo:
                                monte_carlo=True, n_samples=10_000_000, seed=42)
         assert rep2.k_tail == rep.k_tail
         assert rep2.details["counts"] == rep.details["counts"]
+
+
+def _sequential_invert(fn, target, lo, hi_seed):
+    """One inversion at a time: monotone bisection for fn(x) = target."""
+    lo = max(lo, 1e-12)
+    f_lo = fn(lo)
+    if f_lo > target:
+        raise NonInvertibleError(
+            f"target {target} below function value {f_lo} at the domain floor"
+        )
+    hi = max(hi_seed, 2.0 * lo)
+    for _ in range(200):
+        if fn(hi) >= target:
+            break
+        hi *= 2.0
+    else:
+        raise NonInvertibleError(f"no bracket for target {target}")
+    a, b = _solve(_bisect(lo, hi, lambda v: v < target, 200, 1e-10), fn)
+    return 0.5 * (a + b)
+
+
+def _sequential_check(phi, log_mgf, tail, x_ladder=None, mc=None):
+    """tauberian_check with each ladder point inverted alone, by scalar
+    calls of phi and of its conjugate; ``mc`` is (dist, n_samples, seed)."""
+    lams = np.geomspace(max(phi.domain.lo, 1.0) + 1.0, 50.0, 7)
+    xs = np.asarray(2.0 * 2.0 ** (np.arange(7) / 3.0) if x_ladder is None else x_ladder)
+    k_mgf = np.array([_sequential_invert(phi.value, float(log_mgf(float(lam))),
+                                         phi.domain.lo, max(lam, 1.0)) / float(lam)
+                      for lam in lams])
+    details = {}
+    if mc:
+        dist, n, seed = mc
+        frac = oracles.empirical_tail(dist.sample(seed, n), xs)["fraction"]
+        xs, tail_vals = xs[frac > 0], frac[frac > 0]
+        details = {"counts": (frac * n).astype(int).tolist(), "n_samples": n, "seed": seed}
+    else:
+        tail_vals = np.array([tail(float(x)) for x in xs])
+    k_tail = np.array([_sequential_invert(lambda x: conjugate_value(phi, x)[0],
+                                          abs(math.log(t)), 1e-9, max(float(x), 1.0)) / float(x)
+                       for x, t in zip(xs, tail_vals)])
+    k_m, conv_m = _extrapolate(lams, k_mgf)
+    k_t, conv_t = (float(k_tail[-1]), bool(xs.size >= 3)) if mc else _extrapolate(xs, k_tail)
+    return TauberianReport(
+        k_mgf=k_m, k_tail=k_t, k_mgf_ladder=tuple(k_mgf.tolist()),
+        k_tail_ladder=tuple(k_tail.tolist()), lam_ladder=tuple(lams.tolist()),
+        x_ladder=tuple(xs.tolist()), converged=bool(conv_m and conv_t),
+        consistency=abs(k_m * k_t - 1.0), mode="monte-carlo" if mc else "analytic",
+        details=details)
+
+
+class TestLockstepInversions:
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_matches_one_inversion_at_a_time(self, scale):
+        dist = oracles.gaussian(scale)
+        want = _sequential_check(QREF, dist.mgf_exponent.value, dist.tail)
+        assert repr(tauberian_check(QREF, dist)) == repr(want)
+
+    def test_monte_carlo_matches_one_inversion_at_a_time(self):
+        dist = oracles.gaussian()
+        ladder = [2.0, 3.0, 4.0, 5.0]
+        want = _sequential_check(QREF, dist.mgf_exponent.value, None, ladder,
+                                 mc=(dist, 200_000, 7))
+        got = tauberian_check(QREF, dist, x_ladder=ladder, monte_carlo=True,
+                              n_samples=200_000, seed=7)
+        assert repr(got) == repr(want)
+
+    def test_raises_the_first_failing_ladder_point(self):
+        # targets below phi at the domain floor at ladder points 3 and 5:
+        # both searches fail in their first round, and point 3's error wins
+        lams = np.geomspace(2.0, 50.0, 7).tolist()
+        low = {lams[3]: -3.0, lams[5]: -5.0}
+        source = (lambda l: low.get(l, 0.5 * l * l), lambda x: 0.5 * math.erfc(x / math.sqrt(2)))
+        with pytest.raises(NonInvertibleError) as seq:
+            _sequential_check(QREF, *source)
+        with pytest.raises(NonInvertibleError) as lockstep:
+            tauberian_check(QREF, source, check_regularity=False)
+        assert str(lockstep.value) == str(seq.value)
+        assert str(seq.value).startswith("target -3.0 below")
+
+    def test_a_point_outside_the_domain_fails_its_own_search(self):
+        # on [0, 20) the brackets of the ladder points 29.2 and 50 start
+        # outside the domain; the other searches run on to their roots
+        phi = PhiFunction.from_callable(lambda l: 0.5 * l * l, 0.0, 20.0, convex=True,
+                                        label="half-square[0, 20)", vectorized=True)
+        dist = oracles.gaussian()
+        with pytest.raises(OutOfDomainError) as seq:
+            _sequential_check(phi, dist.mgf_exponent.value, dist.tail)
+        with pytest.raises(OutOfDomainError) as lockstep:
+            tauberian_check(phi, dist, check_regularity=False)
+        assert str(lockstep.value) == str(seq.value)
+        assert "29.2" in str(seq.value)
