@@ -41,12 +41,10 @@ from .integrals import (
     compound_upper_bound,
     cramer_check,
     epsilon_report,
-    finite_measure_upper_bound,
     i_integral,
     k_integral,
     log_compound_upper_bound,
     log_i_integral,
-    optimized_upper_bound,
     r_integral,
 )
 from .lower_bilateral import (
@@ -89,7 +87,6 @@ from .oracles import (
     exponential_unit,
     gaussian,
     gaussian_scale_mixture,
-    log_integral_exp,
     pareto,
     quadrature,
     suite,

@@ -27,7 +27,6 @@ from .functions import PhiFunction, conjugate
 from .integrals import (
     cramer_check,
     epsilon_report,
-    log_compound_upper_bound,
     log_i_integral,
 )
 from .lower_bilateral import (
@@ -216,11 +215,13 @@ def cmd_upper(args) -> int:
     results = {"chernoff": envelope_payload(env)}
     if args.bound_lambda is not None:
         lam_grid = parse_grid(args.bound_lambda)
+        # K and R depend on eps alone: one report serves every lambda
+        rep = epsilon_report(f, args.epsilon)
         bounds = {}
         for lam in lam_grid:
             entry = {}
             try:
-                log_c = log_compound_upper_bound(f, float(lam), args.epsilon)
+                log_c = rep.log_compound_bound(f, float(lam))
                 entry["log_compound"] = log_c
                 # compound_upper_bound's clip, without repeating K, R and f*
                 entry["compound"] = math.exp(log_c) if log_c < 709.0 else math.inf
@@ -229,7 +230,7 @@ def cmd_upper(args) -> int:
                 entry["error"] = str(exc)
             bounds[str(float(lam))] = entry
         results["integral_bounds"] = bounds
-        results["epsilon_report"] = to_jsonable(epsilon_report(f, args.epsilon))
+        results["epsilon_report"] = to_jsonable(rep)
     rows = [{"x": float(x), "upper": float(v)} for x, v in zip(env.x, env.values)]
     write_csv_table(args.csv, rows)
     write_report({

@@ -9,7 +9,9 @@ Given a nonnegative exponent ``zeta`` on [0, inf), this module computes
 and the resulting upper bounds on I(lam) = int_0^inf exp(lam*x - zeta(x)) dx:
 M(eps) * exp(zeta*(lam/(1-eps))) and its sharper K-variant with the (1-eps)
 factor in the exponent.  Divergence is detected by a growth pre-test before
-any quadrature is attempted, and carries diagnostics.
+any quadrature is attempted, and carries diagnostics.  K, R and I(lam) all
+go through the one adaptive kernel, ``oracles.quadrature``; I(lam) in log
+space, folded about the argmax of lam*x - zeta(x).
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .errors import (
     NotConvergedError,
     UnboundedObjectiveError,
 )
-from .functions import PhiFunction, _golden_lockstep, conjugate_value
-from .oracles import log_integral_exp, quadrature
+from .functions import LAMBDA_CAP, PhiFunction, conjugate_value
+from .oracles import quadrature
 
 _PROBES = (1e5, 1e6, 1e8, 1e10)
 # exp(-g) is declared divergent when g(x)/ln(x) is at most this at every probe
@@ -38,10 +40,7 @@ def _require_halfline(zeta: PhiFunction) -> None:
     if zeta.domain.lo > 0.0:
         raise InputError("integrand exponent must be defined from x = 0")
     if zeta.domain.bounded:
-        raise InputError(
-            "integral over [0, inf) needs an exponent with unbounded domain; "
-            "use finite_measure_upper_bound for bounded ranges"
-        )
+        raise InputError("integral over [0, inf) needs an exponent with unbounded domain")
 
 
 def _pretest_decay(g, label: str) -> None:
@@ -67,18 +66,24 @@ def _exp_neg(t: np.ndarray) -> np.ndarray:
         return np.where(t < 745.0, np.exp(-t), 0.0)
 
 
-def _damped_integral(g, label: str, details: Optional[dict]) -> float:
-    """int_0^inf exp(-g(x)) dx for an exponent g that maps float arrays, or
-    DivergentIntegral from the growth pre-test or the quadrature's window cap."""
-    _pretest_decay(g, label)
+def _integral(f, label: str, details: Optional[dict]) -> float:
+    """int_0^inf f(x) dx by ``quadrature``, or DivergentIntegral, with the
+    quadrature's diagnostic, where it reaches its window cap."""
     try:
-        val, _ = quadrature(lambda xs: _exp_neg(g(xs)), 0.0, math.inf, details=details)
+        val, _ = quadrature(f, 0.0, math.inf, details=details)
     except NotConvergedError as exc:
         raise DivergentIntegral(
             f"{label}: tail contribution still above threshold at the window cap",
             diagnostic=exc.diagnostic,
         ) from exc
     return val
+
+
+def _damped_integral(g, label: str, details: Optional[dict]) -> float:
+    """int_0^inf exp(-g(x)) dx for an exponent g that maps float arrays, or
+    DivergentIntegral from the growth pre-test or the quadrature's window cap."""
+    _pretest_decay(g, label)
+    return _integral(lambda xs: _exp_neg(g(xs)), label, details)
 
 
 def k_integral(zeta: PhiFunction, eps: float,
@@ -118,6 +123,26 @@ class EpsilonReport:
         finite = [v for v in (self.k, self.r) if v is not None]
         return min(finite) if finite else None
 
+    def log_compound_bound(self, zeta: PhiFunction, lam: float,
+                           variant: str = "min") -> float:
+        """:func:`log_compound_upper_bound` at this report's eps, from its K
+        and R, so that a grid of lam needs the two integrals once."""
+        try:
+            star, _ = conjugate_value(zeta, lam / (1.0 - self.eps))
+        except UnboundedObjectiveError:
+            return math.inf
+        if variant == "min":
+            if self.m is None:
+                raise DivergentIntegral(f"both K and R divergent at eps={self.eps}",
+                                        diagnostic=self.diagnostics)
+            return math.log(self.m) + star
+        if variant not in ("sharp", "plain"):
+            raise InputError(f"unknown variant {variant!r}")
+        if self.k is None:
+            raise DivergentIntegral(f"K divergent at eps={self.eps}",
+                                    diagnostic=self.diagnostics)
+        return math.log(self.k) + ((1.0 - self.eps) * star if variant == "sharp" else star)
+
 
 def epsilon_report(zeta: PhiFunction, eps: float) -> EpsilonReport:
     diag = {}
@@ -137,22 +162,36 @@ def epsilon_report(zeta: PhiFunction, eps: float) -> EpsilonReport:
 
 
 def log_i_integral(zeta: PhiFunction, lam: float) -> float:
-    """ln of I(lam) = int_0^inf exp(lam*x - zeta(x)) dx, by peak-shifted quadrature.
+    """ln of I(lam) = int_0^inf exp(lam*x - zeta(x)) dx, in log space.
 
-    Stays in log space so exponents in the thousands are handled; divergence
-    is detected by the growth pre-test.
+    The Legendre search gives the peak value top = zeta*(lam) and its
+    argmax.  The integrand, divided by exp(top), is folded about the argmax
+    and integrated over u = |x - argmax| in [0, inf) by ``quadrature``, so
+    the first window covers one unit on either side of the peak at any lam.
+    Divergence is detected by the growth pre-test, or by the quadrature's
+    window cap, both as DivergentIntegral.  A peak at the Legendre search's
+    cap ``LAMBDA_CAP`` raises NotConvergedError: the true peak may lie
+    beyond it, where the folded integrand would overflow.
     """
     _require_halfline(zeta)
 
     def log_f(xs: np.ndarray) -> np.ndarray:
         return lam * xs - zeta.values(xs)
 
-    _pretest_decay(lambda xs: -log_f(xs), f"I({lam})")
-    # coarse peak hint
-    probe = np.geomspace(1e-3, 1e6, 200)
-    pv = log_f(probe)
-    peak = float(probe[int(np.argmax(pv))])
-    return log_integral_exp(log_f, 0.0, math.inf, peak=peak)
+    label = f"I({lam})"
+    _pretest_decay(lambda xs: -log_f(xs), label)
+    top, peak = conjugate_value(zeta, lam)
+    if peak == LAMBDA_CAP:
+        raise NotConvergedError(f"{label}: the peak of lam*x - zeta(x) stops at the search "
+                                f"cap x = {LAMBDA_CAP:g}", diagnostic={"peak": peak})
+
+    def folded(us: np.ndarray) -> np.ndarray:
+        out = _exp_neg(top - log_f(peak + us))
+        left = us < peak
+        out[left] += _exp_neg(top - log_f(peak - us[left]))
+        return out
+
+    return top + math.log(_integral(folded, label, None))
 
 
 def i_integral(zeta: PhiFunction, lam: float) -> float:
@@ -174,27 +213,7 @@ def log_compound_upper_bound(zeta: PhiFunction, lam: float, eps: float,
     """
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must be in (0, 1), got {eps}")
-    rep = epsilon_report(zeta, eps)
-    try:
-        star, _ = conjugate_value(zeta, lam / (1.0 - eps))
-    except UnboundedObjectiveError:
-        return math.inf
-    if variant == "min":
-        if rep.m is None:
-            raise DivergentIntegral(f"both K and R divergent at eps={eps}",
-                                    diagnostic=rep.diagnostics)
-        return math.log(rep.m) + star
-    if variant == "sharp":
-        if rep.k is None:
-            raise DivergentIntegral(f"K divergent at eps={eps}",
-                                    diagnostic=rep.diagnostics)
-        return math.log(rep.k) + (1.0 - eps) * star
-    if variant == "plain":
-        if rep.k is None:
-            raise DivergentIntegral(f"K divergent at eps={eps}",
-                                    diagnostic=rep.diagnostics)
-        return math.log(rep.k) + star
-    raise InputError(f"unknown variant {variant!r}")
+    return epsilon_report(zeta, eps).log_compound_bound(zeta, lam, variant)
 
 
 def compound_upper_bound(zeta: PhiFunction, lam: float, eps: float,
@@ -202,44 +221,6 @@ def compound_upper_bound(zeta: PhiFunction, lam: float, eps: float,
     """Linear-scale compound bound; +inf when it exceeds float range."""
     lb = log_compound_upper_bound(zeta, lam, eps, variant)
     return math.exp(lb) if lb < 709.0 else math.inf
-
-
-def optimized_upper_bound(zeta: PhiFunction, lam: float) -> tuple[float, float]:
-    """min over eps of the compound bound; geometric scan plus local refinement.
-
-    Unimodality in eps is not assumed: the scan is exhaustive and golden
-    refinement runs only between the best point's neighbours.  Returns
-    (bound, eps_at_minimum).
-    """
-    eps_grid = np.geomspace(0.01, 0.99, 33)
-
-    def logbound(e: float) -> float:
-        try:
-            return log_compound_upper_bound(zeta, lam, float(e), "min")
-        except DivergentIntegral:
-            return math.inf
-
-    vals = np.array([logbound(e) for e in eps_grid])
-    i = int(np.argmin(vals))
-    if not math.isfinite(vals[i]):
-        raise DivergentIntegral("compound bound divergent for every eps scanned")
-    lo_i, hi_i = max(i - 1, 0), min(i + 1, eps_grid.size - 1)
-    # golden-section minimize on the neighbours' bracket: maximize -logbound
-    ((neg, eps),) = _golden_lockstep(
-        lambda rows, es: (-np.array([logbound(e) for e in es.tolist()]), set()),
-        eps_grid[[lo_i]], eps_grid[[hi_i]], -vals[[lo_i]], -vals[[hi_i]], 1e-4)
-    best = min((vals[i], eps_grid[i]), (-neg, eps))
-    value = math.exp(best[0]) if best[0] < 709.0 else math.inf
-    return value, float(best[1])
-
-
-def finite_measure_upper_bound(zeta: PhiFunction, lam: float) -> float:
-    """Bounded-range shortcut: measure(X) * exp(zeta*(lam)) for X = [lo, hi)."""
-    if not zeta.domain.bounded:
-        raise InputError("finite-measure bound needs a bounded domain")
-    measure = zeta.domain.hi - zeta.domain.lo
-    star, _ = conjugate_value(zeta, lam)
-    return measure * math.exp(star)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from numpy.polynomial.legendre import leggauss
 from numpy.random import Philox
 
 from .errors import InputError, NotConvergedError
@@ -229,66 +228,6 @@ def quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
         diagnostic={"last_window": (left, width), "last_contribution": val,
                     "capped_windows": capped},
     )
-
-
-# composite Gauss-Legendre nodes for the log-integrals
-_GL_NODES, _GL_WEIGHTS = leggauss(24)
-
-
-def log_integral_exp(log_f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                     peak: Optional[float] = None) -> float:
-    """ln of the integral of exp(log_f) over [a, b] without overflow.
-
-    The integrand is shifted by its peak value before exponentiating, so
-    exponents in the thousands are handled exactly in log space.  ``peak``
-    is a hint for the maximizer; when absent a coarse scan locates it.
-    ``log_f`` maps a float array elementwise.  On [a, inf) the window
-    doubles until log_f at its edge is 60 below the peak value;
-    NotConvergedError names the peak and the edge when that edge passes
-    1e12 first.  The window is split into 8 left, 24 core and 12 geometric
-    tail panels of 24 Gauss-Legendre nodes.
-    """
-    pk = 1.0 if peak is None else float(peak)
-    if math.isfinite(b):
-        bs = float(b)
-    else:
-        # grow the window until log_f at its edge is far below the peak
-        bs = max(10.0, 2.0 * (pk if pk != 0.0 else 1.0))
-        ref = 0.0 if peak is None else float(log_f(np.array([pk]))[0])
-        while not log_f(np.array([bs]))[0] < ref - 60.0:
-            if bs > 1e12:
-                raise NotConvergedError(
-                    "log_integral_exp: integrand still within 60 of its peak "
-                    "past the 1e12 window cap",
-                    diagnostic={"peak": None if peak is None else pk, "edge": bs},
-                )
-            bs *= 2.0
-    if peak is None:
-        scan = np.linspace(a, bs, 513)
-        pk = float(scan[np.argmax(log_f(scan))])
-    # core width from the local curvature of the exponent at the peak
-    h = max(1e-6, 1e-4 * max(abs(pk), 1.0))
-    pv = log_f(np.array([max(a, pk - h), pk, min(bs, pk + h)]))
-    curv = float(abs(pv[0] - 2.0 * pv[1] + pv[2])) / h ** 2
-    w = 1.0 / math.sqrt(curv) if curv > 1e-12 else max((bs - a) * 0.05, 1.0)
-    w = min(max(w, (bs - a) * 1e-4), bs - a)
-    core_lo = max(a, pk - 10 * w)
-    core_hi = min(bs, pk + 10 * w)
-    edges = np.concatenate([
-        [float(a)], np.linspace(a, core_lo, 9)[1:], np.linspace(core_lo, core_hi, 25)[1:],
-        np.geomspace(max(core_hi, 1e-12), bs, 13)[1:],
-    ])
-    # panels 0-7 lie left of the core, 32-43 in the tail; without room for
-    # them (core_lo == a, core_hi == b) they are skipped
-    first = 0 if core_lo > a else 8
-    stop = 44 if core_hi < bs else 32
-    lo, hi = edges[first:stop, None], edges[first + 1:stop + 1, None]
-    half = 0.5 * (hi - lo)
-    logs = log_f((0.5 * (hi + lo) + half * _GL_NODES).ravel())
-    top = float(np.max(logs))
-    with np.errstate(under="ignore"):
-        total = float(np.sum((half * _GL_WEIGHTS).ravel() * np.exp(logs - top)))
-    return -math.inf if total <= 0 else top + math.log(total)
 
 
 # --------------------------------------------------------------------------

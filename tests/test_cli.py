@@ -60,9 +60,11 @@ class TestUpper:
         entry = rep["results"]["integral_bounds"]["3.0"]
         assert entry["compound"] >= math.exp(entry["log_integral"]) * (1 - 1e-9)
 
-    def test_bound_lambda_computes_each_integral_once_per_lambda(self, tmp_path, monkeypatch):
-        # K and R once per lambda plus once for the epsilon report, and the
-        # conjugate once per lambda: "compound" is exp of "log_compound"
+    def test_bound_lambda_computes_k_and_r_once(self, tmp_path, monkeypatch):
+        # K and R depend on eps alone, so one epsilon report serves every
+        # lambda and the report section; the conjugate runs twice per
+        # lambda, for f*(lambda/(1 - eps)) in the bound ("compound" is exp
+        # of "log_compound") and for the peak that I(lambda) is folded about
         from tailbounds import integrals
 
         calls = {"k_integral": 0, "r_integral": 0, "conjugate_value": 0}
@@ -75,7 +77,7 @@ class TestUpper:
         assert run(["upper", "--family", "quadratic", "--lambda-min", "0", "--x", "1:4:1",
                     "--bound-lambda", "1,2", "--epsilon", "0.2",
                     "--out", str(out), "--normalize"]) == 0
-        assert calls == {"k_integral": 3, "r_integral": 3, "conjugate_value": 2}
+        assert calls == {"k_integral": 1, "r_integral": 1, "conjugate_value": 4}
         for entry in json.loads(out.read_text())["results"]["integral_bounds"].values():
             assert entry["compound"] == math.exp(entry["log_compound"])
 

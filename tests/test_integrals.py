@@ -1,28 +1,20 @@
 """Auxiliary integrals, compound upper bounds, Cramer certification."""
 
-import functools
 import math
 import warnings
-from unittest import mock
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from tailbounds import integrals
 from tailbounds.errors import DivergentIntegral, InputError
 from tailbounds.functions import PhiFunction
 from tailbounds.integrals import (
     compound_upper_bound,
     cramer_check,
     epsilon_report,
-    finite_measure_upper_bound,
     i_integral,
     k_integral,
     log_compound_upper_bound,
     log_i_integral,
-    optimized_upper_bound,
     r_integral,
 )
 
@@ -156,17 +148,6 @@ class TestCompoundBound:
         assert sharp == pytest.approx(expected, rel=1e-7)
         assert I3_CLOSED <= sharp <= compound_upper_bound(HALF_SQUARE, 3.0, 0.2, "plain")
 
-    def test_finite_measure_shortcut(self):
-        zeta = PhiFunction.linear(1.0, lo=0.0, hi=1.0)
-        assert finite_measure_upper_bound(zeta, 3.0) == pytest.approx(
-            math.exp(2.0), rel=1e-8)
-
-    def test_optimized_at_most_fixed_eps(self):
-        best, eps_star = optimized_upper_bound(HALF_SQUARE, 3.0)
-        assert best <= compound_upper_bound(HALF_SQUARE, 3.0, 0.2) * (1 + 1e-9)
-        assert 0.01 <= eps_star <= 0.99
-        assert best >= I3_CLOSED * (1 - 1e-9)
-
     @pytest.mark.parametrize("zeta", [LINEAR, HALF_SQUARE, POWER_3_2],
                              ids=["x", "x^2/2", "x^1.5"])
     @pytest.mark.parametrize("lam", [1.0, 3.0, 10.0, 30.0])
@@ -191,56 +172,6 @@ class TestCompoundBound:
             assert sharp <= plain + 1e-12
             assert minv <= plain + 1e-12
             assert sharp >= log_i_integral(HALF_SQUARE, lam) - 1e-9
-
-
-def _optimized_one_at_a_time(zeta, lam):
-    """The scan and scalar golden section that optimized_upper_bound ran
-    before it used the lockstep golden section."""
-    eps_grid = np.geomspace(0.01, 0.99, 33)
-
-    def logbound(e):
-        try:
-            return integrals.log_compound_upper_bound(zeta, lam, float(e), "min")
-        except DivergentIntegral:
-            return math.inf
-
-    vals = np.array([logbound(e) for e in eps_grid])
-    i = int(np.argmin(vals))
-    a = eps_grid[max(i - 1, 0)]
-    b = eps_grid[min(i + 1, eps_grid.size - 1)]
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = logbound(c), logbound(d)
-    for _ in range(60):
-        if (b - a) < 1e-4:
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = logbound(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = logbound(d)
-    best = min([(vals[i], eps_grid[i]), (fc, c), (fd, d)])
-    return (math.exp(best[0]) if best[0] < 709.0 else math.inf), float(best[1])
-
-
-class TestOptimizedAgainstScalarGolden:
-    """The lockstep golden section ends where the scalar one ended."""
-
-    @settings(max_examples=6)
-    @given(family=st.sampled_from(["quadratic", "power_log"]),
-           coeff=st.floats(0.1, 3.0), p=st.floats(1.5, 4.0), r=st.floats(0.0, 2.0),
-           lam=st.floats(0.5, 8.0))
-    def test_equals_scalar_golden(self, family, coeff, p, r, lam):
-        zeta = (PhiFunction.quadratic(coeff, lo=0.0) if family == "quadratic"
-                else PhiFunction.power_log(p, r, lo=0.0))
-        # both searches share one scan; the cache only skips recomputing it
-        cached = functools.lru_cache(maxsize=None)(integrals.log_compound_upper_bound)
-        with mock.patch.object(integrals, "log_compound_upper_bound", cached):
-            assert optimized_upper_bound(zeta, lam) == _optimized_one_at_a_time(zeta, lam)
 
 
 class TestCramer:

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 
 from conftest import weibull_log_mgf_closed_m2
 from tailbounds import oracles
-from tailbounds.errors import InputError, NotConvergedError
+from tailbounds.errors import DivergentIntegral, InputError, NotConvergedError
 from tailbounds.functions import PhiFunction, certify_convex, conjugate
 from tailbounds.integrals import log_i_integral
 
@@ -167,50 +167,87 @@ class TestGaussKronrodAgainstQuadpack:
         assert got == pytest.approx(ref(lambda t: float(f(t))), rel=1e-10, abs=0.0)
 
 
-class TestLogIntegralExp:
-    def test_matches_plain_quadrature(self):
-        lv = oracles.log_integral_exp(lambda x: 3 * x - x * x / 2, 0.0, math.inf, peak=3.0)
-        closed = math.exp(4.5) * math.sqrt(2 * math.pi) * (
-            1.0 - 0.5 * math.erfc(3.0 / math.sqrt(2.0)))
-        assert lv == pytest.approx(math.log(closed), abs=1e-9)
+def _kinked(x):
+    return max(0.5 * x, 2.0 * x - 1.5, 6.0 * x - 13.5, 0.5 * x * x)
 
-    def test_window_cap_raises_with_peak_and_edge(self):
-        # (1+x)^(-1/2) never falls 60 below its peak value before x = 1e12
-        with pytest.raises(NotConvergedError) as info:
-            oracles.log_integral_exp(lambda x: -0.5 * np.log1p(x), 0.0, math.inf, peak=0.0)
+
+# the exponents of TestLogIIntegral; the kinked one has kinks at 1, 3 and 9
+_LN_I_ZETAS = {
+    "quadratic": PhiFunction.quadratic(lo=0.0),
+    "kinked": PhiFunction.from_callable(
+        lambda x: np.maximum(np.maximum(0.5 * x, 2.0 * x - 1.5),
+                             np.maximum(6.0 * x - 13.5, 0.5 * x * x)),
+        0.0, math.inf, convex=True, vectorized=True, label="kinked"),
+    "power-log-1.5": PhiFunction.power_log(1.5, lo=0.0),
+    "power-log-4": PhiFunction.power_log(4.0, lo=0.0),
+    "x^1.5": PhiFunction.from_callable(lambda x: x ** 1.5, 0.0, math.inf, convex=True),
+}
+_LN_I_CASES = ([("quadratic", lam) for lam in (0.1, 1.0, 3.0, 30.0, 1e3, 1e5, 1e7)]
+               + [("kinked", lam) for lam in (1.0, 2.0, 3.0, 5.0)]
+               + [("power-log-1.5", 0.5), ("power-log-1.5", 1.0), ("power-log-4", 2.0),
+                  ("x^1.5", 3.0)])
+
+
+def _ln_i_reference(family, lam):
+    """ln I(lam) = ln int_0^inf exp(lam x - zeta(x)) dx, without the package."""
+    if family == "quadratic":
+        # e^(lam^2/2) sqrt(2 pi) Phi(lam)
+        return (0.5 * lam * lam + 0.5 * math.log(2.0 * math.pi)
+                + math.log1p(-0.5 * math.erfc(lam / math.sqrt(2.0))))
+    if family == "kinked":
+        val = quad(lambda x: math.exp(lam * x - _kinked(x)), 0.0, 80.0, points=(1.0, 3.0, 9.0),
+                   epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        return math.log(val)
+    zeta, peak = {
+        "power-log-1.5": (lambda x: x ** 1.5 / 1.5, lam ** 2),
+        "power-log-4": (lambda x: x ** 4 / 4, lam ** (1.0 / 3.0)),
+        "x^1.5": (lambda x: x ** 1.5, (lam / 1.5) ** 2),
+    }[family]
+    with mp.workdps(30):
+        val = mp.quad(lambda x: mp.exp(lam * x - zeta(x)), [0, peak, 2 * peak + 4, mp.inf])
+        return float(mp.log(val))
+
+
+@pytest.fixture(scope="module")
+def ln_i_refs():
+    return {case: _ln_i_reference(*case) for case in _LN_I_CASES}
+
+
+class TestLogIIntegral:
+    @pytest.mark.parametrize("case", _LN_I_CASES, ids=lambda c: f"{c[0]}-{c[1]:g}")
+    def test_matches_reference(self, case, ln_i_refs):
+        # relative once ln I passes 1: at lam = 1e7 the peak value is
+        # e^(5e13), representable only in log space
+        want = ln_i_refs[case]
+        got = log_i_integral(_LN_I_ZETAS[case[0]], case[1])
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_window_cap_raises_divergent_with_the_quadrature_diagnostic(self):
+        # 1.01 ln(1 + x) outgrows ln x at the probes, so the growth test
+        # passes, but each doubling window adds 2^-0.01 of the one before
+        slow = PhiFunction.from_callable(lambda x: 1.01 * np.log1p(x), 0.0, math.inf,
+                                         vectorized=True)
+        with pytest.raises(DivergentIntegral, match="window cap") as info:
+            log_i_integral(slow, 0.0)
         diag = info.value.diagnostic
-        assert diag["peak"] == 0.0 and diag["edge"] > 1e12
+        assert set(diag) == {"last_window", "last_contribution", "capped_windows"}
+        assert diag["last_window"][0] > 1e40
 
-    @pytest.mark.parametrize("integral, want", [
-        pytest.param(lambda: oracles.log_integral_exp(
-            lambda x: 3 * x - x * x / 2, 0.0, math.inf, peak=3.0), 5.417587723239924,
-            id="gauss-peak-3"),
-        pytest.param(lambda: oracles.log_integral_exp(
-            lambda x: 200 * x - x * x / 2, 0.0, math.inf, peak=200.0), 20000.918938533207,
-            id="gauss-peak-200"),
-        pytest.param(lambda: oracles.log_integral_exp(
-            lambda x: np.log1p(x) - x * x, 0.0, 5.0, peak=0.5), 0.3265856142378286,
-            id="finite-range"),
-        pytest.param(lambda: oracles.log_integral_exp(
-            lambda x: 2 * x - x ** 1.5, 0.0, math.inf), 2.3240082077517386,
-            id="no-peak-hint"),
-        pytest.param(lambda: log_i_integral(PhiFunction.power_log(4.0, lo=0.0), 2.0),
-                     2.059706354543926, id="i-quartic"),
-        pytest.param(lambda: log_i_integral(PhiFunction.quadratic(lo=0.0), 30.0),
-                     450.91893853320465, id="i-quadratic"),
-        pytest.param(lambda: log_i_integral(PhiFunction.from_callable(
-            lambda x: x ** 1.5, 0.0, math.inf, convex=True), 3.0), 5.399651590757236,
-            id="i-callable"),
+    def test_peak_at_the_search_cap_raises(self):
+        # the quadratic's peak lam lies past the cap: folding about the cap
+        # would overflow to an infinite I
+        with pytest.raises(NotConvergedError, match="search cap"):
+            log_i_integral(_LN_I_ZETAS["quadratic"], 1e9)
+
+    @pytest.mark.parametrize("family, lam, want", [
+        pytest.param("power-log-4", 2.0, 2.0597063545396432, id="i-quartic"),
+        pytest.param("quadratic", 30.0, 450.91893853320465, id="i-quadratic"),
+        pytest.param("x^1.5", 3.0, 5.399651590727128, id="i-callable"),
     ])
-    def test_pinned_bit_for_bit(self, integral, want):
-        # the one-peak integral and log_i_integral, which calls it: any change
-        # to the panels or their arithmetic moves these values
-        assert integral() == want
-
-    def test_huge_exponent_no_overflow(self):
-        # peak value around e^{5000}: only representable in log space
-        lv = oracles.log_integral_exp(lambda x: 200 * x - x * x / 2, 0.0, math.inf, peak=200.0)
-        assert lv == pytest.approx(200 ** 2 / 2 + 0.5 * math.log(2 * math.pi), rel=1e-6)
+    def test_pinned_bit_for_bit(self, family, lam, want):
+        # any change to the fold, the kernel's panels or their arithmetic
+        # moves these values
+        assert log_i_integral(_LN_I_ZETAS[family], lam) == want
 
 
 class TestBatchedWeibullLogMgf:
