@@ -11,7 +11,7 @@ import json
 import pathlib
 import sys
 
-from tailbounds import cli
+from tailbounds import cli, oracles
 
 
 def main() -> int:
@@ -25,7 +25,7 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     failures = 0
-    for name in ("gaussian", "exponential", "weibull2", "weibull4", "pareto3"):
+    for name in oracles.suite():
         path = out_dir / f"{name}.json"
         code = cli.main([
             "validate", "--dist", name, "--seed", str(args.seed),

@@ -32,7 +32,6 @@ from .functions import (
     certify_convex,
     conjugate,
     conjugate_value,
-    evaluate,
     saddle_point,
 )
 from .integrals import (
@@ -83,6 +82,7 @@ from .moments import (
 )
 from .oracles import (
     OracleDistribution,
+    battery,
     empirical_tail,
     exponential_unit,
     gaussian,

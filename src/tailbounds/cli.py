@@ -1,8 +1,10 @@
 """Batch command-line interface.
 
-Subcommands compute envelopes or run validations and write a versioned JSON
-report (all realized constants and diagnostics included) plus optional CSV
-envelope tables.  Exit codes: 0 success, 1 input error, 2 validation
+The CLI parses arguments and formats output: each subcommand calls the
+library and returns (report, CSV rows), and ``main`` adds the command and
+a status ("ok" unless the report sets one) and writes a versioned JSON
+report (all realized constants and diagnostics included) plus an optional
+CSV envelope table.  Exit codes: 0 success, 1 input error, 2 validation
 failure.  Reports are byte-identical across runs for a fixed config and
 seed once timestamps are normalized away (--normalize).
 """
@@ -24,11 +26,7 @@ from . import __version__
 from .envelope import TailEnvelope
 from .errors import InputError, TailboundsError
 from .functions import PhiFunction, conjugate
-from .integrals import (
-    cramer_check,
-    epsilon_report,
-    log_i_integral,
-)
+from .integrals import epsilon_report, log_i_integral
 from .lower_bilateral import (
     closure_lower_envelope,
     exact_mgf_sandwich,
@@ -46,7 +44,7 @@ from .moments import (
     moment_power_pole,
     power_tail_lower,
 )
-from .oracles import OracleDistribution, empirical_tail, gaussian, quadrature, suite
+from .oracles import battery, gaussian, suite
 from .tauberian import tauberian_check
 
 SCHEMA_VERSION = 1
@@ -192,23 +190,17 @@ def write_csv_table(path: Optional[str], rows: list[dict]) -> None:
 # --------------------------------------------------------------------------
 
 
-def cmd_conjugate(args) -> int:
+def cmd_conjugate(args) -> tuple[dict, list]:
     f = build_function(args)
     xs = parse_grid(args.x)
     res = conjugate(f, xs)
     rows = [{"x": float(x), "value": float(v), "argmax": float(a)}
             for x, v, a in zip(res.x_grid, res.values, res.argmax)]
-    write_csv_table(args.csv, rows)
-    write_report({
-        "command": "conjugate",
-        "config": {"function": f.label, "x": to_jsonable(xs)},
-        "results": {"table": to_jsonable(rows)},
-        "status": "ok",
-    }, args)
-    return 0
+    return {"config": {"function": f.label, "x": xs},
+            "results": {"table": rows}}, rows
 
 
-def cmd_upper(args) -> int:
+def cmd_upper(args) -> tuple[dict, list]:
     f = build_function(args)
     xs = parse_grid(args.x)
     env = _chernoff_envelope(f, xs)
@@ -230,19 +222,13 @@ def cmd_upper(args) -> int:
                 entry["error"] = str(exc)
             bounds[str(float(lam))] = entry
         results["integral_bounds"] = bounds
-        results["epsilon_report"] = to_jsonable(rep)
+        results["epsilon_report"] = rep
     rows = [{"x": float(x), "upper": float(v)} for x, v in zip(env.x, env.values)]
-    write_csv_table(args.csv, rows)
-    write_report({
-        "command": "upper",
-        "config": {"function": f.label, "x": to_jsonable(xs), "epsilon": args.epsilon},
-        "results": results,
-        "status": "ok",
-    }, args)
-    return 0
+    return {"config": {"function": f.label, "x": xs, "epsilon": args.epsilon},
+            "results": results}, rows
 
 
-def cmd_lower_uni(args) -> int:
+def cmd_lower_uni(args) -> tuple[dict, list]:
     f = build_function(args)
     xs = parse_grid(args.x)
     if args.m_surrogate is not None:
@@ -255,17 +241,11 @@ def cmd_lower_uni(args) -> int:
     chern = _chernoff_envelope(f, env.x)
     rows = [{"x": float(x), "lower": float(v), "chernoff_upper": float(u)}
             for x, v, u in zip(env.x, env.values, chern.values)]
-    write_csv_table(args.csv, rows)
-    write_report({
-        "command": "lower-uni",
-        "config": {"function": f.label, "x": to_jsonable(xs),
-                   "epsilon": args.epsilon, "m_surrogate": m_bound},
-        "results": {"envelope": envelope_payload(env),
-                    "chernoff": envelope_payload(chern),
-                    "certificate": to_jsonable(cert)},
-        "status": "ok",
-    }, args)
-    return 0
+    return {"config": {"function": f.label, "x": xs,
+                       "epsilon": args.epsilon, "m_surrogate": m_bound},
+            "results": {"envelope": envelope_payload(env),
+                        "chernoff": envelope_payload(chern),
+                        "certificate": cert}}, rows
 
 
 def _chernoff_envelope(f: PhiFunction, xs: np.ndarray) -> TailEnvelope:
@@ -275,50 +255,38 @@ def _chernoff_envelope(f: PhiFunction, xs: np.ndarray) -> TailEnvelope:
                         valid_from=float(xs[0]))
 
 
-def cmd_lower_bi(args) -> int:
+def cmd_lower_bi(args) -> tuple[dict, list]:
     f = build_function(args)
     xs = parse_grid(args.x)
     if args.delta is not None:
         env, cert = pinched_lower_envelope(f, args.delta, xs)
-        results = {"envelope": envelope_payload(env), "certificate": to_jsonable(cert)}
+        results = {"envelope": envelope_payload(env), "certificate": cert}
     else:
         env, diag = closure_lower_envelope(f, f, xs)
         results = {"envelope": envelope_payload(env),
-                   "diagnostics": to_jsonable({
+                   "diagnostics": {
                        "all_clamped": diag.all_clamped,
                        # a list in z order: a float z never becomes a JSON key
-                       "per_z": [{"z": z, **d} for z, d in diag.per_z.items()]})}
+                       "per_z": [{"z": z, **d} for z, d in diag.per_z.items()]}}
     results["chernoff"] = envelope_payload(_chernoff_envelope(f, env.x))
-    results["regularity"] = to_jsonable(verify_regularity(f))
+    results["regularity"] = verify_regularity(f)
     rows = [{"x": float(x), "lower": float(v)} for x, v in zip(env.x, env.values)]
-    write_csv_table(args.csv, rows)
-    write_report({
-        "command": "lower-bi",
-        "config": {"function": f.label, "x": to_jsonable(xs), "delta": args.delta},
-        "results": results,
-        "status": "ok",
-    }, args)
-    return 0
+    return {"config": {"function": f.label, "x": xs, "delta": args.delta},
+            "results": results}, rows
 
 
-def cmd_richter(args) -> int:
+def cmd_richter(args) -> tuple[dict, list]:
     f = build_function(args)
     xs = parse_grid(args.x)
     lower, upper, c2 = exact_mgf_sandwich(f, xs)
     rows = [{"x": float(x), "lower": float(lv), "upper": float(uv)}
             for x, lv, uv in zip(xs, lower.values, upper.values)]
-    write_csv_table(args.csv, rows)
-    write_report({
-        "command": "richter",
-        "config": {"function": f.label, "x": to_jsonable(xs)},
-        "results": {"lower": envelope_payload(lower), "upper": envelope_payload(upper),
-                    "c2": c2},
-        "status": "ok",
-    }, args)
-    return 0
+    return {"config": {"function": f.label, "x": xs},
+            "results": {"lower": envelope_payload(lower),
+                        "upper": envelope_payload(upper), "c2": c2}}, rows
 
 
-def cmd_moments(args) -> int:
+def cmd_moments(args) -> tuple[dict, list]:
     xs = parse_grid(args.x)
     if args.moments_csv or args.mode == "growth":
         if args.moments_csv:
@@ -330,29 +298,22 @@ def cmd_moments(args) -> int:
                              "for growth recovery; use --mode pole for one-sided input")
         lower, upper, rep = growth_tail_recovery(args.m, env, xs,
                                                  m_surrogate=args.m_surrogate)
-        results = {"upper": envelope_payload(upper), "report": to_jsonable(rep)}
+        results = {"upper": envelope_payload(upper), "report": rep}
         if lower is not None:
             results["lower"] = envelope_payload(lower)
     else:
         env = moment_power_pole(args.c, args.b, args.beta)
         tail_env, rep = power_tail_lower(env, xs, m_surrogate=args.m_surrogate)
-        results = {"lower": envelope_payload(tail_env), "report": to_jsonable(rep)}
+        results = {"lower": envelope_payload(tail_env), "report": rep}
     rows = []
     for key in ("lower", "upper"):
         if key in results:
             for x, v in zip(results[key]["x"], results[key]["value"]):
                 rows.append({"x": x, "side": key, "value": v})
-    write_csv_table(args.csv, rows)
-    write_report({
-        "command": "moments",
-        "config": {"mode": args.mode, "x": to_jsonable(xs)},
-        "results": results,
-        "status": "ok",
-    }, args)
-    return 0
+    return {"config": {"mode": args.mode, "x": xs}, "results": results}, rows
 
 
-def cmd_tauber(args) -> int:
+def cmd_tauber(args) -> tuple[dict, list]:
     dists = suite()
     dists["gaussian"] = gaussian(args.scale)
     if args.dist not in dists:
@@ -363,131 +324,22 @@ def cmd_tauber(args) -> int:
     seed = resolve_seed(args)
     rep = tauberian_check(phi, dist, monte_carlo=args.mc,
                           n_samples=args.mc_samples, seed=seed)
-    write_report({
-        "command": "tauber",
-        "config": {"dist": dist.name, "reference": phi.label,
-                   "mc": args.mc, "seed": seed},
-        "results": to_jsonable(rep),
-        "status": "ok",
-    }, args)
-    return 0
+    return {"config": {"dist": dist.name, "reference": phi.label,
+                       "mc": args.mc, "seed": seed},
+            "results": rep}, []
 
 
-# --------------------------------------------------------------------------
-# validate
-# --------------------------------------------------------------------------
-
-
-def _validate_one(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
-    """Full sandwich and consistency battery for one reference law."""
-    checks: dict[str, dict] = {}
-
-    def record(key: str, ok: bool, **info):
-        checks[key] = {"pass": bool(ok), **{k: to_jsonable(v) for k, v in info.items()}}
-
-    xs = np.linspace(1.0, 8.0, 15)
-    tails = np.array([dist.tail(float(x)) for x in xs])
-
-    # density/tail consistency by quadrature
-    errs = []
-    for x in np.linspace(1.0, 6.0, 6):
-        val, _ = quadrature(dist.density, float(x), math.inf)
-        errs.append(abs(val - dist.tail(float(x))))
-    record("tail_quadrature", max(errs) < 1e-9, max_abs_err=max(errs))
-
-    phi = dist.mgf_exponent
-    if phi is not None:
-        # MGF consistency at interior points
-        lam_probe = [0.5, 1.5] if phi.domain.top() > 2 else [0.3, 0.7]
-        errs = []
-        for lam in lam_probe:
-            if dist.support_lo >= 0:
-                val, _ = quadrature(lambda x, l=lam: np.exp(l * x) * dist.density(x),
-                                    0.0, math.inf)
-            else:
-                val, _ = quadrature(lambda x, l=lam: np.exp(l * x) * dist.density(x)
-                                    + np.exp(-l * x) * dist.density(-x), 0.0, math.inf)
-            errs.append(abs(val - math.exp(phi.value(lam))) / val)
-        record("mgf_consistency", max(errs) < 1e-7, max_rel_err=max(errs))
-
-        # Chernoff side
-        res = conjugate(phi, xs)
-        chern = np.where(np.isfinite(res.values), np.exp(-np.minimum(res.values, 700.0)), 0.0)
-        record("chernoff_upper", bool(np.all(chern >= tails - 1e-12)),
-               min_margin=float(np.min(chern - tails)))
-
-        # unilateral chain
-        try:
-            m_bound = m_surrogate_from_upper(phi, 0.2)
-            env_u, cert_u = unilateral_lower_envelope(
-                phi, 0.2, m_bound, xs, nonnegative=dist.nonnegative)
-            t_at = np.array([dist.tail(float(x)) for x in env_u.x])
-            record("unilateral_lower", bool(np.all(env_u.values <= t_at + 1e-12)),
-                   dilation=cert_u.dilation, c1=cert_u.c1, c2=cert_u.c2,
-                   m_surrogate=m_bound,
-                   min_margin=float(np.min(t_at - env_u.values)))
-        except TailboundsError as exc:
-            record("unilateral_lower", False, error=str(exc))
-
-        # bilateral closure with phi1 = phi2 = phi
-        try:
-            env_b, diag = closure_lower_envelope(phi, phi, xs)
-            t_at = np.array([dist.tail(float(x)) for x in env_b.x])
-            record("closure_lower", bool(np.all(env_b.values <= t_at + 1e-12)),
-                   all_clamped=diag.all_clamped,
-                   min_margin=float(np.min(t_at - env_b.values)))
-        except TailboundsError as exc:
-            record("closure_lower", False, error=str(exc))
-
-        # exact-MGF sandwich
-        try:
-            xr = np.linspace(2.0, 8.0, 13)
-            low_r, up_r, c2 = exact_mgf_sandwich(phi, xr)
-            t_at = np.array([dist.tail(float(x)) for x in xr])
-            record("exact_mgf_sandwich",
-                   bool(np.all(low_r.values <= t_at + 1e-12)
-                        and np.all(up_r.values >= t_at - 1e-12)
-                        and np.all(np.isfinite(low_r.log_values))),
-                   c2=c2)
-        except TailboundsError as exc:
-            record("exact_mgf_sandwich", False, error=str(exc))
-
-    # damped-integral finiteness of the exponential tail function
-    g = dist.exponential_tail_fn()
-    cert = cramer_check(g, eps_grid=(0.05, 0.2, 0.5))
-    finite_all = all(v is not None for v in cert.k_table.values())
-    record("cramer", cert.certified == dist.cramer and (finite_all or not dist.cramer),
-           certified=cert.certified, expected=dist.cramer)
-
-    # empirical tail against the exact one
-    samples = dist.sample(seed, mc_samples)
-    emp = empirical_tail(samples, [1.0, 2.0])
-    ok_emp = all(
-        abs(emp["fraction"][i] - dist.tail(float(emp["x"][i]))) <= 3.0 * emp["wilson_halfwidth"][i]
-        for i in range(2)
-    )
-    record("empirical_tail", ok_emp,
-           fractions=emp["fraction"], halfwidths=emp["wilson_halfwidth"])
-
-    return checks
-
-
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> tuple[dict, list]:
     seed = resolve_seed(args)
     known = suite()
     names = list(known) if args.dist == "all" else [args.dist]
     for n in names:
         if n not in known:
             raise InputError(f"unknown distribution {n!r}; choose from {sorted(known)}")
-    all_checks = {n: _validate_one(known[n], seed, args.mc_samples) for n in names}
-    ok = all(c["pass"] for per in all_checks.values() for c in per.values())
-    write_report({
-        "command": "validate",
-        "config": {"dist": names, "seed": seed, "mc_samples": args.mc_samples},
-        "results": all_checks,
-        "status": "ok" if ok else "failed",
-    }, args)
-    return 0 if ok else 2
+    results = {n: battery(known[n], seed, args.mc_samples) for n in names}
+    ok = all(c["pass"] for per in results.values() for c in per.values())
+    return {"config": {"dist": names, "seed": seed, "mc_samples": args.mc_samples},
+            "results": results, "status": "ok" if ok else "failed"}, []
 
 
 # --------------------------------------------------------------------------
@@ -576,16 +428,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        report, rows = args.fn(args)
+        report["command"] = args.command
+        report.setdefault("status", "ok")
+        write_csv_table(args.csv, rows)
+        write_report(report, args)
+    except (InputError, OSError) as exc:  # OSError: a missing or unwritable path
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except TailboundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if report["status"] == "ok" else 2
 
 
 if __name__ == "__main__":

@@ -343,11 +343,6 @@ class PhiFunction:
         return None
 
 
-def evaluate(f: PhiFunction, lam: float) -> float:
-    """Evaluate ``f`` at ``lam``; OutOfDomainError outside [lo, hi)."""
-    return f.value(lam)
-
-
 def _probe_top(domain: Domain) -> float:
     """Top of :func:`certify_convex`'s probe grid on ``domain``."""
     hi = domain.top()
@@ -957,6 +952,24 @@ def _bisect(a, b, below, steps, rel=0.0):
             a = m
         else:
             b = m
+    return a, b
+
+
+def _bisect_rows(a, b, below, steps, rel=0.0):
+    """:func:`_bisect` on each row of the arrays ``a`` and ``b`` at once.
+
+    ``below(rows, m)`` answers the midpoints m of the rows still running
+    (``rows`` is their mask) in one call; each row has ``_bisect``'s
+    stopping rule.  Returns the final (a, b) arrays."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    rows = np.ones(a.size, dtype=bool)
+    for _ in range(steps):
+        rows &= ~(b - a <= rel * np.maximum(1.0, np.abs(b)))
+        if not rows.any():
+            break
+        m = 0.5 * (a[rows] + b[rows])
+        ok = below(rows, m)
+        a[rows], b[rows] = np.where(ok, m, a[rows]), np.where(ok, b[rows], m)
     return a, b
 
 

@@ -39,6 +39,7 @@ from .errors import (
 )
 from .functions import (
     PhiFunction,
+    _bisect_rows,
     _saddle_points,
     _stars,
     conjugate_value,
@@ -95,16 +96,9 @@ def _x0_inverse(phi2: PhiFunction, zs) -> tuple[np.ndarray, dict]:
             errors[int(i)] = OutOfDomainError(float(zs[i]), dlo, float(phi2.deriv(b[i])))
         live &= ~grow
     idx = np.flatnonzero(live)
-    a, b, z = np.full(idx.size, lo), b[idx], zs[idx]
-    active = np.ones(idx.size, dtype=bool)
-    for _ in range(100):
-        if not active.any():
-            break
-        m = 0.5 * (a[active] + b[active])
-        below = phi2.derivatives(m) <= z[active]
-        a[active] = np.where(below, m, a[active])
-        b[active] = np.where(below, b[active], m)
-        active[active] = ~((b[active] - a[active]) <= 1e-13 * np.maximum(1.0, b[active]))
+    z = zs[idx]
+    a, b = _bisect_rows(np.full(idx.size, lo), b[idx],
+                        lambda rows, m: phi2.derivatives(m) <= z[rows], 100, 1e-13)
     mus[idx] = 0.5 * (a + b)
     return mus, errors
 

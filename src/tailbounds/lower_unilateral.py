@@ -41,6 +41,7 @@ from .functions import (
     LAMBDA_CAP,
     PhiFunction,
     _bisect,
+    _bisect_rows,
     _inf_where_unbounded,
     _solve,
     _sorted_unique,
@@ -169,12 +170,10 @@ def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> DilationCertifi
         return refused
     crit = c_hi.copy()
     todo = np.flatnonzero(~(_values_at(phi, c_hi, lams) <= ceiling))
-    fa, fb = c_lo[todo], c_hi[todo]
-    for _ in range(45):
-        mid = 0.5 * (fa + fb)
-        ok = _values_at(phi, mid, lams[todo]) <= ceiling[todo]
-        fa, fb = np.where(ok, mid, fa), np.where(ok, fb, mid)
-    crit[todo] = fa
+    lam_t, ceil_t = lams[todo], ceiling[todo]
+    crit[todo], _ = _bisect_rows(
+        c_lo[todo], c_hi[todo],
+        lambda rows, m: _values_at(phi, m, lam_t[rows]) <= ceil_t[rows], 45)
     c1 = min(1.0, float(crit.min()))
     if c1 <= 1e-10:
         return refused

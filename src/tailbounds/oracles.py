@@ -1,4 +1,5 @@
-"""Ground truth for validation: reference laws, quadrature, seeded sampling.
+"""Ground truth for validation: reference laws, quadrature, seeded sampling,
+and the battery that checks every envelope against a law.
 
 Each reference distribution carries an exact tail, an exact (closed-form,
 series or Gauss-Hermite) log-MGF with its domain, and a deterministic
@@ -29,8 +30,8 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.random import Philox
 
-from .errors import InputError, NotConvergedError
-from .functions import PhiFunction
+from .errors import InputError, NotConvergedError, TailboundsError
+from .functions import PhiFunction, conjugate
 
 # --------------------------------------------------------------------------
 # Quadrature
@@ -817,3 +818,107 @@ def empirical_tail(samples: np.ndarray, x_grid) -> dict:
         frac[i] = p
         half[i] = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
     return {"x": xs, "fraction": frac, "wilson_halfwidth": half, "n": n}
+
+
+# --------------------------------------------------------------------------
+# Validation battery
+# --------------------------------------------------------------------------
+
+
+def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
+    """Full sandwich and consistency battery for one reference law.
+
+    Returns ``{check: {"pass": bool, **info}}``.  A package error in the
+    unilateral chain, the closure or the exact-MGF sandwich fails that
+    check with its message; any other error propagates.
+    """
+    # these modules import this one
+    from .integrals import cramer_check
+    from .lower_bilateral import closure_lower_envelope, exact_mgf_sandwich
+    from .lower_unilateral import m_surrogate_from_upper, unilateral_lower_envelope
+
+    checks: dict[str, dict] = {}
+
+    def record(key: str, ok: bool, **info):
+        checks[key] = {"pass": bool(ok), **info}
+
+    xs = np.linspace(1.0, 8.0, 15)
+    tails = dist.exact_tail(xs)
+
+    # density/tail consistency by quadrature
+    xq = np.linspace(1.0, 6.0, 6)
+    errs = [abs(quadrature(dist.density, float(x), math.inf)[0] - t)
+            for x, t in zip(xq.tolist(), dist.exact_tail(xq).tolist())]
+    record("tail_quadrature", max(errs) < 1e-9, max_abs_err=max(errs))
+
+    phi = dist.mgf_exponent
+    if phi is not None:
+        # MGF consistency at interior points
+        lam_probe = [0.5, 1.5] if phi.domain.top() > 2 else [0.3, 0.7]
+        errs = []
+        for lam in lam_probe:
+            if dist.support_lo >= 0:
+                val, _ = quadrature(lambda x, l=lam: np.exp(l * x) * dist.density(x),
+                                    0.0, math.inf)
+            else:
+                val, _ = quadrature(lambda x, l=lam: np.exp(l * x) * dist.density(x)
+                                    + np.exp(-l * x) * dist.density(-x), 0.0, math.inf)
+            errs.append(abs(val - math.exp(phi.value(lam))) / val)
+        record("mgf_consistency", max(errs) < 1e-7, max_rel_err=max(errs))
+
+        # Chernoff side
+        res = conjugate(phi, xs)
+        chern = np.where(np.isfinite(res.values), np.exp(-np.minimum(res.values, 700.0)), 0.0)
+        record("chernoff_upper", bool(np.all(chern >= tails - 1e-12)),
+               min_margin=float(np.min(chern - tails)))
+
+        # unilateral chain
+        try:
+            m_bound = m_surrogate_from_upper(phi, 0.2)
+            env_u, cert_u = unilateral_lower_envelope(
+                phi, 0.2, m_bound, xs, nonnegative=dist.nonnegative)
+            t_at = dist.exact_tail(env_u.x)
+            record("unilateral_lower", bool(np.all(env_u.values <= t_at + 1e-12)),
+                   dilation=cert_u.dilation, c1=cert_u.c1, c2=cert_u.c2,
+                   m_surrogate=m_bound,
+                   min_margin=float(np.min(t_at - env_u.values)))
+        except TailboundsError as exc:
+            record("unilateral_lower", False, error=str(exc))
+
+        # bilateral closure with phi1 = phi2 = phi
+        try:
+            env_b, diag = closure_lower_envelope(phi, phi, xs)
+            t_at = dist.exact_tail(env_b.x)
+            record("closure_lower", bool(np.all(env_b.values <= t_at + 1e-12)),
+                   all_clamped=diag.all_clamped,
+                   min_margin=float(np.min(t_at - env_b.values)))
+        except TailboundsError as exc:
+            record("closure_lower", False, error=str(exc))
+
+        # exact-MGF sandwich
+        try:
+            xr = np.linspace(2.0, 8.0, 13)
+            low_r, up_r, c2 = exact_mgf_sandwich(phi, xr)
+            t_at = dist.exact_tail(xr)
+            record("exact_mgf_sandwich",
+                   bool(np.all(low_r.values <= t_at + 1e-12)
+                        and np.all(up_r.values >= t_at - 1e-12)
+                        and np.all(np.isfinite(low_r.log_values))),
+                   c2=c2)
+        except TailboundsError as exc:
+            record("exact_mgf_sandwich", False, error=str(exc))
+
+    # damped-integral finiteness of the exponential tail function
+    cert = cramer_check(dist.exponential_tail_fn(), eps_grid=(0.05, 0.2, 0.5))
+    finite_all = all(v is not None for v in cert.k_table.values())
+    record("cramer", cert.certified == dist.cramer and (finite_all or not dist.cramer),
+           certified=cert.certified, expected=dist.cramer)
+
+    # empirical tail against the exact one
+    emp = empirical_tail(dist.sample(seed, mc_samples), [1.0, 2.0])
+    ok_emp = bool(np.all(np.abs(emp["fraction"] - dist.exact_tail(emp["x"]))
+                         <= 3.0 * emp["wilson_halfwidth"]))
+    record("empirical_tail", ok_emp,
+           fractions=emp["fraction"], halfwidths=emp["wilson_halfwidth"])
+
+    return checks

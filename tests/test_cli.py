@@ -214,6 +214,17 @@ class TestValidateAndErrors:
         assert rep["status"] == "ok"
         assert all(c["pass"] for c in rep["results"]["gaussian"].values())
 
+    def test_validate_reports_the_battery(self, tmp_path):
+        from tailbounds import oracles
+        from tailbounds.cli import to_jsonable
+
+        out = tmp_path / "r.json"
+        assert run(["validate", "--dist", "gaussian", "--seed", "42",
+                    "--mc-samples", "50000", "--out", str(out), "--normalize"]) == 0
+        want = json.loads(json.dumps(to_jsonable(
+            oracles.battery(oracles.gaussian(), 42, 50_000))))
+        assert json.loads(out.read_text())["results"] == {"gaussian": want}
+
     def test_validate_builds_the_suite_once(self, tmp_path, monkeypatch):
         from tailbounds import cli, oracles
 
@@ -264,6 +275,10 @@ class TestValidateAndErrors:
 
     def test_missing_file_is_input_error(self):
         assert run(["conjugate", "--grid-csv", "/nonexistent.csv", "--x", "1:3:1"]) == 1
+
+    def test_unwritable_report_path_is_input_error(self, tmp_path, capsys):
+        assert run(["conjugate", "--x", "1:3:1", "--out", str(tmp_path)]) == 1
+        assert "input error" in capsys.readouterr().err
 
     def test_bad_grid_spec(self):
         assert run(["upper", "--x", "5:1:1"]) == 1

@@ -27,6 +27,7 @@ from tailbounds.functions import (
     _GROWTH_FACTOR,
     Domain,
     _bisect,
+    _bisect_rows,
     _saddle_points,
     _solve,
     PhiFunction,
@@ -37,7 +38,6 @@ from tailbounds.functions import (
     conjugate,
     conjugate_value,
     conjugate_values,
-    evaluate,
     saddle_point,
 )
 from tailbounds.lower_bilateral import pinched_lower_envelope
@@ -51,26 +51,26 @@ from tailbounds.moments import (
 
 class TestEvaluate:
     def test_quadratic_value(self):
-        assert evaluate(PhiFunction.quadratic(), 2.0) == pytest.approx(2.0)
+        assert PhiFunction.quadratic().value(2.0) == pytest.approx(2.0)
 
     def test_grid_midpoint_interpolation(self):
         g = PhiFunction.from_grid([1.0, 3.0], [1.0, 5.0])
-        assert evaluate(g, 2.0) == pytest.approx(3.0)
+        assert g.value(2.0) == pytest.approx(3.0)
 
     def test_half_open_upper_boundary(self):
         f = PhiFunction.quadratic(hi=10.0)
         with pytest.raises(OutOfDomainError):
-            evaluate(f, 10.0)
-        assert evaluate(f, np.nextafter(10.0, 0.0)) > 0
+            f.value(10.0)
+        assert f.value(np.nextafter(10.0, 0.0)) > 0
 
     def test_below_domain(self):
         with pytest.raises(OutOfDomainError):
-            evaluate(PhiFunction.quadratic(), 0.5)
+            PhiFunction.quadratic().value(0.5)
 
     def test_grid_no_extrapolation(self):
         g = PhiFunction.from_grid([1.0, 3.0], [1.0, 5.0])
         with pytest.raises(OutOfDomainError):
-            evaluate(g, 3.5)
+            g.value(3.5)
 
     def test_empty_domain_rejected(self):
         with pytest.raises(EmptyDomainError):
@@ -411,6 +411,32 @@ class TestBisect:
         else:
             assert got == loop(a, b, fn)
 
+    @given(
+        rows=st.lists(st.tuples(
+            st.floats(min_value=0.0, max_value=100.0),
+            st.one_of(st.just(0.0), st.integers(-17, 2).map(lambda e: 10.0 ** e),
+                      st.floats(min_value=0.0, max_value=50.0)),
+            st.floats(min_value=-1.0, max_value=160.0)), max_size=6),
+        steps=st.sampled_from([0, 45, 100]),
+        rel=st.sampled_from([0.0, 1e-13, 1e-10]),
+    )
+    def test_rows_match_one_search_each(self, rows, steps, rel):
+        a, width, root = np.array(rows, dtype=float).reshape(-1, 3).T
+        b = a + width
+        seen = []
+
+        def below(live, m):
+            seen.append(int(live.sum()))
+            return m - root[live] <= 0.0
+
+        got_a, got_b = _bisect_rows(a, b, below, steps, rel)
+        for i in range(a.size):
+            one = _solve(_bisect(float(a[i]), float(b[i]), lambda v: v <= 0.0, steps, rel),
+                         lambda x, r=root[i]: x - r)
+            assert (got_a[i], got_b[i]) == one
+        # a row leaves the batch once its search stops
+        assert all(n > 0 for n in seen) and seen == sorted(seen, reverse=True)
+
     def test_stops_on_width_before_a_halving(self):
         seen = []
         assert _solve(_bisect(1.0, 1.0 + 1e-13, lambda v: v < 0, 60, 1e-12),
@@ -493,7 +519,7 @@ class TestCsvLoading:
         p = tmp_path / "grid.csv"
         p.write_text("lambda,value\n1.0,1.0\n2.0,2.5\n4.0,8.0\n")
         f = PhiFunction.from_csv(str(p))
-        assert evaluate(f, 3.0) == pytest.approx((2.5 + 8.0) / 2.0)
+        assert f.value(3.0) == pytest.approx((2.5 + 8.0) / 2.0)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"

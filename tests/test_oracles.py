@@ -672,6 +672,18 @@ class TestSuiteExactness:
         assert e.value(5.0) == pytest.approx(5.0, rel=1e-12)
 
 
+class TestBattery:
+    CHECKS = {"tail_quadrature", "mgf_consistency", "chernoff_upper", "unilateral_lower",
+              "closure_lower", "exact_mgf_sandwich", "cramer", "empirical_tail"}
+
+    @pytest.mark.parametrize("params", [(0.3, 1.0, 2.0), (0.5, 0.8, 1.5)])
+    def test_mixture_passes_every_check(self, params):
+        # no law of suite() is a mixture; the battery is a library call
+        checks = oracles.battery(oracles.gaussian_scale_mixture(*params), 42, 200_000)
+        assert set(checks) == self.CHECKS
+        assert all(c["pass"] for c in checks.values()), checks
+
+
 class TestSampling:
     def test_same_seed_identical_stream(self):
         g = oracles.gaussian()
