@@ -39,8 +39,6 @@ _SCAN_POINTS = 128
 _GROWTH_FACTOR = 4.0
 # golden-section brackets stop below this width, relative to max(1, |end|)
 _GOLDEN_REL_WIDTH = 1e-10
-# a flat maximizing set wider than this (relative) makes a saddle ambiguous
-_FLAT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -391,7 +389,6 @@ class ConjugateResult:
     x_grid: np.ndarray
     values: np.ndarray
     argmax: np.ndarray
-    source_domain: Domain
     capped: np.ndarray
 
     def validate(self, tol: float = 1e-7) -> None:
@@ -728,8 +725,7 @@ def conjugate(f: PhiFunction, x_grid: Sequence[float]) -> ConjugateResult:
     vals, arg, errors = conjugate_values(f, xs)
     _inf_where_unbounded(vals, errors)
     capped = (arg == LAMBDA_CAP) & (not f.domain.bounded)
-    return ConjugateResult(x_grid=xs, values=vals, argmax=arg, source_domain=f.domain,
-                           capped=capped)
+    return ConjugateResult(x_grid=xs, values=vals, argmax=arg, capped=capped)
 
 
 def biconjugate(f: PhiFunction, lam_grid: Sequence[float]) -> ConjugateResult:
@@ -781,7 +777,7 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float]) -> ConjugateResult:
     scan_wins = ovals[rows, i] > vals
     vals[scan_wins] = ovals[rows, i][scan_wins]
     args[scan_wins] = grid[i][scan_wins]
-    return ConjugateResult(x_grid=lams, values=vals, argmax=args, source_domain=f.domain,
+    return ConjugateResult(x_grid=lams, values=vals, argmax=args,
                            capped=np.zeros(lams.size, dtype=bool))
 
 
@@ -793,49 +789,50 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float]) -> ConjugateResult:
 def saddle_point(phi2: PhiFunction, lam: float) -> float:
     """argmax over x of lam*x - phi2*(x); the inverse of (phi2*)'.
 
-    For a differentiable convex ``phi2`` this equals phi2'(lam).  Located
-    numerically on the conjugate trace; a flat maximizing set wider than
-    ``_FLAT_TOL`` (relative; twice the widest knot spacing on a grid) raises
-    NonUniqueArgmaxError instead of silently picking a point.  The
-    one-point case of :func:`_saddle_points`.
+    For a convex ``phi2`` this is its subgradient at lam (Rockafellar,
+    *Convex Analysis*, 1970, sections 23-26): phi2'(lam) where ``phi2`` has
+    a derivative, the chord around lam on a convex grid.  The one-point
+    case of :func:`_saddle_points`, which says what each other case raises.
     """
-    (x0,) = _saddle_points(phi2, [lam])
-    if isinstance(x0, Exception):
-        raise x0
-    return x0
+    x0s, errors = _saddle_points(phi2, [lam])
+    if errors:
+        raise errors[0]
+    return float(x0s[0])
 
 
-def _saddle_points(phi2: PhiFunction, lams) -> list:
-    """:func:`saddle_point` at each lam: its float, or the package error it
-    raises.  Off grids, the searches run in lockstep: each round evaluates
-    the conjugate trace at the next point of every search still running,
-    in one :func:`conjugate_values` call."""
-    lams = [float(lam) for lam in lams]
+def _saddle_points(phi2: PhiFunction, lams) -> tuple[np.ndarray, dict]:
+    """The package's one saddle map: x0 at each lam, and by index the
+    package error of each lam without one (its x0 is NaN).  OutOfDomainError
+    off the domain; on a grid, :func:`_grid_saddle_points`; for a convex
+    ``phi2`` with a derivative, phi2' in one ``derivatives`` call, which
+    raises its first error; InputError for any other ``phi2``."""
+    lams = np.asarray(lams, dtype=float).ravel()
     if phi2.kind == "grid":
-        return _grid_saddle_points(phi2, lams)
-    # per search, the largest x where the transform converged
-    top = [-math.inf] * len(lams)
-
-    def evaluate(idx, xs):
-        _, slopes, errors = conjugate_values(phi2, xs)
-        vals = slopes.tolist()
-        for k, i in enumerate(idx):
-            if k not in errors:
-                top[i] = max(top[i], xs[k])
-            elif isinstance(errors[k], UnboundedObjectiveError):
-                # x lies beyond phi2's slopes: the maximizer has run off to
-                # +inf, and so has the trace
-                vals[k] = math.inf
-                del errors[k]
-        return vals, errors
-
-    out = _lockstep([_saddle_search(phi2, lam) for lam in lams], evaluate)
-    # x0 stays where the transform converged.  The flat-top probe evaluates
-    # it at x0 itself, so this moves x0 only where it diverged there
-    return [min(x0, t) if isinstance(x0, float) else x0 for x0, t in zip(out, top)]
+        return _grid_saddle_points(phi2, lams.tolist())
+    inside = phi2.domain.contains(lams)
+    has_map = bool(phi2.convex and phi2.deriv is not None)
+    x0s = np.full(lams.size, math.nan)
+    if has_map:
+        x0s[inside] = phi2.derivatives(lams[inside])
+    errors = {i: InputError(f"{phi2.label}: saddle point needs a convex phi2 with a derivative")
+              if inside[i] else OutOfDomainError(float(lams[i]), phi2.domain.lo, phi2.domain.hi)
+              for i in np.flatnonzero(~inside | (not has_map)).tolist()}
+    return x0s, errors
 
 
-def _grid_saddle_points(phi2: PhiFunction, lams: list) -> list:
+def _require_saddle_map(phi2: PhiFunction, message: str) -> None:
+    """Refuse, before any search, the ``phi2`` whose saddle map
+    :func:`_saddle_points` refuses at every lam: NotCertifiedError with
+    ``message`` unless it is convexity-certified, and unless it has a
+    derivative or a grid."""
+    if phi2.convex is not True:
+        raise NotCertifiedError(message)
+    if phi2.deriv is None and phi2.kind != "grid":
+        raise NotCertifiedError(
+            f"{phi2.label}: the saddle map x0 = phi2'(lam) needs a derivative or a grid")
+
+
+def _grid_saddle_points(phi2: PhiFunction, lams: list) -> tuple[np.ndarray, dict]:
     """:func:`_saddle_points` on a grid: the chords, their convexity test
     and the flat tolerance once for the batch, then each lam in turn, which
     raises OutOfDomainError before the convexity InputError."""
@@ -875,63 +872,8 @@ def _grid_saddle_points(phi2: PhiFunction, lams: list) -> list:
         else:
             x0 = OutOfDomainError(lam, float(ls[0]), float(ls[-1]))
         out.append(x0)
-    return out
-
-
-def _saddle_search(phi2: PhiFunction, lam: float):
-    """The trace search of :func:`saddle_point` off grids, as a generator
-    that yields each x and takes back the conjugate slope there (the
-    maximizer)."""
-    if not phi2.domain.contains(lam):
-        raise OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
-
-    # expanding bracket on the monotone trace
-    x_lo = max(phi2.domain.lo, 1e-12)
-    x_hi = max(1.0, 2.0 * x_lo)
-    t_lo = yield x_lo
-    if t_lo == math.inf:
-        # the transform diverges from the first x up: the saddle lies below
-        # every x the search takes
-        raise NonUniqueArgmaxError(x_lo, math.inf, _FLAT_TOL)
-    grow = 0
-    while t_lo > lam and x_lo > 1e-14:
-        x_lo *= 0.25
-        t_lo = yield x_lo
-        grow += 1
-        if grow > 60:
-            break
-    t_hi = yield x_hi
-    grow = 0
-    while t_hi <= lam:
-        x_hi *= 2.0
-        t_hi = yield x_hi
-        grow += 1
-        if grow > 80:
-            raise NonUniqueArgmaxError(x_lo, x_hi, _FLAT_TOL)
-
-    a, b = yield from _bisect(x_lo, x_hi, lambda t: t <= lam, 200, 1e-12)
-    x0 = 0.5 * (a + b)
-
-    # flat-top detection: width of the set where the trace sits within a
-    # slope tolerance of lam
-    eps_slope = 1e-7 * max(1.0, abs(lam))
-    lo_edge = yield from _bisect_trace(max(x_lo * 0.5, 1e-14), x0, lam - eps_slope)
-    hi_edge = yield from _bisect_trace(x0, x_hi * 2.0, lam + eps_slope)
-    width = hi_edge - lo_edge
-    if width > max(_FLAT_TOL * max(1.0, abs(x0)), 100.0 * eps_slope * max(1.0, abs(x0))):
-        raise NonUniqueArgmaxError(lo_edge, hi_edge, _FLAT_TOL)
-    return float(x0)
-
-
-def _bisect_trace(a, b, target):
-    fa = yield a
-    fb = yield b
-    if fa >= target:
-        return a
-    if fb <= target:
-        return b
-    a, b = yield from _bisect(a, b, lambda t: t < target, 60, 1e-10)
-    return 0.5 * (a + b)
+    errors = {i: x0 for i, x0 in enumerate(out) if isinstance(x0, Exception)}
+    return np.array([math.nan if i in errors else x0 for i, x0 in enumerate(out)]), errors
 
 
 # --------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .errors import (
 from .functions import (
     PhiFunction,
     _bisect_rows,
+    _require_saddle_map,
     _saddle_points,
     _stars,
     conjugate_value,
@@ -103,18 +104,6 @@ def _x0_inverse(phi2: PhiFunction, zs) -> tuple[np.ndarray, dict]:
     return mus, errors
 
 
-def _x0s(phi2: PhiFunction, ts: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Saddle abscissa x0(t) at each t, and by index the package error of
-    each t without one (its x0 is NaN).  phi2' for a convex phi2 with a
-    derivative (which raises the error of the first failing t), the
-    lockstep saddle searches of :func:`_saddle_points` otherwise."""
-    if phi2.convex and phi2.deriv is not None:
-        return phi2.derivatives(ts), {}
-    x0s = _saddle_points(phi2, ts.tolist())
-    errors = {i: x0 for i, x0 in enumerate(x0s) if isinstance(x0, Exception)}
-    return np.array([math.nan if i in errors else x0 for i, x0 in enumerate(x0s)]), errors
-
-
 def _stars_at_saddle(phi2: PhiFunction, ts: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, dict]:
     """phi2*(x) at each saddle x = x0(t), and by index the error of each x
     whose conjugate has one; NaN there and where x is NaN.  For a convex
@@ -139,7 +128,7 @@ def _saddle_rows(phi2: PhiFunction, mus: np.ndarray, lams: np.ndarray,
     """
     k = lams.size
     ts, inv = np.unique(np.concatenate([mus, lams, nus]), return_inverse=True)
-    x0s, errors = _x0s(phi2, ts)
+    x0s, errors = _saddle_points(phi2, ts)
     stars, star_errors = _stars_at_saddle(phi2, ts, x0s)
     errors.update(star_errors)  # a t has a phi2* error only where x0 has a value
     at = [inv[j * k:(j + 1) * k] for j in range(3)]
@@ -289,10 +278,10 @@ def closure_lower_envelope(
     For each z the driving parameter is recovered by inverting
     z = x0(lam(1-d1)), then (d1, d2) sweeps a 16 x 16 log-spaced grid on
     [1e-3, 0.5]; the envelope records the best bound.
-    Points where every geometry clamps carry value 0 and are flagged.
+    Points where every geometry clamps carry value 0 and are flagged.  A
+    phi2 without a saddle map is refused first (:func:`_require_saddle_map`).
     """
-    if phi2.convex is not True:
-        raise NotCertifiedError("closure needs a convexity-certified phi2")
+    _require_saddle_map(phi2, "closure needs a convexity-certified phi2")
     zs = np.asarray(z_grid, dtype=float)
     if zs.ndim != 1 or zs.size == 0 or (zs.size > 1 and not np.all(np.diff(zs) > 0)):
         raise InputError("z_grid must be nonempty strictly increasing")
@@ -354,10 +343,10 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
         [S(lam, x0(lam)) - S(lam, x0(lam(1+d)))] / [S(lam, x0(lam)) d^2],
     with S(lam, x0(lam)) = phi(lam) for convex phi.  c0 is the smallest
     constant making the saddle-shift absorption inequality hold on the
-    (lam, d) grid; both are reports, not hard gates.
+    (lam, d) grid; both are reports, not hard gates.  A phi without a
+    saddle map is refused first (:func:`_require_saddle_map`).
     """
-    if phi.convex is not True:
-        raise NotCertifiedError("regularity check needs convexity-certified phi")
+    _require_saddle_map(phi, "regularity check needs convexity-certified phi")
     hi = phi.domain.top()
     top = min(100.0, hi * 0.999) if math.isfinite(hi) else 100.0
     lam_grid = np.geomspace(math.e, top, 24)
@@ -371,7 +360,7 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     ts_cell = lams[:, None] * (1.0 + delta_grid)
     in_dom = phi.domain.contains(ts_cell)
     ts = np.unique(ts_cell[in_dom])
-    x0s, x0_errors = _x0s(phi, ts)
+    x0s, x0_errors = _saddle_points(phi, ts)
     stars, star_errors = _stars_at_saddle(phi, ts, x0s)
     errors = {**star_errors, **x0_errors}  # no phi* where x0 has no value
     s_peak = phi.values(lams)[:, None]  # S(lam, x0(lam)), by the touching identity
@@ -571,8 +560,7 @@ def exact_mgf_sandwich(
     ``LAMBDA_CAP`` on an unbounded domain is refused with NotCertifiedError,
     since the lower envelope would rest on a supremum that is too small.
     """
-    if phi.convex is not True:
-        raise NotCertifiedError("sandwich needs convexity-certified phi")
+    _require_saddle_map(phi, "sandwich needs convexity-certified phi")
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size == 0 or (xs.size > 1 and not np.all(np.diff(xs) > 0)):
         raise InputError("x_grid must be nonempty strictly increasing")
@@ -597,7 +585,8 @@ def exact_mgf_sandwich(
         # needs roughly c^2 * x0'(mu) to beat ln(mu); the slope of the
         # saddle path at each mu by a central difference
         hs = np.array([max(1e-6, 1e-4 * max(mu, 1.0)) for mu in mus.tolist()])
-        x0s, errors = _x0s(phi, np.concatenate([mus + hs, np.maximum(mus - hs, phi.domain.lo)]))
+        ts = np.concatenate([mus + hs, np.maximum(mus - hs, phi.domain.lo)])
+        x0s, errors = _saddle_points(phi, ts)
         _raise_unrefused(errors)
         slopes = (x0s[:mus.size] - x0s[mus.size:]) / (2 * hs)
         scale = np.array([

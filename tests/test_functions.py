@@ -190,6 +190,12 @@ def _lower_convex_hull(ls, vs):
     return np.interp(ls, hx, hy)
 
 
+def _per_lam(result):
+    """The (x0s, errors) of _saddle_points as each lam's float or error."""
+    x0s, errors = result
+    return [errors.get(i, x0) for i, x0 in enumerate(x0s.tolist())]
+
+
 class TestSaddlePoint:
     def test_quadratic_identity(self):
         assert saddle_point(PhiFunction.quadratic(), 10.0) == pytest.approx(10.0, rel=1e-6)
@@ -203,26 +209,18 @@ class TestSaddlePoint:
         g = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
         assert saddle_point(g, 5.0) == pytest.approx(5.0, abs=0.1)
 
-    def test_flat_top_reported(self):
-        # at lam = 0 every x in [0, 2] maximizes lam*x - phi2*(x)
-        with pytest.raises(NonUniqueArgmaxError) as info:
-            saddle_point(PhiFunction.linear(2.0, lo=0.0), 0.0)
-        assert info.value.lo < 1e-12 and info.value.hi == pytest.approx(2.0)
-
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomainError):
             saddle_point(PhiFunction.quadratic(hi=5.0), 6.0)
 
     @pytest.mark.parametrize("f, lams", [
-        (PhiFunction.from_callable(lambda l: 0.5 * l * l + 0.1 * l, 0.0, 50.0),
-         [0.5, 3.0, 60.0, 7.5, 12.0]),
         (PhiFunction.linear(2.0, lo=0.0), [1.0, 2.0, 3.0]),
-        (PhiFunction.power_log(2.0, 1.0, lo=0.0), [0.7, 2.0, 5.0]),
+        (PhiFunction.power_log(2.0, 1.0, lo=0.0), [0.7, 2.0, -1.0, 5.0]),
     ])
     def test_lockstep_equals_one_at_a_time(self, f, lams):
-        # the searches of several lams share each round's conjugate batch;
-        # each ends where its one-point call ends, or raises what it raises
-        for lam, got in zip(lams, _saddle_points(f, lams)):
+        # the batch of several lams gives each lam what its one-point call
+        # gives, or raises what it raises
+        for lam, got in zip(lams, _per_lam(_saddle_points(f, lams))):
             want = _raised(saddle_point, f, lam) or saddle_point(f, lam)
             if isinstance(want, Exception):
                 assert type(got) is type(want) and str(got) == str(want)
@@ -244,50 +242,46 @@ class TestSaddlePoint:
         vs = 0.5 * ls ** 2 if convex else 4.0 * np.sqrt(ls)
         g = PhiFunction.from_grid(ls, vs)
         lams = [float(ls[i]) + off * (1.0 if abs(off) < 1e-9 else 0.5) for i, off in picks]
-        batch = _saddle_points(g, lams)
+        batch = _per_lam(_saddle_points(g, lams))
         for lam, got in zip(lams, batch):
             want = _raised(_reference_grid_saddle_point, g, lam) or \
                 _reference_grid_saddle_point(g, lam)
-            alone = _saddle_points(g, [lam])[0]
+            alone = _per_lam(_saddle_points(g, [lam]))[0]
             for x0 in (got, alone):
                 if isinstance(want, Exception):
                     assert type(x0) is type(want) and str(x0) == str(want)
                 else:
                     assert x0 == want and type(x0) is float
 
-    @pytest.mark.parametrize("fn, lam, want", [
-        (lambda l: max(l, 2.0 * l - 3.0), 0.5, 1.0),
-        (lambda l: max(l, 2.0 * l - 3.0), 5.0, 2.0),
-        (lambda l: 2.0 * l, 1.0, 2.0),
-        (lambda l: 2.0 * l, 2.0, 2.0),
-        (lambda l: 2.0 * l, 3.0, 2.0),
-    ])
-    def test_bounded_slope_saddle_is_the_slope(self, fn, lam, want):
-        # x0 = phi2'(lam) for a derivative-free callable whose slope is at
-        # most 2: the trace search meets x beyond 2, where the conjugate
-        # diverges and its maximizer runs off to +inf, and x0 stays where
-        # the conjugate is finite
-        f = PhiFunction.from_callable(fn, 0.0, math.inf, convex=True)
-        x0 = saddle_point(f, lam)
-        assert x0 == pytest.approx(want, rel=1e-9)
-        assert math.isfinite(conjugate_value(f, x0)[0])
+    @pytest.mark.parametrize("f, lams", [
+        (PhiFunction.quadratic(), [1.0, 2.5, 10.0, 300.0]),
+        (PhiFunction.power_log(2.0, 1.0), [1.0, 3.0, 7.5, 40.0]),
+        # x0(0) is the slope 2, which the geometry has always used
+        (PhiFunction.linear(2.0, lo=0.0), [0.0, 1.0, 5.0]),
+        (oracles.weibull(4.0).mgf_exponent, [0.5, 2.0, 6.0]),
+        (oracles.gaussian_scale_mixture(0.3, 1.0, 2.0).mgf_exponent, [0.1, 1.5, 4.0]),
+    ], ids=["quadratic", "power-log-2-1", "linear-2", "weibull-4", "mixture"])
+    def test_equals_the_envelopes_saddle_map(self, f, lams):
+        # the public one-point call and the batch the envelopes read are one
+        # map, x0 = phi2'(lam), bit for bit
+        x0s, errors = _saddle_points(f, np.array(lams))
+        assert errors == {}
+        assert [saddle_point(f, lam) for lam in lams] == x0s.tolist()
+        assert x0s.tolist() == f.derivatives(np.array(lams)).tolist()
 
-    def test_kink_of_a_bounded_slope_is_a_flat_top(self):
-        # phi2 = max(lam, 2 lam - 3) has slopes 1 and 2 either side of lam = 3
-        f = PhiFunction.from_callable(lambda l: max(l, 2.0 * l - 3.0), 0.0, math.inf,
-                                      convex=True)
-        with pytest.raises(NonUniqueArgmaxError) as info:
+    @pytest.mark.parametrize("f", [
+        PhiFunction.from_callable(lambda l: 0.5 * l * l + 0.1 * l, 0.0, 50.0, convex=True),
+        PhiFunction.power_log(0.5),
+    ], ids=["derivative-free", "non-convex"])
+    def test_no_saddle_map_is_refused(self, f):
+        # neither phi2' of a convex phi2 nor a convex grid: InputError at
+        # every lam in the domain, OutOfDomainError outside it
+        with pytest.raises(InputError, match="saddle point needs a convex phi2"):
             saddle_point(f, 3.0)
-        assert info.value.lo == pytest.approx(1.0) and info.value.hi == pytest.approx(2.0)
-
-    def test_divergence_at_every_probe_is_refused(self):
-        # phi2 = 5 has slope 0: the conjugate diverges at every x > 0 the
-        # search probes, so no point brackets the saddle
-        f = PhiFunction.from_callable(lambda l: 5.0, 0.0, math.inf, convex=True,
-                                      slope_lim=0.0)
-        with pytest.raises(NonUniqueArgmaxError) as info:
-            saddle_point(f, 1.0)
-        assert info.value.hi == math.inf
+        with pytest.raises(OutOfDomainError):
+            saddle_point(f, -1.0)
+        assert [type(x0) for x0 in _per_lam(_saddle_points(f, [3.0, -1.0]))] == [
+            InputError, OutOfDomainError]
 
 
 # Hand-rolled bisection loops as the searches once wrote them, each the

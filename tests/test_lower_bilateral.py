@@ -200,6 +200,36 @@ class TestRegularity:
             verify_regularity(bumpy)
 
 
+class TestSaddleMapGate:
+    @staticmethod
+    def _counted():
+        # convex, but with neither a derivative nor a grid: no saddle map
+        calls = []
+
+        def fn(l):
+            calls.append(l)
+            return 0.5 * l * l
+
+        return PhiFunction.from_callable(fn, 0.0, math.inf, convex=True, label="counted"), calls
+
+    @pytest.mark.parametrize("run", [
+        lambda phi: closure_lower_envelope(QUAD0, phi, [2.0, 3.0]),
+        lambda phi: exact_mgf_sandwich(phi, [2.0, 3.0]),
+        lambda phi: verify_regularity(phi),
+        lambda phi: pinched_lower_envelope(phi, 0.1, [3.0, 4.0]),
+    ], ids=["closure", "sandwich", "regularity", "pinch"])
+    def test_refused_before_any_search(self, run):
+        phi, calls = self._counted()
+        with pytest.raises(NotCertifiedError, match="needs a derivative or a grid"):
+            run(phi)
+        assert calls == []
+
+    def test_geometry_refuses_with_input_error(self):
+        phi, _ = self._counted()
+        with pytest.raises(InputError, match="saddle point needs a convex phi2"):
+            make_geometry(phi, 3.0, 0.2)
+
+
 @pytest.fixture(scope="module")
 def pinch():
     zs = np.linspace(math.e, 8.0, 12)
@@ -463,7 +493,7 @@ class TestSaddleInverse:
 
 # Scalar versions of the saddle path, one t at a time, as the geometry and
 # the regularity report were once written: the reference for the batched
-# _x0s / _stars_at_saddle path, compared bit for bit.
+# _saddle_points / _stars_at_saddle path, compared bit for bit.
 def _scalar_x0(phi2, t):
     if phi2.convex and phi2.deriv is not None:
         return float(phi2.deriv(float(t)))
