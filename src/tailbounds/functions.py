@@ -356,11 +356,11 @@ def certify_convex(f: PhiFunction) -> bool:
     :meth:`PhiFunction.from_callable` records as ``convex_hi``), the growth
     step of the conjugate search on an unbounded domain that reads only
     the two top points of each grid while the objective still rises there.
+    A grid returns the verdict of :meth:`PhiFunction.from_grid` on its
+    chords, the one :func:`saddle_point` reads.
     """
     if f.kind == "grid":
-        ls, vs = f.knots
-        slopes = np.diff(vs) / np.diff(ls)
-        return bool(np.all(np.diff(slopes) >= -1e-9 * max(1.0, np.abs(slopes).max())))
+        return f.convex
     grid = np.linspace(f.domain.lo, _probe_top(f.domain), 257)
     vals = f.values(grid)
     second = np.diff(vals, 2)
@@ -522,17 +522,19 @@ _LEFT = np.array([_A, _D, _NEW, _C, _FA, _FD, _FNEW, _FC])[:, None]
 _RIGHT = np.array([_C, _B, _D, _NEW, _FC, _FB, _FD, _FNEW])[:, None]
 
 
-def _golden_lockstep(objective, a, b, fa, fb, rel_width: float) -> list:
+def _golden_lockstep(objective, a, b, fa, fb, scan_x, scan_f, rel_width: float) -> list:
     """Golden-section maximization on [a_r, b_r] for every bracket r at once.
 
     ``objective(rows, pts)`` evaluates bracket ``rows[i]`` at ``pts[i]``
     for every i, in one batch, and returns the values and the set of rows
     whose evaluation failed; those brackets stop.  ``fa`` and ``fb`` hold
-    the objective at the ends.  Each bracket takes the steps, stopping
-    test and tie-breaking of a scalar golden section, so it ends where that
-    ends, bit for bit; each step makes one objective call over the
-    brackets still narrowing.  Returns (value, argmax) per bracket, None
-    where it failed.
+    the objective at the ends, and ``scan_f`` at ``scan_x`` the best point
+    of the scan that found the bracket.  Each bracket takes the steps,
+    stopping test and tie-breaking of a scalar golden section, so it ends
+    where that ends, bit for bit; each step makes one objective call over
+    the brackets still narrowing.  Returns (value, argmax) per bracket,
+    None where it failed: the best of the final bracket's four points,
+    unless the scan's point is strictly better.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     c = b - _GOLDEN * (b - a)
@@ -565,8 +567,10 @@ def _golden_lockstep(objective, a, b, fa, fb, rel_width: float) -> list:
         if failed:
             dead |= failed
             keep = ~np.isin(rows, list(failed))
-    return [None if r in dead else max((fa, a), (fc, c), (fd, d), (fb, b))
+    best = [None if r in dead else max((fa, a), (fc, c), (fd, d), (fb, b))
             for r, (a, b, c, d, fa, fb, fc, fd) in enumerate(final.T.tolist())]
+    scan = zip(np.asarray(scan_f, dtype=float).tolist(), np.asarray(scan_x, dtype=float).tolist())
+    return [s if g is not None and s[0] > g[0] else g for g, s in zip(best, scan)]
 
 
 def _objectives(f: PhiFunction, lams: np.ndarray, xs: np.ndarray, owners: np.ndarray,
@@ -642,11 +646,10 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
             out, failed = _objectives(f, lams, bx_arr[rows], ks_arr[rows], errors)
             return out, {r for r in rows.tolist() if ks[r] in failed} if failed else failed
 
-        refined = _golden_lockstep(objective, a, b, fa, fb, _GOLDEN_REL_WIDTH)
-        for k, best, g_i, v_i in zip(ks, refined, gi, vi):
+        for k, best in zip(ks, _golden_lockstep(objective, a, b, fa, fb, gi, vi,
+                                                _GOLDEN_REL_WIDTH)):
             if best is not None:
-                # the scan's best point wins only a strict comparison
-                vals[k], arg[k] = (v_i, g_i) if v_i > best[0] else best
+                vals[k], arg[k] = best
     return vals, arg, errors
 
 
@@ -769,14 +772,9 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float]) -> ConjugateResult:
     rows = np.arange(lams.size)
     i = np.argmax(ovals, axis=1)
     lo_i, hi_i = np.maximum(i - 1, 0), np.minimum(i + 1, grid.size - 1)
-    refined = _golden_lockstep(
-        lambda k, xs: (lams[k] * xs - fstar(xs), set()),
-        grid[lo_i], grid[hi_i], ovals[rows, lo_i], ovals[rows, hi_i], _GOLDEN_REL_WIDTH)
-    vals = np.array([best[0] for best in refined])
-    args = np.array([best[1] for best in refined])
-    scan_wins = ovals[rows, i] > vals
-    vals[scan_wins] = ovals[rows, i][scan_wins]
-    args[scan_wins] = grid[i][scan_wins]
+    vals, args = np.array(_golden_lockstep(
+        lambda k, xs: (lams[k] * xs - fstar(xs), set()), grid[lo_i], grid[hi_i],
+        ovals[rows, lo_i], ovals[rows, hi_i], grid[i], ovals[rows, i], _GOLDEN_REL_WIDTH)).T
     return ConjugateResult(x_grid=lams, values=vals, argmax=args,
                            capped=np.zeros(lams.size, dtype=bool))
 
@@ -833,12 +831,11 @@ def _require_saddle_map(phi2: PhiFunction, message: str) -> None:
 
 
 def _grid_saddle_points(phi2: PhiFunction, lams: list) -> tuple[np.ndarray, dict]:
-    """:func:`_saddle_points` on a grid: the chords, their convexity test
-    and the flat tolerance once for the batch, then each lam in turn, which
-    raises OutOfDomainError before the convexity InputError."""
+    """:func:`_saddle_points` on a grid: the chords and the flat tolerance
+    once for the batch, then each lam in turn, which raises OutOfDomainError
+    before the InputError of a grid that is not convex (``phi2.convex``)."""
     ls, vs = phi2.knots
     chords = np.diff(vs) / np.diff(ls)  # breakpoints of phi2* in x
-    convex = bool(np.all(np.diff(chords) >= -1e-12 * max(1.0, float(np.abs(chords).max()))))
     flat_tol = 2.0 * float(np.diff(ls).max())
     # phi2* is the upper envelope of the knot lines lam_j * x - v_j; on the
     # piece where line j is active, dS/dx = lam - lam_j.  The maximum sits
@@ -856,7 +853,7 @@ def _grid_saddle_points(phi2: PhiFunction, lams: list) -> tuple[np.ndarray, dict
         hit = np.flatnonzero(np.abs(ls[a:b] - lam) <= tol) if b > a else ()
         if not phi2.domain.contains(lam):
             x0 = OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
-        elif not convex:
+        elif not phi2.convex:
             x0 = InputError("saddle point needs a convex grid function")
         elif len(hit):
             k = a + int(hit[0])
@@ -882,15 +879,19 @@ def _grid_saddle_points(phi2: PhiFunction, lams: list) -> tuple[np.ndarray, dict
 
 
 def _bisect(a, b, below, steps, rel=0.0):
-    """Bisection on [a, b] as a generator: yields each midpoint m and takes
-    back the value there, keeping [m, b] where ``below(value)`` holds and
-    [a, m] otherwise.  Stops after ``steps`` halvings, or before a halving
-    once b - a <= rel * max(1, |b|); returns (a, b)."""
+    """Bisection on [a, b]: keeps [m, b] where ``below(m)`` holds at the
+    midpoint m and [a, m] otherwise.  Stops after ``steps`` halvings, or
+    before a halving once b - a <= rel * max(1, |b|); returns (a, b).
+
+    The scalar loop beside :func:`_bisect_rows`, for the searches that
+    bisect one row at a time: numpy's per-call overhead makes a one-row
+    array bisection about forty times slower than this loop.
+    """
     for _ in range(steps):
         if b - a <= rel * max(1.0, abs(b)):
             break
         m = 0.5 * (a + b)
-        if below((yield m)):
+        if below(m):
             a = m
         else:
             b = m
@@ -915,43 +916,39 @@ def _bisect_rows(a, b, below, steps, rel=0.0):
     return a, b
 
 
-def _lockstep(searches: list, evaluate) -> list:
-    """Run search generators together: each round, ``evaluate(idx, xs)``
-    answers the point xs[k] of each running search idx[k] in one call, with
-    the answers and, by position k, the error that ends search idx[k]
-    instead.  Returns each search's result, or the error that ended it."""
-    out: list = [None] * len(searches)
-    answers = dict.fromkeys(range(len(searches)))  # send(None) starts a search
-    while answers:
-        pending = {}
-        for i, v in answers.items():
-            try:
-                pending[i] = searches[i].send(v)
-            except StopIteration as stop:
-                out[i] = stop.value
-            except TailboundsError as exc:
-                out[i] = exc
-        if not pending:
+def _grow_rows(b, below, limit):
+    """The bracket growth that comes before :func:`_bisect_rows`: doubles
+    each row of ``b`` while ``below(rows, b[rows])`` holds there, at most
+    ``limit`` times, so a row tests b, 2b, ..., 2**limit b.
+
+    ``below`` answers the rows still growing (``rows`` is their mask) in
+    one call.  Returns the final ``b`` and the mask of the rows below at
+    their last test, those that ran out of doublings.
+    """
+    b = np.array(b, dtype=float)
+    rows = np.ones(b.size, dtype=bool)
+    for k in range(limit + 1):
+        if not rows.any():
             break
-        vals, errors = evaluate(list(pending), list(pending.values()))
-        answers = {}
-        for k, i in enumerate(pending):
-            if k in errors:
-                out[i] = errors[k]
-            else:
-                answers[i] = vals[k]
-    return out
+        if k:
+            b[rows] *= 2.0
+        rows[rows] = below(rows, b[rows])
+    return b, rows
 
 
-def _solve(search, fn):
-    """Run one search generator alone, answering each point it yields with
-    ``fn`` there; returns the search's result."""
-    try:
-        x = next(search)
-        while True:
-            x = search.send(fn(x))
-    except StopIteration as stop:
-        return stop.value
+def _first_at_one(f: PhiFunction, probe: np.ndarray, vals: np.ndarray, rel: float):
+    """The first lam where an increasing ``f`` reaches 1, or None where no
+    point of the increasing ``probe`` does (``vals`` is f there): the first
+    probe point at or above 1, and where a probe point lies before it, the
+    top of that bracket after 60 halvings with relative width ``rel``."""
+    i = int(np.argmax(vals >= 1.0))
+    if not vals[i] >= 1.0:
+        return None
+    if i == 0:
+        return float(probe[0])
+    _, b = _bisect(float(probe[i - 1]), float(probe[i]),
+                   lambda t: not f.value(t) >= 1.0, 60, rel)
+    return b
 
 
 # --------------------------------------------------------------------------

@@ -33,13 +33,13 @@ from .envelope import LOWER, UPPER, TailEnvelope
 from .errors import (
     GeometryInvalidError,
     InputError,
-    NonUniqueArgmaxError,
     NotCertifiedError,
     OutOfDomainError,
 )
 from .functions import (
     PhiFunction,
     _bisect_rows,
+    _grow_rows,
     _require_saddle_map,
     _saddle_points,
     _stars,
@@ -84,36 +84,30 @@ def _x0_inverse(phi2: PhiFunction, zs) -> tuple[np.ndarray, dict]:
     dlo = float(phi2.deriv(lo))
     for i in np.flatnonzero(dlo > zs):
         errors[int(i)] = OutOfDomainError(float(zs[i]), dlo, math.inf)
-    live = ~(dlo > zs)
-    b = np.full(zs.size, hi if math.isfinite(hi) else max(2.0 * lo, 1.0))
+    live = np.flatnonzero(~(dlo > zs))
+    z = zs[live]
+    b = np.full(live.size, hi if math.isfinite(hi) else max(2.0 * lo, 1.0))
     if not math.isfinite(hi):
-        grow = live.copy()
-        for k in range(201):
-            grow[grow] = ~(phi2.derivatives(b[grow]) > zs[grow])
-            if k == 200 or not grow.any():
-                break
-            b[grow] *= 2.0
+        b, grow = _grow_rows(b, lambda rows, t: ~(phi2.derivatives(t) > z[rows]), 200)
         for i in np.flatnonzero(grow):
-            errors[int(i)] = OutOfDomainError(float(zs[i]), dlo, float(phi2.deriv(b[i])))
-        live &= ~grow
-    idx = np.flatnonzero(live)
-    z = zs[idx]
-    a, b = _bisect_rows(np.full(idx.size, lo), b[idx],
+            errors[int(live[i])] = OutOfDomainError(float(z[i]), dlo, float(phi2.deriv(b[i])))
+        live, z, b = live[~grow], z[~grow], b[~grow]
+    a, b = _bisect_rows(np.full(live.size, lo), b,
                         lambda rows, m: phi2.derivatives(m) <= z[rows], 100, 1e-13)
-    mus[idx] = 0.5 * (a + b)
+    mus[live] = 0.5 * (a + b)
     return mus, errors
 
 
-def _stars_at_saddle(phi2: PhiFunction, ts: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, dict]:
-    """phi2*(x) at each saddle x = x0(t), and by index the error of each x
-    whose conjugate has one; NaN there and where x is NaN.  For a convex
-    phi2 with a derivative, the touching identity t*x - phi2(t)."""
+def _stars_at_saddle(phi2: PhiFunction, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """phi2*(x) at each saddle x = x0(t), NaN where x is NaN.  For a convex
+    phi2 with a derivative, the touching identity t*x - phi2(t); otherwise
+    only a grid has saddles, and its conjugate is exact at every x."""
     if phi2.convex and phi2.deriv is not None:
-        return ts * xs - phi2.values(ts), {}
+        return ts * xs - phi2.values(ts)
     out = np.full(ts.size, math.nan)
-    at = np.flatnonzero(~np.isnan(xs))
-    out[at], _, errors = conjugate_values(phi2, xs[at])
-    return out, {int(at[k]): e for k, e in errors.items()}
+    at = ~np.isnan(xs)
+    out[at], _, _ = conjugate_values(phi2, xs[at])
+    return out
 
 
 def _saddle_rows(phi2: PhiFunction, mus: np.ndarray, lams: np.ndarray,
@@ -124,13 +118,12 @@ def _saddle_rows(phi2: PhiFunction, mus: np.ndarray, lams: np.ndarray,
     ds_minus = lam - mu and ds_plus = lam - nu, as arrays over the rows.
     x0 and phi2* are evaluated once per distinct t of the batch.  Also
     returns, by index of the sorted distinct t's, the error of each t
-    without a saddle or conjugate (NaN in the rows that use it).
+    without a saddle (NaN in the rows that use it).
     """
     k = lams.size
     ts, inv = np.unique(np.concatenate([mus, lams, nus]), return_inverse=True)
     x0s, errors = _saddle_points(phi2, ts)
-    stars, star_errors = _stars_at_saddle(phi2, ts, x0s)
-    errors.update(star_errors)  # a t has a phi2* error only where x0 has a value
+    stars = _stars_at_saddle(phi2, ts, x0s)
     at = [inv[j * k:(j + 1) * k] for j in range(3)]
     xm, x0, xp = (x0s[i] for i in at)
     sm, s0, sp = (lams * x0s[i] - stars[i] for i in at)
@@ -360,16 +353,12 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     ts_cell = lams[:, None] * (1.0 + delta_grid)
     in_dom = phi.domain.contains(ts_cell)
     ts = np.unique(ts_cell[in_dom])
-    x0s, x0_errors = _saddle_points(phi, ts)
-    stars, star_errors = _stars_at_saddle(phi, ts, x0s)
-    errors = {**star_errors, **x0_errors}  # no phi* where x0 has no value
+    x0s, errors = _saddle_points(phi, ts)
+    stars = _stars_at_saddle(phi, ts, x0s)
     s_peak = phi.values(lams)[:, None]  # S(lam, x0(lam)), by the touching identity
-
-    def flags(errs, kinds=Exception):  # by index of ts, one more for cells outside
-        return np.isin(np.arange(ts.size + 1), [k for k, e in errs.items() if isinstance(e, kinds)])
-
-    skip = flags(x0_errors, (NonUniqueArgmaxError, OutOfDomainError, InputError))
-    x0_bad, bad = flags(x0_errors), flags(errors)
+    # by index of ts, one more for cells outside: every error of the saddle
+    # map (NonUniqueArgmaxError, OutOfDomainError, InputError) skips its cell
+    skip = np.isin(np.arange(ts.size + 1), list(errors))
     x0s, stars = np.append(x0s, math.nan), np.append(stars, math.nan)
     k = np.searchsorted(ts, ts_cell)
     # t_up = lam(1 + |d|) and t_dn = lam(1 - |d|): the columns of +|d| and -|d|
@@ -378,14 +367,12 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     k_up, k_dn = k[:, up], k[:, dn]
 
     cell = in_dom & (s_peak > 0) & ~skip[k]
-    ratio_ok = cell & ~bad[k]
-    absorb = ratio_ok & in_dom[:, up] & in_dom[:, dn]
-    raises = (cell & bad[k]) | (absorb & (x0_bad[k_up] | bad[k_dn]))
+    absorb = cell & in_dom[:, up] & in_dom[:, dn]
+    # an absorption cell needs both of its shifted saddles
+    raises = absorb & (skip[k_up] | skip[k_dn])
     if raises.any():
         i, j = np.unravel_index(np.argmax(raises), raises.shape)
-        if bad[k[i, j]]:
-            raise errors[k[i, j]]
-        raise x0_errors[k_up[i, j]] if x0_bad[k_up[i, j]] else errors[k_dn[i, j]]
+        raise errors[k_up[i, j]] if skip[k_up[i, j]] else errors[k_dn[i, j]]
     with np.errstate(all="ignore"):
         ratio = (s_peak - (lams[:, None] * x0s[k] - stars[k])) / (s_peak * delta_grid * delta_grid)
         # absorption: lam*x0(lam(1+|d|)) - (1-d^2) phi(lam)
@@ -393,7 +380,7 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
         star_dn = stars[k_dn]
         c0s = ((lams[:, None] * x0s[k_up] - (1.0 - delta_grid * delta_grid) * s_peak - star_dn)
                / (ad * star_dn))
-    ratio = np.where(ratio_ok & ~np.isnan(ratio), ratio, math.inf)
+    ratio = np.where(cell & ~np.isnan(ratio), ratio, math.inf)
     c0s = np.where(absorb & ~(star_dn <= 0) & ~np.isnan(c0s), c0s, -math.inf)
     # the first strict minimum and maximum in (lam, d) order
     i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
@@ -402,7 +389,7 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     i, j = np.unravel_index(np.argmax(c0s), c0s.shape)
     c0_best = float(c0s[i, j])
     c0_arg = (float(lams[i]), float(ad[j])) if c0_best > -math.inf else (math.nan, math.nan)
-    evaluated = int(ratio_ok.sum())
+    evaluated = int(cell.sum())
 
     ok = bool(evaluated > 0 and v_best > 0 and math.isfinite(c0_best))
     return RegularityReport(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .envelope import LOWER, UPPER, TailEnvelope
 from .errors import InputError, NotCertifiedError
-from .functions import PhiFunction, _bisect, _read_csv_columns, _solve, _stars
+from .functions import PhiFunction, _first_at_one, _read_csv_columns, _stars
 from .integrals import CramerCertificate, cramer_check
 from .lower_unilateral import LowerEnvelopeCertificate, unilateral_lower_envelope
 
@@ -120,23 +120,17 @@ def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, b
     assumption of the exponential-level machinery; a curve never reaching 1
     yields the flagged zero exponent.
     """
-    lo, hi = curve.domain.lo, curve.domain.top()
+    lo = curve.domain.lo
     probe = _probe_grid(curve.domain)
     vals = curve.values(probe)
     if np.any(vals <= 0):
         raise InputError(f"{label}: envelope must be positive")
-    above = probe[vals >= 1.0]
-    if above.size == 0 or float(vals.max()) <= 1.0 + 1e-12:
+    if float(vals.max()) <= 1.0 + 1e-12:  # never above 1 on the probe grid, to 1e-12
         zero = PhiFunction.from_callable(lambda l: 0.0, max(lo, 1.0), curve.domain.hi,
                                          deriv=lambda l: 0.0, convex=True,
                                          label=f"zero[{label}]", vectorized=True)
         return zero, True, max(lo, 1.0)
-    # refine the crossing point
-    lam_star = float(above[0])
-    if lam_star > probe[0]:
-        a = float(probe[probe < lam_star][-1]) if np.any(probe < lam_star) else lo
-        _, lam_star = _solve(_bisect(a, lam_star, lambda v: not v >= 1.0, 60), curve.value)
-    lam_star = max(lam_star, lo, 1.0)
+    lam_star = max(_first_at_one(curve, probe, vals, 0.0), lo, 1.0)
 
     def fn(l, c=curve):
         return l * np.log(c.values(l))

@@ -26,36 +26,51 @@ from .errors import (
     NotConvergedError,
     TailboundsError,
 )
-from .functions import PhiFunction, _bisect, _lockstep, conjugate_values
+from .functions import PhiFunction, _bisect_rows, _grow_rows, conjugate_values
 from .oracles import OracleDistribution, empirical_tail
 
 
-def _invert_increasing(target: float, lo: float, hi_seed: float):
-    """Bisection for increasing fn(x) = target as a generator: yields x, takes fn(x)."""
+def _invert_increasing(evaluate, targets: np.ndarray, lo: float, seeds: np.ndarray) -> np.ndarray:
+    """The root of fn(x) = target on [lo, inf) for each target, fn increasing.
+
+    ``evaluate(xs)`` returns fn at each x and, by position, the package
+    error of each x that has one.  Each row checks fn(lo) <= target, lo at
+    least 1e-12, grows its bracket top from max(seed, 2 lo) by at most 199
+    doublings, then bisects to a relative width of 1e-10 and returns the
+    midpoint; every step makes one ``evaluate`` call for all rows.  A row
+    stops at its first error, and the error of the lowest failing row is
+    raised.
+    """
     lo = max(lo, 1e-12)
-    f_lo = yield lo
-    if f_lo > target:
-        raise NonInvertibleError(
-            f"target {target} below function value {f_lo} at the domain floor"
-        )
-    hi = max(hi_seed, 2.0 * lo)
-    for _ in range(200):
-        if (yield hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise NonInvertibleError(f"no bracket for target {target}")
-    a, b = yield from _bisect(lo, hi, lambda v: v < target, 200, 1e-10)
+    errors: dict = {}
+
+    def fn(idx, xs):
+        # fn at xs[k] for row idx[k]; NaN, and no evaluation, for a failed row
+        out = np.full(idx.size, math.nan)
+        keep = np.array([i not in errors for i in idx.tolist()], dtype=bool)
+        out[keep], errs = evaluate(xs[keep])
+        for k, exc in errs.items():
+            errors[int(idx[keep][k])] = exc
+        return out
+
+    rows = np.arange(targets.size)
+    floor = fn(rows, np.full(rows.size, lo)).tolist()
+    for i, (t, f_lo) in enumerate(zip(targets.tolist(), floor)):
+        if f_lo > t:
+            errors[i] = NonInvertibleError(
+                f"target {t} below function value {f_lo} at the domain floor")
+    rows = np.array([i for i in rows.tolist() if i not in errors], dtype=int)
+    goal = targets[rows]
+    hi, open_top = _grow_rows(np.maximum(seeds[rows], 2.0 * lo),
+                              lambda live, b: ~(fn(rows[live], b) >= goal[live]), 199)
+    for i in rows[open_top].tolist():
+        errors.setdefault(i, NonInvertibleError(f"no bracket for target {float(targets[i])}"))
+    rows, goal, hi = rows[~open_top], goal[~open_top], hi[~open_top]
+    a, b = _bisect_rows(np.full(rows.size, lo), hi,
+                        lambda live, m: fn(rows[live], m) < goal[live], 200, 1e-10)
+    if errors:
+        raise errors[min(errors)]
     return 0.5 * (a + b)
-
-
-def _inverses(searches: list, evaluate) -> np.ndarray:
-    """The searches' roots in lockstep; raises the first search's error."""
-    out = _lockstep(searches, evaluate)
-    first = next((res for res in out if isinstance(res, Exception)), None)
-    if first is not None:
-        raise first
-    return np.array(out)
 
 
 def _extrapolate(xs: np.ndarray, ks: np.ndarray) -> tuple[float, bool]:
@@ -105,13 +120,14 @@ def tauberian_check(
 ) -> TauberianReport:
     """Estimate both limit constants and their product.
 
-    ``source`` is a reference distribution or a (log_mgf, tail) callable
-    pair.  The reference exponent must be regular enough for the limits to
-    mean anything; by default its saddle-curvature report is required to be
-    positive.  In Monte Carlo mode the tail side uses the empirical
-    exceedance of ``n_samples`` seeded draws, the ladder is capped where
-    counts stay positive, and no extrapolation is applied (the raw top
-    value is reported, sampling noise dominating the correction).
+    ``source`` is a reference distribution, whose log tail gives the tail
+    targets, or a (log_mgf, tail) callable pair.  The reference exponent
+    must be regular enough for the limits to mean anything; by default its
+    saddle-curvature report is required to be positive.  In Monte Carlo
+    mode the tail side uses the empirical exceedance of ``n_samples``
+    seeded draws, the ladder is capped where counts stay positive, and no
+    extrapolation is applied (the raw top value is reported, sampling noise
+    dominating the correction).
     """
     if check_regularity:
         from .lower_bilateral import verify_regularity
@@ -125,7 +141,6 @@ def tauberian_check(
         if source.mgf_exponent is None:
             raise InputError(f"{source.name} has no finite MGF to diagnose")
         log_mgf = source.mgf_exponent.values
-        tail = lambda x: source.tail(x)
         mgf_dom_top = source.mgf_exponent.domain.top()
     else:
         (mgf, tail), mgf_dom_top = source, math.inf
@@ -137,23 +152,22 @@ def tauberian_check(
         x_ladder = 2.0 * 2.0 ** (np.arange(7) / 3.0)  # 2 .. 8 geometric
     xs = np.asarray(x_ladder, dtype=float)
 
-    # MGF side: phi^{-1}(ln MGF(lam)) / lam, each round one values call
-    def phi_values(idx, ts):
+    # MGF side: phi^{-1}(ln MGF(lam)) / lam, each step one values call
+    def phi_values(ts):
         try:
-            return phi.values(ts).tolist(), {}
+            return phi.values(ts), {}
         except TailboundsError:
-            # a point fails: each search takes its own point's value or error
-            vals, errors = [math.nan] * len(ts), {}
-            for k, t in enumerate(ts):
+            # a point fails: each row takes its own point's value or error
+            vals, errors = np.full(ts.size, math.nan), {}
+            for k, t in enumerate(ts.tolist()):
                 try:
                     vals[k] = phi.value(t)
                 except TailboundsError as exc:
                     errors[k] = exc
             return vals, errors
 
-    k_mgf_vals = _inverses([_invert_increasing(t, phi.domain.lo, max(lam, 1.0))
-                            for lam, t in zip(lams.tolist(), log_mgf(lams).tolist())],
-                           phi_values) / lams
+    k_mgf_vals = _invert_increasing(phi_values, log_mgf(lams), phi.domain.lo,
+                                    np.maximum(lams, 1.0)) / lams
     k_mgf, conv_m = _extrapolate(lams, k_mgf_vals)
 
     mode = "analytic"
@@ -167,25 +181,26 @@ def tauberian_check(
         frac = emp["fraction"]
         keep = frac > 0
         xs = xs[keep]
-        tail_vals = frac[keep]
+        neg_log_tail = np.array([abs(math.log(t)) for t in frac[keep].tolist()])
         details["counts"] = (frac * n_samples).astype(int).tolist()
         details["n_samples"] = n_samples
         details["seed"] = seed
         if xs.size == 0:
             raise NotConvergedError("no exceedances at any ladder point")
+    elif isinstance(source, OracleDistribution):
+        neg_log_tail = -source.log_tail(xs)  # finite where the tail underflows
     else:
         tail_vals = np.array([tail(float(x)) for x in xs])
         if np.any(tail_vals <= 0):
             raise InputError("tail must be positive along the ladder")
+        neg_log_tail = np.array([abs(math.log(t)) for t in tail_vals.tolist()])
 
-    # tail side: (phi*)^{-1}(|ln T(x)|) / x, each round one conjugate_values call
-    def phi_stars(idx, ts):
+    # tail side: (phi*)^{-1}(|ln T(x)|) / x, each step one conjugate_values call
+    def phi_stars(ts):
         vals, _, errors = conjugate_values(phi, ts)
-        return vals.tolist(), errors
+        return vals, errors
 
-    k_tail_vals = _inverses([_invert_increasing(abs(math.log(t)), 1e-9, max(x, 1.0))
-                             for x, t in zip(xs.tolist(), tail_vals.tolist())],
-                            phi_stars) / xs
+    k_tail_vals = _invert_increasing(phi_stars, neg_log_tail, 1e-9, np.maximum(xs, 1.0)) / xs
 
     if monte_carlo:
         k_tail, conv_t = float(k_tail_vals[-1]), bool(xs.size >= 3)

@@ -28,8 +28,8 @@ from tailbounds.functions import (
     Domain,
     _bisect,
     _bisect_rows,
+    _grow_rows,
     _saddle_points,
-    _solve,
     PhiFunction,
     biconjugate,
     certify_convex,
@@ -357,10 +357,10 @@ def _loop_invert(a, b, fn):
 
 
 def _search(below, steps, rel, keep):
-    """One ``_bisect`` search whose caller keeps ``keep(a, b)`` of its bracket."""
-    def run(a, b):
-        a, b = yield from _bisect(a, b, below, steps, rel)
-        return keep(a, b)
+    """One ``_bisect`` search, ``below`` a test of fn at the midpoint, whose
+    caller keeps ``keep(a, b)`` of its bracket."""
+    def run(a, b, fn):
+        return keep(*_bisect(a, b, lambda m: below(fn(m)), steps, rel))
     return run
 
 
@@ -397,10 +397,10 @@ class TestBisect:
 
         loop, search = _BISECTIONS[name]
         b = a + width
-        got = _solve(search(a, b), fn)
+        got = search(a, b, fn)
         if name == "trace" and b - a <= 1e-10 * max(1.0, abs(b)):
             # narrower than its width already: the loop halved once before
-            # its first test, the generator halves not at all
+            # its first test, _bisect halves not at all
             assert got == 0.5 * (a + b)
         else:
             assert got == loop(a, b, fn)
@@ -425,20 +425,68 @@ class TestBisect:
 
         got_a, got_b = _bisect_rows(a, b, below, steps, rel)
         for i in range(a.size):
-            one = _solve(_bisect(float(a[i]), float(b[i]), lambda v: v <= 0.0, steps, rel),
-                         lambda x, r=root[i]: x - r)
+            one = _bisect(float(a[i]), float(b[i]), lambda x, r=root[i]: x - r <= 0.0, steps, rel)
             assert (got_a[i], got_b[i]) == one
         # a row leaves the batch once its search stops
         assert all(n > 0 for n in seen) and seen == sorted(seen, reverse=True)
 
     def test_stops_on_width_before_a_halving(self):
         seen = []
-        assert _solve(_bisect(1.0, 1.0 + 1e-13, lambda v: v < 0, 60, 1e-12),
-                      seen.append) == (1.0, 1.0 + 1e-13)
+        assert _bisect(1.0, 1.0 + 1e-13, seen.append, 60, 1e-12) == (1.0, 1.0 + 1e-13)
         assert seen == []
 
-    def test_solve_without_a_yield_returns_at_once(self):
-        assert _solve(_bisect(2.0, 3.0, lambda v: True, 0), math.sqrt) == (2.0, 3.0)
+    def test_zero_steps_return_at_once(self):
+        seen = []
+        assert _bisect(2.0, 3.0, seen.append, 0) == (2.0, 3.0)
+        assert seen == []
+
+
+def _loop_grow(b, below, limit):
+    """The doubling loop of a bracket top as the saddle inverse once wrote
+    it: returns the last b tested and whether ``below`` still held there."""
+    for k in range(limit + 1):
+        still = below(b)
+        if k == limit or not still:
+            break
+        b *= 2.0
+    return b, still
+
+
+class TestGrowRows:
+    @given(
+        rows=st.lists(st.tuples(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-12, max_value=1e6)),
+            # the root at doubling j of b, one ulp below, at or above it:
+            # j = limit and limit + 1 are the edge of the last test
+            st.integers(0, 202), st.sampled_from([-1.0, 0.0, 1.0]),
+            # fn is NaN from here up, which reads as still below
+            st.one_of(st.just(math.inf), st.floats(min_value=0.0, max_value=1e70))),
+            max_size=6),
+        limit=st.sampled_from([0, 1, 7, 199, 200]),
+    )
+    def test_rows_match_the_scalar_loop(self, rows, limit):
+        b0, j, nudge, nan_from = np.array(rows, dtype=float).reshape(-1, 4).T
+        root = b0 * 2.0 ** j
+        root = np.where(nudge == 0.0, root, np.nextafter(root, np.copysign(math.inf, nudge)))
+        seen = []
+
+        def fn(b, r, top):
+            return math.nan if b >= top else b - r
+
+        def below(live, b):
+            seen.append(int(live.sum()))
+            return np.array([not fn(t, r, top) >= 0.0 for t, r, top in
+                             zip(b.tolist(), root[live].tolist(), nan_from[live].tolist())],
+                            dtype=bool)
+
+        got_b, got_open = _grow_rows(b0, below, limit)
+        for i in range(b0.size):
+            want = _loop_grow(float(b0[i]), lambda t: not fn(t, root[i], nan_from[i]) >= 0.0,
+                              limit)
+            assert (got_b[i], bool(got_open[i])) == want
+        # a row leaves the batch once it stops, and none is asked past the limit
+        assert all(n > 0 for n in seen) and seen == sorted(seen, reverse=True)
+        assert len(seen) <= limit + 1
 
 
 class TestInvariants:
@@ -506,6 +554,18 @@ class TestConvexityCertificate:
             lambda l: l + 0.5 * math.sin(3 * l) + 0.5, 1.0, 50.0,
             convex=False, label="wiggle")
         assert not certify_convex(bumpy)
+
+    def test_grid_verdict_is_the_one_saddle_point_reads(self):
+        # a 1e-10 bump on a line: the chords fall by 2e-10, beyond from_grid's
+        # 1e-12 relative tolerance, so the grid is not convex anywhere it is read
+        ls = np.arange(101.0)
+        vs = 2.0 * ls
+        vs[50] += 1e-10
+        g = PhiFunction.from_grid(ls, vs)
+        assert g.convex is False
+        assert certify_convex(g) is False
+        with pytest.raises(InputError):
+            saddle_point(g, 20.5)
 
 
 class TestCsvLoading:

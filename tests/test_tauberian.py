@@ -7,7 +7,7 @@ import pytest
 
 from tailbounds import oracles
 from tailbounds.errors import InputError, NonInvertibleError, OutOfDomainError
-from tailbounds.functions import PhiFunction, _bisect, _solve, conjugate_value
+from tailbounds.functions import PhiFunction, _bisect, conjugate_value
 from tailbounds.tauberian import TauberianReport, _extrapolate, tauberian_check
 
 QREF = PhiFunction.quadratic(lo=0.0)
@@ -44,6 +44,16 @@ class TestAnalytic:
         ladder = np.array(rep.k_tail_ladder)
         assert np.all(np.diff(ladder) < 0)  # corrections shrink with x
         assert ladder[-1] > rep.k_tail       # extrapolation moves past the cap
+
+    def test_weibull4_converges_where_its_tail_underflows(self):
+        # exp(-x^4) is 0.0 in floats at the top of the ladder; the targets
+        # are the log tail itself
+        dist = oracles.weibull(4.0)
+        assert dist.tail(8.0) == 0.0
+        rep = tauberian_check(PhiFunction.power_log(4.0 / 3.0, lo=0.0), dist)
+        assert rep.converged
+        assert rep.consistency < 0.02
+        assert rep.k_tail == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
     def test_pareto_has_no_mgf(self):
         with pytest.raises(InputError):
@@ -95,7 +105,7 @@ def _sequential_invert(fn, target, lo, hi_seed):
         hi *= 2.0
     else:
         raise NonInvertibleError(f"no bracket for target {target}")
-    a, b = _solve(_bisect(lo, hi, lambda v: v < target, 200, 1e-10), fn)
+    a, b = _bisect(lo, hi, lambda x: fn(x) < target, 200, 1e-10)
     return 0.5 * (a + b)
 
 
