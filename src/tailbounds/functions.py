@@ -35,7 +35,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 LAMBDA_CAP = 1e8
 # points per scan grid, and per geometric part where one is added
 _SCAN_POINTS = 128
-# factor by which the truncation point of an unbounded scan grows
+# ratio of successive truncation points of the scan ladder on an unbounded domain
 _GROWTH_FACTOR = 4.0
 # golden-section brackets stop below this width, relative to max(1, |end|)
 _GOLDEN_REL_WIDTH = 1e-10
@@ -95,9 +95,6 @@ class PhiFunction:
     # fn and deriv map float arrays elementwise: every closed form, and the
     # callables that declare it (see from_callable)
     vectorized: bool = field(default=False, compare=False)
-    # ``convex`` speaks for [lo, convex_hi]: the top of certify_convex's
-    # probe grid where that decided it, +inf where it holds by construction
-    convex_hi: float = field(default=math.inf, compare=False, repr=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -164,7 +161,6 @@ class PhiFunction:
         label: str = "callable",
         slope_lim: Optional[float] = None,
         vectorized: bool = False,
-        convex_hi: float = math.inf,
     ) -> "PhiFunction":
         """Wrap ``fn`` (and its derivative ``deriv``) on [lo, hi).
 
@@ -174,15 +170,14 @@ class PhiFunction:
         build such bodies from numpy ufuncs, not ``math`` functions or
         ``**``, so that a scalar and an array give the same bits.  Otherwise
         ``values`` calls ``fn`` once per point.  ``convex=None`` asks
-        :func:`certify_convex`, whose answer holds up to the top of its
-        probe grid only; a given ``convex`` holds up to ``convex_hi``.
+        :func:`certify_convex`.  The verdict licenses the saddle map and the
+        certificates that need a convex ``fn``; no Legendre value reads it.
         """
         f = PhiFunction(kind="callable", domain=Domain(lo, hi), fn=fn,
                         deriv=deriv, convex=convex, label=label,
-                        slope_lim=slope_lim, vectorized=vectorized, convex_hi=convex_hi)
+                        slope_lim=slope_lim, vectorized=vectorized)
         if convex is None:
             object.__setattr__(f, "convex", certify_convex(f))
-            object.__setattr__(f, "convex_hi", _probe_top(f.domain))
         return f
 
     @staticmethod
@@ -313,8 +308,7 @@ class PhiFunction:
         return PhiFunction.from_callable(
             lambda mu: self.values(c * np.asarray(mu)), lo, hi,
             deriv=(lambda mu: c * self.derivatives(c * np.asarray(mu))) if self.deriv else None,
-            convex=self.convex, label=f"dilated[{self.label}]x{c:.4g}",
-            vectorized=True, convex_hi=self.convex_hi / c if c > 0 else 0.0,
+            convex=self.convex, label=f"dilated[{self.label}]x{c:.4g}", vectorized=True,
         )
 
     def slope_limit(self) -> Optional[float]:
@@ -341,27 +335,22 @@ class PhiFunction:
         return None
 
 
-def _probe_top(domain: Domain) -> float:
-    """Top of :func:`certify_convex`'s probe grid on ``domain``."""
-    hi = domain.top()
-    return hi if math.isfinite(hi) else max(100.0, 10.0 * max(domain.lo, 1.0))
-
-
 def certify_convex(f: PhiFunction) -> bool:
     """Numerically certify convexity by second differences on a probe grid.
 
-    A positive certificate is a statement about the probe grid only, which
-    is how it is used: it licenses concave-objective golden search instead
-    of exhaustive scanning, and, up to the top of the probe grid (which
-    :meth:`PhiFunction.from_callable` records as ``convex_hi``), the growth
-    step of the conjugate search on an unbounded domain that reads only
-    the two top points of each grid while the objective still rises there.
+    A positive certificate is a statement about the probe grid only, [lo,
+    top] on a bounded domain and [lo, max(100, 10 max(lo, 1))] on an
+    unbounded one; it licenses the saddle map of :func:`saddle_point` and
+    the certificates built on it.  The Legendre search does not read it.
     A grid returns the verdict of :meth:`PhiFunction.from_grid` on its
     chords, the one :func:`saddle_point` reads.
     """
     if f.kind == "grid":
         return f.convex
-    grid = np.linspace(f.domain.lo, _probe_top(f.domain), 257)
+    top = f.domain.top()
+    if not math.isfinite(top):
+        top = max(100.0, 10.0 * max(f.domain.lo, 1.0))
+    grid = np.linspace(f.domain.lo, top, 257)
     vals = f.values(grid)
     second = np.diff(vals, 2)
     scale = max(1.0, float(np.abs(vals).max()))
@@ -472,44 +461,52 @@ def _exact_argmax(f: PhiFunction, x: float) -> Optional[float]:
     return _stationary_point(f, x, hi if math.isfinite(hi) else LAMBDA_CAP)
 
 
-def _scan(f: PhiFunction, x: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """The scan grid, ``lam*x - f(lam)`` on it, and the index of its argmax.
+def _scan_ladder(f: PhiFunction, xs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The scan of ``lam*x - f(lam)`` for every x at once, on one ladder.
 
-    On an unbounded domain the truncation point grows until the objective
-    stops rising at the top.  Where ``f`` is known convex on the whole grid
-    (up to ``f.convex_hi``) the objective is concave there, so while it
-    still rises between the two top points the argmax of the whole grid is
-    its last point: those two points decide the step, and the rest of the
-    grid is evaluated only where the growth stops.
+    The ladder of truncation points is the top of a bounded domain, or on
+    an unbounded one base * 4**k, base = max(10, 4 max(lo, 1)), up to
+    ``LAMBDA_CAP``, which is the last.  Each x starts at the first one at
+    or above 4|x| and climbs while its argmax is the top point of the grid;
+    at the last it stops there if ``f`` is bounded or has a slope limit,
+    and is refused with UnboundedObjectiveError otherwise.  Each
+    level's grid is evaluated once, in one ``values`` call, for all the
+    x on it, and where that call raises, each of them takes its error.
+    Returns the rows (a, b, lam) and the objective at each: the argmax lam
+    and its grid neighbours a <= lam <= b, per x; and the errors by index.
     """
-    lo, hi = f.domain.lo, f.domain.top()
-    if math.isfinite(hi):
-        grid = _scan_grid(lo, hi)
-        vals = grid * x - f.values(grid)
-        return grid, vals, int(np.argmax(vals))
-    hi_eff = max(10.0, 4.0 * abs(x), 4.0 * max(lo, 1.0))
-    while True:
-        grid = _scan_grid(lo, hi_eff)
-        top = None
-        if (f.convex is True and hi_eff < LAMBDA_CAP and hi_eff <= f.convex_hi
-                and grid.size > 2):
-            try:
-                top = grid[-2:] * x - f.values(grid[-2:])
-            except TailboundsError:
-                pass  # the full scan below raises the first failing point's error
-        if top is None or not top[1] > top[0]:
-            if top is None:
-                vals = grid * x - f.values(grid)
-            else:
-                vals = np.concatenate([grid[:-2] * x - f.values(grid[:-2]), top])
-            i = int(np.argmax(vals))
-            if i < grid.size - 1:
-                return grid, vals, i
-            if hi_eff >= LAMBDA_CAP:
-                if f.slope_limit() is None:
-                    raise UnboundedObjectiveError(x, grid[-6:])
-                return grid, vals, i  # analytic test said bounded; accept the cap
-        hi_eff = min(hi_eff * _GROWTH_FACTOR, LAMBDA_CAP)
+    unbounded = not f.domain.bounded
+    levels = [max(10.0, 4.0 * max(f.domain.lo, 1.0)) if unbounded else f.domain.top()]
+    while unbounded and levels[-1] < LAMBDA_CAP:
+        levels.append(min(levels[-1] * _GROWTH_FACTOR, LAMBDA_CAP))
+    level = np.minimum(np.count_nonzero(np.array(levels) < 4.0 * np.abs(xs)[:, None], axis=1),
+                       len(levels) - 1)
+    out, errors = np.full((6, xs.size), math.nan), {}
+    for k, top in enumerate(levels):
+        rows = np.flatnonzero(level == k)
+        if rows.size == 0:
+            continue
+        grid = _scan_grid(f.domain.lo, top)
+        try:
+            phi = f.values(grid)
+        except TailboundsError as exc:
+            errors.update(dict.fromkeys(rows.tolist(), exc))
+            continue
+        last, n = k == len(levels) - 1, grid.size
+        # at most 2**16 objective values at a time, so a long table's memory stays bounded
+        for r in np.array_split(rows, -(-rows.size * n // (1 << 16))):
+            vals = xs[r, None] * grid - phi
+            i = np.argmax(vals, axis=1)
+            rising = i == n - 1
+            if not last:
+                level[r[rising]] += 1
+                r, vals, i = r[~rising], vals[~rising], i[~rising]
+            elif unbounded and f.slope_limit() is None:
+                for j in r[rising].tolist():
+                    errors[j] = UnboundedObjectiveError(float(xs[j]), grid[-6:])
+            ab = np.array([np.maximum(i - 1, 0), np.minimum(i + 1, n - 1), i])
+            out[:, r] = np.concatenate([grid[ab], np.take_along_axis(vals, ab.T, axis=1).T])
+    return out, errors
 
 
 # rows of the golden-section state: the bracket ends a < b, the inner
@@ -573,26 +570,21 @@ def _golden_lockstep(objective, a, b, fa, fb, scan_x, scan_f, rel_width: float) 
     return [s if g is not None and s[0] > g[0] else g for g, s in zip(best, scan)]
 
 
-def _objectives(f: PhiFunction, lams: np.ndarray, xs: np.ndarray, owners: np.ndarray,
-                errors: dict) -> tuple[np.ndarray, set]:
-    """``lams*xs - f(lams)`` in one ``values`` call.  Where ``f`` raises,
-    point by point instead, so that each owner (the index of its x) records
-    in ``errors`` the error of its own first failing point, NaN there and
-    after; returns the values and the set of owners that failed."""
+def _values_or_errors(f: PhiFunction, lams: np.ndarray) -> tuple[np.ndarray, dict]:
+    """``f.values(lams)`` in one call, and no errors.  Where that raises,
+    point by point instead: each point takes its own value, or its own
+    error by index and NaN."""
     try:
-        return lams * xs - f.values(lams), set()
+        return f.values(lams), {}
     except TailboundsError:
         pass
-    out, failed = np.full(lams.size, math.nan), set()
-    for j, (k, t, x) in enumerate(zip(owners.tolist(), lams.tolist(), xs.tolist())):
-        if k in failed:
-            continue
+    vals, errors = np.full(lams.size, math.nan), {}
+    for j, t in enumerate(lams.tolist()):
         try:
-            out[j] = t * x - f.value(t)
+            vals[j] = f.value(t)
         except TailboundsError as exc:
-            errors[k] = exc
-            failed.add(k)
-    return out, failed
+            errors[j] = exc
+    return vals, errors
 
 
 def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -604,52 +596,56 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     the other x's, so the batch equals its one-point calls bit for bit.
     Grids are solved point by point at their knots.  The closed forms take
     each x's stationary point, then evaluate ``f`` at all of them in one
-    ``values`` call.  Searched points are scanned one x at a time, each
-    scan its own ``values`` call; then their golden-section refinements
-    run in lockstep, one ``values`` call per step for all of them.
+    ``values`` call.  Searched points share the scan of
+    :func:`_scan_ladder`, one ``values`` call per level of its ladder;
+    then their golden-section refinements run in lockstep, one ``values``
+    call per step for all of them.
     """
     x_arr = np.asarray(xs, dtype=float).ravel()
-    xs = x_arr.tolist()
-    vals = np.full(len(xs), math.nan)
-    arg = np.full(len(xs), math.nan)
+    vals = np.full(x_arr.size, math.nan)
+    arg = np.full(x_arr.size, math.nan)
     errors: dict = {}
-    closed, brackets = [], []
-    for k, x in enumerate(xs):
+    closed, searched = [], []
+    for k, x in enumerate(x_arr.tolist()):
         try:
             if f.kind == "grid":
                 vals[k], arg[k] = _conjugate_grid_form(f, x)
-                continue
-            lam_hat = _exact_argmax(f, x)
-            if lam_hat is None:
-                grid, gv, i = _scan(f, x)
+            elif (lam_hat := _exact_argmax(f, x)) is None:
+                searched.append(k)
+            else:
+                closed.append((k, lam_hat))
         except TailboundsError as exc:
             errors[k] = exc
-            continue
-        if lam_hat is not None:
-            closed.append((k, lam_hat))
-            continue
-        lo_i, hi_i = max(i - 1, 0), min(i + 1, grid.size - 1)
-        if lo_i == hi_i:
-            vals[k], arg[k] = gv[i], grid[i]
-        else:
-            brackets.append((k, x, *map(float, (grid[lo_i], grid[hi_i], gv[lo_i], gv[hi_i],
-                                                 grid[i], gv[i]))))
     if closed:
         ks, lam = (np.array(c) for c in zip(*closed))
-        vals[ks], _ = _objectives(f, lam, x_arr[ks], ks, errors)
+        phi, failed = _values_or_errors(f, lam)
+        errors.update((int(ks[j]), exc) for j, exc in failed.items())
+        vals[ks] = lam * x_arr[ks] - phi
         arg[ks] = np.where(np.isnan(vals[ks]), math.nan, lam)
-    if brackets:
-        ks, bx, a, b, fa, fb, gi, vi = zip(*brackets)
-        ks_arr, bx_arr = np.array(ks), np.array(bx)
+    if not searched:
+        return vals, arg, errors
+    ks = np.array(searched)
+    (a, b, lam, fa, fb, flam), failed = _scan_ladder(f, x_arr[ks])
+    errors.update((int(ks[j]), exc) for j, exc in failed.items())
+    ok = np.ones(ks.size, dtype=bool)
+    ok[list(failed)] = False
+    one = ok & (a == b)  # a scan grid of one point
+    vals[ks[one]], arg[ks[one]] = flam[one], lam[one]
+    go = ok & (a != b)
+    if not go.any():
+        return vals, arg, errors
+    ks, bx = ks[go], x_arr[ks[go]]
 
-        def objective(rows, lams):
-            out, failed = _objectives(f, lams, bx_arr[rows], ks_arr[rows], errors)
-            return out, {r for r in rows.tolist() if ks[r] in failed} if failed else failed
+    def objective(rows, pts):
+        phi, failed = _values_or_errors(f, pts)
+        for j, exc in reversed(failed.items()):  # so a row keeps its first point's error
+            errors[int(ks[rows[j]])] = exc
+        return pts * bx[rows] - phi, {int(rows[j]) for j in failed}
 
-        for k, best in zip(ks, _golden_lockstep(objective, a, b, fa, fb, gi, vi,
-                                                _GOLDEN_REL_WIDTH)):
-            if best is not None:
-                vals[k], arg[k] = best
+    for k, best in zip(ks.tolist(), _golden_lockstep(objective, a[go], b[go], fa[go], fb[go],
+                                                     lam[go], flam[go], _GOLDEN_REL_WIDTH)):
+        if best is not None:
+            vals[k], arg[k] = best
     return vals, arg, errors
 
 
@@ -693,12 +689,10 @@ def conjugate_value(f: PhiFunction, x: float) -> tuple[float, float]:
     (stationary point clipped to the domain).  Callables and the other
     ``power_log`` cases are searched: a scan followed by golden-section
     refinement; this is the one-point case of :func:`conjugate_values`.
-    Where ``f.convex`` is True the objective is concave, and the scan of
-    an unbounded domain grows its truncation point, while it stays at or
-    below ``f.convex_hi``, from the objective at the two top points of each
-    grid alone; the points it skips are not evaluated, so an error ``f``
-    would raise only there does not surface.  On an unbounded domain both
-    the closed forms and the search stop at ``LAMBDA_CAP``.
+    The scan reads the whole grid at each truncation point it reaches, on
+    the ladder of :func:`_scan_ladder`, whether or not ``f`` is declared
+    convex.  On an unbounded domain both the closed forms and the search
+    stop at ``LAMBDA_CAP``.
     """
     vals, arg, errors = conjugate_values(f, [x])
     if errors:
@@ -713,9 +707,7 @@ def conjugate(f: PhiFunction, x_grid: Sequence[float]) -> ConjugateResult:
     raised, since envelopes legitimately hit them; callers that need a hard
     error use :func:`conjugate_value`.  Any other error is raised, the one
     of the smallest x first.  The points are solved together by
-    :func:`conjugate_values`; where ``f`` is convex (up to
-    ``f.convex_hi``) its growth scan reads only the two top points of each
-    grid while the objective still rises.
+    :func:`conjugate_values`, whose searched points share one scan ladder.
     """
     xs = np.asarray(x_grid, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
@@ -959,7 +951,8 @@ def _first_at_one(f: PhiFunction, probe: np.ndarray, vals: np.ndarray, rel: floa
 def _read_csv_columns(path: str, *headers: tuple[str, ...]) -> tuple[list, ...]:
     """Numeric columns under the first of ``headers`` the file's header starts with.
 
-    The first column must strictly increase; errors carry the line number.
+    Every entry must be finite and nonnegative, and the first column must
+    strictly increase; errors carry the line number.
     """
     cols: tuple[list, ...] = ()
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -982,6 +975,10 @@ def _read_csv_columns(path: str, *headers: tuple[str, ...]) -> tuple[list, ...]:
                 nums = [float(c) for c in row[:n]]
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: non-numeric entry: {exc}") from None
+            bad = [c.strip() for c, v in zip(row, nums) if not (math.isfinite(v) and v >= 0.0)]
+            if bad:
+                raise InputError(f"{path}:{lineno}: entries must be finite and nonnegative, "
+                                 f"got {bad[0]!r}")
             if cols[0] and nums[0] <= cols[0][-1]:
                 raise InputError(
                     f"{path}:{lineno}: first column must be strictly increasing "

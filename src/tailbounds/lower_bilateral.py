@@ -447,7 +447,7 @@ def pinched_lower_envelope(
         phi.domain.lo, phi.domain.hi,
         deriv=(lambda l: (1.0 - delta * delta) * phi.derivatives(l)) if phi.deriv else None,
         convex=phi.convex, label=f"pinched[{phi.label}]",
-        slope_lim=phi.slope_lim, vectorized=True, convex_hi=phi.convex_hi,
+        slope_lim=phi.slope_lim, vectorized=True,
     )
 
     cap = max(64.0, 14.0 / delta)

@@ -24,9 +24,9 @@ from .errors import (
     NonInvertibleError,
     NotCertifiedError,
     NotConvergedError,
-    TailboundsError,
 )
-from .functions import PhiFunction, _bisect_rows, _grow_rows, conjugate_values
+from .functions import (PhiFunction, _bisect_rows, _grow_rows, _values_or_errors,
+                        conjugate_values)
 from .oracles import OracleDistribution, empirical_tail
 
 
@@ -152,22 +152,10 @@ def tauberian_check(
         x_ladder = 2.0 * 2.0 ** (np.arange(7) / 3.0)  # 2 .. 8 geometric
     xs = np.asarray(x_ladder, dtype=float)
 
-    # MGF side: phi^{-1}(ln MGF(lam)) / lam, each step one values call
-    def phi_values(ts):
-        try:
-            return phi.values(ts), {}
-        except TailboundsError:
-            # a point fails: each row takes its own point's value or error
-            vals, errors = np.full(ts.size, math.nan), {}
-            for k, t in enumerate(ts.tolist()):
-                try:
-                    vals[k] = phi.value(t)
-                except TailboundsError as exc:
-                    errors[k] = exc
-            return vals, errors
-
-    k_mgf_vals = _invert_increasing(phi_values, log_mgf(lams), phi.domain.lo,
-                                    np.maximum(lams, 1.0)) / lams
+    # MGF side: phi^{-1}(ln MGF(lam)) / lam, each step one values call,
+    # where each row takes its own point's value or error
+    k_mgf_vals = _invert_increasing(lambda ts: _values_or_errors(phi, ts), log_mgf(lams),
+                                    phi.domain.lo, np.maximum(lams, 1.0)) / lams
     k_mgf, conv_m = _extrapolate(lams, k_mgf_vals)
 
     mode = "analytic"

@@ -273,6 +273,12 @@ class TestValidateAndErrors:
         assert code == 1
         assert ":3:" in capsys.readouterr().err
 
+    def test_non_finite_grid_csv_entry_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "g.csv"
+        p.write_text("lambda,value\n1.0,1.0\n2.0,nan\n3.0,4.5\n")
+        assert run(["conjugate", "--grid-csv", str(p), "--x", "1:3:1"]) == 1
+        assert ":3: entries must be finite and nonnegative" in capsys.readouterr().err
+
     def test_missing_file_is_input_error(self):
         assert run(["conjugate", "--grid-csv", "/nonexistent.csv", "--x", "1:3:1"]) == 1
 
