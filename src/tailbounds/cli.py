@@ -59,26 +59,28 @@ DEFAULT_SEED = 42
 
 def parse_grid(spec: str) -> np.ndarray:
     """Parse ``start:stop:step`` (inclusive of stop within half a step) or a
-    comma-separated list."""
+    comma-separated list; InputError unless every number is finite."""
     spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise InputError(f"grid spec {spec!r}: expected start:stop:step")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise InputError(f"grid spec {spec!r}: non-numeric field") from None
+    ranged = ":" in spec
+    parts = spec.split(":") if ranged else [p for p in spec.split(",") if p.strip()]
+    if ranged and len(parts) != 3:
+        raise InputError(f"grid spec {spec!r}: expected start:stop:step")
+    try:
+        nums = [float(p) for p in parts]
+    except ValueError:
+        raise InputError(f"grid spec {spec!r}: non-numeric "
+                         f"{'field' if ranged else 'entry'}") from None
+    if not all(map(math.isfinite, nums)):
+        raise InputError(f"grid spec {spec!r}: entries must be finite")
+    if ranged:
+        start, stop, step = nums
         if step <= 0 or stop <= start:
             raise InputError(f"grid spec {spec!r}: need stop > start and step > 0")
         n = int(round((stop - start) / step))
         grid = start + step * np.arange(n + 1)
         grid = grid[grid <= stop + 1e-12 * max(1.0, abs(stop))]
     else:
-        try:
-            grid = np.array([float(p) for p in spec.split(",") if p.strip()])
-        except ValueError:
-            raise InputError(f"grid spec {spec!r}: non-numeric entry") from None
+        grid = np.array(nums)
     if grid.size == 0 or (grid.size > 1 and not np.all(np.diff(grid) > 0)):
         raise InputError(f"grid spec {spec!r}: must be strictly increasing, nonempty")
     return grid

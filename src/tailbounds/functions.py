@@ -91,7 +91,8 @@ class PhiFunction:
     deriv: Optional[Callable[[float], float]] = field(default=None, compare=False)
     convex: Optional[bool] = None
     label: str = ""
-    slope_lim: Optional[float] = None  # declared lim of f' at an unbounded top
+    # lim of f' at an unbounded top: set by each closed form, declared by a callable
+    slope_lim: Optional[float] = None
     # fn and deriv map float arrays elementwise: every closed form, and the
     # callables that declare it (see from_callable)
     vectorized: bool = field(default=False, compare=False)
@@ -107,7 +108,8 @@ class PhiFunction:
             kind="quadratic", domain=Domain(lo, hi), params=(coeff,),
             fn=lambda l, c=coeff: c * l * l,
             deriv=lambda l, c=coeff: 2.0 * c * l,
-            convex=True, label=f"quadratic(coeff={coeff})", vectorized=True,
+            convex=True, label=f"quadratic(coeff={coeff})", slope_lim=math.inf,
+            vectorized=True,
         )
 
     @staticmethod
@@ -134,10 +136,14 @@ class PhiFunction:
                     + np.power(l, p) * r * np.power(big_l, r - 1.0) / (p * (np.e + l)))
 
         convex = bool(p >= 1.0 and r >= 0.0)
+        # f' grows without bound above p = 1 (and at p = 1 with r > 0), tends
+        # to 1 at p = 1 with r = 0, and to 0 below
+        slope_lim = (math.inf if p > 1.0 or (p == 1.0 and r > 0.0)
+                     else 1.0 if p == 1.0 and r == 0.0 else 0.0)
         return PhiFunction(
             kind="power_log", domain=Domain(lo, hi), params=(p, r),
             fn=_f, deriv=_d, convex=convex, label=f"power_log(p={p}, r={r})",
-            vectorized=True,
+            slope_lim=slope_lim, vectorized=True,
         )
 
     @staticmethod
@@ -148,7 +154,7 @@ class PhiFunction:
             kind="linear", domain=Domain(lo, hi), params=(slope,),
             fn=lambda l, s=slope: s * l,
             deriv=lambda l, s=slope: s,
-            convex=True, label=f"linear(slope={slope})", vectorized=True,
+            convex=True, label=f"linear(slope={slope})", slope_lim=slope, vectorized=True,
         )
 
     @staticmethod
@@ -312,27 +318,13 @@ class PhiFunction:
         )
 
     def slope_limit(self) -> Optional[float]:
-        """lim of the derivative at the upper end of an unbounded domain.
-
-        Used for the analytic unboundedness test of the conjugate; ``None``
-        means unknown (heuristic scan decides).
+        """lim of the derivative at the upper end of an unbounded domain:
+        ``slope_lim``, which each closed form's constructor sets and a
+        callable may declare.  The conjugate diverges at every x above it
+        (Rockafellar, *Convex Analysis*, section 26).  ``None`` on a bounded
+        domain, or where unknown: then the scan of the conjugate decides.
         """
-        if self.domain.bounded:
-            return None
-        if self.slope_lim is not None:
-            return self.slope_lim
-        if self.kind == "linear":
-            return self.params[0]
-        if self.kind == "quadratic":
-            return math.inf
-        if self.kind == "power_log":
-            p, r = self.params
-            if p > 1.0 or (p == 1.0 and r > 0.0):
-                return math.inf
-            if p == 1.0 and r == 0.0:
-                return 1.0
-            return 0.0  # sublinear power
-        return None
+        return None if self.domain.bounded else self.slope_lim
 
 
 def certify_convex(f: PhiFunction) -> bool:
@@ -417,48 +409,29 @@ def _scan_grid(lo: float, hi: float) -> np.ndarray:
     return _sorted_unique(np.concatenate(pts))
 
 
-def _conjugate_grid_form(f: PhiFunction, x: float) -> tuple[float, float]:
-    ls, vs = f.knots
-    obj = ls * x - vs
-    i = int(np.argmax(obj))
-    return float(obj[i]), float(ls[i])
+def _stationary_points(f: PhiFunction, xs: np.ndarray, top: float) -> Optional[np.ndarray]:
+    """The maximizer of ``lam*x - f(lam)`` over [lo, top] at each x, where
+    it is known; None for a kind without a closed form.
 
-
-def _stationary_point(f: PhiFunction, x: float, top: float) -> Optional[float]:
-    """The maximizer of ``lam*x - f(lam)`` over [lo, top] where it is known.
-
-    None for kinds without a closed form.  Every kind here is convex, so
-    the unconstrained stationary point clipped to [lo, top] is the
-    constrained maximizer.
+    Every kind here is convex, so the unconstrained stationary point
+    clipped to [lo, top] is the constrained maximizer.
     """
     if f.kind == "quadratic":
-        lam = x / (2.0 * f.params[0])
+        lam = xs / (2.0 * f.params[0])
     elif f.kind == "power_log" and f.params[1] == 0.0 and f.params[0] > 1.0:
         e = 1.0 / (f.params[0] - 1.0)
-        # compare in logs first: for p near 1, x**e overflows a float
-        if x <= 0.0:
-            lam = 0.0
-        elif top <= 0.0 or math.log(x) * e >= math.log(top):
-            lam = top
-        else:
-            lam = x ** e
+        # x**e as a Python float, point by point: np.power may differ by an
+        # ulp; compare in logs first, since for p near 1 x**e overflows
+        lam = np.array([0.0 if x <= 0.0
+                        else top if top <= 0.0 or math.log(x) * e >= math.log(top)
+                        else x ** e for x in xs.tolist()])
     elif f.kind == "linear":
-        lam = f.domain.lo if x <= f.params[0] else top
+        lam = np.where(xs <= f.params[0], f.domain.lo, top)
     else:
         return None
-    return float(min(max(lam, f.domain.lo), top))
-
-
-def _exact_argmax(f: PhiFunction, x: float) -> Optional[float]:
-    """The analytic unboundedness test, which raises UnboundedObjectiveError,
-    then the maximizer of a closed form; None for a kind that is searched.
-    Not for grids."""
-    hi = f.domain.top()
-    slope_lim = f.slope_limit()
-    if slope_lim is not None and not f.domain.bounded and x > slope_lim:
-        witness = np.geomspace(max(f.domain.lo, 1.0), LAMBDA_CAP, 8)
-        raise UnboundedObjectiveError(x, witness)
-    return _stationary_point(f, x, hi if math.isfinite(hi) else LAMBDA_CAP)
+    # a point inside [lo, top] keeps its bits, a -0.0 included
+    lam = np.where(f.domain.lo > lam, f.domain.lo, lam)
+    return np.where(top < lam, top, lam)
 
 
 def _scan_ladder(f: PhiFunction, xs: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -472,8 +445,7 @@ def _scan_ladder(f: PhiFunction, xs: np.ndarray) -> tuple[np.ndarray, dict]:
     and is refused with UnboundedObjectiveError otherwise.  Each
     level's grid is evaluated once, in one ``values`` call, for all the
     x on it, and where that call raises, each of them takes its error.
-    Returns the rows (a, b, lam) and the objective at each: the argmax lam
-    and its grid neighbours a <= lam <= b, per x; and the errors by index.
+    Returns the rows of :func:`_best_rows` per x, and the errors by index.
     """
     unbounded = not f.domain.bounded
     levels = [max(10.0, 4.0 * max(f.domain.lo, 1.0)) if unbounded else f.domain.top()]
@@ -492,21 +464,31 @@ def _scan_ladder(f: PhiFunction, xs: np.ndarray) -> tuple[np.ndarray, dict]:
         except TailboundsError as exc:
             errors.update(dict.fromkeys(rows.tolist(), exc))
             continue
-        last, n = k == len(levels) - 1, grid.size
-        # at most 2**16 objective values at a time, so a long table's memory stays bounded
-        for r in np.array_split(rows, -(-rows.size * n // (1 << 16))):
-            vals = xs[r, None] * grid - phi
-            i = np.argmax(vals, axis=1)
-            rising = i == n - 1
-            if not last:
-                level[r[rising]] += 1
-                r, vals, i = r[~rising], vals[~rising], i[~rising]
-            elif unbounded and f.slope_limit() is None:
-                for j in r[rising].tolist():
-                    errors[j] = UnboundedObjectiveError(float(xs[j]), grid[-6:])
-            ab = np.array([np.maximum(i - 1, 0), np.minimum(i + 1, n - 1), i])
-            out[:, r] = np.concatenate([grid[ab], np.take_along_axis(vals, ab.T, axis=1).T])
+        best = _best_rows(xs[rows], grid, phi)
+        rising = best[2] == grid[-1]
+        if k < len(levels) - 1:
+            level[rows[rising]] += 1
+            rows, best = rows[~rising], best[:, ~rising]
+        elif unbounded and f.slope_limit() is None:
+            for j in rows[rising].tolist():
+                errors[j] = UnboundedObjectiveError(float(xs[j]), grid[-6:])
+        out[:, rows] = best
     return out, errors
+
+
+def _best_rows(xs: np.ndarray, grid: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The argmax lam of ``x*grid - phi`` over an increasing grid for each
+    x, and its grid neighbours a <= lam <= b: rows (a, b, lam) and the
+    objective at each, one column per x.  Forms at most 2**16 objective
+    values at a time, so a long table's memory stays bounded."""
+    n = grid.size
+    out = np.empty((6, xs.size))
+    for r in np.array_split(np.arange(xs.size), -(-xs.size * n // (1 << 16))):
+        vals = xs[r, None] * grid - phi
+        i = np.argmax(vals, axis=1)
+        ab = np.array([np.maximum(i - 1, 0), np.minimum(i + 1, n - 1), i])
+        out[:, r] = np.concatenate([grid[ab], np.take_along_axis(vals, ab.T, axis=1).T])
+    return out
 
 
 # rows of the golden-section state: the bracket ends a < b, the inner
@@ -594,37 +576,41 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     whose :func:`conjugate_value` call raises a package error to that
     error, and values and argmax are NaN there.  No x's result depends on
     the other x's, so the batch equals its one-point calls bit for bit.
-    Grids are solved point by point at their knots.  The closed forms take
-    each x's stationary point, then evaluate ``f`` at all of them in one
-    ``values`` call.  Searched points share the scan of
-    :func:`_scan_ladder`, one ``values`` call per level of its ladder;
-    then their golden-section refinements run in lockstep, one ``values``
-    call per step for all of them.
+    The path is chosen once for the table, by the kind of ``f``.  A grid
+    solves each x at its knots.  Otherwise the x above
+    :meth:`PhiFunction.slope_limit` diverge, all of them with one witness;
+    a closed form takes the stationary points of the others and evaluates
+    ``f`` at all of them in one ``values`` call.  Searched points share the
+    scan of :func:`_scan_ladder`, one ``values`` call per level of its
+    ladder; then their golden-section refinements run in lockstep, one
+    ``values`` call per step for all of them.
     """
     x_arr = np.asarray(xs, dtype=float).ravel()
     vals = np.full(x_arr.size, math.nan)
     arg = np.full(x_arr.size, math.nan)
-    errors: dict = {}
-    closed, searched = [], []
-    for k, x in enumerate(x_arr.tolist()):
-        try:
-            if f.kind == "grid":
-                vals[k], arg[k] = _conjugate_grid_form(f, x)
-            elif (lam_hat := _exact_argmax(f, x)) is None:
-                searched.append(k)
-            else:
-                closed.append((k, lam_hat))
-        except TailboundsError as exc:
-            errors[k] = exc
-    if closed:
-        ks, lam = (np.array(c) for c in zip(*closed))
+    if f.kind == "grid":
+        ls, vs = f.knots
+        for k, x in enumerate(x_arr.tolist()):
+            obj = ls * x - vs
+            i = int(np.argmax(obj))
+            vals[k], arg[k] = obj[i], ls[i]
+        return vals, arg, {}
+    lim = f.slope_limit()
+    diverges = x_arr > (math.inf if lim is None else lim)
+    witness = np.geomspace(max(f.domain.lo, 1.0), LAMBDA_CAP, 8) if diverges.any() else None
+    errors: dict = {k: UnboundedObjectiveError(float(x_arr[k]), witness)
+                    for k in np.flatnonzero(diverges).tolist()}
+    ks = np.flatnonzero(~diverges)
+    if ks.size == 0:
+        return vals, arg, errors
+    top = f.domain.top()
+    lam = _stationary_points(f, x_arr[ks], top if math.isfinite(top) else LAMBDA_CAP)
+    if lam is not None:
         phi, failed = _values_or_errors(f, lam)
         errors.update((int(ks[j]), exc) for j, exc in failed.items())
         vals[ks] = lam * x_arr[ks] - phi
         arg[ks] = np.where(np.isnan(vals[ks]), math.nan, lam)
-    if not searched:
         return vals, arg, errors
-    ks = np.array(searched)
     (a, b, lam, fa, fb, flam), failed = _scan_ladder(f, x_arr[ks])
     errors.update((int(ks[j]), exc) for j, exc in failed.items())
     ok = np.ones(ks.size, dtype=bool)
@@ -665,18 +651,23 @@ def _stars(f: PhiFunction, xs, lower_at=None) -> np.ndarray:
             errors[k] = NotCertifiedError(
                 f"the conjugate behind the lower bound at {float(lower_at[k])!r} stops at "
                 f"the search cap lambda = {LAMBDA_CAP:g}, so it is too small there")
-    if errors:
-        raise errors[min(errors)]
+    _raise_first(errors)
     return stars
+
+
+def _raise_first(errors: dict, skip=()) -> None:
+    """Raise the error of the smallest index in ``errors`` that is not an
+    instance of a ``skip`` type; return if there is none."""
+    for k in sorted(errors):
+        if not isinstance(errors[k], skip):
+            raise errors[k]
 
 
 def _inf_where_unbounded(vals: np.ndarray, errors: dict) -> None:
     """Set +inf in ``vals`` where the supremum diverges; raise any other
     error of :func:`conjugate_values`, the one of the smallest index."""
-    for k in sorted(errors):
-        if not isinstance(errors[k], UnboundedObjectiveError):
-            raise errors[k]
-        vals[k] = math.inf
+    _raise_first(errors, (UnboundedObjectiveError,))
+    vals[list(errors)] = math.inf
 
 
 def conjugate_value(f: PhiFunction, x: float) -> tuple[float, float]:
@@ -695,8 +686,7 @@ def conjugate_value(f: PhiFunction, x: float) -> tuple[float, float]:
     stop at ``LAMBDA_CAP``.
     """
     vals, arg, errors = conjugate_values(f, [x])
-    if errors:
-        raise errors[0]
+    _raise_first(errors)
     return float(vals[0]), float(arg[0])
 
 
@@ -760,13 +750,10 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float]) -> ConjugateResult:
 
     # every lam scans the same x grid, then all refine in lockstep
     grid = _scan_grid(0.0, x_hi)
-    ovals = lams[:, None] * grid - fstar(grid)
-    rows = np.arange(lams.size)
-    i = np.argmax(ovals, axis=1)
-    lo_i, hi_i = np.maximum(i - 1, 0), np.minimum(i + 1, grid.size - 1)
+    a, b, x, fa, fb, fx = _best_rows(lams, grid, fstar(grid))
     vals, args = np.array(_golden_lockstep(
-        lambda k, xs: (lams[k] * xs - fstar(xs), set()), grid[lo_i], grid[hi_i],
-        ovals[rows, lo_i], ovals[rows, hi_i], grid[i], ovals[rows, i], _GOLDEN_REL_WIDTH)).T
+        lambda k, xs: (lams[k] * xs - fstar(xs), set()), a, b, fa, fb, x, fx,
+        _GOLDEN_REL_WIDTH)).T
     return ConjugateResult(x_grid=lams, values=vals, argmax=args,
                            capped=np.zeros(lams.size, dtype=bool))
 
@@ -785,8 +772,7 @@ def saddle_point(phi2: PhiFunction, lam: float) -> float:
     case of :func:`_saddle_points`, which says what each other case raises.
     """
     x0s, errors = _saddle_points(phi2, [lam])
-    if errors:
-        raise errors[0]
+    _raise_first(errors)
     return float(x0s[0])
 
 

@@ -40,6 +40,7 @@ from .functions import (
     PhiFunction,
     _bisect_rows,
     _grow_rows,
+    _raise_first,
     _require_saddle_map,
     _saddle_points,
     _stars,
@@ -53,14 +54,6 @@ _LOG_EPS = math.log(2.0) * -1074  # smallest log float
 # --------------------------------------------------------------------------
 # S and the saddle geometry
 # --------------------------------------------------------------------------
-
-
-def _raise_unrefused(errors: dict, refusals=(OutOfDomainError, InputError)) -> None:
-    """Raise the error of the smallest index in ``errors`` that is not one
-    of ``refusals``; ``refusals=()`` raises the first error."""
-    for i in sorted(errors):
-        if not isinstance(errors[i], refusals):
-            raise errors[i]
 
 
 def _x0_inverse(phi2: PhiFunction, zs) -> tuple[np.ndarray, dict]:
@@ -77,7 +70,7 @@ def _x0_inverse(phi2: PhiFunction, zs) -> tuple[np.ndarray, dict]:
     errors: dict = {}
     if not (phi2.convex and phi2.deriv is not None):
         _, mus, errors = conjugate_values(phi2, zs)
-        _raise_unrefused(errors)
+        _raise_first(errors, (OutOfDomainError, InputError))
         return mus, errors
     lo = max(phi2.domain.lo, 1e-12)
     hi = phi2.domain.top()
@@ -186,7 +179,7 @@ def make_geometry(phi2: PhiFunction, lam: float, delta1: float,
         if not phi2.domain.contains(t):
             raise OutOfDomainError(t, phi2.domain.lo, phi2.domain.hi)
     cols, errors = _saddle_rows(phi2, *ts[:, None])
-    _raise_unrefused(errors, ())
+    _raise_first(errors)
     geo = SaddleGeometry(lam=lam, rule="symmetric" if d2 == d1 else "asymmetric",
                          delta1=d1, delta2=d2, **{k: float(v[0]) for k, v in cols.items()})
     geo.validate()
@@ -238,7 +231,7 @@ def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, lams, d1s, d2s) -> np.nd
                       & dom.contains(lams) & dom.contains(nus) & phi1.domain.contains(lams))
     lam = lams[rows]
     cols, errors = _saddle_rows(phi2, mus[rows], lam, nus[rows])
-    _raise_unrefused(errors)
+    _raise_first(errors, (OutOfDomainError, InputError))
     valid = _geometry_ok(**cols)
     lam = lam[valid]
     out[tuple(r[valid] for r in rows)] = _bracket_formula(
@@ -446,8 +439,7 @@ def pinched_lower_envelope(
         lambda l: (1.0 - delta * delta) * phi.values(l),
         phi.domain.lo, phi.domain.hi,
         deriv=(lambda l: (1.0 - delta * delta) * phi.derivatives(l)) if phi.deriv else None,
-        convex=phi.convex, label=f"pinched[{phi.label}]",
-        slope_lim=phi.slope_lim, vectorized=True,
+        convex=phi.convex, label=f"pinched[{phi.label}]", vectorized=True,
     )
 
     cap = max(64.0, 14.0 / delta)
@@ -558,8 +550,7 @@ def exact_mgf_sandwich(
 
     b = phi.domain.hi
     mus, no_saddle = _x0_inverse(phi, xs)
-    if no_saddle:
-        raise no_saddle[min(no_saddle)]
+    _raise_first(no_saddle)
     if math.isfinite(b):
         # bounded exponent domains want a lopsided geometry: the driving
         # parameter close to the top, a thin remaining slice on the plus side
@@ -574,7 +565,7 @@ def exact_mgf_sandwich(
         hs = np.array([max(1e-6, 1e-4 * max(mu, 1.0)) for mu in mus.tolist()])
         ts = np.concatenate([mus + hs, np.maximum(mus - hs, phi.domain.lo)])
         x0s, errors = _saddle_points(phi, ts)
-        _raise_unrefused(errors)
+        _raise_first(errors, (OutOfDomainError, InputError))
         slopes = (x0s[:mus.size] - x0s[mus.size:]) / (2 * hs)
         scale = np.array([
             math.sqrt(2.0 * max(math.log(max(mu, math.e)), 1.0)

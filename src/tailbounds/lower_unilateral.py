@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -384,7 +384,6 @@ def unilateral_lower_envelope(
     m_surrogate: float,
     x_grid: Sequence[float],
     nonnegative: bool = True,
-    cramer: Optional[bool] = None,
 ) -> tuple[TailEnvelope, LowerEnvelopeCertificate]:
     """Run the full unilateral chain and emit the lower envelope for x >= 1.
 
@@ -393,8 +392,9 @@ def unilateral_lower_envelope(
     caller-supplied constant otherwise).  ``nonnegative`` states whether the
     underlying variable is almost surely nonnegative; when it is not, the
     linear branch pays an additive ln(2) (the tail at 0 may be as large
-    as 1/2, not 1).  ``cramer=False`` annotates the result as trivially
-    satisfied for a non-Cramer variable.
+    as 1/2, not 1).  A ``phi`` that stays bounded toward the top of a
+    bounded domain certifies nothing: the certificate is annotated
+    ``DegenerateBoundedTop`` and every log value is -inf.
     """
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must be in (0, 1), got {eps}")
@@ -404,9 +404,6 @@ def unilateral_lower_envelope(
     cert_w = certify_dilation_dominance(phi)
 
     annotations = []
-    if cramer is False:
-        annotations.append("NoCramer")
-
     lam1, c2 = absorb_normalization(phi, cert_w.c1, m_surrogate,
                                     cert_w.lam_range[0])
     a = 1.0 / (c2 * (1.0 - eps))

@@ -25,8 +25,8 @@ from .errors import (
     NotCertifiedError,
     NotConvergedError,
 )
-from .functions import (PhiFunction, _bisect_rows, _grow_rows, _values_or_errors,
-                        conjugate_values)
+from .functions import (PhiFunction, _bisect_rows, _grow_rows, _raise_first,
+                        _values_or_errors, conjugate_values)
 from .oracles import OracleDistribution, empirical_tail
 
 
@@ -68,8 +68,7 @@ def _invert_increasing(evaluate, targets: np.ndarray, lo: float, seeds: np.ndarr
     rows, goal, hi = rows[~open_top], goal[~open_top], hi[~open_top]
     a, b = _bisect_rows(np.full(rows.size, lo), hi,
                         lambda live, m: fn(rows[live], m) < goal[live], 200, 1e-10)
-    if errors:
-        raise errors[min(errors)]
+    _raise_first(errors)
     return 0.5 * (a + b)
 
 

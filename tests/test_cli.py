@@ -9,6 +9,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tailbounds.cli import main, parse_grid
@@ -31,9 +32,13 @@ class TestGridParsing:
         with pytest.raises(InputError):
             parse_grid("3,2,1")
 
-    def test_rejects_garbage(self):
-        with pytest.raises(InputError):
-            parse_grid("1:x:0.5")
+    @pytest.mark.parametrize("spec, match", [("1:x:0.5", "non-numeric field")] + [
+        (spec, "entries must be finite") for spec in
+        ["1:inf:1", "1:nan:1", "nan:2:0.5", "1:2:nan", "1:2:inf", "-inf:2:1", "1,inf",
+         "2,1e400", "nan"]])
+    def test_rejects_garbage(self, spec, match):
+        with pytest.raises(InputError, match=match):
+            parse_grid(spec)
 
 
 class TestUpper:
@@ -156,6 +161,20 @@ class TestOtherCommands:
         rep = json.loads(out.read_text())
         assert rep["results"]["c2"] >= 0.8916
 
+    def test_moments_pole(self, tmp_path):
+        # the README's pole command: the lower tail is x^-gamma, gamma below
+        # the pole b = 3
+        out = tmp_path / "r.json"
+        code = run(["moments", "--mode", "pole", "--c", "1", "--b", "3", "--beta", "1",
+                    "--x", "3:10:1", "--out", str(out), "--normalize"])
+        assert code == 0
+        res = json.loads(out.read_text())["results"]
+        gamma = res["report"]["gamma"]
+        assert 2.5 < gamma < 3.0 and "upper" not in res
+        lower = res["lower"]
+        assert lower["side"] == "lower" and len(lower["x"]) == 8
+        np.testing.assert_allclose(lower["log_value"], -gamma * np.log(lower["x"]), rtol=1e-12)
+
     def test_moments_growth(self, tmp_path):
         out = tmp_path / "r.json"
         code = run(["moments", "--mode", "growth", "--m", "2",
@@ -179,6 +198,20 @@ class TestOtherCommands:
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["results"]["regularity"]["v_value"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_lower_bi_pinch(self, tmp_path):
+        # the README's pinch command: valid from the certificate's threshold,
+        # and below the Chernoff bound at every emitted point
+        out = tmp_path / "r.json"
+        code = run(["lower-bi", "--family", "quadratic", "--lambda-min", "0",
+                    "--delta", "0.1", "--out", str(out), "--normalize"])
+        assert code == 0
+        res = json.loads(out.read_text())["results"]
+        cert, env = res["certificate"], res["envelope"]
+        assert cert["delta"] == 0.1 and 0.0 < cert["c"] < 5.0
+        assert env["valid_from"] == cert["certified_from"]
+        assert env["x"] == res["chernoff"]["x"] and env["x"][0] >= math.e
+        assert all(lv <= uv for lv, uv in zip(env["log_value"], res["chernoff"]["log_value"]))
 
     def test_lower_bi_closure_reports_each_z(self, tmp_path):
         # per z in z order: z = 1.5 clamps; a quadratic on [2, inf) has no
@@ -286,8 +319,14 @@ class TestValidateAndErrors:
         assert run(["conjugate", "--x", "1:3:1", "--out", str(tmp_path)]) == 1
         assert "input error" in capsys.readouterr().err
 
-    def test_bad_grid_spec(self):
-        assert run(["upper", "--x", "5:1:1"]) == 1
+    @pytest.mark.parametrize("cmd, spec", [
+        ("upper", "5:1:1"), ("upper", "1:inf:1"), ("upper", "1:nan:1"),
+        ("upper", "nan:2:0.5"), ("upper", "1:2:nan"), ("upper", "1:2:inf"),
+        ("upper", "1,inf"), ("lower-bi", "2,inf"), ("richter", "2,1e400")])
+    def test_bad_grid_spec(self, cmd, spec, capsys):
+        assert run([cmd, "--x", spec]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TAILBOUNDS_SEED", "7")

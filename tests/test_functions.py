@@ -1092,17 +1092,29 @@ FEW = settings(max_examples=25)
 class TestBatchedSearch:
     """The batched search equals the per-point loop it replaced."""
 
-    @pytest.mark.parametrize("f", [PhiFunction.quadratic(0.7, 0.0),
-                                   PhiFunction.power_log(4.0, 0.0, 0.0),
-                                   PhiFunction.linear(1.3, 0.0, 25.0)])
-    def test_closed_forms_value_a_table_in_one_call(self, f):
+    # the unbounded linear diverges above its slope 1.3; the bounded
+    # power_log's stationary points x^(1/1.5) clip at the top below 3
+    @pytest.mark.parametrize("f, diverging, clipped", [
+        (PhiFunction.quadratic(0.7, 0.0), 0, 0),
+        (PhiFunction.power_log(4.0, 0.0, 0.0), 0, 0),
+        (PhiFunction.linear(1.3, 0.0, 25.0), 0, 38),
+        (PhiFunction.linear(1.3, 0.0), 38, 0),
+        (PhiFunction.power_log(2.5, 0.0, 0.0, 3.0), 0, 30)])
+    def test_closed_forms_value_a_table_in_one_call(self, f, diverging, clipped):
         calls = []
         counted = dataclasses.replace(f, fn=lambda l: calls.append(np.shape(l)) or f.fn(l))
         xs = np.linspace(0.0, 20.0, 41)
         vals, arg, errors = conjugate_values(counted, xs)
-        assert calls == [(41,)] and not errors
+        assert calls == [(41 - diverging,)] and len(errors) == diverging
+        assert int(np.sum(arg == f.domain.top())) == clipped
         for k, x in enumerate(xs.tolist()):
-            assert (vals[k], arg[k]) == conjugate_value(f, x)
+            want = _raised(conjugate_value, f, x)
+            if k in errors:
+                assert type(errors[k]) is type(want) is UnboundedObjectiveError
+                assert str(errors[k]) == str(want)
+                assert math.isnan(vals[k]) and math.isnan(arg[k])
+                continue
+            assert want is None and (vals[k], arg[k]) == conjugate_value(f, x)
             assert vals[k] == arg[k] * x - f.value(arg[k])
 
     def test_closed_form_that_overflows_is_refused_point_by_point(self):

@@ -291,7 +291,7 @@ def _scan_pinch(phi, delta):
     phi1 = PhiFunction.from_callable(
         lambda l: (1.0 - delta * delta) * phi.value(l), phi.domain.lo, phi.domain.hi,
         deriv=(lambda l: (1.0 - delta * delta) * phi.deriv(l)) if phi.deriv else None,
-        convex=phi.convex, slope_lim=phi.slope_lim)
+        convex=phi.convex)
     cap = max(64.0, 14.0 / delta)
     ladder = np.geomspace(math.e, cap, 40)
     ds = np.geomspace(0.3, min(4.9, 0.49 / delta), 16) * delta

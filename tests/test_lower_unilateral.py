@@ -320,11 +320,19 @@ class TestChainAcrossOracles:
         assert env.values[0] <= dist.tail(1.0)       # emitted envelope is valid
 
     def test_non_cramer_annotation(self):
-        env, cert = unilateral_lower_envelope(
-            QUAD0, 0.2, M_GAUSS, np.linspace(1, 8, 8), cramer=False)
-        assert "NoCramer" in cert.annotations
+        env, _ = unilateral_lower_envelope(QUAD0, 0.2, M_GAUSS, np.linspace(1, 8, 8))
         par = oracles.pareto(3.0)
         assert np.all(env.values <= par.exact_tail(env.x) + 1e-12)
+
+    def test_degenerate_bounded_top_clamps_to_the_trivial_bound(self):
+        # lam^2/2 on [0, 5) stays bounded toward the top, so the biconjugation
+        # step certifies nothing: every lower value is -inf in log
+        phi = PhiFunction.quadratic(lo=0.0, hi=5.0)
+        xs = np.linspace(1.0, 8.0, 15)
+        env, cert = unilateral_lower_envelope(phi, 0.2, m_surrogate_from_upper(phi, 0.2), xs)
+        assert cert.annotations == ("DegenerateBoundedTop",)
+        assert env.x.tolist() == xs.tolist()
+        assert np.all(env.log_values == -math.inf)
 
     def test_eps_factor_ordering(self):
         # the (1-eps) factor of the dilation shrinks with eps

@@ -74,6 +74,23 @@ class TestAnalytic:
             tauberian_check(ref, oracles.gaussian(), check_regularity=False)
 
 
+class TestCallablePair:
+    # a (log_mgf, tail) pair: the tail side takes |ln T(x)| from ``tail``
+    GAUSS = (lambda l: 0.5 * l * l, lambda x: 0.5 * math.erfc(x / math.sqrt(2.0)))
+
+    def test_positive_tails_match_the_distribution_source(self):
+        rep = tauberian_check(QREF, self.GAUSS)
+        ref = tauberian_check(QREF, oracles.gaussian())
+        assert rep.k_mgf == pytest.approx(ref.k_mgf, rel=1e-12)
+        np.testing.assert_allclose(rep.k_tail_ladder, ref.k_tail_ladder, rtol=1e-12)
+        assert rep.k_tail == pytest.approx(1.0, abs=0.02)
+
+    def test_zero_tail_is_refused(self):
+        mgf, tail = self.GAUSS
+        with pytest.raises(InputError, match="tail must be positive along the ladder"):
+            tauberian_check(QREF, (mgf, lambda x: 0.0 if x > 4.0 else tail(x)))
+
+
 class TestMonteCarlo:
     def test_seeded_tail_constant(self):
         rep = tauberian_check(QREF, oracles.gaussian(),
