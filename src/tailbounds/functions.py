@@ -389,6 +389,15 @@ class ConjugateResult:
                 raise AssertionError("conjugate values not convex along the grid")
 
 
+def _checked_grid(grid, name: str) -> np.ndarray:
+    """``grid`` as a float array; InputError unless it is 1-d, nonempty,
+    finite and strictly increasing, as every entry point asks of a grid."""
+    xs = np.asarray(grid, dtype=float)
+    if not (xs.ndim == 1 and xs.size and np.isfinite(xs).all() and (np.diff(xs) > 0).all()):
+        raise InputError(f"{name} must be a nonempty 1-d grid of finite, strictly increasing points")
+    return xs
+
+
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """np.unique of a float array without NaNs or negative zeros.
 
@@ -582,8 +591,11 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     a closed form takes the stationary points of the others and evaluates
     ``f`` at all of them in one ``values`` call.  Searched points share the
     scan of :func:`_scan_ladder`, one ``values`` call per level of its
-    ladder; then their golden-section refinements run in lockstep, one
-    ``values`` call per step for all of them.
+    ladder.  Where ``f`` has a derivative, each scan bracket then bisects
+    f'(lam) <= x to 1e-13 relative width, and one ``values`` call takes the
+    better of its two inner points, unless the scan's point is strictly
+    better or no end of the bracket moved.  Otherwise golden sections
+    refine in lockstep, one ``values`` call per step for all of them.
     """
     x_arr = np.asarray(xs, dtype=float).ravel()
     vals = np.full(x_arr.size, math.nan)
@@ -613,14 +625,17 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
         return vals, arg, errors
     (a, b, lam, fa, fb, flam), failed = _scan_ladder(f, x_arr[ks])
     errors.update((int(ks[j]), exc) for j, exc in failed.items())
-    ok = np.ones(ks.size, dtype=bool)
-    ok[list(failed)] = False
-    one = ok & (a == b)  # a scan grid of one point
-    vals[ks[one]], arg[ks[one]] = flam[one], lam[one]
-    go = ok & (a != b)
+    go = ~np.isin(np.arange(ks.size), list(failed))
     if not go.any():
         return vals, arg, errors
     ks, bx = ks[go], x_arr[ks[go]]
+    a, b, lam, fa, fb, flam = (row[go] for row in (a, b, lam, fa, fb, flam))
+    if f.deriv is not None:
+        # bisect to the root of f'(lam) = x; where no end moved, the scan's point stands
+        a2, b2 = _bisect_rows(a, b, lambda rows, m: f.derivatives(m) <= bx[rows], 100, 1e-13)
+        settled = (a2 == a) | (b2 == b)
+        a, b = np.where(settled, lam, a2), np.where(settled, lam, b2)
+        fa = fb = np.where(settled, flam, -math.inf)
 
     def objective(rows, pts):
         phi, failed = _values_or_errors(f, pts)
@@ -628,15 +643,15 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
             errors[int(ks[rows[j]])] = exc
         return pts * bx[rows] - phi, {int(rows[j]) for j in failed}
 
-    for k, best in zip(ks.tolist(), _golden_lockstep(objective, a[go], b[go], fa[go], fb[go],
-                                                     lam[go], flam[go], _GOLDEN_REL_WIDTH)):
+    for k, best in zip(ks.tolist(), _golden_lockstep(objective, a, b, fa, fb, lam, flam,
+                                                     _GOLDEN_REL_WIDTH)):
         if best is not None:
             vals[k], arg[k] = best
     return vals, arg, errors
 
 
-def _stars(f: PhiFunction, xs, lower_at=None) -> np.ndarray:
-    """f*(x) at each x; raises the error of the first x that has one.
+def _stars(f: PhiFunction, xs, lower_at=None) -> tuple[np.ndarray, np.ndarray]:
+    """f*(x) and its maximizer at each x; raises the first x's error.
 
     ``lower_at`` (one point per x) says the stars are the exponents of a
     lower bound at those points.  A star whose maximizer stopped at
@@ -652,7 +667,7 @@ def _stars(f: PhiFunction, xs, lower_at=None) -> np.ndarray:
                 f"the conjugate behind the lower bound at {float(lower_at[k])!r} stops at "
                 f"the search cap lambda = {LAMBDA_CAP:g}, so it is too small there")
     _raise_first(errors)
-    return stars
+    return stars, arg
 
 
 def _raise_first(errors: dict, skip=()) -> None:
@@ -673,19 +688,13 @@ def _inf_where_unbounded(vals: np.ndarray, errors: dict) -> None:
 def conjugate_value(f: PhiFunction, x: float) -> tuple[float, float]:
     """sup over the domain of ``lam*x - f(lam)``; returns (value, argmax).
 
-    Raises UnboundedObjectiveError with the witness sequence when the
-    supremum diverges.  Exact kinds: grid functions (the supremum of the
-    piecewise linear interpolant is attained at a knot) and the closed
-    forms ``quadratic``, ``linear`` and ``power_log`` with r = 0 and p > 1
-    (stationary point clipped to the domain).  Callables and the other
-    ``power_log`` cases are searched: a scan followed by golden-section
-    refinement; this is the one-point case of :func:`conjugate_values`.
-    The scan reads the whole grid at each truncation point it reaches, on
-    the ladder of :func:`_scan_ladder`, whether or not ``f`` is declared
-    convex.  On an unbounded domain both the closed forms and the search
+    The one-point case of :func:`conjugate_values`, which says how each
+    kind is solved.  Raises InputError for a non-finite x, and
+    UnboundedObjectiveError with the witness sequence when the supremum
+    diverges.  On an unbounded domain both the closed forms and the search
     stop at ``LAMBDA_CAP``.
     """
-    vals, arg, errors = conjugate_values(f, [x])
+    vals, arg, errors = conjugate_values(f, _checked_grid([x], "x"))
     _raise_first(errors)
     return float(vals[0]), float(arg[0])
 
@@ -699,13 +708,9 @@ def conjugate(f: PhiFunction, x_grid: Sequence[float]) -> ConjugateResult:
     of the smallest x first.  The points are solved together by
     :func:`conjugate_values`, whose searched points share one scan ladder.
     """
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise InputError("x_grid must be a nonempty 1-d array")
-    if np.any(xs < 0):
+    xs = _checked_grid(x_grid, "x_grid")
+    if xs[0] < 0:
         raise InputError("x_grid entries must be >= 0")
-    if xs.size > 1 and not np.all(np.diff(xs) > 0):
-        raise InputError("x_grid must be strictly increasing")
 
     vals, arg, errors = conjugate_values(f, xs)
     _inf_where_unbounded(vals, errors)
@@ -720,23 +725,15 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float]) -> ConjugateResult:
     recomputed on demand (grid forms exactly, closed forms by refined
     search), so no interpolation error enters.
     """
-    lams = np.asarray(lam_grid, dtype=float)
-    if lams.ndim != 1 or lams.size == 0:
-        raise InputError("lam_grid must be a nonempty 1-d array")
-    if lams.size > 1 and not np.all(np.diff(lams) > 0):
-        raise InputError("lam_grid must be strictly increasing")
-
-    lam_top = float(lams[-1])
-
+    lams = _checked_grid(lam_grid, "lam_grid")
     # locate the finite window of f* and the bracket for the largest lam
     x_hi = max(1.0, f.domain.lo)
-    trace_hi = None
     for _ in range(200):
         try:
             _, trace_hi = conjugate_value(f, x_hi)
         except UnboundedObjectiveError:
             break
-        if trace_hi > lam_top * 1.0001 + 1e-9:
+        if trace_hi > float(lams[-1]) * 1.0001 + 1e-9:
             break
         x_hi *= 2.0
         if x_hi > 1e12:

@@ -35,10 +35,13 @@ from .errors import (
     InputError,
     NotCertifiedError,
     OutOfDomainError,
+    UnboundedObjectiveError,
 )
 from .functions import (
+    LAMBDA_CAP,
     PhiFunction,
     _bisect_rows,
+    _checked_grid,
     _grow_rows,
     _raise_first,
     _require_saddle_map,
@@ -56,38 +59,40 @@ _LOG_EPS = math.log(2.0) * -1074  # smallest log float
 # --------------------------------------------------------------------------
 
 
-def _x0_inverse(phi2: PhiFunction, zs) -> tuple[np.ndarray, dict]:
-    """The t with x0(t) = z for each z; equals the conjugate maximizer at z.
+def _x0_inverse(phi2: PhiFunction, zs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """:func:`_saddle_inverse` on one :func:`conjugate_values` call."""
+    return _saddle_inverse(phi2, zs, *conjugate_values(phi2, zs)[1:])
 
-    Returns the t's and, by index, the error of each z without a saddle
-    (its t is NaN): an OutOfDomainError when z is below phi2'(lo) or beyond
-    every phi2' value of the 200 doublings, or the error of the conjugate.
-    With an analytic derivative all z bisect together, each with its own
-    halvings.
+
+def _saddle_inverse(phi2: PhiFunction, zs: np.ndarray, mus: np.ndarray,
+                    errors: dict) -> tuple[np.ndarray, dict]:
+    """The t with x0(t) = z for each z, the maximizer of t*z - phi2(t)
+    (Rockafellar, *Convex Analysis*, section 26), written over the argmax
+    ``mus`` of ``conjugate_values(phi2, zs)``; and by index the
+    OutOfDomainError or InputError of each z without one (its t is NaN).
+    Its other ``errors`` raise, the smallest z's first.  For a convex phi2
+    with a derivative, no z below phi2'(lo) has a t; a z whose conjugate
+    stops at ``LAMBDA_CAP``, or is refused there, goes on from the cap: its
+    bracket doubles while phi2' <= z, at most 200 times (else it has no t),
+    and the root of phi2'(t) = z bisects in it.
     """
-    zs = np.asarray(zs, dtype=float)
-    mus = np.full(zs.size, math.nan)
-    errors: dict = {}
-    if not (phi2.convex and phi2.deriv is not None):
-        _, mus, errors = conjugate_values(phi2, zs)
-        _raise_first(errors, (OutOfDomainError, InputError))
-        return mus, errors
-    lo = max(phi2.domain.lo, 1e-12)
-    hi = phi2.domain.top()
-    dlo = float(phi2.deriv(lo))
-    for i in np.flatnonzero(dlo > zs):
-        errors[int(i)] = OutOfDomainError(float(zs[i]), dlo, math.inf)
-    live = np.flatnonzero(~(dlo > zs))
-    z = zs[live]
-    b = np.full(live.size, hi if math.isfinite(hi) else max(2.0 * lo, 1.0))
-    if not math.isfinite(hi):
-        b, grow = _grow_rows(b, lambda rows, t: ~(phi2.derivatives(t) > z[rows]), 200)
-        for i in np.flatnonzero(grow):
-            errors[int(live[i])] = OutOfDomainError(float(z[i]), dlo, float(phi2.deriv(b[i])))
-        live, z, b = live[~grow], z[~grow], b[~grow]
-    a, b = _bisect_rows(np.full(live.size, lo), b,
-                        lambda rows, m: phi2.derivatives(m) <= z[rows], 100, 1e-13)
-    mus[live] = 0.5 * (a + b)
+    if phi2.convex and phi2.deriv is not None:
+        dlo = float(phi2.deriv(max(phi2.domain.lo, 1e-12)))
+        # a z refused as unbounded stopped at the cap too
+        mus[[i for i, e in errors.items() if isinstance(e, UnboundedObjectiveError)]] = LAMBDA_CAP
+        errors = {i: e for i, e in errors.items() if mus[i] != LAMBDA_CAP}
+        past = np.flatnonzero(~(dlo > zs) & (not phi2.domain.bounded) & (mus == LAMBDA_CAP))
+        b, grow = _grow_rows(np.full(past.size, LAMBDA_CAP),
+                             lambda rows, t: ~(phi2.derivatives(t) > zs[past[rows]]), 200)
+        errors.update((i, OutOfDomainError(float(zs[i]), dlo, float(phi2.deriv(t))))
+                      for i, t in zip(past[grow].tolist(), b[grow].tolist()))
+        a, b = _bisect_rows(np.full(past.size, LAMBDA_CAP), np.where(grow, LAMBDA_CAP, b),
+                            lambda rows, m: phi2.derivatives(m) <= zs[past[rows]], 100, 1e-13)
+        mus[past] = 0.5 * (a + b)
+        errors.update((i, OutOfDomainError(float(zs[i]), dlo, math.inf))
+                      for i in np.flatnonzero(dlo > zs).tolist())
+        mus[list(errors)] = math.nan
+    _raise_first(errors, (OutOfDomainError, InputError))
     return mus, errors
 
 
@@ -268,9 +273,7 @@ def closure_lower_envelope(
     phi2 without a saddle map is refused first (:func:`_require_saddle_map`).
     """
     _require_saddle_map(phi2, "closure needs a convexity-certified phi2")
-    zs = np.asarray(z_grid, dtype=float)
-    if zs.ndim != 1 or zs.size == 0 or (zs.size > 1 and not np.all(np.diff(zs) > 0)):
-        raise InputError("z_grid must be nonempty strictly increasing")
+    zs = _checked_grid(z_grid, "z_grid")
     dg = np.geomspace(1e-3, 0.5, 16)
     d1 = np.repeat(dg, dg.size)
     d2 = np.tile(dg, dg.size)
@@ -431,6 +434,7 @@ def pinched_lower_envelope(
     """
     if not (0.0 < delta < 0.5):
         raise InputError("delta must be in (0, 1/2)")
+    zs = _checked_grid(z_grid, "z_grid")
     reg = verify_regularity(phi)
     if not reg.ok:
         raise NotCertifiedError("regularity report negative; refined envelope needs V > 0")
@@ -456,7 +460,7 @@ def pinched_lower_envelope(
         # a capped star only lowers the exponent, so on the ladder it can
         # only withhold domination; an emitted point refuses it
         shrink = 1.0 - c * delta
-        return shrink * _stars(phi, zs / shrink, lower_at=zs if emitted else None)
+        return shrink * _stars(phi, zs / shrink, lower_at=zs if emitted else None)[0]
 
     machinery = np.isfinite(neg_log)
 
@@ -479,7 +483,6 @@ def pinched_lower_envelope(
     gaps = np.flatnonzero(~dominated(c))
     cert_from = float(cert_ladder[gaps[-1] + 1 if gaps.size else 0])
 
-    zs = np.asarray(z_grid, dtype=float)
     zs = zs[zs >= math.e]
     if zs.size == 0:
         raise InputError("z_grid needs points at or above e")
@@ -538,19 +541,18 @@ def exact_mgf_sandwich(
     unit x over the requested grid.  An x whose phi*(x) stopped at
     ``LAMBDA_CAP`` on an unbounded domain is refused with NotCertifiedError,
     since the lower envelope would rest on a supremum that is too small.
+    One :func:`conjugate_values` call gives each phi*(x) and its maximizer,
+    the driving parameter mu of the saddle at x.
     """
     _require_saddle_map(phi, "sandwich needs convexity-certified phi")
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.ndim != 1 or xs.size == 0 or (xs.size > 1 and not np.all(np.diff(xs) > 0)):
-        raise InputError("x_grid must be nonempty strictly increasing")
+    xs = _checked_grid(x_grid, "x_grid")
     if xs[0] < 1.0:
         raise InputError("sandwich asserted for x >= 1")
 
-    stars = _stars(phi, xs, lower_at=xs)
-
-    b = phi.domain.hi
-    mus, no_saddle = _x0_inverse(phi, xs)
+    stars, mus = _stars(phi, xs, lower_at=xs)
+    mus, no_saddle = _saddle_inverse(phi, xs, mus, {})
     _raise_first(no_saddle)
+    b = phi.domain.hi
     if math.isfinite(b):
         # bounded exponent domains want a lopsided geometry: the driving
         # parameter close to the top, a thin remaining slice on the plus side

@@ -42,6 +42,7 @@ from .functions import (
     PhiFunction,
     _bisect,
     _bisect_rows,
+    _checked_grid,
     _first_at_one,
     _inf_where_unbounded,
     _sorted_unique,
@@ -400,6 +401,7 @@ def unilateral_lower_envelope(
         raise InputError(f"eps must be in (0, 1), got {eps}")
     if not (m_surrogate > 0 and math.isfinite(m_surrogate)):
         raise InputError("m_surrogate must be finite and positive")
+    xs = _checked_grid(x_grid, "x_grid")
 
     cert_w = certify_dilation_dominance(phi)
 
@@ -428,7 +430,6 @@ def unilateral_lower_envelope(
         diagnostics={"w_margin": cert_w.margin, "lam_range": cert_w.lam_range},
     )
 
-    xs = np.asarray(x_grid, dtype=float)
     xs = xs[xs >= cert.x_valid_from]
     if xs.size == 0:
         raise InputError("x_grid has no points at or above x_valid_from = 1")

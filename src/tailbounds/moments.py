@@ -265,7 +265,7 @@ def growth_tail_recovery(
     ys = np.log(xs)
 
     phi2 = pair.phi2
-    stars_all = _stars(phi2, ys)
+    stars_all, _ = _stars(phi2, ys)
     pos = stars_all > 0
     if not pos.any():
         raise NotCertifiedError("upper exponent conjugate nonpositive on the grid; "

@@ -6,6 +6,7 @@ import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,18 @@ class TestConjugate:
         with pytest.raises(InputError):
             conjugate(PhiFunction.quadratic(), [-1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_refuses_a_non_finite_grid(self, bad):
+        f = PhiFunction.quadratic(lo=0.0)
+        for grid in ([1.0, bad], [bad], [[1.0, 2.0]], [], [2.0, 1.0]):
+            with pytest.raises(InputError, match="x_grid must be a nonempty 1-d grid of finite"):
+                conjugate(f, grid)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_refuses_a_non_finite_point(self, bad):
+        with pytest.raises(InputError, match="x must be a nonempty 1-d grid of finite"):
+            conjugate_value(PhiFunction.quadratic(lo=0.0), bad)
+
     def test_result_invariants_on_families(self):
         xs = np.linspace(0.0, 12.0, 40)
         for f in (PhiFunction.quadratic(), PhiFunction.power_log(4.0),
@@ -141,6 +154,11 @@ class TestConjugate:
 
 
 class TestBiconjugate:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_refuses_a_non_finite_grid(self, bad):
+        with pytest.raises(InputError, match="lam_grid must be a nonempty 1-d grid of finite"):
+            biconjugate(PhiFunction.quadratic(lo=0.0), [1.0, bad])
+
     def test_fenchel_moreau_quadratic(self):
         f = PhiFunction.quadratic()
         lams = np.linspace(1.0, 10.0, 19)
@@ -972,7 +990,9 @@ def _reference_grid_saddle_point(phi2, lam):
 def _reference_conjugate_value(f, x):
     """The per-point search the batched one replaced: the full grid at every
     growth step of the truncation point, from the first step of the ladder
-    base * 4**k at or above 4|x|, then a scalar golden section."""
+    base * 4**k at or above 4|x|, then, where ``f`` has a derivative, a
+    scalar bisection of f'(lam) <= x on the scan's bracket, and a scalar
+    golden section."""
     x = float(x)
     lo, hi = f.domain.lo, f.domain.top()
     slope_lim = f.slope_limit()
@@ -1006,6 +1026,13 @@ def _reference_conjugate_value(f, x):
         return float(vals[i]), float(grid[i])
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     fa, fb = g(a), g(b)
+    if f.deriv is not None:
+        # the root of f'(lam) = x, so the golden section below takes no
+        # step; where no end moved, the scan's point stands
+        a2, b2 = _bisect(a, b, lambda m: f.derivative(m) <= x, 100, 1e-13)
+        if a2 == a or b2 == b:
+            return float(vals[i]), float(grid[i])
+        a, b, fa, fb = a2, b2, -math.inf, -math.inf
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = g(c), g(d)
     while (b - a) > _GOLDEN_REL_WIDTH * max(1.0, abs(a), abs(b)):
@@ -1255,21 +1282,23 @@ class TestBatchedSearch:
 
     def test_a_table_evaluates_each_level_grid_once(self):
         # 2,000 x up to 20 start on the ladder's grids up to 10, 40 and 160
-        # and stay there: one values call each, then the lockstep golden
-        # steps (one scan per x took 4,046 calls and 348,679 rows)
+        # and stay there: one values call each, then one call for the two
+        # inner points of every bisected bracket (the golden steps took 50
+        # calls and 94,562 rows, one scan per x 4,046 calls and 348,679 rows)
         f = PhiFunction.power_log(2.0, 1.0, 0.0)
         calls = []
         counted = dataclasses.replace(f, fn=lambda l: calls.append(np.array(l)) or f.fn(l))
         conjugate(counted, np.linspace(0.0, 20.0, 2000))
         grids = [_scan_grid(0.0, top) for top in (10.0, 40.0, 160.0)]
         assert [sum(np.array_equal(c, g) for c in calls) for g in grids] == [1, 1, 1]
-        assert (len(calls), sum(c.size for c in calls)) == (50, 94_562)
+        assert (len(calls), sum(c.size for c in calls)) == (4, 4_511)
 
     def test_weibull_conjugate_work(self, monkeypatch):
         # the Gauss-Hermite rule rows behind 15 searched conjugates of
-        # weibull(4): 616 rows in 45 calls, the 15 x sharing their scan
-        # grids (one scan per x took 1,549 rows in 74 calls, and the
-        # quadrature before the rule 4,152 rows)
+        # weibull(4): 594 rows in 42 calls, the 15 x sharing their scan
+        # grids and bisecting phi' (the golden steps took 616 rows in 45
+        # calls, one scan per x 1,549 rows in 74 calls, and the quadrature
+        # before the rule 4,152 rows)
         calls = []
         inner = oracles._hermite_rows
 
@@ -1280,4 +1309,71 @@ class TestBatchedSearch:
         phi = oracles.weibull(4.0).mgf_exponent
         monkeypatch.setattr(oracles, "_hermite_rows", counted)
         conjugate(phi, np.linspace(1.0, 8.0, 15))
-        assert (len(calls), sum(calls)) == (45, 616)
+        assert (len(calls), sum(calls)) == (42, 594)
+
+
+def _bump_with_derivative(a, shift, depth, centre, width):
+    """:func:`_bump` with its analytic derivative, so its conjugate bisects."""
+    def deriv(t):
+        dip = math.exp(-((t - centre) / width) ** 2)
+        return 2.0 * a * (t - shift) + 2.0 * depth * (t - centre) / (width * width) * dip
+
+    return dataclasses.replace(_bump(a, shift, depth, centre, width), deriv=deriv)
+
+
+ROOT_FAMILIES = [(2.0, 1.0), (1.5, 0.5)]
+ROOT_XS = [0.5, 1.0, 2.5, 7.0, 20.0]
+
+
+@pytest.fixture(scope="module")
+def mp_roots():
+    """The root of phi'(lam) = x for each power_log(p, r) of ROOT_FAMILIES
+    and x of ROOT_XS, to 30 digits, computed once for the module."""
+    roots = {}
+    with mp.workdps(30):
+        for p, r in ROOT_FAMILIES:
+            def dphi(t, p=mp.mpf(p), r=mp.mpf(r)):
+                big = mp.log(mp.e + t)
+                return t ** (p - 1) * big ** r + t ** p * r * big ** (r - 1) / (p * (mp.e + t))
+
+            for x in ROOT_XS:
+                roots[p, r, x] = mp.findroot(lambda t: dphi(t) - x, (mp.mpf("1e-6"), mp.mpf(1000)),
+                                             solver="anderson")
+    return roots
+
+
+class TestOneRoot:
+    """A searched phi with a derivative takes the root of phi'(lam) = x."""
+
+    @pytest.mark.parametrize("p, r", ROOT_FAMILIES)
+    def test_argmax_is_the_root(self, p, r, mp_roots):
+        # the golden section's argmax was loose by up to 3e-8 on a flat maximum
+        _, arg, errors = conjugate_values(PhiFunction.power_log(p, r, 0.0), ROOT_XS)
+        assert not errors
+        for x, got in zip(ROOT_XS, arg.tolist()):
+            want = mp_roots[p, r, x]
+            assert float(abs(mp.mpf(got) - want) / want) <= 1e-12
+
+    def test_a_maximizer_just_past_the_cap_is_capped(self):
+        # f'(LAMBDA_CAP) is just below x: the bisection never moves the
+        # bracket's top, so the argmax is the cap itself, and the table
+        # says so (the golden section could settle an ulp-scale step below)
+        f = PhiFunction.power_log(1.1, 2.0, 0.0)
+        xs = float(f.deriv(LAMBDA_CAP)) * (1.0 + np.geomspace(1e-9, 1e-3, 13))
+        res = conjugate(f, xs)
+        assert res.capped.all() and (res.argmax == LAMBDA_CAP).all()
+
+    @FEW
+    @given(a=st.floats(min_value=0.005, max_value=0.05),
+           shift=st.floats(min_value=8.0, max_value=20.0),
+           depth=st.floats(min_value=1.0, max_value=6.0),
+           centre=st.floats(min_value=1.0, max_value=8.0),
+           width=st.floats(min_value=0.05, max_value=1.0),
+           xs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4))
+    def test_non_convex_callable_with_a_derivative(self, a, shift, depth, centre, width, xs):
+        # the bisection of f' on the scan's bracket agrees with the golden
+        # section of the same function without its derivative
+        f = _bump_with_derivative(a, shift, depth, centre, width)
+        _assert_batch_matches_reference(f, xs)
+        golden, _, _ = conjugate_values(_bump(a, shift, depth, centre, width), xs)
+        np.testing.assert_allclose(conjugate_values(f, xs)[0], golden, rtol=1e-13, atol=1e-14)

@@ -26,6 +26,7 @@ from tailbounds.functions import (
     _stars,
     conjugate,
     conjugate_value,
+    conjugate_values,
     saddle_point,
 )
 from tailbounds.lower_bilateral import (
@@ -302,7 +303,7 @@ def _scan_pinch(phi, delta):
     for c in np.linspace(0.5 / 400, (1.0 / (2.0 * delta)) * (1 - 1e-9), 400):
         shrink = 1.0 - float(c) * delta
         exps = np.full(ladder.size, math.nan)
-        exps[machinery] = shrink * _stars(phi, ladder[machinery] / shrink)
+        exps[machinery] = shrink * _stars(phi, ladder[machinery] / shrink)[0]
         ok_from = None
         for z, m, e in zip(ladder, neg_log, exps.tolist()):
             if not math.isfinite(m) or e < m:
@@ -368,6 +369,16 @@ class TestCappedConjugateUnderALowerBound:
                                                     r"cap lambda = 1e\+08"):
             pinched_lower_envelope(phi, self.DELTA, zs)
 
+    def test_pinch_ladder_reaches_saddles_past_the_cap(self):
+        # the delta = 0.05 ladder runs to z = 280, whose saddle lies past
+        # LAMBDA_CAP: its machinery point needs the saddle inverse to go on
+        # from the cap (the certificate is the one the search from lo gave)
+        phi = PhiFunction.power_log(self.P, 0.0, lo=0.0)
+        _, cert = pinched_lower_envelope(phi, 0.05, np.arange(3.0, 201.0))
+        assert cert.ladder_cap == 280.0
+        assert (cert.c, cert.certified_from, cert.machinery_points) == (
+            4.035833329298245, 3.447610967936748, 38)
+
     def test_sandwich_refuses_and_the_chernoff_bound_keeps_its_values(self):
         phi = PhiFunction.power_log(self.P, 0.0, lo=0.0)
         xs = np.array([100.0, 240.0, 260.0, 300.0])
@@ -409,6 +420,18 @@ R_MIN_C2 = (-math.log(0.5 * math.erfc(2.0 / math.sqrt(2.0))) - 2.0) / 2.0
 def gaussian_sandwich():
     xs = np.linspace(2.0, 8.0, 13)
     return xs, *exact_mgf_sandwich(QUAD0, xs)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("entry", ["closure", "sandwich", "pinch"])
+def test_a_non_finite_grid_is_an_input_error(entry, bad):
+    grid = [3.0, bad, 5.0] if entry == "pinch" else [2.0, bad]
+    call = {"closure": lambda: closure_lower_envelope(QUAD0, QUAD0, grid),
+            "sandwich": lambda: exact_mgf_sandwich(QUAD0, grid),
+            "pinch": lambda: pinched_lower_envelope(QUAD0, 0.1, grid)}[entry]
+    name = "z_grid" if entry != "sandwich" else "x_grid"
+    with pytest.raises(InputError, match=f"{name} must be a nonempty 1-d grid of finite"):
+        call()
 
 
 class TestExactMgfSandwich:
@@ -489,6 +512,31 @@ class TestSaddleInverse:
         mus, errors = _x0_inverse(PhiFunction.quadratic(lo=2.0), np.array([1.0, 6.0]))
         assert isinstance(errors[0], OutOfDomainError)
         assert mus[1] == pytest.approx(6.0, rel=1e-12)
+
+    @pytest.mark.parametrize("phi", [QUAD0, PhiFunction.power_log(1.3, 0.0, lo=0.0),
+                                     PhiFunction.power_log(2.0, 1.0, lo=0.0),
+                                     PhiFunction.power_log(1.5, 0.5, lo=0.0), _softplus()],
+                             ids=["quadratic", "p1.3", "p2r1", "p1.5r0.5", "softplus"])
+    def test_equals_the_conjugate_argmax(self, phi):
+        # below the cap the saddle inverse is the conjugate's argmax, bit for bit
+        zs = np.linspace(0.55, 0.99, 12) if phi.label == "softplus" else np.linspace(0.5, 240.0, 50)
+        mus, errors = _x0_inverse(phi, zs)
+        _, arg, _ = conjugate_values(phi, zs)
+        assert not errors and np.isfinite(mus).all()
+        assert mus.tobytes() == arg.tobytes()
+
+    @pytest.mark.parametrize("r", [0.0, 0.5])
+    def test_past_the_cap(self, r):
+        # z = 300..400 (z = 2,000..3,000 for r = 0.5) have their saddles past
+        # LAMBDA_CAP: the conjugate stops there, and the root continues
+        phi = PhiFunction.power_log(1.3, r, lo=0.0)
+        zs = np.linspace(300.0, 400.0, 11) * (1.0 if r == 0.0 else 6.5)
+        assert (conjugate_values(phi, zs)[1] == LAMBDA_CAP).all()
+        mus, errors = _x0_inverse(phi, zs)
+        assert not errors and (mus > LAMBDA_CAP).all()
+        if r == 0.0:
+            np.testing.assert_allclose(mus, zs ** (1.0 / 0.3), rtol=1e-12)
+        np.testing.assert_allclose(phi.derivatives(mus), zs, rtol=1e-12)
 
 
 # Scalar versions of the saddle path, one t at a time, as the geometry and

@@ -334,6 +334,12 @@ class TestChainAcrossOracles:
         assert env.x.tolist() == xs.tolist()
         assert np.all(env.log_values == -math.inf)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_a_non_finite_grid_is_an_input_error(self, bad):
+        # refused before the chain runs: the inf point used to read -inf
+        with pytest.raises(InputError, match="x_grid must be a nonempty 1-d grid of finite"):
+            unilateral_lower_envelope(QUAD0, 0.2, 2.0, [2.0, bad])
+
     def test_eps_factor_ordering(self):
         # the (1-eps) factor of the dilation shrinks with eps
         env1, c1 = unilateral_lower_envelope(QUAD0, 0.1, M_GAUSS, np.array([2.0]))
