@@ -300,23 +300,6 @@ class PhiFunction:
             raise OutOfDomainError(lam, self.domain.lo, self.domain.hi)
         return (self.value(b) - self.value(a)) / (b - a)
 
-    def dilate(self, c: float, lo: float, hi: float) -> "PhiFunction":
-        """lam -> f(c*lam) on [lo, hi), staying in the family where it can.
-
-        A quadratic stays a quadratic (coeff*c^2) and a linear function stays
-        linear (slope*c), so their conjugates keep the closed form; any other
-        kind becomes a vectorized callable wrapper.
-        """
-        if self.kind == "quadratic":
-            return PhiFunction.quadratic(self.params[0] * c * c, lo, hi)
-        if self.kind == "linear":
-            return PhiFunction.linear(self.params[0] * c, lo, hi)
-        return PhiFunction.from_callable(
-            lambda mu: self.values(c * np.asarray(mu)), lo, hi,
-            deriv=(lambda mu: c * self.derivatives(c * np.asarray(mu))) if self.deriv else None,
-            convex=self.convex, label=f"dilated[{self.label}]x{c:.4g}", vectorized=True,
-        )
-
     def slope_limit(self) -> Optional[float]:
         """lim of the derivative at the upper end of an unbounded domain:
         ``slope_lim``, which each closed form's constructor sets and a
@@ -586,7 +569,9 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     error, and values and argmax are NaN there.  No x's result depends on
     the other x's, so the batch equals its one-point calls bit for bit.
     The path is chosen once for the table, by the kind of ``f``.  A grid
-    solves each x at its knots.  Otherwise the x above
+    solves each x at the knots inside its domain and, where the domain is
+    narrower than the knot span, at the domain's ends, interpolated
+    there.  Otherwise the x above
     :meth:`PhiFunction.slope_limit` diverge, all of them with one witness;
     a closed form takes the stationary points of the others and evaluates
     ``f`` at all of them in one ``values`` call.  Searched points share the
@@ -602,6 +587,10 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     arg = np.full(x_arr.size, math.nan)
     if f.kind == "grid":
         ls, vs = f.knots
+        lo, top = f.domain.lo, f.domain.top()
+        if lo > ls[0] or top < ls[-1]:
+            ls = np.concatenate(([lo], ls[(ls > lo) & (ls < top)], [top]))
+            vs = np.interp(ls, *f.knots)
         for k, x in enumerate(x_arr.tolist()):
             obj = ls * x - vs
             i = int(np.argmax(obj))

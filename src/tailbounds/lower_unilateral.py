@@ -14,18 +14,20 @@ Given phi with E exp(lam*X) >= exp(phi(lam)) on [lo, b), the chain is:
 4. the normalization is absorbed into a further dilation c2 <= c1 above a
    threshold lam1, and biconjugation (Fenchel-Moreau, G convex assumed)
    yields G(x) <= max(mu1 * x, sup_{mu >= mu1} [mu x - phi(c2 (1-eps) mu)]),
-   i.e. a certified lower envelope exp(-that) for x >= 1.
+   i.e. a certified lower envelope exp(-that) for x >= 1.  The supremum is
+   phi*(a x), a = 1/(c2 (1-eps)), over phi restricted to [max(c2 lam1, lo),
+   c2 b): one conjugate of phi itself, read at a dilated point.
 
 The max with the linear branch mu1*x and the restriction of the supremum to
 mu >= mu1 = lam1/(1-eps) keep the conclusion honest on the region where the
 premises were actually verified; for quadratic-type inputs the linear branch
-never binds and the envelope reduces to exp(-phi*(a x)) with a = 1/(c2(1-eps)).
+never binds and the envelope reduces to exp(-phi*(a x)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -356,7 +358,7 @@ class LowerEnvelopeCertificate:
     m_bound: float
     c1: float
     c2: float
-    dilation: float           # a = 1/(c2*(1-eps)) >= 1
+    dilation: float           # a = 1/(c2*(1-eps)) >= 1: the chain reads phi* at a*x
     lam1: float
     mu1: float                # lam1/(1-eps): linear-branch slope
     x_valid_from: float
@@ -366,16 +368,23 @@ class LowerEnvelopeCertificate:
 
 def _exponents(phi: PhiFunction, cert: LowerEnvelopeCertificate,
                nonneg_offset: float, xs: np.ndarray) -> np.ndarray:
-    """h(x) = max(mu1*x - offset, sup_{mu>=mu1} [mu*x - phi(c_tilde*mu)]) at each x."""
-    c_tilde = cert.c2 * (1.0 - cert.eps)
-    mu_lo = max(cert.mu1, phi.domain.lo / c_tilde if c_tilde > 0 else cert.mu1)
-    mu_hi = phi.domain.hi / (1.0 - cert.eps) if math.isfinite(phi.domain.hi) else math.inf
+    """h(x) = max(mu1*x - offset, sup_{mu>=mu1} [mu*x - phi(c_tilde*mu)]) at each x.
 
-    dilated = phi.dilate(c_tilde, mu_lo, mu_hi)
-    stars, _, errors = conjugate_values(dilated, xs)
-    # where the minorant's conjugate diverges the chain certifies nothing:
-    # h is +inf and the envelope clamps to the trivial bound
+    With lam = c_tilde*mu the supremum is phi_R*(a*x), a = 1/c_tilde, for
+    phi restricted to R = [max(c2*lam1, lo), c2*b): one conjugate of phi
+    itself, closed forms and slope limit included.  Where that conjugate
+    diverges, or its maximizer stops at ``LAMBDA_CAP``, the chain certifies
+    nothing: h is +inf and the envelope clamps to the trivial bound.
+    """
+    dom = phi.domain
+    restricted = replace(
+        phi, domain=replace(dom, lo=max(cert.c2 * cert.lam1, dom.lo), hi=cert.c2 * dom.hi),
+        # a golden section settles just below the cap, where the cap test
+        # misses it; without the limit the scan refuses there instead
+        slope_lim=phi.slope_lim if phi.deriv is not None else None)
+    stars, arg, errors = conjugate_values(restricted, cert.dilation * xs)
     _inf_where_unbounded(stars, errors)
+    stars[(arg == LAMBDA_CAP) & (not restricted.domain.bounded)] = math.inf
     return np.maximum(cert.mu1 * xs - nonneg_offset, stars)
 
 

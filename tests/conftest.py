@@ -4,6 +4,8 @@ import hypothesis
 import numpy as np
 import pytest
 
+from tailbounds.functions import PhiFunction
+
 hypothesis.settings.register_profile(
     "ci", max_examples=60, derandomize=True, deadline=None
 )
@@ -22,3 +24,13 @@ def weibull_log_mgf_closed_m2(lam: float) -> float:
         return 0.0
     t = lam * lam / 4.0 + math.log(lam * math.sqrt(math.pi) / 2.0 * (1.0 + math.erf(lam / 2.0)))
     return t + math.log1p(math.exp(-t)) if t > 0 else math.log1p(math.exp(t))
+
+
+def dilated(f: PhiFunction, c: float, lo: float, hi: float) -> PhiFunction:
+    """mu -> f(c*mu) on [lo, hi) as a vectorized callable wrapper, with a
+    derivative where ``f`` has one."""
+    return PhiFunction.from_callable(
+        lambda mu: f.values(c * np.asarray(mu)), lo, hi,
+        deriv=(lambda mu: c * f.derivatives(c * np.asarray(mu))) if f.deriv else None,
+        convex=f.convex, label=f"dilated[{f.label}]x{c:.4g}", vectorized=True,
+    )

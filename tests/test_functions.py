@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dilated
 from tailbounds import oracles
 from tailbounds.errors import (
     EmptyDomainError,
@@ -725,14 +726,6 @@ class TestClosedFormConjugates:
             assert v == pytest.approx(v_s, rel=1e-9)
             assert a == pytest.approx(a_s, rel=1e-6)
 
-    def test_dilate_keeps_the_family(self):
-        assert PhiFunction.quadratic(0.5).dilate(2.0, 0.5, 10.0) == \
-            PhiFunction.quadratic(2.0, 0.5, 10.0)
-        assert PhiFunction.linear(1.5).dilate(2.0, 1.0, math.inf) == PhiFunction.linear(3.0)
-        d = PhiFunction.power_log(2.0, 1.0).dilate(2.0, 1.0, math.inf)
-        assert d.kind == "callable"
-        assert d.value(3.0) == PhiFunction.power_log(2.0, 1.0).value(6.0)
-
 
 class TestGridConjugateExact:
     @given(
@@ -755,6 +748,18 @@ class TestGridConjugateExact:
         res = conjugate(g, xg)
         for x, v in zip(xg, res.values):
             assert v == max(lam * x - val for lam, val in zip(ls, vs))
+
+    def test_a_narrowed_domain_reads_only_its_part(self):
+        # the knots inside [0.5, 2.5) and the two ends, interpolated: at x = 0
+        # the knot 0 and at x = 100 the knot 4 would win on the whole grid
+        g = PhiFunction.from_grid([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 0.5, 2.0, 4.5, 100.0])
+        part = dataclasses.replace(g, domain=dataclasses.replace(g.domain, lo=0.5, hi=2.5))
+        lams = np.linspace(0.5, part.domain.top(), 2001)
+        for x in (0.0, 1.0, 2.7, 100.0):
+            v, a = conjugate_value(part, x)
+            dense = float(np.max(lams * x - part.values(lams)))
+            assert dense <= v <= dense + 1e-12 * max(1.0, abs(v))
+            assert part.domain.contains(a)
 
     def test_knots_are_read_only_copies(self):
         lam = np.array([1.0, 2.0, 3.0])
@@ -786,9 +791,9 @@ ARRAY_KINDS = {
         lambda l: np.where(np.asarray(l) < 1.0, -1e-13 * np.asarray(l),
                            np.where(np.asarray(l) == 7.0, np.inf, 3.0 * np.sin(l))),
         hi=20.0),
-    "dilated": PhiFunction.power_log(2.0, 1.0).dilate(1.5, 1.0, 30.0),
-    "dilated_vectorized": _vectorized(np.square, deriv=lambda l: 2.0 * np.asarray(l))
-    .dilate(0.5, 0.0, 12.0),
+    "dilated": dilated(PhiFunction.power_log(2.0, 1.0), 1.5, 1.0, 30.0),
+    "dilated_vectorized": dilated(_vectorized(np.square, deriv=lambda l: 2.0 * np.asarray(l)),
+                                  0.5, 0.0, 12.0),
 }
 
 
@@ -1175,7 +1180,7 @@ class TestBatchedSearch:
            lo=st.sampled_from([0.0, 0.5]),
            xs=st.lists(st.floats(min_value=0.5, max_value=8.0), min_size=1, max_size=3))
     def test_dilated_weibull(self, m, c, lo, xs):
-        _assert_batch_matches_reference(oracles.weibull(m).mgf_exponent.dilate(c, lo, math.inf), xs)
+        _assert_batch_matches_reference(dilated(oracles.weibull(m).mgf_exponent, c, lo, math.inf), xs)
 
     @FEW
     @given(kind=st.sampled_from(["power_log", "callable", "bump"]),

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import weibull_log_mgf_closed_m2
+from conftest import dilated, weibull_log_mgf_closed_m2
 from tailbounds import oracles
 from tailbounds.errors import (
     AbsorptionFailedError,
@@ -18,11 +18,18 @@ from tailbounds.errors import (
     InputError,
     NotCertifiedError,
 )
-from tailbounds.functions import PhiFunction, conjugate
+from tailbounds.functions import (
+    LAMBDA_CAP,
+    PhiFunction,
+    _inf_where_unbounded,
+    conjugate,
+    conjugate_values,
+)
 from tailbounds.lower_unilateral import (
     _certify_on_range,
     _clipped_minorant_k,
     _default_lam_range,
+    _exponents,
     _lam1_candidates,
     _tangent_lines,
     absorb_normalization,
@@ -355,6 +362,96 @@ class TestChainAcrossOracles:
             convex=True, label="slow-linear")
         with pytest.raises(NotCertifiedError, match=r"not certified on \(3, 10\), \(4\.5, 10\)"):
             unilateral_lower_envelope(slow, 0.2, 2.0, np.array([2.0]))
+
+
+def _dilated_exponents(phi, cert, offset, xs):
+    """h(x) from the conjugate of the dilated copy mu -> phi(c_tilde*mu) on
+    [max(mu1, lo/c_tilde), b/(1-eps)): the chain's own formula before it
+    read phi* at a*x, kept as the reference for :func:`_exponents`."""
+    c_tilde = cert.c2 * (1.0 - cert.eps)
+    copy = dilated(phi, c_tilde, max(cert.mu1, phi.domain.lo / c_tilde),
+                   phi.domain.hi / (1.0 - cert.eps))
+    stars, _, errors = conjugate_values(copy, xs)
+    _inf_where_unbounded(stars, errors)
+    return np.maximum(cert.mu1 * xs - offset, stars)
+
+
+# phi and eps as the CLI runs them: the moment exponents at eps = 0.05, on ln x
+CHAIN_INPUTS = {
+    "quadratic": lambda: (QUAD0, 0.2),
+    "quartic": lambda: (PhiFunction.power_log(4.0, 0.0, lo=0.0), 0.2),
+    "power_log(2, 1)": lambda: (PhiFunction.power_log(2.0, 1.0, lo=0.0), 0.2),
+    "power_log(1, 0)": lambda: (PhiFunction.power_log(1.0, 0.0, lo=0.0), 0.2),
+    "weibull2": lambda: (oracles.weibull(2.0).mgf_exponent, 0.2),
+    "weibull4": lambda: (oracles.weibull(4.0).mgf_exponent, 0.2),
+    "exponential": lambda: (oracles.exponential_unit().mgf_exponent, 0.2),
+    "growth": lambda: (to_exponential(moment_power_growth(2.0, 1.0, 1.0)).phi1, 0.05),
+    "pole": lambda: (to_exponential(moment_power_pole(1.0, 3.0, 1.0)).phi1, 0.05),
+}
+
+
+class TestChainConjugatesPhi:
+    """The chain reads phi* at a*x, phi restricted to [max(c2*lam1, lo), c2*b)."""
+
+    @pytest.mark.parametrize("name", list(CHAIN_INPUTS))
+    def test_equals_the_dilated_copy(self, name):
+        phi, eps = CHAIN_INPUTS[name]()
+        xs = np.linspace(1.0, 8.0, 15) if eps == 0.2 else np.log(np.arange(3.0, 10.5, 0.5))
+        _, cert = unilateral_lower_envelope(phi, eps, 2.0, xs)
+        np.testing.assert_allclose(_exponents(phi, cert, 0.0, xs),
+                                   _dilated_exponents(phi, cert, 0.0, xs), rtol=1e-14, atol=0)
+
+    def test_the_cap_applies_to_lambda(self):
+        # lower-uni --family power-log --p 1.3 --lambda-min 0 --epsilon 0.2
+        # --x 3:400:50: at x = 3 the maximizer lam* ~ 4.5e6 lies below the cap
+        # lambda = 1e8 (the dilated copy capped mu instead, and read -inf);
+        # from x = 53 on it lies above, and the bound is trivial
+        phi = PhiFunction.power_log(1.3, 0.0, lo=0.0)
+        env, cert = unilateral_lower_envelope(phi, 0.2, m_surrogate_from_upper(phi, 0.2),
+                                              np.arange(3.0, 400.0, 50.0))
+        y = cert.dilation * 3.0
+        lam = y ** (1.0 / (1.3 - 1.0))
+        assert lam < LAMBDA_CAP
+        assert env.log_values[0] == -(lam * y - phi.value(lam))
+        assert np.all(env.log_values[1:] == -math.inf)
+
+    def test_a_derivative_free_phi_is_refused_at_the_cap(self):
+        # power_log(1.1, 2) without its derivative, declaring its slope limit:
+        # at each a*x just above phi'(1e8) a golden section would settle just
+        # below the cap, finite and too small; the scan refuses them all there
+        pl = PhiFunction.power_log(1.1, 2.0, lo=0.0)
+        phi = PhiFunction.from_callable(pl.fn, 0.0, math.inf, convex=True,
+                                        slope_lim=math.inf, vectorized=True)
+        _, cert = unilateral_lower_envelope(phi, 0.2, 2.0, [1.0])
+        ys = pl.derivative(LAMBDA_CAP) * (1.0 + 1e-7 * np.arange(1, 46))
+        env, _ = unilateral_lower_envelope(phi, 0.2, 2.0, ys / cert.dilation)
+        assert env.log_values.size == 45
+        assert np.all(env.log_values == -math.inf)
+
+    def test_a_steep_grid_reads_only_its_restriction(self):
+        # lam^2/2 on the knots 0, 0.1, ..., 40, the last value raised to 1e8:
+        # the last chord rises past 5e6, so the top is not degenerate; c2*b
+        # lies below the last knot, whose chord would otherwise win at large a*x
+        lams = [i / 10 for i in range(401)]
+        phi = PhiFunction.from_grid(lams, [0.5 * t * t for t in lams[:-1]] + [1e8])
+        xs = np.arange(1.0, 12.5, 0.5)
+        _, cert = unilateral_lower_envelope(phi, 0.2, m_surrogate_from_upper(phi, 0.2), xs)
+        assert cert.annotations == () and cert.c2 < 1.0
+        np.testing.assert_allclose(_exponents(phi, cert, 0.0, xs),
+                                   _dilated_exponents(phi, cert, 0.0, xs), rtol=1e-15, atol=0)
+
+    def test_work_of_the_power_log_one_chain(self, monkeypatch):
+        # phi' tends to 1, so every a*x > 1 diverges without a search; the
+        # dilated copy had no slope limit, and its chain took 80 values calls
+        # over 20,256 points, each x climbing the scan ladder to the cap
+        sizes = []
+        values = PhiFunction.values
+        monkeypatch.setattr(PhiFunction, "values",
+                            lambda f, lams: sizes.append(np.size(lams)) or values(f, lams))
+        env, _ = unilateral_lower_envelope(PhiFunction.power_log(1.0, 0.0, lo=0.0), 0.2, 2.0,
+                                           np.linspace(1.0, 8.0, 15))
+        assert (len(sizes), sum(sizes)) == (54, 14408)
+        assert np.all(env.log_values == -math.inf)
 
 
 def _conj(phi, x):
