@@ -290,14 +290,17 @@ def cmd_richter(args) -> tuple[dict, list]:
 
 def cmd_moments(args) -> tuple[dict, list]:
     xs = parse_grid(args.x)
-    if args.moments_csv or args.mode == "growth":
+    if args.mode == "pole" and args.moments_csv:
+        raise InputError("--mode pole reads --c, --b and --beta and takes no --moments-csv; "
+                         "the CSV's p,lower,upper columns feed --mode growth")
+    if args.mode == "growth":
         if args.moments_csv:
             env = moment_envelope_from_csv(args.moments_csv)
         else:
             env = moment_power_growth(args.m, args.c_low, args.c_high)
         if env.upper is None:  # only a CSV can lack the upper column
             raise InputError("CSV route currently needs both lower and upper columns "
-                             "for growth recovery; use --mode pole for one-sided input")
+                             "for growth recovery")
         lower, upper, rep = growth_tail_recovery(args.m, env, xs,
                                                  m_surrogate=args.m_surrogate)
         results = {"upper": envelope_payload(upper), "report": rep}
@@ -403,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=3.0, help="pole location")
     p.add_argument("--beta", type=float, default=1.0, help="pole order")
     p.add_argument("--m-surrogate", type=float, default=2.0)
-    p.add_argument("--moments-csv", default=None, help="CSV p,lower[,upper]")
+    p.add_argument("--moments-csv", default=None, help="CSV p,lower,upper (--mode growth)")
     p.set_defaults(fn=cmd_moments)
 
     p = sub.add_parser("tauber", help="two-sided limit diagnostic")

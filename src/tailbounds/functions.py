@@ -493,7 +493,7 @@ _LEFT = np.array([_A, _D, _NEW, _C, _FA, _FD, _FNEW, _FC])[:, None]
 _RIGHT = np.array([_C, _B, _D, _NEW, _FC, _FB, _FD, _FNEW])[:, None]
 
 
-def _golden_lockstep(objective, a, b, fa, fb, scan_x, scan_f, rel_width: float) -> list:
+def _golden_lockstep(objective, a, b, fa, fb, scan_x, scan_f) -> list:
     """Golden-section maximization on [a_r, b_r] for every bracket r at once.
 
     ``objective(rows, pts)`` evaluates bracket ``rows[i]`` at ``pts[i]``
@@ -521,7 +521,7 @@ def _golden_lockstep(objective, a, b, fa, fb, scan_x, scan_f, rel_width: float) 
             rows, state = rows[keep], state[:, keep]
         keep = None
         a, b = state[_A], state[_B]
-        wide = (b - a) > rel_width * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        wide = (b - a) > _GOLDEN_REL_WIDTH * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         if not wide.all():
             final[:, rows[~wide]] = state[:8, ~wide]
             rows, state = rows[wide], state[:, wide]
@@ -632,8 +632,7 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
             errors[int(ks[rows[j]])] = exc
         return pts * bx[rows] - phi, {int(rows[j]) for j in failed}
 
-    for k, best in zip(ks.tolist(), _golden_lockstep(objective, a, b, fa, fb, lam, flam,
-                                                     _GOLDEN_REL_WIDTH)):
+    for k, best in zip(ks.tolist(), _golden_lockstep(objective, a, b, fa, fb, lam, flam)):
         if best is not None:
             vals[k], arg[k] = best
     return vals, arg, errors
@@ -708,40 +707,40 @@ def conjugate(f: PhiFunction, x_grid: Sequence[float]) -> ConjugateResult:
 
 
 def biconjugate(f: PhiFunction, lam_grid: Sequence[float]) -> ConjugateResult:
-    """(f*)* on ``lam_grid``: the closed convex envelope of ``f``.
-
-    The outer supremum runs over the region where f* is finite; f*(x) is
-    recomputed on demand (grid forms exactly, closed forms by refined
-    search), so no interpolation error enters.
+    """(f*)* on ``lam_grid``, the closed convex envelope of ``f``: the
+    supremum over x >= 0 of lam*x - f*(x), which is concave in x and peaks
+    where f*'s maximizer, a subgradient of f* (Rockafellar, *Convex
+    Analysis*, section 23), crosses lam.  One :func:`conjugate_values` call
+    on the ladder max(1, lo)*2**k gives the window and each lam's bracket;
+    the ladder stops at its first divergent point (not raised), maximizer
+    past 1.0001 max(lam) + 1e-9 or point past 1e12, and errors before the
+    stop raise.  The brackets bisect "maximizer(x) < lam" in lockstep (100
+    halvings, 1e-13 relative), so that a flat top is read at its smallest
+    x, where rounding is least; one last call keeps the better end.
     """
     lams = _checked_grid(lam_grid, "lam_grid")
-    # locate the finite window of f* and the bracket for the largest lam
-    x_hi = max(1.0, f.domain.lo)
-    for _ in range(200):
-        try:
-            _, trace_hi = conjugate_value(f, x_hi)
-        except UnboundedObjectiveError:
-            break
-        if trace_hi > float(lams[-1]) * 1.0001 + 1e-9:
-            break
-        x_hi *= 2.0
-        if x_hi > 1e12:
-            break
+    ladder = max(1.0, f.domain.lo) * 2.0 ** np.arange(41)  # 2**40 passes 1e12
+    ladder = ladder[:int(np.argmax(ladder > 1e12)) + 1]
+    _, arg, errors = conjugate_values(f, ladder)
+    stop = arg > float(lams[-1]) * 1.0001 + 1e-9
+    stop[[k for k, e in errors.items() if isinstance(e, UnboundedObjectiveError)]] = True
+    n = int(np.argmax(stop)) + 1 if stop.any() else ladder.size
+    _raise_first({k: e for k, e in errors.items() if k < n}, (UnboundedObjectiveError,))
+    # each bracket ends past the window's points whose maximizer is below lam
+    pts = np.concatenate(([0.0], ladder[:n]))
+    j = np.minimum(np.count_nonzero(arg[:n] < lams[:, None], axis=1) + 1, n)
 
-    def fstar(xs: np.ndarray) -> np.ndarray:
-        # +inf where f* diverges, so that lam*x - f*(x) reads -inf there
-        v, _, errors = conjugate_values(f, xs)
-        _inf_where_unbounded(v, errors)
-        return v.reshape(xs.shape)
+    def fstar(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v, arg, errors = conjugate_values(f, xs)
+        _inf_where_unbounded(v, errors)  # so that lam*x - f*(x) reads -inf there
+        return v, arg
 
-    # every lam scans the same x grid, then all refine in lockstep
-    grid = _scan_grid(0.0, x_hi)
-    a, b, x, fa, fb, fx = _best_rows(lams, grid, fstar(grid))
-    vals, args = np.array(_golden_lockstep(
-        lambda k, xs: (lams[k] * xs - fstar(xs), set()), a, b, fa, fb, x, fx,
-        _GOLDEN_REL_WIDTH)).T
-    return ConjugateResult(x_grid=lams, values=vals, argmax=args,
-                           capped=np.zeros(lams.size, dtype=bool))
+    a, b = _bisect_rows(pts[j - 1], pts[j], lambda rows, m: fstar(m)[1] < lams[rows], 100, 1e-13)
+    ends = np.stack([a, b])
+    obj = lams * ends - fstar(ends.ravel())[0].reshape(ends.shape)
+    keep_b = obj[1] > obj[0]
+    return ConjugateResult(x_grid=lams, values=np.where(keep_b, obj[1], obj[0]),
+                           argmax=np.where(keep_b, b, a), capped=np.zeros(lams.size, dtype=bool))
 
 
 # --------------------------------------------------------------------------

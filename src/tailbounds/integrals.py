@@ -128,8 +128,10 @@ class EpsilonReport:
         """:func:`log_compound_upper_bound` at this report's eps, from its K
         and R, so that a grid of lam needs the two integrals once."""
         try:
-            star, _ = conjugate_value(zeta, lam / (1.0 - self.eps))
+            star, arg = conjugate_value(zeta, lam / (1.0 - self.eps))
         except UnboundedObjectiveError:
+            return math.inf
+        if arg == LAMBDA_CAP:  # the supremum over [0, LAMBDA_CAP] only: too small
             return math.inf
         if variant == "min":
             if self.m is None:
@@ -169,9 +171,10 @@ def log_i_integral(zeta: PhiFunction, lam: float) -> float:
     and integrated over u = |x - argmax| in [0, inf) by ``quadrature``, so
     the first window covers one unit on either side of the peak at any lam.
     Divergence is detected by the growth pre-test, or by the quadrature's
-    window cap, both as DivergentIntegral.  A peak at the Legendre search's
-    cap ``LAMBDA_CAP`` raises NotConvergedError: the true peak may lie
-    beyond it, where the folded integrand would overflow.
+    window cap, both as DivergentIntegral.  A peak at the search's cap
+    ``LAMBDA_CAP`` raises NotConvergedError before the pre-test, even where
+    I diverges (zeta = x - ln(1 + x) at lam = 1): the true peak may lie past
+    the cap and the probes, where the folded integrand would overflow.
     """
     _require_halfline(zeta)
 
@@ -179,11 +182,15 @@ def log_i_integral(zeta: PhiFunction, lam: float) -> float:
         return lam * xs - zeta.values(xs)
 
     label = f"I({lam})"
-    _pretest_decay(lambda xs: -log_f(xs), label)
-    top, peak = conjugate_value(zeta, lam)
+    try:
+        top, peak = conjugate_value(zeta, lam)
+    except UnboundedObjectiveError:
+        _pretest_decay(lambda xs: -log_f(xs), label)
+        raise
     if peak == LAMBDA_CAP:
         raise NotConvergedError(f"{label}: the peak of lam*x - zeta(x) stops at the search "
                                 f"cap x = {LAMBDA_CAP:g}", diagnostic={"peak": peak})
+    _pretest_decay(lambda xs: -log_f(xs), label)
 
     def folded(us: np.ndarray) -> np.ndarray:
         out = _exp_neg(top - log_f(peak + us))
@@ -208,8 +215,9 @@ def log_compound_upper_bound(zeta: PhiFunction, lam: float, eps: float,
     variant="sharp": ln K + (1-eps) * zeta*(lam/(1-eps))
     variant="plain": ln K + zeta*(lam/(1-eps))
 
-    Divergent K/R propagates; an unbounded conjugate yields +inf (the bound
-    is vacuous there, matching a divergent I).
+    Divergent K/R propagates; an unbounded conjugate, or one whose maximizer
+    is at ``LAMBDA_CAP`` (too small there), yields +inf.  A derivative-free
+    zeta's search may settle just below the cap, and is not caught.
     """
     if not (0.0 < eps < 1.0):
         raise InputError(f"eps must be in (0, 1), got {eps}")

@@ -96,32 +96,21 @@ def _saddle_inverse(phi2: PhiFunction, zs: np.ndarray, mus: np.ndarray,
     return mus, errors
 
 
-def _stars_at_saddle(phi2: PhiFunction, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """phi2*(x) at each saddle x = x0(t), NaN where x is NaN.  For a convex
-    phi2 with a derivative, the touching identity t*x - phi2(t); otherwise
-    only a grid has saddles, and its conjugate is exact at every x."""
-    if phi2.convex and phi2.deriv is not None:
-        return ts * xs - phi2.values(ts)
-    out = np.full(ts.size, math.nan)
-    at = ~np.isnan(xs)
-    out[at], _, _ = conjugate_values(phi2, xs[at])
-    return out
-
-
 def _saddle_rows(phi2: PhiFunction, mus: np.ndarray, lams: np.ndarray,
                  nus: np.ndarray) -> tuple[dict, dict]:
     """The saddle geometry of each row x_minus = x0(mu) < x0(lam) < x_plus =
     x0(nu), its mu, lam and nu inside phi2's domain: the SaddleGeometry
     fields x_minus, x0, x_plus, s_minus, s_x0, s_plus (S(lam, .) at each),
     ds_minus = lam - mu and ds_plus = lam - nu, as arrays over the rows.
-    x0 and phi2* are evaluated once per distinct t of the batch.  Also
-    returns, by index of the sorted distinct t's, the error of each t
-    without a saddle (NaN in the rows that use it).
+    x0 and phi2*(x0) = t*x0 - phi2(t), the touching identity at any
+    subgradient (Rockafellar, *Convex Analysis*, section 23), are evaluated
+    once per distinct t of the batch.  Also returns, by index of the sorted
+    distinct t's, the error of each t without a saddle (NaN in its rows).
     """
     k = lams.size
     ts, inv = np.unique(np.concatenate([mus, lams, nus]), return_inverse=True)
     x0s, errors = _saddle_points(phi2, ts)
-    stars = _stars_at_saddle(phi2, ts, x0s)
+    stars = ts * x0s - phi2.values(ts)
     at = [inv[j * k:(j + 1) * k] for j in range(3)]
     xm, x0, xp = (x0s[i] for i in at)
     sm, s0, sp = (lams * x0s[i] - stars[i] for i in at)
@@ -350,7 +339,7 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     in_dom = phi.domain.contains(ts_cell)
     ts = np.unique(ts_cell[in_dom])
     x0s, errors = _saddle_points(phi, ts)
-    stars = _stars_at_saddle(phi, ts, x0s)
+    stars = ts * x0s - phi.values(ts)  # the touching identity, as in _saddle_rows
     s_peak = phi.values(lams)[:, None]  # S(lam, x0(lam)), by the touching identity
     # by index of ts, one more for cells outside: every error of the saddle
     # map (NonUniqueArgmaxError, OutOfDomainError, InputError) skips its cell

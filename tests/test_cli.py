@@ -86,6 +86,21 @@ class TestUpper:
         for entry in json.loads(out.read_text())["results"]["integral_bounds"].values():
             assert entry["compound"] == math.exp(entry["log_compound"])
 
+    def test_bound_past_the_search_cap_is_vacuous(self, tmp_path):
+        # zeta = x^1.3/1.3: the maximizer (lam/0.8)^(1/0.3) of zeta*(lam/0.8)
+        # passes the cap 1e8 from lam = 0.8 * 1e8^0.3 = 201, so the bounds at
+        # 300 and 1000 are +inf; ln I(1000) is about zeta*(1000) = 2.31e12,
+        # with its peak at x = 1e10, past the cap and the pre-test's probes
+        out = tmp_path / "r.json"
+        assert run(["upper", "--family", "power-log", "--p", "1.3", "--lambda-min", "0",
+                    "--epsilon", "0.2", "--bound-lambda", "100,300,1000",
+                    "--out", str(out), "--normalize"]) == 0
+        bounds = json.loads(out.read_text())["results"]["integral_bounds"]
+        assert bounds["100.0"]["log_compound"] >= bounds["100.0"]["log_integral"]
+        for lam in ("300.0", "1000.0"):
+            assert bounds[lam]["log_compound"] == "inf" and bounds[lam]["compound"] == "inf"
+            assert "stops at the search cap" in bounds[lam]["error"]
+
 
 class TestLowerUni:
     def test_certificate_constants(self, tmp_path):
@@ -182,6 +197,23 @@ class TestOtherCommands:
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["results"]["report"]["recovered_m"] == pytest.approx(2.0, rel=0.05)
+
+    def test_moments_pole_refuses_a_csv(self, tmp_path, capsys):
+        # a CSV carries no pole; it feeds the growth route, which reads both
+        # columns, and a one-sided CSV is refused there with no other advice
+        two = tmp_path / "two.csv"
+        two.write_text("p,lower,upper\n1,0.5,2\n2,0.7,2.8\n3,0.9,3.5\n")
+        one = tmp_path / "one.csv"
+        one.write_text("p,lower\n1,0.5\n2,0.7\n3,0.9\n")
+        for path in (two, one):
+            assert run(["moments", "--mode", "pole", "--moments-csv", str(path),
+                        "--out", str(tmp_path / "r.json")]) == 1
+            err = capsys.readouterr().err
+            assert "--c, --b and --beta" in err and "p,lower,upper" in err
+        assert not (tmp_path / "r.json").exists()
+        assert run(["moments", "--moments-csv", str(one)]) == 1
+        err = capsys.readouterr().err
+        assert "both lower and upper columns" in err and "--mode pole" not in err
 
     def test_tauber(self, tmp_path):
         out = tmp_path / "r.json"

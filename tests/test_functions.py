@@ -180,7 +180,65 @@ class TestBiconjugate:
         # equality off the bump
         for i in (0, 1, 3, 4):
             assert bc.values[i] == pytest.approx(vs[i], abs=1e-8)
-        assert bc.values[2] < vs[2]
+        # exact at the bump: the hull's chord from 2 to 4 passes through 5
+        assert bc.values[2] == 5.0 < vs[2]
+
+    def test_random_dented_grids_match_the_convex_hull(self):
+        # nondecreasing values keep the hull nondecreasing, so that the
+        # supremum over x >= 0 reaches it; at the last knot lam*x - f*(x)
+        # is flat from the last chord on, and is read there, not at 1e12
+        rng = np.random.default_rng(28)
+        for _ in range(50):
+            n = int(rng.integers(5, 60))
+            ls = np.cumsum(rng.uniform(0.1, 2.0, n)) + rng.uniform(0.0, 3.0)
+            vs = np.cumsum(rng.uniform(0.0, 5.0, n))
+            f = PhiFunction.from_grid(ls, vs)
+            assert f.convex is False
+            hull = _lower_convex_hull(ls, vs)
+            err = np.abs(biconjugate(f, ls).values - hull)
+            assert (err <= 1e-12 * np.maximum(1.0, np.abs(hull))).all()
+
+    def test_window_errors_raise_only_before_the_ladder_stops(self):
+        # f turns negative past lam = 1000, which the conjugate's scan first
+        # reaches at the ladder point x = 256; the ladder of lams up to 2
+        # stops at x = 4, whose maximizer passes 2, and that of lams up to
+        # 300 stops at x = 512, after the error
+        f = PhiFunction.from_callable(
+            lambda l: np.where(l < 1000.0, 0.5 * l * l, -1.0), 0.0, math.inf,
+            deriv=lambda l: l, convex=True, slope_lim=math.inf, vectorized=True)
+        lams = np.array([1.0, 1.5, 2.0])
+        np.testing.assert_allclose(biconjugate(f, lams).values, 0.5 * lams ** 2,
+                                   rtol=1e-13)
+        with pytest.raises(NegativeInputError):
+            biconjugate(f, [1.0, 300.0])
+
+    def test_exponential_law_exponent_on_its_bounded_domain(self):
+        # -ln(1 - lam) on [0, 1): f* is finite everywhere, its maximizer
+        # 1 - 1/x passes 0.95 at x = 20
+        f = oracles.exponential_unit().mgf_exponent
+        lams = np.linspace(0.05, 0.95, 19)
+        np.testing.assert_allclose(biconjugate(f, lams).values, f.values(lams),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("slope", [0.5, 1.0, 2.0, 3.0, 3.5])
+    def test_slope_limit_stops_the_ladder_without_raising(self, slope):
+        # f* is 0 up to the slope and diverges past it: the ladder 1, 2, 4
+        # stops at its first divergent point, which is not raised, and the
+        # brackets bisect to the slope limit, on a ladder point or between two
+        f = PhiFunction.linear(slope, lo=0.0)
+        lams = np.array([0.5, 1.0, 2.0, 7.0])
+        np.testing.assert_allclose(biconjugate(f, lams).values, slope * lams,
+                                   rtol=1e-15, atol=0.0)
+
+    def test_smooth_slope_limited_function(self):
+        # sqrt(1 + lam^2): slope limit 1, f* finite on [0, 1] only
+        f = PhiFunction.from_callable(
+            lambda l: np.sqrt(1.0 + l * l), 0.0, math.inf,
+            deriv=lambda l: l / np.sqrt(1.0 + l * l), convex=True, slope_lim=1.0,
+            vectorized=True)
+        lams = np.array([0.5, 1.0, 2.0, 5.0])
+        np.testing.assert_allclose(biconjugate(f, lams).values, f.values(lams),
+                                   rtol=1e-14, atol=0.0)
 
     def test_convex_grid_self_consistency(self):
         ls = np.arange(1.0, 6.01, 0.25)

@@ -3,10 +3,11 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from tailbounds.errors import DivergentIntegral, InputError
-from tailbounds.functions import PhiFunction
+from tailbounds.errors import DivergentIntegral, InputError, NotConvergedError
+from tailbounds.functions import LAMBDA_CAP, PhiFunction, conjugate_value
 from tailbounds.integrals import (
     compound_upper_bound,
     cramer_check,
@@ -172,6 +173,36 @@ class TestCompoundBound:
             assert sharp <= plain + 1e-12
             assert minv <= plain + 1e-12
             assert sharp >= log_i_integral(HALF_SQUARE, lam) - 1e-9
+
+    def test_a_conjugate_stopped_at_the_cap_bounds_nothing(self):
+        # zeta = x^1.3/1.3, zeta*(y) = (0.3/1.3) y^(1.3/0.3) at the maximizer
+        # y^(1/0.3), which passes the cap 1e8 from y = 251: at lam = 1000,
+        # y = 1250, the capped supremum is 1.06e11 where zeta*(1250) = 6.1e12
+        zeta = PhiFunction.power_log(1.3, lo=0.0)
+        rep = epsilon_report(zeta, 0.2)
+        star, arg = conjugate_value(zeta, 125.0)
+        assert arg < LAMBDA_CAP
+        bound = rep.log_compound_bound(zeta, 100.0)
+        assert bound == pytest.approx(math.log(rep.m) + star, rel=1e-15)
+        assert bound >= log_i_integral(zeta, 100.0)
+        for lam in (300.0, 1000.0):
+            assert conjugate_value(zeta, lam / 0.8)[1] == LAMBDA_CAP
+            assert rep.log_compound_bound(zeta, lam) == math.inf
+            # the peak lies past the growth pre-test's probes as well, where
+            # zeta(x) - lam*x is still negative: the cap is named, and no
+            # false divergence
+            with pytest.raises(NotConvergedError, match="search cap"):
+                log_i_integral(zeta, lam)
+
+    def test_a_peak_at_the_cap_is_refused_even_where_i_diverges(self):
+        # lam*x - zeta(x) = ln(1 + x) at lam = 1: I diverges, but the search
+        # climbs to the cap instead of diverging, and the cap is named first
+        zeta = PhiFunction.from_callable(
+            lambda x: x - np.log1p(x), 0.0, math.inf, deriv=lambda x: x / (1.0 + x),
+            convex=True, slope_lim=1.0, vectorized=True)
+        assert conjugate_value(zeta, 1.0)[1] == LAMBDA_CAP
+        with pytest.raises(NotConvergedError, match="search cap"):
+            log_i_integral(zeta, 1.0)
 
 
 class TestCramer:

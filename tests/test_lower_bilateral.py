@@ -23,9 +23,9 @@ from tailbounds import lower_bilateral
 from tailbounds.functions import (
     LAMBDA_CAP,
     PhiFunction,
+    _saddle_points,
     _stars,
     conjugate,
-    conjugate_value,
     conjugate_values,
     saddle_point,
 )
@@ -541,7 +541,7 @@ class TestSaddleInverse:
 
 # Scalar versions of the saddle path, one t at a time, as the geometry and
 # the regularity report were once written: the reference for the batched
-# _saddle_points / _stars_at_saddle path, compared bit for bit.
+# _saddle_points path and its touching identity, compared bit for bit.
 def _scalar_x0(phi2, t):
     if phi2.convex and phi2.deriv is not None:
         return float(phi2.deriv(float(t)))
@@ -549,10 +549,8 @@ def _scalar_x0(phi2, t):
 
 
 def _scalar_star_at_saddle(phi2, t, x):
-    if phi2.convex and phi2.deriv is not None:
-        return float(t) * float(x) - phi2.value(float(t))
-    star, _ = conjugate_value(phi2, float(x))
-    return star
+    # x is a subgradient of phi2 at t, a derivative or a grid's chord
+    return float(t) * float(x) - phi2.value(float(t))
 
 
 def _scalar_make_geometry(phi2, lam, delta1, delta2=None):
@@ -710,6 +708,39 @@ class TestBatchedSaddlePath:
         phi = _SADDLE_PATH_PHIS[name]
         want = _outcome(_scalar_make_geometry, phi, lam, d1, d2)
         assert _outcome(make_geometry, phi, lam, d1, d2) == want
+
+    def test_touching_identity_is_the_grid_conjugate(self):
+        # on a convex grid x0(t) is the chord of t's piece, or at a knot the
+        # mean chord: a subgradient, so t*x0 - phi2(t), which the saddle
+        # path takes for phi2*(x0), is the knot conjugate to rounding.  t is
+        # drawn uniformly, on knots and within 1e-12 of them; off a knot the
+        # mean chord of a hit is no subgradient, and the identity is off by
+        # |t - knot| times half the chords' difference as well
+        rng = np.random.default_rng(2028)
+        checked = 0
+        for _ in range(50):
+            n = int(rng.integers(20, 401))
+            ls = np.cumsum(rng.uniform(0.5, 1.5, n)) * rng.uniform(0.01, 1.0)
+            # each chord rises from the last by at most twice its knot
+            # spacing, so no interior knot's chords differ by more than the
+            # flat tolerance of the saddle map
+            slopes = rng.uniform(0.0, 3.0) + np.cumsum(rng.uniform(0.0, 2.0, n - 1) * np.diff(ls))
+            vs = rng.uniform(0.0, 1.0) + np.concatenate(([0.0], np.cumsum(slopes * np.diff(ls))))
+            phi2 = PhiFunction.from_grid(ls, vs)
+            assert phi2.convex
+            k = rng.integers(0, n, 60)
+            ts = np.concatenate([rng.uniform(ls[0], ls[-1], 100), ls[k],
+                                 ls[k] + rng.uniform(-1e-12, 1e-12, 60)])
+            # |t - knot| * (right - left) / 2 where t is within 1e-12 of knot k
+            jump = np.diff(slopes, prepend=slopes[0], append=slopes[-1])
+            off = np.concatenate([np.zeros(160), np.abs(ts[160:] - ls[k]) * jump[k] / 2.0])
+            x0s, _ = _saddle_points(phi2, ts)
+            at = ~np.isnan(x0s)
+            stars = ts[at] * x0s[at] - phi2.values(ts[at])
+            want = conjugate_values(phi2, x0s[at])[0]
+            assert (np.abs(stars - want) <= off[at] + 4e-15 * np.maximum(1.0, np.abs(want))).all()
+            checked += int(at.sum())
+        assert checked > 10_000
 
     def test_geometry_cases_reach_every_error(self):
         outcomes = {_outcome(_scalar_make_geometry, phi, *case)[0]
