@@ -200,7 +200,7 @@ class PhiFunction:
             raise NegativeInputError("grid values must be finite and nonnegative")
         # the last knot sits strictly inside the half-open domain
         hi = float(np.nextafter(lam[-1], math.inf))
-        slopes = np.diff(val) / np.diff(lam)
+        slopes = _chords(lam, val)
         convex = bool(np.all(np.diff(slopes) >= -1e-12 * max(1.0, np.abs(slopes).max())))
         lam.setflags(write=False)
         val.setflags(write=False)
@@ -367,9 +367,15 @@ class ConjugateResult:
         vf = v[fin]
         if vf.size >= 3:
             xf = self.x_grid[fin]
-            chords = np.diff(vf) / np.diff(xf)
+            chords = _chords(xf, vf)
             if np.any(np.diff(chords) < -1e-6 * max(1.0, float(np.abs(chords).max()))):
                 raise AssertionError("conjugate values not convex along the grid")
+
+
+def _chords(ls: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The slopes of the pieces of the piecewise-linear function through
+    the knots (ls, vs), ls increasing: one fewer than the knots."""
+    return np.diff(vs) / np.diff(ls)
 
 
 def _checked_grid(grid, name: str) -> np.ndarray:
@@ -571,7 +577,11 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     The path is chosen once for the table, by the kind of ``f``.  A grid
     solves each x at the knots inside its domain and, where the domain is
     narrower than the knot span, at the domain's ends, interpolated
-    there.  Otherwise the x above
+    there.  Where the chords of those knots never fall, as on a convex
+    grid, one sorted search of the chords gives every x its argmax, the
+    first knot whose chord reaches x (Y. Lucet, *Numer. Algorithms* 16,
+    1997); otherwise each x takes the argmax over the knots on its own.
+    For the other kinds, the x above
     :meth:`PhiFunction.slope_limit` diverge, all of them with one witness;
     a closed form takes the stationary points of the others and evaluates
     ``f`` at all of them in one ``values`` call.  Searched points share the
@@ -589,8 +599,14 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
         ls, vs = f.knots
         lo, top = f.domain.lo, f.domain.top()
         if lo > ls[0] or top < ls[-1]:
-            ls = np.concatenate(([lo], ls[(ls > lo) & (ls < top)], [top]))
+            ls = _sorted_unique(np.concatenate(([lo, top], ls[(ls > lo) & (ls < top)])))
             vs = np.interp(ls, *f.knots)
+        chords = _chords(ls, vs)
+        if np.all(chords[1:] >= chords[:-1]):
+            # lam*x - v rises while the chord ahead is below x, and never
+            # again: the first knot whose chord reaches x is the argmax
+            i = np.searchsorted(chords, x_arr)
+            return ls[i] * x_arr - vs[i], ls[i], {}
         for k, x in enumerate(x_arr.tolist()):
             obj = ls * x - vs
             i = int(np.argmax(obj))
@@ -756,17 +772,19 @@ def saddle_point(phi2: PhiFunction, lam: float) -> float:
     a derivative, the chord around lam on a convex grid.  The one-point
     case of :func:`_saddle_points`, which says what each other case raises.
     """
-    x0s, errors = _saddle_points(phi2, [lam])
+    x0s, _, errors = _saddle_points(phi2, [lam])
     _raise_first(errors)
     return float(x0s[0])
 
 
-def _saddle_points(phi2: PhiFunction, lams) -> tuple[np.ndarray, dict]:
-    """The package's one saddle map: x0 at each lam, and by index the
-    package error of each lam without one (its x0 is NaN).  OutOfDomainError
-    off the domain; on a grid, :func:`_grid_saddle_points`; for a convex
-    ``phi2`` with a derivative, phi2' in one ``derivatives`` call, which
-    raises its first error; InputError for any other ``phi2``."""
+def _saddle_points(phi2: PhiFunction, lams) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The package's one saddle map: x0 at each lam, the point t where x0
+    is a subgradient of ``phi2``, so that phi2*(x0) = t*x0 - phi2(t) (the
+    touching identity), and by index the package error of each lam without
+    an x0 (NaN there).  t is lam, except at a grid's knot hit.
+    OutOfDomainError off the domain; on a grid, :func:`_grid_saddle_points`;
+    for a convex ``phi2`` with a derivative, phi2' in one ``derivatives``
+    call, which raises its first error; InputError for any other ``phi2``."""
     lams = np.asarray(lams, dtype=float).ravel()
     if phi2.kind == "grid":
         return _grid_saddle_points(phi2, lams.tolist())
@@ -778,7 +796,7 @@ def _saddle_points(phi2: PhiFunction, lams) -> tuple[np.ndarray, dict]:
     errors = {i: InputError(f"{phi2.label}: saddle point needs a convex phi2 with a derivative")
               if inside[i] else OutOfDomainError(float(lams[i]), phi2.domain.lo, phi2.domain.hi)
               for i in np.flatnonzero(~inside | (not has_map)).tolist()}
-    return x0s, errors
+    return x0s, lams, errors
 
 
 def _require_saddle_map(phi2: PhiFunction, message: str) -> None:
@@ -793,12 +811,15 @@ def _require_saddle_map(phi2: PhiFunction, message: str) -> None:
             f"{phi2.label}: the saddle map x0 = phi2'(lam) needs a derivative or a grid")
 
 
-def _grid_saddle_points(phi2: PhiFunction, lams: list) -> tuple[np.ndarray, dict]:
+def _grid_saddle_points(phi2: PhiFunction, lams: list) -> tuple[np.ndarray, np.ndarray, dict]:
     """:func:`_saddle_points` on a grid: the chords and the flat tolerance
     once for the batch, then each lam in turn, which raises OutOfDomainError
-    before the InputError of a grid that is not convex (``phi2.convex``)."""
+    before the InputError of a grid that is not convex (``phi2.convex``).
+    A lam that hits an interior knot takes the mean of its two chords, a
+    subgradient at the knot only: its touching point is that knot, where
+    the domain holds it."""
     ls, vs = phi2.knots
-    chords = np.diff(vs) / np.diff(ls)  # breakpoints of phi2* in x
+    chords = _chords(ls, vs)  # breakpoints of phi2* in x
     flat_tol = 2.0 * float(np.diff(ls).max())
     # phi2* is the upper envelope of the knot lines lam_j * x - v_j; on the
     # piece where line j is active, dS/dx = lam - lam_j.  The maximum sits
@@ -812,7 +833,8 @@ def _grid_saddle_points(phi2: PhiFunction, lams: list) -> tuple[np.ndarray, dict
     near_hi = np.searchsorted(ls, lam_arr + 2.0 * atol, side="right").tolist()
     above = np.searchsorted(ls, lam_arr).tolist()
     out: list = []
-    for lam, tol, a, b, j in zip(lams, atol.tolist(), near_lo, near_hi, above):
+    touch = lam_arr.copy()
+    for i, (lam, tol, a, b, j) in enumerate(zip(lams, atol.tolist(), near_lo, near_hi, above)):
         hit = np.flatnonzero(np.abs(ls[a:b] - lam) <= tol) if b > a else ()
         if not phi2.domain.contains(lam):
             x0 = OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
@@ -827,13 +849,15 @@ def _grid_saddle_points(phi2: PhiFunction, lams: list) -> tuple[np.ndarray, dict
                 left, right = float(chords[k - 1]), float(chords[k])
                 x0 = (NonUniqueArgmaxError(left, right, flat_tol) if right - left > flat_tol
                       else 0.5 * (left + right))
+                if phi2.domain.contains(ls[k]):
+                    touch[i] = ls[k]
         elif 0 < j <= chords.size:  # ls[j-1] < lam < ls[j]
             x0 = float(chords[j - 1])
         else:
             x0 = OutOfDomainError(lam, float(ls[0]), float(ls[-1]))
         out.append(x0)
     errors = {i: x0 for i, x0 in enumerate(out) if isinstance(x0, Exception)}
-    return np.array([math.nan if i in errors else x0 for i, x0 in enumerate(out)]), errors
+    return np.array([math.nan if i in errors else x0 for i, x0 in enumerate(out)]), touch, errors
 
 
 # --------------------------------------------------------------------------
@@ -919,44 +943,83 @@ def _first_at_one(f: PhiFunction, probe: np.ndarray, vals: np.ndarray, rel: floa
 # --------------------------------------------------------------------------
 
 
-def _read_csv_columns(path: str, *headers: tuple[str, ...]) -> tuple[list, ...]:
+def _read_csv_columns(path: str, *headers: tuple[str, ...]) -> tuple[np.ndarray, ...]:
     """Numeric columns under the first of ``headers`` the file's header starts with.
 
     Every entry must be finite and nonnegative, and the first column must
-    strictly increase; errors carry the line number.
+    strictly increase; errors carry the line number.  The data rows are
+    parsed and checked as one array (numpy converts each cell with Python's
+    ``float``); where a check fails, they are walked one by one, and the
+    first failing row words the error.
     """
-    cols: tuple[list, ...] = ()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if lineno == 1:
-                got = tuple(c.strip().lower() for c in row)
-                header = next((h for h in headers if got[:len(h)] == h), None)
-                if header is None:
-                    want = " or ".join(repr(",".join(h)) for h in headers)
-                    raise InputError(f"{path}:1: expected header {want}, got {','.join(got)!r}")
-                n = len(header)
-                cols = tuple([] for _ in header)
-                continue
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < n:
-                raise InputError(f"{path}:{lineno}: expected {n} columns, got {len(row)}")
-            try:
-                nums = [float(c) for c in row[:n]]
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: non-numeric entry: {exc}") from None
-            bad = [c.strip() for c, v in zip(row, nums) if not (math.isfinite(v) and v >= 0.0)]
-            if bad:
-                raise InputError(f"{path}:{lineno}: entries must be finite and nonnegative, "
-                                 f"got {bad[0]!r}")
-            if cols[0] and nums[0] <= cols[0][-1]:
-                raise InputError(
-                    f"{path}:{lineno}: first column must be strictly increasing "
-                    f"({nums[0]} after {cols[0][-1]})"
-                )
-            for col, v in zip(cols, nums):
-                col.append(v)
-    if not cols or len(cols[0]) < 2:
+        rows = csv.reader(fh)
+        head = next(rows, None)
+        if head is None:
+            raise InputError(f"{path}: need at least 2 data rows")
+        got = tuple(c.strip().lower() for c in head)
+        header = next((h for h in headers if got[:len(h)] == h), None)
+        if header is None:
+            want = " or ".join(repr(",".join(h)) for h in headers)
+            raise InputError(f"{path}:1: expected header {want}, got {','.join(got)!r}")
+        n = len(header)
+        try:
+            data = list(rows)
+        except (csv.Error, ValueError):  # a bad field or byte: walk the file up to it
+            fh.seek(0)
+            data = csv.reader(fh)
+            next(data)
+            table = None
+        else:
+            table = _csv_table(data, n)
+        if table is None:
+            table = _csv_walk(path, data, n)
+    return tuple(table.T)
+
+
+def _csv_table(rows: list, n: int) -> Optional[np.ndarray]:
+    """The first ``n`` cells of each data row that is not blank, as one
+    float array, with no Python loop over the rows; None where a row is
+    short, a cell is not numeric, an entry is not finite and nonnegative,
+    the first column does not strictly increase or fewer than 2 rows
+    remain."""
+    filled = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
+    rows = list(map(rows.__getitem__, np.flatnonzero(filled).tolist()))
+    if len(rows) < 2 or min(map(len, rows)) < n:
+        return None
+    try:
+        table = np.array(list(map(list.__getitem__, rows, [slice(n)] * len(rows))), dtype=float)
+    except ValueError:
+        return None
+    first = table[:, 0]
+    ok = np.isfinite(table).all() and (table >= 0.0).all() and (first[1:] > first[:-1]).all()
+    return table if ok else None
+
+
+def _csv_walk(path: str, rows, n: int) -> np.ndarray:
+    """The data rows after the header, one by one: raises the InputError
+    of the first row that fails a check of :func:`_csv_table`, numbered by
+    its line, else returns their table."""
+    data: list = []
+    for lineno, row in enumerate(rows, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) < n:
+            raise InputError(f"{path}:{lineno}: expected {n} columns, got {len(row)}")
+        try:
+            nums = [float(c) for c in row[:n]]
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: non-numeric entry: {exc}") from None
+        bad = [c.strip() for c, v in zip(row, nums) if not (math.isfinite(v) and v >= 0.0)]
+        if bad:
+            raise InputError(f"{path}:{lineno}: entries must be finite and nonnegative, "
+                             f"got {bad[0]!r}")
+        if data and nums[0] <= data[-1][0]:
+            raise InputError(
+                f"{path}:{lineno}: first column must be strictly increasing "
+                f"({nums[0]} after {data[-1][0]})"
+            )
+        data.append(nums)
+    if len(data) < 2:
         raise InputError(f"{path}: need at least 2 data rows")
-    return cols
+    return np.array(data)

@@ -102,15 +102,16 @@ def _saddle_rows(phi2: PhiFunction, mus: np.ndarray, lams: np.ndarray,
     x0(nu), its mu, lam and nu inside phi2's domain: the SaddleGeometry
     fields x_minus, x0, x_plus, s_minus, s_x0, s_plus (S(lam, .) at each),
     ds_minus = lam - mu and ds_plus = lam - nu, as arrays over the rows.
-    x0 and phi2*(x0) = t*x0 - phi2(t), the touching identity at any
-    subgradient (Rockafellar, *Convex Analysis*, section 23), are evaluated
-    once per distinct t of the batch.  Also returns, by index of the sorted
-    distinct t's, the error of each t without a saddle (NaN in its rows).
+    x0 and phi2*(x0), the touching identity at the point where x0 is a
+    subgradient (:func:`_saddle_points`; Rockafellar, *Convex Analysis*,
+    section 23), are evaluated once per distinct t of the batch.  Also
+    returns, by index of the sorted distinct t's, the error of each t
+    without a saddle (NaN in its rows).
     """
     k = lams.size
     ts, inv = np.unique(np.concatenate([mus, lams, nus]), return_inverse=True)
-    x0s, errors = _saddle_points(phi2, ts)
-    stars = ts * x0s - phi2.values(ts)
+    x0s, touch, errors = _saddle_points(phi2, ts)
+    stars = touch * x0s - phi2.values(touch)
     at = [inv[j * k:(j + 1) * k] for j in range(3)]
     xm, x0, xp = (x0s[i] for i in at)
     sm, s0, sp = (lams * x0s[i] - stars[i] for i in at)
@@ -338,8 +339,8 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     ts_cell = lams[:, None] * (1.0 + delta_grid)
     in_dom = phi.domain.contains(ts_cell)
     ts = np.unique(ts_cell[in_dom])
-    x0s, errors = _saddle_points(phi, ts)
-    stars = ts * x0s - phi.values(ts)  # the touching identity, as in _saddle_rows
+    x0s, touch, errors = _saddle_points(phi, ts)
+    stars = touch * x0s - phi.values(touch)  # the touching identity, as in _saddle_rows
     s_peak = phi.values(lams)[:, None]  # S(lam, x0(lam)), by the touching identity
     # by index of ts, one more for cells outside: every error of the saddle
     # map (NonUniqueArgmaxError, OutOfDomainError, InputError) skips its cell
@@ -555,7 +556,7 @@ def exact_mgf_sandwich(
         # saddle path at each mu by a central difference
         hs = np.array([max(1e-6, 1e-4 * max(mu, 1.0)) for mu in mus.tolist()])
         ts = np.concatenate([mus + hs, np.maximum(mus - hs, phi.domain.lo)])
-        x0s, errors = _saddle_points(phi, ts)
+        x0s, _, errors = _saddle_points(phi, ts)
         _raise_first(errors, (OutOfDomainError, InputError))
         slopes = (x0s[:mus.size] - x0s[mus.size:]) / (2 * hs)
         scale = np.array([

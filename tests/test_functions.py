@@ -1,5 +1,6 @@
 """Function representation, Legendre transform, biconjugate, saddle points."""
 
+import csv
 import dataclasses
 import math
 import re
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dilated
-from tailbounds import oracles
+from tailbounds import functions, oracles
 from tailbounds.errors import (
     EmptyDomainError,
     InputError,
@@ -30,7 +31,9 @@ from tailbounds.functions import (
     Domain,
     _bisect,
     _bisect_rows,
+    _chords,
     _grow_rows,
+    _read_csv_columns,
     _saddle_points,
     PhiFunction,
     biconjugate,
@@ -269,8 +272,9 @@ def _lower_convex_hull(ls, vs):
 
 
 def _per_lam(result):
-    """The (x0s, errors) of _saddle_points as each lam's float or error."""
-    x0s, errors = result
+    """The (x0s, touching points, errors) of _saddle_points as each lam's
+    float or error."""
+    x0s, _, errors = result
     return [errors.get(i, x0) for i, x0 in enumerate(x0s.tolist())]
 
 
@@ -331,6 +335,18 @@ class TestSaddlePoint:
                 else:
                     assert x0 == want and type(x0) is float
 
+    def test_a_knot_hit_touches_at_the_knot_inside_the_domain(self):
+        # lam = 5 + 1e-13 hits the knot 5 and takes its mean chord, which
+        # is a subgradient at 5; on a domain narrowed past 5 the knot is no
+        # point of phi2, and lam stays the touching point
+        ls = np.arange(11.0)
+        g = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
+        part = dataclasses.replace(g, domain=dataclasses.replace(g.domain, lo=5.0 + 1e-13))
+        for f, want in ((g, 5.0), (part, 5.0 + 1e-13)):
+            x0s, touch, errors = _saddle_points(f, [5.0 + 1e-13])
+            assert errors == {} and x0s.tolist() == [5.0] and touch.tolist() == [want]
+            assert f.values(touch).tolist() == np.interp(touch, ls, 0.5 * ls ** 2).tolist()
+
     @pytest.mark.parametrize("f, lams", [
         (PhiFunction.quadratic(), [1.0, 2.5, 10.0, 300.0]),
         (PhiFunction.power_log(2.0, 1.0), [1.0, 3.0, 7.5, 40.0]),
@@ -342,8 +358,8 @@ class TestSaddlePoint:
     def test_equals_the_envelopes_saddle_map(self, f, lams):
         # the public one-point call and the batch the envelopes read are one
         # map, x0 = phi2'(lam), bit for bit
-        x0s, errors = _saddle_points(f, np.array(lams))
-        assert errors == {}
+        x0s, touch, errors = _saddle_points(f, np.array(lams))
+        assert errors == {} and touch.tolist() == lams
         assert [saddle_point(f, lam) for lam in lams] == x0s.tolist()
         assert x0s.tolist() == f.derivatives(np.array(lams)).tolist()
 
@@ -646,6 +662,90 @@ class TestConvexityCertificate:
             saddle_point(g, 20.5)
 
 
+def _row_loop_read_csv_columns(path, *headers):
+    """The CSV reader as a loop over the rows, one Python float per cell:
+    the reference whose columns and error texts the array reader keeps."""
+    cols = ()
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for lineno, row in enumerate(reader, start=1):
+            if lineno == 1:
+                got = tuple(c.strip().lower() for c in row)
+                header = next((h for h in headers if got[:len(h)] == h), None)
+                if header is None:
+                    want = " or ".join(repr(",".join(h)) for h in headers)
+                    raise InputError(f"{path}:1: expected header {want}, got {','.join(got)!r}")
+                n = len(header)
+                cols = tuple([] for _ in header)
+                continue
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) < n:
+                raise InputError(f"{path}:{lineno}: expected {n} columns, got {len(row)}")
+            try:
+                nums = [float(c) for c in row[:n]]
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: non-numeric entry: {exc}") from None
+            bad = [c.strip() for c, v in zip(row, nums) if not (math.isfinite(v) and v >= 0.0)]
+            if bad:
+                raise InputError(f"{path}:{lineno}: entries must be finite and nonnegative, "
+                                 f"got {bad[0]!r}")
+            if cols[0] and nums[0] <= cols[0][-1]:
+                raise InputError(
+                    f"{path}:{lineno}: first column must be strictly increasing "
+                    f"({nums[0]} after {cols[0][-1]})"
+                )
+            for col, v in zip(cols, nums):
+                col.append(v)
+    if not cols or len(cols[0]) < 2:
+        raise InputError(f"{path}: need at least 2 data rows")
+    return cols
+
+
+def _read_outcome(read, path, headers):
+    """The columns ``read`` returns as float.hex strings, or its error's
+    type and text."""
+    try:
+        cols = read(path, *headers)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [[float(v).hex() for v in col] for col in cols]
+
+
+# cells beside plain increasing numbers: padded, underscored, signed zero,
+# NaN, overflow to inf, quoted (with a comma inside), empty, non-numeric
+_ODD_CELLS = [" 1.5 ", "1_000", "-0", "nan", "1e400", "-2", "abc", "0x10", "", "  ",
+              '"3.5"', '" 4 "', '"1,5"', "inf", "1e-400"]
+
+
+@st.composite
+def _csv_files(draw):
+    """A CSV text and the headers a reader takes: grid or moments.  The
+    header is mostly one of the reader's (in any case and padding, with
+    extra columns); the rows are blank, whitespace-only or cells, mostly an
+    increasing first column and numbers, then some short rows, extra
+    columns, odd cells and non-increasing steps."""
+    grid = draw(st.booleans())
+    names = ["lambda,value", " Lambda , VALUE ", "lambda,value,note"] if grid else \
+        ["p,lower", "p,lower,upper", "P , Lower,Upper,note"]
+    header = draw(st.sampled_from(names * 4 + ["a,b", names[0][:6], ""]))
+    n = 3 if "upper" in header.lower() else 2
+    number = st.floats(0.0, 50.0).map(repr)
+    cell = st.sampled_from([number] * 7 + [st.sampled_from(_ODD_CELLS)]).flatmap(lambda c: c)
+    lines, t = [header], 0.0
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["cells"] * 9 + ["blank", "spaces", "commas"]))
+        if kind != "cells":
+            lines.append({"blank": "", "spaces": "   ", "commas": " , ,"}[kind])
+            continue
+        t += draw(st.sampled_from([1.0, 0.25, 1e-3] * 5 + [0.0, -0.5]))
+        first = draw(st.sampled_from([st.just(repr(t))] * 7 + [cell]).flatmap(lambda c: c))
+        width = draw(st.sampled_from([n - 1] * 10 + [n - 2, n]))
+        lines.append(",".join([first] + draw(st.lists(cell, min_size=width, max_size=width))))
+    ending = draw(st.sampled_from(["", "\n", "\n\n"]))
+    text = "" if lines == [""] and not ending else "\n".join(lines) + ending
+    return text, [("lambda", "value")] if grid else [("p", "lower", "upper"), ("p", "lower")]
+
 class TestCsvLoading:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "grid.csv"
@@ -686,6 +786,66 @@ class TestCsvLoading:
         p.write_text(text)
         with pytest.raises(InputError, match=":3: entries must be finite and nonnegative"):
             moment_envelope_from_csv(str(p))
+
+    def test_a_valid_file_is_never_walked_row_by_row(self, tmp_path, monkeypatch):
+        # quoted cells, blank rows, whitespace and extra columns are all valid
+        p = tmp_path / "ok.csv"
+        p.write_text('p,lower,upper,note\n1," 0.5 ",2,a\n\n  ,\n2,1_000,-0,b\n')
+        monkeypatch.setattr(functions, "_csv_walk", None)
+        cols = _read_csv_columns(str(p), ("p", "lower", "upper"), ("p", "lower"))
+        assert [c.tolist() for c in cols] == [[1.0, 2.0], [0.5, 1000.0], [2.0, 0.0]]
+        assert math.copysign(1.0, cols[2][1]) == -1.0
+
+    @pytest.mark.parametrize("text, headers", [
+        ("lambda,value\n1\n2\n3\n", [("lambda", "value")]),
+        ("p,lower,upper\n1,1\n2,2\n", [("p", "lower", "upper"), ("p", "lower")]),
+    ])
+    def test_short_rows_everywhere_name_the_first(self, tmp_path, text, headers):
+        # every row one cell short still stacks into an array: the column
+        # count check refuses it before numpy does
+        p = tmp_path / "short.csv"
+        p.write_text(text)
+        with pytest.raises(InputError, match=r":2: expected \d columns, got \d$"):
+            _read_csv_columns(str(p), *headers)
+
+    @pytest.mark.parametrize("fault", ["", "1,-1\n"])
+    @pytest.mark.parametrize("tail", [b"5,\xff\n", b"5," + b"9" * 200_000 + b"\n"])
+    def test_a_bad_byte_or_field_raises_where_the_row_loop_meets_it(self, tmp_path, fault, tail):
+        # an undecodable byte or a field past csv's size limit, 40 kB into
+        # the file, after a faulty row 3 or after none: the row's error, or
+        # the reader's own, as the row loop raises it
+        p = tmp_path / "bytes.csv"
+        rows = "".join(f"{k},{k}\n" for k in range(2, 4000))
+        p.write_bytes(f"lambda,value\n0,0\n{fault}{rows}".encode() + tail)
+        got = _read_outcome(_read_csv_columns, str(p), [("lambda", "value")])
+        assert got == _read_outcome(_row_loop_read_csv_columns, str(p), [("lambda", "value")])
+        assert got.startswith("InputError: " if fault else ("UnicodeDecodeError", "Error: field"))
+
+    def test_each_odd_cell_reads_as_the_row_loop_reads_it(self, tmp_path):
+        # every odd cell in each column of the third of four rows, under
+        # both readers' headers: valid, or the row loop's error on line 3
+        p = tmp_path / "odd.csv"
+        for headers, text in [([("lambda", "value")], "lambda,value\n1,1\n{}\n9,9\n"),
+                              ([("p", "lower", "upper"), ("p", "lower")],
+                               "p,lower,upper\n1,1,1\n{}\n9,9,9\n")]:
+            width = len(headers[0])
+            for cell in _ODD_CELLS:
+                for col in range(width):
+                    row = ",".join(cell if j == col else "2" for j in range(width))
+                    p.write_text(text.format(row))
+                    got = _read_outcome(_read_csv_columns, str(p), headers)
+                    assert got == _read_outcome(_row_loop_read_csv_columns, str(p), headers)
+
+    @settings(max_examples=120, deadline=None)
+    @given(drawn=_csv_files())
+    def test_reads_what_the_row_loop_reads(self, tmp_path_factory, drawn):
+        # the same columns, bit for bit, or the same error text: line
+        # number, message and which of a row's failures comes first
+        text, headers = drawn
+        p = tmp_path_factory.getbasetemp() / "drawn.csv"
+        p.write_text(text, encoding="utf-8")
+        assert _read_outcome(_read_csv_columns, str(p), headers) == \
+            _read_outcome(_row_loop_read_csv_columns, str(p), headers)
 
 
 def _searched(f):
@@ -828,6 +988,150 @@ class TestGridConjugateExact:
         with pytest.raises(ValueError):
             g.knots[0][0] = 0.0
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        knot_steps=st.lists(st.integers(1, 3), min_size=1, max_size=30),
+        rises=st.lists(st.integers(0, 2), min_size=1, max_size=30),
+        start=st.integers(0, 5),
+        offsets=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=1, max_size=6),
+    )
+    def test_exact_ties_take_the_first_knot_like_the_loop(self, knot_steps, rises, start,
+                                                           offsets):
+        # integer knots and integer chords, repeated for flat ties: every
+        # lam*x - v is exact, so at x on a chord both rules see the tie and
+        # take its first knot
+        n = min(len(knot_steps), len(rises)) + 1
+        ls = np.concatenate(([float(start)], start + np.cumsum(knot_steps[:n - 1])))
+        slopes = np.cumsum(rises[:n - 1]).astype(float)
+        vs = np.concatenate(([0.0], np.cumsum(slopes * np.diff(ls))))
+        g = PhiFunction.from_grid(ls, vs)
+        assert _chords(ls, vs).tolist() == slopes.tolist()
+        xs = (slopes[:, None] + np.array(offsets)).ravel()
+        vals, arg, errors = conjugate_values(g, xs)
+        assert errors == {}
+        assert (vals.tolist(), arg.tolist()) == _knot_argmax_loop(g, xs)
+
+    def test_random_convex_grids_equal_the_loop(self):
+        # seeded convex grids of 2 to 3,000 knots, at random x below, across
+        # and above their chords: the sorted chord search gives the loop's
+        # values and knots bit for bit
+        rng = np.random.default_rng(29)
+        searched = 0
+        for _ in range(40):
+            g, chords = _random_convex_grid(rng, int(rng.integers(2, 3000)))
+            searched += bool(np.all(chords[1:] >= chords[:-1]))
+            xs = rng.uniform(chords[0] - 1.0, chords[-1] + 1.0, 300)
+            vals, arg, _ = conjugate_values(g, xs)
+            assert (vals.tolist(), arg.tolist()) == _knot_argmax_loop(g, xs)
+        assert searched >= 30
+
+    def test_x_on_a_computed_chord_is_the_loop_to_rounding(self):
+        # lam*x - v ties between the chord's two knots up to the rounding of
+        # the objective, which may make the loop take the second knot: the
+        # values then differ by at most an ulp of max(|lam*x|, v)
+        rng = np.random.default_rng(30)
+        moved = 0
+        for _ in range(40):
+            g, chords = _random_convex_grid(rng, int(rng.integers(2, 400)))
+            vals, arg, _ = conjugate_values(g, chords)
+            want, want_arg = map(np.array, _knot_argmax_loop(g, chords))
+            ls, vs = g.knots
+            scale = np.maximum(np.abs(chords) * ls[-1], vs.max())
+            assert (np.abs(vals - want) <= np.spacing(scale)).all()
+            moved += int((arg != want_arg).sum())
+        assert moved > 0
+
+    def test_a_narrowed_domain_equals_the_loop(self):
+        # the chords of the knots inside the domain and its two interpolated
+        # ends; where rounding there makes them fall, the loop runs instead
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            g, chords = _random_convex_grid(rng, int(rng.integers(3, 500)))
+            ls = g.knots[0]
+            lo, hi = np.sort(rng.uniform(ls[0], ls[-1], 2))
+            part = dataclasses.replace(g, domain=dataclasses.replace(g.domain, lo=lo, hi=hi))
+            xs = rng.uniform(chords[0] - 1.0, chords[-1] + 1.0, 200)
+            vals, arg, _ = conjugate_values(part, xs)
+            assert (vals.tolist(), arg.tolist()) == _knot_argmax_loop(part, xs)
+            assert part.domain.contains(arg).all()
+
+    def test_a_dented_grid_takes_the_loop(self):
+        # a search over chords that fall would miss the argmax: the loop
+        # finds it at every x
+        ls = np.arange(0.0, 41.0)
+        vs = 0.5 * ls ** 2
+        vs[20] += 30.0
+        g = PhiFunction.from_grid(ls, vs)
+        assert g.convex is False
+        xs = np.linspace(-1.0, 42.0, 431)
+        vals, arg, _ = conjugate_values(g, xs)
+        assert (vals.tolist(), arg.tolist()) == _knot_argmax_loop(g, xs)
+        first = ls[np.searchsorted(_chords(ls, vs), xs)]
+        assert (first * xs - np.interp(first, ls, vs) < vals).any()
+
+    def test_chords_falling_within_the_convexity_tolerance_take_the_loop(self):
+        # from_grid calls these grids convex, but a binary search of the
+        # chords 1, 2, 2 - 1e-13, 3, 4, 5 stops at knot 1 for x = 2 - 2e-14,
+        # 6e-14 below the value at knot 3: the loop keeps knot 3
+        ls = np.arange(7.0)
+        vs = np.array([0.0, 1.0, 3.0, 5.0, 8.0, 12.0, 17.0]) - np.where(ls > 2.0, 1e-13, 0.0)
+        g = PhiFunction.from_grid(ls, vs)
+        assert g.convex and np.searchsorted(_chords(ls, vs), 2.0 - 2e-14) == 1
+        v, a = conjugate_value(g, 2.0 - 2e-14)
+        assert ([v], [a]) == _knot_argmax_loop(g, [2.0 - 2e-14]) and a == 3.0
+        rng = np.random.default_rng(32)
+        falling = 0
+        for _ in range(20):
+            n = int(rng.integers(3, 300))
+            ls = np.cumsum(rng.uniform(0.01, 2.0, n))
+            # sorted slopes, each twice, each lowered by up to 5e-13 of the
+            # largest: the chords fall within the tolerance of from_grid
+            slopes = np.repeat(np.sort(rng.uniform(0.0, 50.0, n // 2 + 1)), 2)[:n - 1]
+            slopes -= rng.uniform(0.0, 5e-13, n - 1) * slopes.max()
+            vs = 1.0 + np.concatenate(([0.0], np.cumsum(slopes * np.diff(ls))))
+            g = PhiFunction.from_grid(ls, vs)
+            chords = _chords(ls, vs)
+            assert g.convex
+            falling += bool(np.any(chords[1:] < chords[:-1]))
+            xs = rng.uniform(chords.min() - 1.0, chords.max() + 1.0, 200)
+            vals, arg, _ = conjugate_values(g, xs)
+            assert (vals.tolist(), arg.tolist()) == _knot_argmax_loop(g, xs)
+        assert falling >= 15
+    def test_a_one_point_domain_reads_its_point(self):
+        # top == lo: the domain's two ends are one knot, with no chord
+        g = PhiFunction.from_grid([0.0, 1.0, 2.0], [0.0, 0.5, 2.0])
+        point = dataclasses.replace(g, domain=Domain(1.5, float(np.nextafter(1.5, 2.0))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, arg, _ = conjugate_values(point, [0.5, 3.0])
+        assert arg.tolist() == [1.5, 1.5] and vals.tolist() == [0.75 - 1.25, 4.5 - 1.25]
+
+def _knot_argmax_loop(f, xs):
+    """The grid conjugate as one knot argmax per x: the reference for the
+    sorted chord search, over the knots f's domain reads (those inside it
+    and its two ends, interpolated there); returns (values, knots) as lists."""
+    ls, vs = f.knots
+    lo, top = f.domain.lo, f.domain.top()
+    if lo > ls[0] or top < ls[-1]:
+        ls = np.concatenate(([lo], ls[(ls > lo) & (ls < top)], [top]))
+        vs = np.interp(ls, *f.knots)
+    vals, arg = [], []
+    for x in np.asarray(xs, dtype=float).tolist():
+        obj = ls * x - vs
+        i = int(np.argmax(obj))
+        vals.append(float(obj[i]))
+        arg.append(float(ls[i]))
+    return vals, arg
+
+
+def _random_convex_grid(rng, n):
+    """A convex grid of n knots at random spacing and scale, from sorted
+    random slopes, and its chords."""
+    ls = rng.uniform(0.0, 5.0) + np.cumsum(rng.uniform(0.01, 2.0, n)) * rng.uniform(0.01, 10.0)
+    slopes = np.sort(rng.uniform(0.0, rng.uniform(0.1, 100.0), n - 1))
+    vs = rng.uniform(0.0, 3.0) + np.concatenate(([0.0], np.cumsum(slopes * np.diff(ls))))
+    return PhiFunction.from_grid(ls, vs), _chords(ls, vs)
 
 def _vectorized(fn, deriv=None, lo=0.0, hi=math.inf, convex=False):
     return PhiFunction.from_callable(fn, lo, hi, deriv=deriv, convex=convex,

@@ -711,11 +711,11 @@ class TestBatchedSaddlePath:
 
     def test_touching_identity_is_the_grid_conjugate(self):
         # on a convex grid x0(t) is the chord of t's piece, or at a knot the
-        # mean chord: a subgradient, so t*x0 - phi2(t), which the saddle
+        # mean chord: a subgradient at the touching point the map returns,
+        # t or the knot it hits, so the identity there, which the saddle
         # path takes for phi2*(x0), is the knot conjugate to rounding.  t is
-        # drawn uniformly, on knots and within 1e-12 of them; off a knot the
-        # mean chord of a hit is no subgradient, and the identity is off by
-        # |t - knot| times half the chords' difference as well
+        # drawn uniformly, on knots and within 1e-12 of them, where the
+        # touching point is the knot and not t
         rng = np.random.default_rng(2028)
         checked = 0
         for _ in range(50):
@@ -731,14 +731,12 @@ class TestBatchedSaddlePath:
             k = rng.integers(0, n, 60)
             ts = np.concatenate([rng.uniform(ls[0], ls[-1], 100), ls[k],
                                  ls[k] + rng.uniform(-1e-12, 1e-12, 60)])
-            # |t - knot| * (right - left) / 2 where t is within 1e-12 of knot k
-            jump = np.diff(slopes, prepend=slopes[0], append=slopes[-1])
-            off = np.concatenate([np.zeros(160), np.abs(ts[160:] - ls[k]) * jump[k] / 2.0])
-            x0s, _ = _saddle_points(phi2, ts)
+            x0s, touch, _ = _saddle_points(phi2, ts)
             at = ~np.isnan(x0s)
-            stars = ts[at] * x0s[at] - phi2.values(ts[at])
+            assert (touch[160:][at[160:]] == ls[k][at[160:]]).all()
+            stars = touch[at] * x0s[at] - phi2.values(touch[at])
             want = conjugate_values(phi2, x0s[at])[0]
-            assert (np.abs(stars - want) <= off[at] + 4e-15 * np.maximum(1.0, np.abs(want))).all()
+            assert (np.abs(stars - want) <= 4e-15 * np.maximum(1.0, np.abs(want))).all()
             checked += int(at.sum())
         assert checked > 10_000
 
