@@ -286,19 +286,14 @@ class PhiFunction:
                         dtype=float).reshape(lams.shape)
 
     def derivative(self, lam: float) -> float:
-        """Analytic derivative when the family has one, else central
-        difference; OutOfDomainError outside [lo, hi)."""
-        if self.deriv is not None:
-            lam = float(lam)
-            if not self.domain.contains(lam):
-                raise OutOfDomainError(lam, self.domain.lo, self.domain.hi)
-            return float(self.deriv(lam))
-        h = 1e-6 * max(1.0, abs(lam))
-        a = max(self.domain.lo, lam - h)
-        b = min(self.domain.top(), lam + h)
-        if b <= a:
+        """The analytic derivative ``deriv`` at lam; InputError for a
+        function without one, OutOfDomainError outside [lo, hi)."""
+        if self.deriv is None:
+            raise InputError(f"{self.label}: no derivative")
+        lam = float(lam)
+        if not self.domain.contains(lam):
             raise OutOfDomainError(lam, self.domain.lo, self.domain.hi)
-        return (self.value(b) - self.value(a)) / (b - a)
+        return float(self.deriv(lam))
 
     def slope_limit(self) -> Optional[float]:
         """lim of the derivative at the upper end of an unbounded domain:
@@ -451,7 +446,7 @@ def _scan_ladder(f: PhiFunction, xs: np.ndarray) -> tuple[np.ndarray, dict]:
         levels.append(min(levels[-1] * _GROWTH_FACTOR, LAMBDA_CAP))
     level = np.minimum(np.count_nonzero(np.array(levels) < 4.0 * np.abs(xs)[:, None], axis=1),
                        len(levels) - 1)
-    out, errors = np.full((6, xs.size), math.nan), {}
+    out, errors = np.full((4, xs.size), math.nan), {}
     for k, top in enumerate(levels):
         rows = np.flatnonzero(level == k)
         if rows.size == 0:
@@ -476,78 +471,51 @@ def _scan_ladder(f: PhiFunction, xs: np.ndarray) -> tuple[np.ndarray, dict]:
 
 def _best_rows(xs: np.ndarray, grid: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The argmax lam of ``x*grid - phi`` over an increasing grid for each
-    x, and its grid neighbours a <= lam <= b: rows (a, b, lam) and the
-    objective at each, one column per x.  Forms at most 2**16 objective
-    values at a time, so a long table's memory stays bounded."""
+    x, and its grid neighbours a <= lam <= b: rows (a, b, lam, value), one
+    column per x.  Forms at most 2**16 objective values at a time, so a
+    long table's memory stays bounded."""
     n = grid.size
-    out = np.empty((6, xs.size))
+    out = np.empty((4, xs.size))
     for r in np.array_split(np.arange(xs.size), -(-xs.size * n // (1 << 16))):
         vals = xs[r, None] * grid - phi
         i = np.argmax(vals, axis=1)
-        ab = np.array([np.maximum(i - 1, 0), np.minimum(i + 1, n - 1), i])
-        out[:, r] = np.concatenate([grid[ab], np.take_along_axis(vals, ab.T, axis=1).T])
+        out[:, r] = [grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, n - 1)], grid[i],
+                     vals[np.arange(r.size), i]]
     return out
 
 
-# rows of the golden-section state: the bracket ends a < b, the inner
-# points c < d, the objective at each, and the step's new point and value
-_A, _B, _C, _D, _FA, _FB, _FC, _FD, _NEW, _FNEW = range(10)
-# the rows of the next state, as columns that broadcast over the brackets;
-# fc >= fd keeps [a, d]: b, fb = d, fd; d, fd = c, fc; c, fc = new, fnew
-_LEFT = np.array([_A, _D, _NEW, _C, _FA, _FD, _FNEW, _FC])[:, None]
-# otherwise [c, b]: a, fa = c, fc; c, fc = d, fd; d, fd = new, fnew
-_RIGHT = np.array([_C, _B, _D, _NEW, _FC, _FB, _FD, _FNEW])[:, None]
-
-
-def _golden_lockstep(objective, a, b, fa, fb, scan_x, scan_f) -> list:
-    """Golden-section maximization on [a_r, b_r] for every bracket r at once.
+def _golden_section(objective, a, b) -> tuple[np.ndarray, ...]:
+    """Golden-section narrowing of every bracket [a_r, b_r] at once (J.
+    Kiefer, *Proc. AMS* 4, 1953), toward a maximizer of an objective.
 
     ``objective(rows, pts)`` evaluates bracket ``rows[i]`` at ``pts[i]``
-    for every i, in one batch, and returns the values and the set of rows
-    whose evaluation failed; those brackets stop.  ``fa`` and ``fb`` hold
-    the objective at the ends, and ``scan_f`` at ``scan_x`` the best point
-    of the scan that found the bracket.  Each bracket takes the steps,
-    stopping test and tie-breaking of a scalar golden section, so it ends
-    where that ends, bit for bit; each step makes one objective call over
-    the brackets still narrowing.  Returns (value, argmax) per bracket,
-    None where it failed: the best of the final bracket's four points,
-    unless the scan's point is strictly better.
+    for every i in one call, NaN where that fails; such a bracket stops,
+    NaN at both inner points.  Each step keeps [a, d] where f(c) >= f(d),
+    else [c, b], and evaluates only its new inner point, one call for the
+    brackets still wider than ``_GOLDEN_REL_WIDTH`` relative to max(1, |a|,
+    |b|); a bracket born narrower takes no step.  Returns the final inner
+    points c <= d and the objective at each.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    rows = np.arange(a.size)
-    fcd, dead = objective(np.concatenate([rows, rows]), np.concatenate([c, d]))
-    state = np.empty((10, a.size))
-    state[:8] = [a, b, c, d, fa, fb, fcd[:a.size], fcd[a.size:]]
-    final = state[:8].copy()
-    keep = ~np.isin(rows, list(dead))
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    every = np.arange(a.size)
+    fc, fd = np.split(objective(np.concatenate([every, every]), np.concatenate([c, d])), 2)
+    dead = np.isnan(fc) | np.isnan(fd)
+    fc[dead] = fd[dead] = math.nan
     while True:
-        if keep is not None and not keep.all():
-            rows, state = rows[keep], state[:, keep]
-        keep = None
-        a, b = state[_A], state[_B]
         wide = (b - a) > _GOLDEN_REL_WIDTH * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        if not wide.all():
-            final[:, rows[~wide]] = state[:8, ~wide]
-            rows, state = rows[wide], state[:, wide]
-        if rows.size == 0:
-            break
-        left = state[_FC] >= state[_FD]
-        a = np.where(left, state[_A], state[_C])
-        b = np.where(left, state[_D], state[_B])
-        w = _GOLDEN * (b - a)
-        new = np.where(left, b - w, a + w)
-        state[_NEW] = new
-        state[_FNEW], failed = objective(rows, new)
-        state[:8] = state[np.where(left, _LEFT, _RIGHT), np.arange(rows.size)]
-        if failed:
-            dead |= failed
-            keep = ~np.isin(rows, list(failed))
-    best = [None if r in dead else max((fa, a), (fc, c), (fd, d), (fb, b))
-            for r, (a, b, c, d, fa, fb, fc, fd) in enumerate(final.T.tolist())]
-    scan = zip(np.asarray(scan_f, dtype=float).tolist(), np.asarray(scan_x, dtype=float).tolist())
-    return [s if g is not None and s[0] > g[0] else g for g, s in zip(best, scan)]
+        r = np.flatnonzero(wide & ~np.isnan(fc))
+        if r.size == 0:
+            return c, d, fc, fd
+        left = fc[r] >= fd[r]
+        a[r], b[r] = np.where(left, a[r], c[r]), np.where(left, d[r], b[r])
+        w = _GOLDEN * (b[r] - a[r])
+        new = np.where(left, b[r] - w, a[r] + w)
+        fnew = objective(r, new)
+        c[r], d[r] = np.where(left, new, d[r]), np.where(left, c[r], new)
+        fc[r], fd[r] = np.where(left, fnew, fd[r]), np.where(left, fc[r], fnew)
+        dead = r[np.isnan(fnew)]
+        fc[dead] = fd[dead] = math.nan
 
 
 def _values_or_errors(f: PhiFunction, lams: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -586,11 +554,14 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     a closed form takes the stationary points of the others and evaluates
     ``f`` at all of them in one ``values`` call.  Searched points share the
     scan of :func:`_scan_ladder`, one ``values`` call per level of its
-    ladder.  Where ``f`` has a derivative, each scan bracket then bisects
-    f'(lam) <= x to 1e-13 relative width, and one ``values`` call takes the
-    better of its two inner points, unless the scan's point is strictly
-    better or no end of the bracket moved.  Otherwise golden sections
-    refine in lockstep, one ``values`` call per step for all of them.
+    ladder.  Each scan bracket is then narrowed: where ``f`` has a
+    derivative, by bisecting f'(lam) <= x to 1e-13 relative width (where no
+    end moves, the bracket shrinks to the scan's point), otherwise by
+    :func:`_golden_section`, one ``values`` call per step for all of them.
+    One ``values`` call gives a bisected bracket its two inner points,
+    too close for a golden step.  One array pick then ends every search:
+    the better inner point, the larger on a tie, unless the scan's point
+    is strictly better.
     """
     x_arr = np.asarray(xs, dtype=float).ravel()
     vals = np.full(x_arr.size, math.nan)
@@ -628,29 +599,32 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
         vals[ks] = lam * x_arr[ks] - phi
         arg[ks] = np.where(np.isnan(vals[ks]), math.nan, lam)
         return vals, arg, errors
-    (a, b, lam, fa, fb, flam), failed = _scan_ladder(f, x_arr[ks])
+    (a, b, lam, flam), failed = _scan_ladder(f, x_arr[ks])
     errors.update((int(ks[j]), exc) for j, exc in failed.items())
     go = ~np.isin(np.arange(ks.size), list(failed))
     if not go.any():
         return vals, arg, errors
     ks, bx = ks[go], x_arr[ks[go]]
-    a, b, lam, fa, fb, flam = (row[go] for row in (a, b, lam, fa, fb, flam))
+    a, b, lam, flam = (row[go] for row in (a, b, lam, flam))
     if f.deriv is not None:
         # bisect to the root of f'(lam) = x; where no end moved, the scan's point stands
         a2, b2 = _bisect_rows(a, b, lambda rows, m: f.derivatives(m) <= bx[rows], 100, 1e-13)
         settled = (a2 == a) | (b2 == b)
         a, b = np.where(settled, lam, a2), np.where(settled, lam, b2)
-        fa = fb = np.where(settled, flam, -math.inf)
 
     def objective(rows, pts):
         phi, failed = _values_or_errors(f, pts)
         for j, exc in reversed(failed.items()):  # so a row keeps its first point's error
             errors[int(ks[rows[j]])] = exc
-        return pts * bx[rows] - phi, {int(rows[j]) for j in failed}
+        return pts * bx[rows] - phi
 
-    for k, best in zip(ks.tolist(), _golden_lockstep(objective, a, b, fa, fb, lam, flam)):
-        if best is not None:
-            vals[k], arg[k] = best
+    # the better inner point, the larger on a tie; the scan's point only where strictly better
+    c, d, fc, fd = _golden_section(objective, a, b)
+    take_d = fd >= fc
+    at, best = np.where(take_d, d, c), np.where(take_d, fd, fc)
+    scan = flam > best
+    vals[ks] = np.where(scan, flam, best)
+    arg[ks] = np.where(np.isnan(best), math.nan, np.where(scan, lam, at))
     return vals, arg, errors
 
 

@@ -223,7 +223,11 @@ def _tangent_lines(nu: PhiFunction, eps: float) -> tuple[np.ndarray, np.ndarray]
         hi = max(10.0, 4.0 * max(lo, 1.0))
         target = 80.0 / eps
         while hi < LAMBDA_CAP:
-            v = hi * nu.derivative(hi) - nu.value(hi)
+            # without nu', the chord ending at hi: no steeper for a convex
+            # nu, so growth stops no earlier, and any hi gives a minorant
+            slope = (nu.derivative(hi) if nu.deriv is not None
+                     else (nu.value(hi) - nu.value(0.5 * hi)) / (0.5 * hi))
+            v = hi * slope - nu.value(hi)
             if v > target:
                 break
             hi *= 2.0

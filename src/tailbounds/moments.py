@@ -17,7 +17,7 @@ import numpy as np
 
 from .envelope import LOWER, UPPER, TailEnvelope
 from .errors import InputError, NotCertifiedError
-from .functions import PhiFunction, _first_at_one, _read_csv_columns, _stars
+from .functions import PhiFunction, _chords, _first_at_one, _read_csv_columns, _stars
 from .integrals import CramerCertificate, cramer_check
 from .lower_unilateral import LowerEnvelopeCertificate, unilateral_lower_envelope
 
@@ -71,8 +71,9 @@ def moment_power_pole(c: float, b: float, beta: float) -> MomentEnvelope:
     if not (b > 1 and beta > 0 and c > 0):
         raise InputError("need b > 1, beta > 0, c > 0")
     fn = lambda p: c * np.power(b - p, -beta)
+    deriv = lambda p: c * beta * np.power(b - p, -beta - 1.0)
     return MomentEnvelope(lower=PhiFunction.from_callable(
-        fn, 1.0, b, convex=None, label=f"pole-envelope(c={c},b={b},beta={beta})",
+        fn, 1.0, b, deriv=deriv, convex=None, label=f"pole-envelope(c={c},b={b},beta={beta})",
         vectorized=True,
     ))
 
@@ -81,14 +82,13 @@ def moment_power_growth(m: float, c_low: float, c_high: float) -> MomentEnvelope
     """Two-sided envelope c_low * p^(1/m) <= |X|_p <= c_high * p^(1/m)."""
     if not (m > 0 and 0 < c_low <= c_high):
         raise InputError("need m > 0 and 0 < c_low <= c_high")
-    lo_fn = lambda p: c_low * np.power(p, 1.0 / m)
-    hi_fn = lambda p: c_high * np.power(p, 1.0 / m)
-    return MomentEnvelope(
-        lower=PhiFunction.from_callable(lo_fn, 1.0, math.inf, label=f"{c_low}*p^(1/{m})",
-                                        vectorized=True),
-        upper=PhiFunction.from_callable(hi_fn, 1.0, math.inf, label=f"{c_high}*p^(1/{m})",
-                                        vectorized=True),
-    )
+    def curve(c):
+        return PhiFunction.from_callable(
+            lambda p: c * np.power(p, 1.0 / m), 1.0, math.inf,
+            deriv=lambda p: c / m * np.power(p, 1.0 / m - 1.0),
+            label=f"{c}*p^(1/{m})", vectorized=True)
+
+    return MomentEnvelope(lower=curve(c_low), upper=curve(c_high))
 
 
 def moment_envelope_from_csv(path: str) -> MomentEnvelope:
@@ -113,8 +113,23 @@ class ExponentPair:
     truncated_from: float
 
 
+def _curve_slopes(curve: PhiFunction):
+    """c'(lam) for an array of lam in the curve's domain: on a grid the
+    chord of the piece to the right of lam, the last chord at the last
+    knot; else the curve's ``derivatives``, None without a derivative."""
+    if curve.kind == "grid":
+        ls, vs = curve.knots
+        chords = _chords(ls, vs)
+        return lambda l: chords[np.minimum(np.searchsorted(ls, l, side="right") - 1,
+                                           chords.size - 1)]
+    return None if curve.deriv is None else curve.derivatives
+
+
 def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, bool, float]:
-    """lam*ln(curve(lam)) on the subdomain where the curve is >= 1.
+    """lam*ln(curve(lam)) on the subdomain where the curve is >= 1, with
+    its derivative ln c(lam) + lam*c'(lam)/c(lam) where the curve has c'
+    (:func:`_curve_slopes`), numpy ufuncs only, so that arrays and scalars
+    agree bit for bit.
 
     Truncation keeps the exponent nonnegative, matching the standing
     assumption of the exponential-level machinery; a curve never reaching 1
@@ -135,8 +150,15 @@ def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, b
     def fn(l, c=curve):
         return l * np.log(c.values(l))
 
+    slopes = _curve_slopes(curve)
+
+    def deriv(l, c=curve):
+        v = c.values(l)
+        return np.log(v) + l * slopes(l) / v
+
     return (
         PhiFunction.from_callable(fn, lam_star, curve.domain.hi,
+                                  deriv=None if slopes is None else deriv,
                                   convex=None, label=f"exponent[{label}]", vectorized=True),
         False,
         lam_star,

@@ -1230,8 +1230,11 @@ class TestArrayEvaluation:
         lambda: moment_power_pole(1.0, 3.0, 1.0).lower,
         lambda: to_exponential(moment_power_growth(2.0, 0.5, 2.0)).phi1,
         lambda: to_exponential(moment_power_pole(1.0, 3.0, 1.0)).phi1,
+        # a CSV curve's grid, as moment_envelope_from_csv reads it
+        lambda: to_exponential(MomentEnvelope(lower=PhiFunction.from_grid(
+            [1.0 + i / 2 for i in range(11)], [2.0 * (1.0 + i / 2) ** 0.5 for i in range(11)]))).phi1,
     ], ids=["power_log_r0", "power_log_r1", "growth_lower", "growth_upper", "pole",
-            "growth_exponent", "pole_exponent"])
+            "growth_exponent", "pole_exponent", "csv_exponent"])
     def test_library_exponents_call_fn_once_per_array(self, make):
         f = make()
         calls = []
@@ -1282,6 +1285,14 @@ class TestArrayEvaluation:
         assert got.tolist() == [[0.0, 1.0 - 1e-13], [2.0 - 1e-13, 3.0 - 1e-13]]
         with pytest.raises(OutOfDomainError):
             f.values([1.0, 10.0])
+
+    @pytest.mark.parametrize("kind", ["grid", "callable", "vectorized_signed"])
+    def test_no_derivative_is_refused_by_name(self, kind):
+        f = ARRAY_KINDS[kind]
+        lam = f.domain.lo + 0.25
+        for call in (f.derivative, f.derivatives):
+            with pytest.raises(InputError, match=re.escape(f"{f.label}: no derivative")):
+                call(lam)
 
     @pytest.mark.parametrize("kind", ["power_log_r0", "power_log_r1", "quadratic", "linear",
                                       "vectorized", "dilated"])
@@ -1354,12 +1365,14 @@ def _reference_grid_saddle_point(phi2, lam):
     return float(chords[j])
 
 
-def _reference_conjugate_value(f, x):
+def _reference_conjugate_value(f, x, four_point=False):
     """The per-point search the batched one replaced: the full grid at every
     growth step of the truncation point, from the first step of the ladder
     base * 4**k at or above 4|x|, then, where ``f`` has a derivative, a
     scalar bisection of f'(lam) <= x on the scan's bracket, and a scalar
-    golden section."""
+    golden section.  It ends in the better of the final inner points, the
+    larger on a tie; ``four_point`` takes the better of the final bracket's
+    ends and inner points instead, as the search once did."""
     x = float(x)
     lo, hi = f.domain.lo, f.domain.top()
     slope_lim = f.slope_limit()
@@ -1411,7 +1424,10 @@ def _reference_conjugate_value(f, x):
             a, fa, c, fc = c, fc, d, fd
             d = a + gr * (b - a)
             fd = g(d)
-    v_hat, lam_hat = max((fa, a), (fc, c), (fd, d), (fb, b))
+    if four_point:
+        v_hat, lam_hat = max((fa, a), (fc, c), (fd, d), (fb, b))
+    else:
+        v_hat, lam_hat = (fd, d) if fd >= fc else (fc, c)
     if vals[i] > v_hat:
         lam_hat, v_hat = float(grid[i]), float(vals[i])
     return v_hat, lam_hat
@@ -1659,6 +1675,36 @@ class TestBatchedSearch:
         grids = [_scan_grid(0.0, top) for top in (10.0, 40.0, 160.0)]
         assert [sum(np.array_equal(c, g) for c in calls) for g in grids] == [1, 1, 1]
         assert (len(calls), sum(c.size for c in calls)) == (4, 4_511)
+
+    def test_a_derivative_free_table_takes_one_row_per_golden_step(self):
+        # 2,000 x of the Gaussian scale mixture without its derivative share
+        # the scan ladder, then golden sections that evaluate only the new
+        # inner point of each step (two fresh points per step would double
+        # the rows after the scan)
+        f = dataclasses.replace(oracles.gaussian_scale_mixture(0.3, 1.0, 2.0).mgf_exponent,
+                                deriv=None)
+        calls = []
+        counted = dataclasses.replace(f, fn=lambda l: calls.append(np.size(l)) or f.fn(l))
+        conjugate(counted, np.linspace(0.01, 20.0, 2000))
+        assert (len(calls), sum(calls)) == (51, 96_043)
+
+    @pytest.mark.parametrize("make", [
+        lambda: dataclasses.replace(PhiFunction.power_log(2.0, 1.0, 0.0), deriv=None),
+        lambda: dataclasses.replace(oracles.gaussian_scale_mixture(0.3, 1.0, 2.0).mgf_exponent,
+                                    deriv=None),
+        lambda: _power_sum(0.4, 2.5, 0.2, False),
+        lambda: _bump(0.02, 12.0, 5.0, 3.0, 0.05),
+    ], ids=["power_log", "mixture", "power_sum", "bump"])
+    def test_inner_pick_within_an_ulp_of_the_four_point_pick(self, make):
+        # the search once took the best of the final bracket's ends and
+        # inner points; the better inner point is within one ulp of that
+        f = make()
+        xs = np.linspace(0.0, 1.0 if f.label == "bump" else 12.0, 25).tolist()
+        vals, _, errors = conjugate_values(f, xs)
+        assert not errors
+        for x, got in zip(xs, vals.tolist()):
+            want, lam = _reference_conjugate_value(f, x, four_point=True)
+            assert abs(got - want) <= np.spacing(max(abs(lam * x), f.value(lam)))
 
     def test_weibull_conjugate_work(self, monkeypatch):
         # the Gauss-Hermite rule rows behind 15 searched conjugates of

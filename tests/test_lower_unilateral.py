@@ -1,6 +1,7 @@
 """The one-sided inversion chain: auxiliary exponent, dilation certificate,
 normalization absorption, and the emitted lower envelope."""
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -466,6 +467,13 @@ class TestSurrogate:
         # tangent minorant only enlarges the damped integral
         assert m >= M_GAUSS - 1e-9
         assert m == pytest.approx(M_GAUSS, rel=1e-3)
+
+    def test_growth_without_a_derivative_takes_the_chord(self):
+        # the chord ending at hi is no steeper than nu'(hi) for a convex nu,
+        # so the tangent lines reach no less far and the minorant holds;
+        # they stop one doubling later, a little sparser
+        m = m_surrogate_from_upper(dataclasses.replace(QUAD0, deriv=None), 0.2)
+        assert M_GAUSS <= m == pytest.approx(m_surrogate_from_upper(QUAD0, 0.2), abs=1e-4)
 
     def test_exponential_value_by_quadrature(self):
         phi = oracles.exponential_unit().mgf_exponent

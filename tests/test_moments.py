@@ -2,13 +2,14 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from tailbounds import oracles
 from tailbounds.errors import InputError
-from tailbounds.functions import PhiFunction
+from tailbounds.functions import PhiFunction, conjugate_values
 from tailbounds.moments import (
     MomentEnvelope,
     growth_tail_recovery,
@@ -180,3 +181,71 @@ class TestMomentCsv:
         p.write_text("q,lower\n1,1\n2,2\n")
         with pytest.raises(InputError, match=":1:"):
             moment_envelope_from_csv(str(p))
+
+
+# the CSV curve of the CI's moments.csv: 2 sqrt(p) at p = 1, 1.5, ..., 6
+CSV_PS = [1.0 + i / 2 for i in range(11)]
+CSV_VS = [2.0 * p ** 0.5 for p in CSV_PS]
+
+
+def _csv_piece(lam):
+    """The linear piece of the CSV curve to the right of lam, the last at
+    the last knot, in mpmath from the float knots."""
+    j = min(int(np.searchsorted(CSV_PS, lam, side="right")) - 1, len(CSV_PS) - 2)
+    l0, l1, v0, v1 = (mp.mpf(t) for t in (CSV_PS[j], CSV_PS[j + 1], CSV_VS[j], CSV_VS[j + 1]))
+    return lambda t: v0 + (v1 - v0) / (l1 - l0) * (t - l0)
+
+
+class TestExponentDerivative:
+    """psi'(lam) = ln c(lam) + lam*c'(lam)/c(lam) against an mpmath
+    derivative of lam*ln c(lam) at 30 digits."""
+
+    @pytest.mark.parametrize("case", ["pole", "growth", "csv"])
+    def test_against_mpmath(self, case, tmp_path):
+        if case == "pole":
+            phi = to_exponential(moment_power_pole(1.5, 3.0, 1.2)).phi1
+            curve = lambda t: mp.mpf(1.5) * (3 - t) ** mp.mpf(-1.2)
+            lams = [phi.domain.lo, 2.0, 2.5, 2.9, 2.999]
+        elif case == "growth":
+            phi = to_exponential(moment_power_growth(2.0, 1.0, 1.3)).phi2
+            curve = lambda t: mp.mpf(1.3) * t ** (mp.mpf(1) / 2)
+            lams = [1.0, 2.5, 10.0, 1e3, 1e6]
+        else:
+            path = tmp_path / "moments.csv"
+            path.write_text("p,lower,upper\n" + "".join(
+                f"{p!r},{v / 4!r},{v!r}\n" for p, v in zip(CSV_PS, CSV_VS)))
+            phi = to_exponential(moment_envelope_from_csv(str(path))).phi2
+            curve = None
+            # inside pieces, and at knots, where the right chord applies
+            lams = [1.2, 2.7, 5.9, 1.0, 2.0, 3.5, 6.0]
+        with mp.workdps(30):
+            for lam in lams:
+                c = curve or _csv_piece(lam)
+                want = mp.diff(lambda t: t * mp.log(c(t)), mp.mpf(lam))
+                got = phi.derivative(lam)
+                assert abs(got - want) <= 1e-13 * abs(want), (case, lam)
+        got = phi.derivatives(np.array(lams))
+        assert got.tobytes() == np.array([phi.derivative(t) for t in lams]).tobytes()
+
+    def test_a_curve_without_a_derivative_gives_none(self):
+        # its exponent keeps the golden section, and agrees with the root
+        curve = PhiFunction.from_callable(lambda p: 2.0 * np.sqrt(p), 1.0, math.inf,
+                                          vectorized=True)
+        phi = to_exponential(MomentEnvelope(lower=curve)).phi1
+        assert phi.deriv is None
+        want = to_exponential(moment_power_growth(2.0, 2.0, 2.0)).phi1
+        xs = [1.0, 2.0, 3.0]
+        np.testing.assert_allclose(conjugate_values(phi, xs)[0], conjugate_values(want, xs)[0],
+                                   rtol=1e-14)
+
+    def test_growth_table_argmax_is_the_root(self):
+        # the README's growth command: psi(lam) = (lam/2) ln lam, conjugated
+        # at y = ln x for x = 3, 3.5, ..., 10
+        phi = to_exponential(moment_power_growth(2.0, 1.0, 1.0)).phi2
+        ys = np.log(np.arange(3.0, 10.25, 0.5))
+        _, arg, errors = conjugate_values(phi, ys)
+        assert not errors
+        with mp.workdps(30):
+            for y, got in zip(ys.tolist(), arg.tolist()):
+                want = mp.findroot(lambda t: (mp.log(t) + 1) / 2 - mp.mpf(y), mp.mpf(got))
+                assert float(abs(mp.mpf(got) - want) / want) <= 1e-12
