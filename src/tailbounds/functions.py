@@ -13,6 +13,7 @@ inputs; instances are safe to share across threads.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -484,38 +485,73 @@ def _best_rows(xs: np.ndarray, grid: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _golden_section(objective, a, b) -> tuple[np.ndarray, ...]:
-    """Golden-section narrowing of every bracket [a_r, b_r] at once (J.
-    Kiefer, *Proc. AMS* 4, 1953), toward a maximizer of an objective.
+def _brent_section(objective, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Brent's narrowing of every bracket [a_r, b_r] at once toward a
+    maximizer of an objective (R. P. Brent, *Algorithms for Minimization
+    without Derivatives*, 1973, ch. 5), in lockstep.
 
     ``objective(rows, pts)`` evaluates bracket ``rows[i]`` at ``pts[i]``
     for every i in one call, NaN where that fails; such a bracket stops,
-    NaN at both inner points.  Each step keeps [a, d] where f(c) >= f(d),
-    else [c, b], and evaluates only its new inner point, one call for the
-    brackets still wider than ``_GOLDEN_REL_WIDTH`` relative to max(1, |a|,
-    |b|); a bracket born narrower takes no step.  Returns the final inner
-    points c <= d and the objective at each.
+    its best value NaN.  One call evaluates the golden inner points c < d
+    of every bracket; the best point x is d where f(d) >= f(c), else c.  A
+    bracket born no wider than ``_GOLDEN_REL_WIDTH`` relative to max(1,
+    |a|, |b|) stops there.  The others keep [c, b] or [a, d] around x and
+    step, one call per step, until they are that narrow.  Each step
+    evaluates one new point per bracket: the vertex of the parabola through
+    x and the two points last best, where Brent's safeguards accept it,
+    else a golden step into the larger side of x; never nearer x than a
+    quarter of the stop width.  Returns x and the objective there.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
     every = np.arange(a.size)
     fc, fd = np.split(objective(np.concatenate([every, every]), np.concatenate([c, d])), 2)
-    dead = np.isnan(fc) | np.isnan(fd)
-    fc[dead] = fd[dead] = math.nan
+    right = fd >= fc
+    x, fx = np.where(right, d, c), np.where(right, fd, fc)
+    fx[np.isnan(fc) | np.isnan(fd)] = math.nan
+    rows = np.flatnonzero(((b - a) > _GOLDEN_REL_WIDTH * np.maximum(
+        1.0, np.maximum(np.abs(a), np.abs(b)))) & ~np.isnan(fx))
+    if rows.size == 0:
+        return x, fx
+    # per row: bracket, best point, the two last best, the step before last, the last step
+    a, b, c, d, fc, fd, right = (v[rows] for v in (a, b, c, d, fc, fd, right))
+    s = np.array([np.where(right, c, a), np.where(right, b, d), x[rows], fx[rows],
+                  np.where(right, c, d), np.where(right, fc, fd), c, fc, *np.zeros((2, c.size))])
     while True:
-        wide = (b - a) > _GOLDEN_REL_WIDTH * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        r = np.flatnonzero(wide & ~np.isnan(fc))
-        if r.size == 0:
-            return c, d, fc, fd
-        left = fc[r] >= fd[r]
-        a[r], b[r] = np.where(left, a[r], c[r]), np.where(left, d[r], b[r])
-        w = _GOLDEN * (b[r] - a[r])
-        new = np.where(left, b[r] - w, a[r] + w)
-        fnew = objective(r, new)
-        c[r], d[r] = np.where(left, new, d[r]), np.where(left, c[r], new)
-        fc[r], fd[r] = np.where(left, fnew, fd[r]), np.where(left, fc[r], fnew)
-        dead = r[np.isnan(fnew)]
-        fc[dead] = fd[dead] = math.nan
+        width = _GOLDEN_REL_WIDTH * np.maximum(1.0, np.maximum(np.abs(s[0]), np.abs(s[1])))
+        go = ((s[1] - s[0]) > width) & ~np.isnan(s[3])
+        x[rows[~go]], fx[rows[~go]] = s[2, ~go], s[3, ~go]
+        rows, s, tol = rows[go], s[:, go], 0.25 * width[go]
+        if rows.size == 0:
+            return x, fx
+        lo, hi, bx, fbx, w, fw, v, fv, e, step = s
+        m = 0.5 * (lo + hi)
+        with np.errstate(all="ignore"):  # an overflowed parabola fails its tests: a golden step
+            r = (bx - w) * (fbx - fv)
+            q = (bx - v) * (fbx - fw)
+            p = (bx - v) * q - (bx - w) * r
+            q = 2.0 * (q - r)
+            p, q = np.where(q > 0.0, -p, p), np.abs(q)
+            para = ((np.abs(e) > tol) & (np.abs(p) < np.abs(0.5 * q * e))
+                    & (p > q * (lo - bx)) & (p < q * (hi - bx)))
+            gold = np.where(bx >= m, lo - bx, hi - bx)
+            e, step = (np.where(para, step, gold),
+                       np.where(para, p / np.where(para, q, 1.0), (1.0 - _GOLDEN) * gold))
+        u = bx + step
+        near = para & (((u - lo) < 2.0 * tol) | ((hi - u) < 2.0 * tol))
+        step = np.where(near, np.where(bx < m, tol, -tol), step)
+        u = bx + np.where(np.abs(step) >= tol, step, np.where(step < 0.0, -tol, tol))
+        fu = objective(rows, u)
+        up, left = fu >= fbx, u < bx
+        to_w = up | (fu >= fw) | (w == bx)
+        to_v = ~to_w & ((fu >= fv) | (v == bx) | (v == w))
+        s = np.array([
+            np.where(left, np.where(up, lo, u), np.where(up, bx, lo)),
+            np.where(left, np.where(up, bx, hi), np.where(up, hi, u)),
+            np.where(up, u, bx), np.where(up | np.isnan(fu), fu, fbx),
+            np.where(up, bx, np.where(to_w, u, w)), np.where(up, fbx, np.where(to_w, fu, fw)),
+            np.where(to_w, w, np.where(to_v, u, v)), np.where(to_w, fw, np.where(to_v, fu, fv)),
+            e, step])
 
 
 def _values_or_errors(f: PhiFunction, lams: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -557,11 +593,12 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     ladder.  Each scan bracket is then narrowed: where ``f`` has a
     derivative, by bisecting f'(lam) <= x to 1e-13 relative width (where no
     end moves, the bracket shrinks to the scan's point), otherwise by
-    :func:`_golden_section`, one ``values`` call per step for all of them.
-    One ``values`` call gives a bisected bracket its two inner points,
-    too close for a golden step.  One array pick then ends every search:
-    the better inner point, the larger on a tie, unless the scan's point
-    is strictly better.
+    Brent's parabolic and golden steps (:func:`_brent_section`), one
+    ``values`` call per step for all of them.  One ``values`` call gives a
+    bisected bracket its two inner points, too close for a step; the
+    better, the larger on a tie, is its best point.  One array pick then
+    ends every search: the best point, unless the scan's point is strictly
+    better.
     """
     x_arr = np.asarray(xs, dtype=float).ravel()
     vals = np.full(x_arr.size, math.nan)
@@ -618,10 +655,8 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
             errors[int(ks[rows[j]])] = exc
         return pts * bx[rows] - phi
 
-    # the better inner point, the larger on a tie; the scan's point only where strictly better
-    c, d, fc, fd = _golden_section(objective, a, b)
-    take_d = fd >= fc
-    at, best = np.where(take_d, d, c), np.where(take_d, fd, fc)
+    # the search's best point; the scan's point only where strictly better
+    at, best = _brent_section(objective, a, b)
     scan = flam > best
     vals[ks] = np.where(scan, flam, best)
     arg[ks] = np.where(np.isnan(best), math.nan, np.where(scan, lam, at))
@@ -921,10 +956,11 @@ def _read_csv_columns(path: str, *headers: tuple[str, ...]) -> tuple[np.ndarray,
     """Numeric columns under the first of ``headers`` the file's header starts with.
 
     Every entry must be finite and nonnegative, and the first column must
-    strictly increase; errors carry the line number.  The data rows are
-    parsed and checked as one array (numpy converts each cell with Python's
-    ``float``); where a check fails, they are walked one by one, and the
-    first failing row words the error.
+    strictly increase; errors carry the line number.  ``np.loadtxt`` parses
+    the data rows in C as one array for the checks.  Where it raises, a
+    check fails or no row has data (where it would warn), :func:`_csv_walk`
+    words the first failing row's error, or returns the table of what only
+    ``float`` and ``csv`` accept (``1_000``, whitespace-only rows).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh)
@@ -938,42 +974,25 @@ def _read_csv_columns(path: str, *headers: tuple[str, ...]) -> tuple[np.ndarray,
             raise InputError(f"{path}:1: expected header {want}, got {','.join(got)!r}")
         n = len(header)
         try:
-            data = list(rows)
-        except (csv.Error, ValueError):  # a bad field or byte: walk the file up to it
-            fh.seek(0)
-            data = csv.reader(fh)
-            next(data)
+            rest = fh.read()
+            table = np.loadtxt(io.StringIO(rest), delimiter=",", quotechar='"', comments=None,
+                               usecols=range(n), ndmin=2) if rest.strip() else None
+        except ValueError:  # a bad byte or cell: the walk meets it in its row
             table = None
-        else:
-            table = _csv_table(data, n)
-        if table is None:
-            table = _csv_walk(path, data, n)
+        if table is None or not (table.shape[0] >= 2 and np.isfinite(table).all()
+                                 and (table >= 0.0).all() and (table[1:, 0] > table[:-1, 0]).all()):
+            fh.seek(0)
+            rows = csv.reader(fh)
+            next(rows)
+            table = _csv_walk(path, rows, n)
     return tuple(table.T)
 
 
-def _csv_table(rows: list, n: int) -> Optional[np.ndarray]:
-    """The first ``n`` cells of each data row that is not blank, as one
-    float array, with no Python loop over the rows; None where a row is
-    short, a cell is not numeric, an entry is not finite and nonnegative,
-    the first column does not strictly increase or fewer than 2 rows
-    remain."""
-    filled = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
-    rows = list(map(rows.__getitem__, np.flatnonzero(filled).tolist()))
-    if len(rows) < 2 or min(map(len, rows)) < n:
-        return None
-    try:
-        table = np.array(list(map(list.__getitem__, rows, [slice(n)] * len(rows))), dtype=float)
-    except ValueError:
-        return None
-    first = table[:, 0]
-    ok = np.isfinite(table).all() and (table >= 0.0).all() and (first[1:] > first[:-1]).all()
-    return table if ok else None
-
-
 def _csv_walk(path: str, rows, n: int) -> np.ndarray:
-    """The data rows after the header, one by one: raises the InputError
-    of the first row that fails a check of :func:`_csv_table`, numbered by
-    its line, else returns their table."""
+    """The data rows after the header, one by one, blank rows skipped:
+    raises the InputError of the first row that is short, not numeric, not
+    finite and nonnegative, or not above the row before, numbered by its
+    line, else returns their table."""
     data: list = []
     for lineno, row in enumerate(rows, start=2):
         if not row or all(not c.strip() for c in row):

@@ -383,7 +383,7 @@ def _exponents(phi: PhiFunction, cert: LowerEnvelopeCertificate,
     dom = phi.domain
     restricted = replace(
         phi, domain=replace(dom, lo=max(cert.c2 * cert.lam1, dom.lo), hi=cert.c2 * dom.hi),
-        # a golden section settles just below the cap, where the cap test
+        # a derivative-free search settles just below the cap, where the cap test
         # misses it; without the limit the scan refuses there instead
         slope_lim=phi.slope_lim if phi.deriv is not None else None)
     stars, arg, errors = conjugate_values(restricted, cert.dilation * xs)

@@ -788,13 +788,37 @@ class TestCsvLoading:
             moment_envelope_from_csv(str(p))
 
     def test_a_valid_file_is_never_walked_row_by_row(self, tmp_path, monkeypatch):
-        # quoted cells, blank rows, whitespace and extra columns are all valid
+        # quoted cells, blank rows, padding, extra columns and -0 all parse in one array
         p = tmp_path / "ok.csv"
-        p.write_text('p,lower,upper,note\n1," 0.5 ",2,a\n\n  ,\n2,1_000,-0,b\n')
+        p.write_text('p,lower,upper,note\n1," 0.5 ",2,a\n\n2,1000,-0,b,c\n')
         monkeypatch.setattr(functions, "_csv_walk", None)
         cols = _read_csv_columns(str(p), ("p", "lower", "upper"), ("p", "lower"))
         assert [c.tolist() for c in cols] == [[1.0, 2.0], [0.5, 1000.0], [2.0, 0.0]]
         assert math.copysign(1.0, cols[2][1]) == -1.0
+
+    @pytest.mark.parametrize("text", ['p,lower,upper\n1,0.5,2\n  ,\n2,1_000,0\n',
+                                      'p,lower,upper\n1,0.5,2\n   \n2,1000,0\n'])
+    def test_what_loadtxt_refuses_the_walk_reads(self, tmp_path, monkeypatch, text):
+        # 1_000 and whitespace-only rows, which only float and csv accept
+        p = tmp_path / "walked.csv"
+        p.write_text(text)
+        walked = []
+        inner = functions._csv_walk
+        monkeypatch.setattr(functions, "_csv_walk", lambda *a: walked.append(1) or inner(*a))
+        cols = _read_csv_columns(str(p), ("p", "lower", "upper"))
+        assert walked == [1]
+        assert [c.tolist() for c in cols] == [[1.0, 2.0], [0.5, 1000.0], [2.0, 0.0]]
+
+    @pytest.mark.parametrize("text", ["lambda,value\n", "lambda,value", "lambda,value\n\n\r\n",
+                                      "lambda,value\n  \n"])
+    def test_no_data_row_is_an_input_error_under_warnings_as_errors(self, tmp_path, text):
+        # loadtxt would warn "input contained no data", an error under -W error
+        p = tmp_path / "empty.csv"
+        p.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="need at least 2 data rows$"):
+                PhiFunction.from_csv(str(p))
 
     @pytest.mark.parametrize("text, headers", [
         ("lambda,value\n1\n2\n3\n", [("lambda", "value")]),
@@ -1365,23 +1389,17 @@ def _reference_grid_saddle_point(phi2, lam):
     return float(chords[j])
 
 
-def _reference_conjugate_value(f, x, four_point=False):
+def _reference_conjugate_value(f, x):
     """The per-point search the batched one replaced: the full grid at every
     growth step of the truncation point, from the first step of the ladder
     base * 4**k at or above 4|x|, then, where ``f`` has a derivative, a
     scalar bisection of f'(lam) <= x on the scan's bracket, and a scalar
-    golden section.  It ends in the better of the final inner points, the
-    larger on a tie; ``four_point`` takes the better of the final bracket's
-    ends and inner points instead, as the search once did."""
+    Brent search (:func:`_reference_brent`)."""
     x = float(x)
     lo, hi = f.domain.lo, f.domain.top()
     slope_lim = f.slope_limit()
     if slope_lim is not None and not f.domain.bounded and x > slope_lim:
         raise UnboundedObjectiveError(x, np.geomspace(max(lo, 1.0), LAMBDA_CAP, 8))
-
-    def g(t):
-        return t * x - f.value(t)
-
     if not math.isfinite(hi):
         hi_eff = max(10.0, 4.0 * max(lo, 1.0))
         while hi_eff < 4.0 * abs(x) and hi_eff < LAMBDA_CAP:
@@ -1404,33 +1422,61 @@ def _reference_conjugate_value(f, x, four_point=False):
     a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
     if a == b:
         return float(vals[i]), float(grid[i])
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    fa, fb = g(a), g(b)
     if f.deriv is not None:
-        # the root of f'(lam) = x, so the golden section below takes no
+        # the root of f'(lam) = x, so the Brent search below takes no
         # step; where no end moved, the scan's point stands
         a2, b2 = _bisect(a, b, lambda m: f.derivative(m) <= x, 100, 1e-13)
         if a2 == a or b2 == b:
             return float(vals[i]), float(grid[i])
-        a, b, fa, fb = a2, b2, -math.inf, -math.inf
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = g(c), g(d)
-    while (b - a) > _GOLDEN_REL_WIDTH * max(1.0, abs(a), abs(b)):
-        if fc >= fd:
-            b, fb, d, fd = d, fd, c, fc
-            c = b - gr * (b - a)
-            fc = g(c)
-        else:
-            a, fa, c, fc = c, fc, d, fd
-            d = a + gr * (b - a)
-            fd = g(d)
-    if four_point:
-        v_hat, lam_hat = max((fa, a), (fc, c), (fd, d), (fb, b))
-    else:
-        v_hat, lam_hat = (fd, d) if fd >= fc else (fc, c)
+        a, b = a2, b2
+    lam_hat, v_hat = _reference_brent(lambda t: t * x - f.value(t), a, b)
     if vals[i] > v_hat:
         lam_hat, v_hat = float(grid[i]), float(vals[i])
     return v_hat, lam_hat
+
+
+def _reference_brent(g, a, b):
+    """Brent's search for a maximizer of ``g`` on [a, b], one point at a
+    time: the golden inner points c < d first, the best point x = d where
+    g(d) >= g(c), else c, then Brent's steps on [c, b] or [a, d] until the
+    bracket is no wider than ``_GOLDEN_REL_WIDTH`` * max(1, |a|, |b|).
+    Returns (x, g(x))."""
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd = g(c), g(d)
+    x, fx = (d, fd) if fd >= fc else (c, fc)
+    if (b - a) > _GOLDEN_REL_WIDTH * max(1.0, abs(a), abs(b)):
+        a, b, w, fw = (c, b, c, fc) if fd >= fc else (a, d, d, fd)
+        v, fv, e, step = c, fc, 0.0, 0.0
+        while (b - a) > _GOLDEN_REL_WIDTH * max(1.0, abs(a), abs(b)):
+            m, tol = 0.5 * (a + b), 0.25 * (_GOLDEN_REL_WIDTH * max(1.0, abs(a), abs(b)))
+            para = False
+            if abs(e) > tol:
+                r = (x - w) * (fx - fv)
+                q = (x - v) * (fx - fw)
+                p = (x - v) * q - (x - w) * r
+                q = 2.0 * (q - r)
+                p, q = (-p if q > 0.0 else p), abs(q)
+                para = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+            if para:
+                e, step = step, p / q
+                if (x + step) - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
+                    step = tol if x < m else -tol
+            else:
+                e = a - x if x >= m else b - x
+                step = (1.0 - gr) * e
+            u = x + (step if abs(step) >= tol else -tol if step < 0.0 else tol)
+            fu = g(u)
+            if fu >= fx:
+                a, b = (a, x) if u < x else (x, b)
+                v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+            else:
+                a, b = (u, b) if u < x else (a, u)
+                if fu >= fw or w == x:
+                    v, fv, w, fw = w, fw, u, fu
+                elif fu >= fv or v == x or v == w:
+                    v, fv = u, fu
+    return x, fx
 
 
 def _assert_batch_matches_reference(f, xs):
@@ -1492,6 +1538,30 @@ def _power_sum(a, q, b, vectorized, lo=0.0, hi=math.inf):
 
     return PhiFunction.from_callable(fn, lo, hi, vectorized=vectorized,
                                      label=f"power_sum(vectorized={vectorized})")
+
+
+def _golden_steps(objective, a, b):
+    """Steps per bracket of the golden section Brent's search replaced:
+    keep [a, d] where f(c) >= f(d), else [c, b], and evaluate the new inner
+    point, until the bracket is no wider than ``_GOLDEN_REL_WIDTH`` *
+    max(1, |a|, |b|)."""
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    every = np.arange(a.size)
+    fc, fd = objective(every, c), objective(every, d)
+    steps = np.zeros(a.size, dtype=int)
+    while True:
+        r = np.flatnonzero((b - a) > _GOLDEN_REL_WIDTH * np.maximum(
+            1.0, np.maximum(np.abs(a), np.abs(b))))
+        if r.size == 0:
+            return steps
+        steps[r] += 1
+        left = fc[r] >= fd[r]
+        a[r], b[r] = np.where(left, a[r], c[r]), np.where(left, d[r], b[r])
+        new = np.where(left, b[r] - gr * (b[r] - a[r]), a[r] + gr * (b[r] - a[r]))
+        fnew = objective(r, new)
+        c[r], d[r] = np.where(left, new, d[r]), np.where(left, c[r], new)
+        fc[r], fd[r] = np.where(left, fnew, fd[r]), np.where(left, fc[r], fnew)
 
 
 XS = st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=4)
@@ -1678,33 +1748,86 @@ class TestBatchedSearch:
 
     def test_a_derivative_free_table_takes_one_row_per_golden_step(self):
         # 2,000 x of the Gaussian scale mixture without its derivative share
-        # the scan ladder, then golden sections that evaluate only the new
-        # inner point of each step (two fresh points per step would double
-        # the rows after the scan)
+        # the scan ladder, then Brent searches that evaluate one new point
+        # per step (the golden sections took 51 calls and 96,043 rows)
         f = dataclasses.replace(oracles.gaussian_scale_mixture(0.3, 1.0, 2.0).mgf_exponent,
                                 deriv=None)
         calls = []
         counted = dataclasses.replace(f, fn=lambda l: calls.append(np.size(l)) or f.fn(l))
         conjugate(counted, np.linspace(0.01, 20.0, 2000))
-        assert (len(calls), sum(calls)) == (51, 96_043)
+        assert (len(calls), sum(calls)) == (39, 40_748)
+
+    @pytest.mark.parametrize("f", [
+        dataclasses.replace(oracles.gaussian_scale_mixture(0.3, 1.0, 2.0).mgf_exponent, deriv=None),
+        dataclasses.replace(PhiFunction.power_log(2.0, 1.0, 0.0), deriv=None),
+        PhiFunction.from_callable(
+            lambda t: (0.25 * t * t + np.maximum(0.0, t - 1.0) + np.maximum(0.0, 2.0 * t - 6.0)
+                       + np.maximum(0.0, 3.0 * t - 18.0)),
+            0.0, math.inf, convex=True, slope_lim=math.inf, vectorized=True)],
+        ids=["mixture", "power_log", "three_kinks"])
+    def test_no_row_takes_more_than_8_steps_past_golden(self, f, monkeypatch):
+        # on 2,000 x, each bracket's Brent steps against the steps of the
+        # golden section it replaced, on the same bracket and objective; on
+        # the kinks (x in [0.5, 1.5], [2.5, 4.5], [5, 8]) parabolas fit badly
+        inner, seen = functions._brent_section, []
+
+        def spy(objective, a, b):
+            rows = np.zeros(np.size(a), dtype=int)
+
+            def counted(r, pts):
+                np.add.at(rows, r, 1)
+                return objective(r, pts)
+
+            out = inner(counted, a, b)
+            seen.append((rows - 2, _golden_steps(objective, np.array(a), np.array(b))))
+            return out
+
+        monkeypatch.setattr(functions, "_brent_section", spy)
+        conjugate(f, np.linspace(0.01, 20.0, 2000))
+        (brent, golden), = seen
+        assert (brent - golden).max() <= 8
+        assert brent.mean() < 0.7 * golden.mean()
 
     @pytest.mark.parametrize("make", [
-        lambda: dataclasses.replace(PhiFunction.power_log(2.0, 1.0, 0.0), deriv=None),
-        lambda: dataclasses.replace(oracles.gaussian_scale_mixture(0.3, 1.0, 2.0).mgf_exponent,
-                                    deriv=None),
-        lambda: _power_sum(0.4, 2.5, 0.2, False),
-        lambda: _bump(0.02, 12.0, 5.0, 3.0, 0.05),
-    ], ids=["power_log", "mixture", "power_sum", "bump"])
-    def test_inner_pick_within_an_ulp_of_the_four_point_pick(self, make):
-        # the search once took the best of the final bracket's ends and
-        # inner points; the better inner point is within one ulp of that
+        lambda: PhiFunction.power_log(2.0, 1.0, 0.0),
+        lambda: oracles.gaussian_scale_mixture(0.3, 1.0, 2.0).mgf_exponent,
+    ], ids=["power_log", "mixture"])
+    def test_brent_values_match_the_root_path(self, make):
+        # the same phi without its derivative: Brent's value lies within 8
+        # ulp of the root of phi'(lam) = x's, scaled to max(|lam x|, phi(lam))
         f = make()
-        xs = np.linspace(0.0, 1.0 if f.label == "bump" else 12.0, 25).tolist()
-        vals, _, errors = conjugate_values(f, xs)
+        xs = np.linspace(0.0, 12.0, 25)
+        got, _, errors = conjugate_values(dataclasses.replace(f, deriv=None), xs)
+        want, lam, _ = conjugate_values(f, xs)
         assert not errors
-        for x, got in zip(xs, vals.tolist()):
-            want, lam = _reference_conjugate_value(f, x, four_point=True)
-            assert abs(got - want) <= np.spacing(max(abs(lam * x), f.value(lam)))
+        gap = np.abs(got - want) / np.spacing(np.maximum(np.abs(lam * xs), f.values(lam)))
+        assert gap.max() <= 8.0
+
+    @pytest.mark.parametrize("kind", ["power_sum", "bump"])
+    def test_brent_values_match_mpmath(self, kind):
+        # power_sum's maximizer ((x - b)/(a q))^(1/(q - 1)) in closed form, the
+        # bump's the root of x = phi' nearest the found argmax, at 30 digits
+        a, q, b = 0.4, 2.5, 0.2
+        if kind == "power_sum":
+            f, xs = _power_sum(a, q, b, False), np.linspace(0.0, 12.0, 25)
+        else:
+            f, xs = _bump(0.02, 12.0, 5.0, 3.0, 0.05), np.linspace(0.0, 1.0, 25)
+        got, lam, errors = conjugate_values(f, xs)
+        assert not errors
+        with mp.workdps(30):
+            def phi(t):
+                if kind == "power_sum":
+                    return mp.mpf(a) * t ** mp.mpf(q) + mp.mpf(b) * t
+                return (mp.mpf(0.02) * (t - 12) ** 2 + 5
+                        - 5 * mp.exp(-((t - 3) / mp.mpf(0.05)) ** 2))
+
+            for x, v, l in zip(xs.tolist(), got.tolist(), lam.tolist()):
+                if kind == "power_sum":
+                    t = (max(mp.mpf(x) - mp.mpf(b), 0) / (mp.mpf(a) * q)) ** (1 / mp.mpf(q - 1))
+                else:
+                    t = mp.findroot(lambda u: x - mp.diff(phi, u), mp.mpf(l))
+                want = t * x - phi(t)
+                assert float(abs(v - want)) <= 8.0 * math.ulp(max(abs(l * x), f.value(l)))
 
     def test_weibull_conjugate_work(self, monkeypatch):
         # the Gauss-Hermite rule rows behind 15 searched conjugates of

@@ -418,7 +418,7 @@ class TestChainConjugatesPhi:
 
     def test_a_derivative_free_phi_is_refused_at_the_cap(self):
         # power_log(1.1, 2) without its derivative, declaring its slope limit:
-        # at each a*x just above phi'(1e8) a golden section would settle just
+        # at each a*x just above phi'(1e8) a Brent search would settle just
         # below the cap, finite and too small; the scan refuses them all there
         pl = PhiFunction.power_log(1.1, 2.0, lo=0.0)
         phi = PhiFunction.from_callable(pl.fn, 0.0, math.inf, convex=True,

@@ -228,7 +228,7 @@ class TestExponentDerivative:
         assert got.tobytes() == np.array([phi.derivative(t) for t in lams]).tobytes()
 
     def test_a_curve_without_a_derivative_gives_none(self):
-        # its exponent keeps the golden section, and agrees with the root
+        # its exponent keeps the Brent search, and agrees with the root
         curve = PhiFunction.from_callable(lambda p: 2.0 * np.sqrt(p), 1.0, math.inf,
                                           vectorized=True)
         phi = to_exponential(MomentEnvelope(lower=curve)).phi1

@@ -242,7 +242,7 @@ class TestLogIIntegral:
     @pytest.mark.parametrize("family, lam, want", [
         pytest.param("power-log-4", 2.0, 2.0597063545396432, id="i-quartic"),
         pytest.param("quadratic", 30.0, 450.91893853320465, id="i-quadratic"),
-        pytest.param("x^1.5", 3.0, 5.399651590751267, id="i-callable"),
+        pytest.param("x^1.5", 3.0, 5.399651590728651, id="i-callable"),
     ])
     def test_pinned_bit_for_bit(self, family, lam, want):
         # any change to the fold, the kernel's panels or their arithmetic
