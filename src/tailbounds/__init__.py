@@ -32,12 +32,10 @@ from .functions import (
     certify_convex,
     conjugate,
     conjugate_value,
-    saddle_point,
 )
 from .integrals import (
     CramerCertificate,
     EpsilonReport,
-    compound_upper_bound,
     cramer_check,
     epsilon_report,
     i_integral,
@@ -65,7 +63,6 @@ from .lower_unilateral import (
     absorb_normalization,
     certify_dilation_dominance,
     m_surrogate_from_upper,
-    tail_transform_exponent,
     unilateral_lower_envelope,
 )
 from .moments import (

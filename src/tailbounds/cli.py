@@ -130,7 +130,10 @@ def resolve_seed(args: argparse.Namespace) -> int:
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise InputError(f"${SEED_ENV_VAR} must be an integer seed, got {env!r}") from None
 
 
 def to_jsonable(obj):
@@ -217,7 +220,7 @@ def cmd_upper(args) -> tuple[dict, list]:
             try:
                 log_c = rep.log_compound_bound(f, float(lam))
                 entry["log_compound"] = log_c
-                # compound_upper_bound's clip, without repeating K, R and f*
+                # the bound itself, +inf where its exp leaves float range
                 entry["compound"] = math.exp(log_c) if log_c < 709.0 else math.inf
                 entry["log_integral"] = log_i_integral(f, float(lam))
             except TailboundsError as exc:
@@ -298,9 +301,6 @@ def cmd_moments(args) -> tuple[dict, list]:
             env = moment_envelope_from_csv(args.moments_csv)
         else:
             env = moment_power_growth(args.m, args.c_low, args.c_high)
-        if env.upper is None:  # only a CSV can lack the upper column
-            raise InputError("CSV route currently needs both lower and upper columns "
-                             "for growth recovery")
         lower, upper, rep = growth_tail_recovery(args.m, env, xs,
                                                  m_surrogate=args.m_surrogate)
         results = {"upper": envelope_payload(upper), "report": rep}

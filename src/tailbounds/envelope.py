@@ -7,8 +7,7 @@ directly on the tail exponent -ln(envelope).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ class TailEnvelope:
     provenance: str
     valid_from: float
     valid_to: float = np.inf
-    meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -54,14 +52,3 @@ class TailEnvelope:
     def values(self) -> np.ndarray:
         with np.errstate(under="ignore"):
             return np.exp(self.log_values)
-
-    def neg_log(self) -> np.ndarray:
-        """The tail exponent -ln(envelope); +inf where clamped."""
-        return -self.log_values
-
-    def validate_monotone(self) -> None:
-        lv = self.log_values
-        finite = np.isfinite(lv)
-        scale = max(1.0, float(np.abs(lv[finite]).max())) if finite.any() else 1.0
-        if np.any(np.diff(lv) > 1e-9 * scale):
-            raise AssertionError("envelope values must be nonincreasing in x")

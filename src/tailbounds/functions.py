@@ -311,10 +311,10 @@ def certify_convex(f: PhiFunction) -> bool:
 
     A positive certificate is a statement about the probe grid only, [lo,
     top] on a bounded domain and [lo, max(100, 10 max(lo, 1))] on an
-    unbounded one; it licenses the saddle map of :func:`saddle_point` and
+    unbounded one; it licenses the saddle map of :func:`_saddle_points` and
     the certificates built on it.  The Legendre search does not read it.
     A grid returns the verdict of :meth:`PhiFunction.from_grid` on its
-    chords, the one :func:`saddle_point` reads.
+    chords, the one :func:`_saddle_points` reads.
     """
     if f.kind == "grid":
         return f.convex
@@ -350,22 +350,6 @@ class ConjugateResult:
     values: np.ndarray
     argmax: np.ndarray
     capped: np.ndarray
-
-    def validate(self, tol: float = 1e-7) -> None:
-        v, a = self.values, self.argmax
-        fin = np.isfinite(v)
-        scale = max(1.0, float(np.abs(v[fin]).max())) if fin.any() else 1.0
-        if np.any(np.diff(v) < -tol * scale):
-            raise AssertionError("conjugate values not nondecreasing")
-        af = a[fin]
-        if af.size and np.any(np.diff(af) < -tol * max(1.0, float(np.abs(af).max()))):
-            raise AssertionError("argmax trace not nondecreasing")
-        vf = v[fin]
-        if vf.size >= 3:
-            xf = self.x_grid[fin]
-            chords = _chords(xf, vf)
-            if np.any(np.diff(chords) < -1e-6 * max(1.0, float(np.abs(chords).max()))):
-                raise AssertionError("conjugate values not convex along the grid")
 
 
 def _chords(ls: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -773,19 +757,6 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float]) -> ConjugateResult:
 # --------------------------------------------------------------------------
 
 
-def saddle_point(phi2: PhiFunction, lam: float) -> float:
-    """argmax over x of lam*x - phi2*(x); the inverse of (phi2*)'.
-
-    For a convex ``phi2`` this is its subgradient at lam (Rockafellar,
-    *Convex Analysis*, 1970, sections 23-26): phi2'(lam) where ``phi2`` has
-    a derivative, the chord around lam on a convex grid.  The one-point
-    case of :func:`_saddle_points`, which says what each other case raises.
-    """
-    x0s, _, errors = _saddle_points(phi2, [lam])
-    _raise_first(errors)
-    return float(x0s[0])
-
-
 def _saddle_points(phi2: PhiFunction, lams) -> tuple[np.ndarray, np.ndarray, dict]:
     """The package's one saddle map: x0 at each lam, the point t where x0
     is a subgradient of ``phi2``, so that phi2*(x0) = t*x0 - phi2(t) (the
@@ -952,8 +923,8 @@ def _first_at_one(f: PhiFunction, probe: np.ndarray, vals: np.ndarray, rel: floa
 # --------------------------------------------------------------------------
 
 
-def _read_csv_columns(path: str, *headers: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-    """Numeric columns under the first of ``headers`` the file's header starts with.
+def _read_csv_columns(path: str, header: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    """Numeric columns under ``header``, which the file's header must start with.
 
     Every entry must be finite and nonnegative, and the first column must
     strictly increase; errors carry the line number.  ``np.loadtxt`` parses
@@ -968,10 +939,9 @@ def _read_csv_columns(path: str, *headers: tuple[str, ...]) -> tuple[np.ndarray,
         if head is None:
             raise InputError(f"{path}: need at least 2 data rows")
         got = tuple(c.strip().lower() for c in head)
-        header = next((h for h in headers if got[:len(h)] == h), None)
-        if header is None:
-            want = " or ".join(repr(",".join(h)) for h in headers)
-            raise InputError(f"{path}:1: expected header {want}, got {','.join(got)!r}")
+        if got[:len(header)] != header:
+            raise InputError(f"{path}:1: expected header {','.join(header)!r}, "
+                             f"got {','.join(got)!r}")
         n = len(header)
         try:
             rest = fh.read()

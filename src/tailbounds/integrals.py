@@ -224,13 +224,6 @@ def log_compound_upper_bound(zeta: PhiFunction, lam: float, eps: float,
     return epsilon_report(zeta, eps).log_compound_bound(zeta, lam, variant)
 
 
-def compound_upper_bound(zeta: PhiFunction, lam: float, eps: float,
-                         variant: str = "min") -> float:
-    """Linear-scale compound bound; +inf when it exceeds float range."""
-    lb = log_compound_upper_bound(zeta, lam, eps, variant)
-    return math.exp(lb) if lb < 709.0 else math.inf
-
-
 # --------------------------------------------------------------------------
 # Cramer condition
 # --------------------------------------------------------------------------

@@ -293,7 +293,6 @@ def closure_lower_envelope(
         x=zs, log_values=log_vals, side=LOWER,
         provenance="tangent-closure",
         valid_from=max(1.0, float(zs[0])),
-        meta={"all_clamped": diag.all_clamped},
     )
     return env, diag
 
@@ -483,7 +482,7 @@ def pinched_lower_envelope(
     env = TailEnvelope(
         x=zs, log_values=np.minimum(log_vals, 0.0), side=LOWER,
         provenance="pinched-exponent-envelope",
-        valid_from=cert.certified_from, meta={"certificate": cert},
+        valid_from=cert.certified_from,
     )
     return env, cert
 
@@ -503,7 +502,7 @@ def pinch_rate_diagnostic(phi: PhiFunction, deltas: Sequence[float], z: float) -
             env, cert = pinched_lower_envelope(phi, float(delta), np.array([z]))
         except (NotCertifiedError, InputError):
             continue
-        ratio = float(env.neg_log()[0]) / star
+        ratio = -float(env.log_values[0]) / star
         if ratio > 1.0:
             ds.append(float(delta))
             gaps.append(ratio - 1.0)
@@ -582,6 +581,5 @@ def exact_mgf_sandwich(
     lower = TailEnvelope(
         x=xs, log_values=np.minimum(-(stars + c2 * xs), 0.0), side=LOWER,
         provenance="exact-mgf-sandwich", valid_from=float(xs[0]),
-        meta={"c2": c2},
     )
     return lower, upper, float(c2)

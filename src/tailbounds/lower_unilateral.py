@@ -3,7 +3,8 @@
 Given phi with E exp(lam*X) >= exp(phi(lam)) on [lo, b), the chain is:
 
 1. the tail transform satisfies int_0^inf e^{lam x} T(x) dx >= (e^phi - 1)/lam,
-   whose log is :func:`tail_transform_exponent`;
+   whose log, the tail-transform exponent, is phi - ln(lam) + ln(1 - e^{-phi})
+   (:func:`_tail_transform_from_value`, which never overflows for large phi);
 2. a dilation certificate: phi's tail-transform exponent dominates a dilated
    copy phi(c1*lam) on a verification range (:func:`certify_dilation_dominance`).
    The range starts where phi reaches 1; where the exponent is still too
@@ -55,17 +56,8 @@ from .functions import (
 _ABS_TOL = 1e-9
 
 
-def tail_transform_exponent(phi: PhiFunction, lam: float) -> float:
-    """ln[(e^{phi(lam)} - 1)/lam], the certified floor on the tail transform.
-
-    Computed as phi - ln(lam) + ln(1 - e^{-phi}) so large phi never
-    overflows.  Returns -inf when phi(lam) == 0 (empty floor).
-    """
-    lam = float(lam)
-    return _tail_transform_from_value(phi.value(lam), lam)
-
-
 def _tail_transform_from_value(p: float, lam: float) -> float:
+    """ln[(e^p - 1)/lam] at p = phi(lam); -inf when p == 0 (empty floor)."""
     if p == 0.0:
         return -math.inf
     return p - math.log(lam) + math.log(-math.expm1(-p))
@@ -73,7 +65,7 @@ def _tail_transform_from_value(p: float, lam: float) -> float:
 
 @dataclass(frozen=True)
 class DilationCertificate:
-    """Largest c1 with tail_transform_exponent(lam) >= phi(c1*lam) on a grid."""
+    """Largest c1 with phi(c1*lam) <= the tail-transform exponent on a grid."""
 
     c1: float
     lam_range: tuple[float, float]
@@ -457,6 +449,5 @@ def unilateral_lower_envelope(
         x=xs, log_values=log_vals, side=LOWER,
         provenance="unilateral-mgf-floor-chain",
         valid_from=cert.x_valid_from,
-        meta={"certificate": cert},
     )
     return env, cert

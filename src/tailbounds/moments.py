@@ -22,6 +22,7 @@ from .integrals import CramerCertificate, cramer_check
 from .lower_unilateral import LowerEnvelopeCertificate, unilateral_lower_envelope
 
 X_VALID_FLOOR = math.e  # T_X(x) = T_theta(ln x) needs ln x >= 1
+_CHAIN_EPS = 0.05  # eps of the unilateral chain behind both moment routes
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,10 @@ def moment_power_growth(m: float, c_low: float, c_high: float) -> MomentEnvelope
 
 
 def moment_envelope_from_csv(path: str) -> MomentEnvelope:
-    """CSV with header ``p,lower`` or ``p,lower,upper``."""
-    cols = _read_csv_columns(path, ("p", "lower", "upper"), ("p", "lower"))
-    upper = PhiFunction.from_grid(cols[0], cols[2]) if len(cols) == 3 else None
-    return MomentEnvelope(lower=PhiFunction.from_grid(cols[0], cols[1]), upper=upper)
+    """CSV with header ``p,lower,upper``: a two-sided envelope."""
+    ps, lower, upper = _read_csv_columns(path, ("p", "lower", "upper"))
+    return MomentEnvelope(lower=PhiFunction.from_grid(ps, lower),
+                          upper=PhiFunction.from_grid(ps, upper))
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +111,6 @@ class ExponentPair:
     phi1: PhiFunction
     phi2: Optional[PhiFunction]
     degenerate_lower: bool
-    truncated_from: float
 
 
 def _curve_slopes(curve: PhiFunction):
@@ -125,7 +125,7 @@ def _curve_slopes(curve: PhiFunction):
     return None if curve.deriv is None else curve.derivatives
 
 
-def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, bool, float]:
+def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, bool]:
     """lam*ln(curve(lam)) on the subdomain where the curve is >= 1, with
     its derivative ln c(lam) + lam*c'(lam)/c(lam) where the curve has c'
     (:func:`_curve_slopes`), numpy ufuncs only, so that arrays and scalars
@@ -144,7 +144,7 @@ def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, b
         zero = PhiFunction.from_callable(lambda l: 0.0, max(lo, 1.0), curve.domain.hi,
                                          deriv=lambda l: 0.0, convex=True,
                                          label=f"zero[{label}]", vectorized=True)
-        return zero, True, max(lo, 1.0)
+        return zero, True
     lam_star = max(_first_at_one(curve, probe, vals, 0.0), lo, 1.0)
 
     def fn(l, c=curve):
@@ -156,23 +156,19 @@ def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, b
         v = c.values(l)
         return np.log(v) + l * slopes(l) / v
 
-    return (
-        PhiFunction.from_callable(fn, lam_star, curve.domain.hi,
-                                  deriv=None if slopes is None else deriv,
-                                  convex=None, label=f"exponent[{label}]", vectorized=True),
-        False,
-        lam_star,
-    )
+    return PhiFunction.from_callable(fn, lam_star, curve.domain.hi,
+                                     deriv=None if slopes is None else deriv,
+                                     convex=None, label=f"exponent[{label}]",
+                                     vectorized=True), False
 
 
 def to_exponential(m: MomentEnvelope) -> ExponentPair:
     """Convert a moment envelope into exponential-level exponents for ln|X|."""
-    phi1, degen, trunc = _exponent_from_curve(m.lower, m.lower.label)
+    phi1, degen = _exponent_from_curve(m.lower, m.lower.label)
     phi2 = None
     if m.upper is not None:
-        phi2, _, _ = _exponent_from_curve(m.upper, m.upper.label)
-    return ExponentPair(phi1=phi1, phi2=phi2, degenerate_lower=degen,
-                        truncated_from=trunc)
+        phi2, _ = _exponent_from_curve(m.upper, m.upper.label)
+    return ExponentPair(phi1=phi1, phi2=phi2, degenerate_lower=degen)
 
 
 # --------------------------------------------------------------------------
@@ -192,12 +188,11 @@ class PowerTailReport:
 def power_tail_lower(
     m: MomentEnvelope,
     x_grid: Sequence[float],
-    eps: float = 0.05,
     m_surrogate: float = 2.0,
 ) -> tuple[TailEnvelope, PowerTailReport]:
     """Power-form lower tail envelope from a pole-type moment lower envelope.
 
-    Routes through the unilateral exponential-level chain for theta = ln|X|
+    Routes through the unilateral chain (eps = 0.05) for theta = ln|X|
     and reports the fitted (C, gamma) of the emitted envelope
     ~ C * x^(-gamma); the realized gamma always lands strictly inside
     (1, b) on desk-scale grids.
@@ -217,7 +212,7 @@ def power_tail_lower(
 
     y_grid = np.log(xs)
     env_theta, chain_cert = unilateral_lower_envelope(
-        phi, eps, m_surrogate, y_grid, nonnegative=True,
+        phi, _CHAIN_EPS, m_surrogate, y_grid, nonnegative=True,
     )
     # re-express for |X| via x = e^y
     y_kept = env_theta.x
@@ -236,7 +231,6 @@ def power_tail_lower(
         x=x_kept, log_values=log_vals, side=LOWER,
         provenance="power-moment-pole-chain",
         valid_from=X_VALID_FLOOR,
-        meta={"gamma": gamma, "c_fit": c_fit},
     )
     report = PowerTailReport(gamma=gamma, c_fit=c_fit, p_domain=m.p_domain,
                              chain=chain_cert, fit_points=int(fin.sum()))
@@ -297,7 +291,6 @@ def growth_tail_recovery(
     upper = TailEnvelope(
         x=xs, log_values=np.minimum(-c1_coeff * xs ** me, 0.0), side=UPPER,
         provenance="growth-upper", valid_from=float(xs[0]),
-        meta={"c1": c1_coeff},
     )
     fit_up = np.polyfit(np.log(xs), np.log(stars), 1)
     recovered_m = float(fit_up[0])
@@ -310,7 +303,7 @@ def growth_tail_recovery(
     if not pair.degenerate_lower:
         try:
             env_theta, chain_cert = unilateral_lower_envelope(
-                pair.phi1, 0.05, m_surrogate, ys, nonnegative=True,
+                pair.phi1, _CHAIN_EPS, m_surrogate, ys, nonnegative=True,
             )
             neg = -env_theta.log_values
             x_kept = np.exp(env_theta.x)
@@ -323,7 +316,6 @@ def growth_tail_recovery(
                 x=x_kept, log_values=np.minimum(-c2_coeff * x_kept ** me, 0.0),
                 side=LOWER, provenance="growth-lower-chain",
                 valid_from=float(x_kept[0]), valid_to=float(x_kept[-1]),
-                meta={"c2": c2_coeff, "raw_chain_slope": raw_slope},
             )
         except NotCertifiedError as exc:
             notes.append(f"lower chain not certified: {exc}")

@@ -391,8 +391,11 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
     """n uniforms in (0, 1) from Philox4x64-10 keyed by ``seed``.
 
     Counter-based: the stream is a pure function of (seed, index) and
-    identical across platforms.
+    identical across platforms.  Philox keys lie in [0, 2**128).
     """
+    if not (0 <= int(seed) < 2 ** 128 and int(n) >= 0):
+        raise InputError(f"need a seed in [0, 2**128) and a sample count >= 0, got seed {seed}, "
+                         f"count {n}")
     raw = Philox(key=int(seed)).random_raw(int(n))
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -110,42 +110,37 @@ class TauberianReport:
 
 def tauberian_check(
     phi: PhiFunction,
-    source: OracleDistribution | tuple[Callable[[float], float], Callable[[float], float]],
+    source: OracleDistribution,
     x_ladder: Optional[Sequence[float]] = None,
     monte_carlo: bool = False,
     n_samples: int = 10_000_000,
     seed: int = 42,
-    check_regularity: bool = True,
 ) -> TauberianReport:
     """Estimate both limit constants and their product.
 
-    ``source`` is a reference distribution, whose log tail gives the tail
-    targets, or a (log_mgf, tail) callable pair.  The reference exponent
-    must be regular enough for the limits to mean anything; by default its
-    saddle-curvature report is required to be positive.  In Monte Carlo
-    mode the tail side uses the empirical exceedance of ``n_samples``
-    seeded draws, the ladder is capped where counts stay positive, and no
-    extrapolation is applied (the raw top value is reported, sampling noise
-    dominating the correction).
+    ``source`` is a reference distribution with a finite MGF: its log-MGF
+    gives the MGF targets and its log tail the tail targets.  The reference
+    exponent must be regular enough for the limits to mean anything: its
+    saddle-curvature report (:func:`verify_regularity`) must be positive.
+    In Monte Carlo mode the tail side uses the empirical exceedance of
+    ``n_samples`` seeded draws, the ladder is capped where counts stay
+    positive, and no extrapolation is applied (the raw top value is
+    reported, sampling noise dominating the correction).
     """
-    if check_regularity:
-        from .lower_bilateral import verify_regularity
+    from .lower_bilateral import verify_regularity
 
-        reg = verify_regularity(phi)
-        if not reg.ok:
-            raise NotCertifiedError(
-                f"{phi.label}: saddle-curvature report negative (V = {reg.v_value})"
-            )
-    if isinstance(source, OracleDistribution):
-        if source.mgf_exponent is None:
-            raise InputError(f"{source.name} has no finite MGF to diagnose")
-        log_mgf = source.mgf_exponent.values
-        mgf_dom_top = source.mgf_exponent.domain.top()
-    else:
-        (mgf, tail), mgf_dom_top = source, math.inf
-        log_mgf = lambda ls: np.array([float(mgf(l)) for l in ls.tolist()])
+    if not isinstance(source, OracleDistribution):
+        raise InputError(f"source must be an OracleDistribution, got {type(source).__name__}")
+    reg = verify_regularity(phi)
+    if not reg.ok:
+        raise NotCertifiedError(
+            f"{phi.label}: saddle-curvature report negative (V = {reg.v_value})"
+        )
+    mgf = source.mgf_exponent
+    if mgf is None:
+        raise InputError(f"{source.name} has no finite MGF to diagnose")
 
-    top = min(50.0, mgf_dom_top * 0.98 if math.isfinite(mgf_dom_top) else 50.0)
+    top = min(50.0, mgf.domain.top() * 0.98)
     lams = np.geomspace(max(phi.domain.lo, 1.0) + 1.0, top, 7)
     if x_ladder is None:
         x_ladder = 2.0 * 2.0 ** (np.arange(7) / 3.0)  # 2 .. 8 geometric
@@ -153,7 +148,7 @@ def tauberian_check(
 
     # MGF side: phi^{-1}(ln MGF(lam)) / lam, each step one values call,
     # where each row takes its own point's value or error
-    k_mgf_vals = _invert_increasing(lambda ts: _values_or_errors(phi, ts), log_mgf(lams),
+    k_mgf_vals = _invert_increasing(lambda ts: _values_or_errors(phi, ts), mgf.values(lams),
                                     phi.domain.lo, np.maximum(lams, 1.0)) / lams
     k_mgf, conv_m = _extrapolate(lams, k_mgf_vals)
 
@@ -161,8 +156,6 @@ def tauberian_check(
     details: dict = {}
     if monte_carlo:
         mode = "monte-carlo"
-        if not isinstance(source, OracleDistribution):
-            raise InputError("monte carlo mode needs a sampleable distribution")
         samples = source.sample(seed, n_samples)
         emp = empirical_tail(samples, xs)
         frac = emp["fraction"]
@@ -174,13 +167,8 @@ def tauberian_check(
         details["seed"] = seed
         if xs.size == 0:
             raise NotConvergedError("no exceedances at any ladder point")
-    elif isinstance(source, OracleDistribution):
-        neg_log_tail = -source.log_tail(xs)  # finite where the tail underflows
     else:
-        tail_vals = np.array([tail(float(x)) for x in xs])
-        if np.any(tail_vals <= 0):
-            raise InputError("tail must be positive along the ladder")
-        neg_log_tail = np.array([abs(math.log(t)) for t in tail_vals.tolist()])
+        neg_log_tail = -source.log_tail(xs)  # finite where the tail underflows
 
     # tail side: (phi*)^{-1}(|ln T(x)|) / x, each step one conjugate_values call
     def phi_stars(ts):

@@ -200,7 +200,7 @@ class TestOtherCommands:
 
     def test_moments_pole_refuses_a_csv(self, tmp_path, capsys):
         # a CSV carries no pole; it feeds the growth route, which reads both
-        # columns, and a one-sided CSV is refused there with no other advice
+        # columns, and a one-sided CSV is refused by its header
         two = tmp_path / "two.csv"
         two.write_text("p,lower,upper\n1,0.5,2\n2,0.7,2.8\n3,0.9,3.5\n")
         one = tmp_path / "one.csv"
@@ -213,7 +213,8 @@ class TestOtherCommands:
         assert not (tmp_path / "r.json").exists()
         assert run(["moments", "--moments-csv", str(one)]) == 1
         err = capsys.readouterr().err
-        assert "both lower and upper columns" in err and "--mode pole" not in err
+        assert "one.csv:1: expected header 'p,lower,upper', got 'p,lower'" in err
+        assert "--mode pole" not in err
 
     def test_tauber(self, tmp_path):
         out = tmp_path / "r.json"
@@ -359,6 +360,27 @@ class TestValidateAndErrors:
         assert run([cmd, "--x", spec]) == 1
         err = capsys.readouterr().err
         assert "input error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, env, says", [
+        (["validate", "--seed", "-1"], None, "got seed -1,"),
+        (["validate", "--seed", str(2 ** 128)], None, f"got seed {2 ** 128},"),
+        (["validate"], "abc", "$TAILBOUNDS_SEED must be an integer seed, got 'abc'"),
+        (["validate", "--mc-samples", "-5"], None, "count -5"),
+        (["tauber", "--mc", "--mc-samples", "-1"], None, "count -1"),
+    ], ids=["negative-seed", "seed-2**128", "env-seed-abc", "negative-mc-samples",
+            "tauber-negative-mc-samples"])
+    def test_bad_seed_or_sample_count_is_input_error(self, argv, env, says, tmp_path,
+                                                     monkeypatch, capsys):
+        # each reached Philox, or int(), and ended in a ValueError traceback
+        if env is not None:
+            monkeypatch.setenv("TAILBOUNDS_SEED", env)
+        else:
+            monkeypatch.delenv("TAILBOUNDS_SEED", raising=False)
+        assert run([*argv, "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
+        assert says in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TAILBOUNDS_SEED", "7")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dilated
+from conftest import dilated, validate_conjugate
 from tailbounds import functions, oracles
 from tailbounds.errors import (
     EmptyDomainError,
@@ -43,7 +43,6 @@ from tailbounds.functions import (
     conjugate,
     conjugate_value,
     conjugate_values,
-    saddle_point,
 )
 from tailbounds.lower_bilateral import pinched_lower_envelope
 from tailbounds.moments import (
@@ -147,8 +146,7 @@ class TestConjugate:
         xs = np.linspace(0.0, 12.0, 40)
         for f in (PhiFunction.quadratic(), PhiFunction.power_log(4.0),
                   PhiFunction.power_log(2.0, 1.0)):
-            res = conjugate(f, xs)
-            res.validate()
+            validate_conjugate(conjugate(f, xs))
 
     def test_infinite_flag_in_grid_output(self):
         res = conjugate(PhiFunction.linear(1.0), np.array([0.5, 2.0]))
@@ -279,31 +277,29 @@ def _per_lam(result):
 
 
 class TestSaddlePoint:
-    def test_quadratic_identity(self):
-        assert saddle_point(PhiFunction.quadratic(), 10.0) == pytest.approx(10.0, rel=1e-6)
-
     def test_quartic_cubic_map(self):
         # conjugate of l^4/4 is (3/4) x^(4/3); slope inverse at 2 is 8
-        assert saddle_point(PhiFunction.power_log(4.0), 2.0) == pytest.approx(8.0, rel=1e-5)
+        assert _per_lam(_saddle_points(PhiFunction.power_log(4.0), [2.0])) == \
+            [pytest.approx(8.0, rel=1e-5)]
 
     def test_grid_within_resolution(self):
         ls = np.arange(0.0, 10.01, 0.1)
         g = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
-        assert saddle_point(g, 5.0) == pytest.approx(5.0, abs=0.1)
+        assert _per_lam(_saddle_points(g, [5.0])) == [pytest.approx(5.0, abs=0.1)]
 
     def test_out_of_domain(self):
-        with pytest.raises(OutOfDomainError):
-            saddle_point(PhiFunction.quadratic(hi=5.0), 6.0)
+        got, = _per_lam(_saddle_points(PhiFunction.quadratic(hi=5.0), [6.0]))
+        assert isinstance(got, OutOfDomainError)
 
     @pytest.mark.parametrize("f, lams", [
         (PhiFunction.linear(2.0, lo=0.0), [1.0, 2.0, 3.0]),
         (PhiFunction.power_log(2.0, 1.0, lo=0.0), [0.7, 2.0, -1.0, 5.0]),
     ])
     def test_lockstep_equals_one_at_a_time(self, f, lams):
-        # the batch of several lams gives each lam what its one-point call
-        # gives, or raises what it raises
+        # the batch of several lams gives each lam what a batch of that lam
+        # alone gives, x0 or error
         for lam, got in zip(lams, _per_lam(_saddle_points(f, lams))):
-            want = _raised(saddle_point, f, lam) or saddle_point(f, lam)
+            want, = _per_lam(_saddle_points(f, [lam]))
             if isinstance(want, Exception):
                 assert type(got) is type(want) and str(got) == str(want)
             else:
@@ -356,11 +352,9 @@ class TestSaddlePoint:
         (oracles.gaussian_scale_mixture(0.3, 1.0, 2.0).mgf_exponent, [0.1, 1.5, 4.0]),
     ], ids=["quadratic", "power-log-2-1", "linear-2", "weibull-4", "mixture"])
     def test_equals_the_envelopes_saddle_map(self, f, lams):
-        # the public one-point call and the batch the envelopes read are one
-        # map, x0 = phi2'(lam), bit for bit
+        # the batch the envelopes read is x0 = phi2'(lam), bit for bit
         x0s, touch, errors = _saddle_points(f, np.array(lams))
         assert errors == {} and touch.tolist() == lams
-        assert [saddle_point(f, lam) for lam in lams] == x0s.tolist()
         assert x0s.tolist() == f.derivatives(np.array(lams)).tolist()
 
     @pytest.mark.parametrize("f", [
@@ -370,12 +364,9 @@ class TestSaddlePoint:
     def test_no_saddle_map_is_refused(self, f):
         # neither phi2' of a convex phi2 nor a convex grid: InputError at
         # every lam in the domain, OutOfDomainError outside it
-        with pytest.raises(InputError, match="saddle point needs a convex phi2"):
-            saddle_point(f, 3.0)
-        with pytest.raises(OutOfDomainError):
-            saddle_point(f, -1.0)
-        assert [type(x0) for x0 in _per_lam(_saddle_points(f, [3.0, -1.0]))] == [
-            InputError, OutOfDomainError]
+        inside, outside = _per_lam(_saddle_points(f, [3.0, -1.0]))
+        assert type(inside) is InputError and type(outside) is OutOfDomainError
+        assert "saddle point needs a convex phi2" in str(inside)
 
 
 # Hand-rolled bisection loops as the searches once wrote them, each the
@@ -636,8 +627,7 @@ class TestInvariants:
         ls = 1.0 + np.cumsum(knot_steps[:n])
         vs = np.cumsum(val_steps[:n])
         g = PhiFunction.from_grid(ls, vs)
-        res = conjugate(g, np.linspace(0.0, 10.0, 21))
-        res.validate(tol=1e-6)
+        validate_conjugate(conjugate(g, np.linspace(0.0, 10.0, 21)), tol=1e-6)
 
 
 class TestConvexityCertificate:
@@ -658,11 +648,11 @@ class TestConvexityCertificate:
         g = PhiFunction.from_grid(ls, vs)
         assert g.convex is False
         assert certify_convex(g) is False
-        with pytest.raises(InputError):
-            saddle_point(g, 20.5)
+        got, = _per_lam(_saddle_points(g, [20.5]))
+        assert type(got) is InputError
 
 
-def _row_loop_read_csv_columns(path, *headers):
+def _row_loop_read_csv_columns(path, header):
     """The CSV reader as a loop over the rows, one Python float per cell:
     the reference whose columns and error texts the array reader keeps."""
     cols = ()
@@ -671,10 +661,9 @@ def _row_loop_read_csv_columns(path, *headers):
         for lineno, row in enumerate(reader, start=1):
             if lineno == 1:
                 got = tuple(c.strip().lower() for c in row)
-                header = next((h for h in headers if got[:len(h)] == h), None)
-                if header is None:
-                    want = " or ".join(repr(",".join(h)) for h in headers)
-                    raise InputError(f"{path}:1: expected header {want}, got {','.join(got)!r}")
+                if got[:len(header)] != header:
+                    raise InputError(f"{path}:1: expected header {','.join(header)!r}, "
+                                     f"got {','.join(got)!r}")
                 n = len(header)
                 cols = tuple([] for _ in header)
                 continue
@@ -702,11 +691,11 @@ def _row_loop_read_csv_columns(path, *headers):
     return cols
 
 
-def _read_outcome(read, path, headers):
+def _read_outcome(read, path, header):
     """The columns ``read`` returns as float.hex strings, or its error's
     type and text."""
     try:
-        cols = read(path, *headers)
+        cols = read(path, header)
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
     return [[float(v).hex() for v in col] for col in cols]
@@ -720,14 +709,14 @@ _ODD_CELLS = [" 1.5 ", "1_000", "-0", "nan", "1e400", "-2", "abc", "0x10", "", "
 
 @st.composite
 def _csv_files(draw):
-    """A CSV text and the headers a reader takes: grid or moments.  The
-    header is mostly one of the reader's (in any case and padding, with
+    """A CSV text and the header a reader takes: grid or moments.  The
+    header is mostly the reader's (in any case and padding, with
     extra columns); the rows are blank, whitespace-only or cells, mostly an
     increasing first column and numbers, then some short rows, extra
     columns, odd cells and non-increasing steps."""
     grid = draw(st.booleans())
     names = ["lambda,value", " Lambda , VALUE ", "lambda,value,note"] if grid else \
-        ["p,lower", "p,lower,upper", "P , Lower,Upper,note"]
+        ["p,lower,upper", "P , Lower,Upper,note"]
     header = draw(st.sampled_from(names * 4 + ["a,b", names[0][:6], ""]))
     n = 3 if "upper" in header.lower() else 2
     number = st.floats(0.0, 50.0).map(repr)
@@ -744,7 +733,7 @@ def _csv_files(draw):
         lines.append(",".join([first] + draw(st.lists(cell, min_size=width, max_size=width))))
     ending = draw(st.sampled_from(["", "\n", "\n\n"]))
     text = "" if lines == [""] and not ending else "\n".join(lines) + ending
-    return text, [("lambda", "value")] if grid else [("p", "lower", "upper"), ("p", "lower")]
+    return text, ("lambda", "value") if grid else ("p", "lower", "upper")
 
 class TestCsvLoading:
     def test_round_trip(self, tmp_path):
@@ -779,7 +768,7 @@ class TestCsvLoading:
         with pytest.raises(InputError, match=":3: entries must be finite and nonnegative"):
             PhiFunction.from_csv(str(p))
 
-    @pytest.mark.parametrize("text", ["p,lower\n1,0.5\n2,nan\n",
+    @pytest.mark.parametrize("text", ["p,lower,upper\n1,0.5,2\n2,nan,2\n",
                                       "p,lower,upper\n1,0.5,2\n2,0.5,-inf\n"])
     def test_moment_entries_must_be_finite_and_nonnegative(self, tmp_path, text):
         p = tmp_path / "moments.csv"
@@ -792,7 +781,7 @@ class TestCsvLoading:
         p = tmp_path / "ok.csv"
         p.write_text('p,lower,upper,note\n1," 0.5 ",2,a\n\n2,1000,-0,b,c\n')
         monkeypatch.setattr(functions, "_csv_walk", None)
-        cols = _read_csv_columns(str(p), ("p", "lower", "upper"), ("p", "lower"))
+        cols = _read_csv_columns(str(p), ("p", "lower", "upper"))
         assert [c.tolist() for c in cols] == [[1.0, 2.0], [0.5, 1000.0], [2.0, 0.0]]
         assert math.copysign(1.0, cols[2][1]) == -1.0
 
@@ -820,17 +809,17 @@ class TestCsvLoading:
             with pytest.raises(InputError, match="need at least 2 data rows$"):
                 PhiFunction.from_csv(str(p))
 
-    @pytest.mark.parametrize("text, headers", [
-        ("lambda,value\n1\n2\n3\n", [("lambda", "value")]),
-        ("p,lower,upper\n1,1\n2,2\n", [("p", "lower", "upper"), ("p", "lower")]),
+    @pytest.mark.parametrize("text, header", [
+        ("lambda,value\n1\n2\n3\n", ("lambda", "value")),
+        ("p,lower,upper\n1,1\n2,2\n", ("p", "lower", "upper")),
     ])
-    def test_short_rows_everywhere_name_the_first(self, tmp_path, text, headers):
+    def test_short_rows_everywhere_name_the_first(self, tmp_path, text, header):
         # every row one cell short still stacks into an array: the column
         # count check refuses it before numpy does
         p = tmp_path / "short.csv"
         p.write_text(text)
         with pytest.raises(InputError, match=r":2: expected \d columns, got \d$"):
-            _read_csv_columns(str(p), *headers)
+            _read_csv_columns(str(p), header)
 
     @pytest.mark.parametrize("fault", ["", "1,-1\n"])
     @pytest.mark.parametrize("tail", [b"5,\xff\n", b"5," + b"9" * 200_000 + b"\n"])
@@ -841,35 +830,34 @@ class TestCsvLoading:
         p = tmp_path / "bytes.csv"
         rows = "".join(f"{k},{k}\n" for k in range(2, 4000))
         p.write_bytes(f"lambda,value\n0,0\n{fault}{rows}".encode() + tail)
-        got = _read_outcome(_read_csv_columns, str(p), [("lambda", "value")])
-        assert got == _read_outcome(_row_loop_read_csv_columns, str(p), [("lambda", "value")])
+        got = _read_outcome(_read_csv_columns, str(p), ("lambda", "value"))
+        assert got == _read_outcome(_row_loop_read_csv_columns, str(p), ("lambda", "value"))
         assert got.startswith("InputError: " if fault else ("UnicodeDecodeError", "Error: field"))
 
     def test_each_odd_cell_reads_as_the_row_loop_reads_it(self, tmp_path):
         # every odd cell in each column of the third of four rows, under
         # both readers' headers: valid, or the row loop's error on line 3
         p = tmp_path / "odd.csv"
-        for headers, text in [([("lambda", "value")], "lambda,value\n1,1\n{}\n9,9\n"),
-                              ([("p", "lower", "upper"), ("p", "lower")],
-                               "p,lower,upper\n1,1,1\n{}\n9,9,9\n")]:
-            width = len(headers[0])
+        for header, text in [(("lambda", "value"), "lambda,value\n1,1\n{}\n9,9\n"),
+                             (("p", "lower", "upper"), "p,lower,upper\n1,1,1\n{}\n9,9,9\n")]:
+            width = len(header)
             for cell in _ODD_CELLS:
                 for col in range(width):
                     row = ",".join(cell if j == col else "2" for j in range(width))
                     p.write_text(text.format(row))
-                    got = _read_outcome(_read_csv_columns, str(p), headers)
-                    assert got == _read_outcome(_row_loop_read_csv_columns, str(p), headers)
+                    got = _read_outcome(_read_csv_columns, str(p), header)
+                    assert got == _read_outcome(_row_loop_read_csv_columns, str(p), header)
 
     @settings(max_examples=120, deadline=None)
     @given(drawn=_csv_files())
     def test_reads_what_the_row_loop_reads(self, tmp_path_factory, drawn):
         # the same columns, bit for bit, or the same error text: line
         # number, message and which of a row's failures comes first
-        text, headers = drawn
+        text, header = drawn
         p = tmp_path_factory.getbasetemp() / "drawn.csv"
         p.write_text(text, encoding="utf-8")
-        assert _read_outcome(_read_csv_columns, str(p), headers) == \
-            _read_outcome(_row_loop_read_csv_columns, str(p), headers)
+        assert _read_outcome(_read_csv_columns, str(p), header) == \
+            _read_outcome(_row_loop_read_csv_columns, str(p), header)
 
 
 def _searched(f):

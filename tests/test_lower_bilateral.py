@@ -27,7 +27,6 @@ from tailbounds.functions import (
     _stars,
     conjugate,
     conjugate_values,
-    saddle_point,
 )
 from tailbounds.lower_bilateral import (
     RegularityReport,
@@ -246,7 +245,7 @@ class TestPinchedEnvelope:
     def test_subgaussian_form(self, pinch):
         env, cert = pinch
         # -ln(env) = 0.5 z^2 (1 + c') for a single constant c' > 0
-        ratio = env.neg_log() / (0.5 * env.x ** 2)
+        ratio = -env.log_values / (0.5 * env.x ** 2)
         assert np.allclose(ratio, ratio[0], rtol=1e-9)
         assert ratio[0] > 1.0
 
@@ -271,7 +270,7 @@ class TestPinchedEnvelope:
         ratios = []
         for delta in (0.1, 0.05, 0.02):
             env, cert = pinched_lower_envelope(QUAD0, delta, np.array([3.0, z]))
-            ratios.append(env.neg_log()[-1] / (z * z / 2.0))
+            ratios.append(-env.log_values[-1] / (z * z / 2.0))
         assert ratios[0] > ratios[1] > ratios[2] > 1.0
         assert ratios[2] < 1.2
 
@@ -355,7 +354,7 @@ class TestCappedConjugateUnderALowerBound:
         env, cert = pinched_lower_envelope(phi, self.DELTA, zs)
         t = 1.0 - cert.c * self.DELTA
         exact = t * (env.x / t) ** self.Q / self.Q
-        np.testing.assert_allclose(env.neg_log(), exact, rtol=1e-12)
+        np.testing.assert_allclose(-env.log_values, exact, rtol=1e-12)
         assert cert.certified_from < zs[-1]
 
     def test_pinch_refuses_the_first_capped_point(self):
@@ -437,7 +436,7 @@ def test_a_non_finite_grid_is_an_input_error(entry, bad):
 class TestExactMgfSandwich:
     def test_upper_is_conjugate(self, gaussian_sandwich):
         xs, _, upper, _ = gaussian_sandwich
-        assert np.allclose(upper.neg_log(), xs ** 2 / 2.0, rtol=1e-9)
+        assert np.allclose(-upper.log_values, xs ** 2 / 2.0, rtol=1e-9)
         tails = np.array([q_tail(x) for x in xs])
         assert np.all(upper.values >= tails - 1e-12)
 
@@ -545,7 +544,10 @@ class TestSaddleInverse:
 def _scalar_x0(phi2, t):
     if phi2.convex and phi2.deriv is not None:
         return float(phi2.deriv(float(t)))
-    return saddle_point(phi2, float(t))
+    x0s, _, errors = _saddle_points(phi2, [float(t)])
+    if errors:
+        raise errors[0]
+    return float(x0s[0])
 
 
 def _scalar_star_at_saddle(phi2, t, x):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import dilated, weibull_log_mgf_closed_m2
+from conftest import dilated, validate_monotone, weibull_log_mgf_closed_m2
 from tailbounds import oracles
 from tailbounds.errors import (
     AbsorptionFailedError,
@@ -32,11 +32,11 @@ from tailbounds.lower_unilateral import (
     _default_lam_range,
     _exponents,
     _lam1_candidates,
+    _tail_transform_from_value,
     _tangent_lines,
     absorb_normalization,
     certify_dilation_dominance,
     m_surrogate_from_upper,
-    tail_transform_exponent,
     unilateral_lower_envelope,
 )
 from tailbounds.moments import moment_power_growth, moment_power_pole, to_exponential
@@ -48,18 +48,18 @@ M_GAUSS = 2.802495608198964  # damped-conjugate normalization at eps = 0.2
 class TestTailTransformExponent:
     def test_quadratic_at_two(self):
         # ln[(e^2 - 1)/2]
-        assert tail_transform_exponent(QUAD0, 2.0) == pytest.approx(
+        assert _tail_transform_from_value(QUAD0.value(2.0), 2.0) == pytest.approx(
             1.1614393615711955, abs=1e-12)
 
     def test_linear_at_one(self):
         lin = PhiFunction.linear(1.0, lo=0.0)
-        assert tail_transform_exponent(lin, 1.0) == pytest.approx(
+        assert _tail_transform_from_value(lin.value(1.0), 1.0) == pytest.approx(
             math.log(math.e - 1.0), abs=1e-12)
 
     def test_large_lambda_identity(self):
         # the exponent approaches phi(lam) - ln(lam) from below
         for lam in (10.0, 30.0, 80.0):
-            aux = tail_transform_exponent(QUAD0, lam)
+            aux = _tail_transform_from_value(QUAD0.value(lam), lam)
             gap = (QUAD0.value(lam) - math.log(lam)) - aux
             cap = 2.0 * math.exp(-min(QUAD0.value(lam), 700.0)) + 1e-15
             assert 0.0 <= gap <= cap
@@ -77,7 +77,7 @@ class TestDilationCertificate:
         # c(lam) = sqrt(2 * aux(lam)) / lam, minimized at the range floor
         cert = certify_dilation_dominance(QUAD0)
         lam0 = cert.lam_range[0]
-        c_analytic = math.sqrt(2.0 * tail_transform_exponent(QUAD0, lam0)) / lam0
+        c_analytic = math.sqrt(2.0 * _tail_transform_from_value(QUAD0.value(lam0), lam0)) / lam0
         assert cert.c1 == pytest.approx(c_analytic, rel=1e-4)
 
     def test_regular_varying_family_certified(self):
@@ -294,7 +294,7 @@ class TestGaussianChain:
 
     def test_monotone(self, chain):
         env, _ = chain
-        env.validate_monotone()
+        validate_monotone(env)
 
 
 class TestChainAcrossOracles:

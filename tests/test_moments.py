@@ -55,7 +55,7 @@ class TestToExponential:
 def pole_run():
     env = moment_power_pole(1.0, 3.0, 1.0)
     xs = np.geomspace(math.e, 10.0, 12)
-    return power_tail_lower(env, xs, eps=0.05, m_surrogate=2.0)
+    return power_tail_lower(env, xs, m_surrogate=2.0)
 
 
 class TestPoleFamily:
@@ -163,17 +163,18 @@ class TestRoundTrip:
 
 
 class TestMomentCsv:
-    def test_two_column(self, tmp_path):
+    def test_lower_only_is_refused(self, tmp_path):
+        # no route reads a one-sided CSV: the header names both columns
         p = tmp_path / "m.csv"
         p.write_text("p,lower\n1.0,1.0\n2.0,1.4\n4.0,2.0\n")
-        env = moment_envelope_from_csv(str(p))
-        assert env.upper is None
-        assert env.lower.value(2.0) == pytest.approx(1.4)
+        with pytest.raises(InputError, match=":1: expected header 'p,lower,upper', got 'p,lower'"):
+            moment_envelope_from_csv(str(p))
 
     def test_three_column(self, tmp_path):
         p = tmp_path / "m3.csv"
         p.write_text("p,lower,upper\n1.0,1.0,1.1\n2.0,1.4,1.5\n4.0,2.0,2.2\n")
         env = moment_envelope_from_csv(str(p))
+        assert env.lower.value(2.0) == pytest.approx(1.4)
         assert env.upper.value(4.0) == pytest.approx(2.2)
 
     def test_bad_header(self, tmp_path):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from tailbounds import oracles
-from tailbounds.errors import InputError, NonInvertibleError, OutOfDomainError
-from tailbounds.functions import PhiFunction, _bisect, conjugate_value
-from tailbounds.tauberian import TauberianReport, _extrapolate, tauberian_check
+from tailbounds.errors import InputError, NonInvertibleError, OutOfDomainError, TailboundsError
+from tailbounds.functions import PhiFunction, _bisect, _values_or_errors, conjugate_value
+from tailbounds.tauberian import (TauberianReport, _extrapolate, _invert_increasing,
+                                  tauberian_check)
 
 QREF = PhiFunction.quadratic(lo=0.0)
 
@@ -67,28 +68,18 @@ class TestAnalytic:
             tauberian_check(ref, oracles.gaussian())
 
     def test_non_monotone_reference_not_invertible(self):
-        from tailbounds.errors import NonInvertibleError
+        # the flat reference, whose regularity gate refuses it first: its
+        # inversion alone finds no root below phi's constant value
         ref = PhiFunction.from_callable(lambda l: 5.0, 0.0, math.inf,
                                         convex=True, label="flat", slope_lim=0.0)
-        with pytest.raises(NonInvertibleError):
-            tauberian_check(ref, oracles.gaussian(), check_regularity=False)
+        lams = np.geomspace(2.0, 50.0, 7)
+        with pytest.raises(NonInvertibleError, match="target 2.0 below function value 5.0"):
+            _invert_increasing(lambda ts: _values_or_errors(ref, ts), 0.5 * lams ** 2, 0.0, lams)
 
-
-class TestCallablePair:
-    # a (log_mgf, tail) pair: the tail side takes |ln T(x)| from ``tail``
-    GAUSS = (lambda l: 0.5 * l * l, lambda x: 0.5 * math.erfc(x / math.sqrt(2.0)))
-
-    def test_positive_tails_match_the_distribution_source(self):
-        rep = tauberian_check(QREF, self.GAUSS)
-        ref = tauberian_check(QREF, oracles.gaussian())
-        assert rep.k_mgf == pytest.approx(ref.k_mgf, rel=1e-12)
-        np.testing.assert_allclose(rep.k_tail_ladder, ref.k_tail_ladder, rtol=1e-12)
-        assert rep.k_tail == pytest.approx(1.0, abs=0.02)
-
-    def test_zero_tail_is_refused(self):
-        mgf, tail = self.GAUSS
-        with pytest.raises(InputError, match="tail must be positive along the ladder"):
-            tauberian_check(QREF, (mgf, lambda x: 0.0 if x > 4.0 else tail(x)))
+    def test_only_a_distribution_is_a_source(self):
+        gauss = (lambda l: 0.5 * l * l, lambda x: 0.5 * math.erfc(x / math.sqrt(2.0)))
+        with pytest.raises(InputError, match="source must be an OracleDistribution, got tuple"):
+            tauberian_check(QREF, gauss)
 
 
 class TestMonteCarlo:
@@ -171,28 +162,35 @@ class TestLockstepInversions:
                               n_samples=200_000, seed=7)
         assert repr(got) == repr(want)
 
+    @staticmethod
+    def _mgf_side(phi, targets):
+        # the MGF-side inversion as tauberian_check runs it, one at a time
+        # and in lockstep, on the ladder lambdas 2 .. 50
+        lams = np.geomspace(2.0, 50.0, 7)
+        with pytest.raises(TailboundsError) as seq:
+            for lam, t in zip(lams.tolist(), targets.tolist()):
+                _sequential_invert(phi.value, t, phi.domain.lo, lam)
+        with pytest.raises(TailboundsError) as lockstep:
+            _invert_increasing(lambda ts: _values_or_errors(phi, ts), targets,
+                               phi.domain.lo, lams)
+        assert type(lockstep.value) is type(seq.value)
+        assert str(lockstep.value) == str(seq.value)
+        return seq.value
+
     def test_raises_the_first_failing_ladder_point(self):
         # targets below phi at the domain floor at ladder points 3 and 5:
         # both searches fail in their first round, and point 3's error wins
-        lams = np.geomspace(2.0, 50.0, 7).tolist()
-        low = {lams[3]: -3.0, lams[5]: -5.0}
-        source = (lambda l: low.get(l, 0.5 * l * l), lambda x: 0.5 * math.erfc(x / math.sqrt(2)))
-        with pytest.raises(NonInvertibleError) as seq:
-            _sequential_check(QREF, *source)
-        with pytest.raises(NonInvertibleError) as lockstep:
-            tauberian_check(QREF, source, check_regularity=False)
-        assert str(lockstep.value) == str(seq.value)
-        assert str(seq.value).startswith("target -3.0 below")
+        targets = 0.5 * np.geomspace(2.0, 50.0, 7) ** 2
+        targets[[3, 5]] = [-3.0, -5.0]
+        err = self._mgf_side(QREF, targets)
+        assert isinstance(err, NonInvertibleError)
+        assert str(err).startswith("target -3.0 below")
 
     def test_a_point_outside_the_domain_fails_its_own_search(self):
         # on [0, 20) the brackets of the ladder points 29.2 and 50 start
         # outside the domain; the other searches run on to their roots
         phi = PhiFunction.from_callable(lambda l: 0.5 * l * l, 0.0, 20.0, convex=True,
                                         label="half-square[0, 20)", vectorized=True)
-        dist = oracles.gaussian()
-        with pytest.raises(OutOfDomainError) as seq:
-            _sequential_check(phi, dist.mgf_exponent.value, dist.tail)
-        with pytest.raises(OutOfDomainError) as lockstep:
-            tauberian_check(phi, dist, check_regularity=False)
-        assert str(lockstep.value) == str(seq.value)
-        assert "29.2" in str(seq.value)
+        err = self._mgf_side(phi, 0.5 * np.geomspace(2.0, 50.0, 7) ** 2)
+        assert isinstance(err, OutOfDomainError)
+        assert "29.2" in str(err)
