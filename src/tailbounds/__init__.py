@@ -8,7 +8,7 @@ identities; everything is validated against exact reference laws.
 
 __version__ = "0.1.0"
 
-from .envelope import LOWER, UPPER, TailEnvelope
+from .envelope import LOWER, UPPER, TailEnvelope, chernoff_envelope
 from .errors import (
     AbsorptionFailedError,
     DivergentIntegral,

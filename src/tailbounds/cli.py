@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .envelope import TailEnvelope
+from .envelope import TailEnvelope, chernoff_envelope
 from .errors import InputError, TailboundsError
 from .functions import PhiFunction, conjugate
 from .integrals import epsilon_report, log_i_integral
@@ -208,7 +208,7 @@ def cmd_conjugate(args) -> tuple[dict, list]:
 def cmd_upper(args) -> tuple[dict, list]:
     f = build_function(args)
     xs = parse_grid(args.x)
-    env = _chernoff_envelope(f, xs)
+    env = chernoff_envelope(xs, conjugate(f, xs).values)
     results = {"chernoff": envelope_payload(env)}
     if args.bound_lambda is not None:
         lam_grid = parse_grid(args.bound_lambda)
@@ -243,7 +243,7 @@ def cmd_lower_uni(args) -> tuple[dict, list]:
     env, cert = unilateral_lower_envelope(
         f, args.epsilon, m_bound, xs, nonnegative=not args.signed,
     )
-    chern = _chernoff_envelope(f, env.x)
+    chern = chernoff_envelope(env.x, conjugate(f, env.x).values)
     rows = [{"x": float(x), "lower": float(v), "chernoff_upper": float(u)}
             for x, v, u in zip(env.x, env.values, chern.values)]
     return {"config": {"function": f.label, "x": xs,
@@ -251,13 +251,6 @@ def cmd_lower_uni(args) -> tuple[dict, list]:
             "results": {"envelope": envelope_payload(env),
                         "chernoff": envelope_payload(chern),
                         "certificate": cert}}, rows
-
-
-def _chernoff_envelope(f: PhiFunction, xs: np.ndarray) -> TailEnvelope:
-    res = conjugate(f, xs)
-    return TailEnvelope(x=xs, log_values=np.minimum(-res.values, 0.0),
-                        side="upper", provenance="conjugate-upper",
-                        valid_from=float(xs[0]))
 
 
 def cmd_lower_bi(args) -> tuple[dict, list]:
@@ -273,7 +266,7 @@ def cmd_lower_bi(args) -> tuple[dict, list]:
                        "all_clamped": diag.all_clamped,
                        # a list in z order: a float z never becomes a JSON key
                        "per_z": [{"z": z, **d} for z, d in diag.per_z.items()]}}
-    results["chernoff"] = envelope_payload(_chernoff_envelope(f, env.x))
+    results["chernoff"] = envelope_payload(chernoff_envelope(env.x, conjugate(f, env.x).values))
     results["regularity"] = verify_regularity(f)
     rows = [{"x": float(x), "lower": float(v)} for x, v in zip(env.x, env.values)]
     return {"config": {"function": f.label, "x": xs, "delta": args.delta},

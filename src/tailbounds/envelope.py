@@ -52,3 +52,10 @@ class TailEnvelope:
     def values(self) -> np.ndarray:
         with np.errstate(under="ignore"):
             return np.exp(self.log_values)
+
+
+def chernoff_envelope(xs: np.ndarray, stars: np.ndarray) -> TailEnvelope:
+    """The Chernoff upper envelope exp(-phi*(x)) from the conjugate values
+    phi*(x) at each x; a divergent (+inf) phi* gives the bound 0."""
+    return TailEnvelope(x=xs, log_values=np.minimum(-stars, 0.0), side=UPPER,
+                        provenance="conjugate-upper", valid_from=float(xs[0]))

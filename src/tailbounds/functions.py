@@ -461,7 +461,7 @@ def _best_rows(xs: np.ndarray, grid: np.ndarray, phi: np.ndarray) -> np.ndarray:
     long table's memory stays bounded."""
     n = grid.size
     out = np.empty((4, xs.size))
-    for r in np.array_split(np.arange(xs.size), -(-xs.size * n // (1 << 16))):
+    for r in np.array_split(np.arange(xs.size), max(1, -(-xs.size * n // (1 << 16)))):
         vals = xs[r, None] * grid - phi
         i = np.argmax(vals, axis=1)
         out[:, r] = [grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, n - 1)], grid[i],
@@ -568,7 +568,8 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     there.  Where the chords of those knots never fall, as on a convex
     grid, one sorted search of the chords gives every x its argmax, the
     first knot whose chord reaches x (Y. Lucet, *Numer. Algorithms* 16,
-    1997); otherwise each x takes the argmax over the knots on its own.
+    1997); otherwise each x takes the first argmax over the knots, by
+    the scan's :func:`_best_rows`.
     For the other kinds, the x above
     :meth:`PhiFunction.slope_limit` diverge, all of them with one witness;
     a closed form takes the stationary points of the others and evaluates
@@ -585,8 +586,6 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     better.
     """
     x_arr = np.asarray(xs, dtype=float).ravel()
-    vals = np.full(x_arr.size, math.nan)
-    arg = np.full(x_arr.size, math.nan)
     if f.kind == "grid":
         ls, vs = f.knots
         lo, top = f.domain.lo, f.domain.top()
@@ -599,11 +598,10 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
             # again: the first knot whose chord reaches x is the argmax
             i = np.searchsorted(chords, x_arr)
             return ls[i] * x_arr - vs[i], ls[i], {}
-        for k, x in enumerate(x_arr.tolist()):
-            obj = ls * x - vs
-            i = int(np.argmax(obj))
-            vals[k], arg[k] = obj[i], ls[i]
+        _, _, arg, vals = _best_rows(x_arr, ls, vs)
         return vals, arg, {}
+    vals = np.full(x_arr.size, math.nan)
+    arg = np.full(x_arr.size, math.nan)
     lim = f.slope_limit()
     diverges = x_arr > (math.inf if lim is None else lim)
     witness = np.geomspace(max(f.domain.lo, 1.0), LAMBDA_CAP, 8) if diverges.any() else None

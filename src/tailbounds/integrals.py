@@ -147,20 +147,15 @@ class EpsilonReport:
 
 
 def epsilon_report(zeta: PhiFunction, eps: float) -> EpsilonReport:
-    diag = {}
-    try:
-        kd: dict = {}
-        k = k_integral(zeta, eps, details=kd)
-        diag["k"] = kd
-    except DivergentIntegral as exc:
-        k, diag["k"] = None, str(exc)
-    try:
-        rd: dict = {}
-        r = r_integral(zeta, eps, details=rd)
-        diag["r"] = rd
-    except DivergentIntegral as exc:
-        r, diag["r"] = None, str(exc)
-    return EpsilonReport(eps=eps, k=k, r=r, diagnostics=diag)
+    vals, diag = {}, {}
+    for key, integral in (("k", k_integral), ("r", r_integral)):
+        details: dict = {}
+        try:
+            vals[key] = integral(zeta, eps, details=details)
+            diag[key] = details
+        except DivergentIntegral as exc:
+            vals[key], diag[key] = None, str(exc)
+    return EpsilonReport(eps=eps, **vals, diagnostics=diag)
 
 
 def log_i_integral(zeta: PhiFunction, lam: float) -> float:

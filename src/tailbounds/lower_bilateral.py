@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .envelope import LOWER, UPPER, TailEnvelope
+from .envelope import LOWER, TailEnvelope, chernoff_envelope
 from .errors import (
     GeometryInvalidError,
     InputError,
@@ -46,6 +46,7 @@ from .functions import (
     _raise_first,
     _require_saddle_map,
     _saddle_points,
+    _sorted_unique,
     _stars,
     conjugate_value,
     conjugate_values,
@@ -337,7 +338,7 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     lams = lam_grid[phi.domain.contains(lam_grid)]
     ts_cell = lams[:, None] * (1.0 + delta_grid)
     in_dom = phi.domain.contains(ts_cell)
-    ts = np.unique(ts_cell[in_dom])
+    ts = _sorted_unique(ts_cell[in_dom])
     x0s, touch, errors = _saddle_points(phi, ts)
     stars = touch * x0s - phi.values(touch)  # the touching identity, as in _saddle_rows
     s_peak = phi.values(lams)[:, None]  # S(lam, x0(lam)), by the touching identity
@@ -574,12 +575,8 @@ def exact_mgf_sandwich(
         )
     c2 = max([0.0, *((-best - stars) / xs).tolist()])
 
-    upper = TailEnvelope(
-        x=xs, log_values=np.minimum(-stars, 0.0), side=UPPER,
-        provenance="conjugate-upper", valid_from=float(xs[0]),
-    )
     lower = TailEnvelope(
         x=xs, log_values=np.minimum(-(stars + c2 * xs), 0.0), side=LOWER,
         provenance="exact-mgf-sandwich", valid_from=float(xs[0]),
     )
-    return lower, upper, float(c2)
+    return lower, chernoff_envelope(xs, stars), float(c2)

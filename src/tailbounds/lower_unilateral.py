@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class DilationCertificate:
     c1: float
     lam_range: tuple[float, float]
     margin: float
-    certified: bool
 
 
 def _default_lam_range(phi: PhiFunction) -> tuple[float, float]:
@@ -122,9 +121,9 @@ def certify_dilation_dominance(phi: PhiFunction) -> DilationCertificate:
             cert = _certify_on_range(phi, start, end)
         except InputError:
             continue
-        if cert.certified and cert.c1 >= 0.3:
-            return cert
-        if cert.certified:
+        if cert is not None:
+            if cert.c1 >= 0.3:
+                return cert
             certified.append(cert)
     if certified:
         return max(certified, key=lambda c: c.c1)
@@ -134,12 +133,11 @@ def certify_dilation_dominance(phi: PhiFunction) -> DilationCertificate:
     )
 
 
-def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> DilationCertificate:
+def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> Optional[DilationCertificate]:
     """The largest c1 that the verification range [lo, hi] certifies.
 
     The range is sampled at 200 points, each point's critical dilation is
-    bisected, and c1 is the smallest of them.  A refusal returns
-    ``certified=False``.
+    bisected, and c1 is the smallest of them.  A refusal returns None.
     """
     lo, hi = float(lo), float(hi)
     if not (phi.domain.lo <= lo < hi):
@@ -148,8 +146,6 @@ def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> DilationCertifi
     lams = np.geomspace(lo, hi, 200) if lo > 0 else np.linspace(lo, hi, 200)
     aux = np.array([_tail_transform_from_value(p, t)
                     for p, t in zip(phi.values(lams).tolist(), lams.tolist())])
-    refused = DilationCertificate(c1=0.0, lam_range=(lo, hi), margin=-math.inf,
-                                  certified=False)
 
     # per-lambda critical dilation: largest c with phi(c*lam) <= aux(lam);
     # phi is nondecreasing on [0, b) for envelope exponents, so bisection
@@ -159,7 +155,7 @@ def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> DilationCertifi
     c_hi = np.minimum(1.0, phi.domain.top() / lams)
     c_lo = phi.domain.lo / lams if phi.domain.lo > 0 else np.full(lams.size, 1e-12)
     if np.any(c_lo >= c_hi) or np.any(_values_at(phi, c_lo, lams) > ceiling):
-        return refused
+        return None
     crit = c_hi.copy()
     todo = np.flatnonzero(~(_values_at(phi, c_hi, lams) <= ceiling))
     lam_t, ceil_t = lams[todo], ceiling[todo]
@@ -168,14 +164,13 @@ def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> DilationCertifi
         lambda rows, m: _values_at(phi, m, lam_t[rows]) <= ceil_t[rows], 45)
     c1 = min(1.0, float(crit.min()))
     if c1 <= 1e-10:
-        return refused
+        return None
 
     # the bisection's slack is relative to each side, so is the check's
     slack = aux - _values_at(phi, c1, lams)
     if np.any(slack < -10 * _ABS_TOL * np.maximum(1.0, np.abs(aux))):
-        return refused
-    return DilationCertificate(c1=c1, lam_range=(lo, hi), margin=float(np.min(slack)),
-                               certified=True)
+        return None
+    return DilationCertificate(c1=c1, lam_range=(lo, hi), margin=float(np.min(slack)))
 
 
 # --------------------------------------------------------------------------

@@ -171,6 +171,23 @@ def to_exponential(m: MomentEnvelope) -> ExponentPair:
     return ExponentPair(phi1=phi1, phi2=phi2, degenerate_lower=degen)
 
 
+def _log_grid(x_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The points x >= e of ``x_grid``, and theta = ln x at each."""
+    xs = np.asarray(x_grid, dtype=float)
+    xs = xs[xs >= X_VALID_FLOOR]
+    if xs.size == 0:
+        raise InputError(f"x_grid needs points at or above e (= {X_VALID_FLOOR:.4f})")
+    return xs, np.log(xs)
+
+
+def _chain_in_x(phi: PhiFunction, m_surrogate: float, ys: np.ndarray):
+    """The unilateral chain (eps = ``_CHAIN_EPS``) for theta = ln|X| at
+    ``ys``, re-expressed for |X|: (x = e^y at each point, its log values,
+    the chain's certificate)."""
+    env, cert = unilateral_lower_envelope(phi, _CHAIN_EPS, m_surrogate, ys, nonnegative=True)
+    return np.exp(env.x), env.log_values, cert
+
+
 # --------------------------------------------------------------------------
 # Pole-type lower envelope (bounded p-domain)
 # --------------------------------------------------------------------------
@@ -200,25 +217,11 @@ def power_tail_lower(
     pair = to_exponential(m)
     if pair.degenerate_lower:
         raise NotCertifiedError("moment envelope never exceeds 1; no exponent to invert")
-    phi = pair.phi1
-    lo, b = phi.domain.lo, phi.domain.hi
-    if not math.isfinite(b):
+    if not math.isfinite(pair.phi1.domain.hi):
         raise InputError("pole-type route expects a finite moment-domain top")
 
-    xs = np.asarray(x_grid, dtype=float)
-    xs = xs[xs >= X_VALID_FLOOR]
-    if xs.size == 0:
-        raise InputError(f"x_grid needs points at or above e (= {X_VALID_FLOOR:.4f})")
-
-    y_grid = np.log(xs)
-    env_theta, chain_cert = unilateral_lower_envelope(
-        phi, _CHAIN_EPS, m_surrogate, y_grid, nonnegative=True,
-    )
-    # re-express for |X| via x = e^y
-    y_kept = env_theta.x
-    x_kept = np.exp(y_kept)
-    log_vals = env_theta.log_values
-
+    _, ys = _log_grid(x_grid)
+    x_kept, log_vals, chain_cert = _chain_in_x(pair.phi1, m_surrogate, ys)
     neg_log = -log_vals
     fin = np.isfinite(neg_log)
     if fin.sum() < 2:
@@ -274,11 +277,7 @@ def growth_tail_recovery(
         raise InputError("growth recovery needs a two-sided moment envelope")
     me = float(m_exponent)
     pair = to_exponential(moment_env)
-    xs = np.asarray(x_grid, dtype=float)
-    xs = xs[xs >= X_VALID_FLOOR]
-    if xs.size == 0:
-        raise InputError("x_grid needs points at or above e")
-    ys = np.log(xs)
+    xs, ys = _log_grid(x_grid)
 
     phi2 = pair.phi2
     stars_all, _ = _stars(phi2, ys)
@@ -302,11 +301,8 @@ def growth_tail_recovery(
     chain_cert = None
     if not pair.degenerate_lower:
         try:
-            env_theta, chain_cert = unilateral_lower_envelope(
-                pair.phi1, _CHAIN_EPS, m_surrogate, ys, nonnegative=True,
-            )
-            neg = -env_theta.log_values
-            x_kept = np.exp(env_theta.x)
+            x_kept, log_vals, chain_cert = _chain_in_x(pair.phi1, m_surrogate, ys)
+            neg = -log_vals
             fin = np.isfinite(neg) & (neg > 0)
             if fin.sum() < 2:
                 raise NotCertifiedError("chain produced no positive exponent points")

@@ -30,6 +30,7 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.random import Philox
 
+from .envelope import UPPER, TailEnvelope, chernoff_envelope
 from .errors import InputError, NotConvergedError, TailboundsError
 from .functions import PhiFunction, conjugate
 
@@ -420,7 +421,6 @@ class OracleDistribution:
     log_tail: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     cramer: bool = True
     mgf_exponent: Optional[PhiFunction] = None
-    support_lo: float = 0.0
     nonnegative: bool = True
 
     def exact_tail(self, x) -> np.ndarray:
@@ -459,7 +459,6 @@ def gaussian(scale: float = 1.0) -> OracleDistribution:
         cramer=True,
         mgf_exponent=PhiFunction.quadratic(coeff=0.5 * s * s, lo=0.0),
         density=lambda x, s=s: _normal_density(x, s),
-        support_lo=-math.inf,
         nonnegative=False,
         log_tail=lambda x, s=s: np.where(x > 0, log_ndtr(-x / s), 0.0),
     )
@@ -478,7 +477,6 @@ def exponential_unit() -> OracleDistribution:
             deriv=lambda l: 1.0 / (1.0 - l), convex=True, label="exp-mgf-exponent",
         ),
         density=lambda x: np.where(x >= 0, np.exp(-np.maximum(x, 0.0)), 0.0),
-        support_lo=0.0,
         nonnegative=True,
     )
 
@@ -718,7 +716,6 @@ def weibull(m: float) -> OracleDistribution:
         log_tail=lambda x, mm=mm: -(np.maximum(x, 0.0) ** mm),
         mgf_exponent=mgf,
         density=lambda x, mm=mm: _weibull_density(x, mm),
-        support_lo=0.0,
         nonnegative=True,
     )
 
@@ -736,7 +733,6 @@ def pareto(alpha: float) -> OracleDistribution:
         log_tail=lambda x, a=a: -a * np.log(np.maximum(x, 1.0)),
         mgf_exponent=None,
         density=lambda x, a=a: np.where(x >= 1, a * np.maximum(x, 1.0) ** (-a - 1.0), 0.0),
-        support_lo=1.0,
         nonnegative=True,
     )
 
@@ -783,7 +779,6 @@ def gaussian_scale_mixture(weight: float, s1: float, s2: float) -> OracleDistrib
             label="gauss-mixture-exponent", slope_lim=math.inf, vectorized=True,
         ),
         density=lambda x: w * _normal_density(x, a) + (1 - w) * _normal_density(x, b),
-        support_lo=-math.inf,
         nonnegative=False,
     )
 
@@ -831,22 +826,34 @@ def empirical_tail(samples: np.ndarray, x_grid) -> dict:
 def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
     """Full sandwich and consistency battery for one reference law.
 
-    Returns ``{check: {"pass": bool, **info}}``.  A package error in the
-    unilateral chain, the closure or the exact-MGF sandwich fails that
-    check with its message; any other error propagates.
+    Returns ``{check: {"pass": bool, **info}}``.  Every envelope (the
+    Chernoff upper, the unilateral chain, the closure, both sides of the
+    exact-MGF sandwich) is compared with the exact tail in one place: it
+    passes when it lies on its side of the tail to within 1e-12, and its
+    ``min_margin`` is its least distance from the tail on that side.  A
+    package error in the unilateral chain, the closure or the exact-MGF
+    sandwich fails that check with its message; any other error
+    propagates.  The sample is drawn first, so a bad seed or sample count
+    is refused before any quadrature runs.
     """
     # these modules import this one
     from .integrals import cramer_check
     from .lower_bilateral import closure_lower_envelope, exact_mgf_sandwich
     from .lower_unilateral import m_surrogate_from_upper, unilateral_lower_envelope
 
+    emp = empirical_tail(dist.sample(seed, mc_samples), [1.0, 2.0])
     checks: dict[str, dict] = {}
 
     def record(key: str, ok: bool, **info):
         checks[key] = {"pass": bool(ok), **info}
 
+    def sound(env: TailEnvelope) -> tuple[bool, float]:
+        exact = dist.exact_tail(env.x)
+        if env.side == UPPER:
+            return bool(np.all(env.values >= exact - 1e-12)), float(np.min(env.values - exact))
+        return bool(np.all(env.values <= exact + 1e-12)), float(np.min(exact - env.values))
+
     xs = np.linspace(1.0, 8.0, 15)
-    tails = dist.exact_tail(xs)
 
     # density/tail consistency by quadrature
     xq = np.linspace(1.0, 6.0, 6)
@@ -860,7 +867,7 @@ def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
         lam_probe = [0.5, 1.5] if phi.domain.top() > 2 else [0.3, 0.7]
         errs = []
         for lam in lam_probe:
-            if dist.support_lo >= 0:
+            if dist.nonnegative:
                 val, _ = quadrature(lambda x, l=lam: np.exp(l * x) * dist.density(x),
                                     0.0, math.inf)
             else:
@@ -870,44 +877,32 @@ def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
         record("mgf_consistency", max(errs) < 1e-7, max_rel_err=max(errs))
 
         # Chernoff side
-        res = conjugate(phi, xs)
-        chern = np.where(np.isfinite(res.values), np.exp(-np.minimum(res.values, 700.0)), 0.0)
-        record("chernoff_upper", bool(np.all(chern >= tails - 1e-12)),
-               min_margin=float(np.min(chern - tails)))
+        ok, margin = sound(chernoff_envelope(xs, conjugate(phi, xs).values))
+        record("chernoff_upper", ok, min_margin=margin)
 
         # unilateral chain
         try:
             m_bound = m_surrogate_from_upper(phi, 0.2)
             env_u, cert_u = unilateral_lower_envelope(
                 phi, 0.2, m_bound, xs, nonnegative=dist.nonnegative)
-            t_at = dist.exact_tail(env_u.x)
-            record("unilateral_lower", bool(np.all(env_u.values <= t_at + 1e-12)),
-                   dilation=cert_u.dilation, c1=cert_u.c1, c2=cert_u.c2,
-                   m_surrogate=m_bound,
-                   min_margin=float(np.min(t_at - env_u.values)))
+            ok, margin = sound(env_u)
+            record("unilateral_lower", ok, dilation=cert_u.dilation, c1=cert_u.c1,
+                   c2=cert_u.c2, m_surrogate=m_bound, min_margin=margin)
         except TailboundsError as exc:
             record("unilateral_lower", False, error=str(exc))
 
         # bilateral closure with phi1 = phi2 = phi
         try:
             env_b, diag = closure_lower_envelope(phi, phi, xs)
-            t_at = dist.exact_tail(env_b.x)
-            record("closure_lower", bool(np.all(env_b.values <= t_at + 1e-12)),
-                   all_clamped=diag.all_clamped,
-                   min_margin=float(np.min(t_at - env_b.values)))
+            ok, margin = sound(env_b)
+            record("closure_lower", ok, all_clamped=diag.all_clamped, min_margin=margin)
         except TailboundsError as exc:
             record("closure_lower", False, error=str(exc))
 
         # exact-MGF sandwich
         try:
-            xr = np.linspace(2.0, 8.0, 13)
-            low_r, up_r, c2 = exact_mgf_sandwich(phi, xr)
-            t_at = dist.exact_tail(xr)
-            record("exact_mgf_sandwich",
-                   bool(np.all(low_r.values <= t_at + 1e-12)
-                        and np.all(up_r.values >= t_at - 1e-12)
-                        and np.all(np.isfinite(low_r.log_values))),
-                   c2=c2)
+            low_r, up_r, c2 = exact_mgf_sandwich(phi, np.linspace(2.0, 8.0, 13))
+            record("exact_mgf_sandwich", sound(low_r)[0] and sound(up_r)[0], c2=c2)
         except TailboundsError as exc:
             record("exact_mgf_sandwich", False, error=str(exc))
 
@@ -918,7 +913,6 @@ def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
            certified=cert.certified, expected=dist.cramer)
 
     # empirical tail against the exact one
-    emp = empirical_tail(dist.sample(seed, mc_samples), [1.0, 2.0])
     ok_emp = bool(np.all(np.abs(emp["fraction"] - dist.exact_tail(emp["x"]))
                          <= 3.0 * emp["wilson_halfwidth"]))
     record("empirical_tail", ok_emp,

@@ -427,6 +427,22 @@ assert_no_scipy("gaussian_scale_mixture sample")
     _run_fresh(code)
 
 
+def test_lower_bi_and_tauber_never_import_numpy_ma(tmp_path):
+    # a fresh interpreter: np.unique without return_inverse imports numpy.ma
+    # (about 16 ms) on its first call; the regularity check that lower-bi
+    # and tauber run takes its sorted distinct points without it
+    code = f"""
+import sys
+from tailbounds.cli import main
+out = {str(tmp_path / "r.json")!r}
+for argv in (["lower-bi", "--family", "quadratic", "--lambda-min", "0", "--x", "2:8:0.5"],
+             ["tauber", "--dist", "gaussian", "--scale", "2"]):
+    assert main(argv + ["--normalize", "--out", out]) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv
+"""
+    _run_fresh(code)
+
+
 def test_hermite_tables_are_built_lazily(tmp_path):
     # a fresh interpreter: neither the import nor a validate run without a
     # Weibull law builds a Gauss-Hermite table; the first Weibull row above

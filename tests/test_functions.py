@@ -1082,6 +1082,31 @@ class TestGridConjugateExact:
         first = ls[np.searchsorted(_chords(ls, vs), xs)]
         assert (first * xs - np.interp(first, ls, vs) < vals).any()
 
+    def test_random_dented_grids_equal_the_loop_across_row_chunks(self):
+        # the scan's row kernel takes a grid whose chords fall; with up to
+        # 3,000 knots at 400 x it forms its objective in several chunks of
+        # 2**16 values, and every chunk keeps the loop's first argmax
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            g, _ = _random_convex_grid(rng, int(rng.integers(3, 3000)))
+            ls, vs = g.knots
+            vs = vs.copy()
+            vs[rng.integers(1, ls.size - 1, 3)] += rng.uniform(0.1, 50.0, 3)
+            dented = PhiFunction.from_grid(ls, vs)
+            assert np.any(np.diff(_chords(ls, vs)) < 0)
+            xs = np.sort(rng.uniform(-1.0, _chords(ls, vs).max() + 1.0, 400))
+            vals, arg, errors = conjugate_values(dented, xs)
+            assert not errors
+            assert (vals.tolist(), arg.tolist()) == _knot_argmax_loop(dented, xs)
+
+    def test_an_empty_batch(self):
+        # no x, convex or dented: empty tables and no errors
+        ls = np.arange(0.0, 11.0)
+        for vs in (0.5 * ls ** 2, 0.5 * ls ** 2 + np.where(ls == 5.0, 9.0, 0.0)):
+            vals, arg, errors = conjugate_values(PhiFunction.from_grid(ls, vs), [])
+            assert vals.shape == arg.shape == (0,) and errors == {}
+        assert functions._best_rows(np.empty(0), ls, 0.5 * ls ** 2).shape == (4, 0)
+
     def test_chords_falling_within_the_convexity_tolerance_take_the_loop(self):
         # from_grid calls these grids convex, but a binary search of the
         # chords 1, 2, 2 - 1e-13, 3, 4, 5 stops at knot 1 for x = 2 - 2e-14,

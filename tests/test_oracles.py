@@ -1,5 +1,6 @@
 """Reference laws, quadrature, and the seeded sampling machinery."""
 
+import dataclasses
 import functools
 import math
 
@@ -633,7 +634,7 @@ class TestSuiteExactness:
         dist = oracles.suite()[name]
         phi = dist.mgf_exponent
         for lam in lams:
-            if dist.support_lo >= 0:
+            if dist.nonnegative:
                 val, _ = oracles.quadrature(
                     lambda x: np.exp(lam * x) * dist.density(x), 0.0, math.inf)
             else:
@@ -682,6 +683,31 @@ class TestBattery:
         checks = oracles.battery(oracles.gaussian_scale_mixture(*params), 42, 200_000)
         assert set(checks) == self.CHECKS
         assert all(c["pass"] for c in checks.values()), checks
+
+    @pytest.mark.parametrize("stated,fails,passes", [
+        # a tail of 0 lies below every lower envelope that is not trivial
+        (0.0, ("unilateral_lower", "closure_lower", "exact_mgf_sandwich"), ("chernoff_upper",)),
+        # a tail of 1 lies above every upper envelope below 1
+        (1.0, ("chernoff_upper", "exact_mgf_sandwich"), ("unilateral_lower", "closure_lower")),
+    ])
+    def test_a_wrong_exact_tail_fails_the_envelopes_on_its_side(self, stated, fails, passes):
+        # the Gaussian's envelopes against a tail stated wrong: the one
+        # comparison of envelope and exact tail fails each envelope on the
+        # side the wrong tail crosses, and only there
+        law = dataclasses.replace(oracles.gaussian(), tail=lambda x: stated)
+        checks = oracles.battery(law, 42, 2_000)
+        assert [checks[k]["pass"] for k in fails] == [False] * len(fails), checks
+        assert [checks[k]["pass"] for k in passes] == [True] * len(passes), checks
+        assert all("error" not in checks[k] for k in fails + passes)
+
+    def test_a_bad_seed_or_count_is_refused_before_any_quadrature(self, monkeypatch):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(oracles, "quadrature", no_quadrature)
+        for seed, count in ((-1, 1_000), (42, -5)):
+            with pytest.raises(InputError, match="need a seed in"):
+                oracles.battery(oracles.weibull(4.0), seed, count)
 
 
 class TestSampling:
