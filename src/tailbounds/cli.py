@@ -154,8 +154,6 @@ def to_jsonable(obj):
         return int(obj)
     if hasattr(obj, "__dataclass_fields__"):
         return {k: to_jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__}
-    if isinstance(obj, PhiFunction):
-        return obj.label
     return obj
 
 

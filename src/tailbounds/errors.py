@@ -33,7 +33,7 @@ class UnboundedObjectiveError(TailboundsError):
 
     def __init__(self, x: float, witness):
         self.x = x
-        self.witness = list(witness)
+        self.witness = [float(w) for w in witness]  # numpy 2 prints np.float64(...)
         super().__init__(
             f"sup of lam*x - f(lam) at x={x!r} still increasing at "
             f"lam={self.witness[-1]!r}"

@@ -760,21 +760,58 @@ def _saddle_points(phi2: PhiFunction, lams) -> tuple[np.ndarray, np.ndarray, dic
     is a subgradient of ``phi2``, so that phi2*(x0) = t*x0 - phi2(t) (the
     touching identity), and by index the package error of each lam without
     an x0 (NaN there).  t is lam, except at a grid's knot hit.
-    OutOfDomainError off the domain; on a grid, :func:`_grid_saddle_points`;
-    for a convex ``phi2`` with a derivative, phi2' in one ``derivatives``
-    call, which raises its first error; InputError for any other ``phi2``."""
+
+    Each lam's error is the first that applies: OutOfDomainError off the
+    domain; InputError unless ``phi2`` is convex with a derivative (phi2'
+    in one ``derivatives`` call, which raises its first error) or a convex
+    grid (``phi2.convex``); on a grid, NonUniqueArgmaxError where lam hits
+    an end knot or a kink whose chords differ by more than the flat
+    tolerance, then OutOfDomainError off the knots.  A lam that hits an
+    interior knot takes the mean of its two chords, a subgradient at the
+    knot only: its touching point is that knot, where the domain holds it.
+    """
     lams = np.asarray(lams, dtype=float).ravel()
-    if phi2.kind == "grid":
-        return _grid_saddle_points(phi2, lams.tolist())
     inside = phi2.domain.contains(lams)
-    has_map = bool(phi2.convex and phi2.deriv is not None)
-    x0s = np.full(lams.size, math.nan)
-    if has_map:
+    grid = phi2.kind == "grid"
+    has_map = bool(phi2.convex and (grid or phi2.deriv is not None))
+    fail = ~inside | (not has_map)
+    x0s, touch = np.full(lams.size, math.nan), lams.copy()
+    if has_map and not grid:
         x0s[inside] = phi2.derivatives(lams[inside])
-    errors = {i: InputError(f"{phi2.label}: saddle point needs a convex phi2 with a derivative")
-              if inside[i] else OutOfDomainError(float(lams[i]), phi2.domain.lo, phi2.domain.hi)
-              for i in np.flatnonzero(~inside | (not has_map)).tolist()}
-    return x0s, lams, errors
+    elif has_map:
+        ls, vs = phi2.knots
+        # the breakpoints of phi2* in x, each end one twice: an end knot's two chords
+        chords = np.pad(_chords(ls, vs), 1, mode="edge")
+        flat_tol = 2.0 * float(np.diff(ls).max())
+        # phi2* is the upper envelope of the knot lines lam_j * x - v_j; on the
+        # piece where line j is active, dS/dx = lam - lam_j.  The maximum sits
+        # at the breakpoint where the active knot value crosses lam; if lam
+        # hits a knot (within atol) the maximizing set is the whole flat piece.
+        # Every hit lies within 2 atol of lam, so two sorted searches bound the
+        # knots the hit test reads, and k is the first knot hit (-1 for none).
+        atol = 1e-12 * np.maximum(1.0, np.abs(lams))
+        near = np.searchsorted(ls, lams - 2.0 * atol)
+        width = np.where(inside, np.searchsorted(ls, lams + 2.0 * atol, side="right") - near, 0)
+        k = np.full(lams.size, -1)
+        for off in reversed(range(int(width.max(initial=0)))):  # the first hit lands last
+            hits = (off < width) & (np.abs(ls.take(near + off, mode="clip") - lams) <= atol)
+            k[hits] = (near + off)[hits]
+        hit = k >= 0
+        left, right = chords[k], chords[k + 1]
+        above = np.searchsorted(ls, lams)  # ls[above-1] < lam < ls[above] off the knots
+        fail |= np.where(hit, (k == 0) | (k == ls.size - 1) | (right - left > flat_tol),
+                         (above == 0) | (above == ls.size))
+        x0s = np.where(hit, 0.5 * (left + right), chords[above])
+        touch = np.where(hit & ~fail & phi2.domain.contains(ls[k]), ls[k], lams)
+    x0s[fail] = math.nan
+    no_map = ("saddle point needs a convex grid function" if grid
+              else f"{phi2.label}: saddle point needs a convex phi2 with a derivative")
+    errors = {i: OutOfDomainError(float(lams[i]), phi2.domain.lo, phi2.domain.hi) if not inside[i]
+              else InputError(no_map) if not has_map
+              else NonUniqueArgmaxError(float(left[i]), float(right[i]), flat_tol) if hit[i]
+              else OutOfDomainError(float(lams[i]), float(ls[0]), float(ls[-1]))
+              for i in np.flatnonzero(fail).tolist()}  # the last two on a grid only
+    return x0s, touch, errors
 
 
 def _require_saddle_map(phi2: PhiFunction, message: str) -> None:
@@ -787,55 +824,6 @@ def _require_saddle_map(phi2: PhiFunction, message: str) -> None:
     if phi2.deriv is None and phi2.kind != "grid":
         raise NotCertifiedError(
             f"{phi2.label}: the saddle map x0 = phi2'(lam) needs a derivative or a grid")
-
-
-def _grid_saddle_points(phi2: PhiFunction, lams: list) -> tuple[np.ndarray, np.ndarray, dict]:
-    """:func:`_saddle_points` on a grid: the chords and the flat tolerance
-    once for the batch, then each lam in turn, which raises OutOfDomainError
-    before the InputError of a grid that is not convex (``phi2.convex``).
-    A lam that hits an interior knot takes the mean of its two chords, a
-    subgradient at the knot only: its touching point is that knot, where
-    the domain holds it."""
-    ls, vs = phi2.knots
-    chords = _chords(ls, vs)  # breakpoints of phi2* in x
-    flat_tol = 2.0 * float(np.diff(ls).max())
-    # phi2* is the upper envelope of the knot lines lam_j * x - v_j; on the
-    # piece where line j is active, dS/dx = lam - lam_j.  The maximum sits
-    # at the breakpoint where the active knot value crosses lam; if lam
-    # hits a knot (within atol) the maximizing set is the whole flat piece.
-    # Every hit lies within 2 atol of lam, so two sorted searches bound the
-    # knots the hit test reads.
-    lam_arr = np.array(lams, dtype=float)
-    atol = 1e-12 * np.maximum(1.0, np.abs(lam_arr))
-    near_lo = np.searchsorted(ls, lam_arr - 2.0 * atol).tolist()
-    near_hi = np.searchsorted(ls, lam_arr + 2.0 * atol, side="right").tolist()
-    above = np.searchsorted(ls, lam_arr).tolist()
-    out: list = []
-    touch = lam_arr.copy()
-    for i, (lam, tol, a, b, j) in enumerate(zip(lams, atol.tolist(), near_lo, near_hi, above)):
-        hit = np.flatnonzero(np.abs(ls[a:b] - lam) <= tol) if b > a else ()
-        if not phi2.domain.contains(lam):
-            x0 = OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
-        elif not phi2.convex:
-            x0 = InputError("saddle point needs a convex grid function")
-        elif len(hit):
-            k = a + int(hit[0])
-            if k in (0, ls.size - 1):  # the flat piece runs off the grid
-                edge = float(chords[0] if k == 0 else chords[-1])
-                x0 = NonUniqueArgmaxError(edge, edge, flat_tol)
-            else:
-                left, right = float(chords[k - 1]), float(chords[k])
-                x0 = (NonUniqueArgmaxError(left, right, flat_tol) if right - left > flat_tol
-                      else 0.5 * (left + right))
-                if phi2.domain.contains(ls[k]):
-                    touch[i] = ls[k]
-        elif 0 < j <= chords.size:  # ls[j-1] < lam < ls[j]
-            x0 = float(chords[j - 1])
-        else:
-            x0 = OutOfDomainError(lam, float(ls[0]), float(ls[-1]))
-        out.append(x0)
-    errors = {i: x0 for i, x0 in enumerate(out) if isinstance(x0, Exception)}
-    return np.array([math.nan if i in errors else x0 for i, x0 in enumerate(out)]), touch, errors
 
 
 # --------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from .functions import (
     _raise_first,
     _require_saddle_map,
     _saddle_points,
-    _sorted_unique,
     _stars,
     conjugate_value,
     conjugate_values,
@@ -97,25 +96,34 @@ def _saddle_inverse(phi2: PhiFunction, zs: np.ndarray, mus: np.ndarray,
     return mus, errors
 
 
+def _saddle_table(phi2: PhiFunction, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict,
+                                                            np.ndarray]:
+    """x0 and phi2*(x0) at each t of the array ``ts``, in its shape, NaN where
+    t has no saddle; by index of the sorted distinct t's, the error of each t
+    without one; and each t's index among them.  phi2*(x0) is the touching
+    identity t*x0 - phi2(t) at the point where x0 is a subgradient
+    (:func:`_saddle_points`; Rockafellar, *Convex Analysis*, section 23).
+    """
+    # return_inverse skips np.unique's numpy.ma import; numpy 2.x releases differ on its shape
+    distinct, inv = np.unique(ts, return_inverse=True)
+    inv = inv.reshape(ts.shape)
+    x0s, touch, errors = _saddle_points(phi2, distinct)
+    has = ~np.isnan(x0s)
+    stars = np.full(distinct.size, math.nan)
+    stars[has] = touch[has] * x0s[has] - phi2.values(touch[has])
+    return x0s[inv], stars[inv], errors, inv
+
+
 def _saddle_rows(phi2: PhiFunction, mus: np.ndarray, lams: np.ndarray,
                  nus: np.ndarray) -> tuple[dict, dict]:
     """The saddle geometry of each row x_minus = x0(mu) < x0(lam) < x_plus =
     x0(nu), its mu, lam and nu inside phi2's domain: the SaddleGeometry
     fields x_minus, x0, x_plus, s_minus, s_x0, s_plus (S(lam, .) at each),
-    ds_minus = lam - mu and ds_plus = lam - nu, as arrays over the rows.
-    x0 and phi2*(x0), the touching identity at the point where x0 is a
-    subgradient (:func:`_saddle_points`; Rockafellar, *Convex Analysis*,
-    section 23), are evaluated once per distinct t of the batch.  Also
-    returns, by index of the sorted distinct t's, the error of each t
-    without a saddle (NaN in its rows).
+    ds_minus = lam - mu and ds_plus = lam - nu, as arrays over the rows; and
+    the errors of :func:`_saddle_table`, whose t's without a saddle are NaN.
     """
-    k = lams.size
-    ts, inv = np.unique(np.concatenate([mus, lams, nus]), return_inverse=True)
-    x0s, touch, errors = _saddle_points(phi2, ts)
-    stars = touch * x0s - phi2.values(touch)
-    at = [inv[j * k:(j + 1) * k] for j in range(3)]
-    xm, x0, xp = (x0s[i] for i in at)
-    sm, s0, sp = (lams * x0s[i] - stars[i] for i in at)
+    x0s, stars, errors, _ = _saddle_table(phi2, np.stack([mus, lams, nus]))
+    (xm, x0, xp), (sm, s0, sp) = x0s, lams * x0s - stars
     return dict(x_minus=xm, x0=x0, x_plus=xp, s_minus=sm, s_x0=s0, s_plus=sp,
                 ds_minus=lams - mus, ds_plus=lams - nus), errors
 
@@ -332,39 +340,34 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     base = np.array([0.05, 0.1, 0.15, 0.25, 0.35, 0.5])
     delta_grid = np.concatenate([-base[::-1], base])
 
-    # x0 and phi*(x0) at every shifted lam t = lam(1 + d) in one batch, then
-    # the (lam, d) cells as tables, in lam-major order: a cell whose x0 is
-    # degenerate is skipped, and the first error a cell needs is raised
+    # x0 and phi*(x0) at every shifted lam t = lam(1 + d) in one table, in
+    # lam-major order: a cell whose x0 is degenerate is skipped, and the
+    # first error a cell needs is raised
     lams = lam_grid[phi.domain.contains(lam_grid)]
-    ts_cell = lams[:, None] * (1.0 + delta_grid)
-    in_dom = phi.domain.contains(ts_cell)
-    ts = _sorted_unique(ts_cell[in_dom])
-    x0s, touch, errors = _saddle_points(phi, ts)
-    stars = touch * x0s - phi.values(touch)  # the touching identity, as in _saddle_rows
+    ts = lams[:, None] * (1.0 + delta_grid)
+    x0s, stars, errors, inv = _saddle_table(phi, ts)
     s_peak = phi.values(lams)[:, None]  # S(lam, x0(lam)), by the touching identity
-    # by index of ts, one more for cells outside: every error of the saddle
-    # map (NonUniqueArgmaxError, OutOfDomainError, InputError) skips its cell
-    skip = np.isin(np.arange(ts.size + 1), list(errors))
-    x0s, stars = np.append(x0s, math.nan), np.append(stars, math.nan)
-    k = np.searchsorted(ts, ts_cell)
+    # every error of the saddle map (NonUniqueArgmaxError, OutOfDomainError,
+    # InputError) skips its cell, a cell off the domain among them
+    skip = np.isin(inv, list(errors))
+    in_dom = phi.domain.contains(ts)
     # t_up = lam(1 + |d|) and t_dn = lam(1 - |d|): the columns of +|d| and -|d|
     ad = np.abs(delta_grid)
     up, dn = np.searchsorted(delta_grid, ad), np.searchsorted(delta_grid, -ad)
-    k_up, k_dn = k[:, up], k[:, dn]
 
-    cell = in_dom & (s_peak > 0) & ~skip[k]
+    cell = (s_peak > 0) & ~skip
     absorb = cell & in_dom[:, up] & in_dom[:, dn]
     # an absorption cell needs both of its shifted saddles
-    raises = absorb & (skip[k_up] | skip[k_dn])
+    raises = absorb & (skip[:, up] | skip[:, dn])
     if raises.any():
         i, j = np.unravel_index(np.argmax(raises), raises.shape)
-        raise errors[k_up[i, j]] if skip[k_up[i, j]] else errors[k_dn[i, j]]
+        raise errors[inv[i, up[j]]] if skip[i, up[j]] else errors[inv[i, dn[j]]]
     with np.errstate(all="ignore"):
-        ratio = (s_peak - (lams[:, None] * x0s[k] - stars[k])) / (s_peak * delta_grid * delta_grid)
+        ratio = (s_peak - (lams[:, None] * x0s - stars)) / (s_peak * delta_grid * delta_grid)
         # absorption: lam*x0(lam(1+|d|)) - (1-d^2) phi(lam)
         #             <= (1 + c0*|d|) * phi*(x0(lam(1-|d|)))
-        star_dn = stars[k_dn]
-        c0s = ((lams[:, None] * x0s[k_up] - (1.0 - delta_grid * delta_grid) * s_peak - star_dn)
+        star_dn = stars[:, dn]
+        c0s = ((lams[:, None] * x0s[:, up] - (1.0 - delta_grid * delta_grid) * s_peak - star_dn)
                / (ad * star_dn))
     ratio = np.where(cell & ~np.isnan(ratio), ratio, math.inf)
     c0s = np.where(absorb & ~(star_dn <= 0) & ~np.isnan(c0s), c0s, -math.inf)
@@ -430,9 +433,7 @@ def pinched_lower_envelope(
         raise NotCertifiedError("regularity report negative; refined envelope needs V > 0")
 
     phi1 = PhiFunction.from_callable(
-        lambda l: (1.0 - delta * delta) * phi.values(l),
-        phi.domain.lo, phi.domain.hi,
-        deriv=(lambda l: (1.0 - delta * delta) * phi.derivatives(l)) if phi.deriv else None,
+        lambda l: (1.0 - delta * delta) * phi.values(l), phi.domain.lo, phi.domain.hi,
         convex=phi.convex, label=f"pinched[{phi.label}]", vectorized=True,
     )
 

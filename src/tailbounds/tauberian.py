@@ -140,8 +140,11 @@ def tauberian_check(
     if mgf is None:
         raise InputError(f"{source.name} has no finite MGF to diagnose")
 
-    top = min(50.0, mgf.domain.top() * 0.98)
-    lams = np.geomspace(max(phi.domain.lo, 1.0) + 1.0, top, 7)
+    start, top = max(phi.domain.lo, 1.0) + 1.0, min(50.0, float(mgf.domain.top()) * 0.98)
+    if not top > start:
+        raise InputError(f"{source.name}: the MGF ladder's first lambda {start!r} is not below "
+                         f"its top {top!r} = min(50, 0.98 x its MGF domain top {mgf.domain.hi!r})")
+    lams = np.geomspace(start, top, 7)
     if x_ladder is None:
         x_ladder = 2.0 * 2.0 ** (np.arange(7) / 3.0)  # 2 .. 8 geometric
     xs = np.asarray(x_ladder, dtype=float)

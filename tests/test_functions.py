@@ -115,6 +115,10 @@ class TestConjugate:
         with pytest.raises(UnboundedObjectiveError) as exc:
             conjugate_value(PhiFunction.linear(1.0), 2.0)
         assert len(exc.value.witness) > 0
+        # numpy 2 prints its scalars as np.float64(...): the message and the
+        # witness carry Python floats
+        assert "lam=100000000.0" in str(exc.value) and "np.float64" not in str(exc.value)
+        assert all(type(w) is float for w in exc.value.witness)
 
     def test_grid_form_exact_vertex(self):
         g = PhiFunction.from_grid([1.0, 2.0, 3.0], [0.5, 2.0, 4.5])
@@ -310,16 +314,23 @@ class TestSaddlePoint:
         convex=st.booleans(),
         picks=st.lists(st.tuples(st.integers(0, 9), st.sampled_from(
             [0.0, 0.3, 0.5, -1e-12, 1e-12, -3e-13, 2e-13, -1.0, 1.0])), min_size=1, max_size=12),
+        narrowed=st.booleans(),
     )
-    def test_grid_batch_equals_the_per_lam_scan(self, convex, picks):
+    def test_grid_batch_equals_the_per_lam_scan(self, convex, picks, narrowed):
         # lams on, beside (within and beyond the hit tolerance) and between
-        # the knots, below and above the grid: the batch's sorted searches
-        # give what the old full scan per lam gave, errors included, in the
-        # per-lam order OutOfDomainError before the convexity InputError
+        # the knots, below and above the grid, and NaN: the batch's sorted
+        # searches give what the old full scan per lam gave, errors
+        # included, in the per-lam order OutOfDomainError before the
+        # convexity InputError; also on a domain narrowed inside the knots
+        # (a knot hit at 1.0 lies below it, one at 8.0 above it)
         ls = np.array([0.5, 1.0, 1.0 + 4e-13, 2.0, 3.5, 3.5 + 1e-12, 5.0, 6.0, 8.0, 9.0])
         vs = 0.5 * ls ** 2 if convex else 4.0 * np.sqrt(ls)
         g = PhiFunction.from_grid(ls, vs)
+        if narrowed:
+            g = dataclasses.replace(g, domain=dataclasses.replace(g.domain, lo=1.0 + 2e-13,
+                                                                   hi=8.0))
         lams = [float(ls[i]) + off * (1.0 if abs(off) < 1e-9 else 0.5) for i, off in picks]
+        lams.append(math.nan)
         batch = _per_lam(_saddle_points(g, lams))
         for lam, got in zip(lams, batch):
             want = _raised(_reference_grid_saddle_point, g, lam) or \

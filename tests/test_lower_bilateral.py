@@ -409,7 +409,8 @@ def test_pinch_exponent_calls_phi_once_per_array(monkeypatch):
     assert calls == [(50,)]
     assert got.tobytes() == np.array([phi1.value(t) for t in lams.tolist()]).tobytes()
     assert got.tobytes() == ((1.0 - 0.01) * QUAD0.values(lams)).tobytes()
-    assert phi1.derivatives(lams).tobytes() == ((1.0 - 0.01) * QUAD0.derivatives(lams)).tobytes()
+    # the bracket reads phi1's domain and values only
+    assert phi1.deriv is None
 
 
 R_MIN_C2 = (-math.log(0.5 * math.erfc(2.0 / math.sqrt(2.0))) - 2.0) / 2.0
@@ -647,6 +648,9 @@ _SADDLE_PATH_PHIS = {
     "half-square-knots": PhiFunction.from_grid(_KNOTS, 0.5 * _KNOTS * _KNOTS),
     "quadratic": QUAD0,
     "power-log-2-1": PhiFunction.power_log(2.0, 1.0),
+    # a derivative on a bounded domain: the regularity walk's cells past
+    # hi = 40 reach the saddle table and come back as OutOfDomainError
+    "quadratic-to-40": PhiFunction.quadratic(lo=0.0, hi=40.0),
 }
 
 

@@ -1,5 +1,6 @@
 """Reciprocal limit constants on the MGF and tail sides."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,20 @@ class TestAnalytic:
     def test_pareto_has_no_mgf(self):
         with pytest.raises(InputError):
             tauberian_check(QREF, oracles.pareto(3.0))
+
+    def test_a_mgf_domain_that_ends_below_the_ladder_is_refused(self):
+        # the exponential's MGF domain [0, 1) ends below the ladder's first
+        # lambda 2: an InputError naming both, before any MGF evaluation
+        law = oracles.exponential_unit()
+        calls = []
+        mgf = dataclasses.replace(law.mgf_exponent,
+                                  fn=lambda l: calls.append(l) or law.mgf_exponent.fn(l))
+        with pytest.raises(InputError) as exc:
+            tauberian_check(QREF, dataclasses.replace(law, mgf_exponent=mgf))
+        assert type(exc.value) is InputError and calls == []
+        assert str(exc.value) == (
+            "exponential: the MGF ladder's first lambda 2.0 is not below its top "
+            "0.9799999999999999 = min(50, 0.98 x its MGF domain top 1.0)")
 
     def test_flat_reference_fails_regularity_gate(self):
         from tailbounds.errors import NotCertifiedError
