@@ -343,8 +343,15 @@ def cmd_validate(args) -> tuple[dict, list]:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError and exit 1; subcommand parsers inherit this."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tailbounds",
         description="Certified tail-probability envelopes from MGF bounds",
     )
@@ -421,9 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report, rows = args.fn(args)
         report["command"] = args.command
         report.setdefault("status", "ok")

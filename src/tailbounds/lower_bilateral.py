@@ -462,14 +462,18 @@ def pinched_lower_envelope(
         return out
 
     # c certifies when the run of dominated points that reaches the top of
-    # the ladder starts at or below cap/2: the points from ``half`` on
+    # the ladder starts at or below cap/2: the points from ``half`` on, so
+    # one of them without a machinery bound refuses every c before the search
     half = int(np.searchsorted(cert_ladder, cap / 2.0, side="right")) - 1
+    refusal = f"no c in (0, {1/(2*delta):.3g}) dominated by the machinery on the ladder"
+    if not machinery[half:].all():
+        z = cert_ladder[half:][~machinery[half:]][0]
+        raise NotCertifiedError(f"{refusal}: no machinery bound at z = {z:.6g} "
+                                f"(phi's domain ends at {phi.domain.top():.6g})")
     c_grid = np.linspace(0.5 / 400, (1.0 / (2.0 * delta)) * (1 - 1e-9), 400)
     i = bisect.bisect_left(c_grid, True, key=lambda c: bool(dominated(float(c))[half:].all()))
     if i == c_grid.size:
-        raise NotCertifiedError(
-            f"no c in (0, {1/(2*delta):.3g}) dominated by the machinery on the ladder"
-        )
+        raise NotCertifiedError(refusal)
     c = float(c_grid[i])
     gaps = np.flatnonzero(~dominated(c))
     cert_from = float(cert_ladder[gaps[-1] + 1 if gaps.size else 0])

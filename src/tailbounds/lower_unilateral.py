@@ -44,7 +44,6 @@ from .functions import (
     LAMBDA_CAP,
     PhiFunction,
     _bisect,
-    _bisect_rows,
     _checked_grid,
     _first_at_one,
     _inf_where_unbounded,
@@ -133,11 +132,35 @@ def certify_dilation_dominance(phi: PhiFunction) -> DilationCertificate:
     )
 
 
+def _largest_dilation(phi: PhiFunction, lams: np.ndarray, ceiling: np.ndarray,
+                      c_lo: np.ndarray, top: float) -> Optional[float]:
+    """The least critical dilation over ``lams``, or None where it is <= 1e-10.
+
+    A lambda's is ``top`` where phi(top*lam) <= ceiling, else 45 halvings of
+    [c_lo, top] (envelope exponents are nondecreasing).  While some lambda
+    fails at the running c (NaN fails), the one failing most relative to
+    max(1, |ceiling|) is bisected, once, and c drops to its critical dilation:
+    only the lambdas that bind are bisected, each step one ``values`` call.
+    """
+    lo, hi = phi.domain.lo, phi.domain.top()
+    c, bisected = top, np.zeros(lams.size, dtype=bool)
+    while c > 1e-10:
+        v = _values_at(phi, c, lams)
+        fails = np.flatnonzero(~(v <= ceiling) & ~bisected)
+        if fails.size == 0:
+            return c
+        i = fails[np.argmax((v[fails] - ceiling[fails]) / np.maximum(1.0, np.abs(ceiling[fails])))]
+        bisected[i], t, ceil_t = True, float(lams[i]), float(ceiling[i])
+        c = min(c, _bisect(float(c_lo[i]), top,
+                           lambda m: phi.value(min(max(m * t, lo), hi)) <= ceil_t, 45)[0])
+    return None
+
+
 def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> Optional[DilationCertificate]:
     """The largest c1 that the verification range [lo, hi] certifies.
 
-    The range is sampled at 200 points, each point's critical dilation is
-    bisected, and c1 is the smallest of them.  A refusal returns None.
+    The range is sampled at 200 points, and c1 is the least critical
+    dilation among them (:func:`_largest_dilation`).  A refusal returns None.
     """
     lo, hi = float(lo), float(hi)
     if not (phi.domain.lo <= lo < hi):
@@ -147,23 +170,12 @@ def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> Optional[Dilati
     aux = np.array([_tail_transform_from_value(p, t)
                     for p, t in zip(phi.values(lams).tolist(), lams.tolist())])
 
-    # per-lambda critical dilation: largest c with phi(c*lam) <= aux(lam);
-    # phi is nondecreasing on [0, b) for envelope exponents, so bisection
-    # applies, and c1 is the worst case over the verification grid.  All
-    # lambdas bisect together, each with its own 45 halvings.
     ceiling = aux + _ABS_TOL * np.maximum(1.0, np.abs(aux))
-    c_hi = np.minimum(1.0, phi.domain.top() / lams)
     c_lo = phi.domain.lo / lams if phi.domain.lo > 0 else np.full(lams.size, 1e-12)
-    if np.any(c_lo >= c_hi) or np.any(_values_at(phi, c_lo, lams) > ceiling):
+    if np.any(c_lo >= 1.0) or np.any(_values_at(phi, c_lo, lams) > ceiling):
         return None
-    crit = c_hi.copy()
-    todo = np.flatnonzero(~(_values_at(phi, c_hi, lams) <= ceiling))
-    lam_t, ceil_t = lams[todo], ceiling[todo]
-    crit[todo], _ = _bisect_rows(
-        c_lo[todo], c_hi[todo],
-        lambda rows, m: _values_at(phi, m, lam_t[rows]) <= ceil_t[rows], 45)
-    c1 = min(1.0, float(crit.min()))
-    if c1 <= 1e-10:
+    c1 = _largest_dilation(phi, lams, ceiling, c_lo, 1.0)
+    if c1 is None:
         return None
 
     # the bisection's slack is relative to each side, so is the check's
@@ -282,19 +294,15 @@ def absorb_normalization(phi: PhiFunction, c1: float, m_bound: float,
 
     lam1 runs over a geometric ladder (dyadic approach to the top for a
     bounded domain); at the first lam1 admitting a feasible c2 the largest
-    one wins (per-lambda bisection on the verification grid).  Larger c2
-    means a smaller final dilation, hence a tighter envelope.  Each test
-    over a candidate's 128-point grid is one ``values`` call.
+    one wins: the least critical dilation of the 128-point verification
+    grid, each bisected below c1 (:func:`_largest_dilation`).  Larger c2
+    means a smaller final dilation, hence a tighter envelope.
     """
     lnM = math.log(m_bound)
     if lnM <= 0.0:
         return max(w_lo, phi.domain.lo), c1
 
     lo, top, b = phi.domain.lo, phi.domain.top(), phi.domain.hi
-
-    def val_at(c: float, t: float) -> float:  # _values_at of one point
-        return phi.value(min(max(c * t, lo), top))
-
     for lam1 in _lam1_candidates(phi, w_lo):
         ver_hi = min(top, max(2.0 ** 20, 4.0 * lam1)) if not math.isfinite(b) else top
         if lam1 >= ver_hi:
@@ -306,29 +314,14 @@ def absorb_normalization(phi: PhiFunction, c1: float, m_bound: float,
         c_lo = np.maximum(lo / lams, 1e-12)
         if not np.all(_values_at(phi, c_lo, lams) <= ceiling):
             continue
-        # walk the grid in order: c2 holds until the first lambda where it
-        # fails, which bisects c2 down; then the walk resumes past it.  It
-        # bisects only where the lowered c2 still fails, so it costs about a
-        # fifth of one _bisect_rows over every failing lambda
-        c2, i = c1, 0
-        while c2 > 1e-10:
-            fails = np.flatnonzero(~(_values_at(phi, c2, lams[i:]) <= ceiling[i:]))
-            if fails.size == 0:
-                break
-            i += int(fails[0])
-            t = float(lams[i])
-            fa, _ = _bisect(float(c_lo[i]), c2, lambda c: val_at(c, t) <= ceiling[i], 45)
-            c2 = min(c2, fa)
-            i += 1
-        else:  # c2 fell to 1e-10: refused
+        c2 = _largest_dilation(phi, lams, ceiling, c_lo, c1)
+        if c2 is None:
             continue
-        # growth sanity at the top of an unbounded verification window: the
-        # slack should not be shrinking toward the cap
+        # growth sanity at the top t of an unbounded verification window: the
+        # slack phi(c1*t) - ln(M) - phi(c2*t) should not fall below its value at 0.8*t
         if not math.isfinite(b):
-            t = float(lams[-1])
-            slack_top = val_at(c1, t) - lnM - val_at(c2, t)
-            slack_mid = val_at(c1, t * 0.8) - lnM - val_at(c2, t * 0.8)
-            if slack_top < slack_mid - _ABS_TOL:
+            v = _values_at(phi, np.array([c1, c1, c2, c2]), lams[-1] * np.array([1.0, 0.8] * 2))
+            if v[0] - lnM - v[2] < v[1] - lnM - v[3] - _ABS_TOL:
                 continue
         return float(lam1), float(c2)
     raise AbsorptionFailedError(

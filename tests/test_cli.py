@@ -382,6 +382,24 @@ class TestValidateAndErrors:
         assert says in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("argv, says", [
+        (["conjugate", "--bogus"], "unrecognized arguments: --bogus"),
+        (["conjugate", "--coeff", "abc"], "argument --coeff: invalid float value: 'abc'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["unknown-flag", "bad-float", "no-subcommand"])
+    def test_usage_error_is_input_error(self, argv, says, capsys):
+        # argparse's own exit code is 2, the code of a validation failure
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: tailbounds") and says in err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TAILBOUNDS_SEED", "7")
         out = tmp_path / "r.json"

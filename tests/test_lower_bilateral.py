@@ -341,6 +341,22 @@ class TestPinchBisection:
         assert _pinch_outcome(QUAD0, delta) == want
         assert isinstance(want, str) == (delta == 0.3)  # 0.3 refuses
 
+    def test_no_machinery_bound_refuses_before_the_search(self, monkeypatch):
+        # lam^2/2 on the knots 0, 0.1, ..., 30: the upper ladder's saddles
+        # pass the last knot, so no c is dominated there and no c is tried
+        lams = np.arange(301) / 10
+        phi = PhiFunction.from_grid(lams, 0.5 * lams * lams)
+        tried = []
+        monkeypatch.setattr(lower_bilateral, "_stars",
+                            lambda *a, **k: tried.append(a) or _stars(*a, **k))
+        with pytest.raises(NotCertifiedError) as exc:
+            pinched_lower_envelope(phi, 0.1, [3.0])
+        assert str(exc.value).startswith(
+            "no c in (0, 5) dominated by the machinery on the ladder: "
+            "no machinery bound at z = ")
+        assert str(exc.value).endswith("(phi's domain ends at 30)")
+        assert tried == []
+
 
 class TestCappedConjugateUnderALowerBound:
     # power_log(1.3): phi*(x) = x^q/q with q = 1.3/0.3, its maximizer x^(1/0.3)

@@ -7,12 +7,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import dilated, validate_monotone, weibull_log_mgf_closed_m2
-from tailbounds import oracles
+from tailbounds import lower_unilateral, oracles
 from tailbounds.errors import (
     AbsorptionFailedError,
     DivergentIntegral,
@@ -32,8 +32,10 @@ from tailbounds.lower_unilateral import (
     _default_lam_range,
     _exponents,
     _lam1_candidates,
+    _largest_dilation,
     _tail_transform_from_value,
     _tangent_lines,
+    _values_at,
     absorb_normalization,
     certify_dilation_dominance,
     m_surrogate_from_upper,
@@ -178,7 +180,7 @@ def _absorb_one_at_a_time(phi, c1, m_bound, w_lo, moves=None):
                 crit = c2
             else:
                 moved.append(t)
-                fa, fb = c_lo, min(c2, c1)
+                fa, fb = c_lo, c1
                 for _ in range(45):
                     m = 0.5 * (fa + fb)
                     if val_at(m, t) <= budget + tol:
@@ -259,6 +261,144 @@ class TestBatchedAbsorption:
     def test_weibull(self):
         args = (oracles.weibull(4.0).mgf_exponent, 0.5, 2.8, 1.5)
         assert absorb_normalization(*args) == _absorb_one_at_a_time(*args)
+
+
+def _critical_dilations(phi, lams, ceiling, c_lo, top):
+    """Each lambda's critical dilation, each bisected on its own: top where
+    phi(top*lam) <= ceiling, else 45 halvings of [c_lo, top]."""
+    lo, hi = phi.domain.lo, phi.domain.top()
+    crits = []
+    for t, ceil, a in zip(lams.tolist(), ceiling.tolist(), c_lo.tolist()):
+        def holds(c):
+            return phi.value(min(max(c * t, lo), hi)) <= ceil
+        crit = top
+        if not holds(top):
+            b = top
+            for _ in range(45):
+                m = 0.5 * (a + b)
+                a, b = (m, b) if holds(m) else (a, m)
+            crit = a
+        crits.append(crit)
+    return np.array(crits)
+
+
+def _dilation_problem(phi, start, c1, lnM):
+    """The grid, ceiling and bracket of the dominance search on [start, 64*start]
+    when c1 is None, else of the absorption's search below c1 from lam1 = start."""
+    top = phi.domain.top()
+    if c1 is None:
+        lams = np.geomspace(start, min(64.0 * start, top), 200)
+        aux = np.array([_tail_transform_from_value(p, t)
+                        for p, t in zip(phi.values(lams).tolist(), lams.tolist())])
+        ceiling, c_top = aux + 1e-9 * np.maximum(1.0, np.abs(aux)), 1.0
+    else:
+        lams = np.geomspace(start, min(2.0 ** 20, top), 128)
+        ceiling, c_top = _values_at(phi, c1, lams) - lnM + 1e-9, c1
+    c_lo = np.maximum(phi.domain.lo / lams, 1e-12)
+    # the callers refuse a grid whose bracket is empty or fails at its floor
+    assume(np.all(c_lo < c_top) and np.all(_values_at(phi, c_lo, lams) <= ceiling))
+    return lams, ceiling, c_lo, c_top
+
+
+DILATION_FAMILIES = st.one_of(
+    ABSORB_FAMILIES,
+    st.tuples(st.floats(0.3, 0.999), st.sampled_from([0.0, 1.0])).map(
+        lambda p_r: PhiFunction.power_log(*p_r, lo=0.0)),
+    st.tuples(st.floats(0.1, 0.9), st.floats(0.5, 1.5), st.floats(1.5, 3.0)).map(
+        lambda wab: oracles.gaussian_scale_mixture(*wab).mgf_exponent),
+)
+
+
+class TestLargestDilation:
+    """One search serves both certificates: it bisects only the lambdas that
+    bind, and returns the least critical dilation of the whole grid."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(phi=DILATION_FAMILIES, at=st.floats(0.05, 0.9),
+           c1=st.one_of(st.none(), st.floats(0.05, 1.5)), m_bound=st.floats(1.01, 1e3))
+    def test_equals_each_lambda_bisected(self, phi, at, c1, m_bound):
+        lo, top = phi.domain.lo, phi.domain.top()
+        start = max(lo, 0.5) + at * (min(top, 8.0) - max(lo, 0.5))
+        lams, ceiling, c_lo, c_top = _dilation_problem(phi, start, c1, math.log(m_bound))
+        got = _largest_dilation(phi, lams, ceiling, c_lo, c_top)
+        crits = _critical_dilations(phi, lams, ceiling, c_lo, c_top)
+        if phi.label != "wavy":  # the other families are nondecreasing
+            assert got == (crits.min() if crits.min() > 1e-10 else None)
+        elif got is None:
+            assert crits.min() <= 1e-10
+        else:
+            # a falling phi can fail below a lambda's critical dilation: c is
+            # still one of them, and every lambda failing at c was bisected
+            assert got in crits or got == c_top
+            assert np.all(crits[~(_values_at(phi, got, lams) <= ceiling)] >= got)
+
+    def test_none_below_1e_10(self):
+        # phi(c*1) = c^2/2 stays below 5e-21 only for c below 1e-10
+        lams, c_lo = np.array([1.0, 2.0]), np.full(2, 1e-12)
+        assert _largest_dilation(QUAD0, lams, np.array([5e-21, 10.0]), c_lo, 1.0) is None
+        assert _largest_dilation(QUAD0, lams, np.array([5e-19, 10.0]), c_lo, 1.0) > 1e-10
+
+    def test_absorption_refuses_a_lam1_whose_dilation_falls_to_1e_10(self, monkeypatch):
+        # phi jumps to 5 by lam = 1e-11: at lam1 = 2 and M = 10 the budget
+        # phi(0.9*2) - ln(10) is below 5, so no c >= 1e-10 holds there, and
+        # lam1 = 4 absorbs instead
+        phi = PhiFunction.from_callable(
+            lambda t: 5.0 * np.minimum(1.0, t * 1e11) + 0.5 * t * t, 0.0, math.inf,
+            convex=False, vectorized=True, label="step")
+        found = []
+        helper = lower_unilateral._largest_dilation
+        monkeypatch.setattr(lower_unilateral, "_largest_dilation",
+                            lambda *a: found.append(helper(*a)) or found[-1])
+        lam1, c2 = absorb_normalization(phi, 0.9, 10.0, 1.0)
+        assert found[0] is None and (lam1, c2) == (4.0, found[1])
+        assert (lam1, c2) == _absorb_one_at_a_time(phi, 0.9, 10.0, 1.0)
+
+    def test_growth_sanity_skips_a_shrinking_slack(self, monkeypatch):
+        # min(lam^2/2, 100): at the window's top phi(c1*lam) is capped while
+        # phi(c2*lam) still grows, so the slack shrinks toward the top and
+        # every lam1 of the ladder is skipped after its c2 was found
+        phi = PhiFunction.from_callable(lambda t: np.minimum(0.5 * t * t, 100.0), 0.0,
+                                        math.inf, convex=False, vectorized=True, label="capped")
+        found = []
+        helper = lower_unilateral._largest_dilation
+        monkeypatch.setattr(lower_unilateral, "_largest_dilation",
+                            lambda *a: found.append(helper(*a)) or found[-1])
+        want = _outcome(_absorb_one_at_a_time, phi, 0.9, 3.0, 1.0)
+        assert want.startswith("no (lam1, c2) absorbs")
+        assert _outcome(absorb_normalization, phi, 0.9, 3.0, 1.0) == want
+        assert len(found) == len(_lam1_candidates(phi, 1.0))
+        assert all(c is not None and c > 1e-10 for c in found)
+
+    def test_dominance_post_check_refuses_a_dilation_that_fails_below_the_binding_lambda(
+            self, monkeypatch):
+        # a bump of phi at 0.4 passes at c = 1 on the range [0.5, 50], but the
+        # c1 that the binding lambdas give carries lam = 0.5 onto it
+        phi = PhiFunction.from_callable(
+            lambda t: 10.0 + 0.5 * t * t + 5.0 * np.exp(-((t - 0.4) / 0.03) ** 2), 0.0,
+            math.inf, convex=False, vectorized=True, label="bump")
+        found = []
+        helper = lower_unilateral._largest_dilation
+        monkeypatch.setattr(lower_unilateral, "_largest_dilation",
+                            lambda *a: found.append(helper(*a)) or found[-1])
+        assert _certify_on_range(phi, 0.5, 50.0) is None
+        assert len(found) == 1 and found[0] > 1e-10
+
+    def test_dominance_bisects_at_most_two_lambdas_per_range(self, monkeypatch):
+        counts = []
+        helper, bisect = lower_unilateral._largest_dilation, lower_unilateral._bisect
+        monkeypatch.setattr(lower_unilateral, "_largest_dilation",
+                            lambda *a: counts.append(0) or helper(*a))
+
+        def counted(*a):
+            counts[-1] += 1
+            return bisect(*a)
+
+        monkeypatch.setattr(lower_unilateral, "_bisect", counted)
+        for name, law in oracles.suite().items():
+            if law.mgf_exponent is not None:
+                counts.clear()
+                certify_dilation_dominance(law.mgf_exponent)
+                assert counts and max(counts) <= 2, (name, counts)
 
 
 @pytest.fixture(scope="module")
@@ -448,7 +588,7 @@ class TestChainConjugatesPhi:
                             lambda f, lams: sizes.append(np.size(lams)) or values(f, lams))
         env, _ = unilateral_lower_envelope(PhiFunction.power_log(1.0, 0.0, lo=0.0), 0.2, 2.0,
                                            np.linspace(1.0, 8.0, 15))
-        assert (len(sizes), sum(sizes)) == (54, 14408)
+        assert (len(sizes), sum(sizes)) == (12, 5813)
         assert np.all(env.log_values == -math.inf)
 
 

@@ -700,6 +700,20 @@ class TestBattery:
         assert [checks[k]["pass"] for k in passes] == [True] * len(passes), checks
         assert all("error" not in checks[k] for k in fails + passes)
 
+    def test_an_error_fails_its_check_with_the_message(self):
+        # the closure and the sandwich refuse a phi not certified convex; the
+        # battery records each refusal as a failed check and goes on
+        g = oracles.gaussian()
+        law = dataclasses.replace(
+            g, mgf_exponent=dataclasses.replace(g.mgf_exponent, convex=False))
+        checks = oracles.battery(law, 42, 2_000)
+        assert set(checks) == self.CHECKS
+        assert checks["closure_lower"] == {
+            "pass": False, "error": "closure needs a convexity-certified phi2"}
+        assert checks["exact_mgf_sandwich"] == {
+            "pass": False, "error": "sandwich needs convexity-certified phi"}
+        assert checks["unilateral_lower"]["pass"] and checks["cramer"]["pass"]
+
     def test_a_bad_seed_or_count_is_refused_before_any_quadrature(self, monkeypatch):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran")
