@@ -17,7 +17,6 @@ from .errors import (
     InputError,
     NegativeInputError,
     NonInvertibleError,
-    NonUniqueArgmaxError,
     NotCertifiedError,
     NotConvergedError,
     OutOfDomainError,

@@ -61,16 +61,6 @@ class NegativeInputError(TailboundsError):
     """A function contracted to be nonnegative returned a negative value."""
 
 
-class NonUniqueArgmaxError(TailboundsError):
-    """A maximizer is flat beyond tolerance; carries the flat interval."""
-
-    def __init__(self, lo: float, hi: float, tol: float):
-        self.lo, self.hi, self.tol = lo, hi, tol
-        super().__init__(
-            f"argmax flat over [{lo!r}, {hi!r}] (width {hi - lo!r} > tol {tol!r})"
-        )
-
-
 class GeometryInvalidError(TailboundsError):
     """A saddle geometry violates its sign invariants."""
 

@@ -24,7 +24,6 @@ from .errors import (
     EmptyDomainError,
     InputError,
     NegativeInputError,
-    NonUniqueArgmaxError,
     NotCertifiedError,
     OutOfDomainError,
     TailboundsError,
@@ -759,16 +758,16 @@ def _saddle_points(phi2: PhiFunction, lams) -> tuple[np.ndarray, np.ndarray, dic
     """The package's one saddle map: x0 at each lam, the point t where x0
     is a subgradient of ``phi2``, so that phi2*(x0) = t*x0 - phi2(t) (the
     touching identity), and by index the package error of each lam without
-    an x0 (NaN there).  t is lam, except at a grid's knot hit.
-
-    Each lam's error is the first that applies: OutOfDomainError off the
-    domain; InputError unless ``phi2`` is convex with a derivative (phi2'
-    in one ``derivatives`` call, which raises its first error) or a convex
-    grid (``phi2.convex``); on a grid, NonUniqueArgmaxError where lam hits
-    an end knot or a kink whose chords differ by more than the flat
-    tolerance, then OutOfDomainError off the knots.  A lam that hits an
-    interior knot takes the mean of its two chords, a subgradient at the
-    knot only: its touching point is that knot, where the domain holds it.
+    an x0 (NaN there).  Each lam's error is the first that applies:
+    OutOfDomainError off the domain; InputError unless ``phi2`` is convex
+    with a derivative (phi2' in one ``derivatives`` call, which raises its
+    first error) or a convex grid; on a grid, OutOfDomainError naming the
+    knot span below the first knot and from the last on.  A grid's x0 is
+    the chord of the knot piece [ls[k], ls[k+1]) holding lam, the top of
+    the subdifferential (Rockafellar, *Convex Analysis*, section 24); a lam
+    less than 1e-12 max(1, |lam|) below a knot the domain holds is read at
+    that knot, its t, so mu rounded through (mu/(1 - d))(1 - d) keeps the
+    knot's chord.  Every other t is lam.
     """
     lams = np.asarray(lams, dtype=float).ravel()
     inside = phi2.domain.contains(lams)
@@ -780,37 +779,20 @@ def _saddle_points(phi2: PhiFunction, lams) -> tuple[np.ndarray, np.ndarray, dic
         x0s[inside] = phi2.derivatives(lams[inside])
     elif has_map:
         ls, vs = phi2.knots
-        # the breakpoints of phi2* in x, each end one twice: an end knot's two chords
-        chords = np.pad(_chords(ls, vs), 1, mode="edge")
-        flat_tol = 2.0 * float(np.diff(ls).max())
-        # phi2* is the upper envelope of the knot lines lam_j * x - v_j; on the
-        # piece where line j is active, dS/dx = lam - lam_j.  The maximum sits
-        # at the breakpoint where the active knot value crosses lam; if lam
-        # hits a knot (within atol) the maximizing set is the whole flat piece.
-        # Every hit lies within 2 atol of lam, so two sorted searches bound the
-        # knots the hit test reads, and k is the first knot hit (-1 for none).
-        atol = 1e-12 * np.maximum(1.0, np.abs(lams))
-        near = np.searchsorted(ls, lams - 2.0 * atol)
-        width = np.where(inside, np.searchsorted(ls, lams + 2.0 * atol, side="right") - near, 0)
-        k = np.full(lams.size, -1)
-        for off in reversed(range(int(width.max(initial=0)))):  # the first hit lands last
-            hits = (off < width) & (np.abs(ls.take(near + off, mode="clip") - lams) <= atol)
-            k[hits] = (near + off)[hits]
-        hit = k >= 0
-        left, right = chords[k], chords[k + 1]
-        above = np.searchsorted(ls, lams)  # ls[above-1] < lam < ls[above] off the knots
-        fail |= np.where(hit, (k == 0) | (k == ls.size - 1) | (right - left > flat_tol),
-                         (above == 0) | (above == ls.size))
-        x0s = np.where(hit, 0.5 * (left + right), chords[above])
-        touch = np.where(hit & ~fail & phi2.domain.contains(ls[k]), ls[k], lams)
+        # the first knot above lam; lam just below it is read there, on the piece it starts
+        j = np.searchsorted(ls, lams, side="right")
+        up = ls.take(j, mode="clip")
+        snap = (up - lams < 1e-12 * np.maximum(1.0, np.abs(lams))) & phi2.domain.contains(up)
+        k = np.where(snap, j, j - 1)
+        fail |= (k < 0) | (k >= ls.size - 1)
+        x0s, touch = _chords(ls, vs).take(k, mode="clip"), np.where(snap, up, lams)
     x0s[fail] = math.nan
     no_map = ("saddle point needs a convex grid function" if grid
               else f"{phi2.label}: saddle point needs a convex phi2 with a derivative")
     errors = {i: OutOfDomainError(float(lams[i]), phi2.domain.lo, phi2.domain.hi) if not inside[i]
               else InputError(no_map) if not has_map
-              else NonUniqueArgmaxError(float(left[i]), float(right[i]), flat_tol) if hit[i]
               else OutOfDomainError(float(lams[i]), float(ls[0]), float(ls[-1]))
-              for i in np.flatnonzero(fail).tolist()}  # the last two on a grid only
+              for i in np.flatnonzero(fail).tolist()}  # the last on a grid only
     return x0s, touch, errors
 
 

@@ -347,8 +347,8 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     ts = lams[:, None] * (1.0 + delta_grid)
     x0s, stars, errors, inv = _saddle_table(phi, ts)
     s_peak = phi.values(lams)[:, None]  # S(lam, x0(lam)), by the touching identity
-    # every error of the saddle map (NonUniqueArgmaxError, OutOfDomainError,
-    # InputError) skips its cell, a cell off the domain among them
+    # every error of the saddle map (OutOfDomainError, InputError) skips its
+    # cell, a cell off the domain among them
     skip = np.isin(inv, list(errors))
     in_dom = phi.domain.contains(ts)
     # t_up = lam(1 + |d|) and t_dn = lam(1 - |d|): the columns of +|d| and -|d|

@@ -141,14 +141,18 @@ def _largest_dilation(phi: PhiFunction, lams: np.ndarray, ceiling: np.ndarray,
     fails at the running c (NaN fails), the one failing most relative to
     max(1, |ceiling|) is bisected, once, and c drops to its critical dilation:
     only the lambdas that bind are bisected, each step one ``values`` call.
+    Where phi falls, a bisected lambda can fail again below its critical
+    dilation: then the walk ends in None, so every c returned holds at every
+    lambda of the grid.
     """
     lo, hi = phi.domain.lo, phi.domain.top()
     c, bisected = top, np.zeros(lams.size, dtype=bool)
     while c > 1e-10:
         v = _values_at(phi, c, lams)
-        fails = np.flatnonzero(~(v <= ceiling) & ~bisected)
+        failing = ~(v <= ceiling)
+        fails = np.flatnonzero(failing & ~bisected)
         if fails.size == 0:
-            return c
+            return None if failing.any() else c
         i = fails[np.argmax((v[fails] - ceiling[fails]) / np.maximum(1.0, np.abs(ceiling[fails])))]
         bisected[i], t, ceil_t = True, float(lams[i]), float(ceiling[i])
         c = min(c, _bisect(float(c_lo[i]), top,
@@ -177,12 +181,8 @@ def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> Optional[Dilati
     c1 = _largest_dilation(phi, lams, ceiling, c_lo, 1.0)
     if c1 is None:
         return None
-
-    # the bisection's slack is relative to each side, so is the check's
-    slack = aux - _values_at(phi, c1, lams)
-    if np.any(slack < -10 * _ABS_TOL * np.maximum(1.0, np.abs(aux))):
-        return None
-    return DilationCertificate(c1=c1, lam_range=(lo, hi), margin=float(np.min(slack)))
+    margin = float(np.min(aux - _values_at(phi, c1, lams)))
+    return DilationCertificate(c1=c1, lam_range=(lo, hi), margin=margin)
 
 
 # --------------------------------------------------------------------------

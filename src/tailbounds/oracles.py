@@ -473,8 +473,9 @@ def exponential_unit() -> OracleDistribution:
         cramer=True,
         log_tail=lambda x: -np.maximum(x, 0.0),
         mgf_exponent=PhiFunction.from_callable(
-            lambda l: -math.log1p(-l), 0.0, 1.0,
+            lambda l: -np.log1p(-l), 0.0, 1.0,
             deriv=lambda l: 1.0 / (1.0 - l), convex=True, label="exp-mgf-exponent",
+            vectorized=True,
         ),
         density=lambda x: np.where(x >= 0, np.exp(-np.maximum(x, 0.0)), 0.0),
         nonnegative=True,

@@ -224,6 +224,17 @@ class TestOtherCommands:
         rep = json.loads(out.read_text())
         assert rep["results"]["k_mgf"] == pytest.approx(2.0, abs=1e-9)
 
+    def test_tauber_against_a_family_reference(self, tmp_path):
+        # --reference family takes the --family exponent, here lam^2 against
+        # the standard Gaussian's lam^2/2: the MGF-side constant is 1/sqrt(2)
+        out = tmp_path / "r.json"
+        assert run(["tauber", "--dist", "gaussian", "--reference", "family", "--family",
+                    "quadratic", "--coeff", "1", "--lambda-min", "0",
+                    "--out", str(out), "--normalize"]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["config"]["reference"] == "quadratic(coeff=1.0)"
+        assert rep["results"]["k_mgf"] == pytest.approx(0.5 ** 0.5, abs=1e-9)
+
     def test_lower_bi_closure(self, tmp_path):
         out = tmp_path / "r.json"
         code = run(["lower-bi", "--family", "quadratic", "--lambda-min", "0",

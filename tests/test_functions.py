@@ -19,7 +19,6 @@ from tailbounds.errors import (
     EmptyDomainError,
     InputError,
     NegativeInputError,
-    NonUniqueArgmaxError,
     OutOfDomainError,
     TailboundsError,
     UnboundedObjectiveError,
@@ -317,12 +316,13 @@ class TestSaddlePoint:
         narrowed=st.booleans(),
     )
     def test_grid_batch_equals_the_per_lam_scan(self, convex, picks, narrowed):
-        # lams on, beside (within and beyond the hit tolerance) and between
+        # lams on, beside (within and beyond the snap tolerance) and between
         # the knots, below and above the grid, and NaN: the batch's sorted
-        # searches give what the old full scan per lam gave, errors
+        # search gives what a scan of the knots per lam gives, errors
         # included, in the per-lam order OutOfDomainError before the
         # convexity InputError; also on a domain narrowed inside the knots
-        # (a knot hit at 1.0 lies below it, one at 8.0 above it)
+        # (the knot 1.0 lies below it, and 8.0, which a lam just below it
+        # is not moved onto, above it)
         ls = np.array([0.5, 1.0, 1.0 + 4e-13, 2.0, 3.5, 3.5 + 1e-12, 5.0, 6.0, 8.0, 9.0])
         vs = 0.5 * ls ** 2 if convex else 4.0 * np.sqrt(ls)
         g = PhiFunction.from_grid(ls, vs)
@@ -343,15 +343,20 @@ class TestSaddlePoint:
                     assert x0 == want and type(x0) is float
 
     def test_a_knot_hit_touches_at_the_knot_inside_the_domain(self):
-        # lam = 5 + 1e-13 hits the knot 5 and takes its mean chord, which
-        # is a subgradient at 5; on a domain narrowed past 5 the knot is no
-        # point of phi2, and lam stays the touching point
+        # lam = 5 - 1e-13 lies within the tolerance below the knot 5 and is
+        # read there: the chord 5.5 of [5, 6), a subgradient at 5, its
+        # touching point, as for lam = 5; lam = 5 + 1e-13 takes that chord
+        # and touches at itself.  On a domain that ends at 5 the knot is no
+        # point of phi2: 5 - 1e-13 keeps the chord 4.5 of [4, 5) and touches
+        # at itself
         ls = np.arange(11.0)
         g = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
-        part = dataclasses.replace(g, domain=dataclasses.replace(g.domain, lo=5.0 + 1e-13))
-        for f, want in ((g, 5.0), (part, 5.0 + 1e-13)):
-            x0s, touch, errors = _saddle_points(f, [5.0 + 1e-13])
-            assert errors == {} and x0s.tolist() == [5.0] and touch.tolist() == [want]
+        part = dataclasses.replace(g, domain=dataclasses.replace(g.domain, hi=5.0))
+        lams = [5.0 - 1e-13, 5.0, 5.0 + 1e-13]
+        for f, lam, x0, want in ((g, lams, [5.5] * 3, [5.0, 5.0, 5.0 + 1e-13]),
+                                 (part, lams[:1], [4.5], lams[:1])):
+            x0s, touch, errors = _saddle_points(f, lam)
+            assert errors == {} and x0s.tolist() == x0 and touch.tolist() == want
             assert f.values(touch).tolist() == np.interp(touch, ls, 0.5 * ls ** 2).tolist()
 
     @pytest.mark.parametrize("f, lams", [
@@ -1364,6 +1369,37 @@ class TestArrayEvaluation:
         assert a == pytest.approx(1.0)
 
 
+class TestValueEdges:
+    def test_a_tiny_negative_value_is_zero(self):
+        # above -1e-12 a negative value is rounding, read as 0; below, refused
+        f = ARRAY_KINDS["vectorized_signed"]
+        assert f.value(0.5) == 0.0 and math.copysign(1.0, f.value(0.5)) == 1.0
+        g = PhiFunction.from_callable(lambda l: -1e-11, 0.0, 1.0, convex=False)
+        with pytest.raises(NegativeInputError, match="negative value"):
+            g.value(0.5)
+
+    def test_a_scalar_answer_of_a_vectorized_callable_fills_the_array(self):
+        f = _vectorized(lambda l: 2.0, convex=True)
+        got = f.values(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert got.shape == (2, 2) and got.tolist() == [[2.0, 2.0], [2.0, 2.0]]
+
+    def test_an_error_no_scalar_call_repeats_is_raised(self):
+        # fn fails on its first call only: the array call fails, every
+        # scalar call then passes, and the first failure is re-raised
+        calls = []
+
+        def flaky(lam):
+            calls.append(lam)
+            if len(calls) == 1:
+                raise RuntimeError("first call fails")
+            return lam
+
+        f = PhiFunction.from_callable(flaky, 0.0, 5.0, convex=True)
+        with pytest.raises(RuntimeError, match="first call fails"):
+            f.values([1.0, 2.0])
+        assert calls == [1.0, 1.0, 2.0]
+
+
 class TestThreadSafety:
     def test_shared_instances_match_serial_run(self):
         ls = np.linspace(0.0, 20.0, 2001)
@@ -1387,30 +1423,23 @@ class TestThreadSafety:
 
 
 def _reference_grid_saddle_point(phi2, lam):
-    """The per-lam grid saddle the batched one replaced: the chords, their
-    convexity test and a full scan of the knots for a hit, at every lam."""
+    """The grid saddle one lam at a time: the chords, their convexity test
+    and a scan of the knots for the first one above lam.  x0 is the chord
+    of lam's knot piece, or of the piece that knot starts where lam lies
+    less than 1e-12 max(1, |lam|) below it and the domain holds it."""
     if not phi2.domain.contains(lam):
         raise OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
     ls, vs = phi2.knots
     chords = np.diff(vs) / np.diff(ls)
     if not np.all(np.diff(chords) >= -1e-12 * max(1.0, float(np.abs(chords).max()))):
         raise InputError("saddle point needs a convex grid function")
-    flat_tol = 2.0 * float(np.diff(ls).max())
-    atol = 1e-12 * max(1.0, abs(lam))
-    hit = np.where(np.abs(ls - lam) <= atol)[0]
-    if hit.size:
-        j = int(hit[0])
-        if j == 0 or j == ls.size - 1:
-            edge = float(chords[0]) if j == 0 else float(chords[-1])
-            raise NonUniqueArgmaxError(edge, edge, flat_tol)
-        left, right = float(chords[j - 1]), float(chords[j])
-        if right - left > flat_tol:
-            raise NonUniqueArgmaxError(left, right, flat_tol)
-        return 0.5 * (left + right)
-    j = int(np.searchsorted(ls, lam)) - 1
-    if j < 0 or j >= chords.size:
+    above = [j for j, knot in enumerate(ls.tolist()) if knot > lam]
+    k = above[0] - 1 if above else ls.size - 1
+    if above and ls[k + 1] - lam < 1e-12 * max(1.0, abs(lam)) and phi2.domain.contains(ls[k + 1]):
+        k += 1
+    if not 0 <= k < chords.size:
         raise OutOfDomainError(lam, float(ls[0]), float(ls[-1]))
-    return float(chords[j])
+    return float(chords[k])
 
 
 def _reference_conjugate_value(f, x):

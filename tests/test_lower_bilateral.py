@@ -14,7 +14,6 @@ from tailbounds import oracles
 from tailbounds.errors import (
     GeometryInvalidError,
     InputError,
-    NonUniqueArgmaxError,
     NotCertifiedError,
     OutOfDomainError,
     TailboundsError,
@@ -171,6 +170,45 @@ class TestClosure:
 QUARTIC_V = 2.75  # [1 - 4(1+d)^3 + 3(1+d)^4] / d^2 at d = -1/2
 
 
+class TestBoundsLandAtTheirPoints:
+    def test_every_closure_and_sandwich_row_has_its_saddle_at_or_above_z(self, monkeypatch):
+        # a row's tangent bound is a bound on T(x0(mu)), mu = lam (1 - d1)
+        # as the batch forms it, and the envelope reports it at z: a sound
+        # report needs x0(mu) >= z.  On a grid the envelopes put mu on the
+        # first knot whose right chord reaches z, and the rounding of
+        # lam (1 - d1) must not carry mu onto the piece to its left.  Each
+        # chord rises from the last by at most twice its knot spacing
+        batches = []
+        helper = lower_bilateral._bracket_logs
+
+        def spy(phi1, phi2, lams, d1s, d2s):
+            batches.append(np.broadcast_arrays(lams, d1s))
+            return helper(phi1, phi2, lams, d1s, d2s)
+
+        monkeypatch.setattr(lower_bilateral, "_bracket_logs", spy)
+        rng = np.random.default_rng(37)
+        rows = {"closure": 0, "sandwich": 0}
+        for _ in range(20):
+            n = int(rng.integers(30, 200))
+            ls = np.cumsum(rng.uniform(0.05, 0.5, n))
+            steps = np.diff(ls)
+            slopes = rng.uniform(1.0, 3.0) + np.cumsum(rng.uniform(0.0, 2.0, n - 1) * steps)
+            phi = PhiFunction.from_grid(ls, np.concatenate(([0.0], np.cumsum(slopes * steps))))
+            zs = np.sort(rng.uniform(slopes[0], slopes[-1], 40))
+            batches.clear()
+            closure_lower_envelope(phi, phi, zs)
+            with contextlib.suppress(NotCertifiedError):  # a clamped x refuses after its batch
+                exact_mgf_sandwich(phi, zs)
+            assert len(batches) == 2
+            for name, (lams, d1s) in zip(rows, batches):
+                x0s, _, _ = _saddle_points(phi, lams * (1.0 - d1s))
+                x0s = x0s.reshape(lams.shape)
+                has = ~np.isnan(x0s)
+                assert (x0s >= zs[:, None])[has].all(), name
+                rows[name] += int(has.sum())
+        assert rows["closure"] > 50_000 and rows["sandwich"] > 10_000, rows
+
+
 class TestRegularity:
     def test_quadratic_curvature_is_one(self):
         rep = verify_regularity(QUAD0)
@@ -282,6 +320,13 @@ class TestPinchedEnvelope:
         assert set(diag) == {"rate", "deltas", "gaps"}
         assert len(diag["deltas"]) >= 2
         assert math.isfinite(diag["rate"])
+
+    def test_rate_diagnostic_without_two_certified_deltas_is_nan(self):
+        # delta = 0.3 is refused by the pinch and 0.6 lies outside (0, 1/2):
+        # both are passed over, and no rate is fitted
+        from tailbounds.lower_bilateral import pinch_rate_diagnostic
+        diag = pinch_rate_diagnostic(QUAD0, (0.3, 0.6), 6.0)
+        assert math.isnan(diag["rate"]) and diag["deltas"] == [] and diag["gaps"] == []
 
 
 # The pinch's c search as it was once written: a linear scan of the c grid
@@ -568,7 +613,10 @@ def _scalar_x0(phi2, t):
 
 
 def _scalar_star_at_saddle(phi2, t, x):
-    # x is a subgradient of phi2 at t, a derivative or a grid's chord
+    # x is a subgradient of phi2 at t, a derivative or a grid's chord, or
+    # at the knot the grid's saddle map moves t onto
+    if phi2.kind == "grid":
+        t = _saddle_points(phi2, [float(t)])[1][0]
     return float(t) * float(x) - phi2.value(float(t))
 
 
@@ -623,7 +671,7 @@ def _scalar_verify_regularity(phi, skipped):
                 continue
             try:
                 x_shift = _scalar_x0(phi, t)
-            except (NonUniqueArgmaxError, OutOfDomainError, InputError) as exc:
+            except (OutOfDomainError, InputError) as exc:
                 skipped.append(exc)
                 continue
             s_shift = lam * x_shift - _scalar_star_at_saddle(phi, t, x_shift)
@@ -676,7 +724,7 @@ _GEOMETRY_CASES = [
     (3.05, 0.01, None),         # GeometryInvalidError on one knot piece
     (3.0, 1.5, None),           # InputError
     (29.0, 0.2, None),          # OutOfDomainError past the knots
-    (0.0, 0.2, None),           # NonUniqueArgmaxError at the first knot
+    (0.0, 0.2, None),           # mu = lam = nu: GeometryInvalidError on the grid
     (1.2, 0.5, None),           # OutOfDomainError below lo = 1
 ]
 _BRACKET_CASES = [
@@ -699,29 +747,37 @@ class TestBatchedSaddlePath:
             assert want.grid["evaluated"] == 274  # 14 shifted lams pass the last knot
 
     @staticmethod
-    def _kinked_knots(kinks):
-        # lam^2/2 on unit knots plus a slope jump of 3 at each kink: the
-        # saddle of a shifted lam that lands on a kink is a flat piece
-        ls = np.union1d(np.linspace(0.0, 120.0, 121), kinks)
+    def _kinked_knots(kinks, top=120.0):
+        # lam^2/2 on unit knots up to top plus a slope jump of 3 at each
+        # kink: a shifted lam that lands on a kink takes its right chord
+        ls = np.union1d(np.linspace(0.0, top, int(top) + 1), kinks)
         return PhiFunction.from_grid(
             ls, 0.5 * ls * ls + 3.0 * np.maximum(ls[:, None] - kinks, 0.0).sum(axis=1))
 
     def test_kinks_skip_cells_as_the_scalar_walk_does(self):
         lams = np.geomspace(math.e, 100.0, 24)
         # lam(1 - 1/2) on a kink for the two top lams, whose lam(1 + 1/2)
-        # leaves the domain: those cells are skipped, not raised
-        phi = self._kinked_knots(0.5 * lams[lams > 80.0])
+        # leaves the domain: a kink has an x0, its right chord, so those
+        # cells are evaluated, not skipped, as in the scalar walk
+        kinks = 0.5 * lams[lams > 80.0]
+        phi = self._kinked_knots(kinks)
         skipped = []
         want = _scalar_verify_regularity(phi, skipped)
         assert repr(verify_regularity(phi)) == repr(want)
-        assert len(skipped) == 2 and all(isinstance(e, NonUniqueArgmaxError) for e in skipped)
+        assert skipped == []
+        x0s, touch, errors = _saddle_points(phi, kinks)
+        ls, vs = phi.knots
+        at = np.searchsorted(ls, kinks)
+        assert errors == {} and touch.tolist() == kinks.tolist()
+        assert x0s.tolist() == ((vs[at + 1] - vs[at]) / (ls[at + 1] - ls[at])).tolist()
 
     def test_kinks_raise_where_the_scalar_walk_raises(self):
-        # lam(1 - 0.05) on a kink for every lam: the cell d = -0.05 skips,
-        # then the cell d = +0.05 needs x0 there for its absorption test
-        phi = self._kinked_knots(0.95 * np.geomspace(math.e, 100.0, 24))
+        # lam(1 - 0.05) on a kink for every lam raises nothing; on knots
+        # that end at 150 = 100 (1 + 1/2), the cell (100, -1/2) needs x0 at
+        # that last knot for its absorption test, and the grid has none
+        phi = self._kinked_knots(0.95 * np.geomspace(math.e, 100.0, 24), top=150.0)
         want = _outcome(_scalar_verify_regularity, phi, [])
-        assert want[0] == "NonUniqueArgmaxError"
+        assert want == ("OutOfDomainError", str(OutOfDomainError(150.0, 0.0, 150.0)))
         assert _outcome(verify_regularity, phi) == want
 
     @pytest.mark.parametrize("name", sorted(_SADDLE_PATH_PHIS))
@@ -732,20 +788,19 @@ class TestBatchedSaddlePath:
         assert _outcome(make_geometry, phi, lam, d1, d2) == want
 
     def test_touching_identity_is_the_grid_conjugate(self):
-        # on a convex grid x0(t) is the chord of t's piece, or at a knot the
-        # mean chord: a subgradient at the touching point the map returns,
-        # t or the knot it hits, so the identity there, which the saddle
-        # path takes for phi2*(x0), is the knot conjugate to rounding.  t is
-        # drawn uniformly, on knots and within 1e-12 of them, where the
-        # touching point is the knot and not t
+        # on a convex grid x0(t) is the chord of the piece [ls[k], ls[k+1])
+        # holding t, or holding the knot just above t that the map moves t
+        # onto: a subgradient at the touching point the map returns, so the
+        # identity there, which the saddle path takes for phi2*(x0), is the
+        # knot conjugate to rounding.  t is drawn uniformly, on knots and
+        # within 1e-12 of them, where the touching point is the knot for a
+        # t at or below it and t itself above it
         rng = np.random.default_rng(2028)
         checked = 0
         for _ in range(50):
             n = int(rng.integers(20, 401))
             ls = np.cumsum(rng.uniform(0.5, 1.5, n)) * rng.uniform(0.01, 1.0)
-            # each chord rises from the last by at most twice its knot
-            # spacing, so no interior knot's chords differ by more than the
-            # flat tolerance of the saddle map
+            # each chord rises from the last by at most twice its knot spacing
             slopes = rng.uniform(0.0, 3.0) + np.cumsum(rng.uniform(0.0, 2.0, n - 1) * np.diff(ls))
             vs = rng.uniform(0.0, 1.0) + np.concatenate(([0.0], np.cumsum(slopes * np.diff(ls))))
             phi2 = PhiFunction.from_grid(ls, vs)
@@ -755,7 +810,8 @@ class TestBatchedSaddlePath:
                                  ls[k] + rng.uniform(-1e-12, 1e-12, 60)])
             x0s, touch, _ = _saddle_points(phi2, ts)
             at = ~np.isnan(x0s)
-            assert (touch[160:][at[160:]] == ls[k][at[160:]]).all()
+            near = ts[160:]
+            assert (touch[160:] == np.where(near <= ls[k], ls[k], near))[at[160:]].all()
             stars = touch[at] * x0s[at] - phi2.values(touch[at])
             want = conjugate_values(phi2, x0s[at])[0]
             assert (np.abs(stars - want) <= 4e-15 * np.maximum(1.0, np.abs(want))).all()
@@ -765,8 +821,11 @@ class TestBatchedSaddlePath:
     def test_geometry_cases_reach_every_error(self):
         outcomes = {_outcome(_scalar_make_geometry, phi, *case)[0]
                     for phi in _SADDLE_PATH_PHIS.values() for case in _GEOMETRY_CASES}
-        assert {"GeometryInvalidError", "InputError", "OutOfDomainError",
-                "NonUniqueArgmaxError"} <= outcomes
+        assert {"GeometryInvalidError", "InputError", "OutOfDomainError"} <= outcomes
+        # a grid has no saddle from its last knot on: nu = 25 (1 + 0.2) = 30
+        assert _outcome(_scalar_make_geometry, _SADDLE_PATH_PHIS["half-square-knots"],
+                        25.0, 0.2) == ("OutOfDomainError",
+                                       str(OutOfDomainError(30.0, 0.0, 30.0)))
 
     @pytest.mark.parametrize("name", sorted(_SADDLE_PATH_PHIS))
     def test_bracket_batch_matches_make_geometry(self, name):
@@ -796,19 +855,25 @@ class TestBatchedSaddlePath:
         assert expect <= refused
 
     def test_batch_raises_the_error_at_the_smallest_t(self):
-        # t = 6 and t = 8 sit on kinks; the rows (10, 0.2) and (8, 0.25)
-        # ask for x0 at 8, 10, 12 and at 6, 8, 10: the batch raises the
-        # error at t = 6 from its second row, as make_geometry(8, 0.25) does
-        phi = self._kinked_knots(np.array([6.0, 8.0]))
-        with pytest.raises(NonUniqueArgmaxError) as first:
+        # t = 6 and t = 8 sit on kinks, whose x0 is the right chord, and the
+        # knots end at 10; the rows (10, 0.2) and (8, 0.25) ask for x0 at 8,
+        # 10, 12 and at 6, 8, 10.  make_geometry refuses the first at t = 12,
+        # off the domain, and the second at t = 10, the last knot, where
+        # the grid has no saddle: OutOfDomainError naming the knots.  The
+        # batch raises neither and refuses both rows, as it does every
+        # OutOfDomainError, while the rows (7.5, 0.2), through the kink 6,
+        # and (7, 0.2) take make_geometry's brackets (the first clamps)
+        phi = self._kinked_knots(np.array([6.0, 8.0]), top=10.0)
+        with pytest.raises(OutOfDomainError) as first:
             make_geometry(phi, 10.0, 0.2)
-        with pytest.raises(NonUniqueArgmaxError) as smallest:
+        with pytest.raises(OutOfDomainError) as smallest:
             make_geometry(phi, 8.0, 0.25)
         assert str(first.value) != str(smallest.value)
-        with pytest.raises(NonUniqueArgmaxError) as batch:
-            _bracket_logs(phi, phi, np.array([10.0, 8.0]), np.array([0.2, 0.25]),
-                          np.array([0.2, 0.25]))
-        assert str(batch.value) == str(smallest.value)
+        assert str(smallest.value) == str(OutOfDomainError(10.0, 0.0, 10.0))
+        lams, ds = np.array([10.0, 8.0, 7.5, 7.0]), np.array([0.2, 0.25, 0.2, 0.2])
+        want = [tangent_bracket_log(phi, make_geometry(phi, lam, 0.2)) for lam in (7.5, 7.0)]
+        assert _bracket_logs(phi, phi, lams, ds, ds).tolist() == [-math.inf, -math.inf, *want]
+        assert math.isfinite(want[1])
 
 
 def _mp_bracket(row):

@@ -3,6 +3,7 @@ normalization absorption, and the emitted lower envelope."""
 
 import dataclasses
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -65,6 +66,10 @@ class TestTailTransformExponent:
             gap = (QUAD0.value(lam) - math.log(lam)) - aux
             cap = 2.0 * math.exp(-min(QUAD0.value(lam), 700.0)) + 1e-15
             assert 0.0 <= gap <= cap
+
+    def test_an_empty_floor_is_minus_infinity(self):
+        # phi(lam) = 0: (e^0 - 1)/lam = 0, whose log is -inf
+        assert _tail_transform_from_value(0.0, 2.0) == -math.inf
 
 
 class TestDilationCertificate:
@@ -133,6 +138,19 @@ class TestDilationCertificate:
         assert cert.lam_range[0] == _default_lam_range(phi)[0]
         assert 0.0 < cert.c1 < 0.3
 
+    def test_an_empty_default_range_is_skipped(self):
+        # phi reaches 1 only at the top of [0, 1): the default range [top,
+        # top] is empty, so it is passed over, not raised, and the raised
+        # starts are tried; none certifies a phi below 1, and the refusal
+        # names every range
+        top = float(np.nextafter(1.0, 0.0))
+        phi = PhiFunction.from_callable(lambda l: np.where(l >= top, 1.0, 0.5), 0.0, 1.0,
+                                        convex=False, vectorized=True, label="step")
+        assert _default_lam_range(phi) == (top, top)
+        with pytest.raises(NotCertifiedError, match=re.escape(
+                "step: dilation dominance not certified on (1, 1), (0.3, 1), (0.45, 1)")):
+            certify_dilation_dominance(phi)
+
 
 class TestAbsorption:
     def test_gaussian_first_feasible_threshold(self):
@@ -145,6 +163,16 @@ class TestAbsorption:
         cert = certify_dilation_dominance(QUAD0)
         lam1, c2 = absorb_normalization(QUAD0, cert.c1, 0.9, cert.lam_range[0])
         assert c2 == cert.c1
+
+    def test_a_threshold_at_the_domain_top_is_skipped(self, monkeypatch):
+        # from w_lo = top of [0, 1) every lam1 of the dyadic ladder rounds
+        # to top or above it, where no verification grid fits: each is
+        # skipped before any dilation search
+        phi = PhiFunction.quadratic(lo=0.0, hi=1.0)
+        monkeypatch.setattr(lower_unilateral, "_largest_dilation",
+                            lambda *a: pytest.fail("searched"))
+        with pytest.raises(AbsorptionFailedError, match="no \\(lam1, c2\\) absorbs"):
+            absorb_normalization(phi, 0.9, 3.0, phi.domain.top())
 
 
 def _absorb_one_at_a_time(phi, c1, m_bound, w_lo, moves=None):
@@ -372,7 +400,8 @@ class TestLargestDilation:
     def test_dominance_post_check_refuses_a_dilation_that_fails_below_the_binding_lambda(
             self, monkeypatch):
         # a bump of phi at 0.4 passes at c = 1 on the range [0.5, 50], but the
-        # c1 that the binding lambdas give carries lam = 0.5 onto it
+        # c1 that the binding lambdas give carries lam = 0.5 onto it: the
+        # search's last values call shows lam = 0.5 failing, so it refuses
         phi = PhiFunction.from_callable(
             lambda t: 10.0 + 0.5 * t * t + 5.0 * np.exp(-((t - 0.4) / 0.03) ** 2), 0.0,
             math.inf, convex=False, vectorized=True, label="bump")
@@ -381,7 +410,23 @@ class TestLargestDilation:
         monkeypatch.setattr(lower_unilateral, "_largest_dilation",
                             lambda *a: found.append(helper(*a)) or found[-1])
         assert _certify_on_range(phi, 0.5, 50.0) is None
-        assert len(found) == 1 and found[0] > 1e-10
+        assert found == [None]
+
+    def test_absorption_never_returns_a_c2_its_grid_refuses(self):
+        # on this falling phi a lambda bisected on [c_lo, c1] fails again
+        # below its critical dilation; the search refuses lam1 = 2 rather
+        # than return a c2 that breaks the inequality there by 0.06, and
+        # lam1 = 4 absorbs with a c2 that holds at every lambda of its grid
+        phi, c1, m_bound = _wavy(3.614, 2.173), 1.39, 896.7
+        lam1, c2 = absorb_normalization(phi, c1, m_bound, 1.0)
+        assert lam1 == 4.0 and c2 == pytest.approx(0.7625, abs=1e-4)
+        for start in (2.0, lam1):
+            lams = np.geomspace(start, 2.0 ** 20, 128)
+            ceiling = _values_at(phi, c1, lams) - math.log(m_bound) + 1e-9
+            c_lo = np.maximum(phi.domain.lo / lams, 1e-12)
+            got = _largest_dilation(phi, lams, ceiling, c_lo, c1)
+            assert got == (None if start == 2.0 else c2)
+        assert np.all(_values_at(phi, c2, lams) <= ceiling)
 
     def test_dominance_bisects_at_most_two_lambdas_per_range(self, monkeypatch):
         counts = []

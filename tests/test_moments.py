@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from tailbounds import oracles
-from tailbounds.errors import InputError
+from tailbounds.errors import InputError, NotCertifiedError
 from tailbounds.functions import PhiFunction, conjugate_values
 from tailbounds.moments import (
     MomentEnvelope,
@@ -86,6 +86,14 @@ class TestPoleFamily:
         with pytest.raises(InputError):
             power_tail_lower(env, np.array([1.0, 2.0]))
 
+    def test_a_lower_envelope_never_above_1_is_refused(self):
+        # |X|_p >= 1/2 on [1, 3): lam ln(1/2) is never positive, so there
+        # is no exponent to invert
+        half = PhiFunction.from_callable(lambda p: np.full(np.shape(p), 0.5), 1.0, 3.0,
+                                         convex=True, vectorized=True, label="half")
+        with pytest.raises(NotCertifiedError, match="never exceeds 1"):
+            power_tail_lower(MomentEnvelope(lower=half), np.array([3.0, 5.0]))
+
 
 class TestGrowthRecovery:
     def test_unit_constants_recover_exponent(self):
@@ -121,6 +129,19 @@ class TestGrowthRecovery:
         lmap = dict(zip(lower.x.tolist(), lower.log_values.tolist()))
         umap = dict(zip(upper.x.tolist(), upper.log_values.tolist()))
         assert all(lmap[c] <= umap[c] + 1e-12 for c in common.tolist())
+
+    def test_no_lower_envelope_is_a_note(self):
+        # the upper envelope stands alone, and the report says why there is
+        # no lower one: a lower moment curve never above 1 on its probe
+        # grid, or a chain with fewer than two positive exponents on the grid
+        xs = np.array([3.0, 1000.0])
+        for c_low, note in ((0.1, "lower moment envelope degenerate; no lower tail bound"),
+                            (0.5, "lower chain not certified: chain produced no positive "
+                                  "exponent points")):
+            lower, upper, rep = growth_tail_recovery(2.0, moment_power_growth(2.0, c_low, 1.0),
+                                                     xs)
+            assert lower is None and not rep.lower_produced and rep.notes == (note,)
+            assert upper.side == "upper" and rep.c2_coeff == math.inf
 
 
 def weibull_norm_constants(m, p_grid):

@@ -15,8 +15,9 @@ from mpmath.calculus.quadrature import GaussLegendre
 from scipy.integrate import quad
 
 from conftest import weibull_log_mgf_closed_m2
-from tailbounds import oracles
-from tailbounds.errors import DivergentIntegral, InputError, NotConvergedError
+from tailbounds import lower_unilateral, oracles
+from tailbounds.errors import (DivergentIntegral, InputError, NotCertifiedError,
+                               NotConvergedError)
 from tailbounds.functions import PhiFunction, certify_convex, conjugate
 from tailbounds.integrals import log_i_integral
 
@@ -714,6 +715,18 @@ class TestBattery:
             "pass": False, "error": "sandwich needs convexity-certified phi"}
         assert checks["unilateral_lower"]["pass"] and checks["cramer"]["pass"]
 
+    def test_a_chain_refusal_fails_its_check_with_the_message(self, monkeypatch):
+        # the battery records a refusal of the unilateral chain as a failed
+        # check, and the checks after it still run
+        def refuse(*args, **kwargs):
+            raise NotCertifiedError("chain refused")
+
+        monkeypatch.setattr(lower_unilateral, "unilateral_lower_envelope", refuse)
+        checks = oracles.battery(oracles.gaussian(), 42, 2_000)
+        assert set(checks) == self.CHECKS
+        assert checks["unilateral_lower"] == {"pass": False, "error": "chain refused"}
+        assert checks["closure_lower"]["pass"] and checks["exact_mgf_sandwich"]["pass"]
+
     def test_a_bad_seed_or_count_is_refused_before_any_quadrature(self, monkeypatch):
         def no_quadrature(*args, **kwargs):
             raise AssertionError("quadrature ran")
@@ -746,3 +759,22 @@ class TestSampling:
         for x in (1.5, 3.0):
             frac = float((s >= x).mean())
             assert frac == pytest.approx(dist.tail(x), abs=4e-3 if frac > 1e-3 else 1e-3)
+
+
+class TestExponentialExponent:
+    def test_weibull_one_is_the_exponential_law(self):
+        law = oracles.weibull(1.0)
+        assert law.name == "exponential" and law.mgf_exponent.label == "exp-mgf-exponent"
+
+    def test_every_oracle_exponent_evaluates_arrays(self):
+        # -log1p(-lam) in one ufunc call per array, equal to the scalar
+        # calls bit for bit, as every other law's exponent is
+        laws = [law for law in oracles.suite().values() if law.mgf_exponent is not None]
+        assert len(laws) == 4 and all(law.mgf_exponent.vectorized for law in laws)
+        phi = oracles.exponential_unit().mgf_exponent
+        lams = np.append(np.linspace(0.0, 0.999, 50), phi.domain.top())
+        want = np.array([phi.value(t) for t in lams.tolist()])
+        assert phi.values(lams).tobytes() == want.tobytes()
+        assert phi.derivatives(lams).tolist() == [phi.derivative(t) for t in lams.tolist()]
+        np.testing.assert_allclose(want, [-math.log1p(-t) for t in lams.tolist()],
+                                   rtol=1e-15)

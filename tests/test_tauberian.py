@@ -97,6 +97,24 @@ class TestAnalytic:
             tauberian_check(QREF, gauss)
 
 
+
+class TestExtrapolation:
+    def test_a_short_ladder_keeps_its_last_value(self):
+        assert _extrapolate(np.array([2.0, 3.0]), np.array([1.0, 2.0])) == (2.0, False)
+
+    def test_a_singular_solve_keeps_the_last_value(self):
+        # two equal ladder points make the 3 x 3 system singular
+        assert _extrapolate(np.array([2.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])) == (3.0, False)
+
+    def test_a_limit_far_from_the_last_value_is_not_taken(self):
+        # the exact solve lands more than half the last value away from it
+        xs, ks = np.array([2.0, 3.0, 4.0]), np.array([1.0, 5.0, 1.2])
+        mat = np.vstack([np.ones(3), np.log(xs) / xs ** 2, 1.0 / xs ** 2]).T
+        assert abs(np.linalg.solve(mat, ks)[0] - 1.2) > 0.6
+        assert _extrapolate(xs, ks) == (1.2, False)
+        k_inf, converged = _extrapolate(xs, np.array([1.0, 1.1, 1.15]))
+        assert converged and abs(k_inf - 1.15) < 0.2
+
 class TestMonteCarlo:
     def test_seeded_tail_constant(self):
         rep = tauberian_check(QREF, oracles.gaussian(),
