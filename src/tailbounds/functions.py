@@ -89,11 +89,14 @@ class PhiFunction:
     knots: Optional[tuple] = field(default=None, compare=False, repr=False)
     fn: Optional[Callable[[float], float]] = field(default=None, compare=False)
     deriv: Optional[Callable[[float], float]] = field(default=None, compare=False)
+    # f'', where a root search of f'(lam) = x reaches it; it only steers
+    # that search's steps and enters no value
+    deriv2: Optional[Callable[[float], float]] = field(default=None, compare=False)
     convex: Optional[bool] = None
     label: str = ""
     # lim of f' at an unbounded top: set by each closed form, declared by a callable
     slope_lim: Optional[float] = None
-    # fn and deriv map float arrays elementwise: every closed form, and the
+    # fn, deriv and deriv2 map float arrays elementwise: every closed form, and the
     # callables that declare it (see from_callable)
     vectorized: bool = field(default=False, compare=False)
 
@@ -135,6 +138,15 @@ class PhiFunction:
             return (np.power(l, p - 1.0) * np.power(big_l, r)
                     + np.power(l, p) * r * np.power(big_l, r - 1.0) / (p * (np.e + l)))
 
+        def _d2(l, p=p, r=r):
+            if r == 0.0:
+                return (p - 1.0) * np.power(l, p - 2.0)
+            big_l, el = np.log(np.e + l), np.e + l
+            return ((p - 1.0) * np.power(l, p - 2.0) * np.power(big_l, r)
+                    + 2.0 * r * np.power(l, p - 1.0) * np.power(big_l, r - 1.0) / el
+                    + r * np.power(l, p) * np.power(big_l, r - 2.0) * (r - 1.0 - big_l)
+                    / (p * el * el))
+
         convex = bool(p >= 1.0 and r >= 0.0)
         # f' grows without bound above p = 1 (and at p = 1 with r > 0), tends
         # to 1 at p = 1 with r = 0, and to 0 below
@@ -142,7 +154,7 @@ class PhiFunction:
                      else 1.0 if p == 1.0 and r == 0.0 else 0.0)
         return PhiFunction(
             kind="power_log", domain=Domain(lo, hi), params=(p, r),
-            fn=_f, deriv=_d, convex=convex, label=f"power_log(p={p}, r={r})",
+            fn=_f, deriv=_d, deriv2=_d2, convex=convex, label=f"power_log(p={p}, r={r})",
             slope_lim=slope_lim, vectorized=True,
         )
 
@@ -167,20 +179,28 @@ class PhiFunction:
         label: str = "callable",
         slope_lim: Optional[float] = None,
         vectorized: bool = False,
+        deriv2: Optional[Callable[[float], float]] = None,
     ) -> "PhiFunction":
-        """Wrap ``fn`` (and its derivative ``deriv``) on [lo, hi).
+        """Wrap ``fn`` (and its derivatives ``deriv`` and ``deriv2``) on [lo, hi).
 
-        ``vectorized=True`` promises that ``fn`` and ``deriv`` map a float
-        array elementwise to exactly what they return for each scalar, so
-        :meth:`values` and :meth:`derivatives` call them once per array;
-        build such bodies from numpy ufuncs, not ``math`` functions or
-        ``**``, so that a scalar and an array give the same bits.  Otherwise
+        ``vectorized=True`` promises that ``fn``, ``deriv`` and ``deriv2``
+        map a float array elementwise to exactly what they return for each
+        scalar, so :meth:`values`, :meth:`derivatives` and
+        :meth:`second_derivatives` call them once per array; build such
+        bodies from numpy ufuncs, not ``math`` functions or ``**``, so that
+        a scalar and an array give the same bits.  Otherwise
         ``values`` calls ``fn`` once per point.  ``convex=None`` asks
         :func:`certify_convex`.  The verdict licenses the saddle map and the
         certificates that need a convex ``fn``; no Legendre value reads it.
+        ``deriv2`` only steers the root searches of f'(lam) = x (see
+        :func:`_slope_roots`), which take Newton steps where ``deriv`` and
+        ``deriv2`` are both given: no value, certificate or report reads it.
+        A NaN gives a midpoint; an inaccurate one costs steps, and one many
+        times too large can run a search into its step cap, so return NaN
+        where it has no digits left.
         """
         f = PhiFunction(kind="callable", domain=Domain(lo, hi), fn=fn,
-                        deriv=deriv, convex=convex, label=label,
+                        deriv=deriv, deriv2=deriv2, convex=convex, label=label,
                         slope_lim=slope_lim, vectorized=vectorized)
         if convex is None:
             object.__setattr__(f, "convex", certify_convex(f))
@@ -275,15 +295,35 @@ class PhiFunction:
 
     def derivatives(self, lams) -> np.ndarray:
         """``[derivative(l) for l in lams]`` as an array, bit for bit."""
+        return self._elementwise(self.deriv, lams, "derivative")
+
+    def second_derivatives(self, lams) -> np.ndarray:
+        """``deriv2`` at each lam, as :meth:`derivatives` gives ``deriv``."""
+        return self._elementwise(self.deriv2, lams, "second derivative")
+
+    def _elementwise(self, fn, lams, name: str) -> np.ndarray:
+        """``fn`` at each lam of the array ``lams``, in its shape, raising
+        what the first failing lam's scalar call raises: InputError naming
+        ``name`` where ``fn`` is None, else OutOfDomainError outside
+        [lo, hi) or ``fn``'s own error.  One call where ``fn`` is
+        vectorized, after the domain check of every lam; else one per lam,
+        each after its own check."""
         lams = np.asarray(lams, dtype=float)
-        if self.deriv is not None and self.vectorized:
+        if fn is None and lams.size:
+            raise InputError(f"{self.label}: no {name}")
+        if fn is not None and self.vectorized:
             inside = self.domain.contains(lams)
             if not inside.all():
-                self.derivative(lams.ravel()[int(np.argmin(inside.ravel()))])
-            d = np.asarray(self.deriv(lams), dtype=float)
+                raise OutOfDomainError(float(lams.ravel()[int(np.argmin(inside.ravel()))]),
+                                       self.domain.lo, self.domain.hi)
+            d = np.asarray(fn(lams), dtype=float)
             return np.array(d if d.shape == lams.shape else np.broadcast_to(d, lams.shape))
-        return np.array([self.derivative(t) for t in lams.ravel().tolist()],
-                        dtype=float).reshape(lams.shape)
+        out = []
+        for t in lams.ravel().tolist():
+            if not self.domain.contains(t):
+                raise OutOfDomainError(t, self.domain.lo, self.domain.hi)
+            out.append(float(fn(t)))
+        return np.array(out, dtype=float).reshape(lams.shape)
 
     def derivative(self, lam: float) -> float:
         """The analytic derivative ``deriv`` at lam; InputError for a
@@ -575,11 +615,13 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     ``f`` at all of them in one ``values`` call.  Searched points share the
     scan of :func:`_scan_ladder`, one ``values`` call per level of its
     ladder.  Each scan bracket is then narrowed: where ``f`` has a
-    derivative, by bisecting f'(lam) <= x to 1e-13 relative width (where no
-    end moves, the bracket shrinks to the scan's point), otherwise by
-    Brent's parabolic and golden steps (:func:`_brent_section`), one
-    ``values`` call per step for all of them.  One ``values`` call gives a
-    bisected bracket its two inner points, too close for a step; the
+    derivative, to the root of f'(lam) = x at 1e-13 relative width, by
+    Newton steps where ``f`` also has ``deriv2``, else by halvings
+    (:func:`_slope_roots`; where no end moves, the bracket shrinks to the
+    scan's point), otherwise by Brent's parabolic and golden steps
+    (:func:`_brent_section`), one ``values`` call per step for all of
+    them.  One ``values`` call gives a
+    root's bracket its two inner points, too close for a step; the
     better, the larger on a tie, is its best point.  One array pick then
     ends every search: the best point, unless the scan's point is strictly
     better.
@@ -625,8 +667,8 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     ks, bx = ks[go], x_arr[ks[go]]
     a, b, lam, flam = (row[go] for row in (a, b, lam, flam))
     if f.deriv is not None:
-        # bisect to the root of f'(lam) = x; where no end moved, the scan's point stands
-        a2, b2 = _bisect_rows(a, b, lambda rows, m: f.derivatives(m) <= bx[rows], 100, 1e-13)
+        # the root of f'(lam) = x; where no end moved, the scan's point stands
+        a2, b2 = _slope_roots(f, a, b, bx)
         settled = (a2 == a) | (b2 == b)
         a, b = np.where(settled, lam, a2), np.where(settled, lam, b2)
 
@@ -741,7 +783,8 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float]) -> ConjugateResult:
         _inf_where_unbounded(v, errors)  # so that lam*x - f*(x) reads -inf there
         return v, arg
 
-    a, b = _bisect_rows(pts[j - 1], pts[j], lambda rows, m: fstar(m)[1] < lams[rows], 100, 1e-13)
+    a, b = _bisect_rows(pts[j - 1], pts[j], lambda rows, m: (fstar(m)[1] < lams[rows], np.nan),
+                        100, 1e-13)
     ends = np.stack([a, b])
     obj = lams * ends - fstar(ends.ravel())[0].reshape(ends.shape)
     keep_b = obj[1] > obj[0]
@@ -836,19 +879,64 @@ def _bisect(a, b, below, steps, rel=0.0):
 def _bisect_rows(a, b, below, steps, rel=0.0):
     """:func:`_bisect` on each row of the arrays ``a`` and ``b`` at once.
 
-    ``below(rows, m)`` answers the midpoints m of the rows still running
-    (``rows`` is their mask) in one call; each row has ``_bisect``'s
-    stopping rule.  Returns the final (a, b) arrays."""
+    ``below(rows, t)`` answers the points t of the rows still running
+    (``rows`` is their mask) in one call, with a pair: its answer, and the
+    Newton step from t toward the root (NaN where there is none).  Each row
+    has ``_bisect``'s stopping rule and keeps [t, b] where the answer holds
+    at t, else [a, t].  The first t is the midpoint; each next t is t + step
+    where that lies strictly inside the new bracket, else the midpoint
+    (W. H. Press et al., *Numerical Recipes*, 3rd ed., 2007, section 9.4),
+    so a NaN step halves, bit for bit as ``_bisect``.  With w a quarter of
+    the stop width rel*max(1, |b|), two probes close brackets that Newton's
+    steps alone would leave open: a step shorter than w goes w into the new
+    bracket, to the far side of the root, so that the next step closes it;
+    and a step past an end that has not moved yet goes w inside that end,
+    once per row.  Every row's arithmetic is its own.  Returns the final
+    (a, b) arrays.
+    """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     rows = np.ones(a.size, dtype=bool)
+    a0, b0, t, probed = a.copy(), b.copy(), 0.5 * (a + b), np.zeros(a.size, dtype=bool)
     for _ in range(steps):
         rows &= ~(b - a <= rel * np.maximum(1.0, np.abs(b)))
         if not rows.any():
             break
-        m = 0.5 * (a[rows] + b[rows])
-        ok = below(rows, m)
-        a[rows], b[rows] = np.where(ok, m, a[rows]), np.where(ok, b[rows], m)
+        m = t[rows]
+        ok, step = below(rows, m)
+        lo, hi = np.where(ok, m, a[rows]), np.where(ok, b[rows], m)
+        a[rows], b[rows], mid = lo, hi, 0.5 * (lo + hi)
+        if np.isnan(step).all():
+            # no Newton step: the midpoints, which the checks below also
+            # give, but at a tenth of their numpy calls (the biconjugate's
+            # halvings took 35% longer through them)
+            t[rows] = mid
+            continue
+        w = 0.25 * rel * np.maximum(1.0, np.abs(hi))
+        nxt = m + np.where(np.abs(step) < w, np.where(ok, w, -w), step)
+        under = (nxt <= lo) & (lo == a0[rows]) & ~probed[rows]
+        over = (nxt >= hi) & (hi == b0[rows]) & ~probed[rows]
+        probed[rows] |= under | over
+        nxt = np.where(under, lo + w, np.where(over, hi - w, nxt))
+        t[rows] = np.where((lo < nxt) & (nxt < hi), nxt, mid)
     return a, b
+
+
+def _slope_roots(f: PhiFunction, a, b, xs) -> tuple[np.ndarray, np.ndarray]:
+    """The bracket [a, b] of the root of f'(lam) = x for each row of ``xs``:
+    :func:`_bisect_rows` of f'(lam) <= x, 100 steps at most and down to
+    1e-13 relative width, by Newton steps on f'' where ``f`` has
+    ``deriv2``, else by halvings.  f'' only steers, and the bracket
+    decides the root: a NaN or non-positive f'' gives a midpoint, and an
+    inaccurate one costs steps (one many times too large, up to the cap)."""
+
+    def below(rows, t):
+        d = f.derivatives(t)
+        if f.deriv2 is None:
+            return d <= xs[rows], np.nan
+        with np.errstate(all="ignore"):
+            return d <= xs[rows], (xs[rows] - d) / f.second_derivatives(t)
+
+    return _bisect_rows(a, b, below, 100, 1e-13)
 
 
 def _grow_rows(b, below, limit):

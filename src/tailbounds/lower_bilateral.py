@@ -40,12 +40,12 @@ from .errors import (
 from .functions import (
     LAMBDA_CAP,
     PhiFunction,
-    _bisect_rows,
     _checked_grid,
     _grow_rows,
     _raise_first,
     _require_saddle_map,
     _saddle_points,
+    _slope_roots,
     _stars,
     conjugate_value,
     conjugate_values,
@@ -86,8 +86,8 @@ def _saddle_inverse(phi2: PhiFunction, zs: np.ndarray, mus: np.ndarray,
                              lambda rows, t: ~(phi2.derivatives(t) > zs[past[rows]]), 200)
         errors.update((i, OutOfDomainError(float(zs[i]), dlo, float(phi2.deriv(t))))
                       for i, t in zip(past[grow].tolist(), b[grow].tolist()))
-        a, b = _bisect_rows(np.full(past.size, LAMBDA_CAP), np.where(grow, LAMBDA_CAP, b),
-                            lambda rows, m: phi2.derivatives(m) <= zs[past[rows]], 100, 1e-13)
+        a, b = _slope_roots(phi2, np.full(past.size, LAMBDA_CAP), np.where(grow, LAMBDA_CAP, b),
+                            zs[past])
         mus[past] = 0.5 * (a + b)
         errors.update((i, OutOfDomainError(float(zs[i]), dlo, math.inf))
                       for i in np.flatnonzero(dlo > zs).tolist())

@@ -397,8 +397,14 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
     if not (0 <= int(seed) < 2 ** 128 and int(n) >= 0):
         raise InputError(f"need a seed in [0, 2**128) and a sample count >= 0, got seed {seed}, "
                          f"count {n}")
+    # ((raw >> 11) + 0.5) * 2**-53, in place: the 53 high bits, centred in
+    # their cell
     raw = Philox(key=int(seed)).random_raw(int(n))
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    raw >>= np.uint64(11)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 # --------------------------------------------------------------------------
@@ -474,8 +480,8 @@ def exponential_unit() -> OracleDistribution:
         log_tail=lambda x: -np.maximum(x, 0.0),
         mgf_exponent=PhiFunction.from_callable(
             lambda l: -np.log1p(-l), 0.0, 1.0,
-            deriv=lambda l: 1.0 / (1.0 - l), convex=True, label="exp-mgf-exponent",
-            vectorized=True,
+            deriv=lambda l: 1.0 / (1.0 - l), deriv2=lambda l: 1.0 / ((1.0 - l) * (1.0 - l)),
+            convex=True, label="exp-mgf-exponent", vectorized=True,
         ),
         density=lambda x: np.where(x >= 0, np.exp(-np.maximum(x, 0.0)), 0.0),
         nonnegative=True,
@@ -512,14 +518,17 @@ def _series_terms(m: float, lams: np.ndarray) -> np.ndarray:
     return np.exp2(np.ceil(np.log2(need)))
 
 
-def _series_rows(log_c: np.ndarray, lams: np.ndarray, slope: bool) -> np.ndarray:
-    """ln M(lam), or its lam-derivative, from the terms exp(log_c[k] + k ln lam)
-    of M's moment series, for each lam > 0; nan where the terms are not
-    shown to have ended.
+def _series_rows(log_c: np.ndarray, lams: np.ndarray, order: int) -> np.ndarray:
+    """ln M(lam) (order 0), or its first or second lam-derivative (order 1
+    or 2), from the terms exp(log_c[k] + k ln lam) of M's moment series, for
+    each lam > 0; nan where the terms are not shown to have ended.
 
     Every term is positive and the terms are log-concave in k, so once the
     last term t falls by the ratio r < 1 the rest sum to at most t r/(1-r).
     A row is kept only if that bound is below e^-40 of its largest term.
+    Under the normalized terms the index k has mean lam (ln M)', and
+    variance less mean lam^2 (ln M)'': the mean of (k - mean)^2 - k, or of
+    k(k - 1), less the mean squared, where the mean is below 1.
     """
     k = np.arange(log_c.size, dtype=float)
     t = np.log(lams)[:, None] * k
@@ -531,8 +540,16 @@ def _series_rows(log_c: np.ndarray, lams: np.ndarray, slope: bool) -> np.ndarray
     ended = (log_r < 0.0) & (tail < top - 40.0)
     e = np.exp(t - top[:, None])
     rest = e[:, 1:].sum(axis=1)
-    if slope:
+    if order == 1:
         out = (e * k).sum(axis=1) / (lams * (e[:, 0] + rest))
+    elif order == 2:
+        total = e[:, 0] + rest
+        mean = (e * k).sum(axis=1) / total
+        dev = k - mean[:, None]
+        centred = (e * (dev * dev - k)).sum(axis=1) / total
+        # below mean 1 each centred term cancels to O(lam); k(k-1) does not
+        falling = (e * (k * (k - 1.0))).sum(axis=1) / total - mean * mean
+        out = np.where(mean < 1.0, falling, centred) / (lams * lams)
     else:
         # the k = 0 term is 1: with it the largest, ln M = log1p(rest)
         out = np.where(t[:, 0] == top, np.log1p(rest), top + np.log(e[:, 0] + rest))
@@ -558,8 +575,9 @@ def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-def _hermite_rows(m: float, lams: np.ndarray, slope: bool) -> np.ndarray:
-    """ln M(lam), or its lam-derivative, by a peak-centred Gauss-Hermite rule.
+def _hermite_rows(m: float, lams: np.ndarray, order: int) -> np.ndarray:
+    """ln M(lam), or its first or second lam-derivative (order 0, 1 or 2),
+    by a peak-centred Gauss-Hermite rule.
 
     With x = xh + s u around the tilted peak xh of the exponent
     g(x) = (m-1) ln x + lam x - x^m, and s = (-g''(xh))^(-1/2), the exponent
@@ -568,10 +586,13 @@ def _hermite_rows(m: float, lams: np.ndarray, slope: bool) -> np.ndarray:
         (m-1)(log1p(eps) - eps) - xh^m ((1+eps)^m - 1 - m eps) + r s u
 
     (r = g'(xh), Newton's residual), so no two large terms cancel at a node.
-    The slope is xh + s E[u] under the tilted law.  The orders of
+    The slope is xh + s E[u] under the tilted law, and the second
+    derivative, the tilted variance, s^2 E[(u - E[u])^2], or nan where the
+    peak lies 1e12 widths or more above 0.  The orders of
     ``_GH_ORDERS`` must agree within ``_GH_AGREE`` relative, and the higher
     is kept; a row where they do not raises NotConvergedError naming m and
-    lam.
+    lam.  The second derivative only steers root searches: it takes the
+    higher order alone, with no agreement test.
     """
     xh = (lams / m) ** (1.0 / (m - 1.0))
     for _ in range(_GH_NEWTON):
@@ -600,10 +621,18 @@ def _hermite_rows(m: float, lams: np.ndarray, slope: bool) -> np.ndarray:
             top = expo.max(axis=1)
             e = w * np.exp(expo - top[:, None])
             total = e.sum(axis=1)
-            if slope:
+            if order == 2:
+                dev = u - ((e * u).sum(axis=1) / total)[:, None]
+                return s * s * ((e * (dev * dev)).sum(axis=1) / total)
+            if order == 1:
                 return xh + s * ((e * u).sum(axis=1) / total)
             return base + top + np.log(total)
 
+    if order == 2:
+        # the rule's exponent carries a rounding error of about 1e-16 xh/s at
+        # its nodes, and its variance one of up to 1.5e-16 xh/s relative;
+        # from 1e12 widths s above 0 it reads nan, and the root search halves
+        return np.where(xh < 1e12 * s, rule(_GH_ORDERS[-1]), np.nan)
     low, out = (rule(n) for n in _GH_ORDERS)
     with np.errstate(invalid="ignore"):
         bad = np.flatnonzero(~(np.abs(out - low) <= _GH_AGREE * np.abs(out)))
@@ -615,8 +644,9 @@ def _hermite_rows(m: float, lams: np.ndarray, slope: bool) -> np.ndarray:
     return out
 
 
-def _weibull_rows(m: float, lams, slope: bool, table: list):
-    """ln E exp(lam*X), or its lam-derivative, for each lam.
+def _weibull_rows(m: float, lams, order: int, table: list):
+    """ln E exp(lam*X), or its first or second lam-derivative (order 0, 1
+    or 2), for each lam.
 
     X has density m x^{m-1} e^{-x^m}, m > 1, so E exp(lam X) is the series
     sum_k Gamma(1 + k/m) lam^k / k! of positive terms.  A row sums it if it
@@ -629,14 +659,16 @@ def _weibull_rows(m: float, lams, slope: bool, table: list):
     coefficients' logs, computed on their first use and lengthened when a
     row needs more.
 
-    At lam == 0 the log-MGF is 0 and its slope E X = Gamma(1 + 1/m).
+    At lam == 0 the log-MGF is 0, its slope E X = Gamma(1 + 1/m) and its
+    second derivative Var X = Gamma(1 + 2/m) - Gamma(1 + 1/m)^2.
     Scalars in, floats out; arrays in, arrays of the same shape out.
     """
     lams = np.asarray(lams, dtype=float)
     flat = lams.ravel()
     out = np.zeros(flat.size)
-    if slope:
-        out[flat == 0.0] = math.gamma(1.0 + 1.0 / m)
+    if order:
+        mean = math.gamma(1.0 + 1.0 / m)
+        out[flat == 0.0] = mean if order == 1 else math.gamma(1.0 + 2.0 / m) - mean * mean
     todo = np.flatnonzero(flat != 0.0)
     terms = _series_terms(m, flat)
     # the peak lies just above (lam/m)^(1/(m-1)), sqrt((m-1)(1 + m x^m))
@@ -657,7 +689,7 @@ def _weibull_rows(m: float, lams, slope: bool, table: list):
             step = _SERIES_CHUNK // n
             for k in range(0, rows.size, step):
                 sel = rows[k:k + step]
-                out[sel] = _series_rows(table[0][:n], flat[sel], slope)
+                out[sel] = _series_rows(table[0][:n], flat[sel], order)
             # a row whose series is not shown to have ended tries twice the terms
             terms[rows[np.isnan(out[rows])]] = 2 * n
             todo = todo[terms[todo] > n]
@@ -667,7 +699,7 @@ def _weibull_rows(m: float, lams, slope: bool, table: list):
     step = _SERIES_CHUNK // _GH_ORDERS[-1]
     for k in range(0, todo.size, step):
         sel = todo[k:k + step]
-        out[sel] = _hermite_rows(m, flat[sel], slope)
+        out[sel] = _hermite_rows(m, flat[sel], order)
     return out.reshape(lams.shape) if lams.ndim else float(out[0])
 
 
@@ -675,12 +707,18 @@ def _weibull_log_mgf(m: float, lams, table: Optional[list] = None):
     """ln E exp(lam*X) for X with tail exp(-x^m), m > 1, batched over
     ``lams``; ``table`` is the exponent's coefficient holder (a fresh one
     when absent)."""
-    return _weibull_rows(m, lams, False, [] if table is None else table)
+    return _weibull_rows(m, lams, 0, [] if table is None else table)
 
 
 def _weibull_log_mgf_deriv(m: float, lams, table: Optional[list] = None):
     """d/dlam ln MGF = E[X e^{lam X}] / E[e^{lam X}], batched."""
-    return _weibull_rows(m, lams, True, [] if table is None else table)
+    return _weibull_rows(m, lams, 1, [] if table is None else table)
+
+
+def _weibull_log_mgf_deriv2(m: float, lams, table: Optional[list] = None):
+    """d^2/dlam^2 ln MGF, the variance of X under the tilted law, batched;
+    it steers the conjugate's root search only."""
+    return _weibull_rows(m, lams, 2, [] if table is None else table)
 
 
 def _weibull_density(x, m: float):
@@ -706,6 +744,7 @@ def weibull(m: float) -> OracleDistribution:
         mgf = PhiFunction.from_callable(
             lambda l, mm=mm: _weibull_log_mgf(mm, l, table), 0.0, math.inf,
             deriv=lambda l, mm=mm: _weibull_log_mgf_deriv(mm, l, table),
+            deriv2=lambda l, mm=mm: _weibull_log_mgf_deriv2(mm, l, table),
             convex=True, label=f"weibull({mm})-mgf-exponent",
             slope_lim=math.inf, vectorized=True,
         )

@@ -67,7 +67,7 @@ def _invert_increasing(evaluate, targets: np.ndarray, lo: float, seeds: np.ndarr
         errors.setdefault(i, NonInvertibleError(f"no bracket for target {float(targets[i])}"))
     rows, goal, hi = rows[~open_top], goal[~open_top], hi[~open_top]
     a, b = _bisect_rows(np.full(rows.size, lo), hi,
-                        lambda live, m: fn(rows[live], m) < goal[live], 200, 1e-10)
+                        lambda live, m: (fn(rows[live], m) < goal[live], np.nan), 200, 1e-10)
     _raise_first(errors)
     return 0.5 * (a + b)
 

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dilated, validate_conjugate
@@ -522,13 +522,61 @@ class TestBisect:
 
         def below(live, m):
             seen.append(int(live.sum()))
-            return m - root[live] <= 0.0
+            # no Newton step: every t is a midpoint
+            return m - root[live] <= 0.0, np.nan
 
         got_a, got_b = _bisect_rows(a, b, below, steps, rel)
         for i in range(a.size):
             one = _bisect(float(a[i]), float(b[i]), lambda x, r=root[i]: x - r <= 0.0, steps, rel)
             assert (got_a[i], got_b[i]) == one
         # a row leaves the batch once its search stops
+        assert all(n > 0 for n in seen) and seen == sorted(seen, reverse=True)
+
+    @given(
+        rows=st.lists(st.tuples(
+            st.floats(min_value=0.0, max_value=100.0),
+            st.one_of(st.just(0.0), st.integers(-17, 2).map(lambda e: 10.0 ** e),
+                      st.floats(min_value=0.0, max_value=50.0)),
+            # the root, inside the bracket or past either end
+            st.floats(min_value=-1.0, max_value=160.0),
+            # d1 linear or cubic around the root; d2 exact, scaled, of the
+            # wrong sign, zero or NaN
+            st.booleans(), st.sampled_from([1.0, 0.3, 5.0, -1.0, 0.0, math.nan])),
+            max_size=6),
+        steps=st.sampled_from([0, 3, 100]),
+        rel=st.sampled_from([1e-13, 1e-10]),
+    )
+    # a root at the unmoved end 0: each Newton step lands on it exactly, the
+    # first is probed w inside it, and the bracket [0, w] is still too wide
+    # to stop, so the next lands on 0 again and, probed once, takes the
+    # midpoint: t never reaches the end itself
+    @example(rows=[(0.0, 100.0, 0.0, False, 1.0)], steps=100, rel=1e-13)
+    def test_newton_rows_match_one_search_each(self, rows, steps, rel):
+        a, width, root, cubic, scale = np.array(rows, dtype=float).reshape(-1, 5).T
+        b = a + width
+
+        def d1(t, r, c):
+            u = t - r
+            return np.where(c, u * u * u + 0.5 * u, 2.0 * u)
+
+        def d2(t, r, c, k):
+            u = t - r
+            return k * np.where(c, 3.0 * u * u + 0.5, 2.0)
+
+        seen = []
+
+        def below(live, t):
+            seen.append(int(live.sum()))
+            d = d1(t, root[live], cubic[live])
+            with np.errstate(all="ignore"):
+                return d <= 0.0, (0.0 - d) / d2(t, root[live], cubic[live], scale[live])
+
+        got_a, got_b = _bisect_rows(a, b, below, steps, rel)
+        for i in range(a.size):
+            one = _newton(float(a[i]), float(b[i]), 0.0,
+                          lambda t: float(d1(t, root[i], cubic[i])),
+                          lambda t: float(d2(t, root[i], cubic[i], scale[i])), steps, rel)
+            assert (got_a[i], got_b[i]) == one
         assert all(n > 0 for n in seen) and seen == sorted(seen, reverse=True)
 
     def test_stops_on_width_before_a_halving(self):
@@ -1442,12 +1490,39 @@ def _reference_grid_saddle_point(phi2, lam):
     return float(chords[k])
 
 
+def _newton(a, b, x, d1, d2, steps=100, rel=1e-13):
+    """The root search of d1(lam) = x on [a, b], one point at a time: keep
+    [t, b] where d1(t) <= x, else [a, t]; the next t is the Newton point
+    t + (x - d1(t))/d2(t) where it lies strictly inside, else the midpoint.
+    With w = rel*max(1, |b|)/4, a step shorter than w goes w into the
+    bracket, and, once, a step past an end that has not moved goes w inside
+    it.  The first t is the midpoint; the stop rule is _bisect's."""
+    a0, b0, probed, t = a, b, False, 0.5 * (a + b)
+    for _ in range(steps):
+        if b - a <= rel * max(1.0, abs(b)):
+            break
+        d = d1(t)
+        with np.errstate(all="ignore"):
+            step = float(np.float64(x - d) / np.float64(d2(t)))
+        ok = d <= x
+        a, b = (t, b) if ok else (a, t)
+        w = 0.25 * rel * max(1.0, abs(b))
+        nxt = t + ((w if ok else -w) if abs(step) < w else step)
+        if not probed and nxt <= a and a == a0:
+            probed, nxt = True, a + w
+        elif not probed and nxt >= b and b == b0:
+            probed, nxt = True, b - w
+        t = nxt if a < nxt < b else 0.5 * (a + b)
+    return a, b
+
+
 def _reference_conjugate_value(f, x):
     """The per-point search the batched one replaced: the full grid at every
     growth step of the truncation point, from the first step of the ladder
     base * 4**k at or above 4|x|, then, where ``f`` has a derivative, a
-    scalar bisection of f'(lam) <= x on the scan's bracket, and a scalar
-    Brent search (:func:`_reference_brent`)."""
+    scalar search of the root of f'(lam) = x on the scan's bracket (Newton
+    steps by :func:`_newton` where ``f`` has ``deriv2``, else halvings of
+    f'(lam) <= x), and a scalar Brent search (:func:`_reference_brent`)."""
     x = float(x)
     lo, hi = f.domain.lo, f.domain.top()
     slope_lim = f.slope_limit()
@@ -1478,7 +1553,11 @@ def _reference_conjugate_value(f, x):
     if f.deriv is not None:
         # the root of f'(lam) = x, so the Brent search below takes no
         # step; where no end moved, the scan's point stands
-        a2, b2 = _bisect(a, b, lambda m: f.derivative(m) <= x, 100, 1e-13)
+        if f.deriv2 is None:
+            a2, b2 = _bisect(a, b, lambda m: f.derivative(m) <= x, 100, 1e-13)
+        else:
+            a2, b2 = _newton(a, b, x, f.derivative,
+                             lambda m: f.second_derivatives(np.array([m]))[0])
         if a2 == a or b2 == b:
             return float(vals[i]), float(grid[i])
         a, b = a2, b2
@@ -1884,21 +1963,22 @@ class TestBatchedSearch:
 
     def test_weibull_conjugate_work(self, monkeypatch):
         # the Gauss-Hermite rule rows behind 15 searched conjugates of
-        # weibull(4): 594 rows in 42 calls, the 15 x sharing their scan
-        # grids and bisecting phi' (the golden steps took 616 rows in 45
-        # calls, one scan per x 1,549 rows in 74 calls, and the quadrature
-        # before the rule 4,152 rows)
+        # weibull(4): 333 rows in 13 calls, the 15 x sharing their scan
+        # grids and taking 5 Newton steps, each one phi' and one phi'' call
+        # (bisecting phi' took 594 rows in 42 calls, the golden steps 616
+        # rows in 45 calls, one scan per x 1,549 rows in 74 calls, and the
+        # quadrature before the rule 4,152 rows)
         calls = []
         inner = oracles._hermite_rows
 
-        def counted(m, lams, slope):
+        def counted(m, lams, order):
             calls.append(lams.size)
-            return inner(m, lams, slope)
+            return inner(m, lams, order)
 
         phi = oracles.weibull(4.0).mgf_exponent
         monkeypatch.setattr(oracles, "_hermite_rows", counted)
         conjugate(phi, np.linspace(1.0, 8.0, 15))
-        assert (len(calls), sum(calls)) == (42, 594)
+        assert (len(calls), sum(calls)) == (13, 333)
 
 
 def _bump_with_derivative(a, shift, depth, centre, width):
@@ -1966,3 +2046,124 @@ class TestOneRoot:
         _assert_batch_matches_reference(f, xs)
         golden, _, _ = conjugate_values(_bump(a, shift, depth, centre, width), xs)
         np.testing.assert_allclose(conjugate_values(f, xs)[0], golden, rtol=1e-13, atol=1e-14)
+
+
+def _root_steps(monkeypatch, f, xs):
+    """conjugate_values(f, xs) with its root search watched: returns
+    whether the search was handed a Newton step (a finite one) and the steps
+    each row took, or None where no root search ran."""
+    seen = []
+    inner = functions._bisect_rows
+
+    def spy(a, b, below, steps, rel=0.0):
+        count, newton = np.zeros(np.size(a), dtype=int), [False]
+
+        def counted(rows, t):
+            count[rows] += 1
+            ok, step = below(rows, t)
+            newton[0] |= bool(np.isfinite(step).any())
+            return ok, step
+
+        seen.append((newton, count))
+        return inner(a, b, counted, steps, rel)
+
+    monkeypatch.setattr(functions, "_bisect_rows", spy)
+    conjugate_values(f, xs)
+    monkeypatch.undo()
+    assert len(seen) <= 1
+    return (seen[0][0][0], seen[0][1]) if seen else None
+
+
+class TestNewtonRoot:
+    """With phi'' the root of phi'(lam) = x takes Newton steps: about five
+    per table, where halvings took about 42."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(p=st.floats(min_value=1.0, max_value=6.0), r=st.floats(min_value=0.0, max_value=2.0),
+           lam=st.floats(min_value=1e-3, max_value=1e3))
+    def test_power_log_second_derivative_against_mpmath(self, p, r, lam):
+        # by the log-derivative g = p/lam + h, h = r/(L (e + lam)), L = ln(e + lam):
+        # phi'' = phi (g^2 + g'), g' = -p/lam^2 - r (1 + L)/(L (e + lam))^2,
+        # with g^2 - p/lam^2 expanded so that nothing cancels at p = 1;
+        # measured within 7e-16 relative on 3,000 random draws
+        got = PhiFunction.power_log(p, r, 0.0).second_derivatives(np.array([lam]))[0]
+        with mp.workdps(30):
+            t, big = mp.mpf(lam), mp.log(mp.e + lam)
+            h = r / (big * (mp.e + t))
+            want = (t ** p * big ** r / p) * (p * (p - 1) / t ** 2 + 2 * p * h / t + h * h
+                                              - r * (1 + big) / (big * (mp.e + t)) ** 2)
+        assert abs(got - float(want)) <= 1e-14 * abs(float(want))
+
+    def test_second_derivatives_keep_shape_and_check_the_domain(self):
+        f = PhiFunction.power_log(2.0, 1.0, 1.0, 5.0)
+        lams = np.linspace(1.0, 4.0, 6).reshape(2, 3)
+        got = f.second_derivatives(lams)
+        assert got.shape == (2, 3)
+        assert got.tobytes() == np.array([f.deriv2(t) for t in lams.ravel().tolist()]).tobytes()
+        with pytest.raises(OutOfDomainError):
+            f.second_derivatives([2.0, 5.0, 0.5])
+        with pytest.raises(InputError, match="no second derivative"):
+            PhiFunction.quadratic().second_derivatives([1.0])
+        # a callable not declared vectorized is called once per point
+        g = PhiFunction.from_callable(lambda t: t * t, 0.0, 9.0, deriv=lambda t: 2.0 * t,
+                                      deriv2=lambda t: 2.0, convex=True)
+        assert g.second_derivatives(lams).tolist() == np.full((2, 3), 2.0).tolist()
+
+    @pytest.mark.parametrize("p, r", ROOT_FAMILIES)
+    def test_values_match_mpmath(self, p, r, mp_roots):
+        # within 8 ulp of max(|lam x|, phi(lam)), as Brent's values are
+        f = PhiFunction.power_log(p, r, 0.0)
+        got, lam, errors = conjugate_values(f, ROOT_XS)
+        assert not errors
+        with mp.workdps(30):
+            for x, v, l in zip(ROOT_XS, got.tolist(), lam.tolist()):
+                t = mp_roots[p, r, x]
+                want = t * x - t ** mp.mpf(p) * mp.log(mp.e + t) ** mp.mpf(r) / p
+                assert float(abs(v - want)) <= 8.0 * math.ulp(max(abs(l * x), f.value(l)))
+
+    def test_exponential_values_match_mpmath(self):
+        # -ln(1 - lam) has its maximizer 1 - 1/x and the conjugate x - 1 - ln x
+        f = oracles.exponential_unit().mgf_exponent
+        xs = np.linspace(1.5, 8.0, 14)
+        got, lam, errors = conjugate_values(f, xs)
+        assert not errors
+        with mp.workdps(30):
+            for x, v, l in zip(xs.tolist(), got.tolist(), lam.tolist()):
+                want = x - 1 - mp.log(x)
+                assert float(abs(v - want)) <= 8.0 * math.ulp(max(abs(l * x), f.value(l)))
+                assert abs(l - (1.0 - 1.0 / x)) <= 1e-13
+
+    def test_a_power_log_table_ends_within_6_steps(self, monkeypatch):
+        # 2,000 x of power_log(2, 1): 42 halvings over 82,350 phi' rows before
+        newton, steps = _root_steps(monkeypatch, PhiFunction.power_log(2.0, 1.0),
+                                    np.linspace(0.01, 20.0, 2000))
+        assert newton and steps.max() <= 6
+        assert steps.sum() < 10_000
+
+    @pytest.mark.parametrize("name", ["exponential", "weibull2", "weibull4"])
+    def test_every_suite_law_ends_within_6_steps(self, name, monkeypatch):
+        # the battery's 15 x; the Gaussian's conjugate has a closed form and
+        # the Pareto law has no exponent
+        newton, steps = _root_steps(monkeypatch, oracles.suite()[name].mgf_exponent,
+                                    np.linspace(1.0, 8.0, 15))
+        assert newton and steps.max() <= 6
+
+    def test_a_settled_x_below_the_first_slope_ends_within_2_steps(self, monkeypatch):
+        # phi'(1) = 1.45 for power_log(2, 1) on [1, inf): x = 0.5 and 1 peak
+        # at lo, and probing just inside it settles them
+        f = PhiFunction.power_log(2.0, 1.0)
+        xs = [0.5, 1.0]
+        newton, steps = _root_steps(monkeypatch, f, xs)
+        assert newton and steps.tolist() == [2, 2]
+        _, arg, _ = conjugate_values(f, xs)
+        assert arg.tolist() == [1.0, 1.0]
+
+    def test_without_phi2_the_search_halves_and_without_phi1_it_is_brent(self, monkeypatch):
+        f = PhiFunction.power_log(2.0, 1.0, 0.0)
+        xs = np.linspace(0.5, 12.0, 24)
+        newton, steps = _root_steps(monkeypatch, dataclasses.replace(f, deriv2=None), xs)
+        assert not newton and steps.min() >= 40
+        # no root search at all without phi', phi'' or not
+        assert _root_steps(monkeypatch, dataclasses.replace(f, deriv=None), xs) is None
+        halved, _, _ = conjugate_values(dataclasses.replace(f, deriv2=None), xs)
+        np.testing.assert_allclose(conjugate_values(f, xs)[0], halved, rtol=1e-14)

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -177,8 +177,10 @@ class TestAbsorption:
 
 def _absorb_one_at_a_time(phi, c1, m_bound, w_lo, moves=None):
     """The absorption the batched one replaced: every test of every lambda a
-    scalar call, in grid order.  Appends each lambda where c2 moves to
-    ``moves``."""
+    scalar call, in grid order.  Where phi falls, a lambda can fail again
+    below its critical dilation once c2 has dropped: then lam1 is refused,
+    as the dilation search refuses it.  Appends each lambda where c2 moves
+    to ``moves``."""
     lnM = math.log(m_bound)
     tol = 1e-9
     if lnM <= 0.0:
@@ -220,6 +222,8 @@ def _absorb_one_at_a_time(phi, c1, m_bound, w_lo, moves=None):
             if c2 <= 1e-10:
                 ok = False
                 break
+        if ok and any(val_at(c2, t) > val_at(c1, t) - lnM + tol for t in lams.tolist()):
+            ok = False
         if not ok:
             continue
         if not math.isfinite(b):
@@ -266,6 +270,9 @@ class TestBatchedAbsorption:
     @settings(max_examples=40)
     @given(phi=ABSORB_FAMILIES, c1=st.floats(0.05, 1.5), m_bound=st.floats(1.01, 1e3),
            start=st.floats(0.0, 1.0))
+    # from w_lo = 1, lam1 = 2 walks c2 down to 0.3148, where a lambda that held
+    # at a larger c2 fails: lam1 = 4 absorbs instead
+    @example(phi=_wavy(3.614, 2.173), c1=1.39, m_bound=896.7, start=0.5)
     def test_equals_one_at_a_time(self, phi, c1, m_bound, start):
         lo, top = phi.domain.lo, phi.domain.top()
         w_lo = lo + start * 0.5 * (min(top, lo + 4.0) - lo)
@@ -344,16 +351,23 @@ class TestLargestDilation:
     @settings(max_examples=60, deadline=None)
     @given(phi=DILATION_FAMILIES, at=st.floats(0.05, 0.9),
            c1=st.one_of(st.none(), st.floats(0.05, 1.5)), m_bound=st.floats(1.01, 1e3))
+    # the absorption's lam1 = 2 from TestBatchedAbsorption's example: its least
+    # critical dilation 0.3148 fails at a lambda whose own lies above it
+    @example(phi=_wavy(3.614, 2.173), at=0.2, c1=1.39, m_bound=896.7)
     def test_equals_each_lambda_bisected(self, phi, at, c1, m_bound):
         lo, top = phi.domain.lo, phi.domain.top()
         start = max(lo, 0.5) + at * (min(top, 8.0) - max(lo, 0.5))
         lams, ceiling, c_lo, c_top = _dilation_problem(phi, start, c1, math.log(m_bound))
         got = _largest_dilation(phi, lams, ceiling, c_lo, c_top)
         crits = _critical_dilations(phi, lams, ceiling, c_lo, c_top)
+        # refused where the least critical dilation is too small, or a
+        # lambda fails there, below its own
+        least = crits.min()
+        refused = least <= 1e-10 or not np.all(_values_at(phi, least, lams) <= ceiling)
         if phi.label != "wavy":  # the other families are nondecreasing
-            assert got == (crits.min() if crits.min() > 1e-10 else None)
+            assert got == (None if refused else least)
         elif got is None:
-            assert crits.min() <= 1e-10
+            assert refused
         else:
             # a falling phi can fail below a lambda's critical dilation: c is
             # still one of them, and every lambda failing at c was bisected

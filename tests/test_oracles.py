@@ -262,8 +262,10 @@ class TestBatchedWeibullLogMgf:
                                np.geomspace(_switch(m)[1], 1e6, chunk + 9)])
         vals = np.array([phi.value(l) for l in lams.tolist()])
         slopes = np.array([phi.derivative(l) for l in lams.tolist()])
+        curvs = np.concatenate([phi.second_derivatives([l]) for l in lams.tolist()])
         assert phi.values(lams).tobytes() == vals.tobytes()
         assert phi.derivatives(lams).tobytes() == slopes.tobytes()
+        assert phi.second_derivatives(lams).tobytes() == curvs.tobytes()
 
     def test_m2_against_closed_form(self):
         lams = np.geomspace(0.1, 200.0, 40)
@@ -351,16 +353,19 @@ def _mp_series_coefficient(m, k):
 
 @functools.lru_cache(maxsize=None)
 def _mp_weibull(m, lam):
-    """ln E e^{lam X} and its slope for the tail exp(-x^m), at 50 digits,
-    or 30 past the magnitude of lam times the tilted peak.
+    """ln E e^{lam X}, its slope and its second derivative for the tail
+    exp(-x^m), at 50 digits, or 30 past the magnitude of lam times the
+    tilted peak.
 
     Where the tilted peak lies fewer than ten standard deviations s above 0,
     the moment series, summed until its terms fall below 1e-55 of the sum.
     Elsewhere the density integrated over 120 panels s wide, from the peak
     -60 s (or 0) to +60 s, by 12-node Gauss-Legendre on each; the mass
     outside is below e^-1700 of the total.  The density's x^(m-1) is not
-    smooth at 0, hence the ten widths.  Cached: value and slope share one
-    integral.
+    smooth at 0, hence the ten widths.  The second derivative is the tilted
+    variance: (E k(k-1) - (E k)^2)/lam^2 over the series' normalized terms,
+    whose k = 1 term drops out for small lam, or the variance of x under
+    the integral.  Cached: the three share one sum.
     """
     peak = (lam / m) ** (1 / (m - 1))
     with mp.workdps(max(50, 30 + int(math.log10(max(peak * lam, 1.0))))):
@@ -375,22 +380,25 @@ def _mp_weibull(m, lam):
                 break
         s = 1 / mp.sqrt(curv)
         if x < 10 * s:
-            total = first = mp.mpf(0)
+            total = first = second = mp.mpf(0)
             log_lam = mp.log(lam)
             k = 0
             while True:
                 t = mp.exp(_mp_series_coefficient(m, k) + k * log_lam)
                 total += t
                 first += k * t
+                second += k * (k - 1) * t
                 if k > 10 and t < total * mp.mpf(10) ** -55:
-                    return float(mp.log(total)), float(first / (lam * total))
+                    mean = first / total
+                    return (float(mp.log(total)), float(mean / lam),
+                            float((second / total - mean * mean) / (lam * lam)))
                 k += 1
 
         def expo(t):
             return (m - 1) * mp.log(t) + lam * t - t ** power
 
         shift = expo(x)
-        den = num = mp.mpf(0)
+        den = num = num2 = mp.mpf(0)
         for j in range(-60, 60):
             a, b = max(x + j * s, 0), x + (j + 1) * s
             if b <= 0:
@@ -401,7 +409,10 @@ def _mp_weibull(m, lam):
                 e = w * h * mp.exp(expo(y) - shift)
                 den += e
                 num += e * y
-        return float(mp.log(m) + shift + mp.log(den)), float(num / den)
+                num2 += e * y * y
+        mean = num / den
+        return (float(mp.log(m) + shift + mp.log(den)), float(mean),
+                float(num2 / den - mean * mean))
 
 
 def _count_rule_rows(monkeypatch):
@@ -409,9 +420,9 @@ def _count_rule_rows(monkeypatch):
     rows = []
     real = oracles._hermite_rows
 
-    def counted(m, lams, slope):
+    def counted(m, lams, order):
         rows.append(lams.size)
-        return real(m, lams, slope)
+        return real(m, lams, order)
 
     monkeypatch.setattr(oracles, "_hermite_rows", counted)
     return rows
@@ -466,14 +477,19 @@ class TestWeibullMomentSeries:
         assert np.any(terms > oracles._SERIES_TERMS)
         vals = np.array([phi.value(l) for l in lams.tolist()])
         slopes = np.array([phi.derivative(l) for l in lams.tolist()])
+        curvs = np.concatenate([phi.second_derivatives([l]) for l in lams.tolist()])
         assert phi.values(lams).tobytes() == vals.tobytes()
         assert phi.derivatives(lams).tobytes() == slopes.tobytes()
+        assert phi.second_derivatives(lams).tobytes() == curvs.tobytes()
 
     @pytest.mark.parametrize("m", SHAPES)
     def test_slope_at_zero_is_the_mean(self, m):
         phi = oracles.weibull(m).mgf_exponent
         assert phi.derivative(0.0) == math.gamma(1.0 + 1.0 / m)
         assert phi.value(0.0) == 0.0
+        # and its second derivative the variance
+        mean = math.gamma(1.0 + 1.0 / m)
+        assert phi.second_derivatives([0.0])[0] == math.gamma(1.0 + 2.0 / m) - mean * mean
 
     def test_below_the_switch_takes_no_rule_row(self, monkeypatch):
         rows = _count_rule_rows(monkeypatch)
@@ -554,6 +570,55 @@ class TestWeibullHermiteRule:
         slopes = oracles._weibull_log_mgf_deriv(m, lams)
         assert sum(rows) == 2 * lams.size
         assert np.all(np.diff(vals) > 0) and np.all(np.diff(slopes) > 0)
+
+
+def _peak_widths(m, lam):
+    """How many widths s the tilted peak (lam/m)^(1/(m-1)) lies above 0."""
+    with mp.workdps(30):
+        xh = (mp.mpf(lam) / m) ** (1 / mp.mpf(m - 1))
+        return float(xh / ((m - 1) / xh ** 2 + m * (m - 1) * xh ** (m - 2)) ** -0.5)
+
+
+# rows whose peak lies 1e12 widths or more above 0, where the rule's phi''
+# reads nan: m = 1.05, 1.1 and 1.2 at lam = 1e6, 1.2 at 7.3e5, 1.05 at 8.7e7
+FAR_PEAK_ROWS = [row for row in NEAR_ZERO_PEAK_ROWS if _peak_widths(*row) >= 1e12]
+
+
+class TestWeibullSecondDerivative:
+    """phi'' only steers the conjugate's root search; it is still checked
+    against mpmath, on every row the value and slope are checked on."""
+
+    @pytest.mark.parametrize("m,lam", [row for row in MOMENT_SERIES_ROWS + NEAR_ZERO_PEAK_ROWS
+                                       if row not in FAR_PEAK_ROWS])
+    def test_against_mpmath(self, m, lam, mp_refs):
+        # series rows measured within 1.7e-13 relative; rule rows within
+        # 1.5e-16 relative per width s the peak xh lies above 0 (7.1e-8 at
+        # m = 1.5, lam = 1e6, 4.7e8 widths), as the rule's exponent carries
+        # a rounding error of about 1e-16 xh/s at its nodes
+        got = oracles.weibull(m).mgf_exponent.second_derivatives([lam])[0]
+        tol = 1e-12 + 3e-16 * _peak_widths(m, lam)
+        assert got == pytest.approx(mp_refs[m, lam][2], rel=tol, abs=0.0)
+
+    @pytest.mark.parametrize("m,lam", FAR_PEAK_ROWS)
+    def test_far_above_zero_it_is_nan(self, m, lam):
+        # there the rule's variance has no digit left (37 times too large
+        # at m = 1.2, lam = 1e6)
+        assert math.isnan(oracles.weibull(m).mgf_exponent.second_derivatives([lam])[0])
+
+    def test_far_above_zero_the_root_search_halves(self):
+        # with the rule's phi'' the steps there are 37 times too short: the
+        # search ran into its 100-step cap, its argmax 1.9e-9 relative off
+        phi = oracles.weibull(1.2).mgf_exponent
+        arg = conjugate(phi, [phi.derivative(1e6)]).argmax[0]
+        assert abs(arg - 1e6) <= 1e-13 * 1e6
+
+    def test_exponential_against_mpmath(self):
+        phi = oracles.exponential_unit().mgf_exponent
+        lams = np.append(np.linspace(0.0, 0.999, 40), [1.0 - 1e-9, phi.domain.top()])
+        got = phi.second_derivatives(lams)
+        with mp.workdps(30):
+            want = [float(1 / (1 - mp.mpf(t)) ** 2) for t in lams.tolist()]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
 class TestWeibullNearZeroPeak:
@@ -747,6 +812,16 @@ class TestSampling:
     def test_different_seeds_differ(self):
         g = oracles.gaussian()
         assert not np.array_equal(g.sample(1, 1024), g.sample(2, 1024))
+
+    @pytest.mark.parametrize("seed", [1, 42, 2 ** 100 + 7])
+    def test_in_place_stream_equals_the_expression(self, seed):
+        # the shift, conversion and scaling run in place; the expression
+        # they replaced builds three temporaries
+        from numpy.random import Philox
+
+        raw = Philox(key=seed).random_raw(200_000)
+        want = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        assert oracles.uniform_stream(seed, 200_000).tobytes() == want.tobytes()
 
     def test_uniforms_open_interval(self):
         u = oracles.uniform_stream(99, 100_000)
