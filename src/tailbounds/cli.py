@@ -311,10 +311,11 @@ def cmd_moments(args) -> tuple[dict, list]:
 
 def cmd_tauber(args) -> tuple[dict, list]:
     dists = suite()
-    dists["gaussian"] = gaussian(args.scale)
     if args.dist not in dists:
         raise InputError(f"unknown distribution {args.dist!r}")
-    dist = dists[args.dist]
+    if args.scale != 1.0 and args.dist != "gaussian":
+        raise InputError(f"--scale {args.scale!r}: only the gaussian takes a scale")
+    dist = gaussian(args.scale) if args.dist == "gaussian" else dists[args.dist]
     phi = PhiFunction.quadratic(lo=0.0) if args.reference == "quadratic" \
         else build_function(args)
     seed = resolve_seed(args)
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tauber", help="two-sided limit diagnostic")
     add_function_args(p); add_io_args(p)
     p.add_argument("--dist", default="gaussian")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=float, default=1.0, help="the gaussian's standard deviation")
     p.add_argument("--reference", default="quadratic",
                    help="'quadratic' for the subgaussian reference, else the --family")
     p.add_argument("--mc", action="store_true")

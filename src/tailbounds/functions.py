@@ -25,6 +25,7 @@ from .errors import (
     InputError,
     NegativeInputError,
     NotCertifiedError,
+    NotConvergedError,
     OutOfDomainError,
     TailboundsError,
     UnboundedObjectiveError,
@@ -617,11 +618,11 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     ladder.  Each scan bracket is then narrowed: where ``f`` has a
     derivative, to the root of f'(lam) = x at 1e-13 relative width, by
     Newton steps where ``f`` also has ``deriv2``, else by halvings
-    (:func:`_slope_roots`; where no end moves, the bracket shrinks to the
-    scan's point), otherwise by Brent's parabolic and golden steps
-    (:func:`_brent_section`), one ``values`` call per step for all of
-    them.  One ``values`` call gives a
-    root's bracket its two inner points, too close for a step; the
+    (:func:`_slope_roots`; where no end of a closed bracket moves, it
+    shrinks to the scan's point, and an open one is NotConvergedError),
+    otherwise by Brent's parabolic and golden steps (:func:`_brent_section`),
+    one ``values`` call per step for all of them.  One ``values`` call
+    gives a root's bracket its two inner points, too close for a step; the
     better, the larger on a tie, is its best point.  One array pick then
     ends every search: the best point, unless the scan's point is strictly
     better.
@@ -667,8 +668,10 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     ks, bx = ks[go], x_arr[ks[go]]
     a, b, lam, flam = (row[go] for row in (a, b, lam, flam))
     if f.deriv is not None:
-        # the root of f'(lam) = x; where no end moved, the scan's point stands
-        a2, b2 = _slope_roots(f, a, b, bx)
+        # the root of f'(lam) = x; where no end of a closed bracket moved,
+        # the scan's point stands (an open one is an error, NaN below)
+        a2, b2, stuck = _slope_roots(f, a, b, bx)
+        errors.update((int(ks[j]), exc) for j, exc in stuck.items())
         settled = (a2 == a) | (b2 == b)
         a, b = np.where(settled, lam, a2), np.where(settled, lam, b2)
 
@@ -683,6 +686,7 @@ def conjugate_values(f: PhiFunction, xs: Sequence[float]) -> tuple[np.ndarray, n
     scan = flam > best
     vals[ks] = np.where(scan, flam, best)
     arg[ks] = np.where(np.isnan(best), math.nan, np.where(scan, lam, at))
+    vals[list(errors)] = arg[list(errors)] = math.nan
     return vals, arg, errors
 
 
@@ -921,13 +925,14 @@ def _bisect_rows(a, b, below, steps, rel=0.0):
     return a, b
 
 
-def _slope_roots(f: PhiFunction, a, b, xs) -> tuple[np.ndarray, np.ndarray]:
+def _slope_roots(f: PhiFunction, a, b, xs) -> tuple[np.ndarray, np.ndarray, dict]:
     """The bracket [a, b] of the root of f'(lam) = x for each row of ``xs``:
     :func:`_bisect_rows` of f'(lam) <= x, 100 steps at most and down to
     1e-13 relative width, by Newton steps on f'' where ``f`` has
     ``deriv2``, else by halvings.  f'' only steers, and the bracket
     decides the root: a NaN or non-positive f'' gives a midpoint, and an
-    inaccurate one costs steps (one many times too large, up to the cap)."""
+    inaccurate one costs steps (one many times too large, up to the cap).
+    Returns (a, b) and, by row, the NotConvergedError of each left open."""
 
     def below(rows, t):
         d = f.derivatives(t)
@@ -936,7 +941,11 @@ def _slope_roots(f: PhiFunction, a, b, xs) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(all="ignore"):
             return d <= xs[rows], (xs[rows] - d) / f.second_derivatives(t)
 
-    return _bisect_rows(a, b, below, 100, 1e-13)
+    a, b = _bisect_rows(a, b, below, 100, 1e-13)
+    wide = np.flatnonzero(b - a > 1e-13 * np.maximum(1.0, np.abs(b)))
+    return a, b, {j: NotConvergedError(
+        f"the root of phi'(lam) = {float(xs[j])!r} is still in [{float(a[j])!r}, "
+        f"{float(b[j])!r}] after 100 steps") for j in wide.tolist()}
 
 
 def _grow_rows(b, below, limit):

@@ -74,7 +74,7 @@ def _saddle_inverse(phi2: PhiFunction, zs: np.ndarray, mus: np.ndarray,
     with a derivative, no z below phi2'(lo) has a t; a z whose conjugate
     stops at ``LAMBDA_CAP``, or is refused there, goes on from the cap: its
     bracket doubles while phi2' <= z, at most 200 times (else it has no t),
-    and the root of phi2'(t) = z bisects in it.
+    and the root of phi2'(t) = z bisects in it, NotConvergedError if left open.
     """
     if phi2.convex and phi2.deriv is not None:
         dlo = float(phi2.deriv(max(phi2.domain.lo, 1e-12)))
@@ -86,9 +86,10 @@ def _saddle_inverse(phi2: PhiFunction, zs: np.ndarray, mus: np.ndarray,
                              lambda rows, t: ~(phi2.derivatives(t) > zs[past[rows]]), 200)
         errors.update((i, OutOfDomainError(float(zs[i]), dlo, float(phi2.deriv(t))))
                       for i, t in zip(past[grow].tolist(), b[grow].tolist()))
-        a, b = _slope_roots(phi2, np.full(past.size, LAMBDA_CAP), np.where(grow, LAMBDA_CAP, b),
-                            zs[past])
+        a, b, stuck = _slope_roots(phi2, np.full(past.size, LAMBDA_CAP),
+                                   np.where(grow, LAMBDA_CAP, b), zs[past])
         mus[past] = 0.5 * (a + b)
+        errors.update((int(past[j]), exc) for j, exc in stuck.items())
         errors.update((i, OutOfDomainError(float(zs[i]), dlo, math.inf))
                       for i in np.flatnonzero(dlo > zs).tolist())
         mus[list(errors)] = math.nan

@@ -1,7 +1,7 @@
 """Ground truth for validation: reference laws, quadrature, seeded sampling,
 and the battery that checks every envelope against a law.
 
-Each reference distribution carries an exact tail, an exact (closed-form,
+Each reference distribution carries an exact log tail, an exact (closed-form,
 series or Gauss-Hermite) log-MGF with its domain, and a deterministic
 sampler.  Sampling is inverse-transform from Philox4x64-10 counter-based
 raw output, so streams are reproducible bit-for-bit for a given seed.
@@ -414,14 +414,14 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OracleDistribution:
-    """A reference law with exact tail, exact log-MGF, and seeded sampler.
+    """A reference law with exact log tail, exact log-MGF, and seeded sampler.
 
-    ``density`` and ``log_tail`` map float arrays elementwise, so quadrature
-    and the exponential tail function evaluate them a panel at a time.
+    ``density`` and ``log_tail`` (ln T, the law's one statement of its tail)
+    map float arrays elementwise, so quadrature and the exponential tail
+    function evaluate them a panel at a time.
     """
 
     name: str
-    tail: Callable[[float], float]  # two-sided tail per max(P(X>=x), P(X<-x))
     inverse_cdf: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     density: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     log_tail: Callable[[np.ndarray], np.ndarray] = field(compare=False)
@@ -430,9 +430,8 @@ class OracleDistribution:
     nonnegative: bool = True
 
     def exact_tail(self, x) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.array([self.tail(float(t)) for t in xs])
-        return out if np.ndim(x) else float(out[0])
+        out = np.exp(self.log_tail(np.asarray(x, dtype=float)))
+        return out if np.ndim(x) else float(out)
 
     def sample(self, seed: int, n: int) -> np.ndarray:
         return self.inverse_cdf(uniform_stream(seed, n))
@@ -442,11 +441,6 @@ class OracleDistribution:
         return PhiFunction.from_callable(lambda x: -self.log_tail(x), 0.0, math.inf,
                                          convex=None, label=f"neglog-tail[{self.name}]",
                                          vectorized=True)
-
-
-def _mixture_log_tail(x, w: float, a: float, b: float):
-    t = np.logaddexp(math.log(w) + log_ndtr(-x / a), math.log(1 - w) + log_ndtr(-x / b))
-    return np.where(x > 0, t, 0.0)
 
 
 def _normal_density(x, s: float):
@@ -460,7 +454,6 @@ def gaussian(scale: float = 1.0) -> OracleDistribution:
     s = float(scale)
     return OracleDistribution(
         name=f"gaussian(scale={s})" if s != 1.0 else "gaussian",
-        tail=lambda x, s=s: _phi_q(x / s) if x > 0 else (1.0 if x <= 0 else 0.5),
         inverse_cdf=lambda u, s=s: s * ndtri(u),
         cramer=True,
         mgf_exponent=PhiFunction.quadratic(coeff=0.5 * s * s, lo=0.0),
@@ -474,7 +467,6 @@ def exponential_unit() -> OracleDistribution:
     """Exponential(1): tail exp(-x), log-MGF -ln(1-lam) on [0, 1)."""
     return OracleDistribution(
         name="exponential",
-        tail=lambda x: math.exp(-x) if x > 0 else 1.0,
         inverse_cdf=lambda u: -np.log1p(-u),
         cramer=True,
         log_tail=lambda x: -np.maximum(x, 0.0),
@@ -750,7 +742,6 @@ def weibull(m: float) -> OracleDistribution:
         )
     return OracleDistribution(
         name=f"weibull({mm})",
-        tail=lambda x, mm=mm: math.exp(-x ** mm) if x > 0 else 1.0,
         inverse_cdf=lambda u, mm=mm: (-np.log1p(-u)) ** (1.0 / mm),
         cramer=bool(mm >= 1.0),
         log_tail=lambda x, mm=mm: -(np.maximum(x, 0.0) ** mm),
@@ -767,7 +758,6 @@ def pareto(alpha: float) -> OracleDistribution:
     a = float(alpha)
     return OracleDistribution(
         name=f"pareto({a})",
-        tail=lambda x, a=a: min(1.0, x ** -a) if x > 0 else 1.0,
         inverse_cdf=lambda u, a=a: (1.0 - u) ** (-1.0 / a),
         cramer=False,
         log_tail=lambda x, a=a: -a * np.log(np.maximum(x, 1.0)),
@@ -810,10 +800,10 @@ def gaussian_scale_mixture(weight: float, s1: float, s2: float) -> OracleDistrib
 
     return OracleDistribution(
         name=f"gauss-mixture(w={w},s1={a},s2={b})",
-        tail=lambda x: w * _phi_q(x / a) + (1 - w) * _phi_q(x / b) if x > 0 else 1.0,
         inverse_cdf=icdf,
         cramer=True,
-        log_tail=lambda x: _mixture_log_tail(x, w, a, b),
+        log_tail=lambda x: np.where(
+            x > 0, np.logaddexp(lw + log_ndtr(-x / a), l1w + log_ndtr(-x / b)), 0.0),
         mgf_exponent=PhiFunction.from_callable(
             exponent, 0.0, math.inf, deriv=exponent_deriv, convex=True,
             label="gauss-mixture-exponent", slope_lim=math.inf, vectorized=True,
@@ -845,16 +835,9 @@ def empirical_tail(samples: np.ndarray, x_grid) -> dict:
     if s.size == 0:
         raise InputError("need at least one sample")
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    n = s.size
-    z = 1.959963984540054
-    frac = np.empty(xs.size)
-    half = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        k = int(np.count_nonzero(s >= x))
-        p = k / n
-        denom = 1.0 + z * z / n
-        frac[i] = p
-        half[i] = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+    n, z = s.size, 1.959963984540054
+    frac = np.array([np.count_nonzero(s >= x) for x in xs.tolist()]) / n
+    half = z * np.sqrt(frac * (1 - frac) / n + z * z / (4 * n * n)) / (1.0 + z * z / n)
     return {"x": xs, "fraction": frac, "wilson_halfwidth": half, "n": n}
 
 
@@ -868,9 +851,10 @@ def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
 
     Returns ``{check: {"pass": bool, **info}}``.  Every envelope (the
     Chernoff upper, the unilateral chain, the closure, both sides of the
-    exact-MGF sandwich) is compared with the exact tail in one place: it
-    passes when it lies on its side of the tail to within 1e-12, and its
-    ``min_margin`` is its least distance from the tail on that side.  A
+    exact-MGF sandwich) is compared with ln T in one place: it passes when it
+    lies on its side to within 1e-12 max(1, |ln T|) nats, and its
+    ``min_log_margin`` is its least gap in nats on that side (+inf where it
+    and ln T are both -inf; the sandwich's is the least of its sides).  A
     package error in the unilateral chain, the closure or the exact-MGF
     sandwich fails that check with its message; any other error
     propagates.  The sample is drawn first, so a bad seed or sample count
@@ -888,10 +872,13 @@ def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
         checks[key] = {"pass": bool(ok), **info}
 
     def sound(env: TailEnvelope) -> tuple[bool, float]:
-        exact = dist.exact_tail(env.x)
-        if env.side == UPPER:
-            return bool(np.all(env.values >= exact - 1e-12)), float(np.min(env.values - exact))
-        return bool(np.all(env.values <= exact + 1e-12)), float(np.min(exact - env.values))
+        log_t = dist.log_tail(env.x)
+        with np.errstate(invalid="ignore"):  # -inf - -inf, set below
+            gap = env.log_values - log_t if env.side == UPPER else log_t - env.log_values
+        gap[np.isneginf(env.log_values) & np.isneginf(log_t)] = math.inf
+        # NaN fails, and so does -inf, even against the infinite slack of ln T = -inf
+        ok = (gap > -math.inf) & (gap >= -1e-12 * np.maximum(1.0, np.abs(log_t)))
+        return bool(np.all(ok)), float(np.min(gap))
 
     xs = np.linspace(1.0, 8.0, 15)
 
@@ -918,7 +905,7 @@ def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
 
         # Chernoff side
         ok, margin = sound(chernoff_envelope(xs, conjugate(phi, xs).values))
-        record("chernoff_upper", ok, min_margin=margin)
+        record("chernoff_upper", ok, min_log_margin=margin)
 
         # unilateral chain
         try:
@@ -927,7 +914,7 @@ def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
                 phi, 0.2, m_bound, xs, nonnegative=dist.nonnegative)
             ok, margin = sound(env_u)
             record("unilateral_lower", ok, dilation=cert_u.dilation, c1=cert_u.c1,
-                   c2=cert_u.c2, m_surrogate=m_bound, min_margin=margin)
+                   c2=cert_u.c2, m_surrogate=m_bound, min_log_margin=margin)
         except TailboundsError as exc:
             record("unilateral_lower", False, error=str(exc))
 
@@ -935,14 +922,15 @@ def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
         try:
             env_b, diag = closure_lower_envelope(phi, phi, xs)
             ok, margin = sound(env_b)
-            record("closure_lower", ok, all_clamped=diag.all_clamped, min_margin=margin)
+            record("closure_lower", ok, all_clamped=diag.all_clamped, min_log_margin=margin)
         except TailboundsError as exc:
             record("closure_lower", False, error=str(exc))
 
         # exact-MGF sandwich
         try:
             low_r, up_r, c2 = exact_mgf_sandwich(phi, np.linspace(2.0, 8.0, 13))
-            record("exact_mgf_sandwich", sound(low_r)[0] and sound(up_r)[0], c2=c2)
+            (ok_l, m_l), (ok_u, m_u) = sound(low_r), sound(up_r)
+            record("exact_mgf_sandwich", ok_l and ok_u, c2=c2, min_log_margin=min(m_l, m_u))
         except TailboundsError as exc:
             record("exact_mgf_sandwich", False, error=str(exc))
 

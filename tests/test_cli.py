@@ -224,6 +224,16 @@ class TestOtherCommands:
         rep = json.loads(out.read_text())
         assert rep["results"]["k_mgf"] == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("dist", ["weibull2", "exponential"])
+    def test_tauber_refuses_a_scale_for_a_law_without_one(self, dist, tmp_path, capsys):
+        # only the Gaussian takes --scale; any other law would run at its
+        # own scale 1 and ignore the flag
+        out = tmp_path / "r.json"
+        assert run(["tauber", "--dist", dist, "--scale", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "only the gaussian takes a scale" in err
+        assert not out.exists()
+
     def test_tauber_against_a_family_reference(self, tmp_path):
         # --reference family takes the --family exponent, here lam^2 against
         # the standard Gaussian's lam^2/2: the MGF-side constant is 1/sqrt(2)

@@ -19,6 +19,7 @@ from tailbounds.errors import (
     EmptyDomainError,
     InputError,
     NegativeInputError,
+    NotConvergedError,
     OutOfDomainError,
     TailboundsError,
     UnboundedObjectiveError,
@@ -2157,6 +2158,25 @@ class TestNewtonRoot:
         assert newton and steps.tolist() == [2, 2]
         _, arg, _ = conjugate_values(f, xs)
         assert arg.tolist() == [1.0, 1.0]
+
+    def test_a_bracket_open_at_the_step_cap_is_an_error(self):
+        # phi'' 37 times too large: steps 37 times too short leave each
+        # bracket 0.6% to 2.7% open after 100 steps, where the scan's grid
+        # point would be off by up to 1.9%
+        f = PhiFunction.from_callable(lambda t: t ** 1.5, 0.0, math.inf,
+                                      deriv=lambda t: 1.5 * t ** 0.5,
+                                      deriv2=lambda t: 37.0 * 0.75 * t ** -0.5,
+                                      convex=True, vectorized=True)
+        vals, arg, errors = conjugate_values(f, [2.0, 5.0, 9.0])
+        assert np.isnan(vals).all() and np.isnan(arg).all()
+        assert sorted(errors) == [0, 1, 2]
+        assert all(isinstance(e, NotConvergedError) and "after 100 steps" in str(e)
+                   for e in errors.values())
+        # with phi'' right each root closes: lam = (x / 1.5)^2
+        good = dataclasses.replace(f, deriv2=lambda t: 0.75 * t ** -0.5)
+        vals, arg, errors = conjugate_values(good, [2.0, 5.0, 9.0])
+        assert not errors
+        np.testing.assert_allclose(arg, (np.array([2.0, 5.0, 9.0]) / 1.5) ** 2, rtol=1e-12)
 
     def test_without_phi2_the_search_halves_and_without_phi1_it_is_brent(self, monkeypatch):
         f = PhiFunction.power_log(2.0, 1.0, 0.0)

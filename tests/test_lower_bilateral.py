@@ -15,6 +15,7 @@ from tailbounds.errors import (
     GeometryInvalidError,
     InputError,
     NotCertifiedError,
+    NotConvergedError,
     OutOfDomainError,
     TailboundsError,
 )
@@ -598,6 +599,16 @@ class TestSaddleInverse:
         if r == 0.0:
             np.testing.assert_allclose(mus, zs ** (1.0 / 0.3), rtol=1e-12)
         np.testing.assert_allclose(phi.derivatives(mus), zs, rtol=1e-12)
+
+    def test_past_the_cap_a_bracket_left_open_raises(self):
+        # lam^1.5 with phi'' 37 times too large: the root of phi' = 3e4, at
+        # 4e8 past the cap, is still bracketed by [1e8, 4.03e8] after 100 steps
+        phi = PhiFunction.from_callable(lambda t: t ** 1.5, 0.0, math.inf,
+                                        deriv=lambda t: 1.5 * t ** 0.5,
+                                        deriv2=lambda t: 37.0 * 0.75 * t ** -0.5,
+                                        convex=True, vectorized=True)
+        with pytest.raises(NotConvergedError, match="30000.0 is still in"):
+            _x0_inverse(phi, np.array([3e4]))
 
 
 # Scalar versions of the saddle path, one t at a time, as the geometry and

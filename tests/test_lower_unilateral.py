@@ -519,9 +519,9 @@ class TestChainAcrossOracles:
         c_tilde = cert.c2 * (1.0 - cert.eps)
         mus = np.linspace(cert.mu1, 1.0 / (1.0 - cert.eps) * (1 - 1e-12), 20000)
         branch1 = float(np.max(mus - np.array([phi.value(c_tilde * m) for m in mus])))
-        assert math.exp(-branch1) > dist.tail(1.0)   # restricted branch invalid alone
+        assert math.exp(-branch1) > dist.exact_tail(1.0)   # restricted branch invalid alone
         assert env.log_values[0] == pytest.approx(-cert.mu1, rel=1e-12)
-        assert env.values[0] <= dist.tail(1.0)       # emitted envelope is valid
+        assert env.values[0] <= dist.exact_tail(1.0)       # emitted envelope is valid
 
     def test_non_cramer_annotation(self):
         env, _ = unilateral_lower_envelope(QUAD0, 0.2, M_GAUSS, np.linspace(1, 8, 8))

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +16,7 @@ from mpmath.calculus.quadrature import GaussLegendre
 from scipy.integrate import quad
 
 from conftest import weibull_log_mgf_closed_m2
-from tailbounds import lower_unilateral, oracles
+from tailbounds import integrals, lower_unilateral, oracles
 from tailbounds.errors import (DivergentIntegral, InputError, NotCertifiedError,
                                NotConvergedError)
 from tailbounds.functions import PhiFunction, certify_convex, conjugate
@@ -688,7 +689,7 @@ class TestSuiteExactness:
         dist = oracles.suite()[name]
         for x in (1.0, 2.0, 4.0):
             val, _ = oracles.quadrature(dist.density, x, math.inf)
-            assert val == pytest.approx(dist.tail(x), abs=1e-9)
+            assert val == pytest.approx(dist.exact_tail(x), abs=1e-9)
 
     @pytest.mark.parametrize("name,lams", [
         ("gaussian", (0.5, 1.5)),
@@ -751,8 +752,10 @@ class TestBattery:
         assert all(c["pass"] for c in checks.values()), checks
 
     @pytest.mark.parametrize("stated,fails,passes", [
-        # a tail of 0 lies below every lower envelope that is not trivial
-        (0.0, ("unilateral_lower", "closure_lower", "exact_mgf_sandwich"), ("chernoff_upper",)),
+        # a tail of 1e-300 lies below every lower envelope that is not trivial
+        # (a tail of 0 would leave the exponential tail function no finite value)
+        (1e-300, ("unilateral_lower", "closure_lower", "exact_mgf_sandwich"),
+         ("chernoff_upper",)),
         # a tail of 1 lies above every upper envelope below 1
         (1.0, ("chernoff_upper", "exact_mgf_sandwich"), ("unilateral_lower", "closure_lower")),
     ])
@@ -760,11 +763,52 @@ class TestBattery:
         # the Gaussian's envelopes against a tail stated wrong: the one
         # comparison of envelope and exact tail fails each envelope on the
         # side the wrong tail crosses, and only there
-        law = dataclasses.replace(oracles.gaussian(), tail=lambda x: stated)
+        law = dataclasses.replace(oracles.gaussian(),
+                                  log_tail=lambda x: np.full(np.shape(x), math.log(stated)))
         checks = oracles.battery(law, 42, 2_000)
         assert [checks[k]["pass"] for k in fails] == [False] * len(fails), checks
         assert [checks[k]["pass"] for k in passes] == [True] * len(passes), checks
         assert all("error" not in checks[k] for k in fails + passes)
+
+    def test_a_tail_wrong_only_where_it_underflows_fails(self):
+        # weibull4's tail with 20 nats too many from x = 4, where every
+        # probability is below 1e-12: an absolute comparison of probabilities
+        # passes it, the comparison in nats fails the upper envelopes only
+        w4 = oracles.weibull(4.0)
+        law = dataclasses.replace(
+            w4, log_tail=lambda x: w4.log_tail(x) + np.where(np.asarray(x) >= 4.0, 20.0, 0.0))
+        checks = oracles.battery(law, 42, 2_000)
+        failed = sorted(k for k, c in checks.items() if not c["pass"])
+        assert failed == ["chernoff_upper", "exact_mgf_sandwich"], checks
+        assert checks["chernoff_upper"]["min_log_margin"] < 0.0
+
+    def test_margins_are_gaps_in_nats(self):
+        # the least gap of each envelope to ln T on its side; a lower bound of
+        # -inf on the exponential's tail reads +inf, and no margin is NaN
+        checks = oracles.battery(oracles.exponential_unit(), 42, 2_000)
+        margins = {k: checks[k]["min_log_margin"] for k in
+                   ("chernoff_upper", "unilateral_lower", "closure_lower",
+                    "exact_mgf_sandwich")}
+        assert all(c["pass"] for c in checks.values()), checks
+        assert margins["chernoff_upper"] == pytest.approx(1.0, rel=1e-9)
+        assert margins["closure_lower"] == math.inf
+        assert all(m > 0.1 for m in margins.values()), margins
+
+    def test_a_zero_tail_passes_only_a_zero_lower_bound(self, monkeypatch):
+        # the exponential's tail stated 0 from x = 4: the closure's lower
+        # bounds, all -inf, pass with a gap of +inf (never NaN), the chain's
+        # finite ones fail with -inf, and the Chernoff bound lies above it;
+        # the Cramer check, which needs -ln T finite, is stubbed
+        monkeypatch.setattr(oracles.OracleDistribution, "exponential_tail_fn", lambda self: None)
+        monkeypatch.setattr(integrals, "cramer_check", lambda *a, **k: SimpleNamespace(
+            certified=True, k_table={}))
+        law = dataclasses.replace(oracles.exponential_unit(), log_tail=lambda x: np.where(
+            np.asarray(x) >= 4.0, -math.inf, -np.maximum(x, 0.0)))
+        checks = oracles.battery(law, 42, 2_000)
+        assert checks["closure_lower"]["pass"] and checks["chernoff_upper"]["pass"], checks
+        assert checks["closure_lower"]["min_log_margin"] == math.inf
+        assert not checks["unilateral_lower"]["pass"]
+        assert checks["unilateral_lower"]["min_log_margin"] == -math.inf
 
     def test_an_error_fails_its_check_with_the_message(self):
         # the closure and the sandwich refuse a phi not certified convex; the
@@ -833,7 +877,7 @@ class TestSampling:
         s = dist.sample(2026, 400_000)
         for x in (1.5, 3.0):
             frac = float((s >= x).mean())
-            assert frac == pytest.approx(dist.tail(x), abs=4e-3 if frac > 1e-3 else 1e-3)
+            assert frac == pytest.approx(dist.exact_tail(x), abs=4e-3 if frac > 1e-3 else 1e-3)
 
 
 class TestExponentialExponent:
