@@ -412,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_function_args(p); add_io_args(p)
     p.add_argument("--dist", default="gaussian")
     p.add_argument("--scale", type=float, default=1.0, help="the gaussian's standard deviation")
-    p.add_argument("--reference", default="quadratic",
-                   help="'quadratic' for the subgaussian reference, else the --family")
+    p.add_argument("--reference", default="quadratic", choices=("quadratic", "family"),
+                   help="'quadratic' for the subgaussian reference, 'family' for the --family")
     p.add_argument("--mc", action="store_true")
     p.add_argument("--mc-samples", type=int, default=1_000_000)
     p.set_defaults(fn=cmd_tauber)

@@ -77,8 +77,9 @@ class PhiFunction:
     ``kind`` is one of ``quadratic``, ``power_log``, ``linear``, ``grid``,
     ``callable``.  Closed forms carry analytic derivatives built from numpy
     ufuncs, so they evaluate whole arrays, as grids (exact piecewise-linear
-    arithmetic, no extrapolation past the last knot) and callables declared
-    ``vectorized`` do; other callables are called once per point.
+    arithmetic, no extrapolation past the last knot, the right chord as
+    derivative) and callables declared ``vectorized`` do; other callables
+    are called once per point.
     Equality compares kind, domain, params and label only: two grids (or
     two callables) that differ in their knots (or bodies) may compare equal.
     """
@@ -97,8 +98,8 @@ class PhiFunction:
     label: str = ""
     # lim of f' at an unbounded top: set by each closed form, declared by a callable
     slope_lim: Optional[float] = None
-    # fn, deriv and deriv2 map float arrays elementwise: every closed form, and the
-    # callables that declare it (see from_callable)
+    # fn, deriv and deriv2 map float arrays elementwise: every closed form and grid,
+    # and the callables that declare it (see from_callable)
     vectorized: bool = field(default=False, compare=False)
 
     # -- constructors -------------------------------------------------------
@@ -209,6 +210,10 @@ class PhiFunction:
 
     @staticmethod
     def from_grid(lambdas: Sequence[float], values: Sequence[float]) -> "PhiFunction":
+        """The piecewise-linear function through the knots, on [first knot,
+        last knot]: its derivative at lam is the chord of the piece to the
+        right of lam, the last chord at the last knot, and it is convex where
+        its chords never fall, to 1e-12 of the largest."""
         lam = np.array(lambdas, dtype=float)
         val = np.array(values, dtype=float)
         if lam.ndim != 1 or lam.shape != val.shape or lam.size < 2:
@@ -225,10 +230,13 @@ class PhiFunction:
         convex = bool(np.all(np.diff(slopes) >= -1e-12 * max(1.0, np.abs(slopes).max())))
         lam.setflags(write=False)
         val.setflags(write=False)
+        last = slopes.size - 1
         return PhiFunction(
             kind="grid", domain=Domain(float(lam[0]), hi),
             knots=(lam, val),
-            convex=convex, label=f"grid[{lam.size} knots]",
+            fn=lambda l: np.interp(l, lam, val),
+            deriv=lambda l: slopes[np.minimum(np.searchsorted(lam, l, side="right") - 1, last)],
+            convex=convex, label=f"grid[{lam.size} knots]", vectorized=True,
         )
 
     @staticmethod
@@ -243,13 +251,7 @@ class PhiFunction:
         lam = float(lam)
         if not self.domain.contains(lam):
             raise OutOfDomainError(lam, self.domain.lo, self.domain.hi)
-        if self.kind == "grid":
-            ls, vs = self.knots
-            if lam > ls[-1]:
-                raise OutOfDomainError(lam, float(ls[0]), float(ls[-1]))
-            v = float(np.interp(lam, ls, vs))
-        else:
-            v = float(self.fn(lam))
+        v = float(self.fn(lam))
         if not math.isfinite(v):
             raise NegativeInputError(f"{self.label}: non-finite value at lam={lam}")
         if v < 0:
@@ -272,10 +274,7 @@ class PhiFunction:
         inside = self.domain.contains(flat)
         n = flat.size if inside.all() else int(np.argmin(inside))
         head = flat[:n]
-        if self.kind == "grid":
-            ls, vs = self.knots
-            v = np.where(head > ls[-1], math.nan, np.interp(head, ls, vs))
-        elif self.vectorized:
+        if self.vectorized:
             v = np.asarray(self.fn(head), dtype=float)
             if v.shape != head.shape:  # a scalar answer
                 v = np.broadcast_to(v, head.shape)
@@ -807,33 +806,28 @@ def _saddle_points(phi2: PhiFunction, lams) -> tuple[np.ndarray, np.ndarray, dic
     touching identity), and by index the package error of each lam without
     an x0 (NaN there).  Each lam's error is the first that applies:
     OutOfDomainError off the domain; InputError unless ``phi2`` is convex
-    with a derivative (phi2' in one ``derivatives`` call, which raises its
-    first error) or a convex grid; on a grid, OutOfDomainError naming the
-    knot span below the first knot and from the last on.  A grid's x0 is
-    the chord of the knot piece [ls[k], ls[k+1]) holding lam, the top of
-    the subdifferential (Rockafellar, *Convex Analysis*, section 24); a lam
-    less than 1e-12 max(1, |lam|) below a knot the domain holds is read at
-    that knot, its t, so mu rounded through (mu/(1 - d))(1 - d) keeps the
-    knot's chord.  Every other t is lam.
+    with a derivative; on a grid, OutOfDomainError naming the knot span
+    below the first knot and from the last on.  x0 is phi2'(t), in one
+    ``derivatives`` call, which raises its first error; t is lam, except on
+    a grid, where a lam less than 1e-12 max(1, |lam|) below a knot the
+    domain holds is read at that knot, so mu rounded through
+    (mu/(1 - d))(1 - d) keeps the knot's chord.
     """
     lams = np.asarray(lams, dtype=float).ravel()
     inside = phi2.domain.contains(lams)
-    grid = phi2.kind == "grid"
-    has_map = bool(phi2.convex and (grid or phi2.deriv is not None))
+    has_map = bool(phi2.convex and phi2.deriv is not None)
     fail = ~inside | (not has_map)
     x0s, touch = np.full(lams.size, math.nan), lams.copy()
-    if has_map and not grid:
-        x0s[inside] = phi2.derivatives(lams[inside])
-    elif has_map:
-        ls, vs = phi2.knots
-        # the first knot above lam; lam just below it is read there, on the piece it starts
-        j = np.searchsorted(ls, lams, side="right")
-        up = ls.take(j, mode="clip")
+    grid = phi2.kind == "grid"
+    if has_map and grid:
+        ls = phi2.knots[0]
+        # the first knot above lam; lam just below it is read there
+        up = ls.take(np.searchsorted(ls, lams, side="right"), mode="clip")
         snap = (up - lams < 1e-12 * np.maximum(1.0, np.abs(lams))) & phi2.domain.contains(up)
-        k = np.where(snap, j, j - 1)
-        fail |= (k < 0) | (k >= ls.size - 1)
-        x0s, touch = _chords(ls, vs).take(k, mode="clip"), np.where(snap, up, lams)
-    x0s[fail] = math.nan
+        touch = np.where(snap, up, lams)
+        fail |= (touch < ls[0]) | (touch >= ls[-1])
+    if has_map:
+        x0s[~fail] = phi2.derivatives(touch[~fail])
     no_map = ("saddle point needs a convex grid function" if grid
               else f"{phi2.label}: saddle point needs a convex phi2 with a derivative")
     errors = {i: OutOfDomainError(float(lams[i]), phi2.domain.lo, phi2.domain.hi) if not inside[i]
@@ -847,10 +841,10 @@ def _require_saddle_map(phi2: PhiFunction, message: str) -> None:
     """Refuse, before any search, the ``phi2`` whose saddle map
     :func:`_saddle_points` refuses at every lam: NotCertifiedError with
     ``message`` unless it is convexity-certified, and unless it has a
-    derivative or a grid."""
+    derivative (a grid has its right chord)."""
     if phi2.convex is not True:
         raise NotCertifiedError(message)
-    if phi2.deriv is None and phi2.kind != "grid":
+    if phi2.deriv is None:
         raise NotCertifiedError(
             f"{phi2.label}: the saddle map x0 = phi2'(lam) needs a derivative or a grid")
 

@@ -71,12 +71,13 @@ def _saddle_inverse(phi2: PhiFunction, zs: np.ndarray, mus: np.ndarray,
     ``mus`` of ``conjugate_values(phi2, zs)``; and by index the
     OutOfDomainError or InputError of each z without one (its t is NaN).
     Its other ``errors`` raise, the smallest z's first.  For a convex phi2
-    with a derivative, no z below phi2'(lo) has a t; a z whose conjugate
+    with a derivative, other than a grid (which answers a z below its first
+    chord with its first knot), no z below phi2'(lo) has a t; a z whose conjugate
     stops at ``LAMBDA_CAP``, or is refused there, goes on from the cap: its
     bracket doubles while phi2' <= z, at most 200 times (else it has no t),
     and the root of phi2'(t) = z bisects in it, NotConvergedError if left open.
     """
-    if phi2.convex and phi2.deriv is not None:
+    if phi2.convex and phi2.deriv is not None and phi2.kind != "grid":
         dlo = float(phi2.deriv(max(phi2.domain.lo, 1e-12)))
         # a z refused as unbounded stopped at the cap too
         mus[[i for i, e in errors.items() if isinstance(e, UnboundedObjectiveError)]] = LAMBDA_CAP
@@ -559,11 +560,9 @@ def exact_mgf_sandwich(
     else:
         # additive offsets scaled by the saddle-path curvature: the bracket
         # needs roughly c^2 * x0'(mu) to beat ln(mu); the slope of the
-        # saddle path at each mu by a central difference
+        # saddle path x0 = phi' at each mu by a central difference
         hs = np.array([max(1e-6, 1e-4 * max(mu, 1.0)) for mu in mus.tolist()])
-        ts = np.concatenate([mus + hs, np.maximum(mus - hs, phi.domain.lo)])
-        x0s, _, errors = _saddle_points(phi, ts)
-        _raise_first(errors, (OutOfDomainError, InputError))
+        x0s = phi.derivatives(np.concatenate([mus + hs, np.maximum(mus - hs, phi.domain.lo)]))
         slopes = (x0s[:mus.size] - x0s[mus.size:]) / (2 * hs)
         scale = np.array([
             math.sqrt(2.0 * max(math.log(max(mu, math.e)), 1.0)

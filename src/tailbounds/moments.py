@@ -17,7 +17,7 @@ import numpy as np
 
 from .envelope import LOWER, UPPER, TailEnvelope
 from .errors import InputError, NotCertifiedError
-from .functions import PhiFunction, _chords, _first_at_one, _read_csv_columns, _stars
+from .functions import PhiFunction, _first_at_one, _read_csv_columns, _stars
 from .integrals import CramerCertificate, cramer_check
 from .lower_unilateral import LowerEnvelopeCertificate, unilateral_lower_envelope
 
@@ -113,23 +113,11 @@ class ExponentPair:
     degenerate_lower: bool
 
 
-def _curve_slopes(curve: PhiFunction):
-    """c'(lam) for an array of lam in the curve's domain: on a grid the
-    chord of the piece to the right of lam, the last chord at the last
-    knot; else the curve's ``derivatives``, None without a derivative."""
-    if curve.kind == "grid":
-        ls, vs = curve.knots
-        chords = _chords(ls, vs)
-        return lambda l: chords[np.minimum(np.searchsorted(ls, l, side="right") - 1,
-                                           chords.size - 1)]
-    return None if curve.deriv is None else curve.derivatives
-
-
 def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, bool]:
     """lam*ln(curve(lam)) on the subdomain where the curve is >= 1, with
     its derivative ln c(lam) + lam*c'(lam)/c(lam) where the curve has c'
-    (:func:`_curve_slopes`), numpy ufuncs only, so that arrays and scalars
-    agree bit for bit.
+    (on a grid, its right chord), numpy ufuncs only, so that arrays and
+    scalars agree bit for bit.
 
     Truncation keeps the exponent nonnegative, matching the standing
     assumption of the exponential-level machinery; a curve never reaching 1
@@ -150,14 +138,12 @@ def _exponent_from_curve(curve: PhiFunction, label: str) -> tuple[PhiFunction, b
     def fn(l, c=curve):
         return l * np.log(c.values(l))
 
-    slopes = _curve_slopes(curve)
-
     def deriv(l, c=curve):
         v = c.values(l)
-        return np.log(v) + l * slopes(l) / v
+        return np.log(v) + l * c.derivatives(l) / v
 
     return PhiFunction.from_callable(fn, lam_star, curve.domain.hi,
-                                     deriv=None if slopes is None else deriv,
+                                     deriv=None if curve.deriv is None else deriv,
                                      convex=None, label=f"exponent[{label}]",
                                      vectorized=True), False
 

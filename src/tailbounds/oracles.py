@@ -855,8 +855,9 @@ def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
     lies on its side to within 1e-12 max(1, |ln T|) nats, and its
     ``min_log_margin`` is its least gap in nats on that side (+inf where it
     and ln T are both -inf; the sandwich's is the least of its sides).  A
-    package error in the unilateral chain, the closure or the exact-MGF
-    sandwich fails that check with its message; any other error
+    package error in the unilateral chain, the closure, the exact-MGF
+    sandwich or the Cramer check (a tail that reaches 0 has no finite
+    -ln T) fails that check with its message; any other error
     propagates.  The sample is drawn first, so a bad seed or sample count
     is refused before any quadrature runs.
     """
@@ -935,10 +936,13 @@ def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
             record("exact_mgf_sandwich", False, error=str(exc))
 
     # damped-integral finiteness of the exponential tail function
-    cert = cramer_check(dist.exponential_tail_fn(), eps_grid=(0.05, 0.2, 0.5))
-    finite_all = all(v is not None for v in cert.k_table.values())
-    record("cramer", cert.certified == dist.cramer and (finite_all or not dist.cramer),
-           certified=cert.certified, expected=dist.cramer)
+    try:
+        cert = cramer_check(dist.exponential_tail_fn(), eps_grid=(0.05, 0.2, 0.5))
+        finite_all = all(v is not None for v in cert.k_table.values())
+        record("cramer", cert.certified == dist.cramer and (finite_all or not dist.cramer),
+               certified=cert.certified, expected=dist.cramer)
+    except TailboundsError as exc:
+        record("cramer", False, error=str(exc))
 
     # empirical tail against the exact one
     ok_emp = bool(np.all(np.abs(emp["fraction"] - dist.exact_tail(emp["x"]))

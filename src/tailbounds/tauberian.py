@@ -165,7 +165,8 @@ def tauberian_check(
         keep = frac > 0
         xs = xs[keep]
         neg_log_tail = np.array([abs(math.log(t)) for t in frac[keep].tolist()])
-        details["counts"] = (frac * n_samples).astype(int).tolist()
+        # the fractions are count/n: rounding gives the count back, truncating may not
+        details["counts"] = np.rint(frac * n_samples).astype(int).tolist()
         details["n_samples"] = n_samples
         details["seed"] = seed
         if xs.size == 0:

@@ -234,6 +234,16 @@ class TestOtherCommands:
         assert err.startswith("input error: ") and "only the gaussian takes a scale" in err
         assert not out.exists()
 
+    def test_tauber_refuses_an_unknown_reference(self, tmp_path, capsys):
+        # --reference is quadratic or family: a misspelt quadratic is a
+        # usage error, not the --family default
+        out = tmp_path / "r.json"
+        assert run(["tauber", "--dist", "gaussian", "--scale", "2", "--reference", "qudratic",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "invalid choice: 'qudratic'" in err
+        assert not out.exists()
+
     def test_tauber_against_a_family_reference(self, tmp_path):
         # --reference family takes the --family exponent, here lam^2 against
         # the standard Gaussian's lam^2/2: the MGF-side constant is 1/sqrt(2)

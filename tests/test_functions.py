@@ -360,6 +360,44 @@ class TestSaddlePoint:
             assert errors == {} and x0s.tolist() == x0 and touch.tolist() == want
             assert f.values(touch).tolist() == np.interp(touch, ls, 0.5 * ls ** 2).tolist()
 
+    @pytest.mark.parametrize("convex", [True, False], ids=["convex", "dented"])
+    def test_a_grid_derivative_is_its_right_chord(self, convex):
+        # at each lam, knots and their neighbouring floats included, the
+        # chord of the piece [ls[k], ls[k+1]) holding lam, found by a scan
+        # of the knots, and the last chord at the last knot; away from the
+        # knots a convex grid's saddle map reads the same x0, and a dented
+        # grid has none
+        ls = np.array([0.5, 1.0, 2.0, 3.5, 5.0, 6.0, 9.0])
+        vs = 0.5 * ls ** 2 + (0.0 if convex else np.where(ls == 3.5, 3.0, 0.0))  # a bump at 3.5
+        g = PhiFunction.from_grid(ls, vs)
+        assert g.convex is convex
+        near = [np.nextafter(t, d) for t in ls.tolist() for d in (-math.inf, math.inf)]
+        lams = np.array(sorted({*ls.tolist(), *near, *(0.5 * (ls[1:] + ls[:-1])).tolist()}))
+        lams = lams[g.domain.contains(lams)]
+        pieces = [max(k for k in range(ls.size - 1) if ls[k] <= lam) for lam in lams.tolist()]
+        want = [float((vs[k + 1] - vs[k]) / (ls[k + 1] - ls[k])) for k in pieces]
+        assert g.derivatives(lams).tolist() == want
+        assert [g.derivative(t) for t in lams.tolist()] == want
+        mids = 0.5 * (ls[1:] + ls[:-1])
+        x0s, touch, errors = _saddle_points(g, mids)
+        if convex:
+            assert errors == {} and touch.tolist() == mids.tolist()
+            assert x0s.tolist() == g.derivatives(mids).tolist()
+        else:
+            assert {type(e) for e in errors.values()} == {InputError} and len(errors) == mids.size
+
+    def test_a_grid_refuses_a_lam_outside_its_knots(self):
+        # a domain widened past the knots by dataclasses.replace: no chord
+        # is a subgradient below the first knot or from the last on
+        ls = np.arange(1.0, 6.0)
+        g = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
+        wide = dataclasses.replace(g, domain=dataclasses.replace(g.domain, lo=0.0, hi=7.0))
+        got = _per_lam(_saddle_points(wide, [0.5, 2.5, 5.0, 6.0]))
+        assert got[1] == 2.5
+        for lam, err in zip([0.5, 5.0, 6.0], got[:1] + got[2:]):
+            assert type(err) is OutOfDomainError
+            assert str(err) == str(OutOfDomainError(lam, 1.0, 5.0))
+
     @pytest.mark.parametrize("f, lams", [
         (PhiFunction.quadratic(), [1.0, 2.5, 10.0, 300.0]),
         (PhiFunction.power_log(2.0, 1.0), [1.0, 3.0, 7.5, 40.0]),
@@ -1388,7 +1426,7 @@ class TestArrayEvaluation:
         with pytest.raises(OutOfDomainError):
             f.values([1.0, 10.0])
 
-    @pytest.mark.parametrize("kind", ["grid", "callable", "vectorized_signed"])
+    @pytest.mark.parametrize("kind", ["callable", "vectorized_signed"])
     def test_no_derivative_is_refused_by_name(self, kind):
         f = ARRAY_KINDS[kind]
         lam = f.domain.lo + 0.25

@@ -528,6 +528,18 @@ class TestExactMgfSandwich:
         assert np.all(upper.values >= tails - 1e-12)
         assert np.all(np.isfinite(lower.log_values))
 
+    def test_a_grid_from_one_certifies_x_one(self):
+        # x = 1 lies below the first chord 1.05 of a lam^2/2 grid from
+        # lam = 1: the saddle inverse reads it at the first knot, the
+        # conjugate's argmax, where phi' of a closed form would refuse it
+        ls = np.arange(10, 301) / 10
+        grid = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
+        lower, upper, c2 = exact_mgf_sandwich(grid, [1.0, 1.5, 2.0])
+        mus, errors = _x0_inverse(grid, np.array([1.0]))
+        assert errors == {} and mus.tolist() == [1.0]
+        assert np.isfinite(lower.log_values).all() and math.isfinite(c2)
+        assert np.all(lower.log_values <= upper.log_values)
+
     def test_weibull_sandwich(self):
         dist = oracles.weibull(2.0)
         xs = np.linspace(2.0, 6.0, 5)
@@ -615,7 +627,8 @@ class TestSaddleInverse:
 # the regularity report were once written: the reference for the batched
 # _saddle_points path and its touching identity, compared bit for bit.
 def _scalar_x0(phi2, t):
-    if phi2.convex and phi2.deriv is not None:
+    # a grid's chord at t may be its knot's, where the saddle map snaps t
+    if phi2.convex and phi2.deriv is not None and phi2.kind != "grid":
         return float(phi2.deriv(float(t)))
     x0s, _, errors = _saddle_points(phi2, [float(t)])
     if errors:

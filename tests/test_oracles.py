@@ -3,7 +3,6 @@
 import dataclasses
 import functools
 import math
-from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -16,7 +15,7 @@ from mpmath.calculus.quadrature import GaussLegendre
 from scipy.integrate import quad
 
 from conftest import weibull_log_mgf_closed_m2
-from tailbounds import integrals, lower_unilateral, oracles
+from tailbounds import lower_unilateral, oracles
 from tailbounds.errors import (DivergentIntegral, InputError, NotCertifiedError,
                                NotConvergedError)
 from tailbounds.functions import PhiFunction, certify_convex, conjugate
@@ -794,21 +793,22 @@ class TestBattery:
         assert margins["closure_lower"] == math.inf
         assert all(m > 0.1 for m in margins.values()), margins
 
-    def test_a_zero_tail_passes_only_a_zero_lower_bound(self, monkeypatch):
+    def test_a_zero_tail_passes_only_a_zero_lower_bound(self):
         # the exponential's tail stated 0 from x = 4: the closure's lower
         # bounds, all -inf, pass with a gap of +inf (never NaN), the chain's
         # finite ones fail with -inf, and the Chernoff bound lies above it;
-        # the Cramer check, which needs -ln T finite, is stubbed
-        monkeypatch.setattr(oracles.OracleDistribution, "exponential_tail_fn", lambda self: None)
-        monkeypatch.setattr(integrals, "cramer_check", lambda *a, **k: SimpleNamespace(
-            certified=True, k_table={}))
+        # the Cramer check, which needs -ln T finite, fails with its message
         law = dataclasses.replace(oracles.exponential_unit(), log_tail=lambda x: np.where(
             np.asarray(x) >= 4.0, -math.inf, -np.maximum(x, 0.0)))
         checks = oracles.battery(law, 42, 2_000)
+        assert set(checks) == self.CHECKS
         assert checks["closure_lower"]["pass"] and checks["chernoff_upper"]["pass"], checks
         assert checks["closure_lower"]["min_log_margin"] == math.inf
         assert not checks["unilateral_lower"]["pass"]
         assert checks["unilateral_lower"]["min_log_margin"] == -math.inf
+        assert checks["cramer"] == {
+            "pass": False,
+            "error": "neglog-tail[exponential]: non-finite value at lam=4.296875"}
 
     def test_an_error_fails_its_check_with_the_message(self):
         # the closure and the sandwich refuse a phi not certified convex; the

@@ -163,7 +163,7 @@ def _sequential_check(phi, log_mgf, tail, x_ladder=None, mc=None):
         dist, n, seed = mc
         frac = oracles.empirical_tail(dist.sample(seed, n), xs)["fraction"]
         xs, tail_vals = xs[frac > 0], frac[frac > 0]
-        details = {"counts": (frac * n).astype(int).tolist(), "n_samples": n, "seed": seed}
+        details = {"counts": np.rint(frac * n).astype(int).tolist(), "n_samples": n, "seed": seed}
     else:
         tail_vals = np.array([tail(float(x)) for x in xs])
     k_tail = np.array([_sequential_invert(lambda x: conjugate_value(phi, x)[0],
@@ -194,6 +194,18 @@ class TestLockstepInversions:
         got = tauberian_check(QREF, dist, x_ladder=ladder, monte_carlo=True,
                               n_samples=200_000, seed=7)
         assert repr(got) == repr(want)
+
+    def test_monte_carlo_counts_are_the_sample_counts(self):
+        # 7 of the 200,000 seed-7 draws of N(0, 4) reach x = 8, and 7/200000
+        # times 200000 is 6.999999999999999: the count is rounded, not truncated
+        dist = oracles.gaussian(2.0)
+        got = tauberian_check(QREF, dist, monte_carlo=True, n_samples=200_000, seed=7)
+        want = _sequential_check(QREF, dist.mgf_exponent.value, None, mc=(dist, 200_000, 7))
+        assert repr(got) == repr(want)
+        sample = dist.sample(7, 200_000)
+        xs = 2.0 * 2.0 ** (np.arange(7) / 3.0)
+        assert got.details["counts"] == [int(np.count_nonzero(sample >= x)) for x in xs]
+        assert got.details["counts"][-1] == 7
 
     @staticmethod
     def _mgf_side(phi, targets):
