@@ -47,7 +47,8 @@ def main() -> int:
         print(f"eps={eps}: dilation a={cert.dilation:.4f}")
 
     zs = np.linspace(math.e, 8.0, 8)
-    for delta in (0.02, 0.05, 0.1, 0.2):
+    deltas = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45)
+    for delta in deltas:
         try:
             _, cert = pinched_lower_envelope(phi, delta, zs)
         except TailboundsError as exc:  # report, keep sweeping
@@ -57,7 +58,7 @@ def main() -> int:
                      "extra": f"certified_from={cert.certified_from:.1f}"})
         print(f"delta={delta}: c={cert.c:.3f} certified from z={cert.certified_from:.1f}")
 
-    diag = pinch_rate_diagnostic(phi, (0.2, 0.1, 0.05, 0.02), 6.0)
+    diag = pinch_rate_diagnostic(phi, deltas, 6.0)
     rows.append({"sweep": "pinch-rate", "knob": 6.0, "value": diag["rate"],
                  "extra": f"gaps={['%.3f' % g for g in diag['gaps']]}"})
     print(f"tightening-rate diagnostic at z=6: {diag['rate']:.3f} "

@@ -102,6 +102,12 @@ class PhiFunction:
     # and the callables that declare it (see from_callable)
     vectorized: bool = field(default=False, compare=False)
 
+    def __post_init__(self):
+        ls = self.knots[0] if self.knots else None  # a grid answers on its knot span only
+        if ls is not None and not ls[0] <= self.domain.lo <= self.domain.top() <= ls[-1]:
+            raise InputError(f"{self.label}: domain [{self.domain.lo}, {self.domain.hi}) "
+                             f"passes the knots [{ls[0]}, {ls[-1]}]")
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -807,11 +813,10 @@ def _saddle_points(phi2: PhiFunction, lams) -> tuple[np.ndarray, np.ndarray, dic
     an x0 (NaN there).  Each lam's error is the first that applies:
     OutOfDomainError off the domain; InputError unless ``phi2`` is convex
     with a derivative; on a grid, OutOfDomainError naming the knot span
-    below the first knot and from the last on.  x0 is phi2'(t), in one
-    ``derivatives`` call, which raises its first error; t is lam, except on
-    a grid, where a lam less than 1e-12 max(1, |lam|) below a knot the
-    domain holds is read at that knot, so mu rounded through
-    (mu/(1 - d))(1 - d) keeps the knot's chord.
+    from the last knot on.  x0 is phi2'(t), in one ``derivatives`` call,
+    which raises its first error; t is lam, except on a grid, where a lam
+    less than 1e-12 max(1, |lam|) below a knot the domain holds is read at
+    that knot, so mu rounded through (mu/(1 - d))(1 - d) keeps its chord.
     """
     lams = np.asarray(lams, dtype=float).ravel()
     inside = phi2.domain.contains(lams)
@@ -825,7 +830,7 @@ def _saddle_points(phi2: PhiFunction, lams) -> tuple[np.ndarray, np.ndarray, dic
         up = ls.take(np.searchsorted(ls, lams, side="right"), mode="clip")
         snap = (up - lams < 1e-12 * np.maximum(1.0, np.abs(lams))) & phi2.domain.contains(up)
         touch = np.where(snap, up, lams)
-        fail |= (touch < ls[0]) | (touch >= ls[-1])
+        fail |= touch >= ls[-1]
     if has_map:
         x0s[~fail] = phi2.derivatives(touch[~fail])
     no_map = ("saddle point needs a convex grid function" if grid

@@ -386,17 +386,29 @@ class TestSaddlePoint:
         else:
             assert {type(e) for e in errors.values()} == {InputError} and len(errors) == mids.size
 
-    def test_a_grid_refuses_a_lam_outside_its_knots(self):
-        # a domain widened past the knots by dataclasses.replace: no chord
-        # is a subgradient below the first knot or from the last on
+    def test_a_grid_domain_past_its_knots_is_refused(self):
+        # a grid answers on its knot span only: a domain widened past it
+        # by dataclasses.replace (below, above, both) is refused when the
+        # copy is made, before np.interp could clamp a value or a chord
+        # index could wrap
         ls = np.arange(1.0, 6.0)
         g = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
-        wide = dataclasses.replace(g, domain=dataclasses.replace(g.domain, lo=0.0, hi=7.0))
-        got = _per_lam(_saddle_points(wide, [0.5, 2.5, 5.0, 6.0]))
-        assert got[1] == 2.5
-        for lam, err in zip([0.5, 5.0, 6.0], got[:1] + got[2:]):
-            assert type(err) is OutOfDomainError
-            assert str(err) == str(OutOfDomainError(lam, 1.0, 5.0))
+        for lo, hi in [(0.0, g.domain.hi), (1.0, 7.0), (0.5, 4.0)]:
+            with pytest.raises(InputError, match=r"passes the knots \[1\.0, 5\.0\]"):
+                dataclasses.replace(g, domain=dataclasses.replace(g.domain, lo=lo, hi=hi))
+        # a narrowed domain is a grid still
+        part = dataclasses.replace(g, domain=dataclasses.replace(g.domain, lo=1.5, hi=4.5))
+        assert part.value(2.0) == 2.0 and part.derivative(2.0) == 2.5
+
+    def test_a_grid_refuses_a_lam_from_its_last_knot_on(self):
+        # no chord is a subgradient at the last knot, which the domain holds
+        ls = np.arange(1.0, 6.0)
+        g = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
+        got = _per_lam(_saddle_points(g, [1.0, 2.5, 5.0, 6.0]))
+        assert got[:2] == [1.5, 2.5]
+        assert type(got[2]) is OutOfDomainError
+        assert str(got[2]) == str(OutOfDomainError(5.0, 1.0, 5.0))
+        assert type(got[3]) is OutOfDomainError  # off the domain [1, 5]
 
     @pytest.mark.parametrize("f, lams", [
         (PhiFunction.quadratic(), [1.0, 2.5, 10.0, 300.0]),

@@ -278,7 +278,7 @@ def pinch():
 class TestPinchedEnvelope:
     def test_constant_in_range(self, pinch):
         _, cert = pinch
-        assert 0.0 < cert.c < 1.0 / (2.0 * 0.1)
+        assert 0.0 < cert.c < 1.0 / 0.1
         assert cert.certified_from <= cert.ladder_cap / 2.0
 
     def test_subgaussian_form(self, pinch):
@@ -303,6 +303,17 @@ class TestPinchedEnvelope:
         env, _ = pinched_lower_envelope(QUAD0, delta, zs)
         tails = mix.exact_tail(zs)
         assert np.all(env.values <= tails + 1e-12)
+        # the bracket (0, 1/delta) certifies wide pinches too: N(0, 2a(1 - delta^2))
+        # has exp((1 - delta^2) a lam^2) <= MGF <= exp(a lam^2), and every point
+        # from certified_from on, out past the ladder, lies below its ln T
+        for delta in (0.2, 0.3, 0.4, 0.45):
+            for a in (0.3, 0.5, 3.0):
+                zs = np.geomspace(math.e, 1000.0, 80)
+                env, cert = pinched_lower_envelope(PhiFunction.quadratic(a, lo=0.0), delta, zs)
+                assert cert.certified_from <= cert.ladder_cap / 2.0
+                on = env.x >= cert.certified_from
+                log_tail = oracles.log_ndtr(-env.x[on] / math.sqrt(2 * a * (1 - delta ** 2)))
+                assert np.all(env.log_values[on] < log_tail), (delta, a)
 
     def test_delta_to_zero_continuity(self):
         z = 6.0
@@ -323,17 +334,23 @@ class TestPinchedEnvelope:
         assert math.isfinite(diag["rate"])
 
     def test_rate_diagnostic_without_two_certified_deltas_is_nan(self):
-        # delta = 0.3 is refused by the pinch and 0.6 lies outside (0, 1/2):
-        # both are passed over, and no rate is fitted
+        # on lam^2/2 over the knots 0, 0.1, ..., 30 the pinch refuses
+        # delta = 0.1 (no machinery bound past the last knot), and 0.6 lies
+        # outside (0, 1/2): both are passed over, and no rate is fitted
         from tailbounds.lower_bilateral import pinch_rate_diagnostic
-        diag = pinch_rate_diagnostic(QUAD0, (0.3, 0.6), 6.0)
+        lams = np.arange(301) / 10
+        diag = pinch_rate_diagnostic(PhiFunction.from_grid(lams, 0.5 * lams * lams),
+                                     (0.1, 0.6), 6.0)
         assert math.isnan(diag["rate"]) and diag["deltas"] == [] and diag["gaps"] == []
 
 
-# The pinch's c search as it was once written: a linear scan of the c grid
-# that walks the ladder point by point for each c.  The reference for the
-# bisection; it also returns each grid value's verdict.
-def _scan_pinch(phi, delta):
+# The pinch's c from scratch: the machinery exponent of each upper-half
+# ladder point, and that point's threshold (the least c in (0, 1/delta) whose
+# envelope it dominates) by 60 plain halvings of its own bracket.  Returns
+# the largest threshold (None where an upper point has no machinery bound or
+# is not dominated even at the bracket top) and a check of every ladder point
+# at a given c.
+def _threshold_pinch(phi, delta):
     phi1 = PhiFunction.from_callable(
         lambda l: (1.0 - delta * delta) * phi.value(l), phi.domain.lo, phi.domain.hi,
         deriv=(lambda l: (1.0 - delta * delta) * phi.deriv(l)) if phi.deriv else None,
@@ -343,49 +360,80 @@ def _scan_pinch(phi, delta):
     ds = np.geomspace(0.3, min(4.9, 0.49 / delta), 16) * delta
     mus, _ = _x0_inverse(phi, ladder)
     neg_log = -_bracket_logs(phi1, phi, mus[:, None] / (1.0 - ds), ds, ds).max(axis=1)
-    machinery = np.isfinite(neg_log)
-    chosen, verdicts = None, []
-    for c in np.linspace(0.5 / 400, (1.0 / (2.0 * delta)) * (1 - 1e-9), 400):
-        shrink = 1.0 - float(c) * delta
-        exps = np.full(ladder.size, math.nan)
-        exps[machinery] = shrink * _stars(phi, ladder[machinery] / shrink)[0]
-        ok_from = None
-        for z, m, e in zip(ladder, neg_log, exps.tolist()):
-            if not math.isfinite(m) or e < m:
-                ok_from = None
-            elif ok_from is None:
-                ok_from = float(z)
-        verdicts.append(ok_from is not None and ok_from <= cap / 2.0)
-        if verdicts[-1] and chosen is None:
-            chosen = (float(c), ok_from)
-    if chosen is None:
-        chosen = f"no c in (0, {1/(2*delta):.3g}) dominated by the machinery on the ladder"
-    return chosen, verdicts
+    half = int(np.sum(ladder <= cap / 2.0)) - 1
+    upper, neg_up, top = ladder[half:], neg_log[half:], (1.0 - 1e-9) / delta
+
+    def exponents(cs, zs):
+        t = 1.0 - cs * delta
+        return t * conjugate_values(phi, zs / t)[0]
+
+    def dominated(c):
+        """Each ladder point's verdict at c: a finite machinery exponent
+        that the envelope's reaches."""
+        return [bool(math.isfinite(m) and not exponents(c, np.array([z]))[0] < m)
+                for z, m in zip(ladder.tolist(), neg_log.tolist())]
+
+    if not np.isfinite(neg_up).all() or (exponents(top, upper) < neg_up).any():
+        return None, dominated
+    # domination only grows with c: each upper point's verdicts run False...True
+    verdicts = np.array([exponents(c, upper) >= neg_up for c in np.linspace(0.0, top, 41)])
+    assert (np.diff(verdicts.astype(int), axis=0) >= 0).all()
+    a, b = np.zeros(upper.size), np.full(upper.size, top)
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        up = exponents(m, upper) < neg_up
+        a, b = np.where(up, m, a), np.where(up, b, m)
+    return float(b.max()), dominated
 
 
-def _pinch_outcome(phi, delta):
-    try:
-        _, cert = pinched_lower_envelope(phi, delta, [math.e])
-    except NotCertifiedError as exc:
-        return str(exc)
-    return cert.c, cert.certified_from
+def _check_pinch(phi, delta):
+    want, dominated = _threshold_pinch(phi, delta)
+    if want is None:
+        with pytest.raises(NotCertifiedError, match="no c in"):
+            pinched_lower_envelope(phi, delta, [math.e])
+        return
+    _, cert = pinched_lower_envelope(phi, delta, [math.e])
+    assert math.isclose(cert.c, want, rel_tol=1e-13, abs_tol=0.0), (cert.c, want)
+    verdicts = dominated(cert.c)
+    ladder = np.geomspace(math.e, cert.ladder_cap, 40)
+    # every upper-half point is dominated at c, and the run reaching the top
+    # starts at certified_from
+    assert all(verdicts[int(np.sum(ladder <= cert.ladder_cap / 2.0)) - 1:])
+    start = len(verdicts) - verdicts[::-1].index(False) if False in verdicts else 0
+    assert cert.certified_from == ladder[start]
+    assert cert.certified_from <= cert.ladder_cap / 2.0
 
 
 class TestPinchBisection:
     @settings(max_examples=8)
     @given(coeff=st.floats(0.3, 3.0), delta=st.floats(0.02, 0.45))
-    def test_matches_the_scan(self, coeff, delta):
-        phi = PhiFunction.quadratic(coeff=coeff, lo=0.0)
-        want, verdicts = _scan_pinch(phi, delta)
-        # domination only grows with c: the verdicts run False...True
-        assert verdicts == sorted(verdicts)
-        assert _pinch_outcome(phi, delta) == want
+    def test_c_is_the_largest_row_threshold(self, coeff, delta):
+        _check_pinch(PhiFunction.quadratic(coeff=coeff, lo=0.0), delta)
 
-    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.3])
-    def test_quadratic_spots_match_the_scan(self, delta):
-        want, _ = _scan_pinch(QUAD0, delta)
-        assert _pinch_outcome(QUAD0, delta) == want
-        assert isinstance(want, str) == (delta == 0.3)  # 0.3 refuses
+    @pytest.mark.parametrize("phi, delta", [
+        (QUAD0, 0.05), (QUAD0, 0.1), (QUAD0, 0.3),
+        (PhiFunction.power_log(2.0, 1.0, lo=0.0), 0.1),
+        (PhiFunction.power_log(2.0, 1.0, lo=0.0), 0.3),
+        (oracles.gaussian_scale_mixture(0.5, 1.0, 2.0).mgf_exponent, 0.1),
+        (oracles.gaussian_scale_mixture(0.5, 1.0, 2.0).mgf_exponent, 0.3),
+    ], ids=["quadratic-0.05", "quadratic-0.1", "quadratic-0.3", "power-log-2-1-0.1",
+            "power-log-2-1-0.3", "mixture-0.1", "mixture-0.3"])
+    def test_spots_match_the_row_thresholds(self, phi, delta):
+        _check_pinch(phi, delta)
+
+    @pytest.mark.parametrize("phi", [
+        QUAD0, PhiFunction.power_log(2.0, 1.0, lo=0.0),
+        oracles.gaussian_scale_mixture(0.5, 1.0, 2.0).mgf_exponent,
+    ], ids=["quadratic", "power-log-2-1", "mixture"])
+    def test_newton_slope_is_the_derivative_in_c(self, phi):
+        # d/dc [t*phi*(z/t)] = delta*phi(mu), t = 1 - c*delta, mu the
+        # maximizer of phi*(z/t): the envelope theorem
+        delta, h = 0.2, 1e-6
+        for c, z in [(0.5, 3.0), (2.0, 20.0), (4.0, 60.0)]:
+            f = [(1.0 - k * delta) * conjugate_values(phi, [z / (1.0 - k * delta)])[0][0]
+                 for k in (c - h, c + h)]
+            _, mu = _stars(phi, [z / (1.0 - c * delta)])
+            assert delta * phi.value(mu[0]) == pytest.approx((f[1] - f[0]) / (2 * h), rel=1e-6)
 
     def test_no_machinery_bound_refuses_before_the_search(self, monkeypatch):
         # lam^2/2 on the knots 0, 0.1, ..., 30: the upper ladder's saddles
@@ -398,7 +446,7 @@ class TestPinchBisection:
         with pytest.raises(NotCertifiedError) as exc:
             pinched_lower_envelope(phi, 0.1, [3.0])
         assert str(exc.value).startswith(
-            "no c in (0, 5) dominated by the machinery on the ladder: "
+            "no c in (0, 10) dominated by the machinery on the ladder: "
             "no machinery bound at z = ")
         assert str(exc.value).endswith("(phi's domain ends at 30)")
         assert tried == []
@@ -438,7 +486,7 @@ class TestCappedConjugateUnderALowerBound:
         _, cert = pinched_lower_envelope(phi, 0.05, np.arange(3.0, 201.0))
         assert cert.ladder_cap == 280.0
         assert (cert.c, cert.certified_from, cert.machinery_points) == (
-            4.035833329298245, 3.447610967936748, 38)
+            4.0328396233015384, 3.447610967936748, 38)
 
     def test_sandwich_refuses_and_the_chernoff_bound_keeps_its_values(self):
         phi = PhiFunction.power_log(self.P, 0.0, lo=0.0)
