@@ -77,7 +77,11 @@ def parse_grid(spec: str) -> np.ndarray:
         if step <= 0 or stop <= start:
             raise InputError(f"grid spec {spec!r}: need stop > start and step > 0")
         n = int(round((stop - start) / step))
-        grid = start + step * np.arange(n + 1)
+        try:
+            grid = start + step * np.arange(n + 1)
+        except ValueError:  # numpy's "Maximum allowed size exceeded"
+            raise InputError(f"grid spec {spec!r}: {n + 1} points exceed numpy's array "
+                             "size limit") from None
         grid = grid[grid <= stop + 1e-12 * max(1.0, abs(stop))]
     else:
         grid = np.array(nums)

@@ -3,8 +3,8 @@
 The central object is :class:`PhiFunction`: a nonnegative function on a
 half-open domain ``[lo, hi)``, either a named closed form or a strictly
 increasing grid of knots interpolated piecewise-linearly.  On top of it sit
-the Legendre transform (`conjugate`), the biconjugate, convexity
-certification, and saddle-point location.
+the Legendre transform (`conjugate`), the biconjugate and convexity
+certification.
 
 Everything is immutable and every operation is a pure function of its
 inputs; instances are safe to share across threads.
@@ -113,8 +113,8 @@ class PhiFunction:
     @staticmethod
     def quadratic(coeff: float = 0.5, lo: float = 1.0, hi: float = math.inf) -> "PhiFunction":
         """coeff * lam^2; the default is the subgaussian exponent lam^2/2."""
-        if coeff <= 0:
-            raise InputError("quadratic coefficient must be positive")
+        if not 0 < coeff < math.inf:
+            raise InputError(f"quadratic coefficient must be positive and finite, got {coeff!r}")
         return PhiFunction(
             kind="quadratic", domain=Domain(lo, hi), params=(coeff,),
             fn=lambda l, c=coeff: c * l * l,
@@ -131,8 +131,10 @@ class PhiFunction:
         float the bits it gives the same float inside an array, while numpy's
         SIMD ``log`` and ``pow`` may differ from libm's by an ulp.
         """
-        if p <= 0:
-            raise InputError("power exponent p must be positive")
+        if not 0 < p < math.inf:
+            raise InputError(f"power exponent p must be positive and finite, got {p!r}")
+        if not math.isfinite(r):
+            raise InputError(f"log exponent r must be finite, got {r!r}")
 
         def _f(l, p=p, r=r):
             if r == 0.0:
@@ -168,8 +170,8 @@ class PhiFunction:
 
     @staticmethod
     def linear(slope: float = 1.0, lo: float = 1.0, hi: float = math.inf) -> "PhiFunction":
-        if slope < 0:
-            raise InputError("linear slope must be nonnegative")
+        if not 0 <= slope < math.inf:
+            raise InputError(f"linear slope must be nonnegative and finite, got {slope!r}")
         return PhiFunction(
             kind="linear", domain=Domain(lo, hi), params=(slope,),
             fn=lambda l, s=slope: s * l,
@@ -356,10 +358,10 @@ def certify_convex(f: PhiFunction) -> bool:
 
     A positive certificate is a statement about the probe grid only, [lo,
     top] on a bounded domain and [lo, max(100, 10 max(lo, 1))] on an
-    unbounded one; it licenses the saddle map of :func:`_saddle_points` and
-    the certificates built on it.  The Legendre search does not read it.
+    unbounded one; it licenses the saddle map (``lower_bilateral._saddle_table``)
+    and the certificates built on it.  The Legendre search does not read it.
     A grid returns the verdict of :meth:`PhiFunction.from_grid` on its
-    chords, the one :func:`_saddle_points` reads.
+    chords, the one the saddle map reads.
     """
     if f.kind == "grid":
         return f.convex
@@ -799,59 +801,6 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float]) -> ConjugateResult:
     keep_b = obj[1] > obj[0]
     return ConjugateResult(x_grid=lams, values=np.where(keep_b, obj[1], obj[0]),
                            argmax=np.where(keep_b, b, a), capped=np.zeros(lams.size, dtype=bool))
-
-
-# --------------------------------------------------------------------------
-# Saddle point
-# --------------------------------------------------------------------------
-
-
-def _saddle_points(phi2: PhiFunction, lams) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The package's one saddle map: x0 at each lam, the point t where x0
-    is a subgradient of ``phi2``, so that phi2*(x0) = t*x0 - phi2(t) (the
-    touching identity), and by index the package error of each lam without
-    an x0 (NaN there).  Each lam's error is the first that applies:
-    OutOfDomainError off the domain; InputError unless ``phi2`` is convex
-    with a derivative; on a grid, OutOfDomainError naming the knot span
-    from the last knot on.  x0 is phi2'(t), in one ``derivatives`` call,
-    which raises its first error; t is lam, except on a grid, where a lam
-    less than 1e-12 max(1, |lam|) below a knot the domain holds is read at
-    that knot, so mu rounded through (mu/(1 - d))(1 - d) keeps its chord.
-    """
-    lams = np.asarray(lams, dtype=float).ravel()
-    inside = phi2.domain.contains(lams)
-    has_map = bool(phi2.convex and phi2.deriv is not None)
-    fail = ~inside | (not has_map)
-    x0s, touch = np.full(lams.size, math.nan), lams.copy()
-    grid = phi2.kind == "grid"
-    if has_map and grid:
-        ls = phi2.knots[0]
-        # the first knot above lam; lam just below it is read there
-        up = ls.take(np.searchsorted(ls, lams, side="right"), mode="clip")
-        snap = (up - lams < 1e-12 * np.maximum(1.0, np.abs(lams))) & phi2.domain.contains(up)
-        touch = np.where(snap, up, lams)
-        fail |= touch >= ls[-1]
-    if has_map:
-        x0s[~fail] = phi2.derivatives(touch[~fail])
-    no_map = ("saddle point needs a convex grid function" if grid
-              else f"{phi2.label}: saddle point needs a convex phi2 with a derivative")
-    errors = {i: OutOfDomainError(float(lams[i]), phi2.domain.lo, phi2.domain.hi) if not inside[i]
-              else InputError(no_map) if not has_map
-              else OutOfDomainError(float(lams[i]), float(ls[0]), float(ls[-1]))
-              for i in np.flatnonzero(fail).tolist()}  # the last on a grid only
-    return x0s, touch, errors
-
-
-def _require_saddle_map(phi2: PhiFunction, message: str) -> None:
-    """Refuse, before any search, the ``phi2`` whose saddle map
-    :func:`_saddle_points` refuses at every lam: NotCertifiedError with
-    ``message`` unless it is convexity-certified, and unless it has a
-    derivative (a grid has its right chord)."""
-    if phi2.convex is not True:
-        raise NotCertifiedError(message)
-    if phi2.deriv is None:
-        raise NotCertifiedError(
-            f"{phi2.label}: the saddle map x0 = phi2'(lam) needs a derivative or a grid")
 
 
 # --------------------------------------------------------------------------

@@ -43,8 +43,6 @@ from .functions import (
     _checked_grid,
     _grow_rows,
     _raise_first,
-    _require_saddle_map,
-    _saddle_points,
     _slope_roots,
     _stars,
     conjugate_value,
@@ -98,21 +96,49 @@ def _saddle_inverse(phi2: PhiFunction, zs: np.ndarray, mus: np.ndarray,
     return mus, errors
 
 
+def _require_saddle_map(phi2: PhiFunction, message: str) -> None:
+    """Refuse, before any search, the ``phi2`` whose saddle map
+    :func:`_saddle_table` refuses at every t: NotCertifiedError with
+    ``message`` unless it is convexity-certified, and unless it has a
+    derivative (a grid has its right chord)."""
+    if phi2.convex is not True:
+        raise NotCertifiedError(message)
+    if phi2.deriv is None:
+        raise NotCertifiedError(
+            f"{phi2.label}: the saddle map x0 = phi2'(lam) needs a derivative or a grid")
+
+
 def _saddle_table(phi2: PhiFunction, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict,
                                                             np.ndarray]:
-    """x0 and phi2*(x0) at each t of the array ``ts``, in its shape, NaN where
-    t has no saddle; by index of the sorted distinct t's, the error of each t
-    without one; and each t's index among them.  phi2*(x0) is the touching
-    identity t*x0 - phi2(t) at the point where x0 is a subgradient
-    (:func:`_saddle_points`; Rockafellar, *Convex Analysis*, section 23).
+    """The package's one saddle map: x0 and phi2*(x0) at each t of the array
+    ``ts``, in its shape, NaN where t has no saddle; by index of the sorted
+    distinct t's, the error of each t without one; and each t's index among
+    them.  x0 is phi2'(t), in one ``derivatives`` call, which raises its
+    first error; on a grid the right chord of the knot piece holding t
+    (Rockafellar, *Convex Analysis*, sections 23-24).  phi2*(x0) is the
+    touching identity t*x0 - phi2(t).  Each t's error is the first that
+    applies: OutOfDomainError off the domain; InputError unless ``phi2`` is
+    convex with a derivative; on a grid, OutOfDomainError naming the knot
+    span from the last knot on.
     """
     # return_inverse skips np.unique's numpy.ma import; numpy 2.x releases differ on its shape
     distinct, inv = np.unique(ts, return_inverse=True)
     inv = inv.reshape(ts.shape)
-    x0s, touch, errors = _saddle_points(phi2, distinct)
+    inside = phi2.domain.contains(distinct)
+    has_map = bool(phi2.convex and phi2.deriv is not None)
+    ls = phi2.knots[0] if phi2.kind == "grid" else None
+    fail = ~inside | (not has_map) | (ls is not None and distinct >= ls[-1])
+    x0s, stars = np.full(distinct.size, math.nan), np.full(distinct.size, math.nan)
+    if has_map:
+        x0s[~fail] = phi2.derivatives(distinct[~fail])
     has = ~np.isnan(x0s)
-    stars = np.full(distinct.size, math.nan)
-    stars[has] = touch[has] * x0s[has] - phi2.values(touch[has])
+    stars[has] = distinct[has] * x0s[has] - phi2.values(distinct[has])
+    no_map = ("saddle point needs a convex grid function" if ls is not None
+              else f"{phi2.label}: saddle point needs a convex phi2 with a derivative")
+    errors = {i: OutOfDomainError(float(distinct[i]), phi2.domain.lo, phi2.domain.hi)
+              if not inside[i] else InputError(no_map) if not has_map
+              else OutOfDomainError(float(distinct[i]), float(ls[0]), float(ls[-1]))
+              for i in np.flatnonzero(fail).tolist()}  # the last on a grid only
     return x0s[inv], stars[inv], errors, inv
 
 
@@ -219,22 +245,23 @@ def _bracket_formula(lam, t0, s_minus, ds_minus, s_plus, ds_plus, x_plus):
         return np.where((bracket > 0.0) & ~np.isnan(lv), lv, -math.inf)
 
 
-def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, lams, d1s, d2s) -> np.ndarray:
-    """tangent_bracket_log(phi1, make_geometry(phi2, lam, d1, d2)) for each
-    element of the broadcast arrays, in their shape.
+def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, mus, lams, nus) -> np.ndarray:
+    """The tangent bracket's log at each row x_minus = x0(mu), x0(lam),
+    x_plus = x0(nu) of the broadcast arrays, in their shape: what
+    :func:`tangent_bracket_log` gives for that row's geometry.
 
-    -inf where make_geometry refuses the row with an InputError or an
-    OutOfDomainError, where lam lies outside phi1's domain, and where the
-    bracket clamps (or is NaN).  Any other error of the saddle path raises:
-    the one at the smallest t of the batch.
+    -inf where a row is not mu < lam < nu with mu and nu in phi2's domain
+    and lam in phi1's, where the saddle path refuses one of its points with
+    an InputError or an OutOfDomainError, where the geometry is invalid,
+    and where the bracket clamps (or is NaN).  Any other error of the saddle
+    path raises: the one at the smallest t of the batch.
     """
-    lams, d1s, d2s = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                           for a in (lams, d1s, d2s)))
+    mus, lams, nus = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                           for a in (mus, lams, nus)))
     out = np.full(lams.shape, -math.inf)
-    mus, nus = lams * (1.0 - d1s), lams * (1.0 + d2s)
     dom = phi2.domain
-    rows = np.nonzero((0.0 < d1s) & (d1s < 1.0) & (0.0 < d2s) & dom.contains(mus)
-                      & dom.contains(lams) & dom.contains(nus) & phi1.domain.contains(lams))
+    rows = np.nonzero((mus < lams) & (lams < nus) & dom.contains(mus) & dom.contains(nus)
+                      & phi1.domain.contains(lams))
     lam = lams[rows]
     cols, errors = _saddle_rows(phi2, mus[rows], lam, nus[rows])
     _raise_first(errors, (OutOfDomainError, InputError))
@@ -267,9 +294,9 @@ def closure_lower_envelope(
 ) -> tuple[TailEnvelope, ClosureDiagnostics]:
     """Optimize the tangent-line bound over geometries, per evaluation point.
 
-    For each z the driving parameter is recovered by inverting
-    z = x0(lam(1-d1)), then (d1, d2) sweeps a 16 x 16 log-spaced grid on
-    [1e-3, 0.5]; the envelope records the best bound.
+    For each z the saddle inverse mu, z = x0(mu), starts every row (mu,
+    lam = mu/(1-d1), lam(1+d2)), and (d1, d2) sweeps a 16 x 16 log-spaced
+    grid on [1e-3, 0.5]; the envelope records the best bound.
     Points where every geometry clamps carry value 0 and are flagged.  A
     phi2 without a saddle map is refused first (:func:`_require_saddle_map`).
     """
@@ -282,7 +309,8 @@ def closure_lower_envelope(
     # every (z, d1, d2) geometry in one batch; a z without a saddle has a
     # NaN mu, which no domain contains
     mus, no_saddle = _x0_inverse(phi2, zs)
-    lv = _bracket_logs(phi1, phi2, mus[:, None] / (1.0 - d1), d1, d2)
+    lams = mus[:, None] / (1.0 - d1)
+    lv = _bracket_logs(phi1, phi2, mus[:, None], lams, lams * (1.0 + d2))
     best_j = np.argmax(lv, axis=1)  # the first strict maximum in pair order
     best = lv[np.arange(zs.size), best_j]
     log_vals = np.minimum(best, 0.0)
@@ -446,7 +474,8 @@ def pinched_lower_envelope(
     scales = np.geomspace(0.3, min(4.9, 0.49 / delta), 16)
     ds = scales * delta
     mus, _ = _x0_inverse(phi, cert_ladder)  # NaN where no saddle, so neg_log is inf
-    neg_log = -_bracket_logs(phi1, phi, mus[:, None] / (1.0 - ds), ds, ds).max(axis=1)
+    lams = mus[:, None] / (1.0 - ds)
+    neg_log = -_bracket_logs(phi1, phi, mus[:, None], lams, lams * (1.0 + ds)).max(axis=1)
 
     def envelope_exponents(c, zs: np.ndarray, emitted: bool = False):
         """t*phi*(y) at each z, y = z/t, and its slope delta*phi(mu) in c,
@@ -532,8 +561,8 @@ def exact_mgf_sandwich(
     """Two-sided envelopes when E exp(lam*X) = exp(phi(lam)) exactly.
 
     Upper: exp(-phi*(x)).  Lower: exp(-phi*(x) - c2*x) with c2 extracted
-    from the tangent-line closure run at additive saddle offsets
-    lam -> lam +- c1 (equivalently d = c1/lam), per point over a few c1.
+    from the tangent-line closure run at additive saddle offsets, rows
+    (mu, lam = mu + c_minus, lam + c_plus), per point over a few offsets.
     Returns (lower, upper, c2); c2 is the worst-case exponent excess per
     unit x over the requested grid.  An x whose phi*(x) stopped at
     ``LAMBDA_CAP`` on an unbounded domain is refused with NotCertifiedError,
@@ -571,8 +600,8 @@ def exact_mgf_sandwich(
         c_minus = c_plus = np.concatenate(
             [scale[:, None] * [0.6, 0.85, 1.2, 1.8, 2.7, 4.0],
              np.broadcast_to([1.0, 2.5], (xs.size, 2))], axis=1)
-    lam = mus[:, None] + c_minus
-    best = _bracket_logs(phi, phi, lam, c_minus / lam, c_plus / lam).max(axis=1)
+    lams = mus[:, None] + c_minus
+    best = _bracket_logs(phi, phi, mus[:, None], lams, lams + c_plus).max(axis=1)
     clamped = xs[best == -math.inf].tolist()
     if clamped:
         raise NotCertifiedError(

@@ -449,8 +449,8 @@ def _normal_density(x, s: float):
 
 def gaussian(scale: float = 1.0) -> OracleDistribution:
     """Centered normal with standard deviation ``scale``."""
-    if scale <= 0:
-        raise InputError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise InputError(f"scale must be positive and finite, got {scale!r}")
     s = float(scale)
     return OracleDistribution(
         name=f"gaussian(scale={s})" if s != 1.0 else "gaussian",

@@ -40,6 +40,11 @@ class TestGridParsing:
         with pytest.raises(InputError, match=match):
             parse_grid(spec)
 
+    def test_range_numpy_cannot_allocate_is_input_error(self):
+        # np.arange's ValueError "Maximum allowed size exceeded"
+        with pytest.raises(InputError, match=r"grid spec '0:1e30:1': \d+ points exceed"):
+            parse_grid("0:1e30:1")
+
 
 class TestUpper:
     def test_chernoff_spot_in_csv(self, tmp_path):
@@ -391,6 +396,26 @@ class TestValidateAndErrors:
         assert run([cmd, "--x", spec]) == 1
         err = capsys.readouterr().err
         assert "input error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, says", [
+        (["upper", "--family", "power-log", "--p", "nan"], "power exponent p must be positive"),
+        (["upper", "--coeff", "nan"], "quadratic coefficient must be positive and finite, got nan"),
+        (["upper", "--coeff", "inf"], "quadratic coefficient must be positive and finite, got inf"),
+        (["upper", "--family", "power-log", "--r", "nan"], "log exponent r must be finite"),
+        (["upper", "--family", "linear", "--slope", "inf"], "linear slope must be nonnegative"),
+        (["tauber", "--scale", "nan"], "scale must be positive and finite, got nan"),
+        (["conjugate", "--x", "0:1e30:1"], "grid spec '0:1e30:1'"),
+    ], ids=["power-log-p-nan", "coeff-nan", "coeff-inf", "power-log-r-nan", "linear-slope-inf",
+            "tauber-scale-nan", "unallocatable-grid"])
+    def test_non_finite_parameter_or_huge_grid_is_input_error(self, argv, says, tmp_path,
+                                                              capsys):
+        # p = nan reported a Chernoff bound of -inf at every x and exited 0,
+        # the others exited 1 or 2 after an evaluation or with a traceback
+        assert run([*argv, "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err
+        assert says in err
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("argv, env, says", [
         (["validate", "--seed", "-1"], None, "got seed -1,"),

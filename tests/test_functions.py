@@ -34,7 +34,6 @@ from tailbounds.functions import (
     _chords,
     _grow_rows,
     _read_csv_columns,
-    _saddle_points,
     PhiFunction,
     biconjugate,
     certify_convex,
@@ -44,7 +43,7 @@ from tailbounds.functions import (
     conjugate_value,
     conjugate_values,
 )
-from tailbounds.lower_bilateral import pinched_lower_envelope
+from tailbounds.lower_bilateral import _saddle_table, pinched_lower_envelope
 from tailbounds.moments import (
     MomentEnvelope,
     moment_envelope_from_csv,
@@ -84,6 +83,19 @@ class TestEvaluate:
     def test_grid_knots_must_increase(self):
         with pytest.raises(InputError):
             PhiFunction.from_grid([1.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, says", [
+        (lambda v: PhiFunction.quadratic(coeff=v), "quadratic coefficient"),
+        (lambda v: PhiFunction.power_log(v), "power exponent p"),
+        (lambda v: PhiFunction.power_log(2.0, v), "log exponent r"),
+        (lambda v: PhiFunction.linear(slope=v), "linear slope"),
+        (lambda v: oracles.gaussian(v), "scale"),
+    ], ids=["quadratic-coeff", "power-log-p", "power-log-r", "linear-slope", "gaussian-scale"])
+    def test_non_finite_family_parameter_is_refused(self, make, says, bad):
+        # each check was a comparison that NaN fails, and none refused inf
+        with pytest.raises(InputError, match=f"{says} must be .*finite, got {bad!r}"):
+            make(bad)
 
 
 class TestConjugate:
@@ -273,26 +285,25 @@ def _lower_convex_hull(ls, vs):
     return np.interp(ls, hx, hy)
 
 
-def _per_lam(result):
-    """The (x0s, touching points, errors) of _saddle_points as each lam's
-    float or error."""
-    x0s, _, errors = result
-    return [errors.get(i, x0) for i, x0 in enumerate(x0s.tolist())]
+def _per_lam(phi2, lams):
+    """The x0 of _saddle_table at each lam, or its error."""
+    x0s, _, errors, inv = _saddle_table(phi2, np.asarray(lams, dtype=float))
+    return [errors.get(i, x0) for i, x0 in zip(inv.tolist(), x0s.tolist())]
 
 
 class TestSaddlePoint:
     def test_quartic_cubic_map(self):
         # conjugate of l^4/4 is (3/4) x^(4/3); slope inverse at 2 is 8
-        assert _per_lam(_saddle_points(PhiFunction.power_log(4.0), [2.0])) == \
+        assert _per_lam(PhiFunction.power_log(4.0), [2.0]) == \
             [pytest.approx(8.0, rel=1e-5)]
 
     def test_grid_within_resolution(self):
         ls = np.arange(0.0, 10.01, 0.1)
         g = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
-        assert _per_lam(_saddle_points(g, [5.0])) == [pytest.approx(5.0, abs=0.1)]
+        assert _per_lam(g, [5.0]) == [pytest.approx(5.0, abs=0.1)]
 
     def test_out_of_domain(self):
-        got, = _per_lam(_saddle_points(PhiFunction.quadratic(hi=5.0), [6.0]))
+        got, = _per_lam(PhiFunction.quadratic(hi=5.0), [6.0])
         assert isinstance(got, OutOfDomainError)
 
     @pytest.mark.parametrize("f, lams", [
@@ -302,8 +313,8 @@ class TestSaddlePoint:
     def test_lockstep_equals_one_at_a_time(self, f, lams):
         # the batch of several lams gives each lam what a batch of that lam
         # alone gives, x0 or error
-        for lam, got in zip(lams, _per_lam(_saddle_points(f, lams))):
-            want, = _per_lam(_saddle_points(f, [lam]))
+        for lam, got in zip(lams, _per_lam(f, lams)):
+            want, = _per_lam(f, [lam])
             if isinstance(want, Exception):
                 assert type(got) is type(want) and str(got) == str(want)
             else:
@@ -317,13 +328,12 @@ class TestSaddlePoint:
         narrowed=st.booleans(),
     )
     def test_grid_batch_equals_the_per_lam_scan(self, convex, picks, narrowed):
-        # lams on, beside (within and beyond the snap tolerance) and between
-        # the knots, below and above the grid, and NaN: the batch's sorted
-        # search gives what a scan of the knots per lam gives, errors
-        # included, in the per-lam order OutOfDomainError before the
-        # convexity InputError; also on a domain narrowed inside the knots
-        # (the knot 1.0 lies below it, and 8.0, which a lam just below it
-        # is not moved onto, above it)
+        # lams on, beside (within 1e-12 and beyond) and between the knots,
+        # below and above the grid, and NaN: the batch's sorted search gives
+        # what a scan of the knots per lam gives, errors included, in the
+        # per-lam order OutOfDomainError before the convexity InputError;
+        # also on a domain narrowed inside the knots (the knot 1.0 lies
+        # below it, and 8.0 above it)
         ls = np.array([0.5, 1.0, 1.0 + 4e-13, 2.0, 3.5, 3.5 + 1e-12, 5.0, 6.0, 8.0, 9.0])
         vs = 0.5 * ls ** 2 if convex else 4.0 * np.sqrt(ls)
         g = PhiFunction.from_grid(ls, vs)
@@ -332,33 +342,29 @@ class TestSaddlePoint:
                                                                    hi=8.0))
         lams = [float(ls[i]) + off * (1.0 if abs(off) < 1e-9 else 0.5) for i, off in picks]
         lams.append(math.nan)
-        batch = _per_lam(_saddle_points(g, lams))
+        batch = _per_lam(g, lams)
         for lam, got in zip(lams, batch):
             want = _raised(_reference_grid_saddle_point, g, lam) or \
                 _reference_grid_saddle_point(g, lam)
-            alone = _per_lam(_saddle_points(g, [lam]))[0]
+            alone = _per_lam(g, [lam])[0]
             for x0 in (got, alone):
                 if isinstance(want, Exception):
                     assert type(x0) is type(want) and str(x0) == str(want)
                 else:
                     assert x0 == want and type(x0) is float
 
-    def test_a_knot_hit_touches_at_the_knot_inside_the_domain(self):
-        # lam = 5 - 1e-13 lies within the tolerance below the knot 5 and is
-        # read there: the chord 5.5 of [5, 6), a subgradient at 5, its
-        # touching point, as for lam = 5; lam = 5 + 1e-13 takes that chord
-        # and touches at itself.  On a domain that ends at 5 the knot is no
-        # point of phi2: 5 - 1e-13 keeps the chord 4.5 of [4, 5) and touches
-        # at itself
+    def test_a_lam_just_below_a_knot_keeps_its_left_chord(self):
+        # lam = 5 - 1e-13 lies on the piece [4, 5): its x0 is that piece's
+        # chord 4.5, and phi2*(x0) the touching identity at lam itself,
+        # the knot conjugate 4.5 * 4 - 8 to rounding; lam = 5 and
+        # 5 + 1e-13 take the chord 5.5 of [5, 6)
         ls = np.arange(11.0)
         g = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
-        part = dataclasses.replace(g, domain=dataclasses.replace(g.domain, hi=5.0))
-        lams = [5.0 - 1e-13, 5.0, 5.0 + 1e-13]
-        for f, lam, x0, want in ((g, lams, [5.5] * 3, [5.0, 5.0, 5.0 + 1e-13]),
-                                 (part, lams[:1], [4.5], lams[:1])):
-            x0s, touch, errors = _saddle_points(f, lam)
-            assert errors == {} and x0s.tolist() == x0 and touch.tolist() == want
-            assert f.values(touch).tolist() == np.interp(touch, ls, 0.5 * ls ** 2).tolist()
+        lams = np.array([5.0 - 1e-13, 5.0, 5.0 + 1e-13])
+        x0s, stars, errors, _ = _saddle_table(g, lams)
+        assert errors == {} and x0s.tolist() == [4.5, 5.5, 5.5]
+        assert stars.tolist() == (lams * x0s - g.values(lams)).tolist()
+        np.testing.assert_allclose(stars, [10.0, 15.0, 15.0], rtol=1e-14)
 
     @pytest.mark.parametrize("convex", [True, False], ids=["convex", "dented"])
     def test_a_grid_derivative_is_its_right_chord(self, convex):
@@ -379,10 +385,9 @@ class TestSaddlePoint:
         assert g.derivatives(lams).tolist() == want
         assert [g.derivative(t) for t in lams.tolist()] == want
         mids = 0.5 * (ls[1:] + ls[:-1])
-        x0s, touch, errors = _saddle_points(g, mids)
+        x0s, _, errors, _ = _saddle_table(g, mids)
         if convex:
-            assert errors == {} and touch.tolist() == mids.tolist()
-            assert x0s.tolist() == g.derivatives(mids).tolist()
+            assert errors == {} and x0s.tolist() == g.derivatives(mids).tolist()
         else:
             assert {type(e) for e in errors.values()} == {InputError} and len(errors) == mids.size
 
@@ -404,7 +409,7 @@ class TestSaddlePoint:
         # no chord is a subgradient at the last knot, which the domain holds
         ls = np.arange(1.0, 6.0)
         g = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
-        got = _per_lam(_saddle_points(g, [1.0, 2.5, 5.0, 6.0]))
+        got = _per_lam(g, [1.0, 2.5, 5.0, 6.0])
         assert got[:2] == [1.5, 2.5]
         assert type(got[2]) is OutOfDomainError
         assert str(got[2]) == str(OutOfDomainError(5.0, 1.0, 5.0))
@@ -419,10 +424,12 @@ class TestSaddlePoint:
         (oracles.gaussian_scale_mixture(0.3, 1.0, 2.0).mgf_exponent, [0.1, 1.5, 4.0]),
     ], ids=["quadratic", "power-log-2-1", "linear-2", "weibull-4", "mixture"])
     def test_equals_the_envelopes_saddle_map(self, f, lams):
-        # the batch the envelopes read is x0 = phi2'(lam), bit for bit
-        x0s, touch, errors = _saddle_points(f, np.array(lams))
-        assert errors == {} and touch.tolist() == lams
-        assert x0s.tolist() == f.derivatives(np.array(lams)).tolist()
+        # the batch the envelopes read is x0 = phi2'(lam) and phi2*(x0) the
+        # touching identity at lam, bit for bit
+        lams = np.array(lams)
+        x0s, stars, errors, _ = _saddle_table(f, lams)
+        assert errors == {} and x0s.tolist() == f.derivatives(lams).tolist()
+        assert stars.tolist() == (lams * x0s - f.values(lams)).tolist()
 
     @pytest.mark.parametrize("f", [
         PhiFunction.from_callable(lambda l: 0.5 * l * l + 0.1 * l, 0.0, 50.0, convex=True),
@@ -431,7 +438,7 @@ class TestSaddlePoint:
     def test_no_saddle_map_is_refused(self, f):
         # neither phi2' of a convex phi2 nor a convex grid: InputError at
         # every lam in the domain, OutOfDomainError outside it
-        inside, outside = _per_lam(_saddle_points(f, [3.0, -1.0]))
+        inside, outside = _per_lam(f, [3.0, -1.0])
         assert type(inside) is InputError and type(outside) is OutOfDomainError
         assert "saddle point needs a convex phi2" in str(inside)
 
@@ -763,7 +770,7 @@ class TestConvexityCertificate:
         g = PhiFunction.from_grid(ls, vs)
         assert g.convex is False
         assert certify_convex(g) is False
-        got, = _per_lam(_saddle_points(g, [20.5]))
+        got, = _per_lam(g, [20.5])
         assert type(got) is InputError
 
 
@@ -1524,8 +1531,7 @@ class TestThreadSafety:
 def _reference_grid_saddle_point(phi2, lam):
     """The grid saddle one lam at a time: the chords, their convexity test
     and a scan of the knots for the first one above lam.  x0 is the chord
-    of lam's knot piece, or of the piece that knot starts where lam lies
-    less than 1e-12 max(1, |lam|) below it and the domain holds it."""
+    of lam's knot piece."""
     if not phi2.domain.contains(lam):
         raise OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
     ls, vs = phi2.knots
@@ -1534,8 +1540,6 @@ def _reference_grid_saddle_point(phi2, lam):
         raise InputError("saddle point needs a convex grid function")
     above = [j for j, knot in enumerate(ls.tolist()) if knot > lam]
     k = above[0] - 1 if above else ls.size - 1
-    if above and ls[k + 1] - lam < 1e-12 * max(1.0, abs(lam)) and phi2.domain.contains(ls[k + 1]):
-        k += 1
     if not 0 <= k < chords.size:
         raise OutOfDomainError(lam, float(ls[0]), float(ls[-1]))
     return float(chords[k])

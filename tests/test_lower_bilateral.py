@@ -23,7 +23,6 @@ from tailbounds import lower_bilateral
 from tailbounds.functions import (
     LAMBDA_CAP,
     PhiFunction,
-    _saddle_points,
     _stars,
     conjugate,
     conjugate_values,
@@ -32,6 +31,7 @@ from tailbounds.lower_bilateral import (
     RegularityReport,
     SaddleGeometry,
     _bracket_logs,
+    _saddle_table,
     _x0_inverse,
     closure_lower_envelope,
     exact_mgf_sandwich,
@@ -173,18 +173,17 @@ QUARTIC_V = 2.75  # [1 - 4(1+d)^3 + 3(1+d)^4] / d^2 at d = -1/2
 
 class TestBoundsLandAtTheirPoints:
     def test_every_closure_and_sandwich_row_has_its_saddle_at_or_above_z(self, monkeypatch):
-        # a row's tangent bound is a bound on T(x0(mu)), mu = lam (1 - d1)
-        # as the batch forms it, and the envelope reports it at z: a sound
-        # report needs x0(mu) >= z.  On a grid the envelopes put mu on the
-        # first knot whose right chord reaches z, and the rounding of
-        # lam (1 - d1) must not carry mu onto the piece to its left.  Each
-        # chord rises from the last by at most twice its knot spacing
+        # a row's tangent bound is a bound on T(x0(mu)), mu the row's first
+        # point, and the envelope reports it at z: a sound report needs
+        # x0(mu) >= z.  On a grid the envelopes put mu on the first knot
+        # whose right chord reaches z.  Each chord rises from the last by
+        # at most twice its knot spacing
         batches = []
         helper = lower_bilateral._bracket_logs
 
-        def spy(phi1, phi2, lams, d1s, d2s):
-            batches.append(np.broadcast_arrays(lams, d1s))
-            return helper(phi1, phi2, lams, d1s, d2s)
+        def spy(phi1, phi2, mus, lams, nus):
+            batches.append(np.broadcast_arrays(mus, lams)[0])
+            return helper(phi1, phi2, mus, lams, nus)
 
         monkeypatch.setattr(lower_bilateral, "_bracket_logs", spy)
         rng = np.random.default_rng(37)
@@ -201,13 +200,48 @@ class TestBoundsLandAtTheirPoints:
             with contextlib.suppress(NotCertifiedError):  # a clamped x refuses after its batch
                 exact_mgf_sandwich(phi, zs)
             assert len(batches) == 2
-            for name, (lams, d1s) in zip(rows, batches):
-                x0s, _, _ = _saddle_points(phi, lams * (1.0 - d1s))
-                x0s = x0s.reshape(lams.shape)
+            for name, mus in zip(rows, batches):
+                x0s = _saddle_table(phi, mus)[0]
                 has = ~np.isnan(x0s)
                 assert (x0s >= zs[:, None])[has].all(), name
                 rows[name] += int(has.sum())
         assert rows["closure"] > 50_000 and rows["sandwich"] > 10_000, rows
+
+    def test_every_row_arrives_with_the_mu_of_its_saddle_inverse(self, monkeypatch):
+        # the closure, the pinch and the sandwich each bracket rows that
+        # start at mu, the saddle inverse of their point, and pass it on as
+        # the row's first point, bit for bit: a mu rebuilt from lam and an
+        # offset rounds, and on the lam^2/2 grid from lam = 1 that moves it
+        # onto the piece to the left of its knot, or below the grid
+        inverses, batches = [], []
+        inverse, helper = lower_bilateral._saddle_inverse, lower_bilateral._bracket_logs
+
+        def inverse_spy(*args):
+            mus, errors = inverse(*args)
+            inverses.append(mus.copy())
+            return mus, errors
+
+        def spy(phi1, phi2, mus, lams, nus):
+            batches.append((inverses[-1], np.broadcast_arrays(mus, lams)[0]))
+            return helper(phi1, phi2, mus, lams, nus)
+
+        monkeypatch.setattr(lower_bilateral, "_saddle_inverse", inverse_spy)
+        monkeypatch.setattr(lower_bilateral, "_bracket_logs", spy)
+        ls = np.arange(10.0, 301.0) / 10.0
+        grid = PhiFunction.from_grid(ls, 0.5 * ls * ls)
+        xs = np.arange(1.0, 8.5, 0.5)
+        for phi in (grid, QUAD0, PhiFunction.power_log(2.0, 1.0, lo=0.0)):
+            closure_lower_envelope(phi, phi, xs)
+            with contextlib.suppress(NotCertifiedError):  # the grid's pinch refuses
+                pinched_lower_envelope(phi, 0.1, np.arange(3.0, 30.0))
+            exact_mgf_sandwich(phi, xs)
+        assert len(batches) == 9
+        for want, got in batches:
+            assert got.tobytes() == np.broadcast_to(want[:, None], got.shape).tobytes()
+        # the grid's sandwich: 24 rows at each of 15 points; at x = 1, below
+        # the first chord, every row starts at the first knot, mu = 1
+        got = batches[2][1]
+        assert got.shape == (15, 24) and (got[0] == 1.0).all()
 
 
 class TestRegularity:
@@ -359,7 +393,8 @@ def _threshold_pinch(phi, delta):
     ladder = np.geomspace(math.e, cap, 40)
     ds = np.geomspace(0.3, min(4.9, 0.49 / delta), 16) * delta
     mus, _ = _x0_inverse(phi, ladder)
-    neg_log = -_bracket_logs(phi1, phi, mus[:, None] / (1.0 - ds), ds, ds).max(axis=1)
+    lams = mus[:, None] / (1.0 - ds)
+    neg_log = -_bracket_logs(phi1, phi, mus[:, None], lams, lams * (1.0 + ds)).max(axis=1)
     half = int(np.sum(ladder <= cap / 2.0)) - 1
     upper, neg_up, top = ladder[half:], neg_log[half:], (1.0 - 1e-9) / delta
 
@@ -673,22 +708,17 @@ class TestSaddleInverse:
 
 # Scalar versions of the saddle path, one t at a time, as the geometry and
 # the regularity report were once written: the reference for the batched
-# _saddle_points path and its touching identity, compared bit for bit.
+# _saddle_table path and its touching identity, compared bit for bit.
 def _scalar_x0(phi2, t):
-    # a grid's chord at t may be its knot's, where the saddle map snaps t
-    if phi2.convex and phi2.deriv is not None and phi2.kind != "grid":
-        return float(phi2.deriv(float(t)))
-    x0s, _, errors = _saddle_points(phi2, [float(t)])
-    if errors:
-        raise errors[0]
-    return float(x0s[0])
+    # a grid has no saddle from its last knot on
+    ls = phi2.knots[0] if phi2.kind == "grid" else None
+    if ls is not None and t >= ls[-1]:
+        raise OutOfDomainError(float(t), float(ls[0]), float(ls[-1]))
+    return float(phi2.deriv(float(t)))
 
 
 def _scalar_star_at_saddle(phi2, t, x):
-    # x is a subgradient of phi2 at t, a derivative or a grid's chord, or
-    # at the knot the grid's saddle map moves t onto
-    if phi2.kind == "grid":
-        t = _saddle_points(phi2, [float(t)])[1][0]
+    # x is a subgradient of phi2 at t, a derivative or a grid's chord
     return float(t) * float(x) - phi2.value(float(t))
 
 
@@ -837,10 +867,10 @@ class TestBatchedSaddlePath:
         want = _scalar_verify_regularity(phi, skipped)
         assert repr(verify_regularity(phi)) == repr(want)
         assert skipped == []
-        x0s, touch, errors = _saddle_points(phi, kinks)
+        x0s, _, errors, _ = _saddle_table(phi, kinks)
         ls, vs = phi.knots
         at = np.searchsorted(ls, kinks)
-        assert errors == {} and touch.tolist() == kinks.tolist()
+        assert errors == {}
         assert x0s.tolist() == ((vs[at + 1] - vs[at]) / (ls[at + 1] - ls[at])).tolist()
 
     def test_kinks_raise_where_the_scalar_walk_raises(self):
@@ -861,12 +891,10 @@ class TestBatchedSaddlePath:
 
     def test_touching_identity_is_the_grid_conjugate(self):
         # on a convex grid x0(t) is the chord of the piece [ls[k], ls[k+1])
-        # holding t, or holding the knot just above t that the map moves t
-        # onto: a subgradient at the touching point the map returns, so the
-        # identity there, which the saddle path takes for phi2*(x0), is the
-        # knot conjugate to rounding.  t is drawn uniformly, on knots and
-        # within 1e-12 of them, where the touching point is the knot for a
-        # t at or below it and t itself above it
+        # holding t: a subgradient at t, so the touching identity there,
+        # which the saddle path takes for phi2*(x0), is the knot conjugate
+        # to rounding.  t is drawn uniformly, on knots and within 1e-12 of
+        # them, where a t just below a knot keeps the chord to its left
         rng = np.random.default_rng(2028)
         checked = 0
         for _ in range(50):
@@ -880,13 +908,11 @@ class TestBatchedSaddlePath:
             k = rng.integers(0, n, 60)
             ts = np.concatenate([rng.uniform(ls[0], ls[-1], 100), ls[k],
                                  ls[k] + rng.uniform(-1e-12, 1e-12, 60)])
-            x0s, touch, _ = _saddle_points(phi2, ts)
+            x0s, stars, _, _ = _saddle_table(phi2, ts)
             at = ~np.isnan(x0s)
-            near = ts[160:]
-            assert (touch[160:] == np.where(near <= ls[k], ls[k], near))[at[160:]].all()
-            stars = touch[at] * x0s[at] - phi2.values(touch[at])
+            assert (stars[at] == ts[at] * x0s[at] - phi2.values(ts[at])).all()
             want = conjugate_values(phi2, x0s[at])[0]
-            assert (np.abs(stars - want) <= 4e-15 * np.maximum(1.0, np.abs(want))).all()
+            assert (np.abs(stars[at] - want) <= 4e-15 * np.maximum(1.0, np.abs(want))).all()
             checked += int(at.sum())
         assert checked > 10_000
 
@@ -910,7 +936,7 @@ class TestBatchedSaddlePath:
                          != "NonUniqueArgmaxError"])
         # the rows forwards and backwards: a 2 x n batch
         lams, d1s, d2s = np.stack([rows, rows[::-1]]).transpose(2, 0, 1)
-        got = _bracket_logs(phi, phi, lams, d1s, d2s)
+        got = _bracket_logs(phi, phi, lams * (1.0 - d1s), lams, lams * (1.0 + d2s))
         assert got.shape == lams.shape
         want, refused = [], set()
         for lam, d1, d2 in zip(lams.ravel(), d1s.ravel(), d2s.ravel()):
@@ -944,7 +970,8 @@ class TestBatchedSaddlePath:
         assert str(smallest.value) == str(OutOfDomainError(10.0, 0.0, 10.0))
         lams, ds = np.array([10.0, 8.0, 7.5, 7.0]), np.array([0.2, 0.25, 0.2, 0.2])
         want = [tangent_bracket_log(phi, make_geometry(phi, lam, 0.2)) for lam in (7.5, 7.0)]
-        assert _bracket_logs(phi, phi, lams, ds, ds).tolist() == [-math.inf, -math.inf, *want]
+        got = _bracket_logs(phi, phi, lams * (1.0 - ds), lams, lams * (1.0 + ds))
+        assert got.tolist() == [-math.inf, -math.inf, *want]
         assert math.isfinite(want[1])
 
 
