@@ -66,41 +66,38 @@ def _saddle_inverse(phi2: PhiFunction, zs: np.ndarray, mus: np.ndarray,
                     errors: dict) -> tuple[np.ndarray, dict]:
     """The t with x0(t) = z for each z, the maximizer of t*z - phi2(t)
     (Rockafellar, *Convex Analysis*, section 26), written over the argmax
-    ``mus`` of ``conjugate_values(phi2, zs)``; and by index the
-    OutOfDomainError or InputError of each z without one (its t is NaN).
-    Its other ``errors`` raise, the smallest z's first.  For a convex phi2
-    with a derivative, other than a grid (which answers a z below its first
-    chord with its first knot), no z below phi2'(lo) has a t; a z whose conjugate
+    ``mus`` of ``conjugate_values(phi2, zs)`` for a phi2 with a saddle map
+    (:func:`_require_saddle_map`); and by index the OutOfDomainError of
+    each z without one (its t is NaN).  Its other ``errors`` raise, the
+    smallest z's first.  A z below phi2'(lo) keeps its argmax lo, whose
+    x0(lo) >= z bounds T(z) from below, for every kind; a z whose conjugate
     stops at ``LAMBDA_CAP``, or is refused there, goes on from the cap: its
     bracket doubles while phi2' <= z, at most 200 times (else it has no t),
     and the root of phi2'(t) = z bisects in it, NotConvergedError if left open.
     """
-    if phi2.convex and phi2.deriv is not None and phi2.kind != "grid":
-        dlo = float(phi2.deriv(max(phi2.domain.lo, 1e-12)))
-        # a z refused as unbounded stopped at the cap too
-        mus[[i for i, e in errors.items() if isinstance(e, UnboundedObjectiveError)]] = LAMBDA_CAP
-        errors = {i: e for i, e in errors.items() if mus[i] != LAMBDA_CAP}
-        past = np.flatnonzero(~(dlo > zs) & (not phi2.domain.bounded) & (mus == LAMBDA_CAP))
-        b, grow = _grow_rows(np.full(past.size, LAMBDA_CAP),
-                             lambda rows, t: ~(phi2.derivatives(t) > zs[past[rows]]), 200)
-        errors.update((i, OutOfDomainError(float(zs[i]), dlo, float(phi2.deriv(t))))
-                      for i, t in zip(past[grow].tolist(), b[grow].tolist()))
-        a, b, stuck = _slope_roots(phi2, np.full(past.size, LAMBDA_CAP),
-                                   np.where(grow, LAMBDA_CAP, b), zs[past])
-        mus[past] = 0.5 * (a + b)
-        errors.update((int(past[j]), exc) for j, exc in stuck.items())
-        errors.update((i, OutOfDomainError(float(zs[i]), dlo, math.inf))
-                      for i in np.flatnonzero(dlo > zs).tolist())
-        mus[list(errors)] = math.nan
-    _raise_first(errors, (OutOfDomainError, InputError))
+    # a z refused as unbounded stopped at the cap too
+    mus[[i for i, e in errors.items() if isinstance(e, UnboundedObjectiveError)]] = LAMBDA_CAP
+    errors = {i: e for i, e in errors.items() if mus[i] != LAMBDA_CAP}
+    past = np.flatnonzero((mus == LAMBDA_CAP) & (not phi2.domain.bounded))
+    b, grow = _grow_rows(np.full(past.size, LAMBDA_CAP),
+                         lambda rows, t: ~(phi2.derivatives(t) > zs[past[rows]]), 200)
+    # no bracket: the x0 range searched, from phi2'(LAMBDA_CAP) on
+    errors.update((i, OutOfDomainError(float(zs[i]), phi2.derivative(LAMBDA_CAP),
+                                       float(phi2.deriv(t))))
+                  for i, t in zip(past[grow].tolist(), b[grow].tolist()))
+    a, b, stuck = _slope_roots(phi2, np.full(past.size, LAMBDA_CAP),
+                               np.where(grow, LAMBDA_CAP, b), zs[past])
+    mus[past] = 0.5 * (a + b)
+    errors.update((int(past[j]), exc) for j, exc in stuck.items())
+    mus[list(errors)] = math.nan
+    _raise_first(errors, (OutOfDomainError,))
     return mus, errors
 
 
 def _require_saddle_map(phi2: PhiFunction, message: str) -> None:
-    """Refuse, before any search, the ``phi2`` whose saddle map
-    :func:`_saddle_table` refuses at every t: NotCertifiedError with
-    ``message`` unless it is convexity-certified, and unless it has a
-    derivative (a grid has its right chord)."""
+    """The one check that ``phi2`` has a saddle map, before any search:
+    NotCertifiedError with ``message`` unless it is convexity-certified,
+    and unless it has a derivative (a grid has its right chord)."""
     if phi2.convex is not True:
         raise NotCertifiedError(message)
     if phi2.deriv is None:
@@ -108,38 +105,31 @@ def _require_saddle_map(phi2: PhiFunction, message: str) -> None:
             f"{phi2.label}: the saddle map x0 = phi2'(lam) needs a derivative or a grid")
 
 
-def _saddle_table(phi2: PhiFunction, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict,
-                                                            np.ndarray]:
-    """The package's one saddle map: x0 and phi2*(x0) at each t of the array
-    ``ts``, in its shape, NaN where t has no saddle; by index of the sorted
-    distinct t's, the error of each t without one; and each t's index among
-    them.  x0 is phi2'(t), in one ``derivatives`` call, which raises its
-    first error; on a grid the right chord of the knot piece holding t
+def _saddle_table(phi2: PhiFunction, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The package's one saddle map, for a ``phi2`` that has one
+    (:func:`_require_saddle_map`): x0 and phi2*(x0) at each t of the array
+    ``ts``, in its shape, NaN where t has no saddle; and by index of the
+    sorted distinct t's, the OutOfDomainError of each t without one: off
+    the domain, and on a grid naming the knot span from the last knot on.
+    x0 is phi2'(t), in one ``derivatives`` call, which raises its first
+    error; on a grid the right chord of the knot piece holding t
     (Rockafellar, *Convex Analysis*, sections 23-24).  phi2*(x0) is the
-    touching identity t*x0 - phi2(t).  Each t's error is the first that
-    applies: OutOfDomainError off the domain; InputError unless ``phi2`` is
-    convex with a derivative; on a grid, OutOfDomainError naming the knot
-    span from the last knot on.
+    touching identity t*x0 - phi2(t).
     """
     # return_inverse skips np.unique's numpy.ma import; numpy 2.x releases differ on its shape
     distinct, inv = np.unique(ts, return_inverse=True)
     inv = inv.reshape(ts.shape)
     inside = phi2.domain.contains(distinct)
-    has_map = bool(phi2.convex and phi2.deriv is not None)
     ls = phi2.knots[0] if phi2.kind == "grid" else None
-    fail = ~inside | (not has_map) | (ls is not None and distinct >= ls[-1])
+    fail = ~inside | (ls is not None and distinct >= ls[-1])
     x0s, stars = np.full(distinct.size, math.nan), np.full(distinct.size, math.nan)
-    if has_map:
-        x0s[~fail] = phi2.derivatives(distinct[~fail])
-    has = ~np.isnan(x0s)
-    stars[has] = distinct[has] * x0s[has] - phi2.values(distinct[has])
-    no_map = ("saddle point needs a convex grid function" if ls is not None
-              else f"{phi2.label}: saddle point needs a convex phi2 with a derivative")
+    x0s[~fail] = phi2.derivatives(distinct[~fail])
+    stars[~fail] = distinct[~fail] * x0s[~fail] - phi2.values(distinct[~fail])
     errors = {i: OutOfDomainError(float(distinct[i]), phi2.domain.lo, phi2.domain.hi)
-              if not inside[i] else InputError(no_map) if not has_map
-              else OutOfDomainError(float(distinct[i]), float(ls[0]), float(ls[-1]))
-              for i in np.flatnonzero(fail).tolist()}  # the last on a grid only
-    return x0s[inv], stars[inv], errors, inv
+              if not inside[i]
+              else OutOfDomainError(float(distinct[i]), float(ls[0]), float(ls[-1]))  # a grid
+              for i in np.flatnonzero(fail).tolist()}
+    return x0s[inv], stars[inv], errors
 
 
 def _saddle_rows(phi2: PhiFunction, mus: np.ndarray, lams: np.ndarray,
@@ -150,7 +140,7 @@ def _saddle_rows(phi2: PhiFunction, mus: np.ndarray, lams: np.ndarray,
     ds_minus = lam - mu and ds_plus = lam - nu, as arrays over the rows; and
     the errors of :func:`_saddle_table`, whose t's without a saddle are NaN.
     """
-    x0s, stars, errors, _ = _saddle_table(phi2, np.stack([mus, lams, nus]))
+    x0s, stars, errors = _saddle_table(phi2, np.stack([mus, lams, nus]))
     (xm, x0, xp), (sm, s0, sp) = x0s, lams * x0s - stars
     return dict(x_minus=xm, x0=x0, x_plus=xp, s_minus=sm, s_x0=s0, s_plus=sp,
                 ds_minus=lams - mus, ds_plus=lams - nus), errors
@@ -198,18 +188,17 @@ def make_geometry(phi2: PhiFunction, lam: float, delta1: float,
     """The saddle geometry at lam with x_minus = x0(lam(1-delta1)) and x_plus
     = x0(lam(1+delta2)); delta2 defaults to delta1.  The one-row case of the
     batch behind :func:`_bracket_logs`, raising what the batch refuses:
-    InputError for the offsets, OutOfDomainError for the first of mu, lam,
-    nu outside phi2's domain, the saddle path's error at the smallest t,
-    and GeometryInvalidError.
+    NotCertifiedError for a phi2 without a saddle map
+    (:func:`_require_saddle_map`), InputError for the offsets, the
+    OutOfDomainError of the smallest of mu, lam, nu without a saddle, and
+    GeometryInvalidError.
     """
+    _require_saddle_map(phi2, "saddle geometry needs a convexity-certified phi2")
     lam, d1 = float(lam), float(delta1)
     d2 = d1 if delta2 is None else float(delta2)
     if not (0.0 < d1 < 1.0 and 0.0 < d2):
         raise InputError("dilation offsets must be positive, delta1 < 1")
     ts = np.array([lam * (1.0 - d1), lam, lam * (1.0 + d2)])
-    for t in ts.tolist():
-        if not phi2.domain.contains(t):
-            raise OutOfDomainError(t, phi2.domain.lo, phi2.domain.hi)
     cols, errors = _saddle_rows(phi2, *ts[:, None])
     _raise_first(errors)
     geo = SaddleGeometry(lam=lam, rule="symmetric" if d2 == d1 else "asymmetric",
@@ -251,10 +240,8 @@ def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, mus, lams, nus) -> np.nd
     :func:`tangent_bracket_log` gives for that row's geometry.
 
     -inf where a row is not mu < lam < nu with mu and nu in phi2's domain
-    and lam in phi1's, where the saddle path refuses one of its points with
-    an InputError or an OutOfDomainError, where the geometry is invalid,
-    and where the bracket clamps (or is NaN).  Any other error of the saddle
-    path raises: the one at the smallest t of the batch.
+    and lam in phi1's, where one of its points has no saddle, where the
+    geometry is invalid, and where the bracket clamps (or is NaN).
     """
     mus, lams, nus = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                            for a in (mus, lams, nus)))
@@ -263,8 +250,7 @@ def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, mus, lams, nus) -> np.nd
     rows = np.nonzero((mus < lams) & (lams < nus) & dom.contains(mus) & dom.contains(nus)
                       & phi1.domain.contains(lams))
     lam = lams[rows]
-    cols, errors = _saddle_rows(phi2, mus[rows], lam, nus[rows])
-    _raise_first(errors, (OutOfDomainError, InputError))
+    cols, _ = _saddle_rows(phi2, mus[rows], lam, nus[rows])
     valid = _geometry_ok(**cols)
     lam = lam[valid]
     out[tuple(r[valid] for r in rows)] = _bracket_formula(
@@ -371,27 +357,17 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
     delta_grid = np.concatenate([-base[::-1], base])
 
     # x0 and phi*(x0) at every shifted lam t = lam(1 + d) in one table, in
-    # lam-major order: a cell whose x0 is degenerate is skipped, and the
-    # first error a cell needs is raised
+    # lam-major order: a cell without a saddle, off the domain among them,
+    # is skipped
     lams = lam_grid[phi.domain.contains(lam_grid)]
     ts = lams[:, None] * (1.0 + delta_grid)
-    x0s, stars, errors, inv = _saddle_table(phi, ts)
+    x0s, stars, _ = _saddle_table(phi, ts)
     s_peak = phi.values(lams)[:, None]  # S(lam, x0(lam)), by the touching identity
-    # every error of the saddle map (OutOfDomainError, InputError) skips its
-    # cell, a cell off the domain among them
-    skip = np.isin(inv, list(errors))
-    in_dom = phi.domain.contains(ts)
     # t_up = lam(1 + |d|) and t_dn = lam(1 - |d|): the columns of +|d| and -|d|
     ad = np.abs(delta_grid)
     up, dn = np.searchsorted(delta_grid, ad), np.searchsorted(delta_grid, -ad)
 
-    cell = (s_peak > 0) & ~skip
-    absorb = cell & in_dom[:, up] & in_dom[:, dn]
-    # an absorption cell needs both of its shifted saddles
-    raises = absorb & (skip[:, up] | skip[:, dn])
-    if raises.any():
-        i, j = np.unravel_index(np.argmax(raises), raises.shape)
-        raise errors[inv[i, up[j]]] if skip[i, up[j]] else errors[inv[i, dn[j]]]
+    cell = (s_peak > 0) & ~np.isnan(x0s)
     with np.errstate(all="ignore"):
         ratio = (s_peak - (lams[:, None] * x0s - stars)) / (s_peak * delta_grid * delta_grid)
         # absorption: lam*x0(lam(1+|d|)) - (1-d^2) phi(lam)
@@ -400,7 +376,8 @@ def verify_regularity(phi: PhiFunction) -> RegularityReport:
         c0s = ((lams[:, None] * x0s[:, up] - (1.0 - delta_grid * delta_grid) * s_peak - star_dn)
                / (ad * star_dn))
     ratio = np.where(cell & ~np.isnan(ratio), ratio, math.inf)
-    c0s = np.where(absorb & ~(star_dn <= 0) & ~np.isnan(c0s), c0s, -math.inf)
+    # an absorption cell needs both of its shifted saddles: without one, c0 is NaN
+    c0s = np.where(cell & ~(star_dn <= 0) & ~np.isnan(c0s), c0s, -math.inf)
     # the first strict minimum and maximum in (lam, d) order
     i, j = np.unravel_index(np.argmin(ratio), ratio.shape)
     v_best = float(ratio[i, j])

@@ -67,10 +67,18 @@ def _probe_grid(domain) -> np.ndarray:
     return np.linspace(max(domain.lo, 1e-9), hi, 64)
 
 
+def _require_finite(**params: float) -> None:
+    """InputError naming the first of ``params`` that is not finite."""
+    for name, v in params.items():
+        if not math.isfinite(v):
+            raise InputError(f"moment envelope parameter {name} must be finite, got {v!r}")
+
+
 def moment_power_pole(c: float, b: float, beta: float) -> MomentEnvelope:
     """Lower envelope |X|_p >= c * (b - p)^(-beta) on [1, b)."""
     if not (b > 1 and beta > 0 and c > 0):
         raise InputError("need b > 1, beta > 0, c > 0")
+    _require_finite(c=c, b=b, beta=beta)
     fn = lambda p: c * np.power(b - p, -beta)
     deriv = lambda p: c * beta * np.power(b - p, -beta - 1.0)
     return MomentEnvelope(lower=PhiFunction.from_callable(
@@ -83,6 +91,7 @@ def moment_power_growth(m: float, c_low: float, c_high: float) -> MomentEnvelope
     """Two-sided envelope c_low * p^(1/m) <= |X|_p <= c_high * p^(1/m)."""
     if not (m > 0 and 0 < c_low <= c_high):
         raise InputError("need m > 0 and 0 < c_low <= c_high")
+    _require_finite(m=m, c_low=c_low, c_high=c_high)
     def curve(c):
         return PhiFunction.from_callable(
             lambda p: c * np.power(p, 1.0 / m), 1.0, math.inf,

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .functions import (PhiFunction, _bisect_rows, _grow_rows, _raise_first,
                         _values_or_errors, conjugate_values)
+from .lower_bilateral import verify_regularity
 from .oracles import OracleDistribution, empirical_tail
 
 
@@ -127,8 +128,6 @@ def tauberian_check(
     positive, and no extrapolation is applied (the raw top value is
     reported, sampling noise dominating the correction).
     """
-    from .lower_bilateral import verify_regularity
-
     if not isinstance(source, OracleDistribution):
         raise InputError(f"source must be an OracleDistribution, got {type(source).__name__}")
     reg = verify_regularity(phi)

@@ -283,8 +283,8 @@ class TestOtherCommands:
         assert all(lv <= uv for lv, uv in zip(env["log_value"], res["chernoff"]["log_value"]))
 
     def test_lower_bi_closure_reports_each_z(self, tmp_path):
-        # per z in z order: z = 1.5 clamps; a quadratic on [2, inf) has no
-        # saddle below phi'(2) = 2
+        # per z in z order: z = 1.5 clamps; on a quadratic on [2, inf) it
+        # lies below phi'(2) = 2 and takes mu = lo = 2, whose x0 = 2 >= z
         out = tmp_path / "r.json"
         code = run(["lower-bi", "--family", "quadratic", "--lambda-min", "0",
                     "--x", "1.5,3,5", "--out", str(out), "--normalize"])
@@ -302,8 +302,9 @@ class TestOtherCommands:
                     "--x", "1.5,3", "--out", str(out), "--normalize"])
         assert code == 0
         per_z = json.loads(out.read_text())["results"]["diagnostics"]["per_z"]
-        assert per_z == [{"z": 1.5, "status": "no-saddle"}, per_z[1]]
-        assert per_z[1]["status"] == "ok"
+        assert [row["status"] for row in per_z] == ["ok", "ok"]
+        d1, _, lam = per_z[0]["best_offsets"]
+        assert lam == pytest.approx(2.0 / (1.0 - d1), rel=1e-15)
 
 
 class TestValidateAndErrors:
@@ -405,8 +406,14 @@ class TestValidateAndErrors:
         (["upper", "--family", "linear", "--slope", "inf"], "linear slope must be nonnegative"),
         (["tauber", "--scale", "nan"], "scale must be positive and finite, got nan"),
         (["conjugate", "--x", "0:1e30:1"], "grid spec '0:1e30:1'"),
+        (["moments", "--m", "inf", "--x", "3:10:1"], "parameter m must be finite"),
+        (["moments", "--c-high", "inf"], "parameter c_high must be finite"),
+        (["moments", "--mode", "pole", "--c", "inf"], "parameter c must be finite"),
+        (["moments", "--mode", "pole", "--b", "inf"], "parameter b must be finite"),
+        (["moments", "--mode", "pole", "--beta", "inf"], "parameter beta must be finite"),
     ], ids=["power-log-p-nan", "coeff-nan", "coeff-inf", "power-log-r-nan", "linear-slope-inf",
-            "tauber-scale-nan", "unallocatable-grid"])
+            "tauber-scale-nan", "unallocatable-grid", "growth-m-inf", "growth-c-high-inf",
+            "pole-c-inf", "pole-b-inf", "pole-beta-inf"])
     def test_non_finite_parameter_or_huge_grid_is_input_error(self, argv, says, tmp_path,
                                                               capsys):
         # p = nan reported a Chernoff bound of -inf at every x and exited 0,

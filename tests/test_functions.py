@@ -19,6 +19,7 @@ from tailbounds.errors import (
     EmptyDomainError,
     InputError,
     NegativeInputError,
+    NotCertifiedError,
     NotConvergedError,
     OutOfDomainError,
     TailboundsError,
@@ -43,7 +44,8 @@ from tailbounds.functions import (
     conjugate_value,
     conjugate_values,
 )
-from tailbounds.lower_bilateral import _saddle_table, pinched_lower_envelope
+from tailbounds.lower_bilateral import (_require_saddle_map, _saddle_table,
+                                        pinched_lower_envelope)
 from tailbounds.moments import (
     MomentEnvelope,
     moment_envelope_from_csv,
@@ -287,7 +289,9 @@ def _lower_convex_hull(ls, vs):
 
 def _per_lam(phi2, lams):
     """The x0 of _saddle_table at each lam, or its error."""
-    x0s, _, errors, inv = _saddle_table(phi2, np.asarray(lams, dtype=float))
+    lams = np.asarray(lams, dtype=float)
+    x0s, _, errors = _saddle_table(phi2, lams)
+    inv = np.unique(lams, return_inverse=True)[1]  # errors go by sorted distinct lam
     return [errors.get(i, x0) for i, x0 in zip(inv.tolist(), x0s.tolist())]
 
 
@@ -330,10 +334,10 @@ class TestSaddlePoint:
     def test_grid_batch_equals_the_per_lam_scan(self, convex, picks, narrowed):
         # lams on, beside (within 1e-12 and beyond) and between the knots,
         # below and above the grid, and NaN: the batch's sorted search gives
-        # what a scan of the knots per lam gives, errors included, in the
-        # per-lam order OutOfDomainError before the convexity InputError;
-        # also on a domain narrowed inside the knots (the knot 1.0 lies
-        # below it, and 8.0 above it)
+        # what a scan of the knots per lam gives, errors included; also on a
+        # domain narrowed inside the knots (the knot 1.0 lies below it, and
+        # 8.0 above it).  The map reads no convexity verdict: the gate
+        # refuses a dented grid before any search, and its map is the scan's
         ls = np.array([0.5, 1.0, 1.0 + 4e-13, 2.0, 3.5, 3.5 + 1e-12, 5.0, 6.0, 8.0, 9.0])
         vs = 0.5 * ls ** 2 if convex else 4.0 * np.sqrt(ls)
         g = PhiFunction.from_grid(ls, vs)
@@ -342,6 +346,9 @@ class TestSaddlePoint:
                                                                    hi=8.0))
         lams = [float(ls[i]) + off * (1.0 if abs(off) < 1e-9 else 0.5) for i, off in picks]
         lams.append(math.nan)
+        if not convex:
+            with pytest.raises(NotCertifiedError):
+                _require_saddle_map(g, "dented")
         batch = _per_lam(g, lams)
         for lam, got in zip(lams, batch):
             want = _raised(_reference_grid_saddle_point, g, lam) or \
@@ -361,7 +368,7 @@ class TestSaddlePoint:
         ls = np.arange(11.0)
         g = PhiFunction.from_grid(ls, 0.5 * ls ** 2)
         lams = np.array([5.0 - 1e-13, 5.0, 5.0 + 1e-13])
-        x0s, stars, errors, _ = _saddle_table(g, lams)
+        x0s, stars, errors = _saddle_table(g, lams)
         assert errors == {} and x0s.tolist() == [4.5, 5.5, 5.5]
         assert stars.tolist() == (lams * x0s - g.values(lams)).tolist()
         np.testing.assert_allclose(stars, [10.0, 15.0, 15.0], rtol=1e-14)
@@ -372,7 +379,7 @@ class TestSaddlePoint:
         # chord of the piece [ls[k], ls[k+1]) holding lam, found by a scan
         # of the knots, and the last chord at the last knot; away from the
         # knots a convex grid's saddle map reads the same x0, and a dented
-        # grid has none
+        # grid has none: the gate refuses it
         ls = np.array([0.5, 1.0, 2.0, 3.5, 5.0, 6.0, 9.0])
         vs = 0.5 * ls ** 2 + (0.0 if convex else np.where(ls == 3.5, 3.0, 0.0))  # a bump at 3.5
         g = PhiFunction.from_grid(ls, vs)
@@ -385,11 +392,12 @@ class TestSaddlePoint:
         assert g.derivatives(lams).tolist() == want
         assert [g.derivative(t) for t in lams.tolist()] == want
         mids = 0.5 * (ls[1:] + ls[:-1])
-        x0s, _, errors, _ = _saddle_table(g, mids)
         if convex:
+            x0s, _, errors = _saddle_table(g, mids)
             assert errors == {} and x0s.tolist() == g.derivatives(mids).tolist()
         else:
-            assert {type(e) for e in errors.values()} == {InputError} and len(errors) == mids.size
+            with pytest.raises(NotCertifiedError, match="dented"):
+                _require_saddle_map(g, "dented")
 
     def test_a_grid_domain_past_its_knots_is_refused(self):
         # a grid answers on its knot span only: a domain widened past it
@@ -427,7 +435,7 @@ class TestSaddlePoint:
         # the batch the envelopes read is x0 = phi2'(lam) and phi2*(x0) the
         # touching identity at lam, bit for bit
         lams = np.array(lams)
-        x0s, stars, errors, _ = _saddle_table(f, lams)
+        x0s, stars, errors = _saddle_table(f, lams)
         assert errors == {} and x0s.tolist() == f.derivatives(lams).tolist()
         assert stars.tolist() == (lams * x0s - f.values(lams)).tolist()
 
@@ -436,11 +444,13 @@ class TestSaddlePoint:
         PhiFunction.power_log(0.5),
     ], ids=["derivative-free", "non-convex"])
     def test_no_saddle_map_is_refused(self, f):
-        # neither phi2' of a convex phi2 nor a convex grid: InputError at
-        # every lam in the domain, OutOfDomainError outside it
-        inside, outside = _per_lam(f, [3.0, -1.0])
-        assert type(inside) is InputError and type(outside) is OutOfDomainError
-        assert "saddle point needs a convex phi2" in str(inside)
+        # neither phi2' of a convex phi2 nor a convex grid: the gate refuses
+        # it with NotCertifiedError, naming the derivative where it lacks one
+        with pytest.raises(NotCertifiedError) as refused:
+            _require_saddle_map(f, "needs a convexity-certified phi2")
+        assert str(refused.value) == (
+            "needs a convexity-certified phi2" if f.convex is not True
+            else f"{f.label}: the saddle map x0 = phi2'(lam) needs a derivative or a grid")
 
 
 # Hand-rolled bisection loops as the searches once wrote them, each the
@@ -763,15 +773,16 @@ class TestConvexityCertificate:
 
     def test_grid_verdict_is_the_one_saddle_point_reads(self):
         # a 1e-10 bump on a line: the chords fall by 2e-10, beyond from_grid's
-        # 1e-12 relative tolerance, so the grid is not convex anywhere it is read
+        # 1e-12 relative tolerance, so the grid is not convex anywhere it is
+        # read, and the saddle map's gate refuses it
         ls = np.arange(101.0)
         vs = 2.0 * ls
         vs[50] += 1e-10
         g = PhiFunction.from_grid(ls, vs)
         assert g.convex is False
         assert certify_convex(g) is False
-        got, = _per_lam(g, [20.5])
-        assert type(got) is InputError
+        with pytest.raises(NotCertifiedError, match="wavy"):
+            _require_saddle_map(g, "wavy")
 
 
 def _row_loop_read_csv_columns(path, header):
@@ -1529,15 +1540,13 @@ class TestThreadSafety:
 
 
 def _reference_grid_saddle_point(phi2, lam):
-    """The grid saddle one lam at a time: the chords, their convexity test
-    and a scan of the knots for the first one above lam.  x0 is the chord
-    of lam's knot piece."""
+    """The grid saddle one lam at a time: the chords and a scan of the
+    knots for the first one above lam.  x0 is the chord of lam's knot
+    piece."""
     if not phi2.domain.contains(lam):
         raise OutOfDomainError(lam, phi2.domain.lo, phi2.domain.hi)
     ls, vs = phi2.knots
     chords = np.diff(vs) / np.diff(ls)
-    if not np.all(np.diff(chords) >= -1e-12 * max(1.0, float(np.abs(chords).max()))):
-        raise InputError("saddle point needs a convex grid function")
     above = [j for j, knot in enumerate(ls.tolist()) if knot > lam]
     k = above[0] - 1 if above else ls.size - 1
     if not 0 <= k < chords.size:

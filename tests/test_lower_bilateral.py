@@ -41,6 +41,7 @@ from tailbounds.lower_bilateral import (
     tangent_bracket_lower,
     verify_regularity,
 )
+from tailbounds.tauberian import tauberian_check
 
 QUAD0 = PhiFunction.quadratic(lo=0.0)
 
@@ -297,10 +298,57 @@ class TestSaddleMapGate:
             run(phi)
         assert calls == []
 
-    def test_geometry_refuses_with_input_error(self):
-        phi, _ = self._counted()
-        with pytest.raises(InputError, match="saddle point needs a convex phi2"):
+    def test_geometry_refuses_before_any_search(self):
+        phi, calls = self._counted()
+        with pytest.raises(NotCertifiedError, match="needs a derivative or a grid"):
             make_geometry(phi, 3.0, 0.2)
+        assert calls == []
+
+    @pytest.mark.parametrize("phi2", [
+        PhiFunction.power_log(0.5),
+        PhiFunction.from_callable(lambda l: 0.5 * l * l, 0.0, math.inf, convex=True),
+    ], ids=["non-convex", "derivative-free"])
+    @pytest.mark.parametrize("run", [
+        lambda phi: closure_lower_envelope(QUAD0, phi, [2.0, 3.0]),
+        lambda phi: pinched_lower_envelope(phi, 0.1, [3.0, 4.0]),
+        lambda phi: exact_mgf_sandwich(phi, [2.0, 3.0]),
+        lambda phi: verify_regularity(phi),
+        lambda phi: make_geometry(phi, 3.0, 0.2),
+        lambda phi: tauberian_check(phi, oracles.gaussian()),
+    ], ids=["closure", "pinch", "sandwich", "regularity", "geometry", "tauberian"])
+    def test_the_gate_guards_every_entry(self, monkeypatch, phi2, run):
+        # each public entry refuses a phi2 without a saddle map before the
+        # saddle map runs
+        tables = []
+        table = lower_bilateral._saddle_table
+
+        def spy(*args):
+            tables.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(lower_bilateral, "_saddle_table", spy)
+        with pytest.raises(NotCertifiedError):
+            run(phi2)
+        assert tables == []
+
+    @pytest.mark.parametrize("phi", [
+        PhiFunction.quadratic(2.0),
+        PhiFunction.from_grid(np.arange(10, 301) / 10, 2.0 * (np.arange(10, 301) / 10) ** 2),
+    ], ids=["closed-form", "grid"])
+    def test_below_the_slope_at_lo_every_kind_takes_lo(self, phi):
+        # 2 lam^2 on [1, inf), the exponent of N(0, 4): z = 2..3.5 lie below
+        # phi'(1) = 4 (the grid's first chord 4.2), so each takes mu = lo,
+        # whose x0(1) >= z bounds T(z) from below; the closure's and the
+        # sandwich's lower log-values lie below ln T(z) = ln Phi(-z/2)
+        zs = np.arange(2.0, 4.0, 0.5)
+        mus, errors = _x0_inverse(phi, zs)
+        assert errors == {} and mus.tolist() == [1.0] * zs.size
+        log_t = oracles.log_ndtr(-zs / 2.0)
+        env, diag = closure_lower_envelope(phi, phi, zs)
+        assert [row["status"] for row in diag.per_z.values()] == ["ok"] * zs.size
+        lower, _, _ = exact_mgf_sandwich(phi, zs)
+        for got in (env.log_values, lower.log_values):
+            assert np.isfinite(got).all() and (got <= log_t).all()
 
 
 @pytest.fixture(scope="module")
@@ -666,8 +714,9 @@ class TestSaddleInverse:
             assert mu == pytest.approx(math.log(z / (1.0 - z)), rel=1e-10)
 
     def test_below_the_slope_at_lo(self):
+        # z = 1 lies below phi'(2) = 2: it keeps its conjugate's argmax, lo
         mus, errors = _x0_inverse(PhiFunction.quadratic(lo=2.0), np.array([1.0, 6.0]))
-        assert isinstance(errors[0], OutOfDomainError)
+        assert errors == {} and mus[0] == 2.0
         assert mus[1] == pytest.approx(6.0, rel=1e-12)
 
     @pytest.mark.parametrize("phi", [QUAD0, PhiFunction.power_log(1.3, 0.0, lo=0.0),
@@ -731,9 +780,11 @@ def _scalar_make_geometry(phi2, lam, delta1, delta2=None):
         raise InputError("dilation offsets must be positive, delta1 < 1")
     mu = lam * (1.0 - d1)
     nu = lam * (1.0 + d2)
-    for t in (mu, lam, nu):
+    # the smallest t without a saddle refuses the row
+    for t in sorted((mu, lam, nu)):
         if not phi2.domain.contains(t):
             raise OutOfDomainError(t, phi2.domain.lo, phi2.domain.hi)
+        _scalar_x0(phi2, t)
     xm = _scalar_x0(phi2, mu)
     xp = _scalar_x0(phi2, nu)
     x0v = _scalar_x0(phi2, lam)
@@ -773,7 +824,7 @@ def _scalar_verify_regularity(phi, skipped):
                 continue
             try:
                 x_shift = _scalar_x0(phi, t)
-            except (OutOfDomainError, InputError) as exc:
+            except OutOfDomainError as exc:
                 skipped.append(exc)
                 continue
             s_shift = lam * x_shift - _scalar_star_at_saddle(phi, t, x_shift)
@@ -785,8 +836,12 @@ def _scalar_verify_regularity(phi, skipped):
             t_up, t_dn = lam * (1.0 + ad), lam * (1.0 - ad)
             if not (phi.domain.contains(t_up) and phi.domain.contains(t_dn)):
                 continue
-            x_up = _scalar_x0(phi, t_up)
-            x_dn = _scalar_x0(phi, t_dn)
+            try:
+                x_up = _scalar_x0(phi, t_up)
+                x_dn = _scalar_x0(phi, t_dn)
+            except OutOfDomainError as exc:
+                skipped.append(exc)
+                continue
             star_dn = _scalar_star_at_saddle(phi, t_dn, x_dn)
             if star_dn <= 0:
                 continue
@@ -867,20 +922,22 @@ class TestBatchedSaddlePath:
         want = _scalar_verify_regularity(phi, skipped)
         assert repr(verify_regularity(phi)) == repr(want)
         assert skipped == []
-        x0s, _, errors, _ = _saddle_table(phi, kinks)
+        x0s, _, errors = _saddle_table(phi, kinks)
         ls, vs = phi.knots
         at = np.searchsorted(ls, kinks)
         assert errors == {}
         assert x0s.tolist() == ((vs[at + 1] - vs[at]) / (ls[at + 1] - ls[at])).tolist()
 
-    def test_kinks_raise_where_the_scalar_walk_raises(self):
-        # lam(1 - 0.05) on a kink for every lam raises nothing; on knots
-        # that end at 150 = 100 (1 + 1/2), the cell (100, -1/2) needs x0 at
-        # that last knot for its absorption test, and the grid has none
+    def test_kinks_at_the_last_knot_skip_as_the_scalar_walk_does(self):
+        # lam(1 - 0.05) on a kink for every lam has an x0; on knots that end
+        # at 150 = 100 (1 + 1/2), the cell (100, +-1/2) needs x0 at that last
+        # knot, where the grid has none: it is skipped, and so is the
+        # absorption test of (100, -1/2), which needs it too
         phi = self._kinked_knots(0.95 * np.geomspace(math.e, 100.0, 24), top=150.0)
-        want = _outcome(_scalar_verify_regularity, phi, [])
-        assert want == ("OutOfDomainError", str(OutOfDomainError(150.0, 0.0, 150.0)))
-        assert _outcome(verify_regularity, phi) == want
+        skipped = []
+        want = _scalar_verify_regularity(phi, skipped)
+        assert [str(e) for e in skipped] == [str(OutOfDomainError(150.0, 0.0, 150.0))] * 2
+        assert repr(verify_regularity(phi)) == repr(want)
 
     @pytest.mark.parametrize("name", sorted(_SADDLE_PATH_PHIS))
     @pytest.mark.parametrize("lam, d1, d2", _GEOMETRY_CASES)
@@ -908,7 +965,7 @@ class TestBatchedSaddlePath:
             k = rng.integers(0, n, 60)
             ts = np.concatenate([rng.uniform(ls[0], ls[-1], 100), ls[k],
                                  ls[k] + rng.uniform(-1e-12, 1e-12, 60)])
-            x0s, stars, _, _ = _saddle_table(phi2, ts)
+            x0s, stars, _ = _saddle_table(phi2, ts)
             at = ~np.isnan(x0s)
             assert (stars[at] == ts[at] * x0s[at] - phi2.values(ts[at])).all()
             want = conjugate_values(phi2, x0s[at])[0]
@@ -955,19 +1012,17 @@ class TestBatchedSaddlePath:
     def test_batch_raises_the_error_at_the_smallest_t(self):
         # t = 6 and t = 8 sit on kinks, whose x0 is the right chord, and the
         # knots end at 10; the rows (10, 0.2) and (8, 0.25) ask for x0 at 8,
-        # 10, 12 and at 6, 8, 10.  make_geometry refuses the first at t = 12,
-        # off the domain, and the second at t = 10, the last knot, where
-        # the grid has no saddle: OutOfDomainError naming the knots.  The
-        # batch raises neither and refuses both rows, as it does every
+        # 10, 12 and at 6, 8, 10.  make_geometry refuses both at t = 10, the
+        # last knot, where the grid has no saddle: the smallest t without
+        # one (12 lies off the domain), OutOfDomainError naming the knots.
+        # The batch raises neither and refuses both rows, as it does every
         # OutOfDomainError, while the rows (7.5, 0.2), through the kink 6,
         # and (7, 0.2) take make_geometry's brackets (the first clamps)
         phi = self._kinked_knots(np.array([6.0, 8.0]), top=10.0)
-        with pytest.raises(OutOfDomainError) as first:
-            make_geometry(phi, 10.0, 0.2)
-        with pytest.raises(OutOfDomainError) as smallest:
-            make_geometry(phi, 8.0, 0.25)
-        assert str(first.value) != str(smallest.value)
-        assert str(smallest.value) == str(OutOfDomainError(10.0, 0.0, 10.0))
+        for lam, d in [(10.0, 0.2), (8.0, 0.25)]:
+            with pytest.raises(OutOfDomainError) as smallest:
+                make_geometry(phi, lam, d)
+            assert str(smallest.value) == str(OutOfDomainError(10.0, 0.0, 10.0))
         lams, ds = np.array([10.0, 8.0, 7.5, 7.0]), np.array([0.2, 0.25, 0.2, 0.2])
         want = [tangent_bracket_log(phi, make_geometry(phi, lam, 0.2)) for lam in (7.5, 7.0)]
         got = _bracket_logs(phi, phi, lams * (1.0 - ds), lams, lams * (1.0 + ds))

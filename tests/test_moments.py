@@ -43,6 +43,21 @@ class TestToExponential:
             MomentEnvelope(lower=PhiFunction.from_callable(
                 lambda p: 0.0, 1.0, 10.0, label="zero"))
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda v: moment_power_growth(v, 1.0, 1.0), "m"),
+        (lambda v: moment_power_growth(2.0, v, v), "c_low"),
+        (lambda v: moment_power_growth(2.0, 1.0, v), "c_high"),
+        (lambda v: moment_power_pole(v, 3.0, 1.0), "c"),
+        (lambda v: moment_power_pole(1.0, v, 1.0), "b"),
+        (lambda v: moment_power_pole(1.0, 3.0, v), "beta"),
+    ], ids=["growth-m", "growth-c-low", "growth-c-high", "pole-c", "pole-b", "pole-beta"])
+    def test_an_infinite_parameter_is_refused(self, make, name):
+        # inf passes every positivity check; it ran into a search cap, a
+        # non-finite value or the wrong refusal before
+        with pytest.raises(InputError, match=f"^moment envelope parameter {name} must be "
+                                             "finite, got inf$"):
+            make(math.inf)
+
     def test_crossing_envelopes_rejected(self):
         with pytest.raises(InputError):
             MomentEnvelope(
