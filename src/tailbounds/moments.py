@@ -268,9 +268,11 @@ def growth_tail_recovery(
     slope fit of the upper exponent, the diagnostic the acceptance contract
     checks; the raw lower-chain slope is reported alongside for transparency.
     """
+    me = float(m_exponent)
+    if not 0 < me < math.inf:
+        raise InputError(f"growth exponent m must be positive and finite, got {m_exponent!r}")
     if moment_env.upper is None:
         raise InputError("growth recovery needs a two-sided moment envelope")
-    me = float(m_exponent)
     pair = to_exponential(moment_env)
     xs, ys = _log_grid(x_grid)
 

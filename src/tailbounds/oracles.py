@@ -388,23 +388,33 @@ def ndtri(u) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+def _philox(seed: int, n: int) -> Philox:
+    """Philox4x64-10 keyed by ``seed``, once it is a key and n is a count."""
+    if not (0 <= int(seed) < 2 ** 128 and int(n) >= 0):
+        raise InputError(f"need a seed in [0, 2**128) and a sample count >= 0, got seed {seed}, "
+                         f"count {n}")
+    return Philox(key=int(seed))
+
+
+def _centred(k: np.ndarray) -> np.ndarray:
+    """(k + 0.5) 2**-53 for 53-bit integers k: the uniform at the centre of
+    each k's cell, built in place on one float array."""
+    u = k.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
+
+
 def uniform_stream(seed: int, n: int) -> np.ndarray:
     """n uniforms in (0, 1) from Philox4x64-10 keyed by ``seed``.
 
     Counter-based: the stream is a pure function of (seed, index) and
-    identical across platforms.  Philox keys lie in [0, 2**128).
+    identical across platforms.  Each uniform is the 53 high bits of one raw
+    64-bit output, centred in their cell.
     """
-    if not (0 <= int(seed) < 2 ** 128 and int(n) >= 0):
-        raise InputError(f"need a seed in [0, 2**128) and a sample count >= 0, got seed {seed}, "
-                         f"count {n}")
-    # ((raw >> 11) + 0.5) * 2**-53, in place: the 53 high bits, centred in
-    # their cell
-    raw = Philox(key=int(seed)).random_raw(int(n))
+    raw = _philox(seed, n).random_raw(int(n))
     raw >>= np.uint64(11)
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= 2.0 ** -53
-    return u
+    return _centred(raw)
 
 
 # --------------------------------------------------------------------------
@@ -418,7 +428,11 @@ class OracleDistribution:
 
     ``density`` and ``log_tail`` (ln T, the law's one statement of its tail)
     map float arrays elementwise, so quadrature and the exponential tail
-    function evaluate them a panel at a time.
+    function evaluate them a panel at a time.  ``inverse_cdf`` maps each
+    uniform to one draw; ``quantile`` states that it is the law's quantile,
+    nondecreasing in u, which lets :func:`empirical_tail` skip the uniforms
+    whose draws lie below every x (a sampler that picks a mixture component
+    by u is not one).
     """
 
     name: str
@@ -428,6 +442,7 @@ class OracleDistribution:
     cramer: bool = True
     mgf_exponent: Optional[PhiFunction] = None
     nonnegative: bool = True
+    quantile: bool = False
 
     def exact_tail(self, x) -> np.ndarray:
         out = np.exp(self.log_tail(np.asarray(x, dtype=float)))
@@ -459,6 +474,7 @@ def gaussian(scale: float = 1.0) -> OracleDistribution:
         mgf_exponent=PhiFunction.quadratic(coeff=0.5 * s * s, lo=0.0),
         density=lambda x, s=s: _normal_density(x, s),
         nonnegative=False,
+        quantile=True,
         log_tail=lambda x, s=s: np.where(x > 0, log_ndtr(-x / s), 0.0),
     )
 
@@ -477,14 +493,17 @@ def exponential_unit() -> OracleDistribution:
         ),
         density=lambda x: np.where(x >= 0, np.exp(-np.maximum(x, 0.0)), 0.0),
         nonnegative=True,
+        quantile=True,
     )
 
 
 # the longest moment series a Weibull row takes while the Gauss-Hermite rule
 # can take it instead
 _SERIES_TERMS = 1024
-# rows x terms of one series work array, about half a megabyte
-_SERIES_CHUNK = 1 << 16
+# rows x terms of one series work array: 64 KiB, below glibc's default
+# 128 KiB mmap threshold, so its temporaries come from the heap rather than
+# from fresh zero-filled pages
+_SERIES_CHUNK = 1 << 13
 # the Gauss-Hermite rule takes a row only if its tilted peak lies this many
 # widths above x = 0, where the density's x^(m-1) is not smooth; for m from
 # 1.01 to 1.08 it misses 1e-14 against mpmath at 5 widths, not at 6.5
@@ -678,7 +697,7 @@ def _weibull_rows(m: float, lams, order: int, table: list):
         if rows.size:
             if not table or table[0].size < n:
                 table[:] = [_weibull_log_coefficients(m, max(n, _SERIES_TERMS))]
-            step = _SERIES_CHUNK // n
+            step = max(1, _SERIES_CHUNK // n)
             for k in range(0, rows.size, step):
                 sel = rows[k:k + step]
                 out[sel] = _series_rows(table[0][:n], flat[sel], order)
@@ -748,6 +767,7 @@ def weibull(m: float) -> OracleDistribution:
         mgf_exponent=mgf,
         density=lambda x, mm=mm: _weibull_density(x, mm),
         nonnegative=True,
+        quantile=True,
     )
 
 
@@ -764,6 +784,7 @@ def pareto(alpha: float) -> OracleDistribution:
         mgf_exponent=None,
         density=lambda x, a=a: np.where(x >= 1, a * np.maximum(x, 1.0) ** (-a - 1.0), 0.0),
         nonnegative=True,
+        quantile=True,
     )
 
 
@@ -829,14 +850,51 @@ def suite() -> dict[str, OracleDistribution]:
 # --------------------------------------------------------------------------
 
 
-def empirical_tail(samples: np.ndarray, x_grid) -> dict:
-    """Exceedance fractions with Wilson-interval halfwidths (z = 1.96)."""
-    s = np.asarray(samples, dtype=float)
-    if s.size == 0:
+# draws read from the stream at a time: a tail count's memory does not grow
+# with the sample count
+_TAIL_CHUNK = 1 << 16
+# the 53-bit draws k = j 2**41, 0 <= j < 4096, among which a tail count
+# takes its cut
+_CUT_LATTICE = np.arange(4096, dtype=np.uint64) << np.uint64(41)
+
+
+def empirical_tail(dist: OracleDistribution, seed: int, n: int, x_grid) -> dict:
+    """Exceedance fractions of ``dist.sample(seed, n)`` at each x, with
+    Wilson-interval halfwidths (z = 1.96).
+
+    The Philox stream is read ``_TAIL_CHUNK`` draws at a time, so the memory
+    used does not grow with n; the stream is counter-based, so the counts
+    are those of the full sample.  Each draw is kept as its 53 high bits k.
+    For a quantile law (``dist.quantile``) the cut is the last lattice point
+    whose draw lies below min(xs) - 1e-9 max(1, |min xs|) with every point
+    before it; a draw with k below the cut then lies below every x, since a
+    quantile is nondecreasing in u, and only the others become uniforms and
+    go through ``inverse_cdf``.  Every draw of any other law does: the
+    Gaussian scale mixture's sampler picks its component by u and is not a
+    quantile.  A bad seed or count is refused before any draw.
+    """
+    bits = _philox(seed, n)
+    n = int(n)
+    if n == 0:
         raise InputError("need at least one sample")
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    n, z = s.size, 1.959963984540054
-    frac = np.array([np.count_nonzero(s >= x) for x in xs.tolist()]) / n
+    cut = 0
+    if dist.quantile and xs.size:
+        lo = float(np.min(xs))
+        # a NaN bound leaves no point below it, and so cuts nothing
+        below = dist.inverse_cdf(_centred(_CUT_LATTICE[1:])) < lo - 1e-9 * max(1.0, abs(lo))
+        cut = _CUT_LATTICE[np.count_nonzero(np.logical_and.accumulate(below))]
+    counts = np.zeros(xs.size, dtype=np.int64)
+    for start in range(0, n, _TAIL_CHUNK):
+        k = bits.random_raw(min(_TAIL_CHUNK, n - start))
+        k >>= np.uint64(11)
+        if cut:
+            k = np.compress(k >= cut, k)
+        draws = dist.inverse_cdf(_centred(k))
+        for i, x in enumerate(xs.tolist()):
+            counts[i] += np.count_nonzero(draws >= x)
+    z = 1.959963984540054
+    frac = counts / n
     half = z * np.sqrt(frac * (1 - frac) / n + z * z / (4 * n * n)) / (1.0 + z * z / n)
     return {"x": xs, "fraction": frac, "wilson_halfwidth": half, "n": n}
 
@@ -858,15 +916,15 @@ def battery(dist: OracleDistribution, seed: int, mc_samples: int) -> dict:
     package error in the unilateral chain, the closure, the exact-MGF
     sandwich or the Cramer check (a tail that reaches 0 has no finite
     -ln T) fails that check with its message; any other error
-    propagates.  The sample is drawn first, so a bad seed or sample count
-    is refused before any quadrature runs.
+    propagates.  The empirical tail is counted first, so a bad seed or
+    sample count is refused before any quadrature runs.
     """
     # these modules import this one
     from .integrals import cramer_check
     from .lower_bilateral import closure_lower_envelope, exact_mgf_sandwich
     from .lower_unilateral import m_surrogate_from_upper, unilateral_lower_envelope
 
-    emp = empirical_tail(dist.sample(seed, mc_samples), [1.0, 2.0])
+    emp = empirical_tail(dist, seed, mc_samples, [1.0, 2.0])
     checks: dict[str, dict] = {}
 
     def record(key: str, ok: bool, **info):

@@ -158,9 +158,7 @@ def tauberian_check(
     details: dict = {}
     if monte_carlo:
         mode = "monte-carlo"
-        samples = source.sample(seed, n_samples)
-        emp = empirical_tail(samples, xs)
-        frac = emp["fraction"]
+        frac = empirical_tail(source, seed, n_samples, xs)["fraction"]
         keep = frac > 0
         xs = xs[keep]
         neg_log_tail = np.array([abs(math.log(t)) for t in frac[keep].tolist()])

@@ -221,6 +221,24 @@ class TestOtherCommands:
         assert "one.csv:1: expected header 'p,lower,upper', got 'p,lower'" in err
         assert "--mode pole" not in err
 
+    @pytest.mark.parametrize("m", ["inf", "nan", "-1", "0"])
+    def test_moments_csv_refuses_a_growth_exponent_outside_0_inf(self, m, tmp_path, capsys):
+        # the CSV route passes --m straight to the growth recovery: inf, nan
+        # and -1 exited 2 after numpy warnings, and 0 exited 0 with a
+        # constant envelope
+        path = tmp_path / "mom.csv"
+        path.write_text("p,lower,upper\n1,0.5,2\n2,0.7,2.8\n3,0.9,3.5\n4,1.0,4.0\n"
+                        "6,1.2,4.9\n8,1.4,5.7\n")
+        out = tmp_path / "r.json"
+        argv = ["moments", "--moments-csv", str(path), "--x", "3:10:1", "--out", str(out)]
+        assert run([*argv, "--m", "2"]) == 0
+        out.unlink()
+        assert run([*argv, "--m", m]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: growth exponent m must be positive and finite, got ")
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists()
+
     def test_tauber(self, tmp_path):
         out = tmp_path / "r.json"
         code = run(["tauber", "--dist", "gaussian", "--scale", "2",

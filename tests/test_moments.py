@@ -158,6 +158,14 @@ class TestGrowthRecovery:
             assert lower is None and not rep.lower_produced and rep.notes == (note,)
             assert upper.side == "upper" and rep.c2_coeff == math.inf
 
+    @pytest.mark.parametrize("m", [math.inf, math.nan, -1.0, 0.0])
+    def test_a_growth_exponent_outside_0_inf_is_refused(self, m):
+        # a two-sided envelope from any source: the exponent is checked
+        # before the envelope is read
+        env = moment_power_growth(2.0, 1.0, 1.0)
+        with pytest.raises(InputError, match="growth exponent m must be positive and finite"):
+            growth_tail_recovery(m, env, np.geomspace(math.e, 10.0, 15))
+
 
 def weibull_norm_constants(m, p_grid):
     """|X|_p / p^(1/m) for the stretched-exponential law, by quadrature."""

@@ -538,21 +538,95 @@ class TestWeibullNearZeroPeak:
             oracles.weibull(m)
 
 
+def _point_mass(quantile):
+    # every draw is 5.0, whatever the uniform: a constant is a quantile
+    return dataclasses.replace(oracles.gaussian(), inverse_cdf=lambda u: np.full_like(u, 5.0),
+                               quantile=quantile)
+
+
+# the suite laws, two more gaussian scales and the mixture, whose sampler
+# picks its component by u and so is not a quantile
+_TAIL_LAWS = [*oracles.suite().values(), oracles.gaussian(1.7), oracles.gaussian(2.0),
+              oracles.gaussian_scale_mixture(0.3, 0.8, 1.0)]
+_TAIL_LADDERS = [[1.0, 2.0], (2.0 * 2.0 ** (np.arange(7) / 3.0)).tolist(), [-1.0, 0.0, 3.0],
+                 [1e-300, 40.0]]
+
+
+def _counting(dist):
+    # dist, and the list of the sizes of the arrays its inverse_cdf takes
+    sizes = []
+
+    def icdf(u):
+        sizes.append(u.size)
+        return dist.inverse_cdf(u)
+
+    return dataclasses.replace(dist, inverse_cdf=icdf), sizes
+
+
 class TestEmpiricalTail:
-    def test_constant_sample_above(self):
-        res = oracles.empirical_tail(np.full(10, 5.0), [4.0])
+    @pytest.mark.parametrize("quantile", [True, False])
+    def test_constant_sample_above(self, quantile):
+        res = oracles.empirical_tail(_point_mass(quantile), 3, 10, [4.0])
         assert res["fraction"][0] == 1.0
 
-    def test_constant_sample_below(self):
-        res = oracles.empirical_tail(np.full(10, 5.0), [6.0])
+    @pytest.mark.parametrize("quantile", [True, False])
+    def test_constant_sample_below(self, quantile):
+        res = oracles.empirical_tail(_point_mass(quantile), 3, 10, [6.0])
         assert res["fraction"][0] == 0.0
 
     def test_gaussian_million_within_wilson(self):
-        g = oracles.gaussian()
-        samples = g.sample(seed=7, n=1_000_000)
-        res = oracles.empirical_tail(samples, [2.0])
+        res = oracles.empirical_tail(oracles.gaussian(), 7, 1_000_000, [2.0])
         q2 = 0.5 * math.erfc(2.0 / math.sqrt(2.0))
         assert abs(res["fraction"][0] - q2) <= 3.0 * res["wilson_halfwidth"][0]
+
+    @pytest.mark.parametrize("n", [77_777, 200_000])
+    @pytest.mark.parametrize("law", _TAIL_LAWS, ids=lambda law: law.name)
+    def test_streamed_counts_are_the_full_sample_counts(self, law, n):
+        # n is no multiple of the chunk; each ladder's least x sets its cut
+        for seed in (1, 42):
+            sample = law.sample(seed, n)
+            for ladder in _TAIL_LADDERS:
+                want = np.array([np.count_nonzero(sample >= x) for x in ladder]) / n
+                got = oracles.empirical_tail(law, seed, n, ladder)
+                assert got["fraction"].tobytes() == want.tobytes(), (seed, ladder)
+                assert got["n"] == n and got["x"].tolist() == ladder
+
+    def test_a_quantile_law_transforms_only_its_tail(self):
+        # P(X >= 2) is 2.3% for N(0, 1), and the lattice cell is 1/4096
+        law, sizes = _counting(oracles.gaussian())
+        oracles.empirical_tail(law, 7, 200_000, [2.0, 3.0])
+        lattice, *chunks = sizes
+        assert lattice == 4095 and len(chunks) == 4 and 0 < sum(chunks) < 0.024 * 200_000
+
+    @pytest.mark.parametrize("law, ladder", [
+        (oracles.gaussian_scale_mixture(0.3, 0.8, 1.0), [3.0]),
+        (oracles.pareto(3.0), [1.0, 2.0])], ids=["mixture", "pareto3-at-1"])
+    def test_no_cut_transforms_every_draw(self, law, ladder):
+        # the mixture is not a quantile; every Pareto draw reaches x = 1
+        law, sizes = _counting(law)
+        oracles.empirical_tail(law, 7, 77_777, ladder)
+        assert sum(sizes[-2:]) == 77_777 and sizes[-1] == 77_777 % (1 << 16)
+
+    def test_memory_does_not_grow_with_the_sample(self):
+        import tracemalloc
+
+        ladder = 2.0 * 2.0 ** (np.arange(7) / 3.0)
+        tracemalloc.start()
+        try:
+            oracles.empirical_tail(oracles.gaussian(), 7, 2_000_000, ladder)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("seed, n", [(-1, 1_000), (2 ** 128, 1_000), (42, -5)])
+    def test_a_bad_seed_or_count_is_refused(self, seed, n):
+        with pytest.raises(InputError, match="need a seed in"):
+            oracles.empirical_tail(oracles.gaussian(), seed, n, [1.0])
+
+    def test_no_samples_is_refused(self):
+        with pytest.raises(InputError, match="need at least one sample"):
+            oracles.empirical_tail(oracles.gaussian(), 42, 0, [1.0])
 
 
 class TestSuiteExactness:

@@ -161,7 +161,7 @@ def _sequential_check(phi, log_mgf, tail, x_ladder=None, mc=None):
     details = {}
     if mc:
         dist, n, seed = mc
-        frac = oracles.empirical_tail(dist.sample(seed, n), xs)["fraction"]
+        frac = oracles.empirical_tail(dist, seed, n, xs)["fraction"]
         xs, tail_vals = xs[frac > 0], frac[frac > 0]
         details = {"counts": np.rint(frac * n).astype(int).tolist(), "n_samples": n, "seed": seed}
     else:
