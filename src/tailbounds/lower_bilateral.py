@@ -58,23 +58,18 @@ _LOG_EPS = math.log(2.0) * -1074  # smallest log float
 
 
 def _x0_inverse(phi2: PhiFunction, zs: np.ndarray) -> tuple[np.ndarray, dict]:
-    """:func:`_saddle_inverse` on one :func:`conjugate_values` call."""
-    return _saddle_inverse(phi2, zs, *conjugate_values(phi2, zs)[1:])
-
-
-def _saddle_inverse(phi2: PhiFunction, zs: np.ndarray, mus: np.ndarray,
-                    errors: dict) -> tuple[np.ndarray, dict]:
     """The t with x0(t) = z for each z, the maximizer of t*z - phi2(t)
-    (Rockafellar, *Convex Analysis*, section 26), written over the argmax
-    ``mus`` of ``conjugate_values(phi2, zs)`` for a phi2 with a saddle map
+    (Rockafellar, *Convex Analysis*, section 26): the argmax of one
+    :func:`conjugate_values` call, for a phi2 with a saddle map
     (:func:`_require_saddle_map`); and by index the OutOfDomainError of
-    each z without one (its t is NaN).  Its other ``errors`` raise, the
+    each z without one (its t is NaN).  Its other errors raise, the
     smallest z's first.  A z below phi2'(lo) keeps its argmax lo, whose
     x0(lo) >= z bounds T(z) from below, for every kind; a z whose conjugate
     stops at ``LAMBDA_CAP``, or is refused there, goes on from the cap: its
     bracket doubles while phi2' <= z, at most 200 times (else it has no t),
     and the root of phi2'(t) = z bisects in it, NotConvergedError if left open.
     """
+    _, mus, errors = conjugate_values(phi2, zs)
     # a z refused as unbounded stopped at the cap too
     mus[[i for i, e in errors.items() if isinstance(e, UnboundedObjectiveError)]] = LAMBDA_CAP
     errors = {i: e for i, e in errors.items() if mus[i] != LAMBDA_CAP}
@@ -437,6 +432,9 @@ def pinched_lower_envelope(
     if not (0.0 < delta < 0.5):
         raise InputError("delta must be in (0, 1/2)")
     zs = _checked_grid(z_grid, "z_grid")
+    zs = zs[zs >= math.e]
+    if zs.size == 0:
+        raise InputError("z_grid needs points at or above e")
     if not verify_regularity(phi).ok:
         raise NotCertifiedError("regularity report negative; refined envelope needs V > 0")
 
@@ -489,10 +487,6 @@ def pinched_lower_envelope(
     undominated[machinery] = envelope_exponents(c, cert_ladder[machinery])[0] < neg_log[machinery]
     gaps = np.flatnonzero(undominated)
     cert_from = float(cert_ladder[gaps[-1] + 1 if gaps.size else 0])
-
-    zs = zs[zs >= math.e]
-    if zs.size == 0:
-        raise InputError("z_grid needs points at or above e")
     log_vals = np.minimum(-envelope_exponents(c, zs, emitted=True)[0], 0.0)
     cert = PinchCertificate(delta=delta, c=c, certified_from=cert_from,
                             ladder_cap=cap, offsets_scale_grid=tuple(scales.tolist()),
@@ -511,10 +505,10 @@ def pinch_rate_diagnostic(phi: PhiFunction, deltas: Sequence[float], z: float) -
     """
     star, _ = conjugate_value(phi, z)
     ds, gaps = [], []
-    for delta in sorted(deltas, reverse=True):
+    for delta in sorted((float(d) for d in deltas if 0.0 < d < 0.5), reverse=True):
         try:
-            env, cert = pinched_lower_envelope(phi, float(delta), np.array([z]))
-        except (NotCertifiedError, InputError):
+            env, cert = pinched_lower_envelope(phi, delta, np.array([z]))
+        except NotCertifiedError:
             continue
         ratio = -float(env.log_values[0]) / star
         if ratio > 1.0:
@@ -553,8 +547,6 @@ def exact_mgf_sandwich(
         raise InputError("sandwich asserted for x >= 1")
 
     stars, mus = _stars(phi, xs, lower_at=xs)
-    mus, no_saddle = _saddle_inverse(phi, xs, mus, {})
-    _raise_first(no_saddle)
     b = phi.domain.hi
     if math.isfinite(b):
         # bounded exponent domains want a lopsided geometry: the driving

@@ -71,20 +71,6 @@ class DilationCertificate:
     margin: float
 
 
-def _default_lam_range(phi: PhiFunction) -> tuple[float, float]:
-    """[smallest lam with phi >= 1, near the domain top]."""
-    lo, hi = phi.domain.lo, phi.domain.top()
-    if not math.isfinite(hi):
-        hi = max(100.0, 64.0 * max(lo, 1.0))
-    probe = np.linspace(max(lo, 1e-12), hi, 4097)
-    start = _first_at_one(phi, probe, phi.values(probe), 1e-12)
-    if start is None:
-        raise NotCertifiedError(
-            f"{phi.label}: never reaches 1.0 on [{lo}, {hi}]"
-        )
-    return start, float(hi)
-
-
 def _values_at(phi: PhiFunction, c, ts: np.ndarray) -> np.ndarray:
     """phi(c*t) at each t; c*t is mathematically inside the domain, and the
     clamp undoes float rounding."""
@@ -96,30 +82,29 @@ def certify_dilation_dominance(phi: PhiFunction) -> DilationCertificate:
 
     The inequality only has to hold on *some* verification range, and the
     tail-transform exponent can be negative where phi is barely above 1, so
-    the start of the range walks up.  The first range starts at the first
-    lam with phi(lam) >= 1 and ends near the domain top.  Then the start
-    rises: to 2^k for k = 1..8 on an unbounded domain (each range ending at
+    the start of the range walks up.  The first range runs from the first
+    lam with phi(lam) >= 1 on a 4,097-point probe to the probe's end, the
+    domain top (max(100, 64 * max(lo, 1)) on an unbounded domain); a phi
+    that never reaches 1 there has no such range.  Then the start rises:
+    to 2^k for k = 1..8 on an unbounded domain (each range ending at
     max(100, 64 * start)), to lo + q*(top - lo) for q in 0.3, 0.45, 0.6,
-    0.75 on a bounded one.  The ranges are tried one after another: the
-    first certificate with c1 >= 0.3 wins, else the largest c1 certified.
+    0.75 on a bounded one.  The ranges are tried one after another, and an
+    unusable one (:func:`_certify_on_range`) is passed over: the first
+    certificate with c1 >= 0.3 wins, else the largest c1 certified.
     Raises NotCertifiedError, naming the ranges tried, when none certifies.
     """
     lo, top = phi.domain.lo, float(phi.domain.top())
-    ranges = []
-    try:
-        ranges.append(_default_lam_range(phi))
-    except NotCertifiedError:
-        pass
+    end = top if math.isfinite(top) else max(100.0, 64.0 * max(lo, 1.0))
+    probe = np.linspace(max(lo, 1e-12), end, 4097)
+    first = _first_at_one(phi, probe, phi.values(probe), 1e-12)
+    ranges = [] if first is None else [(first, end)]
     if math.isfinite(top):
         ranges += [(lo + q * (top - lo), top) for q in (0.3, 0.45, 0.6, 0.75)]
     else:
         ranges += [(s, max(100.0, 64.0 * s)) for s in (2.0 ** k for k in range(1, 9)) if s > lo]
     certified = []
     for start, end in ranges:
-        try:
-            cert = _certify_on_range(phi, start, end)
-        except InputError:
-            continue
+        cert = _certify_on_range(phi, start, end)
         if cert is not None:
             if cert.c1 >= 0.3:
                 return cert
@@ -136,6 +121,8 @@ def _largest_dilation(phi: PhiFunction, lams: np.ndarray, ceiling: np.ndarray,
                       c_lo: np.ndarray, top: float) -> Optional[float]:
     """The least critical dilation over ``lams``, or None where it is <= 1e-10.
 
+    None, before any search, unless phi(c_lo*lam) <= ceiling at every
+    lambda (NaN fails): the floor of each lambda's bracket must hold.
     A lambda's is ``top`` where phi(top*lam) <= ceiling, else 45 halvings of
     [c_lo, top] (envelope exponents are nondecreasing).  While some lambda
     fails at the running c (NaN fails), the one failing most relative to
@@ -145,6 +132,8 @@ def _largest_dilation(phi: PhiFunction, lams: np.ndarray, ceiling: np.ndarray,
     dilation: then the walk ends in None, so every c returned holds at every
     lambda of the grid.
     """
+    if not np.all(_values_at(phi, c_lo, lams) <= ceiling):
+        return None
     lo, hi = phi.domain.lo, phi.domain.top()
     c, bisected = top, np.zeros(lams.size, dtype=bool)
     while c > 1e-10:
@@ -164,11 +153,12 @@ def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> Optional[Dilati
     """The largest c1 that the verification range [lo, hi] certifies.
 
     The range is sampled at 200 points, and c1 is the least critical
-    dilation among them (:func:`_largest_dilation`).  A refusal returns None.
+    dilation among them (:func:`_largest_dilation`).  A refusal, and a
+    range outside [domain lo, hi), returns None.
     """
     lo, hi = float(lo), float(hi)
     if not (phi.domain.lo <= lo < hi):
-        raise InputError(f"bad verification range [{lo}, {hi}]")
+        return None
     hi = min(hi, phi.domain.top())
     lams = np.geomspace(lo, hi, 200) if lo > 0 else np.linspace(lo, hi, 200)
     aux = np.array([_tail_transform_from_value(p, t)
@@ -176,9 +166,7 @@ def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> Optional[Dilati
 
     ceiling = aux + _ABS_TOL * np.maximum(1.0, np.abs(aux))
     c_lo = phi.domain.lo / lams if phi.domain.lo > 0 else np.full(lams.size, 1e-12)
-    if np.any(c_lo >= 1.0) or np.any(_values_at(phi, c_lo, lams) > ceiling):
-        return None
-    c1 = _largest_dilation(phi, lams, ceiling, c_lo, 1.0)
+    c1 = None if np.any(c_lo >= 1.0) else _largest_dilation(phi, lams, ceiling, c_lo, 1.0)
     if c1 is None:
         return None
     margin = float(np.min(aux - _values_at(phi, c1, lams)))
@@ -312,8 +300,6 @@ def absorb_normalization(phi: PhiFunction, c1: float, m_bound: float,
             continue
         ceiling = _values_at(phi, c1, lams) - lnM + _ABS_TOL
         c_lo = np.maximum(lo / lams, 1e-12)
-        if not np.all(_values_at(phi, c_lo, lams) <= ceiling):
-            continue
         c2 = _largest_dilation(phi, lams, ceiling, c_lo, c1)
         if c2 is None:
             continue
@@ -395,6 +381,9 @@ def unilateral_lower_envelope(
     if not (m_surrogate > 0 and math.isfinite(m_surrogate)):
         raise InputError("m_surrogate must be finite and positive")
     xs = _checked_grid(x_grid, "x_grid")
+    xs = xs[xs >= 1.0]
+    if xs.size == 0:
+        raise InputError("x_grid has no points at or above x_valid_from = 1")
 
     cert_w = certify_dilation_dominance(phi)
 
@@ -422,10 +411,6 @@ def unilateral_lower_envelope(
         annotations=tuple(annotations),
         diagnostics={"w_margin": cert_w.margin, "lam_range": cert_w.lam_range},
     )
-
-    xs = xs[xs >= cert.x_valid_from]
-    if xs.size == 0:
-        raise InputError("x_grid has no points at or above x_valid_from = 1")
 
     offset = 0.0 if nonnegative else math.log(2.0)
     if degenerate:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .envelope import LOWER, UPPER, TailEnvelope
 from .errors import InputError, NotCertifiedError
-from .functions import PhiFunction, _first_at_one, _read_csv_columns, _stars
+from .functions import PhiFunction, _checked_grid, _first_at_one, _read_csv_columns, _stars
 from .integrals import CramerCertificate, cramer_check
 from .lower_unilateral import LowerEnvelopeCertificate, unilateral_lower_envelope
 
@@ -168,7 +168,7 @@ def to_exponential(m: MomentEnvelope) -> ExponentPair:
 
 def _log_grid(x_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """The points x >= e of ``x_grid``, and theta = ln x at each."""
-    xs = np.asarray(x_grid, dtype=float)
+    xs = _checked_grid(x_grid, "x_grid")
     xs = xs[xs >= X_VALID_FLOOR]
     if xs.size == 0:
         raise InputError(f"x_grid needs points at or above e (= {X_VALID_FLOOR:.4f})")

@@ -25,8 +25,8 @@ from .errors import (
     NotCertifiedError,
     NotConvergedError,
 )
-from .functions import (PhiFunction, _bisect_rows, _grow_rows, _raise_first,
-                        _values_or_errors, conjugate_values)
+from .functions import (PhiFunction, _bisect_rows, _checked_grid, _grow_rows,
+                        _raise_first, _values_or_errors, conjugate_values)
 from .lower_bilateral import verify_regularity
 from .oracles import OracleDistribution, empirical_tail
 
@@ -146,7 +146,7 @@ def tauberian_check(
     lams = np.geomspace(start, top, 7)
     if x_ladder is None:
         x_ladder = 2.0 * 2.0 ** (np.arange(7) / 3.0)  # 2 .. 8 geometric
-    xs = np.asarray(x_ladder, dtype=float)
+    xs = _checked_grid(x_ladder, "x_ladder")
 
     # MGF side: phi^{-1}(ln MGF(lam)) / lam, each step one values call,
     # where each row takes its own point's value or error

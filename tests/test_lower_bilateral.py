@@ -213,20 +213,29 @@ class TestBoundsLandAtTheirPoints:
         # start at mu, the saddle inverse of their point, and pass it on as
         # the row's first point, bit for bit: a mu rebuilt from lam and an
         # offset rounds, and on the lam^2/2 grid from lam = 1 that moves it
-        # onto the piece to the left of its knot, or below the grid
+        # onto the piece to the left of its knot, or below the grid.  The
+        # closure and the pinch take mu from _x0_inverse, the sandwich from
+        # the argmax of its _stars call, which precedes its bracket batch
         inverses, batches = [], []
-        inverse, helper = lower_bilateral._saddle_inverse, lower_bilateral._bracket_logs
+        inverse, stars = lower_bilateral._x0_inverse, lower_bilateral._stars
+        helper = lower_bilateral._bracket_logs
 
         def inverse_spy(*args):
             mus, errors = inverse(*args)
             inverses.append(mus.copy())
             return mus, errors
 
+        def stars_spy(*args, **kwargs):
+            vals, mus = stars(*args, **kwargs)
+            inverses.append(mus.copy())
+            return vals, mus
+
         def spy(phi1, phi2, mus, lams, nus):
             batches.append((inverses[-1], np.broadcast_arrays(mus, lams)[0]))
             return helper(phi1, phi2, mus, lams, nus)
 
-        monkeypatch.setattr(lower_bilateral, "_saddle_inverse", inverse_spy)
+        monkeypatch.setattr(lower_bilateral, "_x0_inverse", inverse_spy)
+        monkeypatch.setattr(lower_bilateral, "_stars", stars_spy)
         monkeypatch.setattr(lower_bilateral, "_bracket_logs", spy)
         ls = np.arange(10.0, 301.0) / 10.0
         grid = PhiFunction.from_grid(ls, 0.5 * ls * ls)
@@ -410,10 +419,24 @@ class TestPinchedEnvelope:
         # the realized tightening rate in delta is measured and reported
         # only; whether the true rate is quadratic is unresolved
         from tailbounds.lower_bilateral import pinch_rate_diagnostic
-        diag = pinch_rate_diagnostic(QUAD0, (0.1, 0.05, 0.02), 6.0)
+        diag = pinch_rate_diagnostic(QUAD0, (0.6, 0.1, 0.05, 0.02), 6.0)
         assert set(diag) == {"rate", "deltas", "gaps"}
-        assert len(diag["deltas"]) >= 2
+        # 0.6 lies outside (0, 1/2) and is passed over before any pinch
+        assert diag["deltas"] == [0.1, 0.05, 0.02]
         assert math.isfinite(diag["rate"])
+
+    def test_rate_diagnostic_raises_the_callers_input_error(self):
+        # z = 2 lies below e, where no pinch emits: the caller's InputError
+        # is raised, not passed over as a refused delta
+        from tailbounds.lower_bilateral import pinch_rate_diagnostic
+        with pytest.raises(InputError, match="z_grid needs points at or above e"):
+            pinch_rate_diagnostic(QUAD0, (0.1, 0.05), 2.0)
+
+    def test_a_grid_below_e_is_refused_before_any_search(self, monkeypatch):
+        monkeypatch.setattr(lower_bilateral, "verify_regularity",
+                            lambda phi: pytest.fail("searched"))
+        with pytest.raises(InputError, match="z_grid needs points at or above e"):
+            pinched_lower_envelope(QUAD0, 0.1, [1.0, 2.0])
 
     def test_rate_diagnostic_without_two_certified_deltas_is_nan(self):
         # on lam^2/2 over the knots 0, 0.1, ..., 30 the pinch refuses

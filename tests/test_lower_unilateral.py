@@ -30,7 +30,6 @@ from tailbounds.functions import (
 from tailbounds.lower_unilateral import (
     _certify_on_range,
     _clipped_minorant_k,
-    _default_lam_range,
     _exponents,
     _lam1_candidates,
     _largest_dilation,
@@ -120,14 +119,18 @@ class TestDilationCertificate:
         # a bounded domain tries its default range, from phi = 1, first
         assert cert.lam_range[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
 
-    def test_a_small_c1_walks_up(self):
-        # the default range of 0.36*lam^2 certifies c1 = 0.17 only, below the
-        # 0.3 that ends the walk; the range from 2 certifies 0.58
+    def test_a_small_c1_walks_up(self, monkeypatch):
+        # the default range of 0.36*lam^2, from phi = 1 at 1/0.6 to 100,
+        # certifies c1 = 0.17 only, below the 0.3 that ends the walk; the
+        # range from 2 certifies 0.58
         phi = PhiFunction.quadratic(coeff=0.36, lo=0.0)
-        first = _certify_on_range(phi, *_default_lam_range(phi))
-        assert first is not None and first.c1 < 0.3
+        tried, helper = [], lower_unilateral._certify_on_range
+        monkeypatch.setattr(lower_unilateral, "_certify_on_range",
+                            lambda *a: tried.append(helper(*a)) or tried[-1])
         cert = certify_dilation_dominance(phi)
-        assert cert.lam_range == (2.0, 128.0)
+        assert tried[0].lam_range == pytest.approx((1.0 / 0.6, 100.0), rel=1e-9)
+        assert tried[0].c1 < 0.3
+        assert cert is tried[1] and cert.lam_range == (2.0, 128.0)
         assert cert.c1 == pytest.approx(0.575, abs=1e-3)
 
     def test_a_small_c1_stands_when_no_raised_start_certifies(self):
@@ -135,20 +138,34 @@ class TestDilationCertificate:
         # refused, so the default range's c1 = 0.17 is the certificate
         phi = PhiFunction.quadratic(coeff=0.36, lo=0.0, hi=1.9)
         cert = certify_dilation_dominance(phi)
-        assert cert.lam_range[0] == _default_lam_range(phi)[0]
+        assert cert.lam_range == pytest.approx((1.0 / 0.6, 1.9), rel=1e-9)
         assert 0.0 < cert.c1 < 0.3
 
     def test_an_empty_default_range_is_skipped(self):
         # phi reaches 1 only at the top of [0, 1): the default range [top,
-        # top] is empty, so it is passed over, not raised, and the raised
-        # starts are tried; none certifies a phi below 1, and the refusal
-        # names every range
+        # top] is empty, so it is passed over, and the raised starts are
+        # tried; none certifies a phi below 1, and the refusal names every
+        # range, the empty one first
         top = float(np.nextafter(1.0, 0.0))
         phi = PhiFunction.from_callable(lambda l: np.where(l >= top, 1.0, 0.5), 0.0, 1.0,
                                         convex=False, vectorized=True, label="step")
-        assert _default_lam_range(phi) == (top, top)
+        assert _certify_on_range(phi, top, top) is None
         with pytest.raises(NotCertifiedError, match=re.escape(
                 "step: dilation dominance not certified on (1, 1), (0.3, 1), (0.45, 1)")):
+            certify_dilation_dominance(phi)
+
+    def test_an_error_of_phi_itself_is_raised(self):
+        # 0.36*lam^2 refusing lam > 100: the default range, to 100, certifies
+        # c1 = 0.17 only, and the next range, from 2 to 128, asks phi past
+        # 100.  That InputError is phi's, not an unusable range: it is
+        # raised, where c1 = 0.17 on (1.667, 100) was certified before
+        def fn(lams):
+            if np.any(lams > 100.0):
+                raise InputError("lam past 100")
+            return 0.36 * lams * lams
+
+        phi = PhiFunction.from_callable(fn, 0.0, math.inf, convex=True, vectorized=True)
+        with pytest.raises(InputError, match="lam past 100"):
             certify_dilation_dominance(phi)
 
 
@@ -380,6 +397,30 @@ class TestLargestDilation:
         assert _largest_dilation(QUAD0, lams, np.array([5e-21, 10.0]), c_lo, 1.0) is None
         assert _largest_dilation(QUAD0, lams, np.array([5e-19, 10.0]), c_lo, 1.0) > 1e-10
 
+    def test_a_nan_ceiling_fails_the_floor_before_any_search(self, monkeypatch):
+        # phi = 0 below 3 makes the tail-transform exponent -inf there and
+        # its relative slack turns the ceiling NaN.  The floor test refuses
+        # it first; a walk past the floor would bisect such a lambda down to
+        # c_lo = 1e-12, below 1e-10, and refuse too, so the range gives None
+        # either way, and the certificate comes from the range from 8
+        phi = PhiFunction.from_callable(lambda t: np.maximum(t - 3.0, 0.0) ** 2, 0.0,
+                                        math.inf, convex=True, vectorized=True)
+        lams = np.geomspace(1.0, 100.0, 200)
+        with np.errstate(invalid="ignore"):  # -inf + inf in the ceiling's slack
+            aux = np.array([_tail_transform_from_value(p, t)
+                            for p, t in zip(phi.values(lams).tolist(), lams.tolist())])
+            ceiling = aux + 1e-9 * np.maximum(1.0, np.abs(aux))
+        c_lo = np.full(lams.size, 1e-12)
+        assert np.isnan(ceiling).any()
+        assert _critical_dilations(phi, lams, ceiling, c_lo, 1.0).min() <= 1e-10
+        with np.errstate(invalid="ignore"):
+            cert = certify_dilation_dominance(phi)
+            monkeypatch.setattr(lower_unilateral, "_bisect", lambda *a: pytest.fail("searched"))
+            assert _certify_on_range(phi, 1.0, 100.0) is None
+        assert _largest_dilation(phi, lams, ceiling, c_lo, 1.0) is None
+        assert cert.lam_range == (8.0, 512.0)
+        assert cert.c1 == pytest.approx(0.9734427510373376, rel=1e-12)
+
     def test_absorption_refuses_a_lam1_whose_dilation_falls_to_1e_10(self, monkeypatch):
         # phi jumps to 5 by lam = 1e-11: at lam1 = 2 and M = 10 the budget
         # phi(0.9*2) - ln(10) is below 5, so no c >= 1e-10 holds there, and
@@ -491,6 +532,12 @@ class TestGaussianChain:
     def test_monotone(self, chain):
         env, _ = chain
         validate_monotone(env)
+
+    def test_a_grid_below_1_is_refused_before_any_search(self, monkeypatch):
+        monkeypatch.setattr(lower_unilateral, "certify_dilation_dominance",
+                            lambda phi: pytest.fail("searched"))
+        with pytest.raises(InputError, match="x_grid has no points at or above x_valid_from = 1"):
+            unilateral_lower_envelope(QUAD0, 0.2, M_GAUSS, [0.2, 0.5])
 
 
 class TestChainAcrossOracles:

@@ -166,6 +166,12 @@ class TestGrowthRecovery:
         with pytest.raises(InputError, match="growth exponent m must be positive and finite"):
             growth_tail_recovery(m, env, np.geomspace(math.e, 10.0, 15))
 
+    @pytest.mark.parametrize("xs", [[3.0, math.nan, 5.0, 6.0], [3.0, 6.0, 5.0]])
+    def test_a_grid_with_a_nan_or_out_of_order_is_refused(self, xs):
+        # a NaN point was dropped without a word, as was any point below e
+        with pytest.raises(InputError, match="x_grid must be a nonempty 1-d grid"):
+            growth_tail_recovery(2.0, moment_power_growth(2.0, 1.0, 1.0), xs)
+
 
 def weibull_norm_constants(m, p_grid):
     """|X|_p / p^(1/m) for the stretched-exponential law, by quadrature."""

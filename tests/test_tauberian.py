@@ -96,6 +96,14 @@ class TestAnalytic:
         with pytest.raises(InputError, match="source must be an OracleDistribution, got tuple"):
             tauberian_check(QREF, gauss)
 
+    @pytest.mark.parametrize("ladder", [[4.0, 2.0, 3.0], [2.0, math.nan, 4.0]])
+    def test_a_ladder_out_of_order_or_with_a_nan_is_refused(self, ladder):
+        # out of order, the extrapolation read the last three points as the
+        # largest and reported k_tail = 1.0043, converged; a NaN rung raised
+        # NonInvertibleError at a target of -0.0
+        with pytest.raises(InputError, match="x_ladder must be a nonempty 1-d grid"):
+            tauberian_check(QREF, oracles.gaussian(), x_ladder=ladder)
+
 
 
 class TestExtrapolation:
