@@ -808,23 +808,50 @@ def biconjugate(f: PhiFunction, lam_grid: Sequence[float]) -> ConjugateResult:
 # --------------------------------------------------------------------------
 
 
-def _bisect(a, b, below, steps, rel=0.0):
-    """Bisection on [a, b]: keeps [m, b] where ``below(m)`` holds at the
-    midpoint m and [a, m] otherwise.  Stops after ``steps`` halvings, or
-    before a halving once b - a <= rel * max(1, |b|); returns (a, b).
+# the least relative stop width of a search, the spacing of doubles at 1: a
+# search of rel = 0 stops within a spacing or two of doubles at max(1, |b|)
+_REL_MIN = 2.0 ** -52
 
-    The scalar loop beside :func:`_bisect_rows`, for the searches that
-    bisect one row at a time: numpy's per-call overhead makes a one-row
-    array bisection about forty times slower than this loop.
+
+def _bisect(a, b, below, steps, rel=0.0):
+    """Bisection on [a, b], by Newton steps where ``below`` gives them.
+
+    ``below(t)`` answers t with a pair: whether the answer holds at t, and
+    the Newton step from t toward the root (NaN where there is none).  The
+    search keeps [t, b] where the answer holds, else [a, t].  The first t
+    is the midpoint; each next t is t + step where that lies strictly inside
+    the new bracket, else the midpoint (W. H. Press et al., *Numerical
+    Recipes*, 3rd ed., 2007, section 9.4), so a NaN step halves.  With w a
+    quarter of the stop width rel*max(1, |b|), and at least the spacing of
+    doubles at t, two probes close brackets that Newton's steps alone would
+    leave open: a step shorter than w goes w into the new bracket, to the
+    far side of the root, so that the next step closes it; and a step past
+    an end that has not moved yet goes w inside that end, once.  Stops after
+    ``steps`` tests, or before a test once b - a <= rel * max(1, |b|), rel
+    at least ``_REL_MIN``; returns (a, b).
+
+    The scalar loop of :func:`_bisect_rows`, for the searches that test one
+    point at a time: numpy's per-call overhead makes a one-row array search
+    about forty times slower than this loop.
     """
+    rel = max(rel, _REL_MIN)
+    a0, b0, t, probed = a, b, 0.5 * (a + b), False
     for _ in range(steps):
         if b - a <= rel * max(1.0, abs(b)):
             break
-        m = 0.5 * (a + b)
-        if below(m):
-            a = m
+        ok, step = below(t)
+        if ok:
+            a = t
         else:
-            b = m
+            b = t
+        mid = 0.5 * (a + b)
+        w = max(0.25 * rel * max(1.0, abs(b)), math.ulp(t))
+        nxt = t + ((w if ok else -w) if abs(step) < w else step)
+        if not probed and nxt <= a and a == a0:
+            probed, nxt = True, a + w
+        elif not probed and nxt >= b and b == b0:
+            probed, nxt = True, b - w
+        t = nxt if a < nxt < b else mid
     return a, b
 
 
@@ -834,18 +861,10 @@ def _bisect_rows(a, b, below, steps, rel=0.0):
     ``below(rows, t)`` answers the points t of the rows still running
     (``rows`` is their mask) in one call, with a pair: its answer, and the
     Newton step from t toward the root (NaN where there is none).  Each row
-    has ``_bisect``'s stopping rule and keeps [t, b] where the answer holds
-    at t, else [a, t].  The first t is the midpoint; each next t is t + step
-    where that lies strictly inside the new bracket, else the midpoint
-    (W. H. Press et al., *Numerical Recipes*, 3rd ed., 2007, section 9.4),
-    so a NaN step halves, bit for bit as ``_bisect``.  With w a quarter of
-    the stop width rel*max(1, |b|), two probes close brackets that Newton's
-    steps alone would leave open: a step shorter than w goes w into the new
-    bracket, to the far side of the root, so that the next step closes it;
-    and a step past an end that has not moved yet goes w inside that end,
-    once per row.  Every row's arithmetic is its own.  Returns the final
-    (a, b) arrays.
+    has ``_bisect``'s stop, step and probe rules, bit for bit, and its
+    arithmetic is its own.  Returns the final (a, b) arrays.
     """
+    rel = max(rel, _REL_MIN)
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     rows = np.ones(a.size, dtype=bool)
     a0, b0, t, probed = a.copy(), b.copy(), 0.5 * (a + b), np.zeros(a.size, dtype=bool)
@@ -863,7 +882,7 @@ def _bisect_rows(a, b, below, steps, rel=0.0):
             # halvings took 35% longer through them)
             t[rows] = mid
             continue
-        w = 0.25 * rel * np.maximum(1.0, np.abs(hi))
+        w = np.maximum(0.25 * rel * np.maximum(1.0, np.abs(hi)), np.spacing(np.abs(m)))
         nxt = m + np.where(np.abs(step) < w, np.where(ok, w, -w), step)
         under = (nxt <= lo) & (lo == a0[rows]) & ~probed[rows]
         over = (nxt >= hi) & (hi == b0[rows]) & ~probed[rows]
@@ -920,15 +939,22 @@ def _first_at_one(f: PhiFunction, probe: np.ndarray, vals: np.ndarray, rel: floa
     """The first lam where an increasing ``f`` reaches 1, or None where no
     point of the increasing ``probe`` does (``vals`` is f there): the first
     probe point at or above 1, and where a probe point lies before it, the
-    top of that bracket after 60 halvings with relative width ``rel``."""
+    top of that bracket after a :func:`_bisect` search of f < 1, 60 tests
+    at most, to relative width ``rel``: Newton steps (1 - f)/f' where ``f``
+    has a derivative and it is positive, else halvings.  f >= 1 at the
+    returned lam."""
     i = int(np.argmax(vals >= 1.0))
     if not vals[i] >= 1.0:
         return None
     if i == 0:
         return float(probe[0])
-    _, b = _bisect(float(probe[i - 1]), float(probe[i]),
-                   lambda t: not f.value(t) >= 1.0, 60, rel)
-    return b
+
+    def below(t):
+        v = f.value(t)
+        d = math.nan if f.deriv is None else f.derivative(t)
+        return not v >= 1.0, (1.0 - v) / d if d > 0.0 else math.nan
+
+    return _bisect(float(probe[i - 1]), float(probe[i]), below, 60, rel)[1]
 
 
 # --------------------------------------------------------------------------

@@ -236,21 +236,30 @@ def _bracket_logs(phi1: PhiFunction, phi2: PhiFunction, mus, lams, nus) -> np.nd
 
     -inf where a row is not mu < lam < nu with mu and nu in phi2's domain
     and lam in phi1's, where one of its points has no saddle, where the
-    geometry is invalid, and where the bracket clamps (or is NaN).
+    geometry is invalid, and where the bracket clamps (or is NaN).  phi1 is
+    read once per entry of ``lams`` as passed that a valid row takes, so a
+    lam that broadcasts over many rows costs one evaluation.
     """
+    lam_in = np.asarray(lams, dtype=float)
     mus, lams, nus = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                           for a in (mus, lams, nus)))
-    out = np.full(lams.shape, -math.inf)
+                                           for a in (mus, lam_in, nus)))
     dom = phi2.domain
-    rows = np.nonzero((mus < lams) & (lams < nus) & dom.contains(mus) & dom.contains(nus)
-                      & phi1.domain.contains(lams))
-    lam = lams[rows]
-    cols, _ = _saddle_rows(phi2, mus[rows], lam, nus[rows])
+    inside = ((mus < lams) & (lams < nus) & dom.contains(mus) & dom.contains(nus)
+              & phi1.domain.contains(lams))
+    cols, _ = _saddle_rows(phi2, mus[inside], lams[inside], nus[inside])
     valid = _geometry_ok(**cols)
-    lam = lam[valid]
-    out[tuple(r[valid] for r in rows)] = _bracket_formula(
-        lam, phi1.values(lam), *(cols[k][valid] for k in ("s_minus", "ds_minus", "s_plus",
-                                                           "ds_plus", "x_plus")))
+    ok = inside.copy()
+    ok[inside] = valid
+    # phi1 at each entry of lam_in that a valid row takes, spread over its rows
+    lam_in = lam_in.reshape((1,) * (ok.ndim - lam_in.ndim) + lam_in.shape)
+    taken = ok.any(axis=tuple(k for k, n in enumerate(lam_in.shape) if n < ok.shape[k]),
+                   keepdims=True)
+    t0 = np.zeros(lam_in.shape)
+    t0[taken] = phi1.values(lam_in[taken])
+    out = np.full(ok.shape, -math.inf)
+    out[ok] = _bracket_formula(
+        lams[ok], np.broadcast_to(t0, ok.shape)[ok],
+        *(cols[k][valid] for k in ("s_minus", "ds_minus", "s_plus", "ds_plus", "x_plus")))
     return out
 
 
@@ -284,14 +293,14 @@ def closure_lower_envelope(
     _require_saddle_map(phi2, "closure needs a convexity-certified phi2")
     zs = _checked_grid(z_grid, "z_grid")
     dg = np.geomspace(1e-3, 0.5, 16)
-    d1 = np.repeat(dg, dg.size)
-    d2 = np.tile(dg, dg.size)
 
-    # every (z, d1, d2) geometry in one batch; a z without a saddle has a
-    # NaN mu, which no domain contains
+    # every (z, d1, d2) geometry in one batch, in (d1, d2) pair order, phi1
+    # read once per (z, d1); a z without a saddle has a NaN mu, which no
+    # domain contains
     mus, no_saddle = _x0_inverse(phi2, zs)
-    lams = mus[:, None] / (1.0 - d1)
-    lv = _bracket_logs(phi1, phi2, mus[:, None], lams, lams * (1.0 + d2))
+    lams = mus[:, None, None] / (1.0 - dg[:, None])
+    lv = _bracket_logs(phi1, phi2, mus[:, None, None], lams,
+                       lams * (1.0 + dg)).reshape(zs.size, -1)
     best_j = np.argmax(lv, axis=1)  # the first strict maximum in pair order
     best = lv[np.arange(zs.size), best_j]
     log_vals = np.minimum(best, 0.0)
@@ -301,10 +310,10 @@ def closure_lower_envelope(
         if i in no_saddle:
             per_z[z] = {"status": "no-saddle"}
             continue
+        d1, d2 = (float(dg[k]) for k in divmod(j, dg.size))
         per_z[z] = {
             "status": "ok" if b > -math.inf else "clamped",
-            "best_offsets": (float(d1[j]), float(d2[j]), mu / (1.0 - float(d1[j])))
-            if b > -math.inf else None,
+            "best_offsets": (d1, d2, mu / (1.0 - d1)) if b > -math.inf else None,
             "log_value": b,
         }
 

@@ -83,19 +83,21 @@ def certify_dilation_dominance(phi: PhiFunction) -> DilationCertificate:
     The inequality only has to hold on *some* verification range, and the
     tail-transform exponent can be negative where phi is barely above 1, so
     the start of the range walks up.  The first range runs from the first
-    lam with phi(lam) >= 1 on a 4,097-point probe to the probe's end, the
-    domain top (max(100, 64 * max(lo, 1)) on an unbounded domain); a phi
-    that never reaches 1 there has no such range.  Then the start rises:
-    to 2^k for k = 1..8 on an unbounded domain (each range ending at
-    max(100, 64 * start)), to lo + q*(top - lo) for q in 0.3, 0.45, 0.6,
-    0.75 on a bounded one.  The ranges are tried one after another, and an
-    unusable one (:func:`_certify_on_range`) is passed over: the first
-    certificate with c1 >= 0.3 wins, else the largest c1 certified.
+    lam with phi(lam) >= 1 to the end of a 129-point probe, the domain top
+    (max(100, 64 * max(lo, 1)) on an unbounded domain), that lam searched
+    between two probe points (:func:`_first_at_one`, by Newton steps where
+    phi has phi'); a phi that never reaches 1 there has no such range.
+    Then the start rises: to 2^k for k = 1..8 on an unbounded domain (each
+    range ending at max(100, 64 * start)), to lo + q*(top - lo) for q in
+    0.3, 0.45, 0.6, 0.75 on a bounded one.  The ranges are tried one after
+    another, and an unusable one (:func:`_certify_on_range`) is passed
+    over: the first certificate with c1 >= 0.3 wins, else the largest c1
+    certified.
     Raises NotCertifiedError, naming the ranges tried, when none certifies.
     """
     lo, top = phi.domain.lo, float(phi.domain.top())
     end = top if math.isfinite(top) else max(100.0, 64.0 * max(lo, 1.0))
-    probe = np.linspace(max(lo, 1e-12), end, 4097)
+    probe = np.linspace(max(lo, 1e-12), end, 129)
     first = _first_at_one(phi, probe, phi.values(probe), 1e-12)
     ranges = [] if first is None else [(first, end)]
     if math.isfinite(top):
@@ -123,29 +125,38 @@ def _largest_dilation(phi: PhiFunction, lams: np.ndarray, ceiling: np.ndarray,
 
     None, before any search, unless phi(c_lo*lam) <= ceiling at every
     lambda (NaN fails): the floor of each lambda's bracket must hold.
-    A lambda's is ``top`` where phi(top*lam) <= ceiling, else 45 halvings of
-    [c_lo, top] (envelope exponents are nondecreasing).  While some lambda
-    fails at the running c (NaN fails), the one failing most relative to
-    max(1, |ceiling|) is bisected, once, and c drops to its critical dilation:
-    only the lambdas that bind are bisected, each step one ``values`` call.
-    Where phi falls, a bisected lambda can fail again below its critical
-    dilation: then the walk ends in None, so every c returned holds at every
-    lambda of the grid.
+    A lambda's is ``top`` where phi(top*lam) <= ceiling, else the lower end
+    of a :func:`_bisect` search of phi(c*lam) <= ceiling on [c_lo, top]
+    (envelope exponents are nondecreasing), 45 tests at most, to width
+    2^-52 (rel = 0): Newton steps on the slope lam*phi'(c*lam) where phi
+    has phi' and it is positive, else halvings.  While some lambda fails at the
+    running c (NaN fails), the one failing most relative to
+    max(1, |ceiling|) is searched, once, and c drops to its critical
+    dilation: only the lambdas that bind are searched, each step of the
+    walk one ``values`` call.  Where phi falls, a searched lambda can fail
+    again below its critical dilation: then the walk ends in None, so every
+    c returned holds at every lambda of the grid.
     """
     if not np.all(_values_at(phi, c_lo, lams) <= ceiling):
         return None
     lo, hi = phi.domain.lo, phi.domain.top()
-    c, bisected = top, np.zeros(lams.size, dtype=bool)
+    c, searched = top, np.zeros(lams.size, dtype=bool)
     while c > 1e-10:
         v = _values_at(phi, c, lams)
         failing = ~(v <= ceiling)
-        fails = np.flatnonzero(failing & ~bisected)
+        fails = np.flatnonzero(failing & ~searched)
         if fails.size == 0:
             return None if failing.any() else c
         i = fails[np.argmax((v[fails] - ceiling[fails]) / np.maximum(1.0, np.abs(ceiling[fails])))]
-        bisected[i], t, ceil_t = True, float(lams[i]), float(ceiling[i])
-        c = min(c, _bisect(float(c_lo[i]), top,
-                           lambda m: phi.value(min(max(m * t, lo), hi)) <= ceil_t, 45)[0])
+        searched[i], t, ceil_t = True, float(lams[i]), float(ceiling[i])
+
+        def below(m):
+            u = min(max(m * t, lo), hi)
+            v = phi.value(u)
+            d = math.nan if phi.deriv is None else t * phi.derivative(u)
+            return v <= ceil_t, (ceil_t - v) / d if d > 0.0 else math.nan
+
+        c = min(c, _bisect(float(c_lo[i]), top, below, 45)[0])
     return None
 
 
@@ -164,7 +175,8 @@ def _certify_on_range(phi: PhiFunction, lo: float, hi: float) -> Optional[Dilati
     aux = np.array([_tail_transform_from_value(p, t)
                     for p, t in zip(phi.values(lams).tolist(), lams.tolist())])
 
-    ceiling = aux + _ABS_TOL * np.maximum(1.0, np.abs(aux))
+    # the slack only where aux is finite: a -inf ceiling (phi = 0) fails as is
+    ceiling = aux + np.where(np.isfinite(aux), _ABS_TOL * np.maximum(1.0, np.abs(aux)), 0.0)
     c_lo = phi.domain.lo / lams if phi.domain.lo > 0 else np.full(lams.size, 1e-12)
     c1 = None if np.any(c_lo >= 1.0) else _largest_dilation(phi, lams, ceiling, c_lo, 1.0)
     if c1 is None:
@@ -283,7 +295,7 @@ def absorb_normalization(phi: PhiFunction, c1: float, m_bound: float,
     lam1 runs over a geometric ladder (dyadic approach to the top for a
     bounded domain); at the first lam1 admitting a feasible c2 the largest
     one wins: the least critical dilation of the 128-point verification
-    grid, each bisected below c1 (:func:`_largest_dilation`).  Larger c2
+    grid, each searched below c1 (:func:`_largest_dilation`).  Larger c2
     means a smaller final dilation, hence a tighter envelope.
     """
     lnM = math.log(m_bound)

@@ -28,22 +28,32 @@ MP_LAMS = (1e-12, 1e-9, 1e-6, 1e-3, 0.5, 3.0, 20.0)
 NEAR_ONE = (1.05, 1.1, 1.2)
 
 
-def _switch(m):
-    """(last lam whose moment series fits in _SERIES_TERMS terms, next
-    double above it), by bisection of the term count."""
+def _switch(m, terms=None):
+    """(last lam whose moment series fits in ``terms`` terms, by default
+    _SERIES_TERMS, next double above it), by bisection of the term count."""
+    terms = oracles._SERIES_TERMS if terms is None else terms
     lo, hi = 1.0, 1e4
     while math.nextafter(lo, hi) < hi:
         mid = 0.5 * (lo + hi)
-        if oracles._series_terms(m, np.array([mid]))[0] <= oracles._SERIES_TERMS:
+        if oracles._series_terms(m, np.array([mid]))[0] <= terms:
             lo = mid
         else:
             hi = mid
     return lo, hi
 
 
+def _rule_from(m):
+    """The least lam whose row takes the Gauss-Hermite rule: just above the
+    switch, or, where the peak lies fewer than _GH_CLEAR widths above 0
+    there (m = 1.5), just above that clearance."""
+    above = _switch(m)[1]
+    x = (above / m) ** (1.0 / (m - 1.0))
+    return _clear(m)[1] if (m - 1.0) * (1.0 + m * x ** m) < oracles._GH_CLEAR ** 2 else above
+
+
 def _above_switch(m):
-    """Three lams from just above the switch to 1e6."""
-    return tuple(np.geomspace(_switch(m)[1], 1e6, 4)[1:].tolist())
+    """Three lams from just above the first rule row to 1e6."""
+    return tuple(np.geomspace(_rule_from(m), 1e6, 4)[1:].tolist())
 
 
 def _clear(m):
@@ -145,6 +155,13 @@ def _mp_weibull(m, lam):
 # of test_oracles.py check against mpmath
 MOMENT_SERIES_ROWS = ([(m, lam) for m in SHAPES for lam in MP_LAMS]
                       + [(m, lam) for m in SHAPES for lam in _switch(m)]
+                      # the first rule rows, where the switch row is still
+                      # a series row near 0 (m = 1.5)
+                      + [(m, lam) for m in SHAPES for lam in _clear(m)
+                         if _rule_from(m) != _switch(m)[1]]
+                      # rows of 512 and 1,024 terms, once series rows, now
+                      # rule rows
+                      + [(m, lam) for m in SHAPES for lam in _switch(m, 1024)]
                       + [(m, lam) for m in SHAPES for lam in _above_switch(m)])
 NEAR_ZERO_PEAK_ROWS = ([(m, lam) for m in NEAR_ONE for lam in (_switch(m)[1], *_clear(m), 1e6)]
                        # xh's rounding spans 14 widths: the rule's node

@@ -455,7 +455,10 @@ class TestSaddlePoint:
 
 # Hand-rolled bisection loops as the searches once wrote them, each the
 # reference that its ``_bisect`` call is compared with bit for bit.  Each
-# takes the bracket and the function and returns what its caller kept.
+# takes the bracket and the function and returns what its caller kept.  The
+# two without a stop width stop at ``_bisect``'s least one, 2^-52 relative to
+# max(1, |b|): halving on, they could only collapse the bracket onto an
+# untested end.
 def _loop_saddle(a, b, fn):
     for _ in range(200):
         if (b - a) <= 1e-12 * max(1.0, abs(b)):
@@ -495,6 +498,8 @@ def _loop_lam_range(a, b, fn):
 
 def _loop_absorb(fa, fb, fn):
     for _ in range(45):
+        if fb - fa <= 2.0 ** -52 * max(1.0, abs(fb)):
+            break
         m = 0.5 * (fa + fb)
         if fn(m) <= 1.0:
             fa = m
@@ -505,6 +510,8 @@ def _loop_absorb(fa, fb, fn):
 
 def _loop_moments(a, bnd, fn):
     for _ in range(60):
+        if bnd - a <= 2.0 ** -52 * max(1.0, abs(bnd)):
+            break
         m = 0.5 * (a + bnd)
         if fn(m) >= 1.0:
             bnd = m
@@ -529,7 +536,7 @@ def _search(below, steps, rel, keep):
     """One ``_bisect`` search, ``below`` a test of fn at the midpoint, whose
     caller keeps ``keep(a, b)`` of its bracket."""
     def run(a, b, fn):
-        return keep(*_bisect(a, b, lambda m: below(fn(m)), steps, rel))
+        return keep(*_bisect(a, b, lambda m: (below(fn(m)), math.nan), steps, rel))
     return run
 
 
@@ -595,7 +602,8 @@ class TestBisect:
 
         got_a, got_b = _bisect_rows(a, b, below, steps, rel)
         for i in range(a.size):
-            one = _bisect(float(a[i]), float(b[i]), lambda x, r=root[i]: x - r <= 0.0, steps, rel)
+            one = _bisect(float(a[i]), float(b[i]), lambda x, r=root[i]: (x - r <= 0.0, math.nan),
+                          steps, rel)
             assert (got_a[i], got_b[i]) == one
         # a row leaves the batch once its search stops
         assert all(n > 0 for n in seen) and seen == sorted(seen, reverse=True)
@@ -1618,7 +1626,7 @@ def _reference_conjugate_value(f, x):
         # the root of f'(lam) = x, so the Brent search below takes no
         # step; where no end moved, the scan's point stands
         if f.deriv2 is None:
-            a2, b2 = _bisect(a, b, lambda m: f.derivative(m) <= x, 100, 1e-13)
+            a2, b2 = _bisect(a, b, lambda m: (f.derivative(m) <= x, math.nan), 100, 1e-13)
         else:
             a2, b2 = _newton(a, b, x, f.derivative,
                              lambda m: f.second_derivatives(np.array([m]))[0])
@@ -2027,11 +2035,12 @@ class TestBatchedSearch:
 
     def test_weibull_conjugate_work(self, monkeypatch):
         # the Gauss-Hermite rule rows behind 15 searched conjugates of
-        # weibull(4): 333 rows in 13 calls, the 15 x sharing their scan
+        # weibull(4): 515 rows in 14 calls, the 15 x sharing their scan
         # grids and taking 5 Newton steps, each one phi' and one phi'' call
-        # (bisecting phi' took 594 rows in 42 calls, the golden steps 616
-        # rows in 45 calls, one scan per x 1,549 rows in 74 calls, and the
-        # quadrature before the rule 4,152 rows)
+        # (333 rows in 13 calls while the series took rows of up to 1,024
+        # terms; bisecting phi' took 594 rows in 42 calls, the golden steps
+        # 616 rows in 45 calls, one scan per x 1,549 rows in 74 calls, and
+        # the quadrature before the rule 4,152 rows)
         calls = []
         inner = oracles._hermite_rows
 
@@ -2042,7 +2051,7 @@ class TestBatchedSearch:
         phi = oracles.weibull(4.0).mgf_exponent
         monkeypatch.setattr(oracles, "_hermite_rows", counted)
         conjugate(phi, np.linspace(1.0, 8.0, 15))
-        assert (len(calls), sum(calls)) == (13, 333)
+        assert (len(calls), sum(calls)) == (14, 515)
 
 
 def _bump_with_derivative(a, shift, depth, centre, width):

@@ -183,7 +183,7 @@ class TestBoundsLandAtTheirPoints:
         helper = lower_bilateral._bracket_logs
 
         def spy(phi1, phi2, mus, lams, nus):
-            batches.append(np.broadcast_arrays(mus, lams)[0])
+            batches.append(np.broadcast_arrays(mus, lams, nus)[0].reshape(len(mus), -1))
             return helper(phi1, phi2, mus, lams, nus)
 
         monkeypatch.setattr(lower_bilateral, "_bracket_logs", spy)
@@ -231,7 +231,8 @@ class TestBoundsLandAtTheirPoints:
             return vals, mus
 
         def spy(phi1, phi2, mus, lams, nus):
-            batches.append((inverses[-1], np.broadcast_arrays(mus, lams)[0]))
+            batches.append((inverses[-1],
+                            np.broadcast_arrays(mus, lams, nus)[0].reshape(len(mus), -1)))
             return helper(phi1, phi2, mus, lams, nus)
 
         monkeypatch.setattr(lower_bilateral, "_x0_inverse", inverse_spy)

@@ -4,6 +4,7 @@ normalization absorption, and the emitted lower envelope."""
 import dataclasses
 import math
 import re
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from conftest import dilated, validate_monotone, weibull_log_mgf_closed_m2
-from tailbounds import lower_unilateral, oracles
+from tailbounds import functions, lower_unilateral, oracles
 from tailbounds.errors import (
     AbsorptionFailedError,
     DivergentIntegral,
@@ -23,6 +24,7 @@ from tailbounds.errors import (
 from tailbounds.functions import (
     LAMBDA_CAP,
     PhiFunction,
+    _bisect,
     _inf_where_unbounded,
     conjugate,
     conjugate_values,
@@ -154,6 +156,19 @@ class TestDilationCertificate:
                 "step: dilation dominance not certified on (1, 1), (0.3, 1), (0.45, 1)")):
             certify_dilation_dominance(phi)
 
+    def test_a_zero_phi_inside_a_range_raises_no_warning(self):
+        # phi = max(lam - 15, 0)^2 is 0 below 15, where the tail-transform
+        # exponent is -inf: its relative slack once read -inf + inf, numpy's
+        # invalid-value warning.  The -inf ceiling still fails the floor
+        # test, so the range from 1 refuses, and the chain certifies from 18
+        lams = np.arange(401) / 10.0
+        phi = PhiFunction.from_grid(lams, np.maximum(lams - 15.0, 0.0) ** 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _certify_on_range(phi, 1.0, 40.0) is None
+            cert = certify_dilation_dominance(phi)
+        assert cert.lam_range == (18.0, 40.0) and 0.9 < cert.c1 < 1.0
+
     def test_an_error_of_phi_itself_is_raised(self):
         # 0.36*lam^2 refusing lam > 100: the default range, to 100, certifies
         # c1 = 0.17 only, and the next range, from 2 to 128, asks phi past
@@ -192,6 +207,22 @@ class TestAbsorption:
             absorb_normalization(phi, 0.9, 3.0, phi.domain.top())
 
 
+def _dilation_search(phi, t, ceiling, c_lo, top):
+    """One lambda's critical dilation, searched on its own: the lower end of
+    a _bisect search of phi(c*t) <= ceiling on [c_lo, top], 45 tests at
+    most, by Newton steps (ceiling - phi)/(t*phi') where phi has a positive
+    phi', else by halvings."""
+    lo, hi = phi.domain.lo, phi.domain.top()
+
+    def below(c):
+        u = min(max(c * t, lo), hi)
+        v = phi.value(u)
+        d = t * phi.derivative(u) if phi.deriv is not None else math.nan
+        return v <= ceiling, (ceiling - v) / d if d > 0.0 else math.nan
+
+    return _bisect(c_lo, top, below, 45)[0]
+
+
 def _absorb_one_at_a_time(phi, c1, m_bound, w_lo, moves=None):
     """The absorption the batched one replaced: every test of every lambda a
     scalar call, in grid order.  Where phi falls, a lambda can fail again
@@ -227,14 +258,7 @@ def _absorb_one_at_a_time(phi, c1, m_bound, w_lo, moves=None):
                 crit = c2
             else:
                 moved.append(t)
-                fa, fb = c_lo, c1
-                for _ in range(45):
-                    m = 0.5 * (fa + fb)
-                    if val_at(m, t) <= budget + tol:
-                        fa = m
-                    else:
-                        fb = m
-                crit = fa
+                crit = _dilation_search(phi, t, budget + tol, c_lo, c1)
             c2 = min(c2, crit)
             if c2 <= 1e-10:
                 ok = False
@@ -316,22 +340,13 @@ class TestBatchedAbsorption:
 
 
 def _critical_dilations(phi, lams, ceiling, c_lo, top):
-    """Each lambda's critical dilation, each bisected on its own: top where
-    phi(top*lam) <= ceiling, else 45 halvings of [c_lo, top]."""
+    """Each lambda's critical dilation, each searched on its own: top where
+    phi(top*lam) <= ceiling, else :func:`_dilation_search` on [c_lo, top]."""
     lo, hi = phi.domain.lo, phi.domain.top()
-    crits = []
-    for t, ceil, a in zip(lams.tolist(), ceiling.tolist(), c_lo.tolist()):
-        def holds(c):
-            return phi.value(min(max(c * t, lo), hi)) <= ceil
-        crit = top
-        if not holds(top):
-            b = top
-            for _ in range(45):
-                m = 0.5 * (a + b)
-                a, b = (m, b) if holds(m) else (a, m)
-            crit = a
-        crits.append(crit)
-    return np.array(crits)
+    return np.array([
+        top if phi.value(min(max(top * t, lo), hi)) <= ceil
+        else _dilation_search(phi, t, ceil, a, top)
+        for t, ceil, a in zip(lams.tolist(), ceiling.tolist(), c_lo.tolist())])
 
 
 def _dilation_problem(phi, start, c1, lnM):
@@ -499,6 +514,79 @@ class TestLargestDilation:
                 counts.clear()
                 certify_dilation_dominance(law.mgf_exponent)
                 assert counts and max(counts) <= 2, (name, counts)
+
+
+def _wavy_with_slope(a, w):
+    """:func:`_wavy` with its derivative, so that its searches take Newton
+    steps where it rises and halve where it falls."""
+    return dataclasses.replace(
+        _wavy(a, w), deriv=lambda t: t + a * (1.0 + np.sin(w * t)) + a * w * t * np.cos(w * t))
+
+
+# the phis whose scalar searches take Newton steps; the wavy one falls in
+# places, where its steps are NaN and the search halves
+NEWTON_FAMILIES = {
+    "quadratic": QUAD0,
+    "power-log-0.5": PhiFunction.power_log(0.5, lo=0.0),
+    "weibull4": oracles.weibull(4.0).mgf_exponent,
+    "wavy": _wavy_with_slope(3.614, 2.173),
+}
+
+
+def _record_searches(monkeypatch):
+    """Every scalar search from here on, as (a0, b0, below(a), below(b),
+    rel, (a, b), tests made), each answer taken as the search returns."""
+    searches = []
+
+    def spy(a, b, below, steps, rel=0.0):
+        made = []
+        got = _bisect(a, b, lambda t: made.append(t) or below(t), steps, rel)
+        searches.append((a, b, below(got[0])[0], below(got[1])[0], rel, got, len(made)))
+        return got
+
+    monkeypatch.setattr(lower_unilateral, "_bisect", spy)
+    monkeypatch.setattr(functions, "_bisect", spy)
+    return searches
+
+
+class TestScalarNewtonSearch:
+    """The dilation search and the first lam at 1 take Newton steps where
+    phi has phi': each ends with below(a) holding and below(b) failing,
+    within its stop width, in at most 12 tests."""
+
+    @pytest.mark.parametrize("name", sorted(NEWTON_FAMILIES))
+    def test_searches_of_the_chain(self, name, monkeypatch):
+        phi = NEWTON_FAMILIES[name]
+        searches = _record_searches(monkeypatch)
+        cert = certify_dilation_dominance(phi)
+        absorb_normalization(phi, cert.c1, 30.0, cert.lam_range[0])
+        kinds = {rel for *_, rel, _, _ in searches}
+        assert kinds == {0.0, 1e-12}, kinds  # dilations and the first lam at 1
+        for a0, b0, at_a, at_b, rel, (a, b), made in searches:
+            assert at_a
+            # an end never tested is the caller's; the dilation search's top
+            # holds there on a falling phi
+            assert not at_b or (b == b0 and name == "wavy")
+            # rel = 0 stops within the spacing of doubles at 1
+            assert 0.0 < b - a <= max(rel, 2.0 ** -52) * max(1.0, abs(b))
+            assert made <= 12, (a0, b0, made)
+
+    def test_moments_first_lam_at_one_ends_within_the_spacing_of_doubles(self, monkeypatch):
+        # rel = 0: 0.5 sqrt(p) reaches 1 at p = 4, and the search ends on it,
+        # two doubles below it (the spacing halves below 4)
+        searches = _record_searches(monkeypatch)
+        to_exponential(moment_power_growth(2.0, 0.5, 1.0))
+        (_, _, at_a, at_b, rel, (a, b), made), = searches
+        assert rel == 0.0 and at_a and not at_b and made <= 12
+        assert b == 4.0 and 0.0 < b - a <= 2.0 ** -52 * b
+
+    def test_without_a_derivative_the_search_halves(self, monkeypatch):
+        # the same search on phi without phi': 45 halvings, as before Newton
+        searches = _record_searches(monkeypatch)
+        phi = dataclasses.replace(QUAD0, deriv=None)
+        certify_dilation_dominance(phi)
+        halvings = [made for *_, rel, _, made in searches if rel == 0.0]
+        assert halvings and all(made == 45 for made in halvings)
 
 
 @pytest.fixture(scope="module")
@@ -687,14 +775,15 @@ class TestChainConjugatesPhi:
     def test_work_of_the_power_log_one_chain(self, monkeypatch):
         # phi' tends to 1, so every a*x > 1 diverges without a search; the
         # dilated copy had no slope limit, and its chain took 80 values calls
-        # over 20,256 points, each x climbing the scan ladder to the cap
+        # over 20,256 points, each x climbing the scan ladder to the cap;
+        # the dominance probe of 4,097 points took 5,813 points in all
         sizes = []
         values = PhiFunction.values
         monkeypatch.setattr(PhiFunction, "values",
                             lambda f, lams: sizes.append(np.size(lams)) or values(f, lams))
         env, _ = unilateral_lower_envelope(PhiFunction.power_log(1.0, 0.0, lo=0.0), 0.2, 2.0,
                                            np.linspace(1.0, 8.0, 15))
-        assert (len(sizes), sum(sizes)) == (12, 5813)
+        assert (len(sizes), sum(sizes)) == (12, 1845)
         assert np.all(env.log_values == -math.inf)
 
 

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from conftest import weibull_log_mgf_closed_m2
 from make_weibull_refs import (MOMENT_SERIES_ROWS, NEAR_ONE, NEAR_ZERO_PEAK_ROWS, SHAPES,
-                               _above_switch, _clear, _mp_weibull, _switch)
+                               _above_switch, _clear, _mp_weibull, _rule_from, _switch)
 from tailbounds import lower_unilateral, oracles
 from tailbounds.errors import (DivergentIntegral, InputError, NotCertifiedError,
                                NotConvergedError)
@@ -327,15 +327,13 @@ class TestStoredWeibullReferences:
 class TestWeibullMomentSeries:
     @pytest.mark.parametrize("m,lam", MOMENT_SERIES_ROWS)
     def test_against_mpmath(self, m, lam, monkeypatch):
-        # series rows and Gauss-Hermite rule rows, each within 1e-14
+        # series rows and Gauss-Hermite rule rows, each within 1e-14; the
+        # rule takes every row from the first above the switch whose peak
+        # is not near 0, and no other
         rows = _count_rule_rows(monkeypatch)
         phi = oracles.weibull(m).mgf_exponent
         got = (phi.value(lam), phi.derivative(lam))
-        below, above = _switch(m)
-        if lam in (below, above):
-            assert (not rows) == (lam == below)
-        if lam > above:
-            assert rows == [1, 1]
+        assert rows == ([1, 1] if lam >= _rule_from(m) else [])
         want = WEIBULL_REFS[m, lam]
         assert got[0] == pytest.approx(want[0], rel=1e-14, abs=0.0)
         assert got[1] == pytest.approx(want[1], rel=1e-14, abs=0.0)
@@ -368,8 +366,9 @@ class TestWeibullMomentSeries:
     def test_below_the_switch_takes_no_rule_row(self, monkeypatch):
         rows = _count_rule_rows(monkeypatch)
         phi = oracles.weibull(4.0).mgf_exponent
-        phi.values(np.geomspace(1e-3, 100.0, 200))
-        phi.derivatives(np.geomspace(1e-3, 100.0, 200))
+        lams = np.geomspace(1e-3, _switch(4.0)[0], 200)
+        phi.values(lams)
+        phi.derivatives(lams)
         assert not rows
 
     def test_series_cut_short_is_refused(self):
@@ -439,7 +438,7 @@ class TestWeibullHermiteRule:
     @pytest.mark.parametrize("m", SHAPES)
     def test_rule_takes_every_row_above_the_switch(self, monkeypatch, m):
         rows = _count_rule_rows(monkeypatch)
-        lams = np.geomspace(_switch(m)[1], 1e6, 50)
+        lams = np.geomspace(_rule_from(m), 1e6, 50)
         vals = oracles._weibull_log_mgf(m, lams)
         slopes = oracles._weibull_log_mgf_deriv(m, lams)
         assert sum(rows) == 2 * lams.size
@@ -465,7 +464,7 @@ class TestWeibullSecondDerivative:
     @pytest.mark.parametrize("m,lam", [row for row in MOMENT_SERIES_ROWS + NEAR_ZERO_PEAK_ROWS
                                        if row not in FAR_PEAK_ROWS])
     def test_against_mpmath(self, m, lam):
-        # series rows measured within 1.7e-13 relative; rule rows within
+        # series rows measured within 6.0e-14 relative; rule rows within
         # 1.5e-16 relative per width s the peak xh lies above 0 (7.1e-8 at
         # m = 1.5, lam = 1e6, 4.7e8 widths), as the rule's exponent carries
         # a rounding error of about 1e-16 xh/s at its nodes
@@ -792,6 +791,41 @@ class TestBattery:
         for seed, count in ((-1, 1_000), (42, -5)):
             with pytest.raises(InputError, match="need a seed in"):
                 oracles.battery(oracles.weibull(4.0), seed, count)
+
+
+    @pytest.mark.parametrize("m,want", [
+        (2.0, (142, 14_069, 1_382_560, 4_855)),
+        (4.0, (147, 17_430, 692_384, 10_998)),
+    ])
+    def test_weibull_work(self, monkeypatch, m, want):
+        # _weibull_rows calls and rows, moment-series cells (rows x terms)
+        # and Gauss-Hermite rule rows of one battery.  With the series
+        # switch at 1,024 terms, halvings in the scalar searches, a 4,097-
+        # point dominance probe and phi1 read per closure row, weibull2 took
+        # (297, 21,792, 5,408,928, 3,778) and weibull4 (273, 25,124,
+        # 4,844,448, 10,619)
+        work = [0, 0, 0, 0]
+        rows, series, rule = oracles._weibull_rows, oracles._series_rows, oracles._hermite_rows
+
+        def counted_rows(mm, lams, order, table):
+            work[0] += 1
+            work[1] += np.size(lams)
+            return rows(mm, lams, order, table)
+
+        def counted_series(log_c, lams, order):
+            work[2] += lams.size * log_c.size
+            return series(log_c, lams, order)
+
+        def counted_rule(mm, lams, order):
+            work[3] += lams.size
+            return rule(mm, lams, order)
+
+        monkeypatch.setattr(oracles, "_weibull_rows", counted_rows)
+        monkeypatch.setattr(oracles, "_series_rows", counted_series)
+        monkeypatch.setattr(oracles, "_hermite_rows", counted_rule)
+        checks = oracles.battery(oracles.weibull(m), 42, 200_000)
+        assert all(c["pass"] for c in checks.values())
+        assert tuple(work) == want
 
 
 class TestSampling:

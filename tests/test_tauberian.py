@@ -154,7 +154,7 @@ def _sequential_invert(fn, target, lo, hi_seed):
         hi *= 2.0
     else:
         raise NonInvertibleError(f"no bracket for target {target}")
-    a, b = _bisect(lo, hi, lambda x: fn(x) < target, 200, 1e-10)
+    a, b = _bisect(lo, hi, lambda x: (fn(x) < target, math.nan), 200, 1e-10)
     return 0.5 * (a + b)
 
 
