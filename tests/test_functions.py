@@ -647,12 +647,19 @@ class TestBisect:
             with np.errstate(all="ignore"):
                 return d <= 0.0, (0.0 - d) / d2(t, root[live], cubic[live], scale[live])
 
+        def below_one(t, i):
+            d = float(d1(t, root[i], cubic[i]))
+            with np.errstate(all="ignore"):
+                return d <= 0.0, float((0.0 - d) / d2(t, root[i], cubic[i], scale[i]))
+
         got_a, got_b = _bisect_rows(a, b, below, steps, rel)
         for i in range(a.size):
             one = _newton(float(a[i]), float(b[i]), 0.0,
                           lambda t: float(d1(t, root[i], cubic[i])),
                           lambda t: float(d2(t, root[i], cubic[i], scale[i])), steps, rel)
             assert (got_a[i], got_b[i]) == one
+            # the scalar loop takes the same steps
+            assert _bisect(float(a[i]), float(b[i]), lambda t: below_one(t, i), steps, rel) == one
         assert all(n > 0 for n in seen) and seen == sorted(seen, reverse=True)
 
     def test_stops_on_width_before_a_halving(self):
